@@ -11,12 +11,14 @@
 //!    footprint moves its TEE ratio, the causal channel behind the
 //!    managed-runtime finding.
 
+use std::io::Write;
+
 use confbench_faasrt::{FaasFunction, FunctionLauncher, RuntimeProfile};
-use confbench_types::{Language, OpTrace, TeePlatform, VmKind, VmTarget};
+use confbench_types::{Language, OpTrace, Result, TeePlatform, VmKind, VmTarget};
 use confbench_vmm::{Fvp, TeeVmBuilder};
 use confbench_workloads::find_workload;
 
-use crate::{heatmap_quick_args, mean, ExperimentConfig, Scale};
+use crate::{mean, measure_trace, wall_ms, ExperimentConfig};
 
 /// Ratio measurement with configurable VM options.
 fn ratio_with(
@@ -26,23 +28,18 @@ fn ratio_with(
     trials: u32,
     seed: u64,
     configure: impl Fn(TeeVmBuilder) -> TeeVmBuilder,
-) -> f64 {
+) -> Result<f64> {
     let run = |kind| {
         let builder = TeeVmBuilder::new(VmTarget { platform, kind }).seed(seed);
-        let mut vm = configure(builder).build();
-        let _ = vm.execute(startup);
-        let ms: Vec<f64> = vm.execute_trials(trace, trials).iter().map(|r| r.wall_ms).collect();
-        mean(&ms)
+        measure_trace(configure(builder), startup, trace, trials)
+            .map(|reports| mean(&wall_ms(&reports)))
     };
-    run(VmKind::Secure) / run(VmKind::Normal)
+    Ok(run(VmKind::Secure)? / run(VmKind::Normal)?)
 }
 
-fn launched(name: &str, language: Language, scale: Scale) -> (OpTrace, OpTrace) {
+fn launched(name: &str, language: Language, cfg: ExperimentConfig) -> (OpTrace, OpTrace) {
     let workload = find_workload(name).expect("known workload");
-    let args = match scale {
-        Scale::Paper => workload.default_args(),
-        Scale::Quick => heatmap_quick_args(name),
-    };
+    let args = cfg.args_for(&workload);
     let out = FunctionLauncher::new(language).launch(&workload, &args).expect("launches");
     (out.trace, out.startup_trace)
 }
@@ -64,51 +61,53 @@ pub struct BounceAblation {
 
 /// Ablation 1: TDX `iostress` ratio with and without bounce buffers,
 /// alongside the per-config swiotlb byte counts that attribute the gap.
-pub fn bounce_buffer_ablation(cfg: ExperimentConfig) -> BounceAblation {
-    let (trace, startup) = launched("iostress", Language::Go, cfg.scale);
-    let probe = |bounce: bool| {
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn bounce_buffer_ablation(cfg: ExperimentConfig) -> Result<BounceAblation> {
+    let (trace, startup) = launched("iostress", Language::Go, cfg);
+    let probe = |bounce: bool| -> Result<(f64, u64)> {
         let run = |kind| {
-            let mut vm = TeeVmBuilder::new(VmTarget { platform: TeePlatform::Tdx, kind })
+            let builder = TeeVmBuilder::new(VmTarget { platform: TeePlatform::Tdx, kind })
                 .seed(cfg.seed)
-                .bounce_buffers(bounce)
-                .build();
-            let _ = vm.execute(&startup);
-            let reports = vm.execute_trials(&trace, cfg.trials());
-            let ms: Vec<f64> = reports.iter().map(|r| r.wall_ms).collect();
-            (mean(&ms), reports.iter().map(|r| r.events.bounce_bytes).sum::<u64>())
+                .bounce_buffers(bounce);
+            measure_trace(builder, &startup, &trace, cfg.trials())
         };
-        let (secure_ms, secure_bytes) = run(VmKind::Secure);
-        let (normal_ms, _) = run(VmKind::Normal);
-        (secure_ms / normal_ms, secure_bytes)
+        let secure = run(VmKind::Secure)?;
+        let normal = run(VmKind::Normal)?;
+        let ratio = mean(&wall_ms(&secure)) / mean(&wall_ms(&normal));
+        Ok((ratio, secure.iter().map(|r| r.events.bounce_bytes).sum::<u64>()))
     };
-    let (with_ratio, with_bounce_bytes) = probe(true);
-    let (without_ratio, without_bounce_bytes) = probe(false);
-    BounceAblation { with_ratio, with_bounce_bytes, without_ratio, without_bounce_bytes }
+    let (with_ratio, with_bounce_bytes) = probe(true)?;
+    let (without_ratio, without_bounce_bytes) = probe(false)?;
+    Ok(BounceAblation { with_ratio, with_bounce_bytes, without_ratio, without_bounce_bytes })
 }
 
 /// Ablation 2: CCA `cpustress` ratio across FVP slowdown factors. The
 /// secure/normal *ratio* should be nearly invariant (the tax hits both),
 /// while absolute time scales — exactly why the paper trusts only relative
 /// CCA comparisons. Returns `(slowdown, ratio, secure_mean_ms)` triples.
-pub fn fvp_sweep(cfg: ExperimentConfig, slowdowns: &[f64]) -> Vec<(f64, f64, f64)> {
-    let (trace, startup) = launched("cpustress", Language::Go, cfg.scale);
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn fvp_sweep(cfg: ExperimentConfig, slowdowns: &[f64]) -> Result<Vec<(f64, f64, f64)>> {
+    let (trace, startup) = launched("cpustress", Language::Go, cfg);
     slowdowns
         .iter()
         .map(|&slowdown| {
             let fvp = Fvp { slowdown, jitter_rel_std: 0.05 };
             let make = |kind| {
-                let mut vm = TeeVmBuilder::new(VmTarget { platform: TeePlatform::Cca, kind })
+                let builder = TeeVmBuilder::new(VmTarget { platform: TeePlatform::Cca, kind })
                     .seed(cfg.seed)
-                    .fvp(fvp.clone())
-                    .build();
-                let _ = vm.execute(&startup);
-                let ms: Vec<f64> =
-                    vm.execute_trials(&trace, cfg.trials()).iter().map(|r| r.wall_ms).collect();
-                mean(&ms)
+                    .fvp(fvp.clone());
+                measure_trace(builder, &startup, &trace, cfg.trials())
+                    .map(|reports| mean(&wall_ms(&reports)))
             };
-            let secure = make(VmKind::Secure);
-            let normal = make(VmKind::Normal);
-            (slowdown, secure / normal, secure)
+            let secure = make(VmKind::Secure)?;
+            let normal = make(VmKind::Normal)?;
+            Ok((slowdown, secure / normal, secure))
         })
         .collect()
 }
@@ -116,7 +115,11 @@ pub fn fvp_sweep(cfg: ExperimentConfig, slowdowns: &[f64]) -> Vec<(f64, f64, f64
 /// Ablation 3: a conflict-prone access pattern whose TDX ratio dips below
 /// 1.0 with the cache model on, and returns to ≥ 1.0 with it off.
 /// Returns `(ratio_with_cache, ratio_without_cache)`.
-pub fn cache_model_ablation(cfg: ExperimentConfig) -> (f64, f64) {
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn cache_model_ablation(cfg: ExperimentConfig) -> Result<(f64, f64)> {
     // The strided pattern from the vmm calibration suite.
     let mut trace = OpTrace::new();
     for _ in 0..4u64 {
@@ -136,25 +139,26 @@ pub fn cache_model_ablation(cfg: ExperimentConfig) -> (f64, f64) {
             }
         }
         t.cpu(1_000);
-        let r = ratio_with(&t, &startup, TeePlatform::Tdx, trials, cfg.seed, |b| b);
+        let r = ratio_with(&t, &startup, TeePlatform::Tdx, trials, cfg.seed, |b| b)?;
         if r < best_with {
             best_with = r;
             trace = t;
         }
     }
     let without =
-        ratio_with(&trace, &startup, TeePlatform::Tdx, trials, cfg.seed, |b| b.cache_model(false));
-    (best_with, without)
+        ratio_with(&trace, &startup, TeePlatform::Tdx, trials, cfg.seed, |b| b.cache_model(false))?;
+    Ok((best_with, without))
 }
 
 /// Ablation 4: the Python ratio on TDX as a function of the runtime's
 /// resident footprint (scaled 0.25×, 1×, 4×). Returns `(scale, ratio)`.
-pub fn footprint_sensitivity(cfg: ExperimentConfig) -> Vec<(f64, f64)> {
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn footprint_sensitivity(cfg: ExperimentConfig) -> Result<Vec<(f64, f64)>> {
     let workload = find_workload("checksum").expect("known workload");
-    let args = match cfg.scale {
-        Scale::Paper => workload.default_args(),
-        Scale::Quick => heatmap_quick_args("checksum"),
-    };
+    let args = cfg.args_for(&workload);
     // Logical trace from the native twin.
     let mut logical = OpTrace::new();
     workload.run_native(&args, &mut logical).expect("native runs");
@@ -170,10 +174,50 @@ pub fn footprint_sensitivity(cfg: ExperimentConfig) -> Vec<(f64, f64)> {
             let trace = profile.apply(&logical);
             let startup = OpTrace::new();
             let ratio =
-                ratio_with(&trace, &startup, TeePlatform::Tdx, cfg.trials(), cfg.seed, |b| b);
-            (scale, ratio)
+                ratio_with(&trace, &startup, TeePlatform::Tdx, cfg.trials(), cfg.seed, |b| b)?;
+            Ok((scale, ratio))
         })
         .collect()
+}
+
+/// Prints the design-choice ablations from DESIGN.md §5.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Ablation 1: TDX iostress ratio, bounce buffers on/off ===")?;
+    let bounce = bounce_buffer_ablation(cfg)?;
+    writeln!(
+        out,
+        "  with bounce buffers   : {:.2}x ({} bytes staged)",
+        bounce.with_ratio, bounce.with_bounce_bytes
+    )?;
+    writeln!(
+        out,
+        "  without (TDX-Connect) : {:.2}x ({} bytes staged)",
+        bounce.without_ratio, bounce.without_bounce_bytes
+    )?;
+    writeln!(out, "  -> the paper expects I/O results 'to improve considerably'\n")?;
+
+    writeln!(out, "=== Ablation 2: CCA cpustress across FVP slowdown factors ===")?;
+    for (slowdown, ratio, secure_ms) in fvp_sweep(cfg, &[1.0, 3.0, 9.0, 27.0])? {
+        writeln!(
+            out,
+            "  slowdown {slowdown:>5.1}x: ratio {ratio:.3}, secure mean {secure_ms:.2} ms"
+        )?;
+    }
+    writeln!(out, "  -> the ratio is simulator-invariant; absolute times are not.")?;
+    writeln!(out, "     Only relative comparisons within one simulator are sound (§IV-A).\n")?;
+
+    writeln!(out, "=== Ablation 3: the sub-1.0 cells need the cache model ===")?;
+    let (with_cache, without_cache) = cache_model_ablation(cfg)?;
+    writeln!(out, "  best strided-pattern TDX ratio, cache model on : {with_cache:.3}")?;
+    writeln!(out, "  same pattern, cache model off                  : {without_cache:.3}")?;
+    writeln!(out, "  -> reproduces the paper's cache-hit explanation (§IV-D).\n")?;
+
+    writeln!(out, "=== Ablation 4: Python ratio vs runtime footprint (TDX) ===")?;
+    for (scale, ratio) in footprint_sensitivity(cfg)? {
+        writeln!(out, "  footprint x{scale:<4}: ratio {ratio:.3}")?;
+    }
+    writeln!(out, "  -> heavier managed runtimes burden TEE operation more (§IV-B).")?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -182,7 +226,7 @@ mod tests {
 
     #[test]
     fn bounce_buffers_explain_tdx_io_overhead() {
-        let a = bounce_buffer_ablation(ExperimentConfig::quick(23));
+        let a = bounce_buffer_ablation(ExperimentConfig::quick(23)).unwrap();
         assert!(a.with_ratio > 1.3, "with bounce buffers: {}", a.with_ratio);
         assert!(
             a.without_ratio < a.with_ratio - 0.25,
@@ -198,7 +242,7 @@ mod tests {
 
     #[test]
     fn fvp_tax_cancels_in_ratios_but_not_absolutes() {
-        let rows = fvp_sweep(ExperimentConfig::quick(23), &[1.0, 4.0, 16.0]);
+        let rows = fvp_sweep(ExperimentConfig::quick(23), &[1.0, 4.0, 16.0]).unwrap();
         let ratios: Vec<f64> = rows.iter().map(|r| r.1).collect();
         let spread = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max)
             - ratios.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -208,14 +252,14 @@ mod tests {
 
     #[test]
     fn cache_model_creates_the_sub_unity_cells() {
-        let (with, without) = cache_model_ablation(ExperimentConfig::quick(23));
+        let (with, without) = cache_model_ablation(ExperimentConfig::quick(23)).unwrap();
         assert!(with < 1.0, "some pattern wins in the TEE with caching on: {with}");
         assert!(without >= 0.99, "effect gone without the cache model: {without}");
     }
 
     #[test]
     fn bigger_runtime_footprints_raise_tee_ratios() {
-        let rows = footprint_sensitivity(ExperimentConfig::quick(23));
+        let rows = footprint_sensitivity(ExperimentConfig::quick(23)).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(
             rows[2].1 >= rows[0].1,

@@ -8,52 +8,49 @@
 //! and 10k points were unreachable (each idle socket pinned a 16 MiB-stack
 //! worker); the epoll reactor holds them in one thread.
 //!
-//! Usage: `c10k [--smoke] [--workers N]`
-//!
-//! `--smoke` runs the 100/1k points with a smaller sample for CI. Levels
-//! are clamped to the process's open-files limit (each in-process
+//! `Scale::Quick` runs the 100/1k points with a smaller sample for CI.
+//! Levels are clamped to the process's open-files limit (each in-process
 //! connection costs two fds), so constrained runners measure what they can
 //! instead of dying on `EMFILE`.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use confbench_httpd::{Method, Response, Router, Server, ServerConfig};
 use confbench_stats::table;
+use confbench_types::{Error, Result};
 
-const FULL_LEVELS: [usize; 4] = [100, 1_000, 5_000, 10_000];
-const SMOKE_LEVELS: [usize; 2] = [100, 1_000];
+use crate::{ExperimentConfig, Scale};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let workers = args
-        .iter()
-        .position(|a| a == "--workers")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8);
-    let samples = if smoke { 400 } else { 2_000 };
-    let levels: &[usize] = if smoke { &SMOKE_LEVELS } else { &FULL_LEVELS };
+const WORKERS: usize = 8;
+
+/// Runs the stress and prints the table; wall-clock latencies, so the seed
+/// is unused and the output is not golden.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    let (samples, levels): (usize, &[usize]) = match cfg.scale {
+        Scale::Quick => (400, &[100, 1_000]),
+        Scale::Paper => (2_000, &[100, 1_000, 5_000, 10_000]),
+    };
 
     let baseline_threads = thread_count();
     let mut router = Router::new();
     router.add(Method::Get, "/ok", |_, _| Response::text("ok"));
     let config = ServerConfig {
-        workers,
+        workers: WORKERS,
         backlog: 32 << 10,
         keep_alive_idle: Duration::from_secs(300),
         max_requests_per_conn: u64::MAX,
         ..ServerConfig::default()
     };
-    let server = Server::build(router).config(config).spawn("127.0.0.1:0").unwrap();
+    let server = Server::build(router).config(config).spawn("127.0.0.1:0")?;
     let addr = server.addr();
     let fd_budget = (open_files_limit().saturating_sub(128)) / 2;
 
-    println!(
-        "=== C10k: latency vs open keep-alive connections (one server, {workers} workers) ===\n"
-    );
+    writeln!(
+        out,
+        "=== C10k: latency vs open keep-alive connections (one server, {WORKERS} workers) ===\n"
+    )?;
     let headers: Vec<String> = ["connections", "p50", "p95", "p99", "server threads"]
         .iter()
         .map(|s| s.to_string())
@@ -62,26 +59,27 @@ fn main() {
     for &level in levels {
         let target = level.min(fd_budget);
         if target < level {
-            println!("[clamp] {level} connections → {target} (open-files limit)");
+            writeln!(out, "[clamp] {level} connections → {target} (open-files limit)")?;
         }
         if target == 0 {
             continue;
         }
-        let mut conns: Vec<TcpStream> = (0..target)
+        let mut conns = (0..target)
             .map(|_| {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-                stream.set_nodelay(true).unwrap();
-                stream
+                let stream = TcpStream::connect(addr)?;
+                stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+                stream.set_nodelay(true)?;
+                Ok(stream)
             })
-            .collect();
+            .collect::<io::Result<Vec<TcpStream>>>()?;
         let deadline = Instant::now() + Duration::from_secs(30);
         while (server.active_connections() as usize) < target {
-            assert!(
-                Instant::now() < deadline,
-                "only {}/{target} connections admitted",
-                server.active_connections()
-            );
+            if Instant::now() >= deadline {
+                return Err(Error::Transport(format!(
+                    "only {}/{target} connections admitted",
+                    server.active_connections()
+                )));
+            }
             std::thread::sleep(Duration::from_millis(5));
         }
 
@@ -90,14 +88,14 @@ fn main() {
         // the open connections (every socket idles between its turns —
         // exactly the keep-alive pattern that used to pin workers).
         for stream in conns.iter_mut() {
-            roundtrip(stream);
+            roundtrip(stream)?;
         }
         let stride = (target / 64).max(1);
         let mut latencies = Vec::with_capacity(samples);
         for i in 0..samples {
             let stream = &mut conns[(i * stride) % target];
             let start = Instant::now();
-            roundtrip(stream);
+            roundtrip(stream)?;
             latencies.push(start.elapsed());
         }
         latencies.sort_unstable();
@@ -115,28 +113,35 @@ fn main() {
             std::thread::sleep(Duration::from_millis(5));
         }
     }
-    println!("{}", table(&headers, &rows));
-    println!(
+    writeln!(out, "{}", table(&headers, &rows))?;
+    writeln!(
+        out,
         "paper shape: latency percentiles stay flat as idle keep-alive\n\
          connections grow 100 → 10k, and the server's thread count stays\n\
          O(workers) — idle sockets are reactor state, not threads."
-    );
+    )?;
     server.shutdown();
+    Ok(())
 }
 
 /// One GET /ok request + response on a keep-alive socket.
-fn roundtrip(stream: &mut TcpStream) {
-    stream.write_all(b"GET /ok HTTP/1.1\r\n\r\n").expect("write request");
+fn roundtrip(stream: &mut TcpStream) -> io::Result<()> {
+    stream.write_all(b"GET /ok HTTP/1.1\r\n\r\n")?;
     let mut out = Vec::new();
     let mut buf = [0u8; 1024];
     loop {
-        let n = stream.read(&mut buf).expect("read response");
-        assert!(n > 0, "server closed keep-alive socket mid-response");
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "server closed keep-alive socket mid-response",
+            ));
+        }
         out.extend_from_slice(&buf[..n]);
         if let Some(pos) = out.windows(4).position(|w| w == b"\r\n\r\n") {
             if out.len() >= pos + 4 + 2 {
                 // body is "ok"
-                return;
+                return Ok(());
             }
         }
     }

@@ -5,8 +5,10 @@
 //! advantage); CCA up to ~1.33× its own baseline and far slower in absolute
 //! terms (the FVP tax).
 
-use confbench_stats::Summary;
-use confbench_types::{TeePlatform, VmKind, VmTarget};
+use std::io::Write;
+
+use confbench_stats::{stacked_percentiles, Summary};
+use confbench_types::{Result, TeePlatform, VmKind, VmTarget};
 use confbench_vmm::TeeVmBuilder;
 use confbench_workloads::MlWorkload;
 
@@ -56,7 +58,11 @@ impl MlFigure {
 
 /// Runs the experiment: a MobileNet-class model classifying the 40-image
 /// dataset in every VM (subset of images under `Scale::Quick`).
-pub fn run(cfg: ExperimentConfig) -> MlFigure {
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn run(cfg: ExperimentConfig) -> Result<MlFigure> {
     let ml = MlWorkload::new(cfg.seed);
     let images = match cfg.scale {
         Scale::Quick => 6,
@@ -68,17 +74,39 @@ pub fn run(cfg: ExperimentConfig) -> MlFigure {
     for platform in TeePlatform::ALL {
         for kind in VmKind::ALL {
             let target = VmTarget { platform, kind };
-            let mut vm = TeeVmBuilder::new(target).seed(cfg.seed).build();
+            let mut vm = TeeVmBuilder::new(target).seed(cfg.seed).try_build()?;
             let mut inference_ms = Vec::new();
             for _trial in 0..cfg.trials() {
                 for run in &runs {
-                    inference_ms.push(vm.execute(&run.trace).wall_ms);
+                    inference_ms.push(vm.try_execute(&run.trace)?.wall_ms);
                 }
             }
             series.push(MlSeries { target, inference_ms });
         }
     }
-    MlFigure { series }
+    Ok(MlFigure { series })
+}
+
+/// Prints **Fig. 3** — Confidential ML workloads: distribution (as stacked
+/// percentiles) of the observed inference times.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Fig. 3: Confidential ML — inference time distributions (ms) ===\n")?;
+    let fig = run(cfg)?;
+
+    let entries: Vec<(String, Summary)> =
+        fig.series.iter().map(|s| (s.target.to_string(), s.summary())).collect();
+    writeln!(out, "{}", stacked_percentiles(&entries))?;
+
+    writeln!(out, "secure/normal mean ratios:")?;
+    for platform in TeePlatform::ALL {
+        writeln!(out, "  {:8} {:.3}", platform.to_string(), fig.ratio(platform))?;
+    }
+    writeln!(
+        out,
+        "\npaper shape: TDX ≈ SEV-SNP at close-to-native speed (TDX slightly ahead);\n\
+         CCA up to ~1.33x its own baseline and far slower in absolute terms (FVP)."
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -87,7 +115,7 @@ mod tests {
 
     #[test]
     fn fig3_shape_matches_paper() {
-        let fig = run(ExperimentConfig::quick(7));
+        let fig = run(ExperimentConfig::quick(7)).unwrap();
         assert_eq!(fig.series.len(), 6);
 
         // TDX and SNP near-native; TDX with a limited advantage.
@@ -119,8 +147,8 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let a = run(ExperimentConfig::quick(3));
-        let b = run(ExperimentConfig::quick(3));
+        let a = run(ExperimentConfig::quick(3)).unwrap();
+        let b = run(ExperimentConfig::quick(3)).unwrap();
         assert_eq!(a.series[0].inference_ms, b.series[0].inference_ms);
     }
 }

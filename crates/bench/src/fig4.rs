@@ -4,11 +4,14 @@
 //! the most; overheads larger than in the ML and DBMS workloads, driven by
 //! frequent sleep/wake (TDVMCALL/VMEXIT) events.
 
-use confbench_stats::geometric_mean;
-use confbench_types::{OpTrace, TeePlatform, VmKind, VmTarget};
+use std::io::Write;
+
+use confbench_stats::{geometric_mean, table};
+use confbench_types::{OpTrace, Result, TeePlatform, VmKind, VmTarget};
+use confbench_vmm::TeeVmBuilder;
 use confbench_workloads::{aggregate_index, index_score, unixbench_suite};
 
-use crate::{mean, run_trace, ExperimentConfig};
+use crate::{mean, measure_trace, wall_ms, ExperimentConfig};
 
 /// Per-test UnixBench outcome on one platform.
 #[derive(Debug, Clone)]
@@ -50,43 +53,78 @@ impl UnixBenchPlatform {
 }
 
 /// Runs the suite on every platform.
-pub fn run(cfg: ExperimentConfig) -> Vec<UnixBenchPlatform> {
+///
+/// # Errors
+///
+/// A VM fault.
+pub fn run(cfg: ExperimentConfig) -> Result<Vec<UnixBenchPlatform>> {
     let suite = unixbench_suite(1);
     let empty = OpTrace::new();
-    TeePlatform::ALL
-        .iter()
-        .map(|&platform| {
-            let mut rows = Vec::new();
-            for test in &suite {
-                let index_for = |kind| {
-                    let ms = run_trace(
-                        VmTarget { platform, kind },
-                        &empty,
-                        &test.trace,
-                        cfg.trials(),
-                        crate::mix_seed(cfg.seed, test.name),
-                    );
-                    index_score(test, mean(&ms) / 1000.0)
-                };
-                rows.push(UnixBenchRow {
-                    name: test.name,
-                    secure_index: index_for(VmKind::Secure),
-                    normal_index: index_for(VmKind::Normal),
-                });
-            }
-            let secure_aggregate =
-                aggregate_index(&rows.iter().map(|r| r.secure_index).collect::<Vec<_>>());
-            let normal_aggregate =
-                aggregate_index(&rows.iter().map(|r| r.normal_index).collect::<Vec<_>>());
-            UnixBenchPlatform { platform, rows, secure_aggregate, normal_aggregate }
-        })
-        .collect()
+    let mut platforms = Vec::new();
+    for platform in TeePlatform::ALL {
+        let mut rows = Vec::new();
+        for test in &suite {
+            let index_for = |kind| {
+                let builder = TeeVmBuilder::new(VmTarget { platform, kind })
+                    .seed(crate::mix_seed(cfg.seed, test.name));
+                measure_trace(builder, &empty, &test.trace, cfg.trials())
+                    .map(|reports| index_score(test, mean(&wall_ms(&reports)) / 1000.0))
+            };
+            rows.push(UnixBenchRow {
+                name: test.name,
+                secure_index: index_for(VmKind::Secure)?,
+                normal_index: index_for(VmKind::Normal)?,
+            });
+        }
+        let secure_aggregate =
+            aggregate_index(&rows.iter().map(|r| r.secure_index).collect::<Vec<_>>());
+        let normal_aggregate =
+            aggregate_index(&rows.iter().map(|r| r.normal_index).collect::<Vec<_>>());
+        platforms.push(UnixBenchPlatform { platform, rows, secure_aggregate, normal_aggregate });
+    }
+    Ok(platforms)
 }
 
-/// The figure's headline: aggregate overhead ratio per platform, in
-/// [`TeePlatform::ALL`] order.
-pub fn aggregate_ratios(results: &[UnixBenchPlatform]) -> Vec<f64> {
-    results.iter().map(UnixBenchPlatform::aggregate_ratio).collect()
+/// Prints **Fig. 4** — UnixBench: secure vs normal index scores and their
+/// ratios per TEE (single-threaded configuration).
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Fig. 4: UnixBench index scores (vs SPARCstation 20-61 baseline) ===\n")?;
+    let results = run(cfg)?;
+
+    for platform in &results {
+        writeln!(out, "--- {} ---", platform.platform)?;
+        let headers: Vec<String> = ["test", "secure idx", "normal idx", "overhead"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let rows: Vec<Vec<String>> = platform
+            .rows
+            .iter()
+            .map(|r| {
+                vec![
+                    r.name.to_owned(),
+                    format!("{:.1}", r.secure_index),
+                    format!("{:.1}", r.normal_index),
+                    format!("{:.2}x", r.overhead_ratio()),
+                ]
+            })
+            .collect();
+        writeln!(out, "{}", table(&headers, &rows))?;
+        writeln!(
+            out,
+            "aggregate index: secure {:.1}, normal {:.1}  → overhead {:.2}x\n",
+            platform.secure_aggregate,
+            platform.normal_aggregate,
+            platform.aggregate_ratio()
+        )?;
+    }
+    writeln!(
+        out,
+        "paper shape: TDX introduces the least overhead, SEV-SNP analogous,\n\
+         CCA the most; overheads larger than in ML/DBMS, driven by frequent\n\
+         sleep/wake (TDVMCALL/VMEXIT) events."
+    )?;
+    Ok(())
 }
 
 /// Geometric mean across per-test overheads (alternative aggregation used
@@ -103,7 +141,7 @@ mod tests {
 
     #[test]
     fn fig4_shape_matches_paper() {
-        let results = run(ExperimentConfig::quick(9));
+        let results = run(ExperimentConfig::quick(9)).unwrap();
         assert_eq!(results.len(), 3);
         let [tdx, snp, cca] =
             [&results[0], &results[1], &results[2]].map(UnixBenchPlatform::aggregate_ratio);
@@ -120,7 +158,7 @@ mod tests {
 
     #[test]
     fn ctx_switch_heavy_tests_hurt_most_on_hardware_tees() {
-        let results = run(ExperimentConfig::quick(9));
+        let results = run(ExperimentConfig::quick(9)).unwrap();
         let tdx = &results[0];
         let by_name = |needle: &str| {
             tdx.rows.iter().find(|r| r.name.contains(needle)).unwrap().overhead_ratio()
@@ -133,7 +171,7 @@ mod tests {
 
     #[test]
     fn aggregate_is_consistent_with_rows() {
-        let results = run(ExperimentConfig::quick(2));
+        let results = run(ExperimentConfig::quick(2)).unwrap();
         for platform in &results {
             let agg = platform.aggregate_ratio();
             let geo = per_test_geomean(platform);

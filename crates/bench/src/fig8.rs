@@ -6,12 +6,14 @@
 //! overheads — and higher medians. The paper plots this detail because it
 //! is the first CCA baseline in the literature.
 
+use std::io::Write;
+
 use confbench_faasrt::FaasFunction as _;
-use confbench_stats::Summary;
-use confbench_types::{Language, TeePlatform};
+use confbench_stats::{boxplot, Summary};
+use confbench_types::{Language, Result, TeePlatform};
 use confbench_workloads::find_workload;
 
-use crate::{measure_function, ExperimentConfig, Scale};
+use crate::{measure_function, ExperimentConfig};
 
 /// One (function, language) pair's raw distributions on CCA.
 #[derive(Debug, Clone)]
@@ -42,14 +44,15 @@ pub const FIG8_WORKLOADS: [&str; 6] =
 pub const FIG8_LANGUAGES: [Language; 3] = [Language::Python, Language::Lua, Language::Go];
 
 /// Runs the distributions.
-pub fn run(cfg: ExperimentConfig) -> Vec<CcaDistribution> {
+///
+/// # Errors
+///
+/// As [`measure_function`].
+pub fn run(cfg: ExperimentConfig) -> Result<Vec<CcaDistribution>> {
     let mut out = Vec::new();
     for name in FIG8_WORKLOADS {
         let workload = find_workload(name).expect("known workload");
-        let args = match cfg.scale {
-            Scale::Paper => workload.default_args(),
-            Scale::Quick => crate::heatmap_quick_args(name),
-        };
+        let args = cfg.args_for(&workload);
         for language in FIG8_LANGUAGES {
             let (secure_ms, normal_ms) = measure_function(
                 &workload,
@@ -58,8 +61,7 @@ pub fn run(cfg: ExperimentConfig) -> Vec<CcaDistribution> {
                 TeePlatform::Cca,
                 cfg.trials().max(10), // distributions need samples
                 cfg.seed,
-            )
-            .expect("workload runs");
+            )?;
             out.push(CcaDistribution {
                 workload: workload.name().to_owned(),
                 language,
@@ -68,7 +70,29 @@ pub fn run(cfg: ExperimentConfig) -> Vec<CcaDistribution> {
             });
         }
     }
-    out
+    Ok(out)
+}
+
+/// Prints **Fig. 8** — CCA: distribution of execution times from secure
+/// and normal VMs per (function, language), box-and-whiskers.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Fig. 8 (cca): execution-time distributions, secure vs normal (ms) ===\n")?;
+    for d in &run(cfg)? {
+        let (secure, normal) = d.summaries();
+        writeln!(out, "--- {} / {} ---", d.workload, d.language)?;
+        writeln!(
+            out,
+            "{}",
+            boxplot(&[("secure".to_owned(), secure), ("normal".to_owned(), normal)], 64)
+        )?;
+    }
+    writeln!(
+        out,
+        "paper shape: confidential series have longer whiskers (more trial\n\
+         variance) and higher medians; these plots are the first CCA baseline\n\
+         in the literature, to be revisited on real silicon."
+    )?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -77,7 +101,7 @@ mod tests {
 
     #[test]
     fn fig8_shape_longer_whiskers_in_realms() {
-        let dists = run(ExperimentConfig::quick(17));
+        let dists = run(ExperimentConfig::quick(17)).unwrap();
         assert_eq!(dists.len(), FIG8_WORKLOADS.len() * FIG8_LANGUAGES.len());
 
         let mut secure_wider = 0usize;

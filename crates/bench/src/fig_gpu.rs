@@ -10,13 +10,18 @@
 //! tax well above the attested path. The figure reports both ratios per
 //! platform, plus the DMA byte accounting that proves which path ran.
 
-use confbench::ConfBench;
+use std::io::Write;
+
+use confbench::{ConfBench, GPU_INFERENCE};
 use confbench_attest::{DeviceVerifier, Evidence, Verifier};
-use confbench_types::{DeviceKind, OpTrace, TeePlatform, VmKind, VmTarget};
+use confbench_types::{
+    DeviceKind, Error, FunctionSpec, Language, OpTrace, Result, RunRequest, TeePlatform, VmKind,
+    VmTarget,
+};
 use confbench_vmm::{TeeVmBuilder, Vm};
 use confbench_workloads::GpuInferenceWorkload;
 
-use crate::{mean, ExperimentConfig};
+use crate::{mean, run_trace, ExperimentConfig};
 
 /// One platform's row of the TEE-IO figure.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,28 +51,28 @@ pub struct GpuRow {
 /// does: signed SPDM report out, vendor-key verification in
 /// `confbench-attest`, then interface start.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the device is absent, the report is refused, or the
-/// interface cannot start — none of which happen on a fresh secure VM.
-pub fn attest_device(vm: &mut Vm, platform: TeePlatform, nonce: [u8; 32]) {
-    let report = vm.device_report(nonce).expect("locked device emits a report");
+/// A device fault while reporting or starting, or the vendor signature
+/// being refused.
+fn attest_device(vm: &mut Vm, platform: TeePlatform, nonce: [u8; 32]) -> Result<()> {
+    let report = vm.device_report(nonce)?;
     let verifier = DeviceVerifier::new(platform);
     let evidence = Evidence::device(platform, report);
     let mut report_data = [0u8; 64];
     report_data[..32].copy_from_slice(&nonce);
-    Verifier::verify(&verifier, &evidence, report_data).expect("vendor signature verifies");
-    vm.enable_device().expect("attested device starts");
+    Verifier::verify(&verifier, &evidence, report_data)
+        .map_err(|e| Error::Attestation(e.to_string()))?;
+    Ok(vm.enable_device()?)
 }
 
 /// Runs the TEE-IO figure: one [`GpuRow`] per platform, deterministic in
 /// the seed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any gateway run or device bring-up fails (they never do for
-/// the built-in gpu-inference workload).
-pub fn run(cfg: ExperimentConfig) -> Vec<GpuRow> {
+/// A failed gateway run, device bring-up, or VM fault.
+pub fn run(cfg: ExperimentConfig) -> Result<Vec<GpuRow>> {
     let bench = ConfBench::local(cfg.seed);
     let workload = GpuInferenceWorkload::new(cfg.seed);
     let trials = cfg.trials();
@@ -89,46 +94,80 @@ pub fn run(cfg: ExperimentConfig) -> Vec<GpuRow> {
     probe.dev_dma_in(upload * batch);
     probe.dev_dma_out(download * batch);
 
-    TeePlatform::ALL
-        .iter()
-        .map(|&platform| {
-            let gateway_ratio =
-                bench.measure_gpu_ratio(platform, trials).expect("gpu-inference runs").ratio;
+    let mut rows = Vec::new();
+    for platform in TeePlatform::ALL {
+        let request = RunRequest::new(
+            FunctionSpec::new(GPU_INFERENCE, Language::Go),
+            VmTarget::secure(platform),
+        )
+        .trials(trials)
+        .seed(cfg.seed)
+        .device(DeviceKind::Gpu);
+        let gateway_ratio = bench.measure_ratio(request)?.ratio;
 
-            let build = |kind| {
-                TeeVmBuilder::new(VmTarget { platform, kind })
-                    .seed(cfg.seed)
-                    .device(DeviceKind::Gpu)
-                    .build()
-            };
-            let mut normal = build(VmKind::Normal);
-            let mut attested = build(VmKind::Secure);
-            attest_device(&mut attested, platform, nonce);
-            let mut locked = build(VmKind::Secure);
+        let build = |kind| {
+            TeeVmBuilder::new(VmTarget { platform, kind })
+                .seed(cfg.seed)
+                .device(DeviceKind::Gpu)
+                .try_build()
+        };
+        let mut normal = build(VmKind::Normal)?;
+        let mut attested = build(VmKind::Secure)?;
+        attest_device(&mut attested, platform, nonce)?;
+        let mut locked = build(VmKind::Secure)?;
 
-            let measure = |vm: &mut Vm| {
-                let reports = vm.execute_trials(&probe, trials);
+        let measure = |vm: &mut Vm| {
+            run_trace(vm, &probe, trials).map(|reports| {
                 let cycles: Vec<f64> = reports.iter().map(|r| r.cycles.get() as f64).collect();
                 let direct = reports.iter().map(|r| r.events.dma_direct_bytes).sum::<u64>();
                 let bounce = reports.iter().map(|r| r.events.dma_bounce_bytes).sum::<u64>();
                 (mean(&cycles), direct, bounce)
-            };
-            let (base, _, _) = measure(&mut normal);
-            let (direct_cycles, dma_direct_bytes, direct_leak) = measure(&mut attested);
-            let (bounce_cycles, bounce_leak, dma_bounce_bytes) = measure(&mut locked);
-            assert_eq!(direct_leak, 0, "attested DMA never bounces");
-            assert_eq!(bounce_leak, 0, "unattested DMA never goes direct");
+            })
+        };
+        let (base, _, _) = measure(&mut normal)?;
+        let (direct_cycles, dma_direct_bytes, direct_leak) = measure(&mut attested)?;
+        let (bounce_cycles, bounce_leak, dma_bounce_bytes) = measure(&mut locked)?;
+        assert_eq!(direct_leak, 0, "attested DMA never bounces");
+        assert_eq!(bounce_leak, 0, "unattested DMA never goes direct");
 
-            GpuRow {
-                platform,
-                gateway_ratio,
-                direct_ratio: direct_cycles / base,
-                bounce_ratio: bounce_cycles / base,
-                dma_direct_bytes,
-                dma_bounce_bytes,
-            }
-        })
-        .collect()
+        rows.push(GpuRow {
+            platform,
+            gateway_ratio,
+            direct_ratio: direct_cycles / base,
+            bounce_ratio: bounce_cycles / base,
+            dma_direct_bytes,
+            dma_bounce_bytes,
+        });
+    }
+    Ok(rows)
+}
+
+/// Prints the TEE-IO figure: gpu-inference secure/normal ratios on all
+/// three platforms, attested (TDISP on, direct DMA) vs locked-only (TDISP
+/// off, swiotlb bounce), with DMA byte accounting.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== gpu-inference with a TDISP GPU: secure/normal ratios ===\n")?;
+    writeln!(
+        out,
+        "{:<10} {:>9} {:>11} {:>11} {:>14} {:>14}",
+        "platform", "gateway", "attested", "tdisp-off", "direct bytes", "bounce bytes"
+    )?;
+    for row in run(cfg)? {
+        writeln!(
+            out,
+            "{:<10} {:>8.2}x {:>10.2}x {:>10.2}x {:>14} {:>14}",
+            row.platform.to_string(),
+            row.gateway_ratio,
+            row.direct_ratio,
+            row.bounce_ratio,
+            row.dma_direct_bytes,
+            row.dma_bounce_bytes
+        )?;
+    }
+    writeln!(out, "\n-> attested direct DMA keeps accelerator offload near-native inside")?;
+    writeln!(out, "   the TEE; skipping device attestation leaves the interface Locked")?;
+    writeln!(out, "   and every DMA pays the swiotlb staging tax.")?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -137,7 +176,7 @@ mod tests {
 
     #[test]
     fn attested_offload_is_near_native_and_tdisp_off_is_not() {
-        let rows = run(ExperimentConfig::quick(29));
+        let rows = run(ExperimentConfig::quick(29)).unwrap();
         assert_eq!(rows.len(), TeePlatform::ALL.len());
         for row in &rows {
             let p = row.platform;
@@ -167,8 +206,8 @@ mod tests {
 
     #[test]
     fn figure_is_deterministic_in_the_seed() {
-        let a = run(ExperimentConfig::quick(31));
-        let b = run(ExperimentConfig::quick(31));
+        let a = run(ExperimentConfig::quick(31)).unwrap();
+        let b = run(ExperimentConfig::quick(31)).unwrap();
         assert_eq!(a, b);
     }
 }

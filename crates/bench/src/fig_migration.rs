@@ -9,12 +9,14 @@
 //! only the first migration of an identity pays a collateral cycle; the
 //! figure reports both the cold and the warm downtime.
 
+use std::io::Write;
 use std::sync::Arc;
 
 use confbench::{AttestConfig, AttestService, ManualClock};
 use confbench_fleet::{migrate, Fleet, FleetConfig, MigrationConfig};
 use confbench_types::{
-    CampaignFunction, CampaignSpec, Language, OpTrace, Priority, TeePlatform, VmKind, VmTarget,
+    CampaignFunction, CampaignSpec, Error, Language, OpTrace, Priority, Result, TeePlatform,
+    VmKind, VmTarget,
 };
 use confbench_vmm::TeeVmBuilder;
 
@@ -100,7 +102,11 @@ fn midstream_trace(scale: Scale) -> OpTrace {
 }
 
 /// Runs the migration series and the rebalance run at `cfg`.
-pub fn run(cfg: ExperimentConfig) -> MigrationFigure {
+///
+/// # Errors
+///
+/// A VM fault, an aborted migration, or a refused rebalance campaign.
+pub fn run(cfg: ExperimentConfig) -> Result<MigrationFigure> {
     let attest =
         AttestService::new(cfg.seed, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
     let warm = warm_trace(cfg.scale);
@@ -118,8 +124,8 @@ pub fn run(cfg: ExperimentConfig) -> MigrationFigure {
         let mut last = None;
         for trial in 0..cfg.trials() {
             let seed = cfg.seed + u64::from(trial);
-            let mut source = TeeVmBuilder::new(target).seed(seed).build();
-            source.execute(&warm);
+            let mut source = TeeVmBuilder::new(target).seed(seed).try_build()?;
+            source.try_execute(&warm)?;
             let (_vm, report) = migrate(
                 source,
                 TeeVmBuilder::new(target).seed(seed ^ 0x5EED),
@@ -127,7 +133,7 @@ pub fn run(cfg: ExperimentConfig) -> MigrationFigure {
                 std::slice::from_ref(&mid),
                 &MigrationConfig::default(),
             )
-            .expect("migration series must converge");
+            .map_err(|e| Error::Workload(format!("{label} migration aborted: {e}")))?;
             downtime_us.push(report.downtime_us);
             last = Some(report);
         }
@@ -142,12 +148,12 @@ pub fn run(cfg: ExperimentConfig) -> MigrationFigure {
         });
     }
 
-    MigrationFigure { rows, rebalance: rebalance(cfg) }
+    Ok(MigrationFigure { rows, rebalance: rebalance(cfg)? })
 }
 
 /// The rebalance run: a single-platform campaign leaves two of three
 /// shards idle on that lane, so they steal from the hot shard's queue.
-fn rebalance(cfg: ExperimentConfig) -> RebalanceRow {
+fn rebalance(cfg: ExperimentConfig) -> Result<RebalanceRow> {
     let fleet = Fleet::new(FleetConfig {
         shards: 3,
         seed: cfg.seed,
@@ -170,11 +176,53 @@ fn rebalance(cfg: ExperimentConfig) -> RebalanceRow {
         deadline_ms: None,
         device: None,
     };
-    let receipt = fleet.submit(spec).expect("rebalance campaign admitted");
+    let receipt = fleet.submit(spec)?;
     fleet.drain();
-    RebalanceRow {
+    Ok(RebalanceRow {
         jobs: receipt.jobs as u64,
         steals: fleet.steals(),
         executions: fleet.total_executions(),
+    })
+}
+
+/// Prints the **fleet & migration** figure — live-migration downtime per
+/// platform (stop-and-copy + re-attest blackout), pre-copy convergence,
+/// and cross-shard work-steal counts for a hot-shard rebalance.
+pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Fleet & migration: downtime, convergence, stealing ===\n")?;
+    let fig = run(cfg)?;
+
+    for row in &fig.rows {
+        let min = row.downtime_us.iter().min().copied().unwrap_or(0);
+        let max = row.downtime_us.iter().max().copied().unwrap_or(0);
+        writeln!(
+            out,
+            "{:<12} downtime median {:>6} us (min {} / max {}), {} pre-copy rounds, \
+             {} pages, {} wire bytes, session {}",
+            row.label,
+            row.median_us(),
+            min,
+            max,
+            row.precopy_rounds,
+            row.pages_total,
+            row.wire_bytes,
+            row.session,
+        )?;
     }
+
+    let r = &fig.rebalance;
+    writeln!(
+        out,
+        "\nrebalance: {} jobs on a 3-shard fleet, {} cross-shard steals, \
+         {} executions (dedup exact)",
+        r.jobs, r.steals, r.executions
+    )?;
+    assert_eq!(r.executions, r.jobs, "stealing must never duplicate work");
+    writeln!(
+        out,
+        "\npaper shape: downtime is dominated by the re-attest leg on the\n\
+         cold identity and collapses once the fleet session cache is warm;\n\
+         pre-copy converges in one or two rounds for these working sets."
+    )?;
+    Ok(())
 }

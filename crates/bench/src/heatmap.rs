@@ -8,10 +8,13 @@
 //! (cache-hit differences). Fig. 7 (CCA): much lighter cells overall —
 //! larger overheads everywhere.
 
-use confbench_types::{Language, TeePlatform};
+use std::io::Write;
+
+use confbench_faasrt::FaasFunction as _;
+use confbench_types::{Language, Result, TeePlatform};
 use confbench_workloads::faas_registry;
 
-use crate::{mean, measure_function, ExperimentConfig, Scale};
+use crate::{mean, measure_function, ExperimentConfig};
 
 /// A complete heatmap for one platform.
 #[derive(Debug, Clone)]
@@ -64,21 +67,17 @@ impl Heatmap {
     }
 }
 
-/// Workload arguments per scale (quick mirrors the differential tests').
-fn args_for(name: &str, scale: Scale) -> Vec<String> {
-    if scale == Scale::Paper {
-        return confbench_workloads::find_workload(name).expect("known workload").default_args();
-    }
-    crate::heatmap_quick_args(name)
-}
-
 /// Builds the heatmap for one platform; `workload_filter` optionally
 /// restricts columns (used by quick tests and Fig. 8's subset).
+///
+/// # Errors
+///
+/// As [`measure_function`].
 pub fn run(
     cfg: ExperimentConfig,
     platform: TeePlatform,
     workload_filter: Option<&[&str]>,
-) -> Heatmap {
+) -> Result<Heatmap> {
     let languages: Vec<Language> = Language::ALL.to_vec();
     let registry = faas_registry();
     let workloads: Vec<_> = registry
@@ -90,17 +89,65 @@ pub fn run(
     let mut ratios = Vec::with_capacity(languages.len() * workloads.len());
     for &language in &languages {
         for workload in &workloads {
-            let args = args_for(workload.name(), cfg.scale);
+            let args = cfg.args_for(workload);
             let (secure, normal) =
-                measure_function(workload, &args, language, platform, cfg.trials(), cfg.seed)
-                    .expect("workload runs");
+                measure_function(workload, &args, language, platform, cfg.trials(), cfg.seed)?;
             ratios.push(mean(&secure) / mean(&normal));
         }
     }
-    Heatmap { platform, languages, workloads: names, ratios }
+    Ok(Heatmap { platform, languages, workloads: names, ratios })
 }
 
-use confbench_faasrt::FaasFunction as _;
+/// Writes a language × workload ratio grid.
+pub(crate) fn write_heatmap(
+    out: &mut dyn Write,
+    languages: &[Language],
+    workloads: &[String],
+    ratios: &[f64],
+) -> Result<()> {
+    let rows: Vec<String> = languages.iter().map(|l| l.to_string()).collect();
+    Ok(writeln!(out, "{}", confbench_stats::heatmap(&rows, workloads, ratios))?)
+}
+
+/// Prints **Fig. 6** — TDX and SEV-SNP: ratios between mean execution
+/// times from secure and normal VMs for the 25 FaaS functions in 7
+/// languages (heatmap).
+pub fn render_fig6(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    for platform in [TeePlatform::Tdx, TeePlatform::SevSnp] {
+        writeln!(out, "=== Fig. 6 ({platform}): secure/normal mean-time ratios ===\n")?;
+        let hm = run(cfg, platform, None)?;
+        write_heatmap(out, &hm.languages, &hm.workloads, &hm.ratios)?;
+        writeln!(
+            out,
+            "overall mean {:.3}; sub-1.0 cells: {}\n",
+            hm.overall_mean(),
+            hm.sub_unity_cells()
+        )?;
+    }
+    writeln!(
+        out,
+        "paper shape: the two TEEs are very similar; TDX faster on CPU/memory\n\
+         cells, SEV-SNP faster on I/O (iostress); heavier managed runtimes\n\
+         show larger ratios; a few cells dip below 1.0 (cache-hit effects)."
+    )?;
+    Ok(())
+}
+
+/// Prints **Fig. 7** — CCA: ratios between mean execution times from
+/// secure (realm) and normal VMs for the FaaS suite (heatmap).
+pub fn render_fig7(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
+    writeln!(out, "=== Fig. 7 (cca): secure/normal mean-time ratios ===\n")?;
+    let hm = run(cfg, TeePlatform::Cca, None)?;
+    write_heatmap(out, &hm.languages, &hm.workloads, &hm.ratios)?;
+    writeln!(out, "overall mean {:.3}\n", hm.overall_mean())?;
+    writeln!(
+        out,
+        "paper shape: much higher overheads than TDX/SEV-SNP across the board\n\
+         (visually, more light/red cells), attributed to the FVP-simulated\n\
+         environment; only intra-CCA comparisons are considered sound."
+    )?;
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {
@@ -112,8 +159,8 @@ mod tests {
     #[test]
     fn fig6_shape_tdx_vs_snp() {
         let cfg = ExperimentConfig::quick(13);
-        let tdx = run(cfg, TeePlatform::Tdx, Some(QUICK_SET));
-        let snp = run(cfg, TeePlatform::SevSnp, Some(QUICK_SET));
+        let tdx = run(cfg, TeePlatform::Tdx, Some(QUICK_SET)).unwrap();
+        let snp = run(cfg, TeePlatform::SevSnp, Some(QUICK_SET)).unwrap();
 
         // Overall overheads "very similar" between the two.
         assert!((tdx.overall_mean() - snp.overall_mean()).abs() < 0.4);
@@ -149,8 +196,8 @@ mod tests {
     #[test]
     fn fig7_cca_is_much_worse() {
         let cfg = ExperimentConfig::quick(13);
-        let tdx = run(cfg, TeePlatform::Tdx, Some(QUICK_SET));
-        let cca = run(cfg, TeePlatform::Cca, Some(QUICK_SET));
+        let tdx = run(cfg, TeePlatform::Tdx, Some(QUICK_SET)).unwrap();
+        let cca = run(cfg, TeePlatform::Cca, Some(QUICK_SET)).unwrap();
         assert!(
             cca.overall_mean() > 1.5 * tdx.overall_mean(),
             "cca {} vs tdx {}",
@@ -164,7 +211,7 @@ mod tests {
     #[test]
     fn heatmap_indexing_consistent() {
         let cfg = ExperimentConfig::quick(1);
-        let hm = run(cfg, TeePlatform::Tdx, Some(&["factors", "iostress"]));
+        let hm = run(cfg, TeePlatform::Tdx, Some(&["factors", "iostress"])).unwrap();
         assert_eq!(hm.ratios.len(), 7 * 2);
         // Columns keep registry order; cell() must agree with the raw grid.
         let first_col = hm.workloads[0].clone();

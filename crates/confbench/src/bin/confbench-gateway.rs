@@ -221,7 +221,6 @@ fn run() -> Result<(), String> {
     println!("  POST /v1/attest/sessions/ID/extend  extend a runtime measurement");
     println!("  GET  /v1/metrics        counters + histograms (?format=json for JSON)");
     println!("  GET  /v1/health         liveness");
-    println!("  (unversioned paths still answer, marked Deprecation: true)");
     println!("scheduler: queue capacity {queue_capacity}, {workers} worker(s) per platform");
     println!(
         "http: {} handler worker(s), admission window {} connections, \

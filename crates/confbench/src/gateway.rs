@@ -34,7 +34,6 @@ use crate::attest_api::{
 };
 use crate::host::{HostAgent, HostConfig};
 use crate::pool::{BalancePolicy, CircuitState, Clock, HealthPolicy, SystemClock, TeePool};
-use crate::rest::add_versioned;
 use crate::store::FunctionStore;
 use crate::supervisor::DEFAULT_REBUILD_BUDGET;
 
@@ -588,9 +587,7 @@ impl Gateway {
         Ok((secure, normal))
     }
 
-    /// Serves the gateway's REST interface. Canonical routes live under
-    /// `/v1`; the original unversioned paths still answer, marked with a
-    /// `Deprecation: true` header.
+    /// Serves the gateway's REST interface; every route lives under `/v1`.
     ///
     /// * `POST /v1/run` — JSON [`RunRequest`] body → [`RunResult`];
     /// * `POST /v1/functions` — JSON [`UploadRequest`] body;
@@ -601,7 +598,7 @@ impl Gateway {
     /// * `POST /v1/attest/sessions/{id}/extend` — extend an e-vTPM runtime
     ///   register, invalidating the session;
     /// * `GET /v1/metrics` — Prometheus-style text, or the JSON snapshot
-    ///   with `?format=json` (new in v1, no legacy alias);
+    ///   with `?format=json`;
     /// * `GET /v1/health`.
     ///
     /// # Errors
@@ -649,17 +646,15 @@ impl Gateway {
     fn build_router(self: &Arc<Self>) -> Router {
         let mut router = Router::new();
         let gw = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/run", move |req, _| {
-            match req.body_json::<RunRequest>() {
-                Err(e) => Response::error(400, format!("bad request body: {e}")),
-                Ok(run_request) => match gw.run(&run_request) {
-                    Ok(result) => Response::json(&result),
-                    Err(e) => error_response(&e, &gw.retry),
-                },
-            }
+        router.add(Method::Post, "/v1/run", move |req, _| match req.body_json::<RunRequest>() {
+            Err(e) => Response::error(400, format!("bad request body: {e}")),
+            Ok(run_request) => match gw.run(&run_request) {
+                Ok(result) => Response::json(&result),
+                Err(e) => error_response(&e, &gw.retry),
+            },
         });
         let gw = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/functions", move |req, _| {
+        router.add(Method::Post, "/v1/functions", move |req, _| {
             match req.body_json::<UploadRequest>() {
                 Err(e) => Response::error(400, format!("bad upload body: {e}")),
                 Ok(upload) => match gw.store.upload(&upload.name, &upload.script) {
@@ -676,13 +671,9 @@ impl Gateway {
             }
         });
         let gw = Arc::clone(self);
-        add_versioned(&mut router, Method::Get, "/functions", move |_, _| {
-            Response::json(&gw.store.names())
-        });
-        // The attestation-session resource. Canonical under /v1 with
-        // deprecated unversioned aliases, like every other resource.
+        router.add(Method::Get, "/v1/functions", move |_, _| Response::json(&gw.store.names()));
         let gw = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/attest/sessions", move |req, _| {
+        router.add(Method::Post, "/v1/attest/sessions", move |req, _| {
             match req.body_json::<AttestSessionRequest>() {
                 Err(e) => Response::error(400, format!("bad attest body: {e}")),
                 Ok(body) => match gw.attest.open_session(body.platform, body.nonce) {
@@ -696,29 +687,22 @@ impl Gateway {
             }
         });
         let gw = Arc::clone(self);
-        add_versioned(&mut router, Method::Get, "/attest/sessions/:id", move |_, params| match gw
-            .attest
-            .session(&params["id"])
-        {
-            Some(session) => Response::json(&AttestSessionInfo::from_session(&session)),
-            None => Response::error(404, format!("unknown attest session {:?}", params["id"])),
-        });
-        let gw = Arc::clone(self);
-        add_versioned(
-            &mut router,
-            Method::Delete,
-            "/attest/sessions/:id",
-            move |_, params| match gw.attest.revoke(&params["id"]) {
+        router.add(Method::Get, "/v1/attest/sessions/:id", move |_, params| {
+            match gw.attest.session(&params["id"]) {
                 Some(session) => Response::json(&AttestSessionInfo::from_session(&session)),
                 None => Response::error(404, format!("unknown attest session {:?}", params["id"])),
-            },
-        );
+            }
+        });
         let gw = Arc::clone(self);
-        add_versioned(
-            &mut router,
-            Method::Post,
-            "/attest/sessions/:id/extend",
-            move |req, params| match req.body_json::<ExtendRequest>() {
+        router.add(Method::Delete, "/v1/attest/sessions/:id", move |_, params| {
+            match gw.attest.revoke(&params["id"]) {
+                Some(session) => Response::json(&AttestSessionInfo::from_session(&session)),
+                None => Response::error(404, format!("unknown attest session {:?}", params["id"])),
+            }
+        });
+        let gw = Arc::clone(self);
+        router.add(Method::Post, "/v1/attest/sessions/:id/extend", move |req, params| {
+            match req.body_json::<ExtendRequest>() {
                 Err(e) => Response::error(400, format!("bad extend body: {e}")),
                 Ok(body) => {
                     match gw.attest.extend(&params["id"], body.index, body.data.as_bytes()) {
@@ -732,10 +716,9 @@ impl Gateway {
                         Err(e) => error_response(&e, &gw.retry),
                     }
                 }
-            },
-        );
+            }
+        });
         let gw = Arc::clone(self);
-        // Metrics are new in v1: canonical path only, no deprecated alias.
         router.add(Method::Get, "/v1/metrics", move |req, _| {
             if req.query.get("format").map(String::as_str) == Some("json") {
                 Response::json(&gw.metrics.snapshot())
@@ -743,7 +726,7 @@ impl Gateway {
                 Response::text(gw.metrics.render_text())
             }
         });
-        add_versioned(&mut router, Method::Get, "/health", |_, _| {
+        router.add(Method::Get, "/v1/health", |_, _| {
             Response::json(&serde_json::json!({"ok": true}))
         });
         router
@@ -888,7 +871,7 @@ mod tests {
         let client = Client::new(server.addr());
 
         // Upload (Fig. 2 step 1).
-        let upload = Request::new(Method::Post, "/functions").json(&UploadRequest {
+        let upload = Request::new(Method::Post, "/v1/functions").json(&UploadRequest {
             name: "quadruple".into(),
             script: "result(int(ARGS[0]) * 4);".into(),
         });
@@ -896,11 +879,11 @@ mod tests {
 
         // List includes the upload.
         let names: Vec<String> =
-            client.send(&Request::new(Method::Get, "/functions")).unwrap().body_json().unwrap();
+            client.send(&Request::new(Method::Get, "/v1/functions")).unwrap().body_json().unwrap();
         assert!(names.contains(&"quadruple".to_owned()));
 
         // Run it (Fig. 2 steps 2-5).
-        let run = Request::new(Method::Post, "/run").json(&RunRequest::new(
+        let run = Request::new(Method::Post, "/v1/run").json(&RunRequest::new(
             FunctionSpec::new("quadruple", Language::Lua).arg("21"),
             VmTarget::secure(TeePlatform::Tdx),
         ));
@@ -910,14 +893,14 @@ mod tests {
         assert_eq!(result.output, "84");
 
         // Unknown function maps to 404.
-        let bad = Request::new(Method::Post, "/run").json(&RunRequest::new(
+        let bad = Request::new(Method::Post, "/v1/run").json(&RunRequest::new(
             FunctionSpec::new("ghost", Language::Lua),
             VmTarget::secure(TeePlatform::Tdx),
         ));
         assert_eq!(client.send(&bad).unwrap().status, 404);
 
         // Unpooled platform maps to 503.
-        let no_vm = Request::new(Method::Post, "/run").json(&RunRequest::new(
+        let no_vm = Request::new(Method::Post, "/v1/run").json(&RunRequest::new(
             FunctionSpec::new("quadruple", Language::Lua).arg("1"),
             VmTarget::secure(TeePlatform::Cca),
         ));
@@ -1056,7 +1039,6 @@ mod tests {
         ));
         let resp = client.send(&run).unwrap();
         assert_eq!(resp.status, 200);
-        assert!(!resp.headers.contains_key("deprecation"), "canonical path is not deprecated");
 
         let text = client.send(&Request::new(Method::Get, "/v1/metrics")).unwrap();
         assert_eq!(text.status, 200);
@@ -1068,28 +1050,24 @@ mod tests {
         assert_eq!(json.status, 200);
         let snap: confbench_obs::RegistrySnapshot = json.body_json().unwrap();
         assert_eq!(snap.counters.get("gateway_requests_total"), Some(&1));
-
-        // No legacy alias: metrics are v1-only.
-        assert_eq!(client.send(&Request::new(Method::Get, "/metrics")).unwrap().status, 404);
     }
 
     #[test]
-    fn legacy_gateway_routes_answer_with_deprecation_headers() {
+    fn bare_paths_answer_404() {
         let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
-        let server = Arc::clone(&gw).serve().unwrap();
-        let client = Client::new(server.addr());
-
-        let legacy = client.send(&Request::new(Method::Get, "/health")).unwrap();
-        assert_eq!(legacy.status, 200);
-        assert_eq!(legacy.headers.get("deprecation").map(String::as_str), Some("true"));
-        assert_eq!(
-            legacy.headers.get("link").map(String::as_str),
-            Some("</v1/health>; rel=\"successor-version\""),
-        );
-
-        let canonical = client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
-        assert_eq!(canonical.status, 200);
-        assert!(!canonical.headers.contains_key("deprecation"));
+        let router = gw.build_router();
+        for (method, path) in [
+            (Method::Post, "/run"),
+            (Method::Post, "/functions"),
+            (Method::Get, "/functions"),
+            (Method::Post, "/attest/sessions"),
+            (Method::Get, "/attest/sessions/as-1"),
+            (Method::Get, "/metrics"),
+            (Method::Get, "/health"),
+        ] {
+            assert_eq!(router.dispatch(&Request::new(method, path)).status, 404, "{path}");
+        }
+        assert_eq!(router.dispatch(&Request::new(Method::Get, "/v1/health")).status, 200);
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub const GPU_INFERENCE: &str = "gpu-inference";
 
 use crate::attest_api::AttestService;
 use crate::gateway::RetryPolicy;
-use crate::rest::add_versioned;
 use crate::store::FunctionStore;
 use crate::supervisor::{VmSupervisor, DEFAULT_REBUILD_BUDGET};
 
@@ -324,8 +323,7 @@ impl HostAgent {
     }
 
     /// Serves the agent over HTTP: `POST /v1/execute` with a JSON
-    /// [`RunRequest`] body, `GET /v1/health`. The unversioned paths remain
-    /// as deprecated aliases (answering with `Deprecation: true`).
+    /// [`RunRequest`] body, `GET /v1/health`.
     ///
     /// # Errors
     ///
@@ -344,7 +342,7 @@ impl HostAgent {
     pub fn serve_with_config(self: Arc<Self>, config: ServerConfig) -> std::io::Result<Server> {
         let mut router = Router::new();
         let agent = Arc::clone(&self);
-        add_versioned(&mut router, Method::Post, "/execute", move |req, _| {
+        router.add(Method::Post, "/v1/execute", move |req, _| {
             match req.body_json::<RunRequest>() {
                 Err(e) => Response::error(400, format!("bad request body: {e}")),
                 Ok(run_request) => match agent.execute(&run_request) {
@@ -357,7 +355,7 @@ impl HostAgent {
             }
         });
         let platform = self.platform;
-        add_versioned(&mut router, Method::Get, "/health", move |_, _| {
+        router.add(Method::Get, "/v1/health", move |_, _| {
             Response::json(&serde_json::json!({ "platform": platform.to_string(), "ok": true }))
         });
         Server::build(router).config(config).spawn("127.0.0.1:0")
@@ -493,13 +491,13 @@ mod tests {
         let agent = Arc::new(host(TeePlatform::SevSnp));
         let server = agent.serve().unwrap();
         let client = confbench_httpd::Client::new(server.addr());
-        let req = Request::new(Method::Post, "/execute")
+        let req = Request::new(Method::Post, "/v1/execute")
             .json(&request(TeePlatform::SevSnp, VmKind::Secure));
         let resp = client.send(&req).unwrap();
         assert_eq!(resp.status, 200);
         let result: RunResult = resp.body_json().unwrap();
         assert_eq!(result.output, "1572480");
-        let health = client.send(&Request::new(Method::Get, "/health")).unwrap();
+        let health = client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
         assert_eq!(health.status, 200);
     }
 
@@ -516,27 +514,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_routes_are_canonical_and_legacy_paths_deprecated() {
+    fn bare_paths_answer_404() {
         let agent = Arc::new(host(TeePlatform::Tdx));
         let server = agent.serve().unwrap();
         let client = confbench_httpd::Client::new(server.addr());
-
-        let v1 = client
-            .send(
-                &Request::new(Method::Post, "/v1/execute")
-                    .json(&request(TeePlatform::Tdx, VmKind::Normal)),
-            )
-            .unwrap();
-        assert_eq!(v1.status, 200);
-        assert!(!v1.headers.contains_key("deprecation"));
-
-        let legacy = client.send(&Request::new(Method::Get, "/health")).unwrap();
-        assert_eq!(legacy.status, 200);
-        assert_eq!(legacy.headers.get("deprecation").map(String::as_str), Some("true"));
-        assert_eq!(
-            legacy.headers.get("link").map(String::as_str),
-            Some("</v1/health>; rel=\"successor-version\""),
-        );
+        let execute =
+            Request::new(Method::Post, "/execute").json(&request(TeePlatform::Tdx, VmKind::Normal));
+        assert_eq!(client.send(&execute).unwrap().status, 404);
+        assert_eq!(client.send(&Request::new(Method::Get, "/health")).unwrap().status, 404);
     }
 
     #[test]
@@ -547,11 +532,11 @@ mod tests {
         // Unknown function → 404 (used to be a generic 500).
         let mut req = request(TeePlatform::Tdx, VmKind::Secure);
         req.function.name = "missing".into();
-        let resp = client.send(&Request::new(Method::Post, "/execute").json(&req)).unwrap();
+        let resp = client.send(&Request::new(Method::Post, "/v1/execute").json(&req)).unwrap();
         assert_eq!(resp.status, 404);
         // Wrong platform → invalid request → 400.
         let req = request(TeePlatform::SevSnp, VmKind::Secure);
-        let resp = client.send(&Request::new(Method::Post, "/execute").json(&req)).unwrap();
+        let resp = client.send(&Request::new(Method::Post, "/v1/execute").json(&req)).unwrap();
         assert_eq!(resp.status, 400);
     }
 }

@@ -26,10 +26,12 @@
 //!
 //! ```
 //! use confbench::ConfBench;
-//! use confbench_types::{Language, TeePlatform};
+//! use confbench_types::{FunctionSpec, Language, RunRequest, TeePlatform, VmTarget};
 //!
 //! let bench = ConfBench::local(7);
-//! let m = bench.measure_ratio("factors", Language::Go, TeePlatform::Tdx, 3)?;
+//! let factors = FunctionSpec::new("factors", Language::Go).arg("360360");
+//! let m = bench
+//!     .measure_ratio(RunRequest::new(factors, VmTarget::secure(TeePlatform::Tdx)).trials(3))?;
 //! assert!(m.ratio > 0.5 && m.ratio < 2.0, "factors is CPU-bound: {}", m.ratio);
 //! # Ok::<(), confbench_types::Error>(())
 //! ```
@@ -41,7 +43,6 @@ mod attest_api;
 mod gateway;
 mod host;
 mod pool;
-mod rest;
 mod store;
 mod supervisor;
 
@@ -53,7 +54,6 @@ pub use host::{HostAgent, HostConfig, GPU_INFERENCE};
 pub use pool::{
     BalancePolicy, CircuitState, Clock, HealthPolicy, ManualClock, PoolGuard, SystemClock, TeePool,
 };
-pub use rest::API_PREFIX;
 pub use store::{FunctionStore, StoreError, StoredFunction, UploadedFunction, MAX_SCRIPT_BYTES};
 pub use supervisor::{VmSupervisor, DEFAULT_REBUILD_BUDGET};
 
@@ -62,9 +62,7 @@ pub use supervisor::{VmSupervisor, DEFAULT_REBUILD_BUDGET};
 // `confbench-vmm` dependency.
 pub use confbench_vmm::{TeeFault, TeeFaultPlan};
 
-use confbench_types::{
-    FunctionSpec, Language, Result, RunRequest, RunResult, TeePlatform, VmTarget,
-};
+use confbench_types::{Result, RunRequest, RunResult, TeePlatform};
 
 /// A secure/normal measurement pair with its ratio (the paper's standard
 /// reporting unit).
@@ -82,7 +80,6 @@ pub struct RatioMeasurement {
 /// TEE platform, deterministic under `seed`.
 pub struct ConfBench {
     gateway: Gateway,
-    seed: u64,
 }
 
 impl ConfBench {
@@ -94,7 +91,7 @@ impl ConfBench {
             .local_host(TeePlatform::SevSnp)
             .local_host(TeePlatform::Cca)
             .build();
-        ConfBench { gateway, seed }
+        ConfBench { gateway }
     }
 
     /// The underlying gateway.
@@ -111,78 +108,14 @@ impl ConfBench {
         self.gateway.run(request)
     }
 
-    /// Runs `function` (with its default or given args) in `language` on
-    /// both VM kinds of `platform` for `trials` trials each, returning the
-    /// mean-time ratio.
+    /// Runs `request` on the secure and the normal VM of its target
+    /// platform (whichever kind it names) and returns the mean-time ratio.
     ///
     /// # Errors
     ///
     /// As [`Gateway::run`].
-    pub fn measure_ratio(
-        &self,
-        function: &str,
-        language: Language,
-        platform: TeePlatform,
-        trials: u32,
-    ) -> Result<RatioMeasurement> {
-        let args = confbench_workloads::find_workload(function)
-            .map(|w| w.default_args())
-            .unwrap_or_default();
-        self.measure_ratio_with_args(function, &args, language, platform, trials)
-    }
-
-    /// As [`ConfBench::measure_ratio`] with explicit arguments.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gateway::run`].
-    pub fn measure_ratio_with_args(
-        &self,
-        function: &str,
-        args: &[String],
-        language: Language,
-        platform: TeePlatform,
-        trials: u32,
-    ) -> Result<RatioMeasurement> {
-        let mut spec = FunctionSpec::new(function, language);
-        spec.args = args.to_vec();
-        let request = RunRequest {
-            function: spec,
-            target: VmTarget::secure(platform),
-            trials,
-            seed: self.seed,
-            deadline_ms: None,
-            attest_session: None,
-            device: None,
-        };
-        let (secure, normal) = self.gateway.run_pair(request, platform)?;
-        let ratio = secure.stats.mean_ms / normal.stats.mean_ms;
-        Ok(RatioMeasurement { secure, normal, ratio })
-    }
-
-    /// Runs the `gpu-inference` workload on both VM kinds of `platform`
-    /// with the TEE-IO GPU attached (full TDISP bring-up on the secure
-    /// side), returning the mean-time ratio. The headline TEE-IO result:
-    /// with attested direct DMA the ratio stays near 1.0 even though the
-    /// traffic is accelerator DMA, not emulated I/O.
-    ///
-    /// # Errors
-    ///
-    /// As [`Gateway::run`].
-    pub fn measure_gpu_ratio(
-        &self,
-        platform: TeePlatform,
-        trials: u32,
-    ) -> Result<RatioMeasurement> {
-        let request = RunRequest {
-            function: FunctionSpec::new("gpu-inference", Language::Go),
-            target: VmTarget::secure(platform),
-            trials,
-            seed: self.seed,
-            deadline_ms: None,
-            attest_session: None,
-            device: Some(confbench_types::DeviceKind::Gpu),
-        };
+    pub fn measure_ratio(&self, request: RunRequest) -> Result<RatioMeasurement> {
+        let platform = request.target.platform;
         let (secure, normal) = self.gateway.run_pair(request, platform)?;
         let ratio = secure.stats.mean_ms / normal.stats.mean_ms;
         Ok(RatioMeasurement { secure, normal, ratio })
@@ -192,6 +125,7 @@ impl ConfBench {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confbench_types::{FunctionSpec, Language, VmTarget};
 
     #[test]
     fn local_instance_serves_all_platforms() {
@@ -202,33 +136,30 @@ mod tests {
         );
     }
 
+    fn request(function: &str, arg: &str) -> RunRequest {
+        let spec = FunctionSpec::new(function, Language::Go).arg(arg);
+        RunRequest::new(spec, VmTarget::secure(TeePlatform::Tdx)).trials(4).seed(2)
+    }
+
     #[test]
     fn ratio_measurement_shapes() {
         let bench = ConfBench::local(2);
         // I/O-bound on TDX: clearly above 1.
-        let io = bench
-            .measure_ratio_with_args("iostress", &["4".into()], Language::Go, TeePlatform::Tdx, 4)
-            .unwrap();
+        let io = bench.measure_ratio(request("iostress", "4")).unwrap();
         assert!(io.ratio > 1.2, "tdx iostress {}", io.ratio);
         assert_eq!(io.secure.output, io.normal.output);
         // CPU-bound on TDX: near 1.
-        let cpu = bench
-            .measure_ratio_with_args(
-                "checksum",
-                &["30000".into()],
-                Language::Go,
-                TeePlatform::Tdx,
-                4,
-            )
-            .unwrap();
+        let cpu = bench.measure_ratio(request("checksum", "30000")).unwrap();
         assert!(cpu.ratio < 1.15, "tdx checksum {}", cpu.ratio);
     }
 
     #[test]
     fn unknown_workload_without_args_fails_cleanly() {
         let bench = ConfBench::local(1);
-        let err =
-            bench.measure_ratio("does-not-exist", Language::Go, TeePlatform::Tdx, 1).unwrap_err();
+        let spec = FunctionSpec::new("does-not-exist", Language::Go);
+        let err = bench
+            .measure_ratio(RunRequest::new(spec, VmTarget::secure(TeePlatform::Tdx)))
+            .unwrap_err();
         assert!(matches!(err, confbench_types::Error::UnknownFunction(_)));
     }
 }

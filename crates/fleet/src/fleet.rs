@@ -445,7 +445,7 @@ impl Fleet {
                 (state.campaigns[ci].priority, state.campaigns[ci].deadline_ms)
             };
             // A full queue during disaster recovery would deadlock the
-            // fleet; the per-shard queue capacity (256) dwarfs test and
+            // fleet; the per-shard queue capacity (4096) dwarfs test and
             // bench campaigns, so treat overflow as a hard bug.
             self.shards[owner]
                 .sched
@@ -526,11 +526,14 @@ impl Fleet {
         cfg: &MigrationConfig,
     ) -> Result<MigrationReport, MigrationError> {
         let mut source = TeeVmBuilder::new(target).seed(self.seed).build();
-        for trace in warmup {
-            source.execute(trace);
-        }
         let target_builder = TeeVmBuilder::new(target).seed(self.seed ^ 0x5EED);
-        let result = migrate(source, target_builder, &self.attest, &[], cfg);
+        let warmed = warmup.iter().try_for_each(|trace| source.try_execute(trace).map(drop));
+        let result = match warmed {
+            Ok(()) => migrate(source, target_builder, &self.attest, &[], cfg),
+            Err(fault) => {
+                Err(MigrationError::Fault { stage: "execute", fault, source: Box::new(source) })
+            }
+        };
         match &result {
             Ok((_, report)) => {
                 self.metrics.counter("migrations_total").inc();

@@ -86,9 +86,11 @@ pub struct MigrationReport {
 /// existed hands the source VM back, still runnable.
 #[derive(Debug)]
 pub enum MigrationError {
-    /// A TEE fault was injected at an export/import crossing.
+    /// A TEE fault was injected at an export/import crossing, or while the
+    /// source executed its pending work.
     Fault {
-        /// Which stage faulted (`"export"`, `"import"`, `"state"`).
+        /// Which stage faulted (`"export"`, `"execute"`, `"import"`,
+        /// `"state"`).
         stage: &'static str,
         /// The injected fault.
         fault: TeeFault,
@@ -206,7 +208,10 @@ pub fn migrate(
     }
     export_round!();
     for trace in pending {
-        source_reports.push(source.execute(trace));
+        match source.try_execute(trace) {
+            Ok(report) => source_reports.push(report),
+            Err(fault) => return Err(abort(fsm, source, "execute", fault)),
+        }
         let dirtied = source.dirty_page_count() as u64;
         let delta = dirtied.saturating_sub(tracked);
         if delta > 0 {

@@ -1,39 +1,16 @@
 //! REST surface of the fleet: `/v1/fleet` and `/v1/migrations`.
 //!
-//! Mirrors the gateway's route conventions (canonical under `/v1` with a
-//! deprecated unversioned alias) so fleet deployments and single-gateway
-//! deployments speak the same dialect.
+//! Mirrors the gateway's route conventions (everything under `/v1`) so
+//! fleet deployments and single-gateway deployments speak the same dialect.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use confbench_httpd::{Method, Request, Response, Router, Server};
+use confbench_httpd::{Method, Response, Router, Server};
 use confbench_types::{TeePlatform, VmKind, VmTarget};
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::Fleet;
 use crate::migrate::{MigrationConfig, MigrationReport};
-
-/// The current REST API version prefix (matches the gateway's).
-const API_PREFIX: &str = "/v1";
-
-/// Gateway-convention route registration: canonical `/v1` path plus the
-/// deprecated unversioned alias carrying `Deprecation`/`Link` headers.
-fn add_versioned<F>(router: &mut Router, method: Method, path: &str, handler: F)
-where
-    F: Fn(&Request, &HashMap<String, String>) -> Response + Send + Sync + 'static,
-{
-    let handler = Arc::new(handler);
-    let canonical = Arc::clone(&handler);
-    router.add(method, &format!("{API_PREFIX}{path}"), move |req, params| canonical(req, params));
-    let successor = format!("<{API_PREFIX}{path}>; rel=\"successor-version\"");
-    router.add(method, path, move |req, params| {
-        let mut response = handler(req, params);
-        response.headers.insert("deprecation".into(), "true".into());
-        response.headers.insert("link".into(), successor.clone());
-        response
-    });
-}
 
 /// `POST /v1/migrations` request body.
 #[derive(Debug, Deserialize)]
@@ -104,7 +81,7 @@ impl Fleet {
         let mut router = Router::new();
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Get, "/fleet", move |_, _| {
+        router.add(Method::Get, "/v1/fleet", move |_, _| {
             let shards = fleet.status();
             let view = FleetView {
                 alive: shards.iter().filter(|s| s.alive).count(),
@@ -117,7 +94,7 @@ impl Fleet {
         });
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/fleet/campaigns", move |req, _| {
+        router.add(Method::Post, "/v1/fleet/campaigns", move |req, _| {
             let spec: confbench_types::CampaignSpec = match req.body_json() {
                 Ok(spec) => spec,
                 Err(e) => return Response::error(400, format!("bad campaign spec: {e}")),
@@ -132,28 +109,25 @@ impl Fleet {
         });
 
         let fleet = Arc::clone(self);
-        add_versioned(
-            &mut router,
-            Method::Get,
-            "/fleet/campaigns/:id",
-            move |_, params| match fleet.campaign_status(&params["id"]) {
+        router.add(Method::Get, "/v1/fleet/campaigns/:id", move |_, params| {
+            match fleet.campaign_status(&params["id"]) {
                 Some(status) => Response::json(&status),
                 None => Response::error(404, format!("unknown fleet campaign {}", params["id"])),
-            },
-        );
+            }
+        });
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/fleet/shards/:id/drain", move |_, params| {
+        router.add(Method::Post, "/v1/fleet/shards/:id/drain", move |_, params| {
             shard_action(&fleet, &params["id"], |f, id| f.drain_shard(id))
         });
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/fleet/shards/:id/kill", move |_, params| {
+        router.add(Method::Post, "/v1/fleet/shards/:id/kill", move |_, params| {
             shard_action(&fleet, &params["id"], |f, id| f.kill_shard(id))
         });
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Post, "/migrations", move |req, _| {
+        router.add(Method::Post, "/v1/migrations", move |req, _| {
             let body: MigrationRequest = match req.body_json() {
                 Ok(body) => body,
                 Err(e) => return Response::error(400, format!("bad migration body: {e}")),
@@ -177,7 +151,7 @@ impl Fleet {
         });
 
         let fleet = Arc::clone(self);
-        add_versioned(&mut router, Method::Get, "/migrations", move |_, _| {
+        router.add(Method::Get, "/v1/migrations", move |_, _| {
             let views: Vec<MigrationView> =
                 fleet.migrations().iter().map(MigrationView::from_report).collect();
             Response::json(&views)
@@ -221,6 +195,7 @@ fn shard_action(
 mod tests {
     use super::*;
     use crate::fleet::FleetConfig;
+    use confbench_httpd::Request;
     use confbench_types::ManualClock;
 
     fn fleet() -> Arc<Fleet> {
@@ -313,10 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_alias_carries_deprecation_headers() {
+    fn bare_paths_answer_404() {
         let router = fleet().build_router();
-        let resp = router.dispatch(&Request::new(Method::Get, "/fleet"));
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.headers.get("deprecation").map(String::as_str), Some("true"));
+        for (method, path) in [
+            (Method::Get, "/fleet"),
+            (Method::Post, "/fleet/campaigns"),
+            (Method::Post, "/fleet/shards/0/drain"),
+            (Method::Post, "/migrations"),
+            (Method::Get, "/migrations"),
+        ] {
+            assert_eq!(router.dispatch(&Request::new(method, path)).status, 404, "{path}");
+        }
     }
 }

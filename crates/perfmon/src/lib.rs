@@ -11,6 +11,7 @@
 //! # Example
 //!
 //! ```
+//! use confbench_obs::SpanRecorder;
 //! use confbench_perfmon::PerfStat;
 //! use confbench_types::{OpTrace, TeePlatform, VmTarget};
 //! use confbench_vmm::TeeVmBuilder;
@@ -19,7 +20,9 @@
 //! let mut trace = OpTrace::new();
 //! trace.cpu(10_000);
 //!
-//! let (report, sample) = PerfStat::for_vm(&vm).measure(&mut vm, &trace);
+//! let (report, sample) = PerfStat::for_vm(&vm)
+//!     .try_measure_spanned(&mut vm, &trace, &SpanRecorder::default())
+//!     .unwrap();
 //! assert_eq!(sample.collector, "perf");
 //! assert!(report.perf.instructions >= 10_000);
 //! ```
@@ -43,9 +46,8 @@ pub struct PerfSample {
     pub collector: String,
     /// The counter values.
     pub report: PerfReport,
-    /// The span tree recorded around the measured run, when measurement was
-    /// requested with [`PerfStat::measure_spanned`]. Absent (and absent from
-    /// the wire format) otherwise.
+    /// The span tree recorded around the measured run. Absent on samples
+    /// from peers that predate tracing.
     #[serde(default)]
     pub trace: Option<TraceSpan>,
 }
@@ -143,9 +145,8 @@ impl Collector for ScriptCollector {
 /// A perf-stat-style measurement harness bound to a [`Collector`].
 ///
 /// Construct with [`PerfStat::for_vm`] (auto-selects the right path for the
-/// platform, as the tool does), [`PerfStat::with_script`] for a named
-/// fallback script, or [`PerfStat::with_collector`] for any user
-/// implementation of the trait.
+/// platform, as the tool does) or [`PerfStat::with_collector`] for any
+/// implementation of the trait, a named [`ScriptCollector`] included.
 #[derive(Clone)]
 pub struct PerfStat {
     collector: Arc<dyn Collector>,
@@ -162,13 +163,6 @@ impl PerfStat {
         } else {
             Self::with_collector(Arc::new(ScriptCollector::new("cca-cycles")))
         }
-    }
-
-    /// Uses a custom monitoring script named `name` regardless of platform.
-    /// Thin shim over [`ScriptCollector`], kept for callers predating the
-    /// [`Collector`] trait.
-    pub fn with_script(name: impl Into<String>) -> Self {
-        Self::with_collector(Arc::new(ScriptCollector::new(name)))
     }
 
     /// Uses an arbitrary [`Collector`] implementation (the §III-B extension
@@ -188,30 +182,12 @@ impl PerfStat {
     }
 
     /// Executes `trace` on `vm` under measurement, returning the execution
-    /// report plus the collected sample (with no trace attached).
-    pub fn measure(&self, vm: &mut Vm, trace: &OpTrace) -> (ExecutionReport, PerfSample) {
-        let report = vm.execute(trace);
-        (report, self.sample_from(&report, None))
-    }
-
-    /// Like [`PerfStat::measure`], but records the run under a
+    /// report plus the collected sample. The run is recorded under a
     /// `perf.measure` root span (timestamped on `recorder`'s clock, with the
-    /// VM's per-class cost-event children) and attaches the finished tree to
-    /// the sample.
-    pub fn measure_spanned(
-        &self,
-        vm: &mut Vm,
-        trace: &OpTrace,
-        recorder: &SpanRecorder,
-    ) -> (ExecutionReport, PerfSample) {
-        self.try_measure_spanned(vm, trace, recorder)
-            .unwrap_or_else(|f| panic!("unsupervised TEE fault under measurement: {f}"))
-    }
-
-    /// Fallible variant of [`PerfStat::measure_spanned`] for VMs running
-    /// under a chaos plan: an injected TEE fault aborts the measured run
-    /// (no sample, the unfinished span is dropped) and surfaces as `Err`
-    /// for the supervisor to retry or rebuild.
+    /// VM's per-class cost-event children) and the finished tree is
+    /// attached to the sample. An injected TEE fault aborts the measured
+    /// run (no sample, the unfinished span is dropped) and surfaces as
+    /// `Err` for the supervisor to retry or rebuild.
     ///
     /// # Errors
     ///
@@ -226,15 +202,12 @@ impl PerfStat {
         let report = vm.try_execute_spanned(trace, &mut root)?;
         root.set_attr("vm_exits", report.perf.vm_exits);
         root.set_attr("bounce_bytes", report.perf.bounce_bytes);
-        Ok((report, self.sample_from(&report, Some(root.finish()))))
-    }
-
-    fn sample_from(&self, report: &ExecutionReport, trace: Option<TraceSpan>) -> PerfSample {
-        PerfSample {
+        let sample = PerfSample {
             collector: self.collector.name(),
-            report: self.collector.collect(report),
-            trace,
-        }
+            report: self.collector.collect(&report),
+            trace: Some(root.finish()),
+        };
+        Ok((report, sample))
     }
 }
 
@@ -270,17 +243,20 @@ mod tests {
     #[test]
     fn hardware_sample_carries_cache_counters() {
         let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
-        let (_, sample) = PerfStat::for_vm(&vm).measure(&mut vm, &trace());
+        let (_, sample) = PerfStat::for_vm(&vm)
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
         assert_eq!(sample.collector, "perf");
         assert!(sample.report.cache_references > 0);
         assert!(sample.report.from_hw_counters);
-        assert_eq!(sample.trace, None, "plain measure attaches no trace");
     }
 
     #[test]
     fn script_sample_degrades_to_wallclock() {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
-        let (report, sample) = PerfStat::for_vm(&vm).measure(&mut vm, &trace());
+        let (report, sample) = PerfStat::for_vm(&vm)
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
         assert_eq!(sample.collector, "script:cca-cycles");
         assert_eq!(sample.report.instructions, 0);
         assert_eq!(sample.report.cache_references, 0);
@@ -293,7 +269,9 @@ mod tests {
     #[test]
     fn custom_script_overrides_platform_choice() {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
-        let (_, sample) = PerfStat::with_script("my-probe").measure(&mut vm, &trace());
+        let (_, sample) = PerfStat::with_collector(Arc::new(ScriptCollector::new("my-probe")))
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
         assert_eq!(sample.collector, "script:my-probe");
         assert!(!sample.report.from_hw_counters);
     }
@@ -320,7 +298,9 @@ mod tests {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
         let mut t = trace();
         t.io_write(8192);
-        let (report, sample) = PerfStat::with_collector(Arc::new(ExitsOnly)).measure(&mut vm, &t);
+        let (report, sample) = PerfStat::with_collector(Arc::new(ExitsOnly))
+            .try_measure_spanned(&mut vm, &t, &SpanRecorder::default())
+            .unwrap();
         assert_eq!(sample.collector, "exits-only");
         assert_eq!(sample.report.vm_exits, report.perf.vm_exits);
         assert!(sample.report.vm_exits > 0);
@@ -335,7 +315,8 @@ mod tests {
         let mut t = trace();
         t.io_write(64 * 1024);
         clock.advance(3);
-        let (report, sample) = PerfStat::for_vm(&vm).measure_spanned(&mut vm, &t, &recorder);
+        let (report, sample) =
+            PerfStat::for_vm(&vm).try_measure_spanned(&mut vm, &t, &recorder).unwrap();
         let tree = sample.trace.expect("trace attached");
         assert_eq!(tree.name, "perf.measure");
         assert_eq!(tree.start_ms, 3);
@@ -348,7 +329,9 @@ mod tests {
     #[test]
     fn sample_display_is_informative() {
         let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).build();
-        let (_, sample) = PerfStat::for_vm(&vm).measure(&mut vm, &trace());
+        let (_, sample) = PerfStat::for_vm(&vm)
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
         let s = sample.to_string();
         assert!(s.contains("instructions"));
         assert!(s.contains("vm-exits"));
@@ -357,7 +340,9 @@ mod tests {
     #[test]
     fn sample_serializes() {
         let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
-        let (_, sample) = PerfStat::for_vm(&vm).measure(&mut vm, &trace());
+        let (_, sample) = PerfStat::for_vm(&vm)
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
         let json = serde_json::to_string(&sample).unwrap();
         let back: PerfSample = serde_json::from_str(&json).unwrap();
         assert_eq!(back, sample);

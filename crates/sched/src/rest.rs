@@ -1,7 +1,6 @@
 //! The scheduler's REST surface.
 //!
-//! Mounted by the gateway next to its own routes (all under the canonical
-//! `/v1` prefix — campaigns are new API, so no legacy aliases exist):
+//! Mounted by the gateway next to its own routes, all under `/v1`:
 //!
 //! | method | path                  | status | body |
 //! |--------|-----------------------|--------|------|

@@ -38,11 +38,12 @@ pub struct SchedulerConfig {
 }
 
 impl Default for SchedulerConfig {
-    /// 256 queued jobs, `Retry-After: 1`, 4096 cached results, cells capped
-    /// at the workspace-wide [`confbench_types::MAX_CAMPAIGN_CELLS`].
+    /// 4096 queued jobs (as many as cached results, and room for the
+    /// paper's 350-cell Fig. 6 campaign), `Retry-After: 1`, cells capped at
+    /// the workspace-wide [`confbench_types::MAX_CAMPAIGN_CELLS`].
     fn default() -> Self {
         SchedulerConfig {
-            queue_capacity: 256,
+            queue_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             retry_after_secs: 1,
             cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             max_cells: confbench_types::MAX_CAMPAIGN_CELLS,
@@ -683,6 +684,26 @@ mod tests {
             deadline_ms: None,
             device: None,
         }
+    }
+
+    /// Paper Fig. 6 for one platform: 25 functions × 7 languages × both VM
+    /// kinds = 350 cells, 10 trials each.
+    #[test]
+    fn default_config_admits_the_paper_scale_fig6_campaign() {
+        let fig6 = CampaignSpec {
+            functions: (0..25).map(|i| CampaignFunction::new(format!("function-{i}"))).collect(),
+            languages: Language::ALL.to_vec(),
+            platforms: vec![TeePlatform::Tdx],
+            modes: vec![VmKind::Secure, VmKind::Normal],
+            trials: 10,
+            ..spec()
+        };
+        let sched = Scheduler::new(
+            Arc::new(SimExec::new()),
+            Arc::new(ManualClock::new()),
+            SchedulerConfig::default(),
+        );
+        assert_eq!(sched.submit(fig6).unwrap().jobs, 350);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub use language::{Language, ParseLanguageError};
 pub use ops::{Op, OpTrace, SyscallKind};
 pub use platform::{ParsePlatformError, TeePlatform, VmKind, VmTarget};
 pub use run::{
-    FunctionSpec, InvalidRunRequest, PerfReport, RunRequest, RunRequestBuilder, RunResult,
-    TrialStats, WorkloadKind,
+    FunctionSpec, InvalidRunRequest, PerfReport, RunRequest, RunResult, TrialStats, WorkloadKind,
 };
 pub use trace::TraceSpan;

@@ -87,8 +87,8 @@ fn default_trials() -> u32 {
     1
 }
 
-/// Typed rejection from [`RunRequestBuilder::build`] (and from the
-/// gateway's entry validation of raw JSON requests).
+/// Typed rejection from [`RunRequest::validate`] (the gateway's entry
+/// validation).
 ///
 /// Both conditions used to be accepted silently and fail — or spin — deep in
 /// the dispatch path; now they are rejected at the API boundary.
@@ -121,56 +121,6 @@ impl From<InvalidRunRequest> for crate::Error {
     }
 }
 
-/// Validating builder for [`RunRequest`] (see [`RunRequest::builder`]).
-#[derive(Debug, Clone)]
-pub struct RunRequestBuilder {
-    request: RunRequest,
-}
-
-impl RunRequestBuilder {
-    /// Sets the trial count (validated at [`build`](Self::build) time).
-    pub fn trials(mut self, n: u32) -> Self {
-        self.request.trials = n;
-        self
-    }
-
-    /// Sets the deterministic seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.request.seed = seed;
-        self
-    }
-
-    /// Sets the end-to-end deadline in milliseconds (validated at
-    /// [`build`](Self::build) time).
-    pub fn deadline_ms(mut self, ms: u64) -> Self {
-        self.request.deadline_ms = Some(ms);
-        self
-    }
-
-    /// Attaches an attestation-session token.
-    pub fn attest_session(mut self, id: impl Into<String>) -> Self {
-        self.request.attest_session = Some(id.into());
-        self
-    }
-
-    /// Requests a confidential passthrough device.
-    pub fn device(mut self, kind: DeviceKind) -> Self {
-        self.request.device = Some(kind);
-        self
-    }
-
-    /// Validates and returns the request.
-    ///
-    /// # Errors
-    ///
-    /// [`InvalidRunRequest::ZeroTrials`] when `trials == 0`;
-    /// [`InvalidRunRequest::ZeroDeadline`] when a zero deadline was set.
-    pub fn build(self) -> Result<RunRequest, InvalidRunRequest> {
-        self.request.validate()?;
-        Ok(self.request)
-    }
-}
-
 impl RunRequest {
     /// Creates a single-trial request with seed 0 and no deadline.
     pub fn new(function: FunctionSpec, target: VmTarget) -> Self {
@@ -185,8 +135,8 @@ impl RunRequest {
         }
     }
 
-    /// Starts a validating builder (rejects `trials == 0` and a zero
-    /// deadline at build time instead of deep in the gateway).
+    /// Rejects `trials == 0` and a zero deadline at the API boundary
+    /// instead of deep in the gateway, which calls this on every request.
     ///
     /// # Example
     ///
@@ -195,22 +145,15 @@ impl RunRequest {
     ///                       VmTarget};
     ///
     /// let spec = FunctionSpec::new("fib", Language::Go);
-    /// let target = VmTarget::secure(TeePlatform::Tdx);
-    /// let req = RunRequest::builder(spec.clone(), target).trials(10).build().unwrap();
-    /// assert_eq!(req.trials, 10);
-    /// let err = RunRequest::builder(spec, target).trials(0).build().unwrap_err();
-    /// assert_eq!(err, InvalidRunRequest::ZeroTrials);
+    /// let req = RunRequest::new(spec, VmTarget::secure(TeePlatform::Tdx)).trials(10);
+    /// assert_eq!(req.validate(), Ok(()));
+    /// assert_eq!(req.trials(0).validate(), Err(InvalidRunRequest::ZeroTrials));
     /// ```
-    pub fn builder(function: FunctionSpec, target: VmTarget) -> RunRequestBuilder {
-        RunRequestBuilder { request: RunRequest::new(function, target) }
-    }
-
-    /// Checks the invariants the builder enforces — used by the gateway on
-    /// requests that arrived as raw JSON and therefore bypassed the builder.
     ///
     /// # Errors
     ///
-    /// As [`RunRequestBuilder::build`].
+    /// [`InvalidRunRequest::ZeroTrials`] when `trials == 0`;
+    /// [`InvalidRunRequest::ZeroDeadline`] when a zero deadline was set.
     pub fn validate(&self) -> Result<(), InvalidRunRequest> {
         if self.trials == 0 {
             return Err(InvalidRunRequest::ZeroTrials);
@@ -443,11 +386,11 @@ mod tests {
     fn builder_rejects_zero_trials_and_zero_deadline() {
         let spec = FunctionSpec::new("fib", Language::Go);
         let target = VmTarget::secure(TeePlatform::Tdx);
-        let err = RunRequest::builder(spec.clone(), target).trials(0).build().unwrap_err();
+        let err = RunRequest::new(spec.clone(), target).trials(0).validate().unwrap_err();
         assert_eq!(err, InvalidRunRequest::ZeroTrials);
-        let err = RunRequest::builder(spec.clone(), target).deadline_ms(0).build().unwrap_err();
+        let err = RunRequest::new(spec.clone(), target).deadline_ms(0).validate().unwrap_err();
         assert_eq!(err, InvalidRunRequest::ZeroDeadline);
-        let ok = RunRequest::builder(spec, target).trials(10).deadline_ms(500).build().unwrap();
+        let ok = RunRequest::new(spec, target).trials(10).deadline_ms(500);
         assert_eq!(ok.trials, 10);
         assert_eq!(ok.deadline_ms, Some(500));
         ok.validate().unwrap();

@@ -51,6 +51,8 @@ impl fmt::Display for TeeFault {
     }
 }
 
+impl std::error::Error for TeeFault {}
+
 impl From<TeeFault> for Error {
     fn from(fault: TeeFault) -> Error {
         Error::TeeFault { platform: fault.platform, mechanism: fault.mechanism, class: fault.class }

@@ -15,6 +15,7 @@
 
 use confbench_types::{OpTrace, VmTarget};
 
+use crate::fault::TeeFault;
 use crate::vm::{ExecutionReport, TeeVmBuilder, Vm};
 
 /// Contention parameters for one shared host.
@@ -59,7 +60,7 @@ impl ContentionModel {
 /// trace.cpu(100_000);
 /// trace.mem_write(1 << 20);
 ///
-/// let slowdown = host.colocation_slowdown(&trace, 3);
+/// let slowdown = host.colocation_slowdown(&trace, 3).unwrap();
 /// assert!(slowdown >= 1.0, "co-residents only add cost: {slowdown}");
 /// ```
 #[derive(Debug)]
@@ -102,33 +103,26 @@ impl SharedHost {
     }
 
     /// Runs `trace` on the first VM with the others idle (no contention).
-    pub fn run_solo(&mut self, trace: &OpTrace) -> ExecutionReport {
-        self.vms[0].execute(trace)
-    }
-
-    /// Runs `trace` on every VM concurrently: each tenant's report is
-    /// scaled by the contention factors for the number of *other* active
-    /// tenants, with the contended share of cycles estimated from its perf
-    /// counters (miss-heavy runs suffer more, pure-CPU runs barely notice).
-    pub fn run_all(&mut self, trace: &OpTrace) -> Vec<ExecutionReport> {
-        let tenants = self.vms.len();
-        let c = self.contention.clone();
-        self.vms
-            .iter_mut()
-            .map(|vm| {
-                let dram_cost = vm.cost_model().dram_penalty + vm.cost_model().secure_miss_extra;
-                let exit_cost = vm.cost_model().exit_cost;
-                let base = vm.execute(trace);
-                scale_report(base, &c, tenants, dram_cost, exit_cost)
-            })
-            .collect()
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::try_execute`].
+    pub fn run_solo(&mut self, trace: &OpTrace) -> Result<ExecutionReport, TeeFault> {
+        self.vms[0].try_execute(trace)
     }
 
     /// Mean slowdown from co-location over `trials` trials: for every
     /// execution, the ratio of its contended cost (all tenants active) to
-    /// its uncontended cost. Comparing the same executions keeps trial
-    /// jitter out of the metric.
-    pub fn colocation_slowdown(&mut self, trace: &OpTrace, trials: u32) -> f64 {
+    /// its uncontended cost. Each tenant's report is scaled by the
+    /// contention factors for the number of *other* active tenants, with
+    /// the contended share of cycles estimated from its perf counters
+    /// (miss-heavy runs suffer more, pure-CPU runs barely notice).
+    /// Comparing the same executions keeps trial jitter out of the metric.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::try_execute`].
+    pub fn colocation_slowdown(&mut self, trace: &OpTrace, trials: u32) -> Result<f64, TeeFault> {
         let tenants = self.vms.len();
         let c = self.contention.clone();
         let mut sum = 0.0;
@@ -137,13 +131,13 @@ impl SharedHost {
             for vm in &mut self.vms {
                 let dram_cost = vm.cost_model().dram_penalty + vm.cost_model().secure_miss_extra;
                 let exit_cost = vm.cost_model().exit_cost;
-                let base = vm.execute(trace);
+                let base = vm.try_execute(trace)?;
                 let scaled = scale_report(base, &c, tenants, dram_cost, exit_cost);
                 sum += scaled.cycles.get() as f64 / base.cycles.get().max(1) as f64;
                 n += 1;
             }
         }
-        sum / f64::from(n)
+        Ok(sum / f64::from(n))
     }
 }
 
@@ -199,7 +193,7 @@ mod tests {
     #[test]
     fn contention_slows_memory_heavy_tenants() {
         let mut host = SharedHost::new(VmTarget::secure(TeePlatform::Tdx), 4, 3);
-        let slowdown = host.colocation_slowdown(&memory_heavy(), 3);
+        let slowdown = host.colocation_slowdown(&memory_heavy(), 3).unwrap();
         assert!(slowdown > 1.1, "4 tenants should contend on DRAM: {slowdown}");
         assert!(slowdown < 2.0, "but not absurdly: {slowdown}");
     }
@@ -207,7 +201,7 @@ mod tests {
     #[test]
     fn cpu_bound_tenants_barely_notice() {
         let mut host = SharedHost::new(VmTarget::secure(TeePlatform::Tdx), 4, 3);
-        let slowdown = host.colocation_slowdown(&cpu_only(), 3);
+        let slowdown = host.colocation_slowdown(&cpu_only(), 3).unwrap();
         assert!(slowdown < 1.08, "pure CPU does not contend: {slowdown}");
     }
 
@@ -215,16 +209,18 @@ mod tests {
     fn more_tenants_more_contention() {
         let trace = memory_heavy();
         let s2 = SharedHost::new(VmTarget::secure(TeePlatform::SevSnp), 2, 3)
-            .colocation_slowdown(&trace, 3);
+            .colocation_slowdown(&trace, 3)
+            .unwrap();
         let s8 = SharedHost::new(VmTarget::secure(TeePlatform::SevSnp), 8, 3)
-            .colocation_slowdown(&trace, 3);
+            .colocation_slowdown(&trace, 3)
+            .unwrap();
         assert!(s8 > s2, "8 tenants ({s8}) must beat 2 ({s2})");
     }
 
     #[test]
     fn single_tenant_is_contention_free() {
         let mut host = SharedHost::new(VmTarget::normal(TeePlatform::Tdx), 1, 3);
-        let slowdown = host.colocation_slowdown(&memory_heavy(), 4);
+        let slowdown = host.colocation_slowdown(&memory_heavy(), 4).unwrap();
         assert!((0.9..1.1).contains(&slowdown), "solo == contended for 1 tenant: {slowdown}");
     }
 
@@ -241,10 +237,12 @@ mod tests {
         let mut t = OpTrace::new();
         t.ctx_switch(3_000);
         t.cpu(500_000);
-        let secure =
-            SharedHost::new(VmTarget::secure(TeePlatform::Tdx), 6, 3).colocation_slowdown(&t, 3);
-        let normal =
-            SharedHost::new(VmTarget::normal(TeePlatform::Tdx), 6, 3).colocation_slowdown(&t, 3);
+        let secure = SharedHost::new(VmTarget::secure(TeePlatform::Tdx), 6, 3)
+            .colocation_slowdown(&t, 3)
+            .unwrap();
+        let normal = SharedHost::new(VmTarget::normal(TeePlatform::Tdx), 6, 3)
+            .colocation_slowdown(&t, 3)
+            .unwrap();
         assert!(
             secure >= normal - 0.02,
             "secure ({secure}) should not contend less than normal ({normal})"

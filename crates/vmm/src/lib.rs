@@ -27,8 +27,8 @@
 //!
 //! let mut secure = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
 //! let mut normal = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
-//! let rs = secure.execute(&trace);
-//! let rn = normal.execute(&trace);
+//! let rs = secure.try_execute(&trace).unwrap();
+//! let rn = normal.try_execute(&trace).unwrap();
 //! let ratio = rs.cycles.get() as f64 / rn.cycles.get() as f64;
 //! assert!(ratio < 1.1, "CPU-bound work is near-native in TDX: {ratio}");
 //! ```

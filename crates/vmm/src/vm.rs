@@ -46,7 +46,7 @@ pub struct ExecutionReport {
     pub wall_ms: f64,
     /// Perf counters for the run.
     pub perf: PerfReport,
-    /// Per-class cost-event breakdown (what [`Vm::execute_spanned`] turns
+    /// Per-class cost-event breakdown (what [`Vm::try_execute_spanned`] turns
     /// into child trace spans).
     pub events: CostEvents,
 }
@@ -364,7 +364,7 @@ impl Platform {
 
 /// A simulated virtual machine bound to one [`VmTarget`].
 ///
-/// Create with [`TeeVmBuilder`]; run traces with [`Vm::execute`].
+/// Create with [`TeeVmBuilder`]; run traces with [`Vm::try_execute`].
 #[derive(Debug)]
 pub struct Vm {
     target: VmTarget,
@@ -522,18 +522,6 @@ impl Vm {
         device.start().map_err(|_| fatal())
     }
 
-    /// Executes a trace, advancing the virtual clock, and returns the
-    /// report. Consecutive calls model independent trials: per-trial jitter
-    /// is drawn from the VM's seeded PRNG.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an installed fault plan injects a fault mid-execution (use
-    /// [`Vm::try_execute`] under chaos). Without a plan this never panics.
-    pub fn execute(&mut self, trace: &OpTrace) -> ExecutionReport {
-        self.try_execute(trace).unwrap_or_else(|f| panic!("unsupervised TEE fault: {f}"))
-    }
-
     /// Rolls the VM's fault plan at one mechanism crossing. Normal VMs have
     /// no TEE substrate, so only secure VMs ever fault.
     fn roll(&self, mechanism: TeeMechanism) -> Result<(), TeeFault> {
@@ -546,13 +534,17 @@ impl Vm {
         }
     }
 
-    /// Fallible execution: like [`Vm::execute`], but TEE faults injected by
-    /// the plan surface as `Err`. A faulted execution charges nothing — the
-    /// virtual clock, exit totals, and jitter stream are only advanced on
-    /// success — but the TEE page/bounce state machines may have moved, so
-    /// supervisors treat a faulted VM as dirty and rebuild rather than
-    /// trusting in-place state (transient faults are retried by re-running
-    /// the whole attempt on a fresh VM).
+    /// Executes a trace, advancing the virtual clock, and returns the
+    /// report. Consecutive calls model independent trials: per-trial jitter
+    /// is drawn from the VM's seeded PRNG.
+    ///
+    /// TEE faults injected by an installed plan surface as `Err`. A faulted
+    /// execution charges nothing — the virtual clock, exit totals, and
+    /// jitter stream are only advanced on success — but the TEE page/bounce
+    /// state machines may have moved, so supervisors treat a faulted VM as
+    /// dirty and rebuild rather than trusting in-place state (transient
+    /// faults are retried by re-running the whole attempt on a fresh VM).
+    /// Without a plan, execution cannot fault.
     ///
     /// # Errors
     ///
@@ -873,7 +865,7 @@ impl Vm {
         }
     }
 
-    /// Executes a trace like [`Vm::execute`], additionally attaching one
+    /// Executes a trace like [`Vm::try_execute`], additionally attaching one
     /// child span per *nonzero* cost-event class under `parent`:
     ///
     /// * world switches — `tdx.seamcall` / `snp.ghcb-exit` / `cca.rmm-exit`
@@ -888,13 +880,9 @@ impl Vm {
     ///   `devio.dma-bounce` (attr `bytes`, with the staging itself under
     ///   `swiotlb.copy`);
     /// * device kernels — `devio.kernel`, attrs `count`, `ns`.
-    pub fn execute_spanned(&mut self, trace: &OpTrace, parent: &mut ActiveSpan) -> ExecutionReport {
-        self.try_execute_spanned(trace, parent)
-            .unwrap_or_else(|f| panic!("unsupervised TEE fault: {f}"))
-    }
-
-    /// Fallible variant of [`Vm::execute_spanned`]: faults surface as
-    /// `Err` and no child spans are attached for the aborted execution.
+    ///
+    /// Faults surface as `Err` and no child spans are attached for the
+    /// aborted execution.
     ///
     /// # Errors
     ///
@@ -949,11 +937,6 @@ impl Vm {
             parent.finish_child(s);
         }
         Ok(report)
-    }
-
-    /// Runs `trials` independent executions of the same trace.
-    pub fn execute_trials(&mut self, trace: &OpTrace, trials: u32) -> Vec<ExecutionReport> {
-        (0..trials.max(1)).map(|_| self.execute(trace)).collect()
     }
 
     /// Pages currently resident in the guest: the measured boot image plus
@@ -1129,7 +1112,7 @@ mod tests {
     #[test]
     fn events_mirror_perf_counters() {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
-        let r = vm.execute(&io_heavy_trace());
+        let r = vm.try_execute(&io_heavy_trace()).unwrap();
         assert_eq!(r.events.exits, r.perf.vm_exits);
         assert_eq!(r.events.bounce_bytes, r.perf.bounce_bytes);
         assert!(r.events.bounce_bytes >= 256 * 1024, "whole transfer staged");
@@ -1141,7 +1124,7 @@ mod tests {
     #[test]
     fn normal_vm_has_no_bounce_events() {
         let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
-        let r = vm.execute(&io_heavy_trace());
+        let r = vm.try_execute(&io_heavy_trace()).unwrap();
         assert_eq!(r.events.bounce_bytes, 0);
         assert_eq!(r.perf.bounce_bytes, 0);
         assert!(r.events.exits > 0, "virtio kicks still exit");
@@ -1158,7 +1141,7 @@ mod tests {
         ] {
             let mut vm = TeeVmBuilder::new(VmTarget::secure(platform)).build();
             let mut root = rec.root("vm.execute");
-            let r = vm.execute_spanned(&io_heavy_trace(), &mut root);
+            let r = vm.try_execute_spanned(&io_heavy_trace(), &mut root).unwrap();
             let tree = root.finish();
             let exit = tree.find(exit_name).unwrap_or_else(|| panic!("{exit_name} span"));
             assert_eq!(exit.attr("count"), Some(r.perf.vm_exits));
@@ -1176,7 +1159,7 @@ mod tests {
         let rec = SpanRecorder::new(Arc::new(ManualClock::new()));
         let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).build();
         let mut root = rec.root("vm.execute");
-        vm.execute_spanned(&io_heavy_trace(), &mut root);
+        vm.try_execute_spanned(&io_heavy_trace(), &mut root).unwrap();
         let tree = root.finish();
         assert!(tree.find("vmexit").is_some());
         assert!(tree.find("snp.ghcb-exit").is_none());
@@ -1214,7 +1197,7 @@ mod tests {
         let trace = io_heavy_trace();
         for platform in TeePlatform::ALL {
             let target = VmTarget::secure(platform);
-            let clean = TeeVmBuilder::new(target).seed(9).build().execute(&trace);
+            let clean = TeeVmBuilder::new(target).seed(9).build().try_execute(&trace).unwrap();
             let plan = Arc::new(TeeFaultPlan::new(41, 0.25));
             let survived = run_until_clean(target, 9, &plan, &trace);
             assert!(plan.injected() > 0, "{platform}: chaos plan never fired");
@@ -1273,7 +1256,7 @@ mod tests {
             let clean = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).build();
             assert_eq!(survived, {
                 let mut vm = clean;
-                vm.execute(&trace)
+                vm.try_execute(&trace).unwrap()
             });
         }
     }
@@ -1302,7 +1285,7 @@ mod tests {
         assert_eq!(vm.device_state(), Some(TdispState::Locked));
         attest_device(&mut vm);
         assert_eq!(vm.device_state(), Some(TdispState::Run));
-        let r = vm.execute(&dev_dma_trace());
+        let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, (512 + 64) * 1024);
         assert_eq!(r.events.dma_bounce_bytes, 0);
         assert_eq!(r.events.bounce_bytes, 0, "direct DMA never touches the bounce pool");
@@ -1314,7 +1297,7 @@ mod tests {
     fn unattested_device_dma_rides_the_bounce_path() {
         let mut vm =
             TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
-        let r = vm.execute(&dev_dma_trace());
+        let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, 0);
         assert_eq!(r.events.dma_bounce_bytes, (512 + 64) * 1024);
         assert!(r.events.bounce_bytes >= (512 + 64) * 1024, "staged through swiotlb");
@@ -1325,7 +1308,7 @@ mod tests {
         let mut vm =
             TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
         assert_eq!(vm.device_state(), Some(TdispState::Unlocked));
-        let r = vm.execute(&dev_dma_trace());
+        let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, (512 + 64) * 1024);
         assert_eq!(r.events.bounce_bytes, 0);
     }
@@ -1338,8 +1321,8 @@ mod tests {
             trace.dev_dma_in(4 << 20);
             trace.dev_dma_out(1 << 20);
             let mean = |vm: &mut Vm| {
-                let rs = vm.execute_trials(&trace, 5);
-                rs.iter().map(|r| r.cycles.get() as f64).sum::<f64>() / rs.len() as f64
+                let cycles = |_| vm.try_execute(&trace).unwrap().cycles.get() as f64;
+                (0..5).map(cycles).sum::<f64>() / 5.0
             };
             let mut normal = TeeVmBuilder::new(VmTarget::normal(platform))
                 .seed(3)
@@ -1374,7 +1357,7 @@ mod tests {
         // A gpu-inference trace scheduled onto a device-less VM still runs:
         // DMA degrades to plain emulated I/O.
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).build();
-        let r = vm.execute(&dev_dma_trace());
+        let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, 0);
         assert_eq!(r.events.dma_bounce_bytes, 0, "no device: not accounted as device DMA");
         assert!(r.events.bounce_bytes > 0, "falls back to the confidential I/O path");
@@ -1396,7 +1379,7 @@ mod tests {
             TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
         attest_device(&mut vm);
         let mut root = rec.root("vm.execute");
-        let r = vm.execute_spanned(&dev_dma_trace(), &mut root);
+        let r = vm.try_execute_spanned(&dev_dma_trace(), &mut root).unwrap();
         let tree = root.finish();
         let direct = tree.find("devio.dma-direct").expect("direct DMA span");
         assert_eq!(direct.attr("bytes"), Some(r.events.dma_direct_bytes));
@@ -1407,7 +1390,7 @@ mod tests {
         let mut locked =
             TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
         let mut root = rec.root("vm.execute");
-        let r = locked.execute_spanned(&dev_dma_trace(), &mut root);
+        let r = locked.try_execute_spanned(&dev_dma_trace(), &mut root).unwrap();
         let tree = root.finish();
         let bounce = tree.find("devio.dma-bounce").expect("bounce DMA span");
         assert_eq!(bounce.attr("bytes"), Some(r.events.dma_bounce_bytes));
@@ -1425,7 +1408,7 @@ mod tests {
             let clean = {
                 let mut vm = TeeVmBuilder::new(target).seed(13).device(DeviceKind::Gpu).build();
                 attest_device(&mut vm);
-                vm.execute(&trace)
+                vm.try_execute(&trace).unwrap()
             };
             let plan = Arc::new(
                 TeeFaultPlan::new(23, 0.0)
@@ -1457,9 +1440,9 @@ mod tests {
         let mut a = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).build();
         let mut b = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).build();
         let trace = io_heavy_trace();
-        let ra = a.execute(&trace);
+        let ra = a.try_execute(&trace).unwrap();
         let mut root = rec.root("vm.execute");
-        let rb = b.execute_spanned(&trace, &mut root);
+        let rb = b.try_execute_spanned(&trace, &mut root).unwrap();
         assert_eq!(ra, rb, "instrumentation must not perturb the simulation");
     }
 }

@@ -3,14 +3,19 @@
 //! figure generators rely on.
 
 use confbench_types::{OpTrace, SyscallKind, TeePlatform, VmTarget};
-use confbench_vmm::TeeVmBuilder;
+use confbench_vmm::{TeeVmBuilder, Vm};
+
+/// Cycle counts of `trials` consecutive executions of `trace`.
+fn trial_cycles(vm: &mut Vm, trace: &OpTrace, trials: u32) -> Vec<f64> {
+    (0..trials).map(|_| vm.try_execute(trace).unwrap().cycles.get() as f64).collect()
+}
 
 /// Mean secure/normal cycle ratio over `trials` trials of `trace`.
 fn ratio(platform: TeePlatform, trace: &OpTrace, trials: u32) -> f64 {
     let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(7).build();
     let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(7).build();
-    let s: f64 = secure.execute_trials(trace, trials).iter().map(|r| r.cycles.get() as f64).sum();
-    let n: f64 = normal.execute_trials(trace, trials).iter().map(|r| r.cycles.get() as f64).sum();
+    let s: f64 = trial_cycles(&mut secure, trace, trials).iter().sum();
+    let n: f64 = trial_cycles(&mut normal, trace, trials).iter().sum();
     s / n
 }
 
@@ -129,8 +134,8 @@ fn cca_wall_times_dwarf_hardware_platforms() {
     let trace = cpu_bound();
     let mut cca = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Cca)).build();
     let mut tdx = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
-    let c = cca.execute(&trace).wall_ms;
-    let t = tdx.execute(&trace).wall_ms;
+    let c = cca.try_execute(&trace).unwrap().wall_ms;
+    let t = tdx.try_execute(&trace).unwrap().wall_ms;
     assert!(c > 5.0 * t, "FVP-hosted normal VM should be much slower: cca={c}ms tdx={t}ms");
 }
 
@@ -139,8 +144,7 @@ fn cca_trials_have_widest_spread() {
     let trace = cpu_bound();
     let spread = |p: TeePlatform| {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(p)).seed(3).build();
-        let xs: Vec<f64> =
-            vm.execute_trials(&trace, 12).iter().map(|r| r.cycles.get() as f64).collect();
+        let xs = trial_cycles(&mut vm, &trace, 12);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         var.sqrt() / mean
@@ -156,8 +160,8 @@ fn bounce_buffer_ablation_closes_the_io_gap() {
     let mut on = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
     let mut off =
         TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).bounce_buffers(false).build();
-    let c_on = on.execute(&trace).cycles.get() as f64;
-    let c_off = off.execute(&trace).cycles.get() as f64;
+    let c_on = on.try_execute(&trace).unwrap().cycles.get() as f64;
+    let c_off = off.try_execute(&trace).unwrap().cycles.get() as f64;
     assert!(
         c_off < 0.8 * c_on,
         "disabling bounce buffers must cut TDX I/O cost: {c_off} vs {c_on}"
@@ -169,7 +173,7 @@ fn determinism_same_seed_same_cycles() {
     let trace = syscall_storm();
     let run = || {
         let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(99).build();
-        vm.execute_trials(&trace, 3).iter().map(|r| r.cycles.get()).collect::<Vec<_>>()
+        trial_cycles(&mut vm, &trace, 3)
     };
     assert_eq!(run(), run());
 }
@@ -182,13 +186,13 @@ fn perf_counters_populated() {
     t.mem_write(1 << 16);
     t.io_write(1 << 16);
     t.ctx_switch(4);
-    let r = vm.execute(&t);
+    let r = vm.try_execute(&t).unwrap();
     assert!(r.perf.instructions > 1000);
     assert!(r.perf.cache_references > 0);
     assert!(r.perf.vm_exits > 4, "io doorbells + ctx switches: {}", r.perf.vm_exits);
     assert!(r.perf.from_hw_counters);
     let mut cca = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
-    assert!(!cca.execute(&t).perf.from_hw_counters);
+    assert!(!cca.try_execute(&t).unwrap().perf.from_hw_counters);
 }
 
 #[test]
@@ -226,7 +230,7 @@ fn some_workload_runs_faster_in_secure_vm() {
         TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).cache_model(false).build();
     let mut normal =
         TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).seed(7).cache_model(false).build();
-    let s: f64 = secure.execute_trials(&t, 10).iter().map(|x| x.cycles.get() as f64).sum();
-    let n: f64 = normal.execute_trials(&t, 10).iter().map(|x| x.cycles.get() as f64).sum();
+    let s: f64 = trial_cycles(&mut secure, &t, 10).iter().sum();
+    let n: f64 = trial_cycles(&mut normal, &t, 10).iter().sum();
     assert!(s / n > 0.99, "without the cache model the sub-1.0 effect vanishes (r was {r})");
 }

@@ -50,7 +50,7 @@ fn execution_is_deterministic() {
         let seed = rng.next_u64();
         let run = || {
             let mut vm = TeeVmBuilder::new(target).seed(seed).build();
-            let r = vm.execute(&trace);
+            let r = vm.try_execute(&trace).unwrap();
             (r.cycles, r.perf)
         };
         assert_eq!(run(), run(), "case {case}");
@@ -70,10 +70,10 @@ fn counters_are_additive() {
         both.extend_from(&b);
 
         let mut vm1 = TeeVmBuilder::new(target).seed(1).build();
-        let ra = vm1.execute(&a);
-        let rb = vm1.execute(&b);
+        let ra = vm1.try_execute(&a).unwrap();
+        let rb = vm1.try_execute(&b).unwrap();
         let mut vm2 = TeeVmBuilder::new(target).seed(1).build();
-        let rab = vm2.execute(&both);
+        let rab = vm2.try_execute(&both).unwrap();
 
         assert_eq!(
             rab.perf.instructions,
@@ -99,7 +99,7 @@ fn basic_sanity_bounds() {
         let trace = arb_trace(&mut rng);
         let target = arb_target(&mut rng);
         let mut vm = TeeVmBuilder::new(target).seed(3).build();
-        let r = vm.execute(&trace);
+        let r = vm.try_execute(&trace).unwrap();
         assert!(r.perf.cache_misses <= r.perf.cache_references, "case {case}");
         assert!(r.wall_ms >= 0.0, "case {case}");
         assert!(r.cycles.get() > 0, "case {case}");
@@ -118,8 +118,8 @@ fn secure_exits_dominate() {
         let platform = TeePlatform::ALL[rng.next_below(TeePlatform::ALL.len() as u64) as usize];
         let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).build();
         let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(5).build();
-        let rs = secure.execute(&trace);
-        let rn = normal.execute(&trace);
+        let rs = secure.try_execute(&trace).unwrap();
+        let rn = normal.try_execute(&trace).unwrap();
         assert!(
             rs.perf.vm_exits >= rn.perf.vm_exits,
             "case {case}: secure {} < normal {}",
@@ -141,7 +141,7 @@ fn pure_cpu_ratio_is_cost_model_only() {
         let mean = |target: VmTarget| {
             let mut vm = TeeVmBuilder::new(target).seed(9).build();
             let xs: Vec<f64> =
-                vm.execute_trials(&t, 6).iter().map(|r| r.cycles.get() as f64).collect();
+                (0..6).map(|_| vm.try_execute(&t).unwrap().cycles.get() as f64).collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };
         let ratio =

@@ -7,8 +7,17 @@
 use std::error::Error;
 
 use confbench_minidb::run_speedtest;
-use confbench_types::{TeePlatform, VmTarget};
-use confbench_vmm::TeeVmBuilder;
+use confbench_types::{OpTrace, TeePlatform, VmTarget};
+use confbench_vmm::{TeeFault, TeeVmBuilder, Vm};
+
+/// Mean wall milliseconds of five executions of `trace`.
+fn mean_ms(vm: &mut Vm, trace: &OpTrace) -> Result<f64, TeeFault> {
+    let mut total = 0.0;
+    for _ in 0..5 {
+        total += vm.try_execute(trace)?.wall_ms;
+    }
+    Ok(total / 5.0)
+}
 
 fn main() -> Result<(), Box<dyn Error>> {
     let platform: TeePlatform =
@@ -21,10 +30,8 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     println!("{:<34} {:>6} {:>12} {:>12} {:>7}", "test", "rows", "secure ms", "normal ms", "ratio");
     for report in &reports {
-        let secure: f64 =
-            secure_vm.execute_trials(&report.trace, 5).iter().map(|r| r.wall_ms).sum::<f64>() / 5.0;
-        let normal: f64 =
-            normal_vm.execute_trials(&report.trace, 5).iter().map(|r| r.wall_ms).sum::<f64>() / 5.0;
+        let secure = mean_ms(&mut secure_vm, &report.trace)?;
+        let normal = mean_ms(&mut normal_vm, &report.trace)?;
         println!(
             "{:<34} {:>6} {:>12.3} {:>12.3} {:>6.2}x",
             report.case.name(),

@@ -8,10 +8,10 @@
 
 use confbench_stats::{stacked_percentiles, Summary};
 use confbench_types::{DeviceKind, OpTrace, TeePlatform, VmKind, VmTarget};
-use confbench_vmm::TeeVmBuilder;
+use confbench_vmm::{TeeFault, TeeVmBuilder};
 use confbench_workloads::{GpuInferenceWorkload, MlWorkload};
 
-fn main() {
+fn main() -> Result<(), TeeFault> {
     let ml = MlWorkload::new(7);
     println!("classifying {} synthetic 1-MB images (MobileNet-shaped model)\n", 8);
     let runs: Vec<_> = (0..8).map(|i| ml.classify(i)).collect();
@@ -34,7 +34,7 @@ fn main() {
             let mut samples = Vec::new();
             for _ in 0..5 {
                 for run in &runs {
-                    samples.push(vm.execute(&run.trace).wall_ms);
+                    samples.push(vm.try_execute(&run.trace)?.wall_ms);
                 }
             }
             entries.push((target.to_string(), Summary::from_samples(&samples)));
@@ -79,18 +79,19 @@ fn main() {
         .device(DeviceKind::Gpu)
         .build();
     let nonce = [7u8; 32];
-    let report = vm.device_report(nonce).expect("locked device reports");
+    let report = vm.device_report(nonce)?;
     let verifier = confbench_attest::DeviceVerifier::new(TeePlatform::Tdx);
     let evidence = confbench_attest::Evidence::device(TeePlatform::Tdx, report);
     let mut report_data = [0u8; 64];
     report_data[..32].copy_from_slice(&nonce);
     confbench_attest::Verifier::verify(&verifier, &evidence, report_data)
         .expect("vendor signature verifies");
-    vm.enable_device().expect("attested device starts");
-    let replay = vm.execute(&gpu.classify_device(0).trace);
+    vm.enable_device()?;
+    let replay = vm.try_execute(&gpu.classify_device(0).trace)?;
     println!(
         "\nattested replay on tdx/secure: {} bytes direct DMA, {} bounced",
         replay.events.dma_direct_bytes, replay.events.dma_bounce_bytes
     );
     assert_eq!(replay.events.dma_bounce_bytes, 0, "attested DMA never bounces");
+    Ok(())
 }

@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("gateway listening on http://{}\n", server.addr());
 
     // Step 1: upload a function.
-    let upload = Request::new(Method::Post, "/functions").json(&UploadRequest {
+    let upload = Request::new(Method::Post, "/v1/functions").json(&UploadRequest {
         name: "collatz_steps".into(),
         script: r#"
             let n = int(ARGS[0]);
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn Error>> {
                 attest_session: None,
                 device: None,
             };
-            let resp = client.send(&Request::new(Method::Post, "/run").json(&request))?;
+            let resp = client.send(&Request::new(Method::Post, "/v1/run").json(&request))?;
             assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
             let result: RunResult = resp.body_json()?;
             results.push(result);
@@ -91,7 +91,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         device: None,
     };
     let result: RunResult =
-        client.send(&Request::new(Method::Post, "/run").json(&request))?.body_json()?;
+        client.send(&Request::new(Method::Post, "/v1/run").json(&request))?.body_json()?;
     println!(
         "  instructions={} cycles={} cache-misses={} vm-exits={} (hw counters: {})",
         result.perf.instructions,

@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let trace = db.take_trace();
     let mut secure = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).build();
     let mut normal = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).seed(7).build();
-    let s = secure.execute(&trace);
-    let n = normal.execute(&trace);
+    let s = secure.try_execute(&trace)?;
+    let n = normal.try_execute(&trace)?;
     println!(
         "replaying this SQL session: {:.4} ms in a TDX trust domain vs {:.4} ms in a normal VM ({:.2}x)",
         s.wall_ms,

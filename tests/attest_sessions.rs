@@ -3,7 +3,7 @@
 //! every invalidation path (TTL, revoke, e-vTPM extend, TCB watermark)
 //! must force re-verification, supervisor rebuilds under chaos must reuse
 //! live sessions without perturbing the measurements, and the `/v1/attest`
-//! resource must answer over HTTP with deprecated unversioned aliases.
+//! resource must answer over HTTP.
 
 use std::sync::{Arc, Barrier};
 
@@ -200,10 +200,9 @@ fn supervisor_rebuilds_reuse_sessions_and_stay_byte_identical() {
 }
 
 /// The `/v1/attest` resource over real HTTP: create (201), status, extend,
-/// revoke, 404s for unknown ids, and the deprecated unversioned aliases
-/// answering with `Deprecation: true` and a successor `Link`.
+/// revoke, and 404s for unknown ids.
 #[test]
-fn attest_routes_over_http_with_deprecated_aliases() {
+fn attest_routes_over_http() {
     let clock = Arc::new(ManualClock::new());
     let gw = attest_gateway(3, &clock, 60_000);
     let server = Arc::clone(&gw).serve().unwrap();
@@ -268,27 +267,4 @@ fn attest_routes_over_http_with_deprecated_aliases() {
     ] {
         assert_eq!(client.send(&req).unwrap().status, 404, "{}", req.path);
     }
-
-    // Legacy aliases: same behavior, flagged deprecated with a successor.
-    let legacy =
-        client
-            .send(&Request::new(Method::Post, "/attest/sessions").json(
-                &confbench::AttestSessionRequest { platform: TeePlatform::SevSnp, nonce: None },
-            ))
-            .unwrap();
-    assert_eq!(legacy.status, 201);
-    assert_eq!(legacy.headers.get("deprecation").map(String::as_str), Some("true"));
-    assert_eq!(
-        legacy.headers.get("link").map(String::as_str),
-        Some("</v1/attest/sessions>; rel=\"successor-version\"")
-    );
-    let snp: confbench::AttestSessionInfo = legacy.body_json().unwrap();
-    let legacy_get =
-        client.send(&Request::new(Method::Get, &format!("/attest/sessions/{}", snp.id))).unwrap();
-    assert_eq!(legacy_get.status, 200);
-    assert_eq!(legacy_get.headers.get("deprecation").map(String::as_str), Some("true"));
-    assert_eq!(
-        legacy_get.headers.get("link").map(String::as_str),
-        Some("</v1/attest/sessions/:id>; rel=\"successor-version\"")
-    );
 }

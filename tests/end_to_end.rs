@@ -38,11 +38,7 @@ fn gateway_rest_api_full_lifecycle() {
     let server = Arc::clone(&gateway).serve().unwrap();
     let client = Client::new(server.addr());
 
-    // Health, canonical and legacy (the latter flagged deprecated).
     assert_eq!(client.send(&Request::new(Method::Get, "/v1/health")).unwrap().status, 200);
-    let legacy = client.send(&Request::new(Method::Get, "/health")).unwrap();
-    assert_eq!(legacy.status, 200);
-    assert_eq!(legacy.headers.get("deprecation").map(String::as_str), Some("true"));
 
     // The 25 built-in functions are listed.
     let names: Vec<String> =

@@ -9,9 +9,10 @@ use confbench::{AttestConfig, AttestService, Gateway, ManualClock, RetryPolicy};
 use confbench_fleet::{migrate, Fleet, FleetConfig, MigrationConfig, MigrationError};
 use confbench_sched::{Scheduler, SchedulerConfig};
 use confbench_types::{
-    CampaignFunction, CampaignSpec, Language, OpTrace, Priority, TeePlatform, VmKind, VmTarget,
+    CampaignFunction, CampaignSpec, Language, OpTrace, Priority, TeeMechanism, TeePlatform, VmKind,
+    VmTarget,
 };
-use confbench_vmm::TeeVmBuilder;
+use confbench_vmm::{TeeFaultPlan, TeeVmBuilder};
 
 /// 2 functions × 1 language × 3 platforms × 2 modes.
 const CAMPAIGN_JOBS: usize = 12;
@@ -221,15 +222,15 @@ fn migrated_vm_execution_is_identical_to_an_unmigrated_twin() {
     warm.cpu(2_000_000);
     warm.alloc(24 * 4096);
     warm.cpu(500_000);
-    source.execute(&warm);
-    twin.execute(&warm);
+    source.try_execute(&warm).unwrap();
+    twin.try_execute(&warm).unwrap();
 
     // A workload arriving *during* pre-copy: executed on the source, its
     // dirtied pages ride the later rounds.
     let mut mid = OpTrace::new();
     mid.alloc(8 * 4096);
     mid.cpu(250_000);
-    twin.execute(&mid);
+    twin.try_execute(&mid).unwrap();
 
     let attest =
         AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
@@ -248,8 +249,8 @@ fn migrated_vm_execution_is_identical_to_an_unmigrated_twin() {
     let mut probe = OpTrace::new();
     probe.cpu(1_000_000);
     probe.alloc(4 * 4096);
-    let moved = migrated.execute(&probe);
-    let stayed = twin.execute(&probe);
+    let moved = migrated.try_execute(&probe).unwrap();
+    let stayed = twin.try_execute(&probe).unwrap();
     assert_eq!(moved, stayed, "post-resume execution must match the unmigrated twin");
 }
 
@@ -265,8 +266,8 @@ fn aborted_migration_returns_a_runnable_source() {
     let mut warm = OpTrace::new();
     warm.cpu(1_000_000);
     warm.alloc(8 * 4096);
-    source.execute(&warm);
-    twin.execute(&warm);
+    source.try_execute(&warm).unwrap();
+    twin.try_execute(&warm).unwrap();
 
     let attest =
         AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
@@ -284,8 +285,40 @@ fn aborted_migration_returns_a_runnable_source() {
     let mut probe = OpTrace::new();
     probe.cpu(750_000);
     assert_eq!(
-        recovered.execute(&probe),
-        twin.execute(&probe),
+        recovered.try_execute(&probe).unwrap(),
+        twin.try_execute(&probe).unwrap(),
         "an aborted source must resume exactly where it stopped"
     );
+}
+
+/// A source VM whose fault plan fires on the first pending trace aborts
+/// the migration at the `execute` stage instead of panicking mid-pre-copy,
+/// and the source handed back still runs work that crosses no faulting
+/// mechanism.
+#[test]
+fn faulting_pending_trace_aborts_with_a_runnable_source() {
+    // Boot on SEV-SNP goes through the secure processor, never a GHCB
+    // exit, so this plan lets the VM boot and faults its first context
+    // switch.
+    let plan = Arc::new(TeeFaultPlan::new(7, 0.0).with_rate(TeeMechanism::GhcbExit, 1.0));
+    let target = VmTarget { platform: TeePlatform::SevSnp, kind: VmKind::Secure };
+    let source = TeeVmBuilder::new(target).seed(7).fault_plan(plan).try_build().unwrap();
+    let mut pending = OpTrace::new();
+    pending.ctx_switch(4);
+
+    let attest =
+        AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
+    let err = migrate(
+        source,
+        TeeVmBuilder::new(target).seed(9),
+        &attest,
+        &[pending],
+        &MigrationConfig::default(),
+    )
+    .expect_err("the pending trace faults");
+    assert!(matches!(err, MigrationError::Fault { stage: "execute", .. }), "{err}");
+
+    let mut probe = OpTrace::new();
+    probe.cpu(750_000);
+    err.into_source().try_execute(&probe).expect("the aborted source still runs");
 }

@@ -144,27 +144,3 @@ fn v1_metrics_agree_with_pool_served_counts() {
     let body = String::from_utf8(text.body).unwrap();
     assert!(body.contains("gateway_requests_total 3"), "{body}");
 }
-
-#[test]
-fn legacy_routes_still_work_and_are_marked_deprecated() {
-    let gw = Arc::new(tdx_gateway(3));
-    let server = Arc::clone(&gw).serve().unwrap();
-    let client = Client::new(server.addr());
-
-    let legacy =
-        client.send(&Request::new(Method::Post, "/run").json(&iostress(TeePlatform::Tdx))).unwrap();
-    assert_eq!(legacy.status, 200, "legacy path keeps serving");
-    assert_eq!(legacy.headers.get("deprecation").map(String::as_str), Some("true"));
-    assert_eq!(
-        legacy.headers.get("link").map(String::as_str),
-        Some("</v1/run>; rel=\"successor-version\""),
-    );
-    let result: RunResult = legacy.body_json().unwrap();
-    assert!(result.trace.is_some(), "legacy responses carry the same payload as /v1");
-
-    let canonical = client
-        .send(&Request::new(Method::Post, "/v1/run").json(&iostress(TeePlatform::Tdx)))
-        .unwrap();
-    assert_eq!(canonical.status, 200);
-    assert!(!canonical.headers.contains_key("deprecation"));
-}

@@ -13,9 +13,9 @@ fn claim_tdx_is_most_efficient_overall_for_compute() {
     //  overall, in particular for computational workloads."
     let cfg = ExperimentConfig::quick(SEED);
     let cols = ["cpustress", "factors", "checksum", "mandelbrot"];
-    let tdx = heatmap::run(cfg, TeePlatform::Tdx, Some(&cols));
-    let snp = heatmap::run(cfg, TeePlatform::SevSnp, Some(&cols));
-    let cca = heatmap::run(cfg, TeePlatform::Cca, Some(&cols));
+    let tdx = heatmap::run(cfg, TeePlatform::Tdx, Some(&cols)).unwrap();
+    let snp = heatmap::run(cfg, TeePlatform::SevSnp, Some(&cols)).unwrap();
+    let cca = heatmap::run(cfg, TeePlatform::Cca, Some(&cols)).unwrap();
     assert!(
         tdx.overall_mean() <= snp.overall_mean() + 0.02,
         "tdx {} snp {}",
@@ -31,8 +31,8 @@ fn claim_tdx_pays_more_for_io_and_attestation_than_snp() {
     //  operations and attestation."
     let cfg = ExperimentConfig::quick(SEED);
     let io_cols = ["iostress", "filesystem"];
-    let tdx = heatmap::run(cfg, TeePlatform::Tdx, Some(&io_cols));
-    let snp = heatmap::run(cfg, TeePlatform::SevSnp, Some(&io_cols));
+    let tdx = heatmap::run(cfg, TeePlatform::Tdx, Some(&io_cols)).unwrap();
+    let snp = heatmap::run(cfg, TeePlatform::SevSnp, Some(&io_cols)).unwrap();
     assert!(
         tdx.overall_mean() > snp.overall_mean(),
         "tdx io {} vs snp {}",
@@ -51,7 +51,7 @@ fn claim_cca_shows_high_overheads_for_every_workload() {
     //  overheads for every workload."
     let cfg = ExperimentConfig::quick(SEED);
     let cols = ["cpustress", "iostress", "logging", "factors"];
-    let cca = heatmap::run(cfg, TeePlatform::Cca, Some(&cols));
+    let cca = heatmap::run(cfg, TeePlatform::Cca, Some(&cols)).unwrap();
     for workload in &cca.workloads {
         assert!(
             cca.col_mean(workload) > 1.1,
@@ -67,7 +67,7 @@ fn claim_complex_runtimes_burden_tee_operation() {
     //  impose a heavier burden on TEE operation."
     let cfg = ExperimentConfig::quick(SEED);
     let cols = ["cpustress", "factors", "checksum"];
-    let hm = heatmap::run(cfg, TeePlatform::Tdx, Some(&cols));
+    let hm = heatmap::run(cfg, TeePlatform::Tdx, Some(&cols)).unwrap();
     let managed = mean(
         &[Language::Python, Language::Node, Language::Ruby]
             .iter()
@@ -87,7 +87,7 @@ fn claim_complex_runtimes_burden_tee_operation() {
 fn claim_ml_overheads_minimal_on_hardware_tees() {
     // Fig. 3: "for CPU-intensive tasks, TDX and SEV-SNP confidential VMs
     //  execute at close-to-native speed"; CCA up to ~1.33x.
-    let fig = fig3::run(ExperimentConfig::quick(SEED));
+    let fig = fig3::run(ExperimentConfig::quick(SEED)).unwrap();
     assert!(fig.ratio(TeePlatform::Tdx) < 1.12);
     assert!(fig.ratio(TeePlatform::SevSnp) < 1.15);
     let cca = fig.ratio(TeePlatform::Cca);
@@ -97,7 +97,7 @@ fn claim_ml_overheads_minimal_on_hardware_tees() {
 #[test]
 fn claim_dbms_near_native_on_hardware_huge_on_cca() {
     // §IV-C: TDX/SNP "close to 1"; CCA "the largest".
-    let results = dbms::run(ExperimentConfig::quick(SEED));
+    let results = dbms::run(ExperimentConfig::quick(SEED)).unwrap();
     assert!(results.average_ratio(TeePlatform::Tdx) < 1.25);
     assert!(results.average_ratio(TeePlatform::SevSnp) < 1.25);
     assert!(results.average_ratio(TeePlatform::Cca) > 2.0);
@@ -108,9 +108,9 @@ fn claim_unixbench_overheads_exceed_ml_and_dbms() {
     // §IV-C: "the overheads with UnixBench are larger than in ML and DBMS
     //  workloads" (sleep/wake exits).
     let cfg = ExperimentConfig::quick(SEED);
-    let ub = fig4::run(cfg);
-    let ml = fig3::run(cfg);
-    let db = dbms::run(cfg);
+    let ub = fig4::run(cfg).unwrap();
+    let ml = fig3::run(cfg).unwrap();
+    let db = dbms::run(cfg).unwrap();
     for (platform_results, platform) in ub.iter().zip(TeePlatform::ALL) {
         let ub_ratio = platform_results.aggregate_ratio();
         assert!(
@@ -134,7 +134,7 @@ fn claim_some_scenarios_run_faster_inside_the_tee() {
     //  confidential VMs rather than outside, an effect we traced back to
     //  differences in cache hits."
     let (with_cache, without_cache) =
-        confbench_bench::ablations::cache_model_ablation(ExperimentConfig::quick(SEED));
+        confbench_bench::ablations::cache_model_ablation(ExperimentConfig::quick(SEED)).unwrap();
     assert!(with_cache < 1.0, "a sub-1.0 scenario exists: {with_cache}");
     assert!(without_cache >= 0.99, "and it is a cache effect: {without_cache}");
 }

@@ -108,7 +108,7 @@ fn remote_and_local_hosts_return_identical_rest_statuses() {
     // its application error as a generic 500 → Transport).
     let mut unknown = run_request();
     unknown.function.name = "no-such-function".into();
-    let body = Request::new(Method::Post, "/run").json(&unknown);
+    let body = Request::new(Method::Post, "/v1/run").json(&unknown);
     let (l, r) = (local.send(&body).unwrap(), remote.send(&body).unwrap());
     assert_eq!(l.status, 404);
     assert_eq!(r.status, l.status, "remote/local unknown-function parity");
@@ -117,7 +117,7 @@ fn remote_and_local_hosts_return_identical_rest_statuses() {
     // Retry-After hint derived from the gateway's backoff policy.
     let mut no_vm = run_request();
     no_vm.target = VmTarget::secure(TeePlatform::Cca);
-    let body = Request::new(Method::Post, "/run").json(&no_vm);
+    let body = Request::new(Method::Post, "/v1/run").json(&no_vm);
     let (l, r) = (local.send(&body).unwrap(), remote.send(&body).unwrap());
     assert_eq!(l.status, 503);
     assert_eq!(r.status, l.status, "remote/local no-VM parity");
@@ -141,6 +141,6 @@ fn expired_deadline_maps_to_504_over_rest() {
     let client = Client::new(rest.addr());
     let mut req = run_request();
     req.deadline_ms = Some(0);
-    let resp = client.send(&Request::new(Method::Post, "/run").json(&req)).unwrap();
+    let resp = client.send(&Request::new(Method::Post, "/v1/run").json(&req)).unwrap();
     assert_eq!(resp.status, 504);
 }

@@ -83,12 +83,6 @@ impl DeviceVerifier {
         DeviceVerifier { host, policy: DevicePolicy::default() }
     }
 
-    /// Overrides the acceptance policy.
-    pub fn with_policy(mut self, policy: DevicePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The policy in force.
     pub fn policy(&self) -> &DevicePolicy {
         &self.policy

@@ -254,11 +254,6 @@ impl TdxEcosystem {
         self.lock_cache().is_some()
     }
 
-    /// The minimum TCB the cached collateral requires, if any is cached.
-    pub fn cached_required_tcb(&self) -> Option<u64> {
-        self.lock_cache().map(|c| c.required_tcb)
-    }
-
     /// Runs one PCS fetch with bounded retry + exponential backoff,
     /// accumulating every millisecond spent — successful latency, failed
     /// round trips, and backoff waits — into `net_ms`. `Err` means the

@@ -108,7 +108,7 @@ fn midstream_trace(scale: Scale) -> OpTrace {
 /// A VM fault, an aborted migration, or a refused rebalance campaign.
 pub fn run(cfg: ExperimentConfig) -> Result<MigrationFigure> {
     let attest =
-        AttestService::new(cfg.seed, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
+        AttestService::new(cfg.seed, AttestConfig::default(), Arc::new(ManualClock::new()), None);
     let warm = warm_trace(cfg.scale);
     let mid = midstream_trace(cfg.scale);
 

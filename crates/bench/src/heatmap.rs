@@ -172,6 +172,8 @@ mod tests {
             snp.col_mean("iostress"),
             tdx.col_mean("iostress")
         );
+        // I/O-bound cells sit clearly above CPU-bound ones on TDX.
+        assert!(tdx.col_mean("iostress") > tdx.col_mean("checksum"));
         // TDX at least as good on the CPU-bound columns.
         assert!(tdx.col_mean("checksum") < snp.col_mean("checksum") + 0.08);
 

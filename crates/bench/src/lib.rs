@@ -84,7 +84,7 @@ pub struct Figure {
 }
 
 /// Every figure `confbench-bench` can print.
-pub const FIGURES: [Figure; 13] = [
+pub const FIGURES: [Figure; 12] = [
     Figure { name: "fig3_ml", seed: 7, golden: true, render: fig3::render },
     Figure { name: "dbms_table", seed: 5, golden: true, render: dbms::render },
     Figure { name: "fig4_unixbench", seed: 9, golden: true, render: fig4::render },
@@ -95,7 +95,6 @@ pub const FIGURES: [Figure; 13] = [
     Figure { name: "ablations", seed: 23, golden: true, render: ablations::render },
     Figure { name: "colocation", seed: 31, golden: true, render: colocation::render },
     Figure { name: "fig_gpu", seed: 29, golden: false, render: fig_gpu::render },
-    Figure { name: "campaign_fig6", seed: 13, golden: false, render: campaign::render },
     Figure { name: "fig_migration", seed: 11, golden: false, render: fig_migration::render },
     Figure { name: "c10k", seed: 0, golden: false, render: c10k::render },
 ];
@@ -209,7 +208,6 @@ fn quick_args(name: &str) -> Vec<String> {
 
 pub mod ablations;
 pub mod c10k;
-pub mod campaign;
 pub mod colocation;
 pub mod dbms;
 pub mod fig3;

@@ -28,11 +28,6 @@ use confbench_vmm::{MeasurementReport, TeeVmBuilder, Vm};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-/// Environment variable overriding the default session TTL (milliseconds).
-pub const ATTEST_TTL_ENV: &str = "CONFBENCH_ATTEST_TTL_MS";
-/// Environment variable overriding the default session-cache capacity.
-pub const ATTEST_CAPACITY_ENV: &str = "CONFBENCH_ATTEST_CACHE_CAPACITY";
-
 /// Spans retained by [`AttestService::recent_spans`].
 const SPAN_RING: usize = 16;
 
@@ -48,23 +43,6 @@ pub struct AttestConfig {
 impl Default for AttestConfig {
     fn default() -> Self {
         AttestConfig { ttl_ms: 300_000, capacity: 1024 }
-    }
-}
-
-impl AttestConfig {
-    /// Defaults overridden by `CONFBENCH_ATTEST_TTL_MS` /
-    /// `CONFBENCH_ATTEST_CACHE_CAPACITY` (same pattern as the
-    /// `CONFBENCH_CHAOS_*` family): unparsable or missing values keep the
-    /// built-in defaults.
-    pub fn from_env() -> Self {
-        let mut config = AttestConfig::default();
-        if let Some(ttl) = std::env::var(ATTEST_TTL_ENV).ok().and_then(|v| v.parse().ok()) {
-            config.ttl_ms = ttl;
-        }
-        if let Some(cap) = std::env::var(ATTEST_CAPACITY_ENV).ok().and_then(|v| v.parse().ok()) {
-            config.capacity = cap;
-        }
-        config
     }
 }
 
@@ -166,14 +144,15 @@ pub struct AttestService {
     recorder: SpanRecorder,
     spans: Mutex<VecDeque<TraceSpan>>,
     nonce: AtomicU64,
-    devio_attests: Option<Arc<Counter>>,
+    devio_attests: Arc<Counter>,
 }
 
 impl AttestService {
     /// Builds the service: fresh ecosystems seeded with `seed`, a session
     /// cache on `clock` per `config`, and a collateral refresher on half
     /// the session TTL (refresh-ahead: collateral is always younger than
-    /// the sessions it backs). Metrics land in `registry` when given.
+    /// the sessions it backs). Metrics land in `registry`, or in a private
+    /// registry nobody reads when none is given.
     pub fn new(
         seed: u64,
         config: AttestConfig,
@@ -185,22 +164,18 @@ impl AttestService {
             capacity: config.capacity,
             ..SessionConfig::default()
         };
-        let mut cache = SessionCache::new(Arc::clone(&clock), session_config);
+        let registry = registry.cloned().unwrap_or_default();
+        let cache =
+            Arc::new(SessionCache::new(Arc::clone(&clock), session_config).with_metrics(&registry));
         let tdx = Arc::new(TdxEcosystem::new(seed));
         let interval = (config.ttl_ms / 2).max(1);
-        if let Some(registry) = registry {
-            cache = cache.with_metrics(registry);
-        }
-        let cache = Arc::new(cache);
-        let mut refresher = CollateralRefresher::new(
+        let refresher = CollateralRefresher::new(
             Arc::clone(&tdx),
             Arc::clone(&cache),
             Arc::clone(&clock),
             interval,
-        );
-        if let Some(registry) = registry {
-            refresher = refresher.with_metrics(registry);
-        }
+        )
+        .with_metrics(&registry);
         AttestService {
             seed,
             cache,
@@ -211,7 +186,7 @@ impl AttestService {
             recorder: SpanRecorder::new(clock),
             spans: Mutex::new(VecDeque::new()),
             nonce: AtomicU64::new(seed.wrapping_mul(2) | 1),
-            devio_attests: registry.map(|r| r.counter("devio_attest_total")),
+            devio_attests: registry.counter("devio_attest_total"),
         }
     }
 
@@ -446,9 +421,7 @@ impl AttestService {
             Err(_) => span.set_attr("failed", 1),
         }
         self.push_span(span.finish());
-        if let Some(counter) = &self.devio_attests {
-            counter.inc();
-        }
+        self.devio_attests.inc();
         outcome.map_err(attest_error)
     }
 
@@ -626,17 +599,5 @@ mod tests {
 
         assert_eq!(registry.counter_value("devio_attest_total"), Some(2));
         assert!(svc.recent_spans().iter().any(|s| s.name == "devio.attest"));
-    }
-
-    #[test]
-    fn config_env_parsing() {
-        // Serial-safe: unique var values, restored after.
-        std::env::set_var(ATTEST_TTL_ENV, "1234");
-        std::env::set_var(ATTEST_CAPACITY_ENV, "77");
-        let config = AttestConfig::from_env();
-        std::env::remove_var(ATTEST_TTL_ENV);
-        std::env::remove_var(ATTEST_CAPACITY_ENV);
-        assert_eq!(config, AttestConfig { ttl_ms: 1234, capacity: 77 });
-        assert_eq!(AttestConfig::from_env(), AttestConfig::default());
     }
 }

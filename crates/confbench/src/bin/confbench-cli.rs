@@ -1,24 +1,7 @@
 //! Command-line client for a running ConfBench gateway.
 //!
-//! ```text
-//! confbench-cli [--gateway ADDR] list
-//! confbench-cli [--gateway ADDR] upload NAME FILE.cb
-//! confbench-cli [--gateway ADDR] run FUNCTION [--lang L] [--tee P]
-//!               [--normal] [--trials N] [--seed N] [--args A,B,...]
-//!               [--device gpu]
-//! confbench-cli [--gateway ADDR] compare FUNCTION [--lang L] [--trials N]
-//! confbench-cli [--gateway ADDR] campaign submit --functions F[:ARG...],...
-//!               [--langs L,...] [--tees P,...] [--modes secure,normal]
-//!               [--trials N] [--seed N] [--priority low|normal|high]
-//!               [--deadline-ms N] [--device gpu] [--wait]
-//! confbench-cli [--gateway ADDR] campaign status|cancel|wait ID
-//! confbench-cli [--gateway ADDR] attest verify [--tee P] [--nonce N]
-//! confbench-cli [--gateway ADDR] attest status|revoke ID
-//! confbench-cli [--gateway ADDR] attest extend ID --index N --data S
-//! confbench-cli [--gateway ADDR] fleet status
-//! confbench-cli [--gateway ADDR] fleet drain|kill SHARD
-//! confbench-cli [--gateway ADDR] migrate [--tee P] [--normal] [--max-rounds N]
-//! ```
+//! `confbench-cli --help` prints the commands ([`SYNOPSIS`]) and the flags
+//! ([`FLAGS`]).
 //!
 //! `attest verify` opens (or joins) a verified attestation session and
 //! prints its token; pass that token to `run --attest-session ID` to skip
@@ -26,11 +9,12 @@
 
 use std::process::ExitCode;
 
+use confbench::flags::{self, Flag, Flags};
 use confbench::{AttestSessionInfo, AttestSessionRequest, ExtendRequest, UploadRequest};
 use confbench_httpd::{Client, Method, Request};
 use confbench_types::{
-    CampaignFunction, CampaignReceipt, CampaignSpec, CampaignStatus, FunctionSpec, Language,
-    Priority, RunRequest, RunResult, TeePlatform, VmKind, VmTarget,
+    CampaignFunction, CampaignReceipt, CampaignSpec, CampaignStatus, DeviceKind, FunctionSpec,
+    Language, Priority, RunRequest, RunResult, TeePlatform, VmKind, VmTarget,
 };
 
 fn main() -> ExitCode {
@@ -43,65 +27,60 @@ fn main() -> ExitCode {
     }
 }
 
+/// Commands and their positionals, printed above the flag table.
+const SYNOPSIS: &str = "confbench-cli [--gateway ADDR] COMMAND [FLAGS]
+  list | upload NAME FILE | run FN | compare FN
+  campaign submit --functions F[:ARG...],... | campaign status|cancel|wait ID
+  attest verify | attest status|revoke ID | attest extend ID --index N --data S
+  fleet status | fleet drain|kill SHARD | migrate     (against a confbench-fleetd)";
+
+const FLAGS: [Flag; 20] = [
+    ("--gateway", "ADDR", "daemon to talk to (default 127.0.0.1:7700)"),
+    ("--lang", "LANG", "run/compare: language runtime (default lua)"),
+    ("--tee", "PLATFORM", "run/attest verify/migrate: tdx (default), sev-snp, cca"),
+    ("--normal", "", "run/migrate: the normal VM instead of the secure one"),
+    ("--trials", "N", "run/compare/campaign: measured trials (default 10)"),
+    ("--seed", "N", "run/compare/campaign: request seed (default 0)"),
+    ("--args", "A,B,...", "run/compare: function arguments"),
+    ("--device", "gpu", "run/campaign: attach a confidential accelerator"),
+    ("--attest-session", "ID", "run: ride a live attestation session"),
+    ("--functions", "F[:ARG...],...", "campaign submit: functions of the matrix"),
+    ("--langs", "L,...", "campaign submit: languages (default lua)"),
+    ("--tees", "P,...", "campaign submit: platforms (default tdx)"),
+    ("--modes", "M,...", "campaign submit: secure,normal (default both)"),
+    ("--priority", "P", "campaign submit: low, normal (default) or high"),
+    ("--deadline-ms", "N", "campaign submit: expire unfinished jobs after N ms"),
+    ("--wait", "", "campaign submit: poll until the campaign is done"),
+    ("--nonce", "N", "attest verify: caller-chosen freshness nonce"),
+    ("--index", "N", "attest extend: runtime register (0..8)"),
+    ("--data", "S", "attest extend: data measured into the register"),
+    ("--max-rounds", "N", "migrate: pre-copy round limit"),
+];
+
 struct Cli {
     client: Client,
-    args: Vec<String>,
+    flags: Flags,
     pos: usize,
 }
 
 impl Cli {
-    fn flag_value(&self, flag: &str) -> Option<String> {
-        self.args.iter().position(|a| a == flag).and_then(|i| self.args.get(i + 1)).cloned()
-    }
-
-    fn has_flag(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
     fn next_positional(&mut self) -> Option<String> {
-        // Flags that take no value; every other --flag consumes the next
-        // token as its value.
-        const BOOLEAN_FLAGS: [&str; 2] = ["--normal", "--wait"];
-        while self.pos < self.args.len() {
-            let current = self.pos;
-            self.pos += 1;
-            let arg = &self.args[current];
-            if arg.starts_with("--") {
-                if !BOOLEAN_FLAGS.contains(&arg.as_str()) {
-                    self.pos += 1; // skip its value
-                }
-                continue;
-            }
-            return Some(arg.clone());
-        }
-        None
+        let arg = self.flags.positionals().get(self.pos).cloned();
+        self.pos += 1;
+        arg
     }
 }
 
 fn run() -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        println!(
-            "usage: confbench-cli [--gateway ADDR] <list|upload NAME FILE|run FN|compare FN|campaign ...>\n\
-             run/compare flags: --lang LANG --tee PLATFORM --normal --trials N --seed N --args A,B --device gpu\n\
-             campaign submit --functions F[:ARG...],... [--langs L,..] [--tees P,..]\n\
-             \x20        [--modes secure,normal] [--trials N] [--seed N]\n\
-             \x20        [--priority low|normal|high] [--deadline-ms N] [--wait]\n\
-             campaign status|cancel|wait ID\n\
-             attest verify [--tee PLATFORM] [--nonce N]\n\
-             attest status|revoke ID\n\
-             attest extend ID --index N --data S\n\
-             fleet status            (against a confbench-fleetd)\n\
-             fleet drain|kill SHARD\n\
-             migrate [--tee PLATFORM] [--normal] [--max-rounds N]\n\
-             run also takes --attest-session ID to ride a live session"
-        );
+    if flags::wants_help(&args) || args.is_empty() {
+        print!("{}", flags::usage(SYNOPSIS, &FLAGS));
         return Ok(());
     }
-    let gateway = args.iter().position(|a| a == "--gateway").and_then(|i| args.get(i + 1)).cloned();
-    let addr = gateway.unwrap_or_else(|| "127.0.0.1:7700".to_owned());
-    let client = Client::connect(addr.as_str()).map_err(|e| format!("cannot reach {addr}: {e}"))?;
-    let mut cli = Cli { client, args, pos: 0 };
+    let flags = Flags::parse(&FLAGS, args)?;
+    let addr = flags.flag_value("--gateway").unwrap_or("127.0.0.1:7700");
+    let client = Client::connect(addr).map_err(|e| format!("cannot reach {addr}: {e}"))?;
+    let mut cli = Cli { client, flags, pos: 0 };
 
     let command = cli.next_positional().ok_or("missing command (try --help)")?;
     match command.as_str() {
@@ -246,16 +225,10 @@ fn fleet_shard_action(cli: &Cli, action: &str, shard: &str) -> Result<(), String
 }
 
 fn migrate_vm(cli: &Cli) -> Result<(), String> {
-    let platform: TeePlatform = cli
-        .flag_value("--tee")
-        .unwrap_or_else(|| "tdx".to_owned())
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let kind = if cli.has_flag("--normal") { "normal" } else { "secure" };
-    let max_rounds: Option<u32> = cli
-        .flag_value("--max-rounds")
-        .map(|v| v.parse().map_err(|e| format!("bad max rounds: {e}")))
-        .transpose()?;
+    let platform: TeePlatform =
+        cli.flags.flag_value("--tee").unwrap_or("tdx").parse().map_err(|e| format!("{e}"))?;
+    let kind = if cli.flags.has_flag("--normal") { "normal" } else { "secure" };
+    let max_rounds: Option<u32> = cli.flags.parsed("--max-rounds", "max rounds")?;
     let body = serde_json::json!({
         "platform": platform,
         "kind": kind,
@@ -308,33 +281,19 @@ fn upload(cli: &Cli, name: &str, file: &str) -> Result<(), String> {
 }
 
 fn build_request(cli: &Cli, function: &str) -> Result<RunRequest, String> {
-    let language: Language = cli
-        .flag_value("--lang")
-        .unwrap_or_else(|| "lua".to_owned())
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let platform: TeePlatform = cli
-        .flag_value("--tee")
-        .unwrap_or_else(|| "tdx".to_owned())
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let kind = if cli.has_flag("--normal") { VmKind::Normal } else { VmKind::Secure };
-    let trials: u32 = cli
-        .flag_value("--trials")
-        .map(|v| v.parse().map_err(|e| format!("bad trials: {e}")))
-        .transpose()?
-        .unwrap_or(10);
-    let seed: u64 = cli
-        .flag_value("--seed")
-        .map(|v| v.parse().map_err(|e| format!("bad seed: {e}")))
-        .transpose()?
-        .unwrap_or(0);
+    let language: Language =
+        cli.flags.flag_value("--lang").unwrap_or("lua").parse().map_err(|e| format!("{e}"))?;
+    let platform: TeePlatform =
+        cli.flags.flag_value("--tee").unwrap_or("tdx").parse().map_err(|e| format!("{e}"))?;
+    let kind = if cli.flags.has_flag("--normal") { VmKind::Normal } else { VmKind::Secure };
+    let trials: u32 = cli.flags.parsed("--trials", "trials")?.unwrap_or(10);
+    let seed: u64 = cli.flags.parsed("--seed", "seed")?.unwrap_or(0);
     let args = cli
+        .flags
         .flag_value("--args")
         .map(|v| v.split(',').map(str::to_owned).collect())
         .unwrap_or_default();
-    let device =
-        cli.flag_value("--device").map(|v| v.parse().map_err(|e| format!("{e}"))).transpose()?;
+    let device = device_flag(cli)?;
     let mut spec = FunctionSpec::new(function, language);
     spec.args = args;
     Ok(RunRequest {
@@ -343,21 +302,19 @@ fn build_request(cli: &Cli, function: &str) -> Result<RunRequest, String> {
         trials,
         seed,
         deadline_ms: None,
-        attest_session: cli.flag_value("--attest-session"),
+        attest_session: cli.flags.flag_value("--attest-session").map(str::to_owned),
         device,
     })
 }
 
+fn device_flag(cli: &Cli) -> Result<Option<DeviceKind>, String> {
+    cli.flags.flag_value("--device").map(|v| v.parse().map_err(|e| format!("{e}"))).transpose()
+}
+
 fn attest_verify(cli: &Cli) -> Result<(), String> {
-    let platform: TeePlatform = cli
-        .flag_value("--tee")
-        .unwrap_or_else(|| "tdx".to_owned())
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let nonce = cli
-        .flag_value("--nonce")
-        .map(|v| v.parse().map_err(|e| format!("bad nonce: {e}")))
-        .transpose()?;
+    let platform: TeePlatform =
+        cli.flags.flag_value("--tee").unwrap_or("tdx").parse().map_err(|e| format!("{e}"))?;
+    let nonce = cli.flags.parsed("--nonce", "nonce")?;
     let req = Request::new(Method::Post, "/v1/attest/sessions")
         .json(&AttestSessionRequest { platform, nonce });
     let resp = cli.client.send(&req).map_err(|e| format!("request failed: {e}"))?;
@@ -409,12 +366,9 @@ fn attest_revoke(cli: &Cli, id: &str) -> Result<(), String> {
 }
 
 fn attest_extend(cli: &Cli, id: &str) -> Result<(), String> {
-    let index: usize = cli
-        .flag_value("--index")
-        .ok_or("attest extend needs --index")?
-        .parse()
-        .map_err(|e| format!("bad index: {e}"))?;
-    let data = cli.flag_value("--data").ok_or("attest extend needs --data")?;
+    let index: usize =
+        cli.flags.parsed("--index", "index")?.ok_or("attest extend needs --index")?;
+    let data = cli.flags.flag_value("--data").ok_or("attest extend needs --data")?.to_owned();
     let req = Request::new(Method::Post, &format!("/v1/attest/sessions/{id}/extend"))
         .json(&ExtendRequest { index, data });
     let resp = cli.client.send(&req).map_err(|e| format!("request failed: {e}"))?;
@@ -508,14 +462,15 @@ where
 }
 
 fn campaign_submit(cli: &Cli) -> Result<(), String> {
+    let flags = &cli.flags;
     let functions = parse_functions(
-        &cli.flag_value("--functions").ok_or("campaign submit needs --functions")?,
+        flags.flag_value("--functions").ok_or("campaign submit needs --functions")?,
     )?;
-    let languages = parse_list(&cli.flag_value("--langs").unwrap_or_else(|| "lua".into()), "lang")?;
-    let platforms = parse_list(&cli.flag_value("--tees").unwrap_or_else(|| "tdx".into()), "tee")?;
-    let modes = cli
+    let languages = parse_list(flags.flag_value("--langs").unwrap_or("lua"), "lang")?;
+    let platforms = parse_list(flags.flag_value("--tees").unwrap_or("tdx"), "tee")?;
+    let modes = flags
         .flag_value("--modes")
-        .unwrap_or_else(|| "secure,normal".into())
+        .unwrap_or("secure,normal")
         .split(',')
         .map(|m| match m {
             "secure" => Ok(VmKind::Secure),
@@ -523,7 +478,7 @@ fn campaign_submit(cli: &Cli) -> Result<(), String> {
             other => Err(format!("bad mode {other:?}: want secure or normal")),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let priority = match cli.flag_value("--priority").as_deref() {
+    let priority = match flags.flag_value("--priority") {
         None | Some("normal") => Priority::Normal,
         Some("low") => Priority::Low,
         Some("high") => Priority::High,
@@ -534,25 +489,11 @@ fn campaign_submit(cli: &Cli) -> Result<(), String> {
         languages,
         platforms,
         modes,
-        trials: cli
-            .flag_value("--trials")
-            .map(|v| v.parse().map_err(|e| format!("bad trials: {e}")))
-            .transpose()?
-            .unwrap_or(10),
-        seed: cli
-            .flag_value("--seed")
-            .map(|v| v.parse().map_err(|e| format!("bad seed: {e}")))
-            .transpose()?
-            .unwrap_or(0),
+        trials: flags.parsed("--trials", "trials")?.unwrap_or(10),
+        seed: flags.parsed("--seed", "seed")?.unwrap_or(0),
         priority,
-        deadline_ms: cli
-            .flag_value("--deadline-ms")
-            .map(|v| v.parse().map_err(|e| format!("bad deadline: {e}")))
-            .transpose()?,
-        device: cli
-            .flag_value("--device")
-            .map(|v| v.parse().map_err(|e| format!("{e}")))
-            .transpose()?,
+        deadline_ms: flags.parsed("--deadline-ms", "deadline")?,
+        device: device_flag(cli)?,
     };
 
     let resp = cli
@@ -573,7 +514,7 @@ fn campaign_submit(cli: &Cli) -> Result<(), String> {
     }
     let receipt: CampaignReceipt = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
     println!("campaign {} accepted: {} jobs", receipt.id, receipt.jobs);
-    if cli.has_flag("--wait") {
+    if cli.flags.has_flag("--wait") {
         print_campaign(&campaign_wait(cli, &receipt.id.0)?);
     }
     Ok(())
@@ -672,4 +613,43 @@ fn compare(cli: &Cli, function: &str) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli_of(line: &str) -> Result<Cli, String> {
+        let flags = Flags::parse(&FLAGS, line.split_whitespace().map(str::to_owned).collect())?;
+        Ok(Cli { client: Client::new("127.0.0.1:1".parse().unwrap()), flags, pos: 0 })
+    }
+
+    #[test]
+    fn every_flag_in_help_parses_and_bad_input_keeps_its_message() {
+        let help = flags::usage(SYNOPSIS, &FLAGS);
+        for (name, value, _) in FLAGS {
+            assert!(help.contains(&format!("  {name} ")), "{name} missing from --help");
+            let sample = if value.is_empty() { "" } else { "1" };
+            let cli = cli_of(&format!("run fib {name} {sample}"))
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(cli.flags.has_flag(name));
+            assert_eq!(cli.flags.positionals(), ["run", "fib"], "{name} ate a positional");
+        }
+
+        let mut cli =
+            cli_of("--gateway 10.0.0.1:7 run --normal fib --trials 3 --args 4,5").unwrap();
+        assert_eq!(cli.next_positional().as_deref(), Some("run"));
+        assert_eq!(cli.next_positional().as_deref(), Some("fib"));
+        assert_eq!(cli.next_positional(), None);
+        let request = build_request(&cli, "fib").unwrap();
+        assert_eq!((request.trials, request.target.kind), (3, VmKind::Normal));
+        assert_eq!(request.function.args, ["4", "5"]);
+
+        let err =
+            |line: &str| cli_of(line).and_then(|cli| build_request(&cli, "fib")).err().unwrap();
+        assert_eq!(err("run fib --bogus 1"), "unknown argument --bogus (try --help)");
+        assert_eq!(err("run fib --trials"), "--trials needs a value");
+        assert!(err("run fib --trials x").starts_with("bad trials: "));
+        assert!(err("run fib --seed -1").starts_with("bad seed: "));
+    }
 }

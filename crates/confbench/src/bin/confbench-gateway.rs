@@ -1,34 +1,40 @@
 //! The ConfBench gateway server.
 //!
-//! Boots local simulated TEE hosts and serves the REST API (paper §III):
-//!
-//! ```text
-//! confbench-gateway [--listen ADDR] [--platforms tdx,sev-snp,cca]
-//!                   [--seed N] [--policy round-robin|least-loaded]
-//!                   [--remote-host PLATFORM=ADDR]...
-//!                   [--queue-capacity N] [--workers N]
-//!                   [--cache-capacity N] [--http-workers N] [--http-backlog N]
-//!                   [--attest-ttl-ms N] [--attest-cache-capacity N]
-//!                   [--chaos-seed N] [--chaos-rate F]
-//! ```
+//! Boots local simulated TEE hosts and serves the REST API (paper §III).
+//! Flags are the only way to configure it — nothing is read from the
+//! environment; `confbench-gateway --help` prints the table below
+//! ([`FLAGS`]).
 //!
 //! `--chaos-seed` (nonzero) arms deterministic TEE fault injection at
-//! `--chaos-rate` (default 0.1) per mechanism crossing; the per-VM
-//! supervisors absorb the faults (retry, rebuild, quarantine) and surface
-//! them in `/v1/metrics`.
-//!
-//! `--attest-ttl-ms` / `--attest-cache-capacity` size the attestation
-//! session cache behind `/v1/attest/sessions`; they default from the
-//! `CONFBENCH_ATTEST_TTL_MS` / `CONFBENCH_ATTEST_CACHE_CAPACITY`
-//! environment variables (flags win when both are given).
+//! `--chaos-rate` per mechanism crossing; the per-VM supervisors absorb the
+//! faults (retry, rebuild, quarantine) and surface them in `/v1/metrics`.
 
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use confbench::flags::{self, Flag, Flags};
 use confbench::{AttestConfig, BalancePolicy, Gateway, SystemClock, TeeFaultPlan};
 use confbench_httpd::ServerConfig;
 use confbench_sched::{Scheduler, SchedulerConfig};
 use confbench_types::TeePlatform;
+
+const FLAGS: [Flag; 14] = [
+    ("--listen", "ADDR", "address to serve on (default 127.0.0.1:7700)"),
+    ("--platforms", "LIST", "local hosts to boot, comma-separated (default tdx,sev-snp,cca)"),
+    ("--seed", "N", "seed of every VM and jitter stream (default 0)"),
+    ("--policy", "P", "round-robin (default) or least-loaded"),
+    ("--remote-host", "PLATFORM=ADDR", "register a remote host agent (repeatable)"),
+    ("--queue-capacity", "N", "campaign jobs admitted before 429 (default 4096)"),
+    ("--workers", "N", "scheduler workers per platform (default 1)"),
+    ("--cache-capacity", "N", "result-cache LRU bound (default 4096)"),
+    ("--http-workers", "N", "REST handler threads (default 8)"),
+    ("--http-backlog", "N", "connections admitted beyond the workers before 503 (default 1024)"),
+    ("--attest-ttl-ms", "N", "attestation session lifetime (default 300000)"),
+    ("--attest-cache-capacity", "N", "attestation sessions retained (default 1024)"),
+    ("--chaos-seed", "N", "nonzero arms TEE fault injection (default 0)"),
+    ("--chaos-rate", "F", "fault probability per TEE crossing, in [0, 1] (default 0.1)"),
+];
 
 fn main() -> ExitCode {
     match run() {
@@ -40,161 +46,110 @@ fn main() -> ExitCode {
     }
 }
 
-fn run() -> Result<(), String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut listen = "127.0.0.1:7700".to_owned();
-    let mut platforms = vec![TeePlatform::Tdx, TeePlatform::SevSnp, TeePlatform::Cca];
-    let mut seed = 0u64;
-    let mut policy = BalancePolicy::RoundRobin;
-    let mut remote_hosts: Vec<(TeePlatform, std::net::SocketAddr)> = Vec::new();
-    let mut queue_capacity = SchedulerConfig::default().queue_capacity;
-    let mut workers = 1usize;
-    let mut cache_capacity = SchedulerConfig::default().cache_capacity;
-    let mut http = ServerConfig::default();
-    let mut attest = AttestConfig::from_env();
-    let mut chaos_seed = 0u64;
-    let mut chaos_rate = 0.1f64;
+/// Everything the flags decide.
+struct Config {
+    listen: String,
+    platforms: Vec<TeePlatform>,
+    seed: u64,
+    policy: BalancePolicy,
+    remote_hosts: Vec<(TeePlatform, SocketAddr)>,
+    queue_capacity: usize,
+    workers: usize,
+    cache_capacity: usize,
+    http: ServerConfig,
+    attest: AttestConfig,
+    chaos: Option<Arc<TeeFaultPlan>>,
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                listen = take_value(&args, &mut i, "--listen")?;
-            }
-            "--platforms" => {
-                let list = take_value(&args, &mut i, "--platforms")?;
-                platforms = list
-                    .split(',')
-                    .map(|p| p.parse().map_err(|e| format!("{e}")))
-                    .collect::<Result<_, _>>()?;
-            }
-            "--seed" => {
-                seed = take_value(&args, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--policy" => {
-                policy = match take_value(&args, &mut i, "--policy")?.as_str() {
-                    "round-robin" => BalancePolicy::RoundRobin,
-                    "least-loaded" => BalancePolicy::LeastLoaded,
-                    other => return Err(format!("unknown policy {other}")),
-                };
-            }
-            "--remote-host" => {
-                let spec = take_value(&args, &mut i, "--remote-host")?;
+fn config(args: Vec<String>) -> Result<Config, String> {
+    let flags = Flags::parse(&FLAGS, args)?;
+    if let Some(stray) = flags.positionals().first() {
+        return Err(format!("unknown argument {stray} (try --help)"));
+    }
+    let sched = SchedulerConfig::default();
+    let (mut http, mut attest) = (ServerConfig::default(), AttestConfig::default());
+    if let Some(n) = flags.positive("--http-workers", "http worker count")? {
+        http.workers = n;
+    }
+    if let Some(n) = flags.positive("--http-backlog", "http backlog")? {
+        http.backlog = n;
+    }
+    if let Some(n) = flags.positive("--attest-ttl-ms", "attest TTL")? {
+        attest.ttl_ms = n;
+    }
+    if let Some(n) = flags.positive("--attest-cache-capacity", "attest cache capacity")? {
+        attest.capacity = n;
+    }
+    Ok(Config {
+        listen: flags.flag_value("--listen").unwrap_or("127.0.0.1:7700").to_owned(),
+        platforms: flags
+            .flag_value("--platforms")
+            .unwrap_or("tdx,sev-snp,cca")
+            .split(',')
+            .map(|p| p.parse().map_err(|e| format!("{e}")))
+            .collect::<Result<_, _>>()?,
+        seed: flags.parsed("--seed", "seed")?.unwrap_or(0),
+        policy: match flags.flag_value("--policy") {
+            None | Some("round-robin") => BalancePolicy::RoundRobin,
+            Some("least-loaded") => BalancePolicy::LeastLoaded,
+            Some(other) => return Err(format!("unknown policy {other}")),
+        },
+        remote_hosts: flags
+            .flag_values("--remote-host")
+            .map(|spec| {
                 let (platform, addr) = spec
                     .split_once('=')
                     .ok_or_else(|| format!("--remote-host wants PLATFORM=ADDR, got {spec}"))?;
-                remote_hosts.push((
+                Ok((
                     platform.parse().map_err(|e| format!("{e}"))?,
                     addr.parse().map_err(|e| format!("bad address {addr}: {e}"))?,
-                ));
-            }
-            "--queue-capacity" => {
-                queue_capacity = take_value(&args, &mut i, "--queue-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad queue capacity: {e}"))?;
-                if queue_capacity == 0 {
-                    return Err("--queue-capacity must be at least 1".into());
-                }
-            }
-            "--workers" => {
-                workers = take_value(&args, &mut i, "--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
-            "--cache-capacity" => {
-                cache_capacity = take_value(&args, &mut i, "--cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad cache capacity: {e}"))?;
-                if cache_capacity == 0 {
-                    return Err("--cache-capacity must be at least 1".into());
-                }
-            }
-            "--http-workers" => {
-                http.workers = take_value(&args, &mut i, "--http-workers")?
-                    .parse()
-                    .map_err(|e| format!("bad http worker count: {e}"))?;
-                if http.workers == 0 {
-                    return Err("--http-workers must be at least 1".into());
-                }
-            }
-            "--http-backlog" => {
-                http.backlog = take_value(&args, &mut i, "--http-backlog")?
-                    .parse()
-                    .map_err(|e| format!("bad http backlog: {e}"))?;
-                if http.backlog == 0 {
-                    return Err("--http-backlog must be at least 1".into());
-                }
-            }
-            "--attest-ttl-ms" => {
-                attest.ttl_ms = take_value(&args, &mut i, "--attest-ttl-ms")?
-                    .parse()
-                    .map_err(|e| format!("bad attest TTL: {e}"))?;
-                if attest.ttl_ms == 0 {
-                    return Err("--attest-ttl-ms must be at least 1".into());
-                }
-            }
-            "--attest-cache-capacity" => {
-                attest.capacity = take_value(&args, &mut i, "--attest-cache-capacity")?
-                    .parse()
-                    .map_err(|e| format!("bad attest cache capacity: {e}"))?;
-                if attest.capacity == 0 {
-                    return Err("--attest-cache-capacity must be at least 1".into());
-                }
-            }
-            "--chaos-seed" => {
-                chaos_seed = take_value(&args, &mut i, "--chaos-seed")?
-                    .parse()
-                    .map_err(|e| format!("bad chaos seed: {e}"))?;
-            }
-            "--chaos-rate" => {
-                chaos_rate = take_value(&args, &mut i, "--chaos-rate")?
-                    .parse()
-                    .map_err(|e| format!("bad chaos rate: {e}"))?;
-                if !(0.0..=1.0).contains(&chaos_rate) {
-                    return Err("--chaos-rate must be in [0, 1]".into());
-                }
-            }
-            "--help" | "-h" => {
-                println!(
-                    "usage: confbench-gateway [--listen ADDR] [--platforms LIST] [--seed N]\n\
-                     \x20                        [--policy round-robin|least-loaded]\n\
-                     \x20                        [--remote-host PLATFORM=ADDR]...\n\
-                     \x20                        [--queue-capacity N] [--workers N]\n\
-                     \x20                        [--cache-capacity N] (result-cache LRU bound)\n\
-                     \x20                        [--http-workers N] [--http-backlog N]\n\
-                     \x20                        [--attest-ttl-ms N] [--attest-cache-capacity N]\n\
-                     \x20                        [--chaos-seed N] [--chaos-rate F] (TEE fault injection)"
-                );
-                return Ok(());
-            }
-            other => return Err(format!("unknown argument {other} (try --help)")),
-        }
-        i += 1;
-    }
+                ))
+            })
+            .collect::<Result<_, String>>()?,
+        queue_capacity: flags
+            .positive("--queue-capacity", "queue capacity")?
+            .unwrap_or(sched.queue_capacity),
+        workers: flags.positive("--workers", "worker count")?.unwrap_or(1),
+        cache_capacity: flags
+            .positive("--cache-capacity", "cache capacity")?
+            .unwrap_or(sched.cache_capacity),
+        http,
+        attest,
+        chaos: flags::chaos_plan(&flags)?,
+    })
+}
 
-    let mut builder = Gateway::builder().seed(seed).policy(policy).http(http).attest(attest);
-    if chaos_seed != 0 {
-        eprintln!("chaos armed: seed {chaos_seed}, fault rate {chaos_rate} per TEE crossing");
-        builder = builder.chaos(Arc::new(TeeFaultPlan::new(chaos_seed, chaos_rate)));
+/// First stdout line; the ledger reads the bound address from it.
+fn listening_line(addr: SocketAddr) -> String {
+    format!("confbench gateway listening on http://{addr}")
+}
+
+fn run() -> Result<(), String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if flags::wants_help(&args) {
+        print!("{}", flags::usage("confbench-gateway [FLAGS]", &FLAGS));
+        return Ok(());
     }
-    for platform in &platforms {
+    let c = config(args)?;
+
+    let mut builder =
+        Gateway::builder().seed(c.seed).policy(c.policy).http(c.http).attest(c.attest);
+    if let Some(plan) = c.chaos {
+        builder = builder.chaos(plan);
+    }
+    for platform in &c.platforms {
         eprintln!("booting local host for {platform} (secure + normal VMs)...");
         builder = builder.local_host(*platform);
     }
-    for (platform, addr) in remote_hosts {
+    for (platform, addr) in c.remote_hosts {
         eprintln!("registering remote {platform} host at {addr}");
         builder = builder.remote_host(platform, addr);
     }
     let gateway = Arc::new(builder.build());
     let config = SchedulerConfig {
-        queue_capacity,
+        queue_capacity: c.queue_capacity,
         retry_after_secs: gateway.retry_policy().retry_after_secs(),
-        cache_capacity,
+        cache_capacity: c.cache_capacity,
         ..SchedulerConfig::default()
     };
     let sched = Arc::new(Scheduler::with_metrics(
@@ -203,11 +158,11 @@ fn run() -> Result<(), String> {
         config,
         Arc::clone(gateway.metrics()),
     ));
-    sched.spawn_workers(workers);
+    sched.spawn_workers(c.workers);
     let server = Arc::clone(&gateway)
-        .serve_with_scheduler(Arc::clone(&sched), &listen)
-        .map_err(|e| format!("cannot listen on {listen}: {e}"))?;
-    println!("confbench gateway listening on http://{}", server.addr());
+        .serve_with_scheduler(Arc::clone(&sched), &c.listen)
+        .map_err(|e| format!("cannot listen on {}: {e}", c.listen))?;
+    println!("{}", listening_line(server.addr()));
     println!("  POST /v1/run            run a function (JSON RunRequest)");
     println!("  POST /v1/functions      upload CBScript source");
     println!("  GET  /v1/functions      list registered functions");
@@ -221,12 +176,16 @@ fn run() -> Result<(), String> {
     println!("  POST /v1/attest/sessions/ID/extend  extend a runtime measurement");
     println!("  GET  /v1/metrics        counters + histograms (?format=json for JSON)");
     println!("  GET  /v1/health         liveness");
-    println!("scheduler: queue capacity {queue_capacity}, {workers} worker(s) per platform");
+    println!(
+        "scheduler: queue capacity {}, {} worker(s) per platform",
+        c.queue_capacity, c.workers
+    );
     println!(
         "http: {} handler worker(s), admission window {} connections, \
-         result cache capped at {cache_capacity} entries",
-        http.workers,
-        http.workers + http.backlog
+         result cache capped at {} entries",
+        c.http.workers,
+        c.http.workers + c.http.backlog,
+        c.cache_capacity
     );
 
     // Serve until interrupted.
@@ -235,7 +194,68 @@ fn run() -> Result<(), String> {
     }
 }
 
-fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    args.get(*i).cloned().ok_or_else(|| format!("{flag} needs a value"))
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config_of(line: &str) -> Result<Config, String> {
+        config(line.split_whitespace().map(str::to_owned).collect())
+    }
+
+    #[test]
+    fn every_flag_in_help_parses_and_bad_input_keeps_its_message() {
+        let help = flags::usage("confbench-gateway [FLAGS]", &FLAGS);
+        for (flag, sample) in [
+            ("--listen", "127.0.0.1:0"),
+            ("--platforms", "tdx,sev-snp"),
+            ("--seed", "13"),
+            ("--policy", "least-loaded"),
+            ("--remote-host", "cca=127.0.0.1:9"),
+            ("--queue-capacity", "64"),
+            ("--workers", "2"),
+            ("--cache-capacity", "128"),
+            ("--http-workers", "4"),
+            ("--http-backlog", "16"),
+            ("--attest-ttl-ms", "1000"),
+            ("--attest-cache-capacity", "8"),
+            ("--chaos-seed", "7"),
+            ("--chaos-rate", "0.005"),
+        ] {
+            assert!(help.contains(&format!("  {flag} ")), "{flag} missing from --help");
+            config_of(&format!("{flag} {sample}")).unwrap_or_else(|e| panic!("{flag}: {e}"));
+        }
+        assert_eq!(
+            help.lines().count(),
+            1 + FLAGS.len(),
+            "--help lists a flag the loop above skips"
+        );
+
+        let c = config_of("--listen 127.0.0.1:0 --platforms tdx --seed 13 --queue-capacity 64")
+            .unwrap();
+        assert_eq!((c.listen.as_str(), c.seed, c.queue_capacity), ("127.0.0.1:0", 13, 64));
+        assert_eq!(c.platforms, [TeePlatform::Tdx]);
+        let d = config_of("").unwrap();
+        assert_eq!((d.listen.as_str(), d.workers, d.chaos.is_some()), ("127.0.0.1:7700", 1, false));
+        assert_eq!(d.attest, AttestConfig::default());
+
+        let err = |line: &str| config_of(line).err().unwrap();
+        assert_eq!(err("--bogus"), "unknown argument --bogus (try --help)");
+        assert_eq!(err("stray"), "unknown argument stray (try --help)");
+        assert_eq!(err("--seed"), "--seed needs a value");
+        assert!(err("--seed x").starts_with("bad seed: "));
+        assert!(err("--queue-capacity x").starts_with("bad queue capacity: "));
+        assert_eq!(err("--queue-capacity 0"), "--queue-capacity must be at least 1");
+        assert_eq!(err("--http-workers 0"), "--http-workers must be at least 1");
+        assert_eq!(err("--chaos-rate 1.5"), "--chaos-rate must be in [0, 1]");
+        assert_eq!(err("--policy fastest"), "unknown policy fastest");
+        assert_eq!(err("--remote-host tdx"), "--remote-host wants PLATFORM=ADDR, got tdx");
+    }
+
+    #[test]
+    fn first_stdout_line_is_what_the_ledger_parses() {
+        assert_eq!(
+            listening_line("127.0.0.1:7700".parse().unwrap()),
+            "confbench gateway listening on http://127.0.0.1:7700"
+        );
+    }
 }

@@ -73,6 +73,35 @@ impl RetryPolicy {
     pub fn retry_after_secs(&self) -> u64 {
         self.max_backoff_ms.div_ceil(1_000).max(1)
     }
+
+    /// Milliseconds to wait before retry number `retry` (0-based): the base
+    /// doubled per retry up to the ceiling, then — with jitter on — drawn
+    /// from `[delay/2, delay]` on the caller's own seeded stream.
+    fn backoff_ms(&self, retry: u32, jitter_rng: &Mutex<StdRng>) -> u64 {
+        let exp = u128::from(self.base_backoff_ms) << retry.min(20);
+        let delay = exp.min(u128::from(self.max_backoff_ms)) as u64;
+        if self.jitter && delay > 1 {
+            let half = delay / 2;
+            half + jitter_rng.lock().next_u64() % (delay - half + 1)
+        } else {
+            delay
+        }
+    }
+
+    /// Sleeps [`RetryPolicy::backoff_ms`], but never past `deadline`; the
+    /// caller checks the deadline next and words its own error.
+    pub(crate) fn backoff(
+        &self,
+        retry: u32,
+        jitter_rng: &Mutex<StdRng>,
+        deadline: Option<Instant>,
+    ) {
+        let mut sleep = Duration::from_millis(self.backoff_ms(retry, jitter_rng));
+        if let Some(deadline) = deadline {
+            sleep = sleep.min(deadline.saturating_duration_since(Instant::now()));
+        }
+        std::thread::sleep(sleep);
+    }
 }
 
 /// A dispatch target: a host in this process or a remote agent address.
@@ -164,9 +193,7 @@ impl GatewayBuilder {
 
     /// Installs a chaos schedule: local hosts' VM boots and executions
     /// roll against `plan` at every TEE mechanism crossing, exercising the
-    /// supervisors' retry/rebuild/quarantine machinery. (Defaults from
-    /// `CONFBENCH_CHAOS_SEED` / `CONFBENCH_CHAOS_RATE` when unset — see
-    /// [`TeeFaultPlan::from_env`].)
+    /// supervisors' retry/rebuild/quarantine machinery (default: none).
     pub fn chaos(mut self, plan: Arc<TeeFaultPlan>) -> Self {
         self.chaos = Some(plan);
         self
@@ -179,9 +206,8 @@ impl GatewayBuilder {
         self
     }
 
-    /// Tunes the attestation-session layer (TTL, cache capacity). Defaults
-    /// from `CONFBENCH_ATTEST_TTL_MS` / `CONFBENCH_ATTEST_CACHE_CAPACITY`
-    /// when unset — see [`AttestConfig::from_env`].
+    /// Tunes the attestation-session layer (TTL, cache capacity; default
+    /// [`AttestConfig::default`]).
     pub fn attest(mut self, config: AttestConfig) -> Self {
         self.attest = config;
         self
@@ -251,7 +277,7 @@ impl GatewayBuilder {
                         retry: self.retry,
                         rebuild_budget: self.rebuild_budget,
                         faults: self.chaos.clone(),
-                        metrics: Some(Arc::clone(&self.metrics)),
+                        metrics: Arc::clone(&self.metrics),
                         attest: Some(Arc::clone(&attest)),
                     },
                 ))),
@@ -262,9 +288,14 @@ impl GatewayBuilder {
         let pools = by_platform
             .into_iter()
             .map(|(platform, hosts)| {
-                let pool =
-                    TeePool::with_health(hosts, self.policy, self.health, Arc::clone(&self.clock))
-                        .with_metrics(&self.metrics, &platform.to_string());
+                let pool = TeePool::with_health(
+                    hosts,
+                    self.policy,
+                    self.health,
+                    Arc::clone(&self.clock),
+                    &self.metrics,
+                    &platform.to_string(),
+                );
                 (platform, pool)
             })
             .collect();
@@ -358,9 +389,9 @@ impl Gateway {
             metrics: Arc::new(MetricsRegistry::new()),
             seed: 0,
             http: ServerConfig::default(),
-            chaos: TeeFaultPlan::from_env(),
+            chaos: None,
             rebuild_budget: DEFAULT_REBUILD_BUDGET,
-            attest: AttestConfig::from_env(),
+            attest: AttestConfig::default(),
             attest_service: None,
         }
     }
@@ -372,12 +403,6 @@ impl Gateway {
 
     /// The function database.
     pub fn store(&self) -> &FunctionStore {
-        &self.store
-    }
-
-    /// The function store as a shareable handle (what the fleet layer hands
-    /// to every shard so content addresses agree fleet-wide).
-    pub fn store_handle(&self) -> &Arc<FunctionStore> {
         &self.store
     }
 
@@ -486,7 +511,7 @@ impl Gateway {
             root.set_attr("retry_attempt", u64::from(attempt));
             if attempt > 0 {
                 self.counters.retries.inc();
-                self.sleep_backoff(attempt - 1, deadline, request, last_err.as_ref())?;
+                self.retry.backoff(attempt - 1, &self.jitter_rng, deadline);
             }
             // An expired deadline is final on every dispatch path — local
             // execution can't be cancelled mid-run, so refuse to start it.
@@ -533,40 +558,6 @@ impl Gateway {
             }
         }
         Err(last_err.expect("retry loop ran at least once"))
-    }
-
-    /// Sleeps the exponential backoff for retry number `retry` (0-based),
-    /// clamped to the remaining deadline.
-    fn sleep_backoff(
-        &self,
-        retry: u32,
-        deadline: Option<Instant>,
-        request: &RunRequest,
-        last_err: Option<&Error>,
-    ) -> Result<()> {
-        let exp = self.retry.base_backoff_ms.saturating_shl(retry.min(20));
-        let delay = exp.min(self.retry.max_backoff_ms);
-        let delay = if self.retry.jitter && delay > 1 {
-            let half = delay / 2;
-            half + self.jitter_rng.lock().next_u64() % (delay - half + 1)
-        } else {
-            delay
-        };
-        let mut sleep = Duration::from_millis(delay);
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(deadline_error(request, last_err));
-            }
-            sleep = sleep.min(remaining);
-        }
-        std::thread::sleep(sleep);
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                return Err(deadline_error(request, last_err));
-            }
-        }
-        Ok(())
     }
 
     /// Convenience: run the same function on the secure and normal VM of
@@ -759,23 +750,6 @@ impl confbench_sched::Executor for Gateway {
         use confbench_faasrt::FaasFunction as _;
         let function = self.store.get(name)?;
         Some(confbench_crypto::Sha256::digest(function.script().as_bytes()).to_string())
-    }
-}
-
-/// `u64::checked_shl` with saturation (`saturating_shl` is unstable).
-trait SaturatingShl {
-    fn saturating_shl(self, rhs: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, rhs: u32) -> Self {
-        if self == 0 {
-            0
-        } else if rhs > self.leading_zeros() {
-            u64::MAX
-        } else {
-            self << rhs
-        }
     }
 }
 
@@ -1071,11 +1045,21 @@ mod tests {
     }
 
     #[test]
-    fn saturating_shl_caps() {
-        assert_eq!(100u64.saturating_shl(1), 200);
-        assert_eq!(1u64.saturating_shl(63), 1 << 63);
-        assert_eq!(1u64.saturating_shl(64), u64::MAX);
-        assert_eq!(u64::MAX.saturating_shl(1), u64::MAX);
-        assert_eq!(0u64.saturating_shl(64), 0);
+    fn backoff_doubles_to_the_ceiling_and_jitters_within_its_upper_half() {
+        let rng = Mutex::new(StdRng::seed_from_u64(1));
+        let plain = RetryPolicy {
+            max_attempts: 9,
+            base_backoff_ms: 50,
+            max_backoff_ms: 300,
+            jitter: false,
+        };
+        assert_eq!([0, 1, 2, 3, 63].map(|r| plain.backoff_ms(r, &rng)), [50, 100, 200, 300, 300]);
+        let huge = RetryPolicy { base_backoff_ms: u64::MAX, max_backoff_ms: u64::MAX, ..plain };
+        assert_eq!(huge.backoff_ms(20, &rng), u64::MAX, "the doubling cannot wrap");
+        let jittered = RetryPolicy { jitter: true, ..plain };
+        for retry in 0..8 {
+            let (delay, full) = (jittered.backoff_ms(retry, &rng), plain.backoff_ms(retry, &rng));
+            assert!((full / 2..=full).contains(&delay), "retry {retry}: {delay} vs {full}");
+        }
     }
 }

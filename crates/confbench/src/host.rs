@@ -9,11 +9,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use confbench_faasrt::FunctionLauncher;
-use confbench_httpd::{Method, Response, Router, Server, ServerConfig};
-use confbench_obs::{MetricsRegistry, SpanRecorder};
-use confbench_perfmon::PerfStat;
-use confbench_types::{Error, Result, RunRequest, RunResult, TeePlatform, VmKind, VmTarget};
-use confbench_vmm::TeeFaultPlan;
+use confbench_httpd::{Method, Response, Router, Server};
+use confbench_obs::{ActiveSpan, MetricsRegistry, SpanRecorder};
+use confbench_perfmon::{PerfSample, PerfStat};
+use confbench_types::{
+    Error, OpTrace, Result, RunRequest, RunResult, TeePlatform, VmKind, VmTarget,
+};
+use confbench_vmm::{ExecutionReport, TeeFault, TeeFaultPlan, Vm};
 use confbench_workloads::GpuInferenceWorkload;
 
 /// Name of the host-level GPU-offload scenario: not a FaaS function (it has
@@ -38,12 +40,11 @@ pub struct HostConfig {
     /// Fatal rebuilds tolerated per VM slot before quarantine.
     pub rebuild_budget: u32,
     /// Chaos schedule injected into boots and executions (None = no
-    /// injection; defaults from `CONFBENCH_CHAOS_SEED` via
-    /// [`TeeFaultPlan::from_env`]).
+    /// injection).
     pub faults: Option<Arc<TeeFaultPlan>>,
     /// Registry receiving `vmm_faults_total` / `vm_rebuilds_total` /
-    /// `vm_quarantined` (None = unmetered).
-    pub metrics: Option<Arc<MetricsRegistry>>,
+    /// `vm_quarantined` / `devio_dma_bytes_total` (default: a private one).
+    pub metrics: Arc<MetricsRegistry>,
     /// Attestation-session service shared with the gateway: supervisor
     /// rebuilds re-attest through its session cache, so a rebuild storm on
     /// a fleet sharing one TCB identity verifies once (None = each rebuild
@@ -57,8 +58,8 @@ impl Default for HostConfig {
             seed: 0,
             retry: RetryPolicy::default(),
             rebuild_budget: DEFAULT_REBUILD_BUDGET,
-            faults: TeeFaultPlan::from_env(),
-            metrics: None,
+            faults: None,
+            metrics: Arc::default(),
             attest: None,
         }
     }
@@ -89,7 +90,7 @@ pub struct HostAgent {
     normal: VmSupervisor,
     store: Arc<FunctionStore>,
     recorder: SpanRecorder,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl HostAgent {
@@ -104,21 +105,9 @@ impl HostAgent {
         )
     }
 
-    /// As [`HostAgent::new`] with an explicit span recorder (tests inject a
-    /// [`ManualClock`](crate::ManualClock)-backed one for deterministic
-    /// timestamps; the gateway shares its own recorder with local hosts).
-    pub fn with_recorder(
-        platform: TeePlatform,
-        store: Arc<FunctionStore>,
-        seed: u64,
-        recorder: SpanRecorder,
-    ) -> Self {
-        Self::with_config(platform, store, recorder, HostConfig { seed, ..HostConfig::default() })
-    }
-
-    /// Fully configured construction: chaos schedule, recovery policy, and
-    /// metrics registry all injectable (the gateway builds local hosts this
-    /// way).
+    /// Fully configured construction: span recorder (the gateway shares its
+    /// own with local hosts), chaos schedule, recovery policy, and metrics
+    /// registry all injectable.
     pub fn with_config(
         platform: TeePlatform,
         store: Arc<FunctionStore>,
@@ -132,7 +121,7 @@ impl HostAgent {
                 config.faults.clone(),
                 config.retry,
                 config.rebuild_budget,
-                config.metrics.as_ref(),
+                &config.metrics,
             )
             .with_attest(config.attest.clone())
         };
@@ -201,44 +190,14 @@ impl HostAgent {
         span.set_attr("trials", u64::from(trials));
 
         let recorder = &self.recorder;
-        let (trial_ms, trial_cycles, mut sample) =
-            supervisor.run(&mut span, deadline, request.seed, |vm, span| {
-                // Launcher bootstrap runs unmeasured (paper §IV-D).
-                let bootstrap = span.child("launcher.bootstrap");
-                vm.try_execute(&output.startup_trace)?;
-                span.finish_child(bootstrap);
-
-                let mut trial_ms = Vec::with_capacity(trials as usize);
-                let mut trial_cycles = Vec::with_capacity(trials as usize);
-                for _ in 0..trials - 1 {
-                    let report = vm.try_execute(&output.trace)?;
-                    trial_ms.push(report.wall_ms);
-                    trial_cycles.push(report.cycles);
-                }
-                // Final trial runs under the perf collector, whose sample —
-                // span tree included — is piggybacked on the result (paper
-                // §III-B).
-                let (report, sample) =
-                    PerfStat::for_vm(vm).try_measure_spanned(vm, &output.trace, recorder)?;
-                trial_ms.push(report.wall_ms);
-                trial_cycles.push(report.cycles);
-                Ok((trial_ms, trial_cycles, sample))
-            })?;
-        if let Some(measured) = sample.trace.take() {
-            span.adopt(measured);
-        }
-
-        Ok(RunResult {
-            function: request.function.name.clone(),
-            language: request.function.language,
-            target: request.target,
-            stats: RunResult::compute_stats(&trial_ms),
-            trial_ms,
-            trial_cycles,
-            perf: sample.report,
-            output: output.output,
-            trace: Some(span.finish()),
-        })
+        let measured = supervisor.run(&mut span, deadline, request.seed, |vm, span| {
+            // Launcher bootstrap runs unmeasured (paper §IV-D).
+            let bootstrap = span.child("launcher.bootstrap");
+            vm.try_execute(&output.startup_trace)?;
+            span.finish_child(bootstrap);
+            measure_trials(vm, &output.trace, trials, recorder)
+        })?;
+        Ok(run_result(request, span, measured, output.output))
     }
 
     /// The [`GPU_INFERENCE`] scenario: a native workload executed without
@@ -276,50 +235,22 @@ impl HostAgent {
         span.set_attr("offloaded", u64::from(offloaded));
 
         let recorder = &self.recorder;
-        let (trial_ms, trial_cycles, mut sample, dma_direct, dma_bounce) =
+        let measured =
             supervisor.run_on(request.device, &mut span, deadline, request.seed, |vm, _| {
-                let mut trial_ms = Vec::with_capacity(trials as usize);
-                let mut trial_cycles = Vec::with_capacity(trials as usize);
-                let mut dma_direct = 0u64;
-                let mut dma_bounce = 0u64;
-                for _ in 0..trials - 1 {
-                    let report = vm.try_execute(&run.trace)?;
-                    dma_direct += report.events.dma_direct_bytes;
-                    dma_bounce += report.events.dma_bounce_bytes;
-                    trial_ms.push(report.wall_ms);
-                    trial_cycles.push(report.cycles);
-                }
-                let (report, sample) =
-                    PerfStat::for_vm(vm).try_measure_spanned(vm, &run.trace, recorder)?;
-                dma_direct += report.events.dma_direct_bytes;
-                dma_bounce += report.events.dma_bounce_bytes;
-                trial_ms.push(report.wall_ms);
-                trial_cycles.push(report.cycles);
-                Ok((trial_ms, trial_cycles, sample, dma_direct, dma_bounce))
+                measure_trials(vm, &run.trace, trials, recorder)
             })?;
-        if let Some(measured) = sample.trace.take() {
-            span.adopt(measured);
-        }
-        if let Some(metrics) = &self.metrics {
-            if dma_direct > 0 {
-                metrics.counter("devio_dma_bytes_total{path=\"direct\"}").add(dma_direct);
+        let (reports, _) = &measured;
+        for (path, bytes) in [
+            ("direct", reports.iter().map(|r| r.events.dma_direct_bytes).sum::<u64>()),
+            ("bounce", reports.iter().map(|r| r.events.dma_bounce_bytes).sum()),
+        ] {
+            if bytes > 0 {
+                self.metrics
+                    .counter(&format!("devio_dma_bytes_total{{path=\"{path}\"}}"))
+                    .add(bytes);
             }
-            if dma_bounce > 0 {
-                metrics.counter("devio_dma_bytes_total{path=\"bounce\"}").add(dma_bounce);
-            }
         }
-
-        Ok(RunResult {
-            function: request.function.name.clone(),
-            language: request.function.language,
-            target: request.target,
-            stats: RunResult::compute_stats(&trial_ms),
-            trial_ms,
-            trial_cycles,
-            perf: sample.report,
-            output: run.class.to_string(),
-            trace: Some(span.finish()),
-        })
+        Ok(run_result(request, span, measured, run.class.to_string()))
     }
 
     /// Serves the agent over HTTP: `POST /v1/execute` with a JSON
@@ -329,17 +260,6 @@ impl HostAgent {
     ///
     /// Bind failures.
     pub fn serve(self: Arc<Self>) -> std::io::Result<Server> {
-        self.serve_with_config(ServerConfig::default())
-    }
-
-    /// As [`HostAgent::serve`] with explicit connection-layer tuning. The
-    /// returned server's [`metrics`](Server::metrics) expose the `httpd_*`
-    /// instruments (connection reuse, saturation) for the gateway→host hop.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn serve_with_config(self: Arc<Self>, config: ServerConfig) -> std::io::Result<Server> {
         let mut router = Router::new();
         let agent = Arc::clone(&self);
         router.add(Method::Post, "/v1/execute", move |req, _| {
@@ -358,7 +278,50 @@ impl HostAgent {
         router.add(Method::Get, "/v1/health", move |_, _| {
             Response::json(&serde_json::json!({ "platform": platform.to_string(), "ok": true }))
         });
-        Server::build(router).config(config).spawn("127.0.0.1:0")
+        Server::spawn(router)
+    }
+}
+
+/// The measured trials of one attempt: `trials - 1` plain executions, then
+/// a final one under the perf collector, whose sample — span tree included
+/// — is piggybacked on the result (paper §III-B).
+fn measure_trials(
+    vm: &mut Vm,
+    trace: &OpTrace,
+    trials: u32,
+    recorder: &SpanRecorder,
+) -> std::result::Result<(Vec<ExecutionReport>, PerfSample), TeeFault> {
+    let mut reports = Vec::with_capacity(trials as usize);
+    for _ in 0..trials - 1 {
+        reports.push(vm.try_execute(trace)?);
+    }
+    let (report, sample) = PerfStat::for_vm(vm).try_measure_spanned(vm, trace, recorder)?;
+    reports.push(report);
+    Ok((reports, sample))
+}
+
+/// Folds the measured trials into the wire result and closes `span` over
+/// the collector's subtree.
+fn run_result(
+    request: &RunRequest,
+    mut span: ActiveSpan,
+    (reports, mut sample): (Vec<ExecutionReport>, PerfSample),
+    output: String,
+) -> RunResult {
+    if let Some(measured) = sample.trace.take() {
+        span.adopt(measured);
+    }
+    let trial_ms: Vec<f64> = reports.iter().map(|r| r.wall_ms).collect();
+    RunResult {
+        function: request.function.name.clone(),
+        language: request.function.language,
+        target: request.target,
+        stats: RunResult::compute_stats(&trial_ms),
+        trial_ms,
+        trial_cycles: reports.iter().map(|r| r.cycles).collect(),
+        perf: sample.report,
+        output,
+        trace: Some(span.finish()),
     }
 }
 
@@ -445,7 +408,7 @@ mod tests {
     fn gpu_inference_dma_lands_in_metrics_once() {
         let registry = Arc::new(MetricsRegistry::new());
         let config =
-            HostConfig { seed: 1, metrics: Some(Arc::clone(&registry)), ..HostConfig::default() };
+            HostConfig { seed: 1, metrics: Arc::clone(&registry), ..HostConfig::default() };
         let h = HostAgent::with_config(
             TeePlatform::SevSnp,
             Arc::new(FunctionStore::new()),

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod attest_api;
+pub mod flags;
 mod gateway;
 mod host;
 mod pool;

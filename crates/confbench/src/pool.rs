@@ -107,7 +107,7 @@ pub struct TeePool<T> {
     health: HealthPolicy,
     clock: Arc<dyn Clock>,
     state: Mutex<PoolState>,
-    metrics: Option<PoolMetrics>,
+    metrics: PoolMetrics,
 }
 
 /// Cached counter handles so the hot path never takes the registry lock.
@@ -119,17 +119,27 @@ struct PoolMetrics {
 }
 
 impl<T> TeePool<T> {
-    /// Creates a pool over `members` with default health policy and the
-    /// system clock.
+    /// Creates a pool over `members` with default health policy, the
+    /// system clock, and counters nobody reads.
     ///
     /// # Panics
     ///
     /// Panics if `members` is empty.
     pub fn new(members: Vec<T>, policy: BalancePolicy) -> Self {
-        TeePool::with_health(members, policy, HealthPolicy::default(), Arc::new(SystemClock))
+        let unmetered = MetricsRegistry::new();
+        let clock = Arc::new(SystemClock);
+        TeePool::with_health(members, policy, HealthPolicy::default(), clock, &unmetered, "")
     }
 
-    /// Creates a pool with explicit circuit-breaker tuning and clock.
+    /// Creates a pool with explicit circuit-breaker tuning and clock. Its
+    /// checkout/served/circuit events are counters in `registry`, labelled
+    /// `{platform="<label>"}`:
+    ///
+    /// * `pool_checkouts_total` — checkouts granted (probes included);
+    /// * `pool_served_total` — requests completed (guard dropped), so it
+    ///   always equals the sum of [`TeePool::served_counts`];
+    /// * `pool_probes_total` — half-open circuit probes admitted;
+    /// * `pool_circuit_opened_total` — closed/half-open → open transitions.
     ///
     /// # Panics
     ///
@@ -139,30 +149,20 @@ impl<T> TeePool<T> {
         policy: BalancePolicy,
         health: HealthPolicy,
         clock: Arc<dyn Clock>,
+        registry: &MetricsRegistry,
+        label: &str,
     ) -> Self {
         assert!(!members.is_empty(), "a pool needs at least one member");
         let state =
             PoolState { cursor: 0, members: members.iter().map(|_| MemberState::new()).collect() };
-        TeePool { entries: members, policy, health, clock, state: Mutex::new(state), metrics: None }
-    }
-
-    /// Publishes the pool's checkout/served/circuit events as counters in
-    /// `registry`, labelled `{platform="<label>"}`:
-    ///
-    /// * `pool_checkouts_total` — checkouts granted (probes included);
-    /// * `pool_served_total` — requests completed (guard dropped), so it
-    ///   always equals the sum of [`TeePool::served_counts`];
-    /// * `pool_probes_total` — half-open circuit probes admitted;
-    /// * `pool_circuit_opened_total` — closed/half-open → open transitions.
-    pub fn with_metrics(mut self, registry: &MetricsRegistry, label: &str) -> Self {
         let name = |base: &str| format!("{base}{{platform=\"{label}\"}}");
-        self.metrics = Some(PoolMetrics {
+        let metrics = PoolMetrics {
             checkouts: registry.counter(&name("pool_checkouts_total")),
             served: registry.counter(&name("pool_served_total")),
             probes: registry.counter(&name("pool_probes_total")),
             circuit_opened: registry.counter(&name("pool_circuit_opened_total")),
-        });
-        self
+        };
+        TeePool { entries: members, policy, health, clock, state: Mutex::new(state), metrics }
     }
 
     /// Number of members.
@@ -178,11 +178,6 @@ impl<T> TeePool<T> {
     /// The active policy.
     pub fn policy(&self) -> BalancePolicy {
         self.policy
-    }
-
-    /// The circuit-breaker tuning.
-    pub fn health_policy(&self) -> HealthPolicy {
-        self.health
     }
 
     /// Selects a member per the policy — ignoring health — returning a guard
@@ -248,9 +243,7 @@ impl<T> TeePool<T> {
                 let was_open = matches!(m.circuit, Circuit::Open { .. });
                 m.circuit = Circuit::Open { since_ms: self.clock.now_ms() };
                 if !was_open {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.circuit_opened.inc();
-                    }
+                    self.metrics.circuit_opened.inc();
                 }
             }
         }
@@ -313,11 +306,9 @@ impl<T> TeePool<T> {
     /// lock acquisition as selection — that is the race fix.
     fn admit<'a>(&'a self, state: &mut PoolState, idx: usize, probe: bool) -> PoolGuard<'a, T> {
         state.members[idx].inflight += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.checkouts.inc();
-            if probe {
-                metrics.probes.inc();
-            }
+        self.metrics.checkouts.inc();
+        if probe {
+            self.metrics.probes.inc();
         }
         PoolGuard { pool: self, idx, probe, reported: std::cell::Cell::new(false) }
     }
@@ -356,9 +347,7 @@ impl<T> Drop for PoolGuard<'_, T> {
         let m = &mut state.members[self.idx];
         m.inflight -= 1;
         m.served += 1;
-        if let Some(metrics) = &self.pool.metrics {
-            metrics.served.inc();
-        }
+        self.pool.metrics.served.inc();
         // A probe abandoned without a verdict frees the probe slot so the
         // next healthy checkout can try again.
         if self.probe && !self.reported.get() {
@@ -380,6 +369,8 @@ mod tests {
             BalancePolicy::RoundRobin,
             HealthPolicy { failure_threshold: 2, cooldown_ms: 100 },
             Arc::clone(&clock) as Arc<dyn Clock>,
+            &MetricsRegistry::new(),
+            "",
         );
         (pool, clock)
     }
@@ -583,8 +574,9 @@ mod tests {
             BalancePolicy::RoundRobin,
             HealthPolicy { failure_threshold: 2, cooldown_ms: 100 },
             Arc::clone(&clock) as Arc<dyn Clock>,
-        )
-        .with_metrics(&registry, "tdx");
+            &registry,
+            "tdx",
+        );
 
         for _ in 0..2 {
             let g = pool.checkout_healthy().unwrap();

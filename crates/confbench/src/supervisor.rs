@@ -25,14 +25,14 @@
 //! (probes keep failing), and is never selected again.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use confbench_attest::{SnpEcosystem, TdxEcosystem};
 use confbench_obs::{ActiveSpan, Counter, Gauge, MetricsRegistry};
 use confbench_types::{DeviceKind, Error, Result, TeeMechanism, TeePlatform, VmKind, VmTarget};
 use confbench_vmm::{TeeFault, TeeFaultPlan, TeeVmBuilder, Vm};
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, RngCore, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::attest_api::AttestService;
 use crate::gateway::RetryPolicy;
@@ -47,7 +47,7 @@ struct SupervisorState {
     quarantined: Option<TeeFault>,
 }
 
-/// Cached instrument handles (present when a registry was supplied).
+/// Cached instrument handles.
 struct SupervisorMetrics {
     registry: Arc<MetricsRegistry>,
     rebuilds: Arc<Counter>,
@@ -62,7 +62,7 @@ pub struct VmSupervisor {
     faults: Option<Arc<TeeFaultPlan>>,
     retry: RetryPolicy,
     rebuild_budget: u32,
-    metrics: Option<SupervisorMetrics>,
+    metrics: SupervisorMetrics,
     attest: Option<Arc<AttestService>>,
     jitter_rng: Mutex<StdRng>,
     state: Mutex<SupervisorState>,
@@ -71,24 +71,22 @@ pub struct VmSupervisor {
 impl VmSupervisor {
     /// Creates a supervisor for `target`. `retry` drives transient-fault
     /// backoff, `faults` is the chaos schedule (None = no injection), and
-    /// `metrics` (if any) receives `vmm_faults_total`, `vm_rebuilds_total`
-    /// and `vm_quarantined`.
+    /// `metrics` receives `vmm_faults_total`, `vm_rebuilds_total` and
+    /// `vm_quarantined`.
     pub fn new(
         target: VmTarget,
         seed: u64,
         faults: Option<Arc<TeeFaultPlan>>,
         retry: RetryPolicy,
         rebuild_budget: u32,
-        metrics: Option<&Arc<MetricsRegistry>>,
+        metrics: &Arc<MetricsRegistry>,
     ) -> Self {
-        let metrics = metrics.map(|registry| {
-            let label = Self::label(target);
-            SupervisorMetrics {
-                rebuilds: registry.counter(&format!("vm_rebuilds_total{label}")),
-                quarantined: registry.gauge(&format!("vm_quarantined{label}")),
-                registry: Arc::clone(registry),
-            }
-        });
+        let label = Self::label(target);
+        let metrics = SupervisorMetrics {
+            rebuilds: metrics.counter(&format!("vm_rebuilds_total{label}")),
+            quarantined: metrics.gauge(&format!("vm_quarantined{label}")),
+            registry: Arc::clone(metrics),
+        };
         VmSupervisor {
             target,
             seed,
@@ -228,7 +226,8 @@ impl VmSupervisor {
             self.note_fault(&fault);
             if fault.is_transient() && transient_used + 1 < max_transient {
                 transient_used += 1;
-                self.backoff(transient_used - 1, deadline)?;
+                // Never sleeps past the deadline; the loop top reports it.
+                self.retry.backoff(transient_used - 1, &self.jitter_rng, deadline);
                 continue;
             }
             // Fatal — or a transient storm that exhausted the retry budget,
@@ -296,16 +295,12 @@ impl VmSupervisor {
         if state.rebuilds >= self.rebuild_budget {
             state.quarantined = Some(fault);
             drop(state);
-            if let Some(m) = &self.metrics {
-                m.quarantined.inc();
-            }
+            self.metrics.quarantined.inc();
             return Err(fault.into());
         }
         state.rebuilds += 1;
         drop(state);
-        if let Some(m) = &self.metrics {
-            m.rebuilds.inc();
-        }
+        self.metrics.rebuilds.inc();
         Ok(())
     }
 
@@ -366,41 +361,14 @@ impl VmSupervisor {
 
     /// Records a fault in `vmm_faults_total{mechanism,class}`.
     fn note_fault(&self, fault: &TeeFault) {
-        if let Some(m) = &self.metrics {
-            m.registry
-                .counter(&format!(
-                    "vmm_faults_total{{mechanism=\"{}\",class=\"{}\"}}",
-                    fault.mechanism.as_str(),
-                    fault.class.as_str()
-                ))
-                .inc();
-        }
-    }
-
-    /// Exponential backoff for transient retry `retry_no` (0-based), clamped
-    /// to the remaining deadline.
-    fn backoff(&self, retry_no: u32, deadline: Option<Instant>) -> Result<()> {
-        let exp = (u128::from(self.retry.base_backoff_ms) << retry_no.min(20))
-            .min(u128::from(self.retry.max_backoff_ms)) as u64;
-        let delay = if self.retry.jitter && exp > 1 {
-            let half = exp / 2;
-            half + self.jitter_rng.lock().next_u64() % (exp - half + 1)
-        } else {
-            exp
-        };
-        let mut sleep = Duration::from_millis(delay);
-        if let Some(deadline) = deadline {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return Err(Error::DeadlineExceeded(format!(
-                    "watchdog deadline expired while recovering {}",
-                    self.target
-                )));
-            }
-            sleep = sleep.min(remaining);
-        }
-        std::thread::sleep(sleep);
-        Ok(())
+        self.metrics
+            .registry
+            .counter(&format!(
+                "vmm_faults_total{{mechanism=\"{}\",class=\"{}\"}}",
+                fault.mechanism.as_str(),
+                fault.class.as_str()
+            ))
+            .inc();
     }
 }
 
@@ -422,13 +390,22 @@ mod tests {
     use super::*;
     use confbench_obs::SpanRecorder;
     use confbench_types::FaultClass;
+    use std::time::Duration;
 
     fn retry_fast() -> RetryPolicy {
         RetryPolicy { max_attempts: 3, base_backoff_ms: 1, max_backoff_ms: 2, jitter: false }
     }
 
     fn supervisor(plan: Option<Arc<TeeFaultPlan>>, budget: u32) -> VmSupervisor {
-        VmSupervisor::new(VmTarget::secure(TeePlatform::Tdx), 11, plan, retry_fast(), budget, None)
+        let unmetered = Arc::default();
+        VmSupervisor::new(
+            VmTarget::secure(TeePlatform::Tdx),
+            11,
+            plan,
+            retry_fast(),
+            budget,
+            &unmetered,
+        )
     }
 
     #[test]
@@ -558,14 +535,7 @@ mod tests {
             .unwrap();
         let mut recovered = None;
         for seed in 0..64u64 {
-            let sup = VmSupervisor::new(
-                VmTarget::secure(TeePlatform::Tdx),
-                11,
-                Some(Arc::clone(&plan)),
-                retry_fast(),
-                DEFAULT_REBUILD_BUDGET,
-                None,
-            );
+            let sup = supervisor(Some(Arc::clone(&plan)), DEFAULT_REBUILD_BUDGET);
             let mut span = recorder.root("chaos");
             let out = sup.run_on(Some(DeviceKind::Gpu), &mut span, None, 3, |vm, _| {
                 vm.try_execute(&dma_trace()).map(|r| r.cycles)
@@ -591,7 +561,7 @@ mod tests {
             None,
             retry_fast(),
             1,
-            Some(&registry),
+            &registry,
         );
         let recorder = SpanRecorder::default();
         let mut span = recorder.root("test");

@@ -179,7 +179,7 @@ impl Fleet {
         let store = Arc::new(FunctionStore::new());
         let attest = Arc::new(AttestService::new(
             config.seed,
-            AttestConfig::from_env(),
+            AttestConfig::default(),
             Arc::clone(&config.clock),
             Some(&metrics),
         ));

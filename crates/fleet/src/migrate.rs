@@ -86,11 +86,11 @@ pub struct MigrationReport {
 /// existed hands the source VM back, still runnable.
 #[derive(Debug)]
 pub enum MigrationError {
-    /// A TEE fault was injected at an export/import crossing, or while the
-    /// source executed its pending work.
+    /// A TEE fault was injected at an export/import crossing, while the
+    /// source executed its pending work, or while the target booted.
     Fault {
-        /// Which stage faulted (`"export"`, `"execute"`, `"import"`,
-        /// `"state"`).
+        /// Which stage faulted (`"export"`, `"execute"`, `"state"`,
+        /// `"build"`, `"import"`).
         stage: &'static str,
         /// The injected fault.
         fault: TeeFault,
@@ -278,7 +278,10 @@ pub fn migrate(
         Ok(decoded) => decoded,
         Err(error) => return Err(abort(fsm, source, "wire-err", error)),
     };
-    let mut target = target_builder.build();
+    let mut target = match target_builder.try_build() {
+        Ok(target) => target,
+        Err(fault) => return Err(abort(fsm, source, "build", fault)),
+    };
     if target.target() != target_spec {
         let aborted = fsm.apply(MigrationOp::Abort).expect("abort is legal from any live phase");
         debug_assert_eq!(aborted.source, crate::fsm::SourceVm::Running);

@@ -101,10 +101,7 @@ impl Fleet {
             };
             match fleet.submit(spec) {
                 Ok(receipt) => Response::json(&receipt),
-                Err(confbench_sched::SubmitError::Invalid(e)) => {
-                    Response::error(400, format!("invalid campaign: {e}"))
-                }
-                Err(e) => Response::error(429, format!("fleet cannot admit campaign: {e}")),
+                Err(e) => confbench_sched::rest::submit_error_response(e),
             }
         });
 
@@ -285,6 +282,26 @@ mod tests {
             router.dispatch(&Request::new(Method::Get, "/v1/fleet/campaigns/nope")).status,
             404
         );
+
+        // Refusals answer exactly as `POST /v1/campaigns` does: 413 for a
+        // well-formed spec that expands past the cell limit...
+        let mut oversized = Request::new(Method::Post, "/v1/fleet/campaigns");
+        oversized.body =
+            include_bytes!("../../../tests/fuzz_corpus/campaign/too_many_cells.json").to_vec();
+        assert_eq!(router.dispatch(&oversized).status, 413);
+        // ...and 429 with Retry-After when a shard's queue cannot take its
+        // share (15 036 cells over three 4096-job queues).
+        let flood = confbench_types::CampaignSpec {
+            functions: (0..358)
+                .map(|i| confbench_types::CampaignFunction::new("factors").arg(i.to_string()))
+                .collect(),
+            languages: confbench_types::Language::ALL.to_vec(),
+            platforms: confbench_types::TeePlatform::ALL.to_vec(),
+            ..spec
+        };
+        let resp = router.dispatch(&Request::new(Method::Post, "/v1/fleet/campaigns").json(&flood));
+        assert_eq!(resp.status, 429, "{}", String::from_utf8_lossy(&resp.body));
+        assert!(resp.headers.contains_key("retry-after"), "{:?}", resp.headers);
     }
 
     #[test]

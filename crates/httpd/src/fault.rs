@@ -54,7 +54,7 @@ impl Trigger {
 
 /// A counter plus rule list deciding the fate of each incoming request.
 ///
-/// Attach one with [`Server::spawn_with_faults`](crate::Server::spawn_with_faults)
+/// Attach one with [`ServerBuilder::faults`](crate::ServerBuilder::faults)
 /// or [`TcpRelay::spawn_with_faults`](crate::TcpRelay::spawn_with_faults).
 /// The first matching rule wins.
 ///

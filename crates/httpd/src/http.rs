@@ -109,9 +109,6 @@ impl From<std::io::Error> for HttpError {
 /// Maximum accepted body size (16 MiB — enough for function uploads).
 pub const MAX_BODY: usize = 16 << 20;
 
-/// Hard cap on a whole HTTP message (request line + headers + body).
-const MESSAGE_LIMIT: u64 = (MAX_BODY + (64 << 10)) as u64;
-
 /// An HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -168,28 +165,9 @@ impl Request {
     /// [`HttpError::Closed`] on clean EOF before any request bytes;
     /// otherwise as [`Request::read_from`].
     pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Request, HttpError> {
-        // Bound the whole message so a hostile peer cannot feed an
-        // arbitrarily long request line or header block into memory.
-        let mut reader = reader.take(MESSAGE_LIMIT);
-        let line = read_line_limited(&mut reader, MAX_START_LINE)?.ok_or(HttpError::Closed)?;
-        let mut parts = line.trim_end().splitn(3, ' ');
-        let method = parts
-            .next()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| HttpError::Malformed("empty request line".into()))?;
-        let method =
-            Method::parse(method).ok_or_else(|| HttpError::BadMethod(method.to_owned()))?;
-        // `splitn` yields an empty token for `GET  HTTP/1.1` (double space):
-        // filter it out so a missing target is rejected, not accepted as "".
-        let target = parts
-            .next()
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| HttpError::Malformed("missing request target".into()))?;
-        let (path, query) = split_query(target);
-
-        let headers = read_headers(&mut reader)?;
-        let body = read_body(&mut reader, &headers)?;
-        Ok(Request { method, path, query, headers, body })
+        let (head, body) = read_message(reader, parse_request_line)?;
+        let (method, path, query) = head.start;
+        Ok(Request { method, path, query, headers: head.headers, body })
     }
 
     /// Whether the sender asked to keep the connection open after this
@@ -276,17 +254,8 @@ impl Response {
     /// [`HttpError`] on malformed input or I/O failure; [`HttpError::Closed`]
     /// when the peer closed before sending any response bytes.
     pub fn read_from(stream: &mut impl Read) -> Result<Response, HttpError> {
-        let mut reader = BufReader::new(stream.by_ref().take(MESSAGE_LIMIT));
-        let line = read_line_limited(&mut reader, MAX_START_LINE)?.ok_or(HttpError::Closed)?;
-        let mut parts = line.trim_end().splitn(3, ' ');
-        let _version = parts.next();
-        let status: u16 = parts
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| HttpError::Malformed(format!("bad status line: {line:?}")))?;
-        let headers = read_headers(&mut reader)?;
-        let body = read_body(&mut reader, &headers)?;
-        Ok(Response { status, headers, body })
+        let (head, body) = read_message(&mut BufReader::new(stream), parse_status_line)?;
+        Ok(Response { status: head.start, headers: head.headers, body })
     }
 
     /// Whether the sender will keep the connection open after this response
@@ -341,50 +310,109 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Reads one `\n`-terminated line of at most `max` bytes. Returns `None` on
-/// clean EOF before any bytes, [`HttpError::HeadersTooLarge`] when the line
-/// would exceed `max` (a slow-loris or oversized-field defence: the line is
-/// abandoned rather than accumulated without bound).
-fn read_line_limited(reader: &mut impl BufRead, max: usize) -> Result<Option<String>, HttpError> {
-    // Read raw bytes and validate UTF-8 explicitly: `BufRead::read_line`
-    // would surface non-UTF-8 bytes as an *I/O* error (InvalidData), which
-    // misclassifies a malformed request as a transport failure. The fuzz
-    // sweep found exactly that on bit-flipped request lines.
-    let mut raw = Vec::new();
-    let n = reader.take((max + 1) as u64).read_until(b'\n', &mut raw)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if n > max && !raw.ends_with(b"\n") {
-        return Err(HttpError::HeadersTooLarge(format!("line exceeds {max} bytes")));
-    }
-    let line = String::from_utf8(raw)
-        .map_err(|_| HttpError::Malformed("non-utf-8 bytes in request line or header".into()))?;
-    Ok(Some(line))
+/// Start line and header block of one message at the front of a buffer.
+struct Head<S> {
+    start: S,
+    headers: HashMap<String, String>,
+    /// Bytes up to and including the blank line.
+    len: usize,
+    body_len: usize,
 }
 
-fn read_headers(reader: &mut impl BufRead) -> Result<HashMap<String, String>, HttpError> {
+type RequestLine = (Method, String, HashMap<String, String>);
+
+fn parse_request_line(line: &str) -> Result<RequestLine, HttpError> {
+    let mut parts = line.splitn(3, ' ');
+    let method = parts
+        .next()
+        .filter(|s| !s.is_empty())
+        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?;
+    let method = Method::parse(method).ok_or_else(|| HttpError::BadMethod(method.to_owned()))?;
+    // `splitn` yields an empty token for `GET  HTTP/1.1` (double space):
+    // filter it out so a missing target is rejected, not accepted as "".
+    let target = parts
+        .next()
+        .filter(|s| !s.is_empty())
+        .ok_or_else(|| HttpError::Malformed("missing request target".into()))?;
+    let (path, query) = split_query(target);
+    Ok((method, path, query))
+}
+
+fn parse_status_line(line: &str) -> Result<u16, HttpError> {
+    let mut parts = line.splitn(3, ' ');
+    let _version = parts.next();
+    parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| HttpError::Malformed(format!("bad status line: {line:?}")))
+}
+
+/// The line at the front of `rest` (newline included) and whether its
+/// newline has arrived. `max` also bounds a line still missing its newline,
+/// so an endless line is cut off rather than accumulated.
+fn front_line(rest: &[u8], max: usize) -> Result<(&[u8], bool), HttpError> {
+    let newline = rest.iter().position(|&b| b == b'\n');
+    let line = &rest[..newline.map_or(rest.len(), |nl| nl + 1)];
+    // The newline itself is not counted against the cap.
+    if line.len() - usize::from(newline.is_some()) > max {
+        return Err(HttpError::HeadersTooLarge(format!("line exceeds {max} bytes")));
+    }
+    Ok((line, newline.is_some()))
+}
+
+fn line_text(line: &[u8]) -> Result<&str, HttpError> {
+    // Validate UTF-8 explicitly: `BufRead::read_line` would surface
+    // non-UTF-8 bytes as an *I/O* error (InvalidData), which misclassifies a
+    // malformed request as a transport failure. The fuzz sweep found
+    // exactly that on bit-flipped request lines.
+    std::str::from_utf8(line)
+        .map(str::trim_end)
+        .map_err(|_| HttpError::Malformed("non-utf-8 bytes in request line or header".into()))
+}
+
+/// The one HTTP message parser: scans the front of `buf` for a start line
+/// and header block. `Ok(None)` means more bytes are needed. Lines are
+/// judged strictly in order and the size caps also apply to a line whose
+/// newline has not arrived, so a verdict reached on a prefix is the verdict
+/// the whole message gets, and a slow-loris peer dripping header bytes
+/// forever is cut off without ever completing a block.
+fn parse_head<S>(
+    buf: &[u8],
+    parse_start: fn(&str) -> Result<S, HttpError>,
+) -> Result<Option<Head<S>>, HttpError> {
+    let (line, complete) = front_line(buf, MAX_START_LINE)?;
+    if !complete {
+        return Ok(None);
+    }
+    let start = parse_start(line_text(line)?)?;
+    let mut offset = line.len();
     let mut headers = HashMap::new();
-    let mut total_bytes = 0usize;
+    let mut header_bytes = 0usize;
     loop {
-        let line = read_line_limited(reader, MAX_HEADER_LINE)?
-            .ok_or_else(|| HttpError::Malformed("connection closed inside header block".into()))?;
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
-            return Ok(headers);
+        let (line, complete) = front_line(&buf[offset..], MAX_HEADER_LINE)?;
+        let blank = line.iter().all(u8::is_ascii_whitespace);
+        if !blank {
+            header_bytes += line.len();
+            if header_bytes > MAX_HEADER_BYTES {
+                return Err(HttpError::HeadersTooLarge(format!(
+                    "header block exceeds {MAX_HEADER_BYTES} bytes"
+                )));
+            }
         }
-        total_bytes += line.len();
-        if total_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::HeadersTooLarge(format!(
-                "header block exceeds {MAX_HEADER_BYTES} bytes"
-            )));
+        if !complete {
+            return Ok(None);
         }
+        offset += line.len();
+        if blank {
+            break;
+        }
+        let line = line_text(line)?;
         if headers.len() >= MAX_HEADERS {
             return Err(HttpError::HeadersTooLarge(format!("more than {MAX_HEADERS} headers")));
         }
-        let (k, v) = trimmed
+        let (k, v) = line
             .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header: {trimmed:?}")))?;
+            .ok_or_else(|| HttpError::Malformed(format!("bad header: {line:?}")))?;
         let key = k.trim().to_ascii_lowercase();
         // Duplicate content-length headers are a request-smuggling vector:
         // reject them outright instead of last-writer-wins.
@@ -393,16 +421,11 @@ fn read_headers(reader: &mut impl BufRead) -> Result<HashMap<String, String>, Ht
         }
         headers.insert(key, v.trim().to_owned());
     }
-}
 
-fn read_body(
-    reader: &mut impl BufRead,
-    headers: &HashMap<String, String>,
-) -> Result<Vec<u8>, HttpError> {
     // A missing content-length means no body; a present one must parse as a
     // non-negative integer — serving an empty body for `-1` or garbage would
     // silently desynchronize peer and server framing.
-    let len: usize = match headers.get("content-length") {
+    let body_len: usize = match headers.get("content-length") {
         None => 0,
         Some(v) => {
             // `u64::parse` accepts a leading `+`; HTTP content-length is
@@ -417,74 +440,52 @@ fn read_body(
                 .ok_or_else(|| HttpError::Malformed(format!("bad content-length: {v:?}")))?
         }
     };
-    if len > MAX_BODY {
-        return Err(HttpError::BodyTooLarge(len));
+    if body_len > MAX_BODY {
+        return Err(HttpError::BodyTooLarge(body_len));
     }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    Ok(body)
+    Ok(Some(Head { start, headers, len: offset, body_len }))
 }
 
-/// Scans an accumulating request buffer for a complete header block
-/// (request line + headers + blank line), enforcing the same size caps as
-/// the blocking parser *incrementally* — a slow-loris peer dripping header
-/// lines forever is cut off at the caps without ever completing a block.
-///
-/// Returns `Ok(true)` when the terminator has arrived, `Ok(false)` when
-/// more bytes are needed, and [`HttpError::HeadersTooLarge`] as soon as a
-/// cap is exceeded (even mid-line).
-fn header_block_complete(buf: &[u8]) -> Result<bool, HttpError> {
-    let mut offset = 0; // start of the current line
-    let mut lines = 0usize; // complete lines seen; line 0 is the request line
-    let mut header_bytes = 0usize;
-    while let Some(nl) = buf[offset..].iter().position(|&b| b == b'\n') {
-        let line_len = nl + 1;
-        if lines == 0 {
-            // `read_line_limited` accepts a line of max+1 bytes when the
-            // last byte is the newline itself; mirror that bound exactly.
-            if line_len > MAX_START_LINE + 1 {
-                return Err(HttpError::HeadersTooLarge(format!(
-                    "line exceeds {MAX_START_LINE} bytes"
-                )));
-            }
-        } else {
-            let line = &buf[offset..offset + line_len];
-            if line.iter().all(u8::is_ascii_whitespace) {
-                return Ok(true); // blank line: header block complete
-            }
-            if line_len > MAX_HEADER_LINE + 1 {
-                return Err(HttpError::HeadersTooLarge(format!(
-                    "line exceeds {MAX_HEADER_LINE} bytes"
-                )));
-            }
-            header_bytes += line_len;
-            if header_bytes > MAX_HEADER_BYTES {
-                return Err(HttpError::HeadersTooLarge(format!(
-                    "header block exceeds {MAX_HEADER_BYTES} bytes"
-                )));
-            }
-            if lines > MAX_HEADERS {
-                return Err(HttpError::HeadersTooLarge(format!("more than {MAX_HEADERS} headers")));
+/// Blocking front-end of [`parse_head`]: accumulates the reader's chunks
+/// until the head is complete, then reads exactly the declared body. Only
+/// this message's bytes are consumed from `reader`.
+fn read_message<S>(
+    reader: &mut impl BufRead,
+    parse_start: fn(&str) -> Result<S, HttpError>,
+) -> Result<(Head<S>, Vec<u8>), HttpError> {
+    let mut buf = Vec::new();
+    let head = loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        if chunk.is_empty() {
+            return Err(if buf.is_empty() {
+                HttpError::Closed
+            } else {
+                HttpError::Malformed("connection closed inside header block".into())
+            });
+        }
+        let taken = chunk.len();
+        buf.extend_from_slice(chunk);
+        match parse_head(&buf, parse_start)? {
+            None => reader.consume(taken),
+            Some(head) => {
+                let surplus = buf.len().saturating_sub(head.len + head.body_len);
+                reader.consume(taken - surplus);
+                buf.truncate(buf.len() - surplus);
+                break head;
             }
         }
-        lines += 1;
-        offset += line_len;
+    };
+    let mut body = buf.split_off(head.len);
+    let missing = head.body_len - body.len();
+    body.reserve_exact(missing);
+    if reader.take(missing as u64).read_to_end(&mut body)? < missing {
+        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
     }
-    // No newline in the tail yet: a partial line can still breach the caps
-    // (an endless request line never contains '\n' at all).
-    let partial = buf.len() - offset;
-    if lines == 0 && partial > MAX_START_LINE {
-        return Err(HttpError::HeadersTooLarge(format!("line exceeds {MAX_START_LINE} bytes")));
-    }
-    if lines > 0 && partial > MAX_HEADER_LINE {
-        return Err(HttpError::HeadersTooLarge(format!("line exceeds {MAX_HEADER_LINE} bytes")));
-    }
-    if lines > 0 && header_bytes + partial > MAX_HEADER_BYTES {
-        return Err(HttpError::HeadersTooLarge(format!(
-            "header block exceeds {MAX_HEADER_BYTES} bytes"
-        )));
-    }
-    Ok(false)
+    Ok((head, body))
 }
 
 /// Attempts to parse one complete request from the front of `buf` without
@@ -494,16 +495,14 @@ fn header_block_complete(buf: &[u8]) -> Result<bool, HttpError> {
 /// [`HttpError`]s as [`Request::read_from_buffered`] — including cap
 /// violations detected before the header block is even complete.
 pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
-    if buf.is_empty() || !header_block_complete(buf)? {
+    let Some(head) = parse_head(buf, parse_request_line)? else { return Ok(None) };
+    let end = head.len + head.body_len;
+    if buf.len() < end {
         return Ok(None);
     }
-    let mut cursor = std::io::Cursor::new(buf);
-    match Request::read_from_buffered(&mut cursor) {
-        Ok(request) => Ok(Some((request, cursor.position() as usize))),
-        // Headers are complete but the declared body has not all arrived.
-        Err(HttpError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(None),
-        Err(e) => Err(e),
-    }
+    let (method, path, query) = head.start;
+    let body = buf[head.len..end].to_vec();
+    Ok(Some((Request { method, path, query, headers: head.headers, body }, end)))
 }
 
 fn split_query(target: &str) -> (String, HashMap<String, String>) {
@@ -785,24 +784,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_matches_blocking_parser_on_malformed_input() {
-        for raw in [
-            &b"BREW /coffee HTTP/1.1\r\n\r\n"[..],
-            &b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n"[..],
-            &b"POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n"[..],
-            &b"POST / HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 5\r\n\r\nabcde"[..],
-        ] {
-            let blocking = Request::read_from(&mut Cursor::new(raw.to_vec())).unwrap_err();
-            let incremental = try_parse_request(raw).unwrap_err();
-            assert_eq!(blocking.status(), incremental.status(), "for {raw:?}");
-        }
-        // Oversized declared body: rejected as soon as the headers land.
-        let raw = format!("POST / HTTP/1.1\r\ncontent-length: {}\r\n\r\n", MAX_BODY + 1);
-        let err = try_parse_request(raw.as_bytes()).unwrap_err();
-        assert!(matches!(err, HttpError::BodyTooLarge(_)));
-    }
-
-    #[test]
     fn buffered_reader_survives_two_back_to_back_requests() {
         let mut raw = Vec::new();
         Request::new(Method::Get, "/first").write_to(&mut raw).unwrap();
@@ -872,8 +853,21 @@ mod tests {
             }
             Err(_) => {}
         }
-        // The incremental parser must agree it can make a clean decision too.
-        let _ = try_parse_request(mutant);
+        // Split reads: whatever a prefix decides (a request and its length,
+        // or an error status) is what the whole buffer decides.
+        let verdict = |buf: &[u8]| match try_parse_request(buf) {
+            Ok(None) => None,
+            Ok(Some((_, consumed))) => Some(Ok(consumed)),
+            Err(e) => Some(Err(e.status())),
+        };
+        let whole = verdict(mutant);
+        for cut in 0..mutant.len() {
+            let prefix = verdict(&mutant[..cut]);
+            assert!(
+                prefix.is_none() || prefix == whole,
+                "cut at {cut} decided {prefix:?}, whole buffer {whole:?}, for mutant {mutant:?}"
+            );
+        }
     }
 
     #[test]

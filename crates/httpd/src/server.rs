@@ -903,38 +903,6 @@ impl Server {
         Server::build(router).spawn("127.0.0.1:0")
     }
 
-    /// Binds a specific address.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_on(addr: &str, router: Router) -> io::Result<Server> {
-        Server::build(router).spawn(addr)
-    }
-
-    /// As [`Server::spawn`], with a [`FaultInjector`] deciding the fate of
-    /// each incoming request (testing/chaos harness).
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_with_faults(router: Router, faults: Arc<FaultInjector>) -> io::Result<Server> {
-        Server::build(router).faults(faults).spawn("127.0.0.1:0")
-    }
-
-    /// As [`Server::spawn_on`], with fault injection.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures.
-    pub fn spawn_on_with_faults(
-        addr: &str,
-        router: Router,
-        faults: Arc<FaultInjector>,
-    ) -> io::Result<Server> {
-        Server::build(router).faults(faults).spawn(addr)
-    }
-
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -948,11 +916,6 @@ impl Server {
     /// Connections currently admitted (open in the reactor).
     pub fn active_connections(&self) -> u64 {
         self.shared.metrics.active.get()
-    }
-
-    /// Worker threads executing handlers.
-    pub fn worker_count(&self) -> usize {
-        self.shared.config.workers
     }
 
     /// Admitted connections beyond the worker count — the portion of the
@@ -1378,7 +1341,8 @@ mod tests {
                 .rule(crate::fault::Trigger::Nth(1), Fault::DropConnection)
                 .rule(crate::fault::Trigger::Nth(2), Fault::Status(500)),
         );
-        let server = Server::spawn_with_faults(router, Arc::clone(&faults)).unwrap();
+        let server =
+            Server::build(router).faults(Arc::clone(&faults)).spawn("127.0.0.1:0").unwrap();
         let client = Client::new(server.addr()).timeout(Duration::from_secs(2));
         let req = Request::new(Method::Get, "/ok");
         // Request 1: dropped without a response.
@@ -1400,7 +1364,7 @@ mod tests {
             FaultInjector::new()
                 .rule(crate::fault::Trigger::Always, Fault::Delay(Duration::from_millis(30))),
         );
-        let server = Server::spawn_with_faults(router, faults).unwrap();
+        let server = Server::build(router).faults(faults).spawn("127.0.0.1:0").unwrap();
         let client = Client::new(server.addr());
         let start = std::time::Instant::now();
         let resp = client.send(&Request::new(Method::Get, "/ok")).unwrap();
@@ -1415,7 +1379,7 @@ mod tests {
         let faults = Arc::new(
             FaultInjector::new().rule(crate::fault::Trigger::Nth(1), Fault::CloseAfterResponse),
         );
-        let server = Server::spawn_with_faults(router, faults).unwrap();
+        let server = Server::build(router).faults(faults).spawn("127.0.0.1:0").unwrap();
         let client = Client::new(server.addr()).timeout(Duration::from_secs(2));
         // Request 1 succeeds; the response advertises keep-alive but the
         // server closes the socket anyway (mid-keep-alive fault).
@@ -1461,7 +1425,7 @@ mod tests {
         // the (unconnectable) wildcard address. Must finish promptly now.
         let mut router = Router::new();
         router.add(Method::Get, "/ok", |_, _| Response::text("up"));
-        let server = Server::spawn_on("0.0.0.0:0", router).unwrap();
+        let server = Server::build(router).spawn("0.0.0.0:0").unwrap();
         let port = server.addr().port();
         let client = Client::new(format!("127.0.0.1:{port}").parse().unwrap());
         assert_eq!(client.send(&Request::new(Method::Get, "/ok")).unwrap().status, 200);

@@ -146,11 +146,6 @@ impl Database {
         self.tables.get(name).ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
     }
 
-    /// Table names, unordered.
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(String::as_str).collect()
-    }
-
     /// Starts a transaction.
     ///
     /// # Errors

@@ -260,11 +260,6 @@ impl Table {
             .ok_or_else(|| TableError::NoSuchIndex(index_name.to_owned()))
     }
 
-    /// Whether a named index exists.
-    pub fn has_index(&self, index_name: &str) -> bool {
-        self.indexes.contains_key(index_name)
-    }
-
     /// Rowids whose indexed `column` value lies in `[lo, hi)`, using the
     /// named index (an index range scan).
     ///

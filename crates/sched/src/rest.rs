@@ -35,17 +35,7 @@ pub fn add_routes(router: &mut Router, sched: Arc<Scheduler>) {
                 resp.status = 202;
                 resp
             }
-            Err(e @ SubmitError::Invalid(_)) => {
-                // 400 for malformed specs, 413 for well-formed-but-oversized
-                // ones — the shared `rest_status` table decides.
-                let err = Error::from(e);
-                Response::error(err.rest_status(), err.to_string())
-            }
-            Err(e @ SubmitError::QueueFull { retry_after_secs, .. }) => {
-                let mut resp = Response::error(429, Error::from(e).to_string());
-                resp.headers.insert("retry-after".into(), retry_after_secs.to_string());
-                resp
-            }
+            Err(e) => submit_error_response(e),
         }
     });
 
@@ -72,6 +62,23 @@ pub fn add_routes(router: &mut Router, sched: Arc<Scheduler>) {
             None => not_found("job", &params["id"]),
         }
     });
+}
+
+/// Renders a refused submission per the shared [`Error::rest_status`]
+/// table — 400 for a malformed spec, 413 for a well-formed but oversized
+/// one, 429 plus `Retry-After` when the queue cannot admit it. Every
+/// campaign-submitting route answers through this one function.
+pub fn submit_error_response(e: SubmitError) -> Response {
+    let retry_after = match &e {
+        SubmitError::QueueFull { retry_after_secs, .. } => Some(*retry_after_secs),
+        SubmitError::Invalid(_) => None,
+    };
+    let err = Error::from(e);
+    let mut resp = Response::error(err.rest_status(), err.to_string());
+    if let Some(secs) = retry_after {
+        resp.headers.insert("retry-after".into(), secs.to_string());
+    }
+    resp
 }
 
 fn not_found(kind: &str, id: &str) -> Response {

@@ -189,11 +189,6 @@ impl OpTrace {
         self.ops.push(Op::MemRead { addr, bytes });
     }
 
-    /// Records a write at an explicit address.
-    pub fn mem_write_at(&mut self, addr: u64, bytes: u64) {
-        self.ops.push(Op::MemWrite { addr, bytes });
-    }
-
     /// Records a heap allocation.
     pub fn alloc(&mut self, bytes: u64) {
         self.ops.push(Op::Alloc(bytes));

@@ -15,7 +15,6 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use confbench_crypto::SplitMix64;
 use confbench_types::{Error, FaultClass, TeeMechanism, TeePlatform};
@@ -128,22 +127,6 @@ impl TeeFaultPlan {
     /// The seed this plan was built from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Builds a plan from the `CONFBENCH_CHAOS_SEED` / `CONFBENCH_CHAOS_RATE`
-    /// environment (used by CI to run unit-test suites under background
-    /// chaos). Returns `None` when the seed is unset or zero; the rate
-    /// defaults to `0.1` when unset or unparsable.
-    pub fn from_env() -> Option<Arc<TeeFaultPlan>> {
-        let seed: u64 = std::env::var("CONFBENCH_CHAOS_SEED").ok()?.trim().parse().ok()?;
-        if seed == 0 {
-            return None;
-        }
-        let rate = std::env::var("CONFBENCH_CHAOS_RATE")
-            .ok()
-            .and_then(|r| r.trim().parse().ok())
-            .unwrap_or(0.1);
-        Some(Arc::new(TeeFaultPlan::new(seed, rate)))
     }
 
     /// Rolls one fault point: `None` means the crossing succeeds. The draw

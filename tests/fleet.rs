@@ -232,8 +232,7 @@ fn migrated_vm_execution_is_identical_to_an_unmigrated_twin() {
     mid.cpu(250_000);
     twin.try_execute(&mid).unwrap();
 
-    let attest =
-        AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
+    let attest = AttestService::new(7, AttestConfig::default(), Arc::new(ManualClock::new()), None);
     let (mut migrated, report) = migrate(
         source,
         TeeVmBuilder::new(target).seed(0xBADC0DE),
@@ -269,8 +268,7 @@ fn aborted_migration_returns_a_runnable_source() {
     source.try_execute(&warm).unwrap();
     twin.try_execute(&warm).unwrap();
 
-    let attest =
-        AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
+    let attest = AttestService::new(7, AttestConfig::default(), Arc::new(ManualClock::new()), None);
     let err = migrate(
         source,
         TeeVmBuilder::new(target).seed(9),
@@ -306,8 +304,7 @@ fn faulting_pending_trace_aborts_with_a_runnable_source() {
     let mut pending = OpTrace::new();
     pending.ctx_switch(4);
 
-    let attest =
-        AttestService::new(7, AttestConfig::from_env(), Arc::new(ManualClock::new()), None);
+    let attest = AttestService::new(7, AttestConfig::default(), Arc::new(ManualClock::new()), None);
     let err = migrate(
         source,
         TeeVmBuilder::new(target).seed(9),
@@ -317,6 +314,31 @@ fn faulting_pending_trace_aborts_with_a_runnable_source() {
     )
     .expect_err("the pending trace faults");
     assert!(matches!(err, MigrationError::Fault { stage: "execute", .. }), "{err}");
+
+    let mut probe = OpTrace::new();
+    probe.cpu(750_000);
+    err.into_source().try_execute(&probe).expect("the aborted source still runs");
+}
+
+/// A target builder whose fault plan fires at boot aborts the migration at
+/// the `build` stage instead of panicking after the source was paused, and
+/// the source handed back is resumed and runnable.
+#[test]
+fn faulting_target_boot_aborts_with_a_runnable_source() {
+    let plan = Arc::new(TeeFaultPlan::new(7, 0.0).with_rate(TeeMechanism::Seamcall, 1.0));
+    let target = VmTarget { platform: TeePlatform::Tdx, kind: VmKind::Secure };
+    let source = TeeVmBuilder::new(target).seed(7).try_build().unwrap();
+
+    let attest = AttestService::new(7, AttestConfig::default(), Arc::new(ManualClock::new()), None);
+    let err = migrate(
+        source,
+        TeeVmBuilder::new(target).seed(9).fault_plan(plan),
+        &attest,
+        &[],
+        &MigrationConfig::default(),
+    )
+    .expect_err("the target cannot boot");
+    assert!(matches!(err, MigrationError::Fault { stage: "build", .. }), "{err}");
 
     let mut probe = OpTrace::new();
     probe.cpu(750_000);

@@ -171,15 +171,33 @@ fn jv(value: &serde_json::Value) -> String {
     format!("{value:?}")
 }
 
-fn fleet_status(cli: &Cli) -> Result<(), String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Get, "/v1/fleet"))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("fleet said {}: {}", resp.status, String::from_utf8_lossy(&resp.body)));
+/// One REST exchange: send `request`, insist on status `expected`, decode
+/// the body. `who` names the daemon in the refusal message.
+fn call<T: serde::de::DeserializeOwned>(
+    cli: &Cli,
+    request: &Request,
+    expected: u16,
+    who: &str,
+) -> Result<T, String> {
+    let resp = cli.client.send(request).map_err(|e| format!("request failed: {e}"))?;
+    if resp.status != expected {
+        // Queue admission (202) is the one refusal that resending the same
+        // request later cures, so it alone passes the server's hint on.
+        let hint = match resp.headers.get("retry-after") {
+            Some(secs) if expected == 202 => format!(" (retry after {secs}s)"),
+            _ => String::new(),
+        };
+        return Err(format!(
+            "{who} said {}: {}{hint}",
+            resp.status,
+            String::from_utf8_lossy(&resp.body)
+        ));
     }
-    let view: serde_json::Value = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    resp.body_json().map_err(|e| format!("bad response: {e}"))
+}
+
+fn fleet_status(cli: &Cli) -> Result<(), String> {
+    let view: serde_json::Value = call(cli, &Request::new(Method::Get, "/v1/fleet"), 200, "fleet")?;
     println!(
         "fleet: {} alive, {} steals, {} cells re-placed, {} migrations",
         jv(&view["alive"]),
@@ -206,14 +224,8 @@ fn fleet_status(cli: &Cli) -> Result<(), String> {
 }
 
 fn fleet_shard_action(cli: &Cli, action: &str, shard: &str) -> Result<(), String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Post, &format!("/v1/fleet/shards/{shard}/{action}")))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("fleet said {}: {}", resp.status, String::from_utf8_lossy(&resp.body)));
-    }
-    let view: serde_json::Value = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Post, &format!("/v1/fleet/shards/{shard}/{action}"));
+    let view: serde_json::Value = call(cli, &request, 200, "fleet")?;
     println!(
         "shard {} {}: alive={}, {} cells re-placed",
         jv(&view["shard"]),
@@ -234,14 +246,8 @@ fn migrate_vm(cli: &Cli) -> Result<(), String> {
         "kind": kind,
         "max_rounds": max_rounds,
     });
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Post, "/v1/migrations").json(&body))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!("fleet said {}: {}", resp.status, String::from_utf8_lossy(&resp.body)));
-    }
-    let view: serde_json::Value = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Post, "/v1/migrations").json(&body);
+    let view: serde_json::Value = call(cli, &request, 200, "fleet")?;
     println!("migrated {platform}/{kind}");
     println!("downtime : {} us (stop-and-copy + re-attest blackout)", jv(&view["downtime_us"]));
     println!(
@@ -271,13 +277,9 @@ fn upload(cli: &Cli, name: &str, file: &str) -> Result<(), String> {
     let script = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
     let req = Request::new(Method::Post, "/v1/functions")
         .json(&UploadRequest { name: name.to_owned(), script });
-    let resp = cli.client.send(&req).map_err(|e| format!("request failed: {e}"))?;
-    if resp.status == 201 {
-        println!("uploaded {name}");
-        Ok(())
-    } else {
-        Err(format!("gateway said {}: {}", resp.status, String::from_utf8_lossy(&resp.body)))
-    }
+    let _: serde_json::Value = call(cli, &req, 201, "gateway")?;
+    println!("uploaded {name}");
+    Ok(())
 }
 
 fn build_request(cli: &Cli, function: &str) -> Result<RunRequest, String> {
@@ -317,49 +319,21 @@ fn attest_verify(cli: &Cli) -> Result<(), String> {
     let nonce = cli.flags.parsed("--nonce", "nonce")?;
     let req = Request::new(Method::Post, "/v1/attest/sessions")
         .json(&AttestSessionRequest { platform, nonce });
-    let resp = cli.client.send(&req).map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 201 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let info: AttestSessionInfo = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let info: AttestSessionInfo = call(cli, &req, 201, "gateway")?;
     print_session(&info);
     Ok(())
 }
 
 fn attest_status(cli: &Cli, id: &str) -> Result<(), String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Get, &format!("/v1/attest/sessions/{id}")))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let info: AttestSessionInfo = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Get, &format!("/v1/attest/sessions/{id}"));
+    let info: AttestSessionInfo = call(cli, &request, 200, "gateway")?;
     print_session(&info);
     Ok(())
 }
 
 fn attest_revoke(cli: &Cli, id: &str) -> Result<(), String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Delete, &format!("/v1/attest/sessions/{id}")))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let info: AttestSessionInfo = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Delete, &format!("/v1/attest/sessions/{id}"));
+    let info: AttestSessionInfo = call(cli, &request, 200, "gateway")?;
     println!("revoked {}", info.id);
     print_session(&info);
     Ok(())
@@ -371,15 +345,7 @@ fn attest_extend(cli: &Cli, id: &str) -> Result<(), String> {
     let data = cli.flags.flag_value("--data").ok_or("attest extend needs --data")?.to_owned();
     let req = Request::new(Method::Post, &format!("/v1/attest/sessions/{id}/extend"))
         .json(&ExtendRequest { index, data });
-    let resp = cli.client.send(&req).map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let info: AttestSessionInfo = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let info: AttestSessionInfo = call(cli, &req, 200, "gateway")?;
     println!("extended register {index}; session {} is now {}", info.id, info.state);
     print_session(&info);
     Ok(())
@@ -402,18 +368,7 @@ fn print_session(info: &AttestSessionInfo) {
 }
 
 fn post_run(cli: &Cli, request: &RunRequest) -> Result<RunResult, String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Post, "/v1/run").json(request))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    resp.body_json().map_err(|e| format!("bad response: {e}"))
+    call(cli, &Request::new(Method::Post, "/v1/run").json(request), 200, "gateway")
 }
 
 fn print_result(result: &RunResult) {
@@ -496,23 +451,8 @@ fn campaign_submit(cli: &Cli) -> Result<(), String> {
         device: device_flag(cli)?,
     };
 
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Post, "/v1/campaigns").json(&spec))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 202 {
-        let hint = resp
-            .headers
-            .get("retry-after")
-            .map(|s| format!(" (retry after {s}s)"))
-            .unwrap_or_default();
-        return Err(format!(
-            "gateway said {}: {}{hint}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let receipt: CampaignReceipt = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Post, "/v1/campaigns").json(&spec);
+    let receipt: CampaignReceipt = call(cli, &request, 202, "gateway")?;
     println!("campaign {} accepted: {} jobs", receipt.id, receipt.jobs);
     if cli.flags.has_flag("--wait") {
         print_campaign(&campaign_wait(cli, &receipt.id.0)?);
@@ -521,33 +461,12 @@ fn campaign_submit(cli: &Cli) -> Result<(), String> {
 }
 
 fn campaign_status(cli: &Cli, id: &str) -> Result<CampaignStatus, String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Get, &format!("/v1/campaigns/{id}")))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    resp.body_json().map_err(|e| format!("bad response: {e}"))
+    call(cli, &Request::new(Method::Get, &format!("/v1/campaigns/{id}")), 200, "gateway")
 }
 
 fn campaign_cancel(cli: &Cli, id: &str) -> Result<(), String> {
-    let resp = cli
-        .client
-        .send(&Request::new(Method::Delete, &format!("/v1/campaigns/{id}")))
-        .map_err(|e| format!("request failed: {e}"))?;
-    if resp.status != 200 {
-        return Err(format!(
-            "gateway said {}: {}",
-            resp.status,
-            String::from_utf8_lossy(&resp.body)
-        ));
-    }
-    let status: CampaignStatus = resp.body_json().map_err(|e| format!("bad response: {e}"))?;
+    let request = Request::new(Method::Delete, &format!("/v1/campaigns/{id}"));
+    let status: CampaignStatus = call(cli, &request, 200, "gateway")?;
     println!("campaign {id} cancelled ({} jobs never ran)", status.cancelled);
     Ok(())
 }

@@ -1,21 +1,11 @@
 //! Builtin functions shared by the tree-walking interpreter and the stack
 //! bytecode VM.
 
-use confbench_types::{OpTrace, SyscallKind};
+use confbench_types::SyscallKind;
 
 use crate::error::ScriptError;
+use crate::meter::Meter;
 use crate::value::Value;
-
-/// Host capabilities a builtin needs: trace recording, batched counters,
-/// log/result sinks. Implemented by both execution engines.
-pub(crate) trait BuiltinHost {
-    fn trace_mut(&mut self) -> &mut OpTrace;
-    fn flush_pending(&mut self);
-    fn add_mem(&mut self, bytes: u64);
-    fn add_float(&mut self, ops: u64);
-    fn add_log(&mut self, text: &str);
-    fn set_result(&mut self, value: String);
-}
 
 /// Names the engines must treat as builtins (user functions cannot shadow
 /// them).
@@ -48,8 +38,8 @@ pub(crate) const BUILTIN_NAMES: &[&str] = &[
 ];
 
 /// Dispatches a builtin call.
-pub(crate) fn call_builtin<H: BuiltinHost>(
-    host: &mut H,
+pub(crate) fn call_builtin(
+    meter: &mut Meter,
     name: &str,
     mut args: Vec<Value>,
 ) -> Result<Value, ScriptError> {
@@ -57,12 +47,12 @@ pub(crate) fn call_builtin<H: BuiltinHost>(
     match name {
         "log" => {
             let text = args.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(" ");
-            host.add_log(&text);
+            meter.add_log(&text);
             Ok(Value::Nil)
         }
         "result" => {
             let v = args.pop().ok_or_else(|| arity_err("result"))?;
-            host.set_result(v.to_string());
+            meter.set_result(v.to_string());
             Ok(Value::Nil)
         }
         "len" => match args.first() {
@@ -75,7 +65,7 @@ pub(crate) fn call_builtin<H: BuiltinHost>(
             match args.first() {
                 Some(Value::Array(items)) => {
                     items.borrow_mut().push(v);
-                    host.add_mem(16);
+                    meter.add_mem(16);
                     Ok(Value::Nil)
                 }
                 _ => Err(arity_err("push")),
@@ -90,14 +80,12 @@ pub(crate) fn call_builtin<H: BuiltinHost>(
                 (Some(Value::Int(n)), Some(init)) if *n >= 0 => (*n as usize, init.clone()),
                 _ => return Err(arity_err("array_new")),
             };
-            host.trace_mut().alloc(16 * n.max(1) as u64);
-            host.add_mem(16 * n as u64);
-            Ok(Value::array(vec![init; n]))
+            Ok(meter.new_array(vec![init; n]))
         }
         "str" => {
             let v = args.pop().ok_or_else(|| arity_err("str"))?;
             let s = v.to_string();
-            host.add_mem(s.len() as u64);
+            meter.add_mem(s.len() as u64);
             Ok(Value::Str(s.into()))
         }
         "int" => match args.first() {
@@ -122,7 +110,7 @@ pub(crate) fn call_builtin<H: BuiltinHost>(
         },
         "sqrt" | "sin" | "cos" | "floor" | "abs" | "ln" | "exp" => {
             let x = args.first().and_then(|v| v.as_f64()).ok_or_else(|| arity_err(name))?;
-            host.add_float(12); // libm-class cost
+            meter.add_float(12); // libm-class cost
             let y = match name {
                 "sqrt" => x.sqrt(),
                 "sin" => x.sin(),
@@ -136,52 +124,46 @@ pub(crate) fn call_builtin<H: BuiltinHost>(
         }
         "io_write" => {
             let n = positive_int_arg(&args, "io_write")?;
-            host.flush_pending();
-            host.trace_mut().syscall(SyscallKind::FileWrite, 1);
-            host.trace_mut().io_write(n);
+            let trace = meter.ordered();
+            trace.syscall(SyscallKind::FileWrite, 1);
+            trace.io_write(n);
             Ok(Value::Nil)
         }
         "io_read" => {
             let n = positive_int_arg(&args, "io_read")?;
-            host.flush_pending();
-            host.trace_mut().syscall(SyscallKind::FileRead, 1);
-            host.trace_mut().io_read(n);
+            let trace = meter.ordered();
+            trace.syscall(SyscallKind::FileRead, 1);
+            trace.io_read(n);
             Ok(Value::Nil)
         }
         "file_meta" => {
             let n = positive_int_arg(&args, "file_meta")?;
-            host.flush_pending();
-            host.trace_mut().syscall(SyscallKind::FileMeta, n);
+            meter.ordered().syscall(SyscallKind::FileMeta, n);
             Ok(Value::Nil)
         }
         "dir_op" => {
             let n = positive_int_arg(&args, "dir_op")?;
-            host.flush_pending();
-            host.trace_mut().syscall(SyscallKind::DirOp, n);
+            meter.ordered().syscall(SyscallKind::DirOp, n);
             Ok(Value::Nil)
         }
         "alloc" => {
             let n = positive_int_arg(&args, "alloc")?;
-            host.flush_pending();
-            host.trace_mut().alloc(n);
+            meter.ordered().alloc(n);
             Ok(Value::Nil)
         }
         "release" => {
             let n = positive_int_arg(&args, "release")?;
-            host.flush_pending();
-            host.trace_mut().free(n);
+            meter.ordered().free(n);
             Ok(Value::Nil)
         }
         "mem_touch" => {
             let n = positive_int_arg(&args, "mem_touch")?;
-            host.flush_pending();
-            host.trace_mut().mem_write(n);
+            meter.ordered().mem_write(n);
             Ok(Value::Nil)
         }
         "ctx_switch" => {
             let n = positive_int_arg(&args, "ctx_switch")?;
-            host.flush_pending();
-            host.trace_mut().ctx_switch(n);
+            meter.ordered().ctx_switch(n);
             Ok(Value::Nil)
         }
         _ => Err(ScriptError::Runtime(format!("unknown function {name}"))),

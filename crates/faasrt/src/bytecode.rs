@@ -12,12 +12,10 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use confbench_types::OpTrace;
-
 use crate::ast::{BinOp, Expr, Program, Stmt, UnOp};
-use crate::builtins::{call_builtin, BuiltinHost, BUILTIN_NAMES};
+use crate::builtins::{call_builtin, BUILTIN_NAMES};
 use crate::error::ScriptError;
-use crate::interp::ScriptOutcome;
+use crate::meter::{args_array, Meter, ScriptOutcome};
 use crate::value::Value;
 
 /// One bytecode instruction.
@@ -481,106 +479,25 @@ impl StackVm {
     pub fn run(&self, module: &Module, args: &[String]) -> Result<ScriptOutcome, ScriptError> {
         let mut state = VmState {
             module,
-            globals: HashMap::new(),
-            trace: OpTrace::new(),
-            result: String::new(),
-            log: String::new(),
-            steps: 0,
-            step_limit: self.step_limit,
-            jit: self.jit,
-            compiled: false,
-            call_depth: 0,
-            cpu_pending: 0,
-            float_pending: 0,
-            mem_pending: 0,
-            log_pending: 0,
+            globals: HashMap::from([("ARGS".to_owned(), args_array(args))]),
+            meter: Meter::new(self.jit, self.step_limit),
         };
-        state.globals.insert(
-            "ARGS".to_owned(),
-            Value::array(args.iter().map(|s| Value::Str(Rc::from(s.as_str()))).collect()),
-        );
         state.call_function(0, Vec::new())?;
-        state.flush();
-        Ok(ScriptOutcome {
-            result: state.result,
-            log: state.log,
-            trace: state.trace,
-            steps: state.steps,
-        })
+        Ok(state.meter.finish())
     }
 }
-
-/// Maximum bytecode call depth (mirrors the interpreter's guard).
-const MAX_CALL_DEPTH: u32 = 150;
 
 struct VmState<'m> {
     module: &'m Module,
     globals: HashMap<String, Value>,
-    trace: OpTrace,
-    result: String,
-    log: String,
-    steps: u64,
-    step_limit: u64,
-    jit: JitMode,
-    compiled: bool,
-    call_depth: u32,
-    cpu_pending: u64,
-    float_pending: u64,
-    mem_pending: u64,
-    log_pending: u64,
+    meter: Meter,
 }
 
-const FLUSH_EVERY: u64 = 1 << 16;
-
 impl VmState<'_> {
-    fn flush(&mut self) {
-        if self.cpu_pending > 0 {
-            self.trace.cpu(self.cpu_pending);
-            self.cpu_pending = 0;
-        }
-        if self.float_pending > 0 {
-            self.trace.float(self.float_pending);
-            self.float_pending = 0;
-        }
-        if self.mem_pending > 0 {
-            self.trace.mem_read(self.mem_pending);
-            self.mem_pending = 0;
-        }
-        if self.log_pending > 0 {
-            self.trace.log(self.log_pending);
-            self.log_pending = 0;
-        }
-    }
-
-    fn charge_dispatch(&mut self) {
-        let cost = match self.jit {
-            JitMode::Interpret { dispatch_cost } => dispatch_cost,
-            JitMode::Tracing { cold_cost, threshold, compile_cost, hot_cost } => {
-                if self.steps == threshold && !self.compiled {
-                    self.compiled = true;
-                    self.cpu_pending += compile_cost;
-                }
-                if self.compiled {
-                    hot_cost
-                } else {
-                    cold_cost
-                }
-            }
-        };
-        self.cpu_pending += cost;
-        if self.cpu_pending >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
     fn call_function(&mut self, fn_index: u32, args: Vec<Value>) -> Result<Value, ScriptError> {
-        self.call_depth += 1;
-        if self.call_depth > MAX_CALL_DEPTH {
-            self.call_depth -= 1;
-            return Err(ScriptError::Runtime(format!("call depth exceeded ({MAX_CALL_DEPTH})")));
-        }
+        self.meter.enter_call()?;
         let result = self.call_function_inner(fn_index, args);
-        self.call_depth -= 1;
+        self.meter.exit_call();
         result
     }
 
@@ -600,16 +517,12 @@ impl VmState<'_> {
         }
         let mut locals = vec![Value::Nil; f.locals as usize];
         locals[..args.len()].clone_from_slice(&args);
-        self.mem_pending += 16 * f.locals as u64;
+        self.meter.add_mem(16 * f.locals as u64);
         let mut stack: Vec<Value> = Vec::with_capacity(16);
         let mut pc = 0usize;
 
         while pc < f.code.len() {
-            self.steps += 1;
-            if self.steps > self.step_limit {
-                return Err(ScriptError::StepLimitExceeded(self.step_limit));
-            }
-            self.charge_dispatch();
+            self.meter.step()?;
             match &f.code[pc] {
                 Instr::ConstInt(n) => stack.push(Value::Int(*n)),
                 Instr::ConstFloat(x) => stack.push(Value::Float(*x)),
@@ -639,45 +552,27 @@ impl VmState<'_> {
                 Instr::NewArray(n) => {
                     let at = stack.len() - *n as usize;
                     let items: Vec<Value> = stack.split_off(at);
-                    self.trace.alloc(16 * (*n).max(1) as u64);
-                    self.mem_pending += 16 * *n as u64;
-                    stack.push(Value::array(items));
+                    stack.push(self.meter.new_array(items));
                 }
                 Instr::Index => {
                     let index = pop(&mut stack)?;
                     let target = pop(&mut stack)?;
-                    self.mem_pending += 24;
-                    stack.push(index_value(&target, &index)?);
+                    stack.push(self.meter.index(&target, &index)?);
                 }
                 Instr::IndexSet => {
                     let value = pop(&mut stack)?;
                     let index = pop(&mut stack)?;
                     let target = pop(&mut stack)?;
-                    self.mem_pending += 24;
-                    index_set(&target, &index, value)?;
+                    self.meter.index_set(&target, &index, value)?;
                 }
                 Instr::Bin(op) => {
                     let r = pop(&mut stack)?;
                     let l = pop(&mut stack)?;
-                    stack.push(self.binary(*op, l, r)?);
+                    stack.push(self.meter.binary(*op, l, r)?);
                 }
                 Instr::Un(op) => {
                     let v = pop(&mut stack)?;
-                    let out = match (op, v) {
-                        (UnOp::Neg, Value::Int(n)) => Value::Int(-n),
-                        (UnOp::Neg, Value::Float(x)) => {
-                            self.float_pending += 1;
-                            Value::Float(-x)
-                        }
-                        (UnOp::Not, v) => Value::Bool(!v.is_truthy()),
-                        (UnOp::Neg, v) => {
-                            return Err(ScriptError::Runtime(format!(
-                                "cannot negate {}",
-                                v.type_name()
-                            )))
-                        }
-                    };
-                    stack.push(out);
+                    stack.push(self.meter.unary(*op, v)?);
                 }
                 Instr::Jump(t) => {
                     pc = *t as usize;
@@ -710,7 +605,7 @@ impl VmState<'_> {
                 Instr::Call(id, argc) => {
                     let at = stack.len() - *argc as usize;
                     let args: Vec<Value> = stack.split_off(at);
-                    self.mem_pending += 32;
+                    self.meter.add_mem(32);
                     let ret = self.call_function(*id, args)?;
                     stack.push(ret);
                 }
@@ -718,7 +613,7 @@ impl VmState<'_> {
                     let at = stack.len() - *argc as usize;
                     let args: Vec<Value> = stack.split_off(at);
                     let name = self.module.names[*i as usize].clone();
-                    let ret = call_builtin(self, &name, args)?;
+                    let ret = call_builtin(&mut self.meter, &name, args)?;
                     stack.push(ret);
                 }
                 Instr::Return => return pop(&mut stack),
@@ -727,184 +622,10 @@ impl VmState<'_> {
         }
         Ok(Value::Nil)
     }
-
-    fn binary(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, ScriptError> {
-        use BinOp::*;
-        use Value::*;
-        match op {
-            Add => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_add(b))),
-                (Str(a), b) => {
-                    let s = format!("{a}{b}");
-                    self.trace.alloc(s.len() as u64);
-                    self.mem_pending += s.len() as u64;
-                    Ok(Str(s.into()))
-                }
-                (a, Str(b)) => {
-                    let s = format!("{a}{b}");
-                    self.trace.alloc(s.len() as u64);
-                    self.mem_pending += s.len() as u64;
-                    Ok(Str(s.into()))
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x + y, "+"),
-            },
-            Sub => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_sub(b))),
-                (a, b) => self.float_bin(a, b, |x, y| x - y, "-"),
-            },
-            Mul => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_mul(b))),
-                (a, b) => self.float_bin(a, b, |x, y| x * y, "*"),
-            },
-            Div => match (l, r) {
-                (Int(a), Int(b)) => {
-                    if b == 0 {
-                        Err(ScriptError::Runtime("integer division by zero".into()))
-                    } else {
-                        Ok(Int(a / b))
-                    }
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x / y, "/"),
-            },
-            Rem => match (l, r) {
-                (Int(a), Int(b)) => {
-                    if b == 0 {
-                        Err(ScriptError::Runtime("integer modulo by zero".into()))
-                    } else {
-                        Ok(Int(a % b))
-                    }
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x % y, "%"),
-            },
-            Eq => Ok(Bool(l == r)),
-            Ne => Ok(Bool(l != r)),
-            Lt | Le | Gt | Ge => {
-                let ord = match (&l, &r) {
-                    (Int(a), Int(b)) => a.partial_cmp(b),
-                    (Str(a), Str(b)) => a.partial_cmp(b),
-                    (a, b) => match (a.as_f64(), b.as_f64()) {
-                        (Some(x), Some(y)) => x.partial_cmp(&y),
-                        _ => None,
-                    },
-                };
-                let ord = ord.ok_or_else(|| {
-                    ScriptError::Runtime(format!(
-                        "cannot compare {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ))
-                })?;
-                Ok(Bool(match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                }))
-            }
-            And | Or => Err(ScriptError::Runtime("unlowered logical operator".into())),
-        }
-    }
-
-    fn float_bin(
-        &mut self,
-        l: Value,
-        r: Value,
-        f: impl Fn(f64, f64) -> f64,
-        op: &str,
-    ) -> Result<Value, ScriptError> {
-        match (l.as_f64(), r.as_f64()) {
-            (Some(x), Some(y)) => {
-                self.float_pending += 1;
-                Ok(Value::Float(f(x, y)))
-            }
-            _ => Err(ScriptError::Runtime(format!(
-                "cannot apply {op} to {} and {}",
-                l.type_name(),
-                r.type_name()
-            ))),
-        }
-    }
-}
-
-impl BuiltinHost for VmState<'_> {
-    fn trace_mut(&mut self) -> &mut OpTrace {
-        &mut self.trace
-    }
-
-    fn flush_pending(&mut self) {
-        self.flush();
-    }
-
-    fn add_mem(&mut self, bytes: u64) {
-        self.mem_pending += bytes;
-    }
-
-    fn add_float(&mut self, ops: u64) {
-        self.float_pending += ops;
-    }
-
-    fn add_log(&mut self, text: &str) {
-        self.log.push_str(text);
-        self.log.push('\n');
-        self.log_pending += text.len() as u64 + 1;
-        if self.log_pending >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    fn set_result(&mut self, value: String) {
-        self.result = value;
-    }
 }
 
 fn pop(stack: &mut Vec<Value>) -> Result<Value, ScriptError> {
     stack.pop().ok_or_else(|| ScriptError::Runtime("stack underflow".into()))
-}
-
-fn index_value(target: &Value, index: &Value) -> Result<Value, ScriptError> {
-    let i = match index {
-        Value::Int(n) if *n >= 0 => *n as usize,
-        other => {
-            return Err(ScriptError::Runtime(format!("bad index {other}")));
-        }
-    };
-    match target {
-        Value::Array(items) => {
-            let items = items.borrow();
-            items.get(i).cloned().ok_or_else(|| {
-                ScriptError::Runtime(format!("index {i} out of range (len {})", items.len()))
-            })
-        }
-        Value::Str(s) => s
-            .as_bytes()
-            .get(i)
-            .map(|&b| Value::Int(b as i64))
-            .ok_or_else(|| ScriptError::Runtime(format!("string index {i} out of range"))),
-        other => Err(ScriptError::Runtime(format!("cannot index {}", other.type_name()))),
-    }
-}
-
-fn index_set(target: &Value, index: &Value, value: Value) -> Result<(), ScriptError> {
-    let i = match index {
-        Value::Int(n) if *n >= 0 => *n as usize,
-        other => return Err(ScriptError::Runtime(format!("bad index {other}"))),
-    };
-    match target {
-        Value::Array(items) => {
-            let mut items = items.borrow_mut();
-            let len = items.len();
-            match items.get_mut(i) {
-                Some(slot) => {
-                    *slot = value;
-                    Ok(())
-                }
-                None => Err(ScriptError::Runtime(format!("index {i} out of range (len {len})"))),
-            }
-        }
-        other => {
-            Err(ScriptError::Runtime(format!("cannot index {} for assignment", other.type_name())))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -1,37 +1,21 @@
 //! The CBScript tree-walking interpreter (the PUC-Lua path).
 //!
-//! Executing a script does two things at once: it computes the real result
-//! (loops run, arrays mutate, strings build) and it records the abstract
-//! operations an interpreter of this class performs — dispatch work per AST
-//! node, boxed-value memory traffic, allocator churn, and the effects of
-//! I/O builtins — into a [`confbench_types::OpTrace`] that a simulated VM
-//! then charges for.
+//! Walks the AST with a scope chain and charges one dispatch per node; what
+//! a node costs beyond that, and where the charges go, is the shared
+//! [`Meter`]'s business.
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use confbench_types::OpTrace;
-
-use crate::ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, FnDecl, Program, Stmt};
+use crate::builtins::call_builtin;
+use crate::bytecode::JitMode;
 use crate::error::ScriptError;
+use crate::meter::{args_array, Meter, ScriptOutcome};
 use crate::value::Value;
 
 /// Per-AST-node dispatch cost of a tree-walking interpreter, in abstract
 /// CPU ops (the PUC-Lua class).
 pub const TREE_WALK_DISPATCH: u64 = 14;
-
-/// What a finished script produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScriptOutcome {
-    /// Value passed to the `result(..)` builtin, rendered; empty if unset.
-    pub result: String,
-    /// Concatenated `log(..)` output.
-    pub log: String,
-    /// The recorded operation trace.
-    pub trace: OpTrace,
-    /// Total interpreter steps (AST nodes evaluated).
-    pub steps: u64,
-}
 
 enum Flow {
     Normal,
@@ -52,104 +36,30 @@ pub fn run_program(
     dispatch_cost: u64,
     step_limit: u64,
 ) -> Result<ScriptOutcome, ScriptError> {
-    let mut interp = Interp::new(program, dispatch_cost, step_limit);
-    interp.globals.insert(
-        "ARGS".to_owned(),
-        Value::array(args.iter().map(|s| Value::Str(Rc::from(s.as_str()))).collect()),
-    );
+    let mut interp = Interp {
+        functions: program.functions.iter().map(|f| (f.name.as_str(), f)).collect(),
+        globals: HashMap::from([("ARGS".to_owned(), args_array(args))]),
+        meter: Meter::new(JitMode::Interpret { dispatch_cost }, step_limit),
+        block_depth: 0,
+    };
     for stmt in &program.body {
         if let Flow::Return(_) = interp.exec_stmt(stmt, &mut Vec::new())? {
             break;
         }
     }
-    interp.flush_pending();
-    Ok(ScriptOutcome {
-        result: interp.result,
-        log: interp.log,
-        trace: interp.trace,
-        steps: interp.steps,
-    })
+    Ok(interp.meter.finish())
 }
 
 struct Interp<'p> {
     functions: HashMap<&'p str, &'p FnDecl>,
     globals: HashMap<String, Value>,
-    trace: OpTrace,
-    result: String,
-    log: String,
-    steps: u64,
-    step_limit: u64,
-    dispatch_cost: u64,
-    call_depth: u32,
-    cpu_pending: u64,
-    float_pending: u64,
-    mem_pending: u64,
-    log_pending: u64,
+    meter: Meter,
     block_depth: u32,
 }
 
-/// Flush batched counters into the trace at this granularity.
-const FLUSH_EVERY: u64 = 1 << 16;
-
-/// Maximum script call depth (guards the host stack against runaway
-/// recursion in uploaded functions).
-const MAX_CALL_DEPTH: u32 = 150;
-
 type Scope = Vec<(String, Value)>;
 
-impl<'p> Interp<'p> {
-    fn new(program: &'p Program, dispatch_cost: u64, step_limit: u64) -> Self {
-        Interp {
-            functions: program.functions.iter().map(|f| (f.name.as_str(), f)).collect(),
-            globals: HashMap::new(),
-            trace: OpTrace::new(),
-            result: String::new(),
-            log: String::new(),
-            steps: 0,
-            step_limit,
-            dispatch_cost,
-            call_depth: 0,
-            cpu_pending: 0,
-            float_pending: 0,
-            mem_pending: 0,
-            log_pending: 0,
-            block_depth: 0,
-        }
-    }
-
-    fn step(&mut self) -> Result<(), ScriptError> {
-        self.steps += 1;
-        self.cpu_pending += self.dispatch_cost;
-        if self.cpu_pending >= FLUSH_EVERY {
-            self.flush_pending();
-        }
-        if self.steps > self.step_limit {
-            return Err(ScriptError::StepLimitExceeded(self.step_limit));
-        }
-        Ok(())
-    }
-
-    fn flush_pending(&mut self) {
-        if self.cpu_pending > 0 {
-            self.trace.cpu(self.cpu_pending);
-            self.cpu_pending = 0;
-        }
-        if self.float_pending > 0 {
-            self.trace.float(self.float_pending);
-            self.float_pending = 0;
-        }
-        if self.mem_pending > 0 {
-            // Boxed-value heap traffic: reads and writes interleave; model
-            // as one combined run over a recycled region.
-            self.trace.mem_read(self.mem_pending);
-            self.mem_pending = 0;
-        }
-        if self.log_pending > 0 {
-            self.trace.log(self.log_pending);
-            self.log_pending = 0;
-        }
-    }
-
+impl Interp<'_> {
     fn lookup(&self, scope: &Scope, name: &str) -> Option<Value> {
         scope
             .iter()
@@ -190,11 +100,11 @@ impl<'p> Interp<'p> {
     }
 
     fn exec_stmt(&mut self, stmt: &Stmt, scope: &mut Scope) -> Result<Flow, ScriptError> {
-        self.step()?;
+        self.meter.step()?;
         match stmt {
             Stmt::Let(name, expr) => {
                 let value = self.eval(expr, scope)?;
-                self.mem_pending += 16; // new slot
+                self.meter.add_mem(16); // new slot
                 if self.block_depth == 0 && scope.is_empty() {
                     self.globals.insert(name.clone(), value);
                 } else {
@@ -204,32 +114,18 @@ impl<'p> Interp<'p> {
             }
             Stmt::Assign(name, expr) => {
                 let value = self.eval(expr, scope)?;
-                self.mem_pending += 16;
+                self.meter.add_mem(16);
                 self.assign(scope, name, value)?;
                 Ok(Flow::Normal)
             }
             Stmt::IndexAssign(name, index, expr) => {
                 let value = self.eval(expr, scope)?;
-                let index = self.eval_index(index, scope)?;
+                let index = self.eval(index, scope)?;
                 let target = self
                     .lookup(scope, name)
                     .ok_or_else(|| ScriptError::Runtime(format!("unknown variable {name}")))?;
-                match target {
-                    Value::Array(items) => {
-                        let mut items = items.borrow_mut();
-                        let len = items.len();
-                        let slot = items.get_mut(index).ok_or_else(|| {
-                            ScriptError::Runtime(format!("index {index} out of range (len {len})"))
-                        })?;
-                        *slot = value;
-                        self.mem_pending += 24; // bounds check + boxed write
-                        Ok(Flow::Normal)
-                    }
-                    other => Err(ScriptError::Runtime(format!(
-                        "cannot index {} for assignment",
-                        other.type_name()
-                    ))),
-                }
+                self.meter.index_set(&target, &index, value)?;
+                Ok(Flow::Normal)
             }
             Stmt::Expr(expr) => {
                 self.eval(expr, scope)?;
@@ -268,7 +164,7 @@ impl<'p> Interp<'p> {
                         }
                         Flow::Normal | Flow::Continue => {}
                     }
-                    self.step()?; // loop bookkeeping
+                    self.meter.step()?; // loop bookkeeping
                     i += 1;
                 }
                 scope.truncate(slot);
@@ -293,13 +189,8 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn eval_index(&mut self, expr: &Expr, scope: &mut Scope) -> Result<usize, ScriptError> {
-        let n = self.eval_int(expr, scope)?;
-        usize::try_from(n).map_err(|_| ScriptError::Runtime(format!("negative index {n}")))
-    }
-
     fn eval(&mut self, expr: &Expr, scope: &mut Scope) -> Result<Value, ScriptError> {
-        self.step()?;
+        self.meter.step()?;
         match expr {
             Expr::Int(n) => Ok(Value::Int(*n)),
             Expr::Float(x) => Ok(Value::Float(*x)),
@@ -312,49 +203,16 @@ impl<'p> Interp<'p> {
             Expr::Array(items) => {
                 let values: Result<Vec<Value>, _> =
                     items.iter().map(|e| self.eval(e, scope)).collect();
-                let values = values?;
-                self.trace.alloc(16 * values.len().max(1) as u64);
-                self.mem_pending += 16 * values.len() as u64;
-                Ok(Value::array(values))
+                Ok(self.meter.new_array(values?))
             }
             Expr::Index(target, index) => {
                 let target = self.eval(target, scope)?;
-                let index = self.eval_index(index, scope)?;
-                self.mem_pending += 24;
-                match target {
-                    Value::Array(items) => {
-                        let items = items.borrow();
-                        items.get(index).cloned().ok_or_else(|| {
-                            ScriptError::Runtime(format!(
-                                "index {index} out of range (len {})",
-                                items.len()
-                            ))
-                        })
-                    }
-                    Value::Str(s) => {
-                        // Byte access returns the code point as an int.
-                        s.as_bytes().get(index).map(|&b| Value::Int(b as i64)).ok_or_else(|| {
-                            ScriptError::Runtime(format!("string index {index} out of range"))
-                        })
-                    }
-                    other => {
-                        Err(ScriptError::Runtime(format!("cannot index {}", other.type_name())))
-                    }
-                }
+                let index = self.eval(index, scope)?;
+                self.meter.index(&target, &index)
             }
             Expr::Unary(op, inner) => {
                 let v = self.eval(inner, scope)?;
-                match (op, v) {
-                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(-n)),
-                    (UnOp::Neg, Value::Float(x)) => {
-                        self.float_pending += 1;
-                        Ok(Value::Float(-x))
-                    }
-                    (UnOp::Not, v) => Ok(Value::Bool(!v.is_truthy())),
-                    (UnOp::Neg, v) => {
-                        Err(ScriptError::Runtime(format!("cannot negate {}", v.type_name())))
-                    }
-                }
+                self.meter.unary(*op, v)
             }
             Expr::Binary(BinOp::And, left, right) => {
                 let l = self.eval(left, scope)?;
@@ -373,7 +231,7 @@ impl<'p> Interp<'p> {
             Expr::Binary(op, left, right) => {
                 let l = self.eval(left, scope)?;
                 let r = self.eval(right, scope)?;
-                self.binary(*op, l, r)
+                self.meter.binary(*op, l, r)
             }
             Expr::Call(name, args) => {
                 let mut values = Vec::with_capacity(args.len());
@@ -382,104 +240,6 @@ impl<'p> Interp<'p> {
                 }
                 self.call(name, values, scope)
             }
-        }
-    }
-
-    fn binary(&mut self, op: BinOp, l: Value, r: Value) -> Result<Value, ScriptError> {
-        use BinOp::*;
-        use Value::*;
-        match op {
-            Add => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_add(b))),
-                (Str(a), b) => {
-                    let s = format!("{a}{b}");
-                    self.trace.alloc(s.len() as u64);
-                    self.mem_pending += s.len() as u64;
-                    Ok(Str(s.into()))
-                }
-                (a, Str(b)) => {
-                    let s = format!("{a}{b}");
-                    self.trace.alloc(s.len() as u64);
-                    self.mem_pending += s.len() as u64;
-                    Ok(Str(s.into()))
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x + y, "+"),
-            },
-            Sub => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_sub(b))),
-                (a, b) => self.float_bin(a, b, |x, y| x - y, "-"),
-            },
-            Mul => match (l, r) {
-                (Int(a), Int(b)) => Ok(Int(a.wrapping_mul(b))),
-                (a, b) => self.float_bin(a, b, |x, y| x * y, "*"),
-            },
-            Div => match (l, r) {
-                (Int(a), Int(b)) => {
-                    if b == 0 {
-                        Err(ScriptError::Runtime("integer division by zero".into()))
-                    } else {
-                        Ok(Int(a / b))
-                    }
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x / y, "/"),
-            },
-            Rem => match (l, r) {
-                (Int(a), Int(b)) => {
-                    if b == 0 {
-                        Err(ScriptError::Runtime("integer modulo by zero".into()))
-                    } else {
-                        Ok(Int(a % b))
-                    }
-                }
-                (a, b) => self.float_bin(a, b, |x, y| x % y, "%"),
-            },
-            Eq => Ok(Bool(l == r)),
-            Ne => Ok(Bool(l != r)),
-            Lt | Le | Gt | Ge => {
-                let ord = match (&l, &r) {
-                    (Int(a), Int(b)) => a.partial_cmp(b),
-                    (Str(a), Str(b)) => a.partial_cmp(b),
-                    (a, b) => match (a.as_f64(), b.as_f64()) {
-                        (Some(x), Some(y)) => x.partial_cmp(&y),
-                        _ => None,
-                    },
-                };
-                let ord = ord.ok_or_else(|| {
-                    ScriptError::Runtime(format!(
-                        "cannot compare {} and {}",
-                        l.type_name(),
-                        r.type_name()
-                    ))
-                })?;
-                let result = match op {
-                    Lt => ord.is_lt(),
-                    Le => ord.is_le(),
-                    Gt => ord.is_gt(),
-                    _ => ord.is_ge(),
-                };
-                Ok(Bool(result))
-            }
-            And | Or => unreachable!("short-circuit ops handled in eval"),
-        }
-    }
-
-    fn float_bin(
-        &mut self,
-        l: Value,
-        r: Value,
-        f: impl Fn(f64, f64) -> f64,
-        op: &str,
-    ) -> Result<Value, ScriptError> {
-        match (l.as_f64(), r.as_f64()) {
-            (Some(x), Some(y)) => {
-                self.float_pending += 1;
-                Ok(Value::Float(f(x, y)))
-            }
-            _ => Err(ScriptError::Runtime(format!(
-                "cannot apply {op} to {} and {}",
-                l.type_name(),
-                r.type_name()
-            ))),
         }
     }
 
@@ -498,57 +258,18 @@ impl<'p> Interp<'p> {
                     args.len()
                 )));
             }
-            // Call frame: fresh scope seeded with parameters. Depth is
-            // bounded so runaway recursion in an uploaded script errors out
-            // instead of overflowing the host's stack.
-            self.call_depth += 1;
-            if self.call_depth > MAX_CALL_DEPTH {
-                self.call_depth -= 1;
-                return Err(ScriptError::Runtime(format!(
-                    "call depth exceeded ({MAX_CALL_DEPTH})"
-                )));
-            }
-            self.mem_pending += 32 + 16 * args.len() as u64;
+            // Call frame: fresh scope seeded with parameters.
+            self.meter.enter_call()?;
+            self.meter.add_mem(32 + 16 * args.len() as u64);
             let mut frame: Scope = decl.params.iter().cloned().zip(args).collect();
             let flow = self.exec_block(&decl.body, &mut frame);
-            self.call_depth -= 1;
+            self.meter.exit_call();
             return Ok(match flow? {
                 Flow::Return(v) => v,
                 _ => Value::Nil,
             });
         }
-        crate::builtins::call_builtin(self, name, args)
-    }
-}
-
-impl crate::builtins::BuiltinHost for Interp<'_> {
-    fn trace_mut(&mut self) -> &mut OpTrace {
-        &mut self.trace
-    }
-
-    fn flush_pending(&mut self) {
-        Interp::flush_pending(self);
-    }
-
-    fn add_mem(&mut self, bytes: u64) {
-        self.mem_pending += bytes;
-    }
-
-    fn add_float(&mut self, ops: u64) {
-        self.float_pending += ops;
-    }
-
-    fn add_log(&mut self, text: &str) {
-        self.log.push_str(text);
-        self.log.push('\n');
-        self.log_pending += text.len() as u64 + 1;
-        if self.log_pending >= FLUSH_EVERY {
-            Interp::flush_pending(self);
-        }
-    }
-
-    fn set_result(&mut self, value: String) {
-        self.result = value;
+        call_builtin(&mut self.meter, name, args)
     }
 }
 

@@ -39,6 +39,7 @@ mod error;
 mod interp;
 mod launcher;
 mod lexer;
+mod meter;
 mod parser;
 mod profile;
 mod token;
@@ -47,9 +48,10 @@ mod value;
 pub use ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 pub use bytecode::{compile, CompiledFn, Instr, JitMode, Module, StackVm};
 pub use error::ScriptError;
-pub use interp::{run_program, ScriptOutcome, TREE_WALK_DISPATCH};
+pub use interp::{run_program, TREE_WALK_DISPATCH};
 pub use launcher::{FaasFunction, FunctionLauncher, LaunchError, LaunchOutput};
 pub use lexer::lex;
+pub use meter::ScriptOutcome;
 pub use parser::parse;
 pub use profile::RuntimeProfile;
 pub use token::{Token, TokenKind};

@@ -2,6 +2,14 @@
 //! bytecode VM must agree on every generated program, in result and in the
 //! I/O side effects they record.
 //!
+//! Arithmetic, indexing, array construction and the builtins are one
+//! implementation (`src/meter.rs`, unit-tested there) that both engines
+//! call, so these programs no longer compare two copies of them. What they
+//! still cross-check is what stays separate: control flow (`if`, `while`,
+//! `for`, `break`/`continue` against compiled jumps), scoping (scope chain
+//! against slots), calls and returns, short-circuit `&&`/`||`, and the
+//! recursion bound.
+//!
 //! Deterministic seeded sweeps: each property draws its inputs from a
 //! `SplitMix64` stream, so every CI run exercises the identical case set.
 
@@ -80,6 +88,26 @@ fn io_side_effects_agree() {
         assert_eq!(vm.trace.total_io_bytes(), expected, "case {case}");
         assert_eq!(interp.trace.total_syscalls(), writes.len() as u64, "case {case}");
         assert_eq!(vm.trace.total_syscalls(), writes.len() as u64, "case {case}");
+    }
+}
+
+#[test]
+fn short_circuit_skips_the_same_side_effects() {
+    let src = r#"
+        fn seen(tag, v) { log(tag); return v; }
+        let a = seen("a", false) && seen("b", true);
+        let b = seen("c", true) || seen("d", false);
+        let c = seen("e", nil) || seen("f", 7);
+        result(str(a) + " " + str(b) + " " + str(c));
+    "#;
+    let program = parse(src).unwrap();
+    let interp = run_program(&program, &[], TREE_WALK_DISPATCH, 1_000_000).unwrap();
+    assert_eq!(interp.result, "false true 7");
+    assert_eq!(interp.log, "a\nc\ne\nf\n");
+    let module = compile(&program).unwrap();
+    for jit in [JitMode::wasmi(), JitMode::luajit()] {
+        let vm = StackVm::new(jit, 1_000_000).run(&module, &[]).unwrap();
+        assert_eq!((&vm.result, &vm.log), (&interp.result, &interp.log), "{jit:?}");
     }
 }
 

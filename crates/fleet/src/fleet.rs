@@ -296,8 +296,20 @@ impl Fleet {
                 placed.push(PlacedCell { key, cell, shard });
             }
         }
+        let mut admitted = Vec::with_capacity(per_shard.len());
         for (shard, cells) in per_shard {
-            self.shards[shard].sched.submit_cells(cells, spec.priority, spec.deadline_ms)?;
+            let sched = &self.shards[shard].sched;
+            match sched.submit_cells(cells, spec.priority, spec.deadline_ms) {
+                Ok(partition) => admitted.push((sched, partition.id)),
+                Err(refusal) => {
+                    // All-or-nothing across shards: the client is told to
+                    // resubmit, so nothing of this attempt may stay queued.
+                    for (sched, id) in admitted {
+                        sched.cancel_campaign(&id);
+                    }
+                    return Err(refusal);
+                }
+            }
         }
         let mut state = self.state.lock();
         state.next_campaign += 1;
@@ -380,7 +392,9 @@ impl Fleet {
     /// that is the dedup guarantee (no cell executes twice *observably*;
     /// work the dead shard finished stays finished).
     ///
-    /// Returns how many cells were re-placed.
+    /// Returns how many cells were re-placed. The last alive shard is never
+    /// retired, by this or by [`Fleet::drain_shard`]: an empty ring could
+    /// place nothing, so the call returns 0 and the shard stays alive.
     pub fn kill_shard(&self, id: usize) -> usize {
         self.retire_shard(id, false)
     }
@@ -395,8 +409,14 @@ impl Fleet {
 
     fn retire_shard(&self, id: usize, graceful: bool) -> usize {
         assert!(id < self.shards.len(), "unknown shard {id}");
-        if !self.shards[id].alive.swap(false, Ordering::SeqCst) {
-            return 0;
+        {
+            // Decided under the ring lock, so two retirements racing for
+            // the last two shards cannot both see the other one as left.
+            let mut ring = self.ring.lock();
+            if ring.len() <= 1 || !self.shards[id].alive.swap(false, Ordering::SeqCst) {
+                return 0;
+            }
+            ring.remove(id);
         }
         if graceful {
             // Harvest while the shard still counts as... it just went
@@ -408,7 +428,6 @@ impl Fleet {
                 state.harvest.entry(key.clone()).or_insert_with(|| cell.clone());
             }
         }
-        self.ring.lock().remove(id);
         self.metrics.gauge("fleet_shards_alive").set(self.alive_shards().len() as u64);
 
         // Re-place orphaned cells. Under a graceful drain the cache

@@ -181,9 +181,12 @@ fn shard_action(
         return Response::error(404, format!("unknown shard {id}"));
     }
     let replaced = action(fleet, id);
+    if fleet.alive_shards().contains(&id) {
+        return Response::error(409, format!("shard {id} is the last one alive"));
+    }
     Response::json(&serde_json::json!({
         "shard": id,
-        "alive": fleet.alive_shards().contains(&id),
+        "alive": false,
         "cells_replaced": replaced,
     }))
 }
@@ -202,6 +205,21 @@ mod tests {
             clock: Arc::new(ManualClock::new()),
             ..FleetConfig::default()
         }))
+    }
+
+    /// One function, one language, TDX, both modes: two cells.
+    fn spec() -> confbench_types::CampaignSpec {
+        confbench_types::CampaignSpec {
+            functions: vec![confbench_types::CampaignFunction::new("factors").arg("360360")],
+            languages: vec![confbench_types::Language::Go],
+            platforms: vec![confbench_types::TeePlatform::Tdx],
+            modes: vec![VmKind::Secure, VmKind::Normal],
+            trials: 1,
+            seed: 7,
+            priority: confbench_types::Priority::Normal,
+            deadline_ms: None,
+            device: None,
+        }
     }
 
     #[test]
@@ -235,6 +253,35 @@ mod tests {
     }
 
     #[test]
+    fn last_alive_shard_refuses_kill_and_drain() {
+        let f = fleet();
+        let router = f.build_router();
+        let spec = confbench_types::CampaignSpec {
+            platforms: confbench_types::TeePlatform::ALL.to_vec(),
+            ..spec()
+        };
+        let submit = || {
+            router.dispatch(&Request::new(Method::Post, "/v1/fleet/campaigns").json(&spec)).status
+        };
+        // Queued cells make every retirement re-place orphans.
+        assert_eq!(submit(), 200);
+        for path in ["/v1/fleet/shards/0/kill", "/v1/fleet/shards/1/drain"] {
+            assert_eq!(router.dispatch(&Request::new(Method::Post, path)).status, 200, "{path}");
+        }
+        for path in ["/v1/fleet/shards/2/kill", "/v1/fleet/shards/2/drain"] {
+            let resp = router.dispatch(&Request::new(Method::Post, path));
+            assert_eq!(resp.status, 409, "{path}: {}", String::from_utf8_lossy(&resp.body));
+        }
+        assert_eq!(f.alive_shards(), vec![2]);
+        // A dead shard is still a no-op 200, and the fleet still places.
+        assert_eq!(
+            router.dispatch(&Request::new(Method::Post, "/v1/fleet/shards/0/kill")).status,
+            200
+        );
+        assert_eq!(submit(), 200);
+    }
+
+    #[test]
     fn migration_route_runs_and_lists() {
         let f = fleet();
         let router = f.build_router();
@@ -255,17 +302,7 @@ mod tests {
     fn campaign_routes_submit_and_report_progress() {
         let f = fleet();
         let router = f.build_router();
-        let spec = confbench_types::CampaignSpec {
-            functions: vec![confbench_types::CampaignFunction::new("factors").arg("360360")],
-            languages: vec![confbench_types::Language::Go],
-            platforms: vec![confbench_types::TeePlatform::Tdx],
-            modes: vec![VmKind::Secure, VmKind::Normal],
-            trials: 1,
-            seed: 7,
-            priority: confbench_types::Priority::Normal,
-            deadline_ms: None,
-            device: None,
-        };
+        let spec = spec();
         let resp = router.dispatch(&Request::new(Method::Post, "/v1/fleet/campaigns").json(&spec));
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         let receipt: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();

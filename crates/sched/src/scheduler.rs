@@ -109,18 +109,11 @@ struct CampaignRecord {
     cancelled: bool,
 }
 
-#[derive(Default)]
 struct Inner {
     next_campaign: u64,
     campaigns: BTreeMap<CampaignId, CampaignRecord>,
     jobs: BTreeMap<JobId, JobRecord>,
-    queue: Option<BoundedQueue>,
-}
-
-impl Inner {
-    fn queue(&mut self) -> &mut BoundedQueue {
-        self.queue.as_mut().expect("queue initialized in new()")
-    }
+    queue: BoundedQueue,
 }
 
 /// Wakeup channel between submitters and worker threads. The vendored
@@ -175,7 +168,6 @@ pub struct Scheduler {
     clock: Arc<dyn Clock>,
     config: SchedulerConfig,
     metrics: Arc<MetricsRegistry>,
-    #[allow(dead_code)] // kept so future spans share the scheduler's clock
     recorder: SpanRecorder,
     cache: ResultCache,
     inner: Mutex<Inner>,
@@ -202,8 +194,12 @@ impl Scheduler {
         metrics: Arc<MetricsRegistry>,
     ) -> Self {
         let recorder = SpanRecorder::new(Arc::clone(&clock));
-        let inner =
-            Inner { queue: Some(BoundedQueue::new(config.queue_capacity)), ..Inner::default() };
+        let inner = Inner {
+            next_campaign: 0,
+            campaigns: BTreeMap::new(),
+            jobs: BTreeMap::new(),
+            queue: BoundedQueue::new(config.queue_capacity),
+        };
         Scheduler {
             executor,
             clock,
@@ -266,11 +262,11 @@ impl Scheduler {
 
         let receipt = {
             let mut inner = self.inner.lock();
-            if !inner.queue().can_admit(cells.len()) {
+            if !inner.queue.can_admit(cells.len()) {
                 self.metrics.counter("sched_jobs_rejected_total").add(cells.len() as u64);
                 return Err(SubmitError::QueueFull {
-                    queued: inner.queue().depth(),
-                    capacity: inner.queue().capacity(),
+                    queued: inner.queue.depth(),
+                    capacity: inner.queue.capacity(),
                     retry_after_secs: self.config.retry_after_secs,
                 });
             }
@@ -279,7 +275,7 @@ impl Scheduler {
             let mut job_ids = Vec::with_capacity(cells.len());
             for (idx, cell) in cells.into_iter().enumerate() {
                 let job_id = JobId(format!("{id}-j{idx}"));
-                inner.queue().push(cell.platform, priority, job_id.clone());
+                inner.queue.push(cell.platform, priority, job_id.clone());
                 inner.jobs.insert(
                     job_id.clone(),
                     JobRecord {
@@ -301,7 +297,7 @@ impl Scheduler {
             inner.campaigns.insert(id.clone(), CampaignRecord { job_ids, cancelled: false });
             self.metrics.counter("sched_campaigns_total").inc();
             self.metrics.counter("sched_jobs_enqueued_total").add(jobs as u64);
-            self.metrics.gauge("sched_queue_depth").set(inner.queue().depth() as u64);
+            self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
             CampaignReceipt { id, jobs }
         };
         self.signal.notify();
@@ -330,10 +326,10 @@ impl Scheduler {
         // Phase 1 (locked): dequeue and classify.
         let (job_id, cell, key, enqueued_at_ms) = {
             let mut inner = self.inner.lock();
-            let Some(job_id) = inner.queue().pop(platform) else {
+            let Some(job_id) = inner.queue.pop(platform) else {
                 return false;
             };
-            self.metrics.gauge("sched_queue_depth").set(inner.queue().depth() as u64);
+            self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
             let now = self.clock.now_ms();
             let job = inner.jobs.get_mut(&job_id).expect("queued job is recorded");
             if job.expires_at_ms.is_some_and(|t| now >= t) {
@@ -494,14 +490,14 @@ impl Scheduler {
                 .into_iter()
                 .filter(|j| inner.jobs.get(j).is_some_and(|job| job.state == JobState::Queued))
                 .collect();
-            let removed = inner.queue().remove(&queued);
+            let removed = inner.queue.remove(&queued);
             debug_assert_eq!(removed, queued.len(), "queued jobs live in the queue");
             for job_id in &queued {
                 let job = inner.jobs.get_mut(job_id).expect("job recorded");
                 job.state = JobState::Cancelled;
             }
             self.metrics.counter("sched_jobs_cancelled_total").add(queued.len() as u64);
-            self.metrics.gauge("sched_queue_depth").set(inner.queue().depth() as u64);
+            self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
         }
         self.campaign_status(id)
     }
@@ -569,13 +565,13 @@ impl Scheduler {
 
     /// Total jobs currently queued (all platforms).
     pub fn queue_depth(&self) -> usize {
-        self.inner.lock().queue().depth()
+        self.inner.lock().queue.depth()
     }
 
     /// Jobs currently queued for one platform — what a work-stealing fleet
     /// inspects to pick the deepest victim.
     pub fn queue_depth_for(&self, platform: TeePlatform) -> usize {
-        self.inner.lock().queue().depth_for(platform)
+        self.inner.lock().queue.depth_for(platform)
     }
 
     /// Priority a job was enqueued with (test/debug introspection).
@@ -586,10 +582,7 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.signal.stop();
-        for handle in std::mem::take(&mut *self.workers.lock()) {
-            let _ = handle.join();
-        }
+        self.shutdown();
     }
 }
 

@@ -39,10 +39,14 @@ fn fast_retry() -> RetryPolicy {
 }
 
 fn fleet(shards: usize) -> Fleet {
+    fleet_on(shards, Arc::new(ManualClock::new()))
+}
+
+fn fleet_on(shards: usize, clock: Arc<ManualClock>) -> Fleet {
     Fleet::new(FleetConfig {
         shards,
         seed: 11,
-        clock: Arc::new(ManualClock::new()),
+        clock,
         retry: fast_retry(),
         ..FleetConfig::default()
     })
@@ -207,6 +211,46 @@ fn idle_shards_steal_from_the_hot_shard() {
     assert!(f.campaign_status(&receipt.id).unwrap().complete);
     assert!(f.steals() > 0, "idle shards must steal from the deepest queue");
     assert_eq!(f.total_executions(), 8, "steals execute, they do not duplicate");
+}
+
+/// Admission is all-or-nothing across shards: when one shard's queue
+/// refuses its partition, the partitions earlier shards already took are
+/// cancelled, so nothing runs for a campaign the client was told (429) to
+/// resubmit. The queues are filled with cells that expire instead of
+/// executing, which makes any execution after the refusal an orphan's.
+#[test]
+fn refused_campaign_leaves_nothing_queued_on_any_shard() {
+    let clock = Arc::new(ManualClock::new());
+    let f = fleet_on(3, Arc::clone(&clock));
+    let depths = |f: &Fleet| f.status().iter().map(|s| s.queue_depth).collect::<Vec<_>>();
+    let capacity = SchedulerConfig::default().queue_capacity;
+    let filler = CampaignSpec {
+        languages: vec![Language::Go, Language::Lua, Language::Wasm, Language::Python],
+        deadline_ms: Some(1),
+        ..campaign_spec()
+    };
+
+    // Every submission of the same cells adds the same share per shard.
+    f.submit(filler.clone()).expect("first filler admitted");
+    let share = depths(&f);
+    let fits = |f: &Fleet| depths(f).iter().zip(&share).all(|(d, s)| d + s <= capacity);
+    while fits(&f) {
+        f.submit(filler.clone()).expect("filler fits every shard");
+    }
+    let before = depths(&f);
+    let refusing = (0..3).find(|&i| before[i] + share[i] > capacity).unwrap();
+    assert!(
+        (0..refusing).any(|i| share[i] > 0),
+        "an earlier shard must admit its partition first (shares {share:?}, depths {before:?})"
+    );
+
+    let err = f.submit(CampaignSpec { deadline_ms: None, ..filler }).unwrap_err();
+    assert!(matches!(err, confbench_sched::SubmitError::QueueFull { .. }), "{err:?}");
+    assert_eq!(depths(&f), before, "a refused campaign stays queued nowhere");
+
+    clock.advance(10);
+    f.drain();
+    assert_eq!(f.total_executions(), 0, "fillers expire; only an orphaned cell could execute");
 }
 
 /// Live migration: after drain → pre-copy → stop-and-copy → re-attest →

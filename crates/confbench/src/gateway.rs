@@ -747,9 +747,7 @@ impl confbench_sched::Executor for Gateway {
     }
 
     fn function_fingerprint(&self, name: &str) -> Option<String> {
-        use confbench_faasrt::FaasFunction as _;
-        let function = self.store.get(name)?;
-        Some(confbench_crypto::Sha256::digest(function.script().as_bytes()).to_string())
+        self.store.fingerprint(name).map(|digest| digest.to_string())
     }
 }
 

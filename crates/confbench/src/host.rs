@@ -8,7 +8,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use confbench_faasrt::FunctionLauncher;
 use confbench_httpd::{Method, Response, Router, Server};
 use confbench_obs::{ActiveSpan, MetricsRegistry, SpanRecorder};
 use confbench_perfmon::{PerfSample, PerfStat};
@@ -149,9 +148,11 @@ impl HostAgent {
     }
 
     /// Executes a request on the targeted VM: launches the function through
-    /// its language runtime, replays the launcher bootstrap unmeasured, then
-    /// measures `trials` independent executions (the paper's methodology:
-    /// 10 trials, bootstrap excluded, averages reported).
+    /// its language runtime (once per function × language × arguments — the
+    /// store remembers, see [`FunctionStore::launch`]), replays the launcher
+    /// bootstrap unmeasured, then measures `trials` independent executions
+    /// (the paper's methodology: 10 trials, bootstrap excluded, averages
+    /// reported).
     ///
     /// Each request runs on a freshly launched VM under the slot's
     /// [`VmSupervisor`]: injected TEE faults are retried (transient) or
@@ -172,15 +173,9 @@ impl HostAgent {
         if request.function.name == GPU_INFERENCE {
             return self.execute_gpu(request);
         }
-        let function = self
-            .store
-            .get(&request.function.name)
-            .ok_or_else(|| Error::UnknownFunction(request.function.name.clone()))?;
-
-        let launcher = FunctionLauncher::new(request.function.language);
-        let output = launcher
-            .launch(&function, &request.function.args)
-            .map_err(|e| Error::Workload(e.to_string()))?;
+        let function = &request.function;
+        let output =
+            self.store.launch(&function.name, function.language, &function.args, &self.metrics)?;
 
         let supervisor = self.supervisor(request.target.kind);
         let trials = request.trials.max(1);
@@ -197,7 +192,7 @@ impl HostAgent {
             span.finish_child(bootstrap);
             measure_trials(vm, &output.trace, trials, recorder)
         })?;
-        Ok(run_result(request, span, measured, output.output))
+        Ok(run_result(request, span, measured, output.output.clone()))
     }
 
     /// The [`GPU_INFERENCE`] scenario: a native workload executed without
@@ -282,19 +277,18 @@ impl HostAgent {
     }
 }
 
-/// The measured trials of one attempt: `trials - 1` plain executions, then
-/// a final one under the perf collector, whose sample — span tree included
-/// — is piggybacked on the result (paper §III-B).
+/// The measured trials of one attempt: `trials - 1` plain executions (which
+/// [`Vm::try_execute_trials`] stops walking through the cache simulator once
+/// a trial leaves its lines unchanged), then a final, fully walked one under
+/// the perf collector, whose sample — span tree included — is piggybacked on
+/// the result (paper §III-B).
 fn measure_trials(
     vm: &mut Vm,
     trace: &OpTrace,
     trials: u32,
     recorder: &SpanRecorder,
 ) -> std::result::Result<(Vec<ExecutionReport>, PerfSample), TeeFault> {
-    let mut reports = Vec::with_capacity(trials as usize);
-    for _ in 0..trials - 1 {
-        reports.push(vm.try_execute(trace)?);
-    }
+    let mut reports = vm.try_execute_trials(trace, trials - 1)?;
     let (report, sample) = PerfStat::for_vm(vm).try_measure_spanned(vm, trace, recorder)?;
     reports.push(report);
     Ok((reports, sample))
@@ -377,6 +371,58 @@ mod tests {
         let mut req = request(TeePlatform::Tdx, VmKind::Normal);
         req.function.name = "missing".into();
         assert!(matches!(h.execute(&req).unwrap_err(), Error::UnknownFunction(_)));
+    }
+
+    /// A host stamping spans on a clock that never moves, counting into
+    /// `registry`.
+    fn still_clock_host(registry: &Arc<MetricsRegistry>) -> HostAgent {
+        HostAgent::with_config(
+            TeePlatform::Tdx,
+            Arc::new(FunctionStore::new()),
+            SpanRecorder::new(Arc::new(confbench_types::ManualClock::new())),
+            HostConfig { seed: 1, metrics: Arc::clone(registry), ..HostConfig::default() },
+        )
+    }
+
+    #[test]
+    fn a_remembered_launch_answers_byte_for_byte_like_the_first() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let h = still_clock_host(&registry);
+        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
+        req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
+        req.trials = 5;
+        // Wall-clock span stamps are all that could tell the two apart, and
+        // this host's clock stands still.
+        let miss = serde_json::to_string(&h.execute(&req).unwrap()).unwrap();
+        assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
+        assert_eq!(registry.counter_value("launch_cache_hits_total"), None);
+        let hit = serde_json::to_string(&h.execute(&req).unwrap()).unwrap();
+        assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(1));
+        assert_eq!(miss, hit);
+        // The other VM kind is another cell and the same launch.
+        req.target = VmTarget::normal(TeePlatform::Tdx);
+        h.execute(&req).unwrap();
+        assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
+        assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(2));
+    }
+
+    #[test]
+    fn a_failing_script_fails_alike_launched_or_remembered() {
+        let registry = Arc::new(MetricsRegistry::new());
+        let h = still_clock_host(&registry);
+        h.store.upload("bomb", "fn f(n) { return f(n + 1); } result(f(0));").unwrap();
+        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
+        req.function = FunctionSpec::new("bomb", Language::Wasm);
+        let text = |e: Error| match e {
+            Error::Workload(text) => text,
+            other => panic!("expected a workload error, got {other}"),
+        };
+        let miss = text(h.execute(&req).unwrap_err());
+        let hit = text(h.execute(&req).unwrap_err());
+        assert!(miss.contains("call depth exceeded"), "{miss}");
+        assert_eq!(miss, hit);
+        assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
+        assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(1));
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //! interpreting the script at dispatch cost 1 (pure semantics), then
 //! applying the runtime profile.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use confbench_faasrt::{parse, run_program, FaasFunction};
-use confbench_types::{Error, OpTrace};
+use confbench_crypto::{Digest, Sha256};
+use confbench_faasrt::{parse, run_program, FaasFunction, FunctionLauncher, LaunchOutput};
+use confbench_obs::MetricsRegistry;
+use confbench_types::{Error, Language, Op, OpTrace};
 use confbench_workloads::{faas_registry, FaasWorkload};
 use parking_lot::RwLock;
 
@@ -122,10 +125,150 @@ impl From<StoreError> for Error {
     }
 }
 
+/// Bytes of launch outputs a store keeps ([`FunctionStore::launch`]).
+/// Traces differ a hundredfold in size, so the bound is on bytes, not
+/// entries; every launch of the paper's Fig. 6 matrix together is about
+/// 1 MiB.
+const LAUNCH_MEMO_BYTES: usize = 16 << 20;
+
+/// What identifies a launch: `FunctionLauncher::launch` reads nothing else
+/// (no platform, VM kind or seed), and a name's source never changes.
+type LaunchKey = (String, Language, Vec<String>);
+
+/// A finished launch: its output, or its failure rendered as text. Failures
+/// are kept like outputs — they are as pure, and the costliest launch there
+/// is is a runaway script burning its whole step budget before it fails.
+type Launched = Result<Arc<LaunchOutput>, String>;
+
+#[derive(Debug, Default)]
+struct MemoState {
+    /// Each retained launch with the bytes it is charged for.
+    entries: HashMap<LaunchKey, (Launched, usize)>,
+    /// Retained keys, oldest first.
+    order: VecDeque<LaunchKey>,
+    retained_bytes: usize,
+    /// Keys some thread is launching right now.
+    in_flight: HashSet<LaunchKey>,
+}
+
+/// The memo under [`FunctionStore::launch`]: bounded by retained bytes
+/// (oldest out), and single-flight — concurrent misses on one key launch
+/// once, the rest wait for the leader and are served its result.
+#[derive(Debug)]
+struct LaunchMemo {
+    bound: usize,
+    state: Mutex<MemoState>,
+    landed: Condvar,
+}
+
+/// Held by the thread launching `key`: on drop — a panic out of the launch
+/// included — the key leaves the in-flight set and the waiters are woken.
+struct Landing<'a> {
+    memo: &'a LaunchMemo,
+    key: &'a LaunchKey,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        self.memo.lock().in_flight.remove(self.key);
+        self.memo.landed.notify_all();
+    }
+}
+
+impl LaunchMemo {
+    fn new(bound: usize) -> Self {
+        LaunchMemo { bound, state: Mutex::default(), landed: Condvar::new() }
+    }
+
+    /// No caller's code runs under this lock and every update leaves the
+    /// state consistent, so a poisoned lock is still good.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The retained launch for `key`, or `launch()` — run outside the lock
+    /// by exactly one of the threads that miss on `key` together. Counts
+    /// `launch_cache_{hits,misses,evictions}_total` into `metrics`; a thread
+    /// that waited for a leader counts as a hit.
+    fn get_or_launch(
+        &self,
+        key: LaunchKey,
+        metrics: &MetricsRegistry,
+        launch: impl FnOnce() -> Result<LaunchOutput, String>,
+    ) -> Launched {
+        let mut state = self.lock();
+        loop {
+            if let Some((launched, _)) = state.entries.get(&key) {
+                let launched = launched.clone();
+                drop(state);
+                metrics.counter("launch_cache_hits_total").inc();
+                return launched;
+            }
+            if !state.in_flight.contains(&key) {
+                break;
+            }
+            state = self.landed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.in_flight.insert(key.clone());
+        drop(state);
+        let landing = Landing { memo: self, key: &key };
+        metrics.counter("launch_cache_misses_total").inc();
+
+        let launched = launch().map(|mut output| {
+            output.output.shrink_to_fit();
+            output.log.shrink_to_fit();
+            output.trace.shrink_to_fit();
+            output.startup_trace.shrink_to_fit();
+            Arc::new(output)
+        });
+        let bytes = retained_bytes(&key, &launched);
+        let mut evicted = 0;
+        // Larger than the whole bound: served, not retained.
+        if bytes <= self.bound {
+            let mut state = self.lock();
+            while state.retained_bytes + bytes > self.bound {
+                let oldest = state.order.pop_front().expect("retained bytes have an entry");
+                let (_, freed) = state.entries.remove(&oldest).expect("ordered keys are retained");
+                state.retained_bytes -= freed;
+                evicted += 1;
+            }
+            state.retained_bytes += bytes;
+            state.order.push_back(key.clone());
+            state.entries.insert(key.clone(), (launched.clone(), bytes));
+        }
+        metrics.counter("launch_cache_evictions_total").add(evicted);
+        // After the entry is in: woken waiters must find it.
+        drop(landing);
+        launched
+    }
+}
+
+/// What retaining `launched` under `key` is charged: the heap behind the
+/// output (exact after `shrink_to_fit`) and the key, which is held twice —
+/// in the map and in the eviction order.
+fn retained_bytes(key: &LaunchKey, launched: &Launched) -> usize {
+    let (name, _, args) = key;
+    let key_bytes =
+        name.len() + args.iter().map(|a| a.len() + std::mem::size_of::<String>()).sum::<usize>();
+    let value_bytes = match launched {
+        Ok(out) => {
+            std::mem::size_of::<LaunchOutput>()
+                + out.output.len()
+                + out.log.len()
+                + (out.trace.len() + out.startup_trace.len()) * std::mem::size_of::<Op>()
+        }
+        Err(text) => text.len(),
+    };
+    2 * key_bytes + value_bytes
+}
+
 /// The function database.
 #[derive(Debug)]
 pub struct FunctionStore {
-    functions: RwLock<HashMap<String, StoredFunction>>,
+    /// Each function beside the SHA-256 of its source, computed once when
+    /// it enters the store (names are write-once, so it never goes stale).
+    functions: RwLock<HashMap<String, (StoredFunction, Digest)>>,
+    launches: LaunchMemo,
 }
 
 impl Default for FunctionStore {
@@ -139,9 +282,15 @@ impl FunctionStore {
     pub fn new() -> Self {
         let functions = faas_registry()
             .into_iter()
-            .map(|w| (w.name().to_owned(), StoredFunction::Builtin(w)))
+            .map(|w| {
+                let fingerprint = Sha256::digest(w.script().as_bytes());
+                (w.name().to_owned(), (StoredFunction::Builtin(w), fingerprint))
+            })
             .collect();
-        FunctionStore { functions: RwLock::new(functions) }
+        FunctionStore {
+            functions: RwLock::new(functions),
+            launches: LaunchMemo::new(LAUNCH_MEMO_BYTES),
+        }
     }
 
     /// Uploads a CBScript function (paper Fig. 2, step 1). The script is
@@ -171,17 +320,56 @@ impl FunctionStore {
         }
         functions.insert(
             name.to_owned(),
-            StoredFunction::Uploaded(UploadedFunction {
-                name: name.to_owned(),
-                script: script.to_owned(),
-            }),
+            (
+                StoredFunction::Uploaded(UploadedFunction {
+                    name: name.to_owned(),
+                    script: script.to_owned(),
+                }),
+                Sha256::digest(script.as_bytes()),
+            ),
         );
         Ok(())
     }
 
     /// Fetches a function by name.
     pub fn get(&self, name: &str) -> Option<StoredFunction> {
-        self.functions.read().get(name).cloned()
+        self.functions.read().get(name).map(|(function, _)| function.clone())
+    }
+
+    /// SHA-256 of a function's source, as stored when it was registered.
+    pub fn fingerprint(&self, name: &str) -> Option<Digest> {
+        self.functions.read().get(name).map(|&(_, fingerprint)| fingerprint)
+    }
+
+    /// Launches `name` under `language`'s runtime with `args`, once: a
+    /// launch reads nothing but these three (no platform, VM kind or seed)
+    /// and a name's source never changes, so its output is computed by the
+    /// first caller and shared by every later one — across the hosts of a
+    /// gateway and the shards of a fleet, which all hold this store.
+    /// Concurrent first callers launch once; a failing launch is remembered
+    /// like a successful one. Retained outputs are bounded in bytes, oldest
+    /// out. Counts `launch_cache_hits_total` / `_misses_total` /
+    /// `_evictions_total` into the caller's `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::UnknownFunction`] for an unregistered name (never
+    /// remembered: the name may be uploaded later), [`Error::Workload`]
+    /// with the launcher's message when the launch fails.
+    pub fn launch(
+        &self,
+        name: &str,
+        language: Language,
+        args: &[String],
+        metrics: &MetricsRegistry,
+    ) -> Result<Arc<LaunchOutput>, Error> {
+        let function = self.get(name).ok_or_else(|| Error::UnknownFunction(name.to_owned()))?;
+        let key = (name.to_owned(), language, args.to_vec());
+        self.launches
+            .get_or_launch(key, metrics, || {
+                FunctionLauncher::new(language).launch(&function, args).map_err(|e| e.to_string())
+            })
+            .map_err(Error::Workload)
     }
 
     /// All registered names, sorted.
@@ -205,8 +393,6 @@ impl FunctionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use confbench_faasrt::FunctionLauncher;
-    use confbench_types::Language;
 
     #[test]
     fn starts_with_the_builtin_suite() {
@@ -294,6 +480,147 @@ mod tests {
             let mapped: Error = e.into();
             assert_eq!(mapped.rest_status(), 400);
         }
+    }
+
+    #[test]
+    fn fingerprints_are_the_sha256_of_the_source() {
+        let store = FunctionStore::new();
+        store.upload("mine", "result(7);").unwrap();
+        for name in ["cpustress", "mine"] {
+            let script = store.get(name).unwrap().script().to_owned();
+            assert_eq!(store.fingerprint(name), Some(Sha256::digest(script.as_bytes())), "{name}");
+        }
+        assert_eq!(store.fingerprint("mine"), Some(Sha256::digest(b"result(7);")));
+        assert_eq!(store.fingerprint("nope"), None);
+    }
+
+    fn counters(metrics: &MetricsRegistry) -> [u64; 3] {
+        ["hits", "misses", "evictions"]
+            .map(|c| metrics.counter_value(&format!("launch_cache_{c}_total")).unwrap_or(0))
+    }
+
+    #[test]
+    fn launches_once_per_name_language_and_arguments() {
+        let (store, metrics) = (FunctionStore::new(), MetricsRegistry::new());
+        let launch = |language, arg: &str| {
+            store.launch("factors", language, &[arg.to_owned()], &metrics).unwrap()
+        };
+        let first = launch(Language::Go, "360360");
+        assert!(Arc::ptr_eq(&first, &launch(Language::Go, "360360")), "the second is the first");
+        assert_eq!(counters(&metrics), [1, 1, 0]);
+        // Another language or another argument is another launch.
+        assert_eq!(launch(Language::Lua, "360360").output, first.output);
+        assert_ne!(launch(Language::Go, "1001").output, first.output);
+        assert_eq!(counters(&metrics), [1, 3, 0]);
+        let direct = FunctionLauncher::new(Language::Go)
+            .launch(&store.get("factors").unwrap(), &["360360".to_owned()])
+            .unwrap();
+        assert_eq!(*first, direct, "what the launcher itself returns");
+    }
+
+    #[test]
+    fn unknown_names_are_never_remembered() {
+        let (store, metrics) = (FunctionStore::new(), MetricsRegistry::new());
+        let unknown = store.launch("later", Language::Lua, &[], &metrics).unwrap_err();
+        assert!(matches!(unknown, Error::UnknownFunction(name) if name == "later"));
+        assert_eq!(counters(&metrics), [0, 0, 0], "an unknown name is not a lookup");
+        store.upload("later", "result(1);").unwrap();
+        assert_eq!(store.launch("later", Language::Lua, &[], &metrics).unwrap().output, "1");
+    }
+
+    /// A launch output charged exactly `ops` trace entries beyond its fixed
+    /// size.
+    fn output_of(ops: usize) -> LaunchOutput {
+        LaunchOutput {
+            output: String::new(),
+            log: String::new(),
+            trace: (0..ops).map(|_| Op::Cpu(1)).collect(),
+            startup_trace: OpTrace::new(),
+        }
+    }
+
+    fn key(name: &str) -> LaunchKey {
+        (name.to_owned(), Language::Go, Vec::new())
+    }
+
+    #[test]
+    fn four_threads_missing_on_one_key_launch_once() {
+        let (memo, metrics) = (LaunchMemo::new(1 << 20), MetricsRegistry::new());
+        let launches = std::sync::atomic::AtomicUsize::new(0);
+        let start = std::sync::Barrier::new(4);
+        let outputs: Vec<Launched> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        memo.get_or_launch(key("f"), &metrics, || {
+                            launches.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                            // Long enough for the others to arrive and park.
+                            for _ in 0..1_000 {
+                                std::thread::yield_now();
+                            }
+                            Ok(output_of(3))
+                        })
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(launches.into_inner(), 1);
+        assert_eq!(counters(&metrics), [3, 1, 0], "the three that waited count as hits");
+        let first = outputs[0].as_ref().unwrap();
+        assert!(outputs.iter().all(|o| Arc::ptr_eq(o.as_ref().unwrap(), first)));
+    }
+
+    #[test]
+    fn a_panicking_launch_frees_its_key() {
+        let (memo, metrics) = (LaunchMemo::new(1 << 20), MetricsRegistry::new());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            memo.get_or_launch(key("f"), &metrics, || panic!("launcher bug"))
+        }));
+        assert!(panicked.is_err());
+        // Not parked behind a leader that will never land.
+        assert!(memo.get_or_launch(key("f"), &metrics, || Ok(output_of(1))).is_ok());
+    }
+
+    #[test]
+    fn retained_bytes_stay_under_the_bound_oldest_out() {
+        let entry = retained_bytes(&key("f00"), &Ok(Arc::new(output_of(10))));
+        // Room for four such entries, not five.
+        let (memo, metrics) = (LaunchMemo::new(4 * entry + entry / 2), MetricsRegistry::new());
+        let launch =
+            |name: &str, ops| memo.get_or_launch(key(name), &metrics, || Ok(output_of(ops)));
+        for i in 0..20 {
+            launch(&format!("f{i:02}"), 10).unwrap();
+            let state = memo.lock();
+            assert!(state.retained_bytes <= memo.bound, "after {i}: {}", state.retained_bytes);
+            assert_eq!(state.entries.len(), (i + 1).min(4));
+            assert_eq!(state.entries.values().map(|(_, b)| b).sum::<usize>(), state.retained_bytes);
+        }
+        assert_eq!(counters(&metrics), [0, 20, 16]);
+        launch("f19", 10).unwrap();
+        launch("f16", 10).unwrap();
+        assert_eq!(counters(&metrics), [2, 20, 16], "the newest four are the ones kept");
+        launch("f15", 10).unwrap();
+        assert_eq!(counters(&metrics), [2, 21, 17], "f15 was evicted, and evicts f16 in turn");
+
+        // Larger than the whole bound: served, nothing evicted for it, and
+        // launched again the next time.
+        let huge = launch("huge", 10_000).unwrap();
+        assert_eq!(huge.trace.len(), 10_000);
+        assert_eq!(memo.lock().entries.len(), 4);
+        launch("huge", 10_000).unwrap();
+        assert_eq!(counters(&metrics), [2, 23, 17]);
+    }
+
+    #[test]
+    fn retained_outputs_keep_no_spare_capacity() {
+        let (memo, metrics) = (LaunchMemo::new(1 << 20), MetricsRegistry::new());
+        let mut roomy = output_of(3);
+        roomy.output = String::with_capacity(4096);
+        roomy.output.push('7');
+        let kept = memo.get_or_launch(key("f"), &metrics, || Ok(roomy)).unwrap();
+        assert!(kept.output.capacity() < 4096, "kept {} bytes for one", kept.output.capacity());
     }
 
     #[test]

@@ -331,6 +331,12 @@ impl OpTrace {
             .sum()
     }
 
+    /// Drops the spare capacity recording left behind, for a trace that is
+    /// about to be retained.
+    pub fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+    }
+
     /// Merges another trace onto the end of this one.
     pub fn extend_from(&mut self, other: &OpTrace) {
         self.ops.extend_from_slice(&other.ops);

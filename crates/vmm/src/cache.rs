@@ -37,11 +37,17 @@ struct Level {
 }
 
 impl Level {
+    /// Sets start without storage and reserve exactly `ways` tags on their
+    /// first insert. `vec![Vec::with_capacity(ways); sets]` would not do
+    /// that: cloning an empty `Vec` keeps no capacity, so every touched set
+    /// would grow 0 → 4 → 8 → 16 instead. Reserving all sets here is not the
+    /// answer either — most VMs touch a fraction of L2, and the eager array
+    /// is resident memory a fleet pays once per VM.
     fn new(size_bytes: u64, ways: usize) -> Self {
         let lines = size_bytes / LINE;
         let sets = (lines as usize / ways).max(1);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        Level { sets: vec![Vec::with_capacity(ways); sets], ways, set_mask: sets as u64 - 1 }
+        Level { sets: vec![Vec::new(); sets], ways, set_mask: sets as u64 - 1 }
     }
 
     /// Accesses a *line number*; returns `true` on hit, inserting on miss.
@@ -56,6 +62,8 @@ impl Level {
         } else {
             if stack.len() == self.ways {
                 stack.remove(0);
+            } else if stack.is_empty() {
+                stack.reserve_exact(self.ways);
             }
             stack.push(tag);
             false
@@ -84,6 +92,17 @@ pub struct CacheSim {
     stats: CacheStats,
 }
 
+/// A [`CacheSim`]'s line state at one moment, flattened to one allocation:
+/// per set its length, then its tags, least recently used first.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct LineState(Vec<u64>);
+
+#[cfg(test)]
+thread_local! {
+    /// Snapshots taken on this thread, so tests can pin when none is.
+    pub(crate) static SNAPSHOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Cap on simulated line touches per memory op; larger runs are sampled with
 /// a stride and the counts scaled, keeping simulation time bounded while
 /// preserving hit-rate structure.
@@ -110,6 +129,15 @@ impl CacheSim {
     /// kept for future dirty-line modelling; reads and writes currently cost
     /// the same. Returns (refs, l2_hits, misses) deltas for cost charging.
     pub fn touch(&mut self, addr: u64, bytes: u64, _write: bool) -> CacheStats {
+        let delta = self.walk(addr, bytes);
+        self.credit(delta);
+        delta
+    }
+
+    /// The line walk of [`CacheSim::touch`]: moves tags and LRU order and
+    /// returns the access's deltas without adding them to the cumulative
+    /// statistics.
+    pub(crate) fn walk(&mut self, addr: u64, bytes: u64) -> CacheStats {
         if bytes == 0 {
             return CacheStats::default();
         }
@@ -136,10 +164,32 @@ impl CacheSim {
             }
             line += stride;
         }
+        delta
+    }
+
+    /// The bookkeeping of [`CacheSim::touch`]: adds an access's deltas to
+    /// the cumulative statistics. With the deltas of an earlier walk of the
+    /// same access from the same line state, `credit` alone stands for the
+    /// whole `touch` whenever that walk left the lines where it found them.
+    pub(crate) fn credit(&mut self, delta: CacheStats) {
         self.stats.references += delta.references;
         self.stats.l2_hits += delta.l2_hits;
         self.stats.misses += delta.misses;
-        delta
+    }
+
+    /// Tags and LRU order of every set of both levels; the cumulative
+    /// statistics are not part of it. Two simulators with equal line state
+    /// answer every future access alike.
+    pub(crate) fn line_state(&self) -> LineState {
+        #[cfg(test)]
+        SNAPSHOTS.with(|n| n.set(n.get() + 1));
+        let sets = || self.l1.sets.iter().chain(&self.l2.sets);
+        let mut flat = Vec::with_capacity(sets().map(|set| 1 + set.len()).sum());
+        for set in sets() {
+            flat.push(set.len() as u64);
+            flat.extend_from_slice(set);
+        }
+        LineState(flat)
     }
 
     /// Replays an [`Op`]'s memory behaviour, ignoring non-memory ops.

@@ -14,7 +14,7 @@ use confbench_types::{
     VmKind, VmTarget,
 };
 
-use crate::cache::CacheSim;
+use crate::cache::{CacheSim, CacheStats, LineState};
 use crate::cca::{Fvp, RealmId, Rmm};
 use crate::cost::CostModel;
 use crate::evtpm::EvTpm;
@@ -417,6 +417,17 @@ pub struct VmRuntimeState {
     pub total_faults: u64,
 }
 
+/// How one trial's `MemRead`/`MemWrite` ops reach the cache simulator.
+enum Walk<'a> {
+    /// Walk the lines.
+    Live,
+    /// Walk the lines and keep each op's deltas, in trace order.
+    Record(&'a mut Vec<CacheStats>),
+    /// Take each op's deltas from the record of a trial that started from
+    /// this line state and left it unchanged.
+    Replay(std::slice::Iter<'a, CacheStats>),
+}
+
 impl Vm {
     /// The VM's target.
     pub fn target(&self) -> VmTarget {
@@ -436,6 +447,12 @@ impl Vm {
     /// Cumulative VM exits since boot.
     pub fn total_exits(&self) -> u64 {
         self.total_exits
+    }
+
+    /// Cumulative cache-simulator statistics since boot (`None` with the
+    /// cache model off).
+    pub fn cache_stats(&self) -> Option<CacheStats> {
+        self.cache.as_ref().map(CacheSim::stats)
     }
 
     /// The TDX module, when this VM is a trust domain (used by attestation).
@@ -553,6 +570,98 @@ impl Vm {
     /// group…), not per individual exit, so the draw count is bounded by
     /// the trace length.
     pub fn try_execute(&mut self, trace: &OpTrace) -> Result<ExecutionReport, TeeFault> {
+        self.execute_trial(trace, &mut Walk::Live)
+    }
+
+    /// Executes `trace` `trials` times in a row, exactly as that many
+    /// [`Vm::try_execute`] calls would — equal reports, equal VM state, the
+    /// same fault at the same trial — while walking the cache simulator's
+    /// lines only as often as it has to.
+    ///
+    /// The simulator is deterministic: the same accesses from the same line
+    /// state (tags and LRU order of both levels) give the same hit/miss
+    /// deltas and leave the same line state. So while at least one more
+    /// trial follows, a trial records each memory op's deltas, and once a
+    /// trial has left the lines where it found them, every later trial takes
+    /// its deltas from that record instead of walking. Nothing else is
+    /// skipped: heap and page accounting, the page mechanism, dirty marking,
+    /// fault rolls, the accumulation order and the jitter draw run per trial.
+    /// A typical warm trace reaches that fixed point on its second trial, so
+    /// ten trials walk twice.
+    ///
+    /// # Errors
+    ///
+    /// As [`Vm::try_execute`], from the first trial that faults; the
+    /// reports of the trials before it are dropped with it.
+    pub fn try_execute_trials(
+        &mut self,
+        trace: &OpTrace,
+        trials: u32,
+    ) -> Result<Vec<ExecutionReport>, TeeFault> {
+        // Grown as trials succeed: `trials` can come straight off the wire.
+        let mut reports = Vec::new();
+        // Line state entering the coming trial, held only while a trial
+        // after it could replay its record.
+        let mut before: Option<LineState> = None;
+        let mut deltas: Vec<CacheStats> = Vec::new();
+        let mut replaying = false;
+        for trial in 0..trials {
+            let mut walk = if replaying {
+                Walk::Replay(deltas.iter())
+            } else if before.is_some() {
+                deltas.clear();
+                Walk::Record(&mut deltas)
+            } else {
+                Walk::Live
+            };
+            let outcome = self.execute_trial(trace, &mut walk);
+            let unread = match walk {
+                Walk::Replay(unread) => Some(unread.len()),
+                _ => None,
+            };
+            if let (Err(_), Some(unread)) = (&outcome, unread) {
+                // A live trial would have faulted with the lines mid-walk;
+                // the replay has only credited the ops before the fault.
+                self.walk_lines(trace, deltas.len() - unread);
+            }
+            reports.push(outcome?);
+            if replaying {
+                continue;
+            }
+            let Some(cache) = &self.cache else { continue };
+            let another_could_replay = trials - trial > 2;
+            if before.is_some() || another_could_replay {
+                let after = cache.line_state();
+                replaying = before.as_ref() == Some(&after);
+                before = (another_could_replay && !replaying).then_some(after);
+            }
+        }
+        Ok(reports)
+    }
+
+    /// Walks the lines of the first `mem_ops` memory ops of `trace` without
+    /// crediting statistics a replay has already credited.
+    fn walk_lines(&mut self, trace: &OpTrace, mut mem_ops: usize) {
+        let Some(cache) = &mut self.cache else { return };
+        for op in trace {
+            if mem_ops == 0 {
+                break;
+            }
+            if let Op::MemRead { addr, bytes } | Op::MemWrite { addr, bytes } = *op {
+                cache.walk(addr, bytes);
+                mem_ops -= 1;
+            }
+        }
+    }
+
+    /// One trial: the op loop under [`Vm::try_execute`] and
+    /// [`Vm::try_execute_trials`]. `walk` decides only how a memory op's
+    /// cache deltas are obtained.
+    fn execute_trial(
+        &mut self,
+        trace: &OpTrace,
+        walk: &mut Walk<'_>,
+    ) -> Result<ExecutionReport, TeeFault> {
         let exit_mech = TeeMechanism::exit_for(self.target.platform);
         let page_mech = TeeMechanism::page_for(self.target.platform);
         let mut cycles = 0.0f64;
@@ -594,7 +703,22 @@ impl Vm {
                     }
                     let (refs, l2_hits, misses) = match &mut self.cache {
                         Some(cache) => {
-                            let d = cache.touch(addr, bytes, write);
+                            let d = match walk {
+                                Walk::Live => cache.touch(addr, bytes, write),
+                                Walk::Record(deltas) => {
+                                    let d = cache.touch(addr, bytes, write);
+                                    deltas.push(d);
+                                    d
+                                }
+                                Walk::Replay(deltas) => {
+                                    let d = *deltas.next().expect(
+                                        "the recorded trial ran this trace to its end, \
+                                         so it holds a delta for every memory op",
+                                    );
+                                    cache.credit(d);
+                                    d
+                                }
+                            };
                             (d.references, d.l2_hits, d.misses)
                         }
                         None => {
@@ -1409,6 +1533,95 @@ mod tests {
             assert!(plan.injected() > 0, "{platform}: device chaos never fired");
             assert_eq!(clean, survived, "{platform}: device chaos must not perturb results");
         }
+    }
+
+    /// Runs `trace` as one `try_execute_trials` call and, on an identically
+    /// seeded twin, as `trials` single executions; asserts the two agree on
+    /// every report and on the cache simulator, line state included, and
+    /// returns how many line-state snapshots the trials call took, and its
+    /// reports.
+    fn snapshots_with_twin_agreement(
+        target: VmTarget,
+        trace: &OpTrace,
+        trials: u32,
+    ) -> (usize, Vec<ExecutionReport>) {
+        let mut vm = TeeVmBuilder::new(target).seed(21).build();
+        let mut twin = TeeVmBuilder::new(target).seed(21).build();
+        let before = crate::cache::SNAPSHOTS.with(std::cell::Cell::get);
+        let reports = vm.try_execute_trials(trace, trials).unwrap();
+        let snapshots = crate::cache::SNAPSHOTS.with(std::cell::Cell::get) - before;
+        let singles: Vec<_> = (0..trials).map(|_| twin.try_execute(trace).unwrap()).collect();
+        assert_eq!(format!("{reports:?}"), format!("{singles:?}"), "{trials} trials");
+        let (cache, twin_cache) = (vm.cache.as_ref().unwrap(), twin.cache.as_ref().unwrap());
+        assert_eq!(cache.stats(), twin_cache.stats(), "{trials} trials: cumulative stats");
+        assert!(cache.line_state() == twin_cache.line_state(), "{trials} trials: line state");
+        (snapshots, reports)
+    }
+
+    #[test]
+    fn trials_that_no_later_trial_could_replay_take_no_snapshot() {
+        let target = VmTarget::secure(TeePlatform::Tdx);
+        let mut trace = io_heavy_trace();
+        trace.mem_write(96 << 10);
+        for trials in 0..=2 {
+            let (snapshots, _) = snapshots_with_twin_agreement(target, &trace, trials);
+            assert_eq!(snapshots, 0, "{trials} trials");
+        }
+        // Three is the first count with a trial to serve: one snapshot after
+        // the cold trial, one after the warm trial that matches it.
+        assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 2);
+        assert_eq!(snapshots_with_twin_agreement(target, &trace, 10).0, 2);
+    }
+
+    #[test]
+    fn a_sweep_that_thrashes_l2_agrees_with_single_executions() {
+        // 8 MiB through a 1 MiB L2, once line by line (32 runs of exactly
+        // `MAX_LINES_PER_OP` lines) and once as a single sampled run: every
+        // trial misses all the way to DRAM, yet leaves the same tags in the
+        // same order, so the memo engages as on any warm trace.
+        let mut trace = OpTrace::new();
+        for _ in 0..32 {
+            trace.mem_read(256 << 10);
+        }
+        trace.mem_write(8 << 20);
+        for target in [VmTarget::normal(TeePlatform::Tdx), VmTarget::secure(TeePlatform::SevSnp)] {
+            let mut vm = TeeVmBuilder::new(target).build();
+            let warm = vm.try_execute_trials(&trace, 2).unwrap()[1];
+            assert!(warm.perf.cache_misses * 2 > warm.perf.cache_references, "thrashes: {warm:?}");
+            assert_eq!(snapshots_with_twin_agreement(target, &trace, 5).0, 2, "{target}");
+        }
+    }
+
+    #[test]
+    fn a_warm_trial_that_still_changes_l2_engages_one_trial_later() {
+        // Seventeen lines of one L2 set (so of one L1 set too): Z, R1..R7,
+        // F8..F16. Per trial: Z, R1..R7, then each F followed by R1..R7
+        // again, which keeps the Rs in L1 while Z and the Fs evict each
+        // other. Cold, the Rs go to L2 once, so sixteen fills follow Z's and
+        // L2 drops it. Warm, the Rs never leave L1: the L1-miss stream is Z
+        // and the Fs only, Z misses L2 once more (trial 2) and then stays
+        // (trial 3 on). Trial 2 changes the lines and its deltas are not
+        // trial 3's; trial 3 is the first whose record may be replayed.
+        let line = |k: u64| k * 1024 * 64;
+        let mut trace = OpTrace::new();
+        let keep_rs_in_l1 = |trace: &mut OpTrace| {
+            for r in 1..=7 {
+                trace.mem_read_at(line(r), 64);
+            }
+        };
+        trace.mem_read_at(line(0), 64);
+        keep_rs_in_l1(&mut trace);
+        for f in 8..=16 {
+            trace.mem_read_at(line(f), 64);
+            keep_rs_in_l1(&mut trace);
+        }
+        // Salt 0 (a normal VM) keeps the line → set mapping the identity.
+        let target = VmTarget::normal(TeePlatform::Tdx);
+        let (snapshots, reports) = snapshots_with_twin_agreement(target, &trace, 6);
+        let misses: Vec<u64> = reports.iter().map(|r| r.perf.cache_misses).collect();
+        assert_eq!(misses, [17, 1, 0, 0, 0, 0]);
+        assert_eq!(snapshots, 3, "after trials 1, 2 and 3");
+        assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 2, "too few to engage");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Deterministic seeded sweeps: each property draws its inputs from a
 //! `SplitMix64` stream, so every CI run exercises the identical case set.
 
+use std::sync::Arc;
+
 use confbench_crypto::SplitMix64;
 use confbench_types::{Op, OpTrace, SyscallKind, TeePlatform, VmKind, VmTarget};
-use confbench_vmm::TeeVmBuilder;
+use confbench_vmm::{TeeFaultPlan, TeeVmBuilder};
 
 const CASES: u64 = 48;
 
@@ -148,4 +150,143 @@ fn pure_cpu_ratio_is_cost_model_only() {
             mean(VmTarget::secure(TeePlatform::Cca)) / mean(VmTarget::normal(TeePlatform::Cca));
         assert!((0.95..1.35).contains(&ratio), "case {case}: cca cpu ratio {ratio}");
     }
+}
+
+/// A byte count for the trials sweep: zero, sub-line, L1-sized, around L2,
+/// and runs above the simulator's 4 096-line sampling cap (256 KiB).
+fn arb_span(rng: &mut SplitMix64) -> u64 {
+    match rng.next_below(8) {
+        0 => 0,
+        1 => 1 + rng.next_below(63),
+        2..=4 => 1 + rng.next_below(64 << 10),
+        5 | 6 => (64 << 10) + rng.next_below(2 << 20),
+        _ => (256 << 10) + 1 + rng.next_below(8 << 20),
+    }
+}
+
+/// A trace mixing every [`Op`]: allocations that are never freed, frees
+/// of more than was allocated, page cycling, re-touches of earlier buffers
+/// through `mem_read_at`, explicit-address writes, zero-byte ops.
+fn arb_trials_trace(rng: &mut SplitMix64) -> OpTrace {
+    let mut t = OpTrace::new();
+    let mut buffers: Vec<(u64, u64)> = Vec::new();
+    for _ in 0..1 + rng.next_below(24) {
+        match rng.next_below(19) {
+            0 => t.cpu(rng.next_below(100_000)),
+            1 => t.float(rng.next_below(50_000)),
+            2 => {
+                let bytes = arb_span(rng);
+                buffers.push((t.mem_read(bytes), bytes));
+            }
+            3 => {
+                let bytes = arb_span(rng);
+                buffers.push((t.mem_write(bytes), bytes));
+            }
+            4 | 5 => match buffers.len() as u64 {
+                0 => t.mem_read_at(rng.next_below(1 << 24), arb_span(rng)),
+                n => {
+                    let (addr, bytes) = buffers[rng.next_below(n) as usize];
+                    t.mem_read_at(addr, bytes);
+                }
+            },
+            6 => t.push(Op::MemWrite { addr: rng.next_below(1 << 24), bytes: arb_span(rng) }),
+            7 => t.alloc(arb_span(rng)),
+            8 => t.free(arb_span(rng)),
+            9 => {
+                let kind = SyscallKind::ALL[rng.next_below(SyscallKind::ALL.len() as u64) as usize];
+                t.syscall(kind, rng.next_below(8));
+            }
+            10 => t.io_read(arb_span(rng)),
+            11 => t.io_write(arb_span(rng)),
+            12 => t.ctx_switch(rng.next_below(16)),
+            13 => t.page_cycle(arb_span(rng)),
+            14 => t.device_wait(rng.next_below(50_000)),
+            15 => t.log(rng.next_below(4_096)),
+            16 => t.dev_dma_in(arb_span(rng)),
+            17 => t.dev_dma_out(arb_span(rng)),
+            _ => t.dev_kernel(rng.next_below(50_000)),
+        }
+    }
+    t
+}
+
+/// `try_execute_trials(t, n)` is `n × try_execute(t)`: on identically
+/// seeded twins — every platform × kind, cache model on and off, with and
+/// without a fault plan, in turn — the two give equal reports (`wall_ms`
+/// bit for bit) or the same fault after the same number of clean trials,
+/// and leave equal runtime state, dirty pages, cumulative cache statistics
+/// and (seen through one more execution) cache lines.
+#[test]
+fn fuzz_sweep_trials_equal_single_executions() {
+    let targets: Vec<VmTarget> =
+        TeePlatform::ALL.iter().flat_map(|&p| [VmTarget::secure(p), VmTarget::normal(p)]).collect();
+    let (mut faulted, mut faulted_in_replay) = (0, 0);
+    for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+        let mut rng = SplitMix64::new(0x73E_0006 ^ case);
+        let trace = arb_trials_trace(&mut rng);
+        let trials = rng.next_below(8) as u32;
+        let seed = rng.next_u64();
+        // The configurations take turns, so each gets its share of cases.
+        let target = targets[(case % 6) as usize];
+        let cache_model = (case / 6) % 2 == 0;
+        let chaos = (case / 12) % 2 == 1;
+        let label = format!("case {case}: {target}, cache {cache_model}, chaos {chaos}, {trials}×");
+
+        // Each twin rolls its own, identically seeded plan.
+        let boot = || {
+            let mut builder = TeeVmBuilder::new(target).seed(seed).cache_model(cache_model);
+            if chaos {
+                builder = builder.fault_plan(Arc::new(TeeFaultPlan::new(seed, 0.02)));
+            }
+            builder.try_build()
+        };
+        let (mut vm, mut twin) = match (boot(), boot()) {
+            (Ok(vm), Ok(twin)) => (vm, twin),
+            (Err(a), Err(b)) => {
+                assert_eq!(a, b, "{label}: boot fault");
+                continue;
+            }
+            _ => panic!("{label}: one twin booted, the other did not"),
+        };
+
+        let batched = vm.try_execute_trials(&trace, trials);
+        let mut singles = Vec::new();
+        let mut single_fault = None;
+        for _ in 0..trials {
+            match twin.try_execute(&trace) {
+                Ok(report) => singles.push(report),
+                Err(fault) => {
+                    single_fault = Some(fault);
+                    break;
+                }
+            }
+        }
+        match (&batched, single_fault) {
+            (Ok(reports), None) => {
+                assert_eq!(format!("{reports:?}"), format!("{singles:?}"), "{label}");
+                for (a, b) in reports.iter().zip(&singles) {
+                    assert_eq!(a.wall_ms.to_bits(), b.wall_ms.to_bits(), "{label}");
+                }
+            }
+            // Equal runtime state (below) pins the trial: the jitter stream
+            // advances once per clean trial.
+            (Err(a), Some(b)) => {
+                assert_eq!(*a, b, "{label}");
+                faulted += 1;
+                faulted_in_replay += usize::from(cache_model && singles.len() >= 2);
+            }
+            _ => panic!("{label}: {batched:?} vs {singles:?} then {single_fault:?}"),
+        }
+        assert_eq!(vm.cache_stats(), twin.cache_stats(), "{label}: cumulative cache stats");
+        assert_eq!(
+            vm.try_execute(&trace).map(|r| format!("{r:?}")),
+            twin.try_execute(&trace).map(|r| format!("{r:?}")),
+            "{label}: the execution after"
+        );
+        assert_eq!(vm.export_runtime_state(), twin.export_runtime_state(), "{label}");
+        assert_eq!(vm.export_dirty_pages(), twin.export_dirty_pages(), "{label}");
+        assert_eq!(vm.cache_stats(), twin.cache_stats(), "{label}: cache stats after");
+    }
+    assert!(faulted > 0, "no case faulted: the plan's rate no longer fits the traces");
+    assert!(faulted_in_replay > 0, "no case faulted in a trial that could have been replayed");
 }

@@ -228,3 +228,113 @@ fn cancellation_keeps_queued_jobs_off_the_vms() {
     assert_eq!(status.completed, 0);
     assert_eq!(status.cells.len(), 0);
 }
+
+/// Cells are content-seeded, so neither the order they run in nor how many
+/// workers run them can show in a result: whatever the axis order of the
+/// spec and the worker count, the result cache ends up byte-identical to
+/// the single-threaded drain's.
+#[test]
+fn execution_order_and_worker_count_leave_no_trace_in_the_results() {
+    let snapshot = |sched: &Scheduler| serde_json::to_string(&sched.result_cache().snapshot());
+    let (_server, _client, _gw, sched) = boot(64);
+    sched.submit(matrix_spec()).unwrap();
+    sched.drain();
+    let single_threaded = snapshot(&sched).unwrap();
+
+    for workers in [1, 2, 4] {
+        let mut spec = matrix_spec();
+        spec.functions.rotate_left(workers % 2);
+        spec.languages.reverse();
+        spec.platforms.reverse();
+        spec.modes.rotate_left(workers / 2 % 2);
+        let (_server, _client, _gw, sched) = boot(64);
+        let receipt = sched.submit(spec).unwrap();
+        sched.spawn_workers(workers);
+        while !sched.campaign_status(&receipt.id).unwrap().is_done() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        sched.shutdown();
+        assert_eq!(snapshot(&sched).unwrap(), single_threaded, "{workers} worker(s) per platform");
+    }
+}
+
+/// Arguments small enough for a debug build, one row per built-in.
+const TINY_ARGS: [(&str, &[&str]); 25] = [
+    ("cpustress", &["800"]),
+    ("memstress", &["2"]),
+    ("iostress", &["1"]),
+    ("logging", &["15"]),
+    ("factors", &["360"]),
+    ("filesystem", &["1"]),
+    ("ack", &["2", "3"]),
+    ("fib", &["8"]),
+    ("primes", &["400"]),
+    ("matrix", &["4"]),
+    ("quicksort", &["60"]),
+    ("mergesort", &["60"]),
+    ("base64", &["150"]),
+    ("json", &["4"]),
+    ("checksum", &["400"]),
+    ("compress", &["400"]),
+    ("mandelbrot", &["4"]),
+    ("nbody", &["20"]),
+    ("binarytrees", &["4"]),
+    ("spectralnorm", &["4", "1"]),
+    ("dijkstra", &["4"]),
+    ("wordcount", &["400"]),
+    ("histogram", &["400"]),
+    ("montecarlo", &["300"]),
+    ("strings", &["40"]),
+];
+
+/// The shape of the paper's Fig. 6 on one platform — 25 functions × 7
+/// languages × {secure, normal} — launches each function × language once:
+/// the second VM kind, and every cell of every later campaign, is served
+/// from the store's launch memo, whatever the campaign seed.
+#[test]
+fn a_fig6_shaped_campaign_launches_each_function_once_per_language() {
+    let gw = Arc::new(Gateway::builder().seed(13).local_host(TeePlatform::Tdx).build());
+    let sched = Arc::new(Scheduler::with_metrics(
+        Arc::clone(&gw) as Arc<dyn confbench_sched::Executor>,
+        Arc::new(ManualClock::new()),
+        SchedulerConfig::default(),
+        Arc::clone(gw.metrics()),
+    ));
+    let server = Arc::clone(&gw).serve_with_scheduler(Arc::clone(&sched), "127.0.0.1:0").unwrap();
+    let spec = |seed| CampaignSpec {
+        functions: TINY_ARGS
+            .iter()
+            .map(|(name, args)| args.iter().fold(CampaignFunction::new(*name), |f, a| f.arg(*a)))
+            .collect(),
+        languages: Language::ALL.to_vec(),
+        platforms: vec![TeePlatform::Tdx],
+        modes: vec![VmKind::Secure, VmKind::Normal],
+        trials: 4,
+        seed,
+        priority: Priority::Normal,
+        deadline_ms: None,
+        device: None,
+    };
+    assert_eq!(gw.store().len(), TINY_ARGS.len(), "a row per built-in");
+    let launches = |name: &str| gw.metrics().counter_value(&format!("launch_cache_{name}_total"));
+
+    let receipt = sched.submit(spec(13)).unwrap();
+    assert_eq!(receipt.jobs, 350);
+    sched.drain();
+    let status = sched.campaign_status(&receipt.id).unwrap();
+    assert_eq!((status.completed, status.failed), (350, 0));
+    assert_eq!((launches("misses"), launches("hits")), (Some(175), Some(175)));
+
+    // Another seed: 350 cells the result cache has never seen, no launch.
+    let receipt = sched.submit(spec(14)).unwrap();
+    sched.drain();
+    let status = sched.campaign_status(&receipt.id).unwrap();
+    assert_eq!((status.completed, status.cache_hits), (350, 0));
+    assert_eq!((launches("misses"), launches("hits")), (Some(175), Some(525)));
+    assert_eq!(launches("evictions"), Some(0));
+
+    let metrics = Client::new(server.addr()).send(&Request::new(Method::Get, "/v1/metrics"));
+    let body = String::from_utf8(metrics.unwrap().body).unwrap();
+    assert!(body.contains("launch_cache_hits_total 525\n"), "{body}");
+    assert!(body.contains("launch_cache_misses_total 175\n"), "{body}");
+}

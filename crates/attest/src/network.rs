@@ -1,8 +1,8 @@
 //! Deterministic WAN latency model for attestation services.
 
 use confbench_crypto::SplitMix64;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Latency model for requests to a remote service (the Intel PCS).
 ///
@@ -75,16 +75,12 @@ impl NetworkModel {
         f64::from_bits(self.fail_rate_bits.load(Ordering::Relaxed))
     }
 
-    fn lock_rng(&self) -> std::sync::MutexGuard<'_, SplitMix64> {
-        self.rng.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Latency in ms of one HTTPS request returning `response_bytes`
     /// (handshake amortized: 1.5 RTTs per request).
     pub fn request_ms(&self, response_bytes: u64) -> f64 {
         let transfer = response_bytes as f64 * 8.0 / (self.mbits_per_s * 1e3);
         let base = self.rtt_ms * 1.5 + transfer;
-        let jitter = 1.0 + self.lock_rng().next_gaussian() * self.jitter_rel_std;
+        let jitter = 1.0 + self.rng.lock().next_gaussian() * self.jitter_rel_std;
         base * jitter.clamp(0.6, 2.0)
     }
 
@@ -95,7 +91,7 @@ impl NetworkModel {
     pub fn try_request_ms(&self, response_bytes: u64) -> Result<f64, f64> {
         let ms = self.request_ms(response_bytes);
         let rate = self.fail_rate();
-        if rate > 0.0 && self.lock_rng().next_f64() < rate {
+        if rate > 0.0 && self.rng.lock().next_f64() < rate {
             return Err(ms);
         }
         Ok(ms)

@@ -12,7 +12,7 @@
 //!   e-vTPM runtime digest) plus the verification-policy fingerprint, TTL'd
 //!   on an injectable [`Clock`]. Concurrent cold verifications of one
 //!   identity are **single-flighted**: the first caller verifies (one PCS
-//!   round trip), the rest park on a condvar and reuse the result.
+//!   round trip), the rest park behind it and reuse the result.
 //! * [`CollateralRefresher`] — re-fetches TCB info/CRLs ahead of expiry so
 //!   steady-state verification runs entirely against cached collateral and
 //!   the hot path never blocks on the PCS; a TCB recovery observed during
@@ -23,11 +23,12 @@
 //! runtime-measurement extend, or the TCB watermark moving past it. All
 //! four force the next dispatch through full re-verification.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
+use confbench_crypto::flight::Flight;
 use confbench_crypto::{Digest, Sha256};
 use confbench_obs::{Counter, MetricsRegistry};
 use confbench_types::{Clock, TeePlatform};
@@ -208,8 +209,6 @@ struct CacheState {
     by_key: HashMap<Digest, String>,
     /// Insertion order, for oldest-first eviction.
     order: VecDeque<String>,
-    /// Keys with a verification in flight.
-    inflight: HashSet<Digest>,
     /// Per-platform required-TCB watermark (raised by collateral refresh).
     required_tcb: HashMap<TeePlatform, u64>,
     next_seq: u64,
@@ -225,8 +224,8 @@ impl CacheState {
 pub struct SessionCache {
     clock: Arc<dyn Clock>,
     config: SessionConfig,
-    state: Mutex<CacheState>,
-    cond: Condvar,
+    /// Sessions, with the keys whose verification is in flight.
+    flight: Flight<Digest, CacheState>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     waits: Arc<Counter>,
@@ -252,8 +251,7 @@ impl SessionCache {
         SessionCache {
             clock,
             config,
-            state: Mutex::new(CacheState::default()),
-            cond: Condvar::new(),
+            flight: Flight::new(CacheState::default()),
             hits: Arc::new(Counter::default()),
             misses: Arc::new(Counter::default()),
             waits: Arc::new(Counter::default()),
@@ -277,7 +275,7 @@ impl SessionCache {
 
     /// Retained sessions (all states).
     pub fn len(&self) -> usize {
-        self.lock().by_id.len()
+        self.flight.with(|state| state.by_id.len())
     }
 
     /// Whether no sessions are retained.
@@ -292,10 +290,6 @@ impl SessionCache {
             misses: self.misses.get(),
             singleflight_waits: self.waits.get(),
         }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The cache key for an identity: identity fingerprint folded with the
@@ -326,57 +320,42 @@ impl SessionCache {
     ) -> Result<SessionOutcome, AttestError> {
         let identity = evidence.identity();
         let key = self.key_for(&identity);
-        let mut waited = false;
-        let mut state = self.lock();
-        loop {
-            let now = self.clock.now_ms();
-            if let Some(id) = state.by_key.get(&key) {
-                if let Some(entry) = state.by_id.get(id) {
-                    let required = state.required(entry.identity.platform);
-                    if entry.state(now, required) == SessionState::Live {
-                        let session = entry.snapshot(now, required);
-                        let (timing, source) = if waited {
-                            // Parked behind the leader: the wall-clock cost
-                            // is the leader's verification, shared.
-                            (entry.timing, SessionSource::SingleFlight)
-                        } else {
-                            self.hits.inc();
-                            (PhaseTiming::local(SESSION_LOOKUP_MS), SessionSource::CacheHit)
-                        };
-                        return Ok(SessionOutcome { session, timing, source });
-                    }
-                }
-            }
-            if state.inflight.contains(&key) {
-                if !waited {
-                    self.waits.inc();
-                    waited = true;
-                }
-                state = self.cond.wait(state).unwrap_or_else(PoisonError::into_inner);
-                continue;
-            }
-            state.inflight.insert(key);
-            break;
+        let (joined, waited) = self.flight.join(&key, |state| {
+            let entry = state.by_id.get(state.by_key.get(&key)?)?;
+            let (now, required) = (self.clock.now_ms(), state.required(entry.identity.platform));
+            (entry.state(now, required) == SessionState::Live)
+                .then(|| (entry.snapshot(now, required), entry.timing))
+        });
+        if waited {
+            self.waits.inc();
         }
-        drop(state);
+        // Held until the session is in (or the verification has failed, or
+        // unwound): parked callers then reuse it, or the next one elects
+        // itself leader and retries.
+        let _leader = match joined {
+            Ok((session, verification)) => {
+                let (timing, source) = if waited {
+                    // Parked behind the leader: the wall-clock cost is the
+                    // leader's verification, shared.
+                    (verification, SessionSource::SingleFlight)
+                } else {
+                    self.hits.inc();
+                    (PhaseTiming::local(SESSION_LOOKUP_MS), SessionSource::CacheHit)
+                };
+                return Ok(SessionOutcome { session, timing, source });
+            }
+            Err(leader) => leader,
+        };
 
         // Verification runs outside the lock: other identities proceed in
         // parallel; same-identity callers park above.
         self.misses.inc();
-        let result = verifier.verify(evidence, expected_report_data);
-
-        let mut state = self.lock();
-        state.inflight.remove(&key);
-        let outcome = result.map(|timing| {
-            let now = self.clock.now_ms();
-            let session = Self::insert_locked(&mut state, &self.config, identity, key, timing, now);
-            SessionOutcome { session, timing, source: SessionSource::Verified }
-        });
-        drop(state);
-        // Wake parked callers: on success they reuse the session, on
-        // failure the next one elects itself leader and retries.
-        self.cond.notify_all();
-        outcome
+        let timing = verifier.verify(evidence, expected_report_data)?;
+        let now = self.clock.now_ms();
+        let session = self
+            .flight
+            .with(|state| Self::insert_locked(state, &self.config, identity, key, timing, now));
+        Ok(SessionOutcome { session, timing, source: SessionSource::Verified })
     }
 
     fn insert_locked(
@@ -421,15 +400,7 @@ impl SessionCache {
     /// unknown or no longer live; callers re-verify through
     /// [`SessionCache::verify_or_join`].
     pub fn hit(&self, id: &str) -> Option<SessionOutcome> {
-        let state = self.lock();
-        let entry = state.by_id.get(id)?;
-        let now = self.clock.now_ms();
-        let required = state.required(entry.identity.platform);
-        if entry.state(now, required) != SessionState::Live {
-            return None;
-        }
-        let session = entry.snapshot(now, required);
-        drop(state);
+        let session = self.get(id).filter(|s| s.state == SessionState::Live)?;
         self.hits.inc();
         Some(SessionOutcome {
             session,
@@ -440,9 +411,11 @@ impl SessionCache {
 
     /// Reads a session by id.
     pub fn get(&self, id: &str) -> Option<AttestSession> {
-        let state = self.lock();
-        let entry = state.by_id.get(id)?;
-        Some(entry.snapshot(self.clock.now_ms(), state.required(entry.identity.platform)))
+        let now = self.clock.now_ms();
+        self.flight.with(|state| {
+            let entry = state.by_id.get(id)?;
+            Some(entry.snapshot(now, state.required(entry.identity.platform)))
+        })
     }
 
     /// Whether `id` names a currently live session.
@@ -450,17 +423,20 @@ impl SessionCache {
         self.get(id).is_some_and(|s| s.state == SessionState::Live)
     }
 
+    /// Applies `change` to the session `id` names and snapshots the result.
+    fn update(&self, id: &str, change: impl FnOnce(&mut SessionEntry)) -> Option<AttestSession> {
+        let now = self.clock.now_ms();
+        self.flight.with(|state| {
+            let required = state.required(state.by_id.get(id)?.identity.platform);
+            let entry = state.by_id.get_mut(id)?;
+            change(entry);
+            Some(entry.snapshot(now, required))
+        })
+    }
+
     /// Revokes a session: the next dispatch presenting it re-verifies.
     pub fn revoke(&self, id: &str) -> Option<AttestSession> {
-        let mut state = self.lock();
-        let now = self.clock.now_ms();
-        let required = {
-            let entry = state.by_id.get(id)?;
-            state.required(entry.identity.platform)
-        };
-        let entry = state.by_id.get_mut(id)?;
-        entry.revoked = true;
-        Some(entry.snapshot(now, required))
+        self.update(id, |entry| entry.revoked = true)
     }
 
     /// Records that the runtime measurements behind `id` were extended: the
@@ -468,16 +444,10 @@ impl SessionCache {
     /// visible runtime digest updated to `new_runtime_digest`, so `GET`
     /// shows what the next verification must match.
     pub fn mark_extended(&self, id: &str, new_runtime_digest: Digest) -> Option<AttestSession> {
-        let mut state = self.lock();
-        let now = self.clock.now_ms();
-        let required = {
-            let entry = state.by_id.get(id)?;
-            state.required(entry.identity.platform)
-        };
-        let entry = state.by_id.get_mut(id)?;
-        entry.extended = true;
-        entry.identity.runtime_digest = new_runtime_digest;
-        Some(entry.snapshot(now, required))
+        self.update(id, |entry| {
+            entry.extended = true;
+            entry.identity.runtime_digest = new_runtime_digest;
+        })
     }
 
     /// Raises (never lowers) the required-TCB watermark for `platform`.
@@ -485,16 +455,16 @@ impl SessionCache {
     /// [`SessionState::TcbStale`] — the TCB-change invalidation path, fed
     /// by the collateral refresher.
     pub fn note_required_tcb(&self, platform: TeePlatform, required: u64) {
-        let mut state = self.lock();
-        let current = state.required(platform);
-        if required > current {
-            state.required_tcb.insert(platform, required);
-        }
+        self.flight.with(|state| {
+            if required > state.required(platform) {
+                state.required_tcb.insert(platform, required);
+            }
+        });
     }
 
     /// The current required-TCB watermark for `platform` (0 when unset).
     pub fn required_tcb(&self, platform: TeePlatform) -> u64 {
-        self.lock().required(platform)
+        self.flight.with(|state| state.required(platform))
     }
 }
 
@@ -616,6 +586,7 @@ mod tests {
     use crate::evtpm::quote_runtime;
     use confbench_types::{ManualClock, VmTarget};
     use confbench_vmm::TeeVmBuilder;
+    use std::collections::HashSet;
     use std::sync::Barrier;
 
     fn td_evidence(eco: &TdxEcosystem, nonce: u64) -> (Evidence, [u8; 64]) {
@@ -682,6 +653,54 @@ mod tests {
         assert_eq!(eco.pcs().requests(), 3, "tcb info + 2 CRLs, once");
         let ids: HashSet<_> = outcomes.iter().map(|o| o.session.id.clone()).collect();
         assert_eq!(ids.len(), 1, "every caller holds the same session");
+    }
+
+    /// Panics on its first call, then verifies like the ecosystem it wraps.
+    struct PanicsOnce {
+        eco: Arc<TdxEcosystem>,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl Verifier for PanicsOnce {
+        fn platform(&self) -> TeePlatform {
+            TeePlatform::Tdx
+        }
+
+        fn verify(&self, evidence: &Evidence, data: [u8; 64]) -> Result<PhaseTiming, AttestError> {
+            assert!(!self.armed.swap(false, Ordering::SeqCst), "verifier bug");
+            self.eco.verify(evidence, data)
+        }
+    }
+
+    #[test]
+    fn a_panicking_verifier_frees_its_identity_for_the_next_caller() {
+        let clock = Arc::new(ManualClock::new());
+        let cache = Arc::new(cache(&clock));
+        let eco = Arc::new(TdxEcosystem::new(1));
+        let (evidence, data) = td_evidence(&eco, 11);
+        let verifier = Arc::new(PanicsOnce { eco, armed: true.into() });
+
+        let leader = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.verify_or_join(verifier.as_ref(), &evidence, data)
+        }));
+        assert!(leader.is_err(), "the first verification unwinds");
+
+        // On a helper thread, so that a cache that still believes the
+        // identity is being verified fails this test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn({
+            let cache = Arc::clone(&cache);
+            move || {
+                tx.send(cache.verify_or_join(verifier.as_ref(), &evidence, data)).ok();
+            }
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("parked behind a leader that will never land")
+            .unwrap();
+        helper.join().unwrap();
+        assert_eq!(outcome.source, SessionSource::Verified, "it elects itself and verifies");
+        assert_eq!(cache.stats(), SessionCacheStats { hits: 0, misses: 2, singleflight_waits: 0 });
     }
 
     #[test]

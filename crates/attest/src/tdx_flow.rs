@@ -12,11 +12,11 @@
 //!    TCB level, and the report data binding.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use confbench_crypto::{Sha256, Signature, SigningKey, VerifyingKey};
 use confbench_types::Cycles;
 use confbench_vmm::{TdReport, Vm};
+use parking_lot::Mutex;
 
 use crate::error::AttestError;
 use crate::network::NetworkModel;
@@ -108,16 +108,9 @@ impl PcsService {
         self.current_tcb.load(Ordering::Relaxed)
     }
 
-    /// `GET /tcb`: returns (minimum acceptable TCB, signature, latency ms).
-    pub fn fetch_tcb_info(&self) -> (u64, Signature, f64) {
-        self.requests.fetch_add(1, Ordering::SeqCst);
-        let tcb = self.current();
-        let sig = self.root_key.sign(&tcb_message(tcb));
-        (tcb, sig, self.network.request_ms(TCB_INFO_BYTES))
-    }
-
-    /// Fallible [`PcsService::fetch_tcb_info`]: `Err` carries the latency
-    /// the failed request burned.
+    /// `GET /tcb`: the minimum acceptable TCB with its signature, and the
+    /// latency in ms. `Err` (here and in the other fetches) carries the
+    /// latency the failed request burned.
     pub fn try_fetch_tcb_info(&self) -> Result<((u64, Signature), f64), f64> {
         self.requests.fetch_add(1, Ordering::SeqCst);
         let ms = self.network.try_request_ms(TCB_INFO_BYTES)?;
@@ -127,12 +120,6 @@ impl PcsService {
     }
 
     /// `GET /pckcrl`: returns (is-pck-revoked, latency ms).
-    pub fn fetch_pck_crl(&self) -> (bool, f64) {
-        self.requests.fetch_add(1, Ordering::SeqCst);
-        (self.revoked_pck.load(Ordering::Relaxed), self.network.request_ms(CRL_BYTES))
-    }
-
-    /// Fallible [`PcsService::fetch_pck_crl`].
     pub fn try_fetch_pck_crl(&self) -> Result<(bool, f64), f64> {
         self.requests.fetch_add(1, Ordering::SeqCst);
         self.network
@@ -142,12 +129,6 @@ impl PcsService {
 
     /// `GET /rootcacrl`: returns latency ms (the root is never revoked in
     /// the model).
-    pub fn fetch_root_crl(&self) -> f64 {
-        self.requests.fetch_add(1, Ordering::SeqCst);
-        self.network.request_ms(CRL_BYTES)
-    }
-
-    /// Fallible [`PcsService::fetch_root_crl`].
     pub fn try_fetch_root_crl(&self) -> Result<f64, f64> {
         self.requests.fetch_add(1, Ordering::SeqCst);
         self.network.try_request_ms(CRL_BYTES)
@@ -245,13 +226,9 @@ impl TdxEcosystem {
         self.collateral_fetches.load(Ordering::SeqCst)
     }
 
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, Option<CachedCollateral>> {
-        self.collateral_cache.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Whether a past verification has populated the collateral cache.
     pub fn has_cached_collateral(&self) -> bool {
-        self.lock_cache().is_some()
+        self.collateral_cache.lock().is_some()
     }
 
     /// Runs one PCS fetch with bounded retry + exponential backoff,
@@ -335,7 +312,7 @@ impl TdxEcosystem {
                 match (pck, root) {
                     (Ok(pck_revoked), Ok(())) => {
                         let fresh = CachedCollateral { required_tcb, pck_revoked };
-                        *self.lock_cache() = Some(fresh);
+                        *self.collateral_cache.lock() = Some(fresh);
                         self.collateral_fetches.fetch_add(1, Ordering::SeqCst);
                         Ok(Some(fresh))
                     }
@@ -388,7 +365,7 @@ impl TdxEcosystem {
         quote: &TdQuote,
         expected_report_data: [u8; 64],
     ) -> Result<PhaseTiming, AttestError> {
-        let cached = *self.lock_cache();
+        let cached = *self.collateral_cache.lock();
         match cached {
             Some(collateral) => {
                 self.check_quote_against(quote, collateral, expected_report_data)?;
@@ -441,7 +418,7 @@ impl TdxEcosystem {
     }
 
     fn cached_collateral(&self) -> Result<CachedCollateral, AttestError> {
-        (*self.lock_cache()).ok_or(AttestError::CollateralUnavailable)
+        (*self.collateral_cache.lock()).ok_or(AttestError::CollateralUnavailable)
     }
 
     /// Verifier-side freshness helper: derives 64 bytes of report data from

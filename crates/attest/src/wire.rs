@@ -25,6 +25,7 @@
 
 use std::fmt;
 
+use confbench_crypto::wire::{Reader, ShortRead};
 use confbench_crypto::{Digest, Signature};
 use confbench_vmm::TdReport;
 
@@ -101,53 +102,17 @@ pub enum WireMessage {
     SnpReport(SnpReport),
 }
 
-/// A bounds-checked big-endian reader over a byte slice.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+impl From<ShortRead> for WireError {
+    fn from(e: ShortRead) -> Self {
+        WireError::Truncated { needed: e.needed, have: e.have }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { needed: n, have: self.remaining() });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut out = [0u8; N];
-        out.copy_from_slice(self.take(N)?);
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
+/// The framing is canonical: nothing may follow the body.
+fn finish(r: &Reader<'_>) -> Result<(), WireError> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(WireError::TrailingBytes(n)),
     }
 }
 
@@ -168,7 +133,7 @@ fn read_header(r: &mut Reader<'_>) -> Result<u8, WireError> {
     if version != WIRE_VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    r.u8()
+    Ok(r.u8()?)
 }
 
 /// Serializes a TD quote.
@@ -247,7 +212,7 @@ pub fn decode_td_quote(bytes: &[u8]) -> Result<TdQuote, WireError> {
         other => return Err(WireError::UnknownKind(other)),
     }
     let quote = decode_td_quote_body(&mut r)?;
-    r.finish()?;
+    finish(&r)?;
     Ok(quote)
 }
 
@@ -263,7 +228,7 @@ pub fn decode_snp_report(bytes: &[u8]) -> Result<SnpReport, WireError> {
         other => return Err(WireError::UnknownKind(other)),
     }
     let report = decode_snp_report_body(&mut r)?;
-    r.finish()?;
+    finish(&r)?;
     Ok(report)
 }
 
@@ -279,7 +244,7 @@ pub fn decode(bytes: &[u8]) -> Result<WireMessage, WireError> {
         KIND_SNP_REPORT => WireMessage::SnpReport(decode_snp_report_body(&mut r)?),
         other => return Err(WireError::UnknownKind(other)),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok(message)
 }
 
@@ -358,7 +323,12 @@ mod tests {
         bad_kind[5] = 200;
         assert!(matches!(decode(&bad_kind), Err(WireError::UnknownKind(200))));
 
-        assert!(matches!(decode(&bytes[..bytes.len() - 1]), Err(WireError::Truncated { .. })));
+        // The cursor's short read, carried over count for count: the
+        // 16-byte signature is one byte short.
+        assert_eq!(
+            decode(&bytes[..bytes.len() - 1]),
+            Err(WireError::Truncated { needed: 16, have: 15 })
+        );
 
         let mut trailing = bytes.clone();
         trailing.push(0);

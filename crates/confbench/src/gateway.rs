@@ -19,11 +19,11 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use confbench_crypto::SplitMix64;
 use confbench_httpd::{Client, Method, Request, Response, Router, Server, ServerConfig};
 use confbench_obs::{ActiveSpan, Counter, Histogram, MetricsRegistry, SpanRecorder};
 use confbench_types::{Error, Result, RunRequest, RunResult, TeePlatform, VmTarget};
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use confbench_vmm::TeeFaultPlan;
@@ -77,7 +77,7 @@ impl RetryPolicy {
     /// Milliseconds to wait before retry number `retry` (0-based): the base
     /// doubled per retry up to the ceiling, then — with jitter on — drawn
     /// from `[delay/2, delay]` on the caller's own seeded stream.
-    fn backoff_ms(&self, retry: u32, jitter_rng: &Mutex<StdRng>) -> u64 {
+    fn backoff_ms(&self, retry: u32, jitter_rng: &Mutex<SplitMix64>) -> u64 {
         let exp = u128::from(self.base_backoff_ms) << retry.min(20);
         let delay = exp.min(u128::from(self.max_backoff_ms)) as u64;
         if self.jitter && delay > 1 {
@@ -93,7 +93,7 @@ impl RetryPolicy {
     pub(crate) fn backoff(
         &self,
         retry: u32,
-        jitter_rng: &Mutex<StdRng>,
+        jitter_rng: &Mutex<SplitMix64>,
         deadline: Option<Instant>,
     ) {
         let mut sleep = Duration::from_millis(self.backoff_ms(retry, jitter_rng));
@@ -309,7 +309,7 @@ impl GatewayBuilder {
             store: self.store,
             pools,
             retry: self.retry,
-            jitter_rng: Mutex::new(StdRng::seed_from_u64(self.seed ^ 0x9E37_79B9_7F4A_7C15)),
+            jitter_rng: Mutex::new(SplitMix64::new(self.seed ^ 0x9E37_79B9_7F4A_7C15)),
             metrics: self.metrics,
             recorder,
             counters,
@@ -368,7 +368,7 @@ pub struct Gateway {
     store: Arc<FunctionStore>,
     pools: HashMap<TeePlatform, TeePool<HostRef>>,
     retry: RetryPolicy,
-    jitter_rng: Mutex<StdRng>,
+    jitter_rng: Mutex<SplitMix64>,
     metrics: Arc<MetricsRegistry>,
     recorder: SpanRecorder,
     counters: GatewayCounters,
@@ -1044,7 +1044,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_the_ceiling_and_jitters_within_its_upper_half() {
-        let rng = Mutex::new(StdRng::seed_from_u64(1));
+        let rng = Mutex::new(SplitMix64::new(1));
         let plain = RetryPolicy {
             max_attempts: 9,
             base_backoff_ms: 50,
@@ -1055,6 +1055,9 @@ mod tests {
         let huge = RetryPolicy { base_backoff_ms: u64::MAX, max_backoff_ms: u64::MAX, ..plain };
         assert_eq!(huge.backoff_ms(20, &rng), u64::MAX, "the doubling cannot wrap");
         let jittered = RetryPolicy { jitter: true, ..plain };
+        // The un-jittered calls above drew nothing: these are the stream's
+        // first three draws, pinned so that the generator cannot drift.
+        assert_eq!([0, 1, 2].map(|r| jittered.backoff_ms(r, &rng)), [44, 84, 159]);
         for retry in 0..8 {
             let (delay, full) = (jittered.backoff_ms(retry, &rng), plain.backoff_ms(retry, &rng));
             assert!((full / 2..=full).contains(&delay), "retry {retry}: {delay} vs {full}");

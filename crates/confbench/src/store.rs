@@ -8,9 +8,10 @@
 //! interpreting the script at dispatch cost 1 (pure semantics), then
 //! applying the runtime profile.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
+use confbench_crypto::flight::Flight;
 use confbench_crypto::{Digest, Sha256};
 use confbench_faasrt::{parse, run_program, FaasFunction, FunctionLauncher, LaunchOutput};
 use confbench_obs::MetricsRegistry;
@@ -147,8 +148,6 @@ struct MemoState {
     /// Retained keys, oldest first.
     order: VecDeque<LaunchKey>,
     retained_bytes: usize,
-    /// Keys some thread is launching right now.
-    in_flight: HashSet<LaunchKey>,
 }
 
 /// The memo under [`FunctionStore::launch`]: bounded by retained bytes
@@ -157,33 +156,12 @@ struct MemoState {
 #[derive(Debug)]
 struct LaunchMemo {
     bound: usize,
-    state: Mutex<MemoState>,
-    landed: Condvar,
-}
-
-/// Held by the thread launching `key`: on drop — a panic out of the launch
-/// included — the key leaves the in-flight set and the waiters are woken.
-struct Landing<'a> {
-    memo: &'a LaunchMemo,
-    key: &'a LaunchKey,
-}
-
-impl Drop for Landing<'_> {
-    fn drop(&mut self) {
-        self.memo.lock().in_flight.remove(self.key);
-        self.memo.landed.notify_all();
-    }
+    flight: Flight<LaunchKey, MemoState>,
 }
 
 impl LaunchMemo {
     fn new(bound: usize) -> Self {
-        LaunchMemo { bound, state: Mutex::default(), landed: Condvar::new() }
-    }
-
-    /// No caller's code runs under this lock and every update leaves the
-    /// state consistent, so a poisoned lock is still good.
-    fn lock(&self) -> MutexGuard<'_, MemoState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        LaunchMemo { bound, flight: Flight::new(MemoState::default()) }
     }
 
     /// The retained launch for `key`, or `launch()` — run outside the lock
@@ -196,22 +174,16 @@ impl LaunchMemo {
         metrics: &MetricsRegistry,
         launch: impl FnOnce() -> Result<LaunchOutput, String>,
     ) -> Launched {
-        let mut state = self.lock();
-        loop {
-            if let Some((launched, _)) = state.entries.get(&key) {
-                let launched = launched.clone();
-                drop(state);
+        let retained = |state: &MemoState| state.entries.get(&key).map(|(l, _)| l.clone());
+        // Held to the end: a panic out of `launch` frees the key, and the
+        // waiters are woken only after the entry is in.
+        let _leader = match self.flight.join(&key, retained).0 {
+            Ok(launched) => {
                 metrics.counter("launch_cache_hits_total").inc();
                 return launched;
             }
-            if !state.in_flight.contains(&key) {
-                break;
-            }
-            state = self.landed.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.in_flight.insert(key.clone());
-        drop(state);
-        let landing = Landing { memo: self, key: &key };
+            Err(leader) => leader,
+        };
         metrics.counter("launch_cache_misses_total").inc();
 
         let launched = launch().map(|mut output| {
@@ -225,20 +197,20 @@ impl LaunchMemo {
         let mut evicted = 0;
         // Larger than the whole bound: served, not retained.
         if bytes <= self.bound {
-            let mut state = self.lock();
-            while state.retained_bytes + bytes > self.bound {
-                let oldest = state.order.pop_front().expect("retained bytes have an entry");
-                let (_, freed) = state.entries.remove(&oldest).expect("ordered keys are retained");
-                state.retained_bytes -= freed;
-                evicted += 1;
-            }
-            state.retained_bytes += bytes;
-            state.order.push_back(key.clone());
-            state.entries.insert(key.clone(), (launched.clone(), bytes));
+            self.flight.with(|state| {
+                while state.retained_bytes + bytes > self.bound {
+                    let oldest = state.order.pop_front().expect("retained bytes have an entry");
+                    let (_, freed) =
+                        state.entries.remove(&oldest).expect("ordered keys are retained");
+                    state.retained_bytes -= freed;
+                    evicted += 1;
+                }
+                state.retained_bytes += bytes;
+                state.order.push_back(key.clone());
+                state.entries.insert(key.clone(), (launched.clone(), bytes));
+            });
         }
         metrics.counter("launch_cache_evictions_total").add(evicted);
-        // After the entry is in: woken waiters must find it.
-        drop(landing);
         launched
     }
 }
@@ -592,10 +564,12 @@ mod tests {
             |name: &str, ops| memo.get_or_launch(key(name), &metrics, || Ok(output_of(ops)));
         for i in 0..20 {
             launch(&format!("f{i:02}"), 10).unwrap();
-            let state = memo.lock();
-            assert!(state.retained_bytes <= memo.bound, "after {i}: {}", state.retained_bytes);
-            assert_eq!(state.entries.len(), (i + 1).min(4));
-            assert_eq!(state.entries.values().map(|(_, b)| b).sum::<usize>(), state.retained_bytes);
+            memo.flight.with(|state| {
+                assert!(state.retained_bytes <= memo.bound, "after {i}: {}", state.retained_bytes);
+                assert_eq!(state.entries.len(), (i + 1).min(4));
+                let charged: usize = state.entries.values().map(|(_, b)| b).sum();
+                assert_eq!(charged, state.retained_bytes);
+            });
         }
         assert_eq!(counters(&metrics), [0, 20, 16]);
         launch("f19", 10).unwrap();
@@ -608,7 +582,7 @@ mod tests {
         // launched again the next time.
         let huge = launch("huge", 10_000).unwrap();
         assert_eq!(huge.trace.len(), 10_000);
-        assert_eq!(memo.lock().entries.len(), 4);
+        assert_eq!(memo.flight.with(|state| state.entries.len()), 4);
         launch("huge", 10_000).unwrap();
         assert_eq!(counters(&metrics), [2, 23, 17]);
     }

@@ -28,11 +28,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use confbench_attest::{SnpEcosystem, TdxEcosystem};
+use confbench_crypto::SplitMix64;
 use confbench_obs::{ActiveSpan, Counter, Gauge, MetricsRegistry};
 use confbench_types::{DeviceKind, Error, Result, TeeMechanism, TeePlatform, VmKind, VmTarget};
 use confbench_vmm::{TeeFault, TeeFaultPlan, TeeVmBuilder, Vm};
 use parking_lot::Mutex;
-use rand::{rngs::StdRng, SeedableRng};
 
 use crate::attest_api::AttestService;
 use crate::gateway::RetryPolicy;
@@ -64,7 +64,7 @@ pub struct VmSupervisor {
     rebuild_budget: u32,
     metrics: SupervisorMetrics,
     attest: Option<Arc<AttestService>>,
-    jitter_rng: Mutex<StdRng>,
+    jitter_rng: Mutex<SplitMix64>,
     state: Mutex<SupervisorState>,
 }
 
@@ -95,7 +95,7 @@ impl VmSupervisor {
             rebuild_budget,
             metrics,
             attest: None,
-            jitter_rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x5375_7065_7256_6973)),
+            jitter_rng: Mutex::new(SplitMix64::new(seed ^ 0x5375_7065_7256_6973)),
             state: Mutex::new(SupervisorState { rebuilds: 0, quarantined: None }),
         }
     }

@@ -9,9 +9,16 @@
 //! * [`hmac_sha256`] — HMAC per RFC 2104 (validated against RFC 4231);
 //! * [`SigningKey`] / [`VerifyingKey`] — a Schnorr signature over a 62-bit
 //!   safe-prime group;
-//! * [`SplitMix64`] — a tiny deterministic PRNG for seed expansion;
+//! * [`SplitMix64`] — the workspace's one PRNG: every seeded stream
+//!   (jitter, synthetic datasets, retry backoff, fuzz mutation) draws from it;
 //! * [`miller_rabin`] — deterministic 64-bit primality testing (used to
 //!   verify the group parameters in tests, and by workloads).
+//!
+//! It is also the home of two primitives that are not cryptography but that
+//! several crates above need exactly one of: [`wire::Reader`], the
+//! bounds-checked cursor under every binary decoder, and
+//! [`flight::Flight`], the single-flight protocol under the caches that
+//! compute a missing entry once.
 //!
 //! # Security
 //!
@@ -35,12 +42,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flight;
 pub mod fuzz;
 mod hmac;
 mod numeric;
 mod prng;
 mod sha256;
 mod simsig;
+pub mod wire;
 
 pub use hmac::hmac_sha256;
 pub use numeric::{miller_rabin, mod_inverse, mod_mul, mod_pow};

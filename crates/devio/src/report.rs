@@ -18,6 +18,7 @@
 
 use std::fmt;
 
+use confbench_crypto::wire::{Reader, ShortRead};
 use confbench_crypto::{Signature, SigningKey, VerifyingKey};
 
 /// Report magic bytes.
@@ -119,6 +120,12 @@ impl fmt::Display for ReportError {
 
 impl std::error::Error for ReportError {}
 
+impl From<ShortRead> for ReportError {
+    fn from(e: ShortRead) -> Self {
+        ReportError::Truncated { needed: e.needed, got: e.have }
+    }
+}
+
 fn body_bytes(fw_svn: u32, blocks: &[MeasurementBlock], nonce: &[u8; 32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + blocks.len() * BLOCK_BYTES + NONCE_BYTES);
     out.extend_from_slice(&REPORT_MAGIC);
@@ -170,17 +177,17 @@ impl MeasurementReport {
         if bytes.len() < min {
             return Err(ReportError::Truncated { needed: min, got: bytes.len() });
         }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&bytes[0..4]);
+        let mut r = Reader::new(bytes);
+        let magic: [u8; 4] = r.array()?;
         if magic != REPORT_MAGIC {
             return Err(ReportError::BadMagic(magic));
         }
-        let version = u16::from_be_bytes([bytes[4], bytes[5]]);
+        let version = r.u16()?;
         if version != REPORT_VERSION {
             return Err(ReportError::UnsupportedVersion(version));
         }
-        let fw_svn = u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]);
-        let count = bytes[10] as usize;
+        let fw_svn = r.u32()?;
+        let count = r.u8()? as usize;
         if count > MAX_MEASUREMENT_BLOCKS {
             return Err(ReportError::TooManyBlocks(count));
         }
@@ -192,29 +199,21 @@ impl MeasurementReport {
             return Err(ReportError::TrailingBytes(bytes.len() - total));
         }
         let mut blocks = Vec::with_capacity(count);
-        let mut cursor = HEADER_BYTES;
         for _ in 0..count {
-            let index = bytes[cursor];
-            let kind = bytes[cursor + 1];
-            let mut digest = [0u8; 32];
-            digest.copy_from_slice(&bytes[cursor + 2..cursor + BLOCK_BYTES]);
-            if blocks.iter().any(|b: &MeasurementBlock| b.index == index) {
-                return Err(ReportError::DuplicateBlock(index));
+            let block = MeasurementBlock { index: r.u8()?, kind: r.u8()?, digest: r.array()? };
+            if blocks.iter().any(|b: &MeasurementBlock| b.index == block.index) {
+                return Err(ReportError::DuplicateBlock(block.index));
             }
-            blocks.push(MeasurementBlock { index, kind, digest });
-            cursor += BLOCK_BYTES;
+            blocks.push(block);
         }
         for required in [FIRMWARE_INDEX, INTERFACE_INDEX] {
             if !blocks.iter().any(|b| b.index == required) {
                 return Err(ReportError::MissingBlock(required));
             }
         }
-        let mut nonce = [0u8; 32];
-        nonce.copy_from_slice(&bytes[cursor..cursor + NONCE_BYTES]);
-        cursor += NONCE_BYTES;
-        let mut sig = [0u8; 16];
-        sig.copy_from_slice(&bytes[cursor..cursor + SIGNATURE_BYTES]);
-        Ok(MeasurementReport { fw_svn, blocks, nonce, signature: Signature::from_bytes(sig) })
+        let nonce = r.array()?;
+        let signature = Signature::from_bytes(r.array()?);
+        Ok(MeasurementReport { fw_svn, blocks, nonce, signature })
     }
 
     /// Verifies the vendor signature over the report body.
@@ -284,6 +283,12 @@ mod tests {
         let mut b = bytes.clone();
         b[10] = 12;
         assert!(matches!(MeasurementReport::decode(&b), Err(ReportError::Truncated { .. })));
+        // Both length checks run before the cursor does, so its own short
+        // read cannot surface; were one to, it would be the same rejection.
+        assert_eq!(
+            ReportError::from(ShortRead { needed: 32, have: 5 }),
+            ReportError::Truncated { needed: 32, got: 5 }
+        );
         // Block count over the limit.
         let mut b = bytes.clone();
         b[10] = 200;

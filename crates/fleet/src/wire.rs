@@ -20,6 +20,7 @@
 
 use std::fmt;
 
+use confbench_crypto::wire::{Reader, ShortRead};
 use confbench_types::{TeePlatform, VmKind};
 use confbench_vmm::VmRuntimeState;
 
@@ -101,6 +102,12 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<ShortRead> for WireError {
+    fn from(e: ShortRead) -> Self {
+        WireError::Truncated { needed: e.needed, have: e.have }
+    }
+}
 
 /// One frame of the migration stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -189,10 +196,12 @@ impl MigrationFrame {
     ///
     /// [`WireError`] naming the first malformation encountered.
     pub fn decode(buf: &[u8]) -> Result<MigrationFrame, WireError> {
-        let mut r = Reader { buf, pos: 0 };
+        let mut r = Reader::new(buf);
         let frame = decode_one(&mut r)?;
-        r.finish()?;
-        Ok(frame)
+        match r.remaining() {
+            0 => Ok(frame),
+            n => Err(WireError::TrailingBytes(n)),
+        }
     }
 }
 
@@ -203,7 +212,7 @@ impl MigrationFrame {
 /// [`WireError`] for the first malformed frame; earlier frames are
 /// discarded (a migration stream is all-or-nothing).
 pub fn decode_stream(buf: &[u8]) -> Result<Vec<MigrationFrame>, WireError> {
-    let mut r = Reader { buf, pos: 0 };
+    let mut r = Reader::new(buf);
     let mut frames = Vec::new();
     while r.remaining() > 0 {
         frames.push(decode_one(&mut r)?);
@@ -302,54 +311,6 @@ fn decode_one(r: &mut Reader<'_>) -> Result<MigrationFrame, WireError> {
     }
 }
 
-/// Bounds-checked big-endian cursor.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { needed: n, have: self.remaining() });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.array()?))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.array()?))
-    }
-
-    fn finish(&self) -> Result<(), WireError> {
-        match self.remaining() {
-            0 => Ok(()),
-            n => Err(WireError::TrailingBytes(n)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,10 +380,12 @@ mod tests {
         trailing.push(0);
         assert_eq!(MigrationFrame::decode(&trailing), Err(WireError::TrailingBytes(1)));
 
-        assert!(matches!(
+        // The cursor's short read, carried over count for count: the
+        // 8-byte nonce is three bytes short.
+        assert_eq!(
             MigrationFrame::decode(&good[..good.len() - 3]),
-            Err(WireError::Truncated { .. })
-        ));
+            Err(WireError::Truncated { needed: 8, have: 5 })
+        );
 
         let mut bad_platform = good;
         bad_platform[6] = 7;

@@ -23,12 +23,12 @@ use std::net::{
     IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use confbench_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{Fault, FaultInjector};
 use crate::http::{try_parse_request, HttpError, Request, Response};
@@ -162,13 +162,13 @@ struct Task {
 /// Handoff queue between the reactor and the worker pool.
 #[derive(Default)]
 struct TaskQueue {
-    state: StdMutex<(VecDeque<Task>, bool)>, // (pending, closed)
+    state: Mutex<(VecDeque<Task>, bool)>, // (pending, closed)
     cv: Condvar,
 }
 
 impl TaskQueue {
     fn push(&self, task: Task) {
-        let mut state = self.state.lock().expect("task queue lock");
+        let mut state = self.state.lock();
         if state.1 {
             return;
         }
@@ -180,7 +180,7 @@ impl TaskQueue {
     /// Blocks until a task is available or the queue is closed. `None`
     /// tells the worker to exit.
     fn pop(&self) -> Option<Task> {
-        let mut state = self.state.lock().expect("task queue lock");
+        let mut state = self.state.lock();
         loop {
             if let Some(task) = state.0.pop_front() {
                 return Some(task);
@@ -188,14 +188,14 @@ impl TaskQueue {
             if state.1 {
                 return None;
             }
-            state = self.cv.wait(state).expect("task queue lock");
+            state = self.cv.wait(state);
         }
     }
 
     /// Closes the queue, dropping tasks never picked up (their connections
     /// are force-closed by the reactor's drain deadline).
     fn close(&self) {
-        let mut state = self.state.lock().expect("task queue lock");
+        let mut state = self.state.lock();
         state.1 = true;
         state.0.clear();
         drop(state);

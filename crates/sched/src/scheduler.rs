@@ -12,7 +12,7 @@ use confbench_types::{
     CellSummary, Clock, Error, FunctionSpec, InvalidCampaign, JobId, JobState, JobStatus, Priority,
     RunRequest, TeePlatform, TraceSpan, VmTarget,
 };
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::cache::{cache_key, CachedCell, ResultCache};
 use crate::queue::BoundedQueue;
@@ -116,42 +116,37 @@ struct Inner {
     queue: BoundedQueue,
 }
 
-/// Wakeup channel between submitters and worker threads. The vendored
-/// `parking_lot` stand-in has no `Condvar`, so this one spot uses the std
-/// primitives (generation counter + stop flag under a std mutex).
+/// Wakeup channel between submitters and worker threads: a generation
+/// counter and a stop flag.
 #[derive(Default)]
 struct WorkerSignal {
-    state: std::sync::Mutex<(u64, bool)>,
-    cv: std::sync::Condvar,
+    state: Mutex<(u64, bool)>,
+    cv: Condvar,
 }
 
 impl WorkerSignal {
     fn notify(&self) {
-        self.state.lock().expect("signal lock").0 += 1;
+        self.state.lock().0 += 1;
         self.cv.notify_all();
     }
 
     fn stop(&self) {
-        self.state.lock().expect("signal lock").1 = true;
+        self.state.lock().1 = true;
         self.cv.notify_all();
     }
 
     fn stopped(&self) -> bool {
-        self.state.lock().expect("signal lock").1
+        self.state.lock().1
     }
 
     /// Blocks until the generation moves past `seen`, stop is requested, or
     /// the timeout elapses. Returns the latest generation.
     fn wait(&self, seen: u64) -> u64 {
-        let guard = self.state.lock().expect("signal lock");
-        let (guard, _) = self
-            .cv
-            .wait_timeout_while(
-                guard,
-                std::time::Duration::from_millis(25),
-                |(generation, stop)| *generation == seen && !*stop,
-            )
-            .expect("signal lock");
+        let (guard, _) = self.cv.wait_timeout_while(
+            self.state.lock(),
+            std::time::Duration::from_millis(25),
+            |(generation, stop)| *generation == seen && !*stop,
+        );
         guard.0
     }
 }

@@ -1,7 +1,6 @@
 //! Inference layers: the building blocks of MobileNet-class networks.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use confbench_crypto::SplitMix64;
 
 use crate::tensor::Tensor;
 
@@ -32,9 +31,14 @@ pub trait Layer {
     }
 }
 
-fn kaiming_weights(rng: &mut StdRng, count: usize, fan_in: usize) -> Vec<f32> {
+/// A draw from `[0, 1)` with 24 random mantissa bits.
+fn unit_f32(rng: &mut SplitMix64) -> f32 {
+    (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
+}
+
+fn kaiming_weights(rng: &mut SplitMix64, count: usize, fan_in: usize) -> Vec<f32> {
     let scale = (2.0 / fan_in as f64).sqrt() as f32;
-    (0..count).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * scale).collect()
+    (0..count).map(|_| (unit_f32(rng) * 2.0 - 1.0) * scale).collect()
 }
 
 /// Standard 2-D convolution over CHW input.
@@ -65,7 +69,7 @@ impl Conv2d {
         seed: u64,
     ) -> Self {
         assert!(in_channels > 0 && out_channels > 0 && kernel > 0 && stride > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let fan_in = in_channels * kernel * kernel;
         Conv2d {
             in_channels,
@@ -74,7 +78,7 @@ impl Conv2d {
             stride,
             padding,
             weights: kaiming_weights(&mut rng, out_channels * fan_in, fan_in),
-            bias: (0..out_channels).map(|_| rng.gen::<f32>() * 0.02).collect(),
+            bias: (0..out_channels).map(|_| unit_f32(&mut rng) * 0.02).collect(),
         }
     }
 
@@ -164,7 +168,7 @@ impl DepthwiseConv2d {
     /// Panics if any dimension parameter is zero.
     pub fn new(channels: usize, kernel: usize, stride: usize, padding: usize, seed: u64) -> Self {
         assert!(channels > 0 && kernel > 0 && stride > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         let fan_in = kernel * kernel;
         DepthwiseConv2d {
             channels,
@@ -172,7 +176,7 @@ impl DepthwiseConv2d {
             stride,
             padding,
             weights: kaiming_weights(&mut rng, channels * fan_in, fan_in),
-            bias: (0..channels).map(|_| rng.gen::<f32>() * 0.02).collect(),
+            bias: (0..channels).map(|_| unit_f32(&mut rng) * 0.02).collect(),
         }
     }
 
@@ -313,12 +317,12 @@ impl Dense {
     /// Panics if either feature count is zero.
     pub fn new(in_features: usize, out_features: usize, seed: u64) -> Self {
         assert!(in_features > 0 && out_features > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::new(seed);
         Dense {
             in_features,
             out_features,
             weights: kaiming_weights(&mut rng, in_features * out_features, in_features),
-            bias: (0..out_features).map(|_| rng.gen::<f32>() * 0.02).collect(),
+            bias: (0..out_features).map(|_| unit_f32(&mut rng) * 0.02).collect(),
         }
     }
 }
@@ -382,6 +386,20 @@ impl Layer for Softmax {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The model's first layer at the experiments' seed, weights then
+    /// bias, as drawn before the generator changed hands (`fig_gpu` has no
+    /// golden to notice a drift).
+    #[test]
+    fn seed_7_first_conv_parameters_are_pinned() {
+        let conv = Conv2d::new(3, 8, 3, 2, 1, 7);
+        let bytes: Vec<u8> =
+            conv.weights.iter().chain(&conv.bias).flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(
+            confbench_crypto::Sha256::digest(&bytes).to_string(),
+            "4abbfbfd136dcb5b21c0db1d7d9e0e7c668c791bf4c7e0b853c1bd34586f19d7"
+        );
+    }
 
     /// A 1×1 conv with identity weight must reproduce its input.
     #[test]

@@ -277,20 +277,20 @@ impl HostAgent {
     }
 }
 
-/// The measured trials of one attempt: `trials - 1` plain executions (which
-/// [`Vm::try_execute_trials`] stops walking through the cache simulator once
-/// a trial leaves its lines unchanged), then a final, fully walked one under
-/// the perf collector, whose sample — span tree included — is piggybacked on
-/// the result (paper §III-B).
+/// The measured trials of one attempt, as one [`Vm::try_execute_trials`]
+/// call (which stops walking through the cache simulator once a trial leaves
+/// its lines unchanged), the last of them sampled by the perf collector: its
+/// sample — span tree included — is piggybacked on the result (paper
+/// §III-B).
 fn measure_trials(
     vm: &mut Vm,
     trace: &OpTrace,
     trials: u32,
     recorder: &SpanRecorder,
 ) -> std::result::Result<(Vec<ExecutionReport>, PerfSample), TeeFault> {
-    let mut reports = vm.try_execute_trials(trace, trials - 1)?;
-    let (report, sample) = PerfStat::for_vm(vm).try_measure_spanned(vm, trace, recorder)?;
-    reports.push(report);
+    let reports = vm.try_execute_trials(trace, trials)?;
+    let measured = reports.last().expect("callers ask for at least one trial");
+    let sample = PerfStat::for_vm(vm).sample(measured, recorder);
     Ok((reports, sample))
 }
 
@@ -404,6 +404,86 @@ mod tests {
         h.execute(&req).unwrap();
         assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
         assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(2));
+    }
+
+    /// [`HostAgent::execute`] with the measured trial on its own, as it was
+    /// before that trial joined the others: `trials - 1` executions in one
+    /// call, then one more — always walked — under the collector.
+    fn execute_with_the_measured_trial_walked(
+        h: &HostAgent,
+        req: &RunRequest,
+    ) -> Result<RunResult> {
+        let function = &req.function;
+        let output =
+            h.store.launch(&function.name, function.language, &function.args, &h.metrics)?;
+        let mut span = h.recorder.root("host.execute");
+        span.set_attr("trials", u64::from(req.trials));
+        let measured =
+            h.supervisor(req.target.kind).run(&mut span, None, req.seed, |vm, span| {
+                let bootstrap = span.child("launcher.bootstrap");
+                vm.try_execute(&output.startup_trace)?;
+                span.finish_child(bootstrap);
+                let mut reports = vm.try_execute_trials(&output.trace, req.trials - 1)?;
+                let (report, sample) =
+                    PerfStat::for_vm(vm).try_measure_spanned(vm, &output.trace, &h.recorder)?;
+                reports.push(report);
+                Ok((reports, sample))
+            })?;
+        Ok(run_result(req, span, measured, output.output.clone()))
+    }
+
+    #[test]
+    fn a_replayed_measured_trial_answers_byte_for_byte_like_a_walked_one() {
+        const RATE: f64 = 0.002;
+        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
+        req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
+        req.trials = 10;
+        let host = |plan: Option<u64>| {
+            let faults = plan.map(|seed| Arc::new(TeeFaultPlan::new(seed, RATE)));
+            let retry = RetryPolicy { base_backoff_ms: 1, max_backoff_ms: 2, ..Default::default() };
+            HostAgent::with_config(
+                TeePlatform::Tdx,
+                Arc::new(FunctionStore::new()),
+                SpanRecorder::new(Arc::new(confbench_types::ManualClock::new())),
+                HostConfig { seed: 1, retry, faults, ..HostConfig::default() },
+            )
+        };
+        // A plan whose first fault lands inside the tenth trial of the
+        // first attempt (`req.seed` is 0, so the VM's seed is the host's),
+        // and which the host then recovers from.
+        let (store, unmetered) = (FunctionStore::new(), MetricsRegistry::new());
+        let output =
+            store.launch("iostress", Language::Lua, &req.function.args, &unmetered).unwrap();
+        let fires_in_the_measured_trial = |&seed: &u64| {
+            let plan = Arc::new(TeeFaultPlan::new(seed, RATE));
+            let Ok(mut vm) =
+                confbench_vmm::TeeVmBuilder::new(req.target).seed(1).fault_plan(plan).try_build()
+            else {
+                return false;
+            };
+            vm.try_execute(&output.startup_trace).is_ok()
+                && vm.try_execute_trials(&output.trace, 9).is_ok()
+                && vm.try_execute(&output.trace).is_err()
+                && host(Some(seed)).execute(&req).is_ok()
+        };
+        let plan = (0..100_000).find(fires_in_the_measured_trial).expect("a plan that fits");
+        for plan in [None, Some(plan)] {
+            let (replaying, walking) = (host(plan), host(plan));
+            let replayed = replaying.execute(&req).unwrap();
+            let walked = execute_with_the_measured_trial_walked(&walking, &req).unwrap();
+            for h in [&replaying, &walking] {
+                let faulted = h.metrics.render_text().contains("vmm_faults_total");
+                assert_eq!(faulted, plan.is_some(), "fault plan {plan:?}");
+            }
+            assert_eq!(replayed.trial_ms.len(), 10);
+            let measured = replayed.trace.as_ref().and_then(|t| t.find("perf.measure")).unwrap();
+            assert!(measured.find("swiotlb.copy").is_some(), "the sample's children are there");
+            assert_eq!(
+                serde_json::to_string(&replayed).unwrap(),
+                serde_json::to_string(&walked).unwrap(),
+                "fault plan {plan:?}"
+            );
+        }
     }
 
     #[test]

@@ -181,13 +181,27 @@ impl PerfStat {
         self.collector.name()
     }
 
-    /// Executes `trace` on `vm` under measurement, returning the execution
-    /// report plus the collected sample. The run is recorded under a
-    /// `perf.measure` root span (timestamped on `recorder`'s clock, with the
-    /// VM's per-class cost-event children) and the finished tree is
-    /// attached to the sample. An injected TEE fault aborts the measured
-    /// run (no sample, the unfinished span is dropped) and surfaces as
-    /// `Err` for the supervisor to retry or rebuild.
+    /// The sample of one finished execution: the collector's view of its
+    /// counters, under a `perf.measure` root span (stamped on `recorder`'s
+    /// clock as the sample is taken) with the report's cost-event children.
+    /// It reads `report` alone, so any trial of
+    /// [`Vm::try_execute_trials`] can be the measured one.
+    pub fn sample(&self, report: &ExecutionReport, recorder: &SpanRecorder) -> PerfSample {
+        let mut root = recorder.root("perf.measure");
+        report.attach_spans(&mut root);
+        root.set_attr("vm_exits", report.perf.vm_exits);
+        root.set_attr("bounce_bytes", report.perf.bounce_bytes);
+        PerfSample {
+            collector: self.collector.name(),
+            report: self.collector.collect(report),
+            trace: Some(root.finish()),
+        }
+    }
+
+    /// Executes `trace` on `vm` and [`PerfStat::sample`]s it, returning the
+    /// execution report plus the sample. An injected TEE fault aborts the
+    /// measured run (no sample) and surfaces as `Err` for the supervisor to
+    /// retry or rebuild.
     ///
     /// # Errors
     ///
@@ -198,16 +212,8 @@ impl PerfStat {
         trace: &OpTrace,
         recorder: &SpanRecorder,
     ) -> Result<(ExecutionReport, PerfSample), confbench_vmm::TeeFault> {
-        let mut root = recorder.root("perf.measure");
-        let report = vm.try_execute_spanned(trace, &mut root)?;
-        root.set_attr("vm_exits", report.perf.vm_exits);
-        root.set_attr("bounce_bytes", report.perf.bounce_bytes);
-        let sample = PerfSample {
-            collector: self.collector.name(),
-            report: self.collector.collect(&report),
-            trace: Some(root.finish()),
-        };
-        Ok((report, sample))
+        let report = vm.try_execute(trace)?;
+        Ok((report, self.sample(&report, recorder)))
     }
 }
 

@@ -29,45 +29,83 @@ impl CacheStats {
     }
 }
 
+/// What a slot holds before its first tag: no line number (a byte address
+/// over [`LINE`]) reaches it.
+const VACANT: u64 = u64::MAX;
+
+/// One cache level: LRU sets of `WAYS` tags each, least recently used first
+/// from slot `head` on, wrapping. While a set fills, `head` is 0 and `len`
+/// counts its tags; once full it is a ring, and what a streaming trace does
+/// most moves no tag: a miss overwrites the oldest tag, a hit on the oldest
+/// tag keeps it, and both advance `head`, making that slot the newest.
 #[derive(Debug, Clone)]
-struct Level {
-    sets: Vec<Vec<u64>>, // per-set LRU stack of tags, most recent last
-    ways: usize,
+struct Level<const WAYS: usize> {
+    /// A set boxes its tags on its first insert: most VMs touch a fraction
+    /// of L2, and an eager `sets × WAYS` array is RSS a fleet pays per VM.
+    sets: Vec<Option<Box<[u64; WAYS]>>>,
+    /// `(len, head)` per set.
+    fill: Vec<(u8, u8)>,
     set_mask: u64,
 }
 
-impl Level {
-    /// Sets start without storage and reserve exactly `ways` tags on their
-    /// first insert. `vec![Vec::with_capacity(ways); sets]` would not do
-    /// that: cloning an empty `Vec` keeps no capacity, so every touched set
-    /// would grow 0 → 4 → 8 → 16 instead. Reserving all sets here is not the
-    /// answer either — most VMs touch a fraction of L2, and the eager array
-    /// is resident memory a fleet pays once per VM.
-    fn new(size_bytes: u64, ways: usize) -> Self {
-        let lines = size_bytes / LINE;
-        let sets = (lines as usize / ways).max(1);
+impl<const WAYS: usize> Level<WAYS> {
+    fn new(size_bytes: u64) -> Self {
+        let sets = ((size_bytes / LINE) as usize / WAYS).max(1);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
-        Level { sets: vec![Vec::new(); sets], ways, set_mask: sets as u64 - 1 }
+        assert!(WAYS.is_power_of_two() && WAYS <= 128, "ring positions are masked bytes");
+        Level { sets: vec![None; sets], fill: vec![(0, 0); sets], set_mask: sets as u64 - 1 }
     }
 
-    /// Accesses a *line number*; returns `true` on hit, inserting on miss.
+    /// Accesses a *line number* (the full number doubles as the tag);
+    /// returns `true` on hit, inserting on miss.
+    #[inline]
     fn access(&mut self, line: u64) -> bool {
         let set = (line & self.set_mask) as usize;
-        let tag = line; // the full line number doubles as the tag
-        let stack = &mut self.sets[set];
-        if let Some(pos) = stack.iter().position(|&t| t == tag) {
-            let t = stack.remove(pos);
-            stack.push(t);
-            true
-        } else {
-            if stack.len() == self.ways {
-                stack.remove(0);
-            } else if stack.is_empty() {
-                stack.reserve_exact(self.ways);
+        let tags = self.sets[set].get_or_insert_with(|| Box::new([VACANT; WAYS]));
+        let (len, head) = &mut self.fill[set];
+        // No early exit: a whole pass over a compile-time-sized array
+        // carries no data-dependent branch.
+        let mut hit = WAYS;
+        for (slot, &tag) in tags.iter().enumerate() {
+            if tag == line {
+                hit = slot;
             }
-            stack.push(tag);
-            false
         }
+        let full = usize::from(*len) == WAYS;
+        if hit == WAYS {
+            if full {
+                tags[usize::from(*head)] = line;
+                *head = (*head + 1) % WAYS as u8;
+            } else {
+                tags[usize::from(*len)] = line;
+                *len += 1;
+            }
+            return false;
+        }
+        if full && hit == usize::from(*head) {
+            *head = (*head + 1) % WAYS as u8;
+            return true;
+        }
+        // Any other hit: the tags younger than it each age one slot.
+        let newest = (usize::from(*head) + usize::from(*len) - 1) % WAYS;
+        while hit != newest {
+            let younger = (hit + 1) % WAYS;
+            tags[hit] = tags[younger];
+            hit = younger;
+        }
+        tags[newest] = line;
+        true
+    }
+
+    /// Per set its length, then its tags least recently used first —
+    /// whatever `head` the ring has turned to.
+    fn canonical(&self) -> impl Iterator<Item = u64> + '_ {
+        self.sets.iter().zip(&self.fill).flat_map(|(tags, &(len, head))| {
+            let lru_first = tags.iter().flat_map(move |tags| {
+                (0..usize::from(len)).map(move |age| tags[(usize::from(head) + age) % WAYS])
+            });
+            std::iter::once(u64::from(len)).chain(lru_first)
+        })
     }
 }
 
@@ -86,8 +124,8 @@ impl Level {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheSim {
-    l1: Level,
-    l2: Level,
+    l1: Level<8>,
+    l2: Level<16>,
     salt: u64,
     stats: CacheStats,
 }
@@ -101,6 +139,8 @@ pub(crate) struct LineState(Vec<u64>);
 thread_local! {
     /// Snapshots taken on this thread, so tests can pin when none is.
     pub(crate) static SNAPSHOTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// [`CacheSim::walk`] calls on this thread, so tests can pin how many.
+    pub(crate) static WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 /// Cap on simulated line touches per memory op; larger runs are sampled with
@@ -113,8 +153,8 @@ impl CacheSim {
     /// page-color `salt` (0 = identity frame mapping).
     pub fn new(salt: u64) -> Self {
         CacheSim {
-            l1: Level::new(32 << 10, 8),
-            l2: Level::new(1 << 20, 16),
+            l1: Level::new(32 << 10),
+            l2: Level::new(1 << 20),
             salt,
             stats: CacheStats::default(),
         }
@@ -136,30 +176,30 @@ impl CacheSim {
 
     /// The line walk of [`CacheSim::touch`]: moves tags and LRU order and
     /// returns the access's deltas without adding them to the cumulative
-    /// statistics.
+    /// statistics. A run that would pass the top of the address space ends
+    /// there. Never inlined: this loop is most of a campaign's time, and in
+    /// a function of its own its placement follows from this file alone.
+    #[inline(never)]
     pub(crate) fn walk(&mut self, addr: u64, bytes: u64) -> CacheStats {
+        #[cfg(test)]
+        WALKS.with(|n| n.set(n.get() + 1));
         if bytes == 0 {
             return CacheStats::default();
         }
         let first = addr / LINE;
-        let last = (addr + bytes - 1) / LINE;
-        let total_lines = last - first + 1;
-        let (stride, scale) = if total_lines > MAX_LINES_PER_OP {
-            let stride = total_lines.div_ceil(MAX_LINES_PER_OP);
-            (stride, stride)
-        } else {
-            (1, 1)
-        };
+        let last = addr.saturating_add(bytes - 1) / LINE;
+        let stride = (last - first + 1).div_ceil(MAX_LINES_PER_OP);
         let mut delta = CacheStats::default();
         let mut line = first;
         while line <= last {
             let colored = self.color(line * LINE) / LINE;
-            delta.references += scale;
+            // Each sampled line stands for `stride` lines of the run.
+            delta.references += stride;
             if !self.l1.access(colored) {
                 if self.l2.access(colored) {
-                    delta.l2_hits += scale;
+                    delta.l2_hits += stride;
                 } else {
-                    delta.misses += scale;
+                    delta.misses += stride;
                 }
             }
             line += stride;
@@ -177,19 +217,27 @@ impl CacheSim {
         self.stats.misses += delta.misses;
     }
 
+    /// The line state in its canonical order: L1's sets, then L2's.
+    fn canonical(&self) -> impl Iterator<Item = u64> + '_ {
+        self.l1.canonical().chain(self.l2.canonical())
+    }
+
     /// Tags and LRU order of every set of both levels; the cumulative
     /// statistics are not part of it. Two simulators with equal line state
     /// answer every future access alike.
     pub(crate) fn line_state(&self) -> LineState {
         #[cfg(test)]
         SNAPSHOTS.with(|n| n.set(n.get() + 1));
-        let sets = || self.l1.sets.iter().chain(&self.l2.sets);
-        let mut flat = Vec::with_capacity(sets().map(|set| 1 + set.len()).sum());
-        for set in sets() {
-            flat.push(set.len() as u64);
-            flat.extend_from_slice(set);
-        }
+        let sets = self.l1.fill.iter().chain(&self.l2.fill);
+        let mut flat = Vec::with_capacity(sets.map(|&(len, _)| 1 + usize::from(len)).sum());
+        flat.extend(self.canonical());
         LineState(flat)
+    }
+
+    /// Whether [`CacheSim::line_state`] would return `state`, without
+    /// flattening anything to find out.
+    pub(crate) fn lines_equal(&self, state: &LineState) -> bool {
+        self.canonical().eq(state.0.iter().copied())
     }
 
     /// Replays an [`Op`]'s memory behaviour, ignoring non-memory ops.
@@ -217,6 +265,146 @@ impl CacheSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confbench_crypto::SplitMix64;
+
+    /// The reference model: the level as it was before the ring sets, a
+    /// per-set LRU stack of tags, most recent last.
+    struct StackLevel {
+        sets: Vec<Vec<u64>>,
+        ways: usize,
+    }
+
+    impl StackLevel {
+        fn new(size_bytes: u64, ways: usize) -> Self {
+            StackLevel { sets: vec![Vec::new(); (size_bytes / LINE) as usize / ways], ways }
+        }
+
+        fn access(&mut self, line: u64) -> bool {
+            let set = line as usize % self.sets.len();
+            let stack = &mut self.sets[set];
+            let hit = stack.iter().position(|&t| t == line);
+            match hit {
+                Some(pos) => drop(stack.remove(pos)),
+                None if stack.len() == self.ways => drop(stack.remove(0)),
+                None => {}
+            }
+            stack.push(line);
+            hit.is_some()
+        }
+    }
+
+    /// [`CacheSim`] over [`StackLevel`]s, line by line.
+    struct LruStacks {
+        l1: StackLevel,
+        l2: StackLevel,
+        /// Never walked: lends its color map and keeps the statistics.
+        unwalked: CacheSim,
+    }
+
+    impl LruStacks {
+        fn new(salt: u64) -> Self {
+            LruStacks {
+                l1: StackLevel::new(32 << 10, 8),
+                l2: StackLevel::new(1 << 20, 16),
+                unwalked: CacheSim::new(salt),
+            }
+        }
+
+        fn touch(&mut self, addr: u64, bytes: u64) -> CacheStats {
+            let mut delta = CacheStats::default();
+            if bytes > 0 {
+                let (first, last) = (addr / LINE, addr.saturating_add(bytes - 1) / LINE);
+                let stride = (last - first + 1).div_ceil(MAX_LINES_PER_OP);
+                for line in (first..=last).step_by(stride as usize) {
+                    let colored = self.unwalked.color(line * LINE) / LINE;
+                    delta.references += stride;
+                    if !self.l1.access(colored) {
+                        if self.l2.access(colored) {
+                            delta.l2_hits += stride;
+                        } else {
+                            delta.misses += stride;
+                        }
+                    }
+                }
+            }
+            self.unwalked.credit(delta);
+            delta
+        }
+
+        fn line_state(&self) -> LineState {
+            let sets = self.l1.sets.iter().chain(&self.l2.sets);
+            LineState(
+                sets.flat_map(|s| [s.len() as u64].into_iter().chain(s.iter().copied())).collect(),
+            )
+        }
+    }
+
+    /// The ring sets are the LRU stacks: SplitMix64 streams of sequential
+    /// runs, runs above [`MAX_LINES_PER_OP`], re-touches of earlier runs and
+    /// conflict strides, under the identity mapping and the three secure
+    /// salts, give equal deltas from every `touch`, equal cumulative
+    /// statistics and — after every op, so also while sets fill and as each
+    /// `head` first wraps — equal canonical line state, flattened and
+    /// compared in place. Mutations tried by hand: no `head` advance on an
+    /// oldest-tag hit, and ring order instead of LRU order from
+    /// `canonical`; the "line state" assertion caught both (case 1 op 4,
+    /// case 0 op 0).
+    #[test]
+    fn fuzz_sweep_ring_sets_equal_lru_stacks() {
+        const SALTS: [u64; 4] = [0, 0x5a5a_0001, 0xa5a5_0002, 0x3c3c_0003];
+        let (mut full_sets, mut unchanged) = (0, 0);
+        for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+            let mut rng = SplitMix64::new(0xC4C_4E00 ^ case);
+            let salt = SALTS[(case % 4) as usize];
+            let (mut rings, mut stacks) = (CacheSim::new(salt), LruStacks::new(salt));
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            let mut state = stacks.line_state();
+            for op in 0..1 + rng.next_below(12) {
+                let label = format!("case {case}, salt {salt:#x}, op {op}");
+                let run = match (rng.next_below(8), runs.len() as u64) {
+                    (0..=2, _) | (5, 0) => (rng.next_below(1 << 22), 1 + rng.next_below(48 << 10)),
+                    (3, _) => (rng.next_below(1 << 22), (256 << 10) + rng.next_below(4 << 20)),
+                    (4, _) => (rng.next_below(1 << 30), rng.next_below(3) * 64),
+                    (5, n) => runs[rng.next_below(n) as usize],
+                    _ => {
+                        // Twenty lines of one L2 set (and one L1 set), the
+                        // first few again: hits on a set's oldest tag, on
+                        // its newest, and in between.
+                        let base = rng.next_below(64) * 64;
+                        let lines = (0..20).chain(0..rng.next_below(20));
+                        for i in lines {
+                            let delta = stacks.touch(base + i * 8192, 64);
+                            assert_eq!(rings.touch(base + i * 8192, 64, false), delta, "{label}");
+                        }
+                        (base, 64)
+                    }
+                };
+                runs.push(run);
+                let delta = stacks.touch(run.0, run.1);
+                assert_eq!(rings.touch(run.0, run.1, false), delta, "{label}: {run:?}");
+                assert_eq!(rings.stats(), stacks.unwalked.stats(), "{label}");
+                let after = stacks.line_state();
+                assert!(rings.line_state() == after, "{label}: line state");
+                assert!(rings.lines_equal(&after), "{label}: compared in place");
+                assert_eq!(rings.lines_equal(&state), state == after, "{label}: against the last");
+                unchanged += usize::from(state == after);
+                state = after;
+            }
+            full_sets += rings.l2.fill.iter().filter(|&&(len, head)| len == 16 && head > 0).count();
+        }
+        assert!(full_sets > 0, "no L2 ring ever turned: the streams no longer fill a set");
+        assert!(unchanged > 0, "no op left the lines as they were");
+    }
+
+    #[test]
+    fn runs_past_the_top_of_the_address_space_end_at_the_top() {
+        let mut c = CacheSim::new(0);
+        // The last line, whole; then a run that would end 89 bytes past it.
+        assert_eq!(c.touch(u64::MAX - 63, 64, false).references, 1);
+        let d = c.touch(u64::MAX - 10, 100, true);
+        assert_eq!((d.references, d.misses), (1, 0), "the same last line, now cached");
+        assert_eq!(c.touch(u64::MAX - 64, 1 << 20, false).references, 2, "the two below the top");
+    }
 
     #[test]
     fn repeated_touches_hit_l1() {

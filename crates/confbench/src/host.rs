@@ -123,6 +123,7 @@ impl HostAgent {
                 &config.metrics,
             )
             .with_attest(config.attest.clone())
+            .with_walk_memo(Arc::clone(store.walk_memo()))
         };
         HostAgent {
             platform,
@@ -432,41 +433,50 @@ mod tests {
         Ok(run_result(req, span, measured, output.output.clone()))
     }
 
-    #[test]
-    fn a_replayed_measured_trial_answers_byte_for_byte_like_a_walked_one() {
-        const RATE: f64 = 0.002;
-        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
-        req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
-        req.trials = 10;
-        let host = |plan: Option<u64>| {
-            let faults = plan.map(|seed| Arc::new(TeeFaultPlan::new(seed, RATE)));
-            let retry = RetryPolicy { base_backoff_ms: 1, max_backoff_ms: 2, ..Default::default() };
-            HostAgent::with_config(
-                TeePlatform::Tdx,
-                Arc::new(FunctionStore::new()),
-                SpanRecorder::new(Arc::new(confbench_types::ManualClock::new())),
-                HostConfig { seed: 1, retry, faults, ..HostConfig::default() },
-            )
-        };
-        // A plan whose first fault lands inside the tenth trial of the
-        // first attempt (`req.seed` is 0, so the VM's seed is the host's),
-        // and which the host then recovers from.
+    const CHAOS_RATE: f64 = 0.002;
+
+    /// A still-clock host over `store`, under the fault plan of that seed.
+    fn chaos_host(store: Arc<FunctionStore>, plan: Option<u64>) -> HostAgent {
+        let faults = plan.map(|seed| Arc::new(TeeFaultPlan::new(seed, CHAOS_RATE)));
+        let retry = RetryPolicy { base_backoff_ms: 1, max_backoff_ms: 2, ..Default::default() };
+        HostAgent::with_config(
+            TeePlatform::Tdx,
+            store,
+            SpanRecorder::new(Arc::new(confbench_types::ManualClock::new())),
+            HostConfig { seed: 1, retry, faults, ..HostConfig::default() },
+        )
+    }
+
+    /// A plan whose first fault lands inside the last trial of `req`'s first
+    /// attempt (`req.seed` is 0, so the VM's seed is the host's), and which
+    /// the host then recovers from.
+    fn plan_firing_in_the_last_trial(req: &RunRequest) -> u64 {
         let (store, unmetered) = (FunctionStore::new(), MetricsRegistry::new());
+        let function = &req.function;
         let output =
-            store.launch("iostress", Language::Lua, &req.function.args, &unmetered).unwrap();
-        let fires_in_the_measured_trial = |&seed: &u64| {
-            let plan = Arc::new(TeeFaultPlan::new(seed, RATE));
+            store.launch(&function.name, function.language, &function.args, &unmetered).unwrap();
+        let fits = |&seed: &u64| {
+            let plan = Arc::new(TeeFaultPlan::new(seed, CHAOS_RATE));
             let Ok(mut vm) =
                 confbench_vmm::TeeVmBuilder::new(req.target).seed(1).fault_plan(plan).try_build()
             else {
                 return false;
             };
             vm.try_execute(&output.startup_trace).is_ok()
-                && vm.try_execute_trials(&output.trace, 9).is_ok()
+                && vm.try_execute_trials(&output.trace, req.trials - 1).is_ok()
                 && vm.try_execute(&output.trace).is_err()
-                && host(Some(seed)).execute(&req).is_ok()
+                && chaos_host(Arc::new(FunctionStore::new()), Some(seed)).execute(req).is_ok()
         };
-        let plan = (0..100_000).find(fires_in_the_measured_trial).expect("a plan that fits");
+        (0..100_000).find(fits).expect("a plan that fits")
+    }
+
+    #[test]
+    fn a_replayed_measured_trial_answers_byte_for_byte_like_a_walked_one() {
+        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
+        req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
+        req.trials = 10;
+        let host = |plan| chaos_host(Arc::new(FunctionStore::new()), plan);
+        let plan = plan_firing_in_the_last_trial(&req);
         for plan in [None, Some(plan)] {
             let (replaying, walking) = (host(plan), host(plan));
             let replayed = replaying.execute(&req).unwrap();
@@ -483,6 +493,49 @@ mod tests {
                 serde_json::to_string(&walked).unwrap(),
                 "fault plan {plan:?}"
             );
+        }
+    }
+
+    #[test]
+    fn a_warm_walk_memo_answers_byte_for_byte_like_a_fresh_host() {
+        let mut req = request(TeePlatform::Tdx, VmKind::Secure);
+        req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
+        let walks = |h: &HostAgent| {
+            ["hits", "misses", "evictions"]
+                .map(|c| h.metrics.counter_value(&format!("walk_memo_{c}_total")).unwrap_or(0))
+        };
+        for trials in [1, 3, 10] {
+            req.trials = trials;
+            // On the warm host every trial is a replay, the faulting one too.
+            for plan in [None, Some(plan_firing_in_the_last_trial(&req))] {
+                // The memo rides the store: another host, under another
+                // seed and no plan, walks the request first.
+                let store = Arc::new(FunctionStore::new());
+                let other_seed = RunRequest { seed: 77, ..req.clone() };
+                chaos_host(Arc::clone(&store), None).execute(&other_seed).unwrap();
+                let (warm, fresh) =
+                    (chaos_host(store, plan), chaos_host(Arc::new(FunctionStore::new()), plan));
+                let (served, alone) = (warm.execute(&req).unwrap(), fresh.execute(&req).unwrap());
+                assert_eq!(
+                    serde_json::to_string(&served).unwrap(),
+                    serde_json::to_string(&alone).unwrap(),
+                    "{trials} trials, fault plan {plan:?}"
+                );
+                for h in [&warm, &fresh] {
+                    let faulted = h.metrics.render_text().contains("vmm_faults_total");
+                    assert_eq!(faulted, plan.is_some(), "{trials} trials, fault plan {plan:?}");
+                }
+                if plan.is_none() {
+                    let trials = u64::from(trials);
+                    assert_eq!(walks(&warm), [1 + trials, 0, 0], "{trials} trials");
+                    let walked = 1 + trials.min(2);
+                    assert_eq!(
+                        walks(&fresh),
+                        [trials - trials.min(2), walked, 0],
+                        "{trials} trials"
+                    );
+                }
+            }
         }
     }
 

@@ -8,14 +8,16 @@
 //! interpreting the script at dispatch cost 1 (pure semantics), then
 //! applying the runtime profile.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
+use confbench_crypto::bounded::OldestOut;
 use confbench_crypto::flight::Flight;
 use confbench_crypto::{Digest, Sha256};
 use confbench_faasrt::{parse, run_program, FaasFunction, FunctionLauncher, LaunchOutput};
 use confbench_obs::MetricsRegistry;
 use confbench_types::{Error, Language, Op, OpTrace};
+use confbench_vmm::WalkMemo;
 use confbench_workloads::{faas_registry, FaasWorkload};
 use parking_lot::RwLock;
 
@@ -132,6 +134,11 @@ impl From<StoreError> for Error {
 /// 1 MiB.
 const LAUNCH_MEMO_BYTES: usize = 16 << 20;
 
+/// Bytes of cache-walk edges a store keeps ([`FunctionStore::walk_memo`]),
+/// at 40 a memory op: the paper's Fig. 6 matrix on one platform, bootstrap
+/// and both recorded trials of every cell, is about 1.1 MB.
+const WALK_MEMO_BYTES: usize = 16 << 20;
+
 /// What identifies a launch: `FunctionLauncher::launch` reads nothing else
 /// (no platform, VM kind or seed), and a name's source never changes.
 type LaunchKey = (String, Language, Vec<String>);
@@ -141,27 +148,17 @@ type LaunchKey = (String, Language, Vec<String>);
 /// is is a runaway script burning its whole step budget before it fails.
 type Launched = Result<Arc<LaunchOutput>, String>;
 
-#[derive(Debug, Default)]
-struct MemoState {
-    /// Each retained launch with the bytes it is charged for.
-    entries: HashMap<LaunchKey, (Launched, usize)>,
-    /// Retained keys, oldest first.
-    order: VecDeque<LaunchKey>,
-    retained_bytes: usize,
-}
-
 /// The memo under [`FunctionStore::launch`]: bounded by retained bytes
 /// (oldest out), and single-flight — concurrent misses on one key launch
 /// once, the rest wait for the leader and are served its result.
 #[derive(Debug)]
 struct LaunchMemo {
-    bound: usize,
-    flight: Flight<LaunchKey, MemoState>,
+    flight: Flight<LaunchKey, OldestOut<LaunchKey, Launched>>,
 }
 
 impl LaunchMemo {
     fn new(bound: usize) -> Self {
-        LaunchMemo { bound, flight: Flight::new(MemoState::default()) }
+        LaunchMemo { flight: Flight::new(OldestOut::new(bound)) }
     }
 
     /// The retained launch for `key`, or `launch()` — run outside the lock
@@ -174,7 +171,7 @@ impl LaunchMemo {
         metrics: &MetricsRegistry,
         launch: impl FnOnce() -> Result<LaunchOutput, String>,
     ) -> Launched {
-        let retained = |state: &MemoState| state.entries.get(&key).map(|(l, _)| l.clone());
+        let retained = |state: &OldestOut<LaunchKey, Launched>| state.get(&key).cloned();
         // Held to the end: a panic out of `launch` frees the key, and the
         // waiters are woken only after the entry is in.
         let _leader = match self.flight.join(&key, retained).0 {
@@ -194,22 +191,8 @@ impl LaunchMemo {
             Arc::new(output)
         });
         let bytes = retained_bytes(&key, &launched);
-        let mut evicted = 0;
         // Larger than the whole bound: served, not retained.
-        if bytes <= self.bound {
-            self.flight.with(|state| {
-                while state.retained_bytes + bytes > self.bound {
-                    let oldest = state.order.pop_front().expect("retained bytes have an entry");
-                    let (_, freed) =
-                        state.entries.remove(&oldest).expect("ordered keys are retained");
-                    state.retained_bytes -= freed;
-                    evicted += 1;
-                }
-                state.retained_bytes += bytes;
-                state.order.push_back(key.clone());
-                state.entries.insert(key.clone(), (launched.clone(), bytes));
-            });
-        }
+        let evicted = self.flight.with(|state| state.insert(key.clone(), launched.clone(), bytes));
         metrics.counter("launch_cache_evictions_total").add(evicted);
         launched
     }
@@ -241,6 +224,7 @@ pub struct FunctionStore {
     /// it enters the store (names are write-once, so it never goes stale).
     functions: RwLock<HashMap<String, (StoredFunction, Digest)>>,
     launches: LaunchMemo,
+    walks: Arc<WalkMemo>,
 }
 
 impl Default for FunctionStore {
@@ -262,6 +246,7 @@ impl FunctionStore {
         FunctionStore {
             functions: RwLock::new(functions),
             launches: LaunchMemo::new(LAUNCH_MEMO_BYTES),
+            walks: Arc::new(WalkMemo::new(WALK_MEMO_BYTES)),
         }
     }
 
@@ -342,6 +327,14 @@ impl FunctionStore {
                 FunctionLauncher::new(language).launch(&function, args).map_err(|e| e.to_string())
             })
             .map_err(Error::Workload)
+    }
+
+    /// The cache-walk memo of every VM built for a host holding this store
+    /// (what the hosts of a gateway and the shards of a fleet already share):
+    /// neither a launch's traces nor the cache simulator read a seed, so one
+    /// campaign's walks are the next one's.
+    pub fn walk_memo(&self) -> &Arc<WalkMemo> {
+        &self.walks
     }
 
     /// All registered names, sorted.
@@ -564,12 +557,6 @@ mod tests {
             |name: &str, ops| memo.get_or_launch(key(name), &metrics, || Ok(output_of(ops)));
         for i in 0..20 {
             launch(&format!("f{i:02}"), 10).unwrap();
-            memo.flight.with(|state| {
-                assert!(state.retained_bytes <= memo.bound, "after {i}: {}", state.retained_bytes);
-                assert_eq!(state.entries.len(), (i + 1).min(4));
-                let charged: usize = state.entries.values().map(|(_, b)| b).sum();
-                assert_eq!(charged, state.retained_bytes);
-            });
         }
         assert_eq!(counters(&metrics), [0, 20, 16]);
         launch("f19", 10).unwrap();
@@ -582,9 +569,10 @@ mod tests {
         // launched again the next time.
         let huge = launch("huge", 10_000).unwrap();
         assert_eq!(huge.trace.len(), 10_000);
-        assert_eq!(memo.flight.with(|state| state.entries.len()), 4);
         launch("huge", 10_000).unwrap();
         assert_eq!(counters(&metrics), [2, 23, 17]);
+        launch("f15", 10).unwrap();
+        assert_eq!(counters(&metrics), [3, 23, 17], "what was kept still is");
     }
 
     #[test]

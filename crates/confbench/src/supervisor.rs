@@ -31,7 +31,7 @@ use confbench_attest::{SnpEcosystem, TdxEcosystem};
 use confbench_crypto::SplitMix64;
 use confbench_obs::{ActiveSpan, Counter, Gauge, MetricsRegistry};
 use confbench_types::{DeviceKind, Error, Result, TeeMechanism, TeePlatform, VmKind, VmTarget};
-use confbench_vmm::{TeeFault, TeeFaultPlan, TeeVmBuilder, Vm};
+use confbench_vmm::{TeeFault, TeeFaultPlan, TeeVmBuilder, Vm, WalkMemo};
 use parking_lot::Mutex;
 
 use crate::attest_api::AttestService;
@@ -64,6 +64,7 @@ pub struct VmSupervisor {
     rebuild_budget: u32,
     metrics: SupervisorMetrics,
     attest: Option<Arc<AttestService>>,
+    walks: Option<Arc<WalkMemo>>,
     jitter_rng: Mutex<SplitMix64>,
     state: Mutex<SupervisorState>,
 }
@@ -71,8 +72,8 @@ pub struct VmSupervisor {
 impl VmSupervisor {
     /// Creates a supervisor for `target`. `retry` drives transient-fault
     /// backoff, `faults` is the chaos schedule (None = no injection), and
-    /// `metrics` receives `vmm_faults_total`, `vm_rebuilds_total` and
-    /// `vm_quarantined`.
+    /// `metrics` receives `vmm_faults_total`, `vm_rebuilds_total`,
+    /// `vm_quarantined` and `walk_memo_{hits,misses,evictions}_total`.
     pub fn new(
         target: VmTarget,
         seed: u64,
@@ -95,6 +96,7 @@ impl VmSupervisor {
             rebuild_budget,
             metrics,
             attest: None,
+            walks: None,
             jitter_rng: Mutex::new(SplitMix64::new(seed ^ 0x5375_7065_7256_6973)),
             state: Mutex::new(SupervisorState { rebuilds: 0, quarantined: None }),
         }
@@ -108,6 +110,14 @@ impl VmSupervisor {
     #[must_use]
     pub fn with_attest(mut self, attest: Option<Arc<AttestService>>) -> Self {
         self.attest = attest;
+        self
+    }
+
+    /// Hands every VM this supervisor builds one cache-walk memo
+    /// ([`confbench_vmm::TeeVmBuilder::walk_memo`]).
+    #[must_use]
+    pub fn with_walk_memo(mut self, memo: Arc<WalkMemo>) -> Self {
+        self.walks = Some(memo);
         self
     }
 
@@ -215,7 +225,18 @@ impl VmSupervisor {
             }
             let outcome = match self.builder_with_device(vm_seed, device).try_build() {
                 Ok(mut vm) => {
-                    self.bring_up_device(&mut vm, span).and_then(|()| attempt(&mut vm, span))
+                    let outcome =
+                        self.bring_up_device(&mut vm, span).and_then(|()| attempt(&mut vm, span));
+                    // One lookup per trial, whether or not the attempt stood.
+                    let walks = vm.walk_memo_counts();
+                    for (counter, n) in [
+                        ("walk_memo_hits_total", walks.hits),
+                        ("walk_memo_misses_total", walks.misses),
+                        ("walk_memo_evictions_total", walks.evictions),
+                    ] {
+                        self.metrics.registry.counter(counter).add(n);
+                    }
+                    outcome
                 }
                 Err(boot_fault) => Err(boot_fault),
             };
@@ -241,6 +262,9 @@ impl VmSupervisor {
         let mut builder = TeeVmBuilder::new(self.target).seed(vm_seed);
         if let Some(plan) = &self.faults {
             builder = builder.fault_plan(Arc::clone(plan));
+        }
+        if let Some(memo) = &self.walks {
+            builder = builder.walk_memo(Arc::clone(memo));
         }
         builder
     }

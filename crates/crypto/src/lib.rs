@@ -14,11 +14,11 @@
 //! * [`miller_rabin`] — deterministic 64-bit primality testing (used to
 //!   verify the group parameters in tests, and by workloads).
 //!
-//! It is also the home of two primitives that are not cryptography but that
-//! several crates above need exactly one of: [`wire::Reader`], the
-//! bounds-checked cursor under every binary decoder, and
-//! [`flight::Flight`], the single-flight protocol under the caches that
-//! compute a missing entry once.
+//! It is also the home of three primitives that are not cryptography but
+//! that several crates above need exactly one of: [`wire::Reader`], the
+//! bounds-checked cursor under every binary decoder, [`flight::Flight`], the
+//! single-flight protocol under the caches that compute a missing entry
+//! once, and [`bounded::OldestOut`], the byte-bounded map under the memos.
 //!
 //! # Security
 //!
@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod bounded;
 pub mod flight;
 pub mod fuzz;
 mod hmac;

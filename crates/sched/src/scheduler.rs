@@ -380,7 +380,9 @@ impl Scheduler {
         };
         let outcome = executor.execute(&request);
 
-        // Phase 3 (locked): record the outcome and the span tree.
+        // Phase 3: build the record — span tree, summary, cache entry —
+        // unlocked, then file it under the lock, which status polls and the
+        // other workers are waiting for.
         let mut span = self.recorder.root("sched.execute");
         span.set_attr("trials", u64::from(cell.trials));
         span.set_attr("seed", cell.seed);
@@ -388,31 +390,36 @@ impl Scheduler {
         queued_span.end_ms = dequeued_at_ms;
         span.adopt(queued_span);
 
+        let record = outcome.map_err(|e| e.to_string()).map(|mut result| {
+            if let Some(subtree) = result.trace.take() {
+                span.adopt(subtree);
+            }
+            let stats = Summary::from_samples(&result.trial_ms);
+            let cached = CachedCell {
+                mean_ms: stats.mean,
+                median_ms: stats.median(),
+                min_ms: stats.min,
+                max_ms: stats.max,
+                stddev_ms: stats.stddev,
+                output: result.output,
+            };
+            let key = key.unwrap_or_else(|| {
+                // Executed successfully without a fingerprint (function
+                // appeared mid-flight); address it now for completeness.
+                self.executor
+                    .function_fingerprint(&cell.function.name)
+                    .map(|fp| cache_key(&cell, &fp))
+                    .unwrap_or_default()
+            });
+            (build_summary(&job_id, &cell, &cached, false, &key), key, cached)
+        });
+        let trace = span.finish();
+
         let mut inner = self.inner.lock();
         let job = inner.jobs.get_mut(&job_id).expect("running job is recorded");
-        match outcome {
-            Ok(result) => {
-                if let Some(subtree) = result.trace.clone() {
-                    span.adopt(subtree);
-                }
-                let stats = Summary::from_samples(&result.trial_ms);
-                let cached = CachedCell {
-                    mean_ms: stats.mean,
-                    median_ms: stats.median(),
-                    min_ms: stats.min,
-                    max_ms: stats.max,
-                    stddev_ms: stats.stddev,
-                    output: result.output,
-                };
-                let key = key.unwrap_or_else(|| {
-                    // Executed successfully without a fingerprint (function
-                    // appeared mid-flight); address it now for completeness.
-                    self.executor
-                        .function_fingerprint(&cell.function.name)
-                        .map(|fp| cache_key(&cell, &fp))
-                        .unwrap_or_default()
-                });
-                let summary = build_summary(&job_id, &cell, &cached, false, &key);
+        job.trace = Some(trace);
+        match record {
+            Ok((summary, key, cached)) => {
                 if !key.is_empty() {
                     let evicted = self.cache.insert(key, cached);
                     self.metrics.gauge("sched_cache_entries").set(self.cache.len() as u64);
@@ -420,13 +427,11 @@ impl Scheduler {
                 }
                 job.state = JobState::Completed;
                 job.summary = Some(summary);
-                job.trace = Some(span.finish());
                 self.metrics.counter("sched_jobs_completed_total").inc();
             }
-            Err(e) => {
+            Err(error) => {
                 job.state = JobState::Failed;
-                job.error = Some(e.to_string());
-                job.trace = Some(span.finish());
+                job.error = Some(error);
                 self.metrics.counter("sched_jobs_failed_total").inc();
             }
         }

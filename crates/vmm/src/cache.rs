@@ -6,8 +6,18 @@
 //! confidential guest's pages land in differently-colored host frames, so
 //! the same guest access stream maps to different cache sets. The VM model
 //! feeds every memory op through this simulator with a per-target page salt.
+//!
+//! The simulator reads no seed: its line state is a pure function of the
+//! salt and the accesses since boot. A [`WalkMemo`] names those states and
+//! remembers walks between them; a trial any VM of the process has walked
+//! before is credited from the record, and walked only if the lines are asked.
 
-use confbench_types::Op;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use confbench_crypto::bounded::OldestOut;
+use confbench_types::{Op, OpTrace};
+use parking_lot::Mutex;
 
 const LINE: u64 = 64;
 
@@ -109,6 +119,100 @@ impl<const WAYS: usize> Level<WAYS> {
     }
 }
 
+/// The `(addr, bytes)` of a trace's memory ops, in trace order: all of a
+/// trace that the simulator reads.
+pub(crate) type Accesses = Arc<[(u64, u64)]>;
+
+pub(crate) fn accesses_of(trace: &OpTrace) -> Accesses {
+    let mem_ops = trace.iter().filter_map(|op| match *op {
+        Op::MemRead { addr, bytes } | Op::MemWrite { addr, bytes } => Some((addr, bytes)),
+        _ => None,
+    });
+    mem_ops.collect()
+}
+
+/// The name of a line state. Two simulators under one memo at the same node
+/// hold equal lines; the converse need not hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Node {
+    /// The empty cache under this salt.
+    Root(u64),
+    /// What some walk left, numbered by [`WalkMemo::mint`].
+    Walked(u64),
+}
+
+/// What some accesses from some state gave, one delta per access, and the
+/// state they left: the one they started from exactly when
+/// [`CacheSim::lines_equal`] proved it.
+#[derive(Debug, Clone)]
+pub(crate) struct Edge {
+    deltas: Arc<[CacheStats]>,
+    to: Node,
+}
+
+/// A trie over access sequences whose nodes name [`CacheSim`] line states:
+/// what the simulators sharing it ([`crate::TeeVmBuilder::walk_memo`]) have
+/// walked, for each other to take on credit. Keys are whole access lists,
+/// compared structurally, and no node number is handed out twice: a hit is
+/// the walk it stands for, and an eviction loses edges but mis-serves none.
+#[derive(Debug)]
+pub struct WalkMemo {
+    edges: Mutex<OldestOut<(Node, Accesses), Edge>>,
+    minted: AtomicU64,
+}
+
+/// One [`CacheSim`]'s use of its memo.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalkMemoCounts {
+    /// Trials credited from an edge.
+    pub hits: u64,
+    /// Trials walked (and recorded, unless cut short).
+    pub misses: u64,
+    /// Edges evicted for this simulator's records.
+    pub evictions: u64,
+}
+
+impl WalkMemo {
+    /// A memo keeping at most `bound` bytes of edges (40 a memory op).
+    pub fn new(bound: usize) -> Self {
+        WalkMemo { edges: Mutex::new(OldestOut::new(bound)), minted: AtomicU64::new(0) }
+    }
+
+    /// A name no state has had.
+    fn mint(&self) -> Node {
+        Node::Walked(self.minted.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn lookup(&self, from: Node, accesses: &Accesses) -> Option<Edge> {
+        self.edges.lock().get(&(from, Arc::clone(accesses))).cloned()
+    }
+
+    /// Keeps an edge; returns how many older ones went for it.
+    fn record(&self, from: Node, accesses: &Accesses, edge: Edge) -> u64 {
+        // The key is held twice, in the map and in the eviction order.
+        let bytes = 2 * std::mem::size_of::<(Node, Accesses)>()
+            + std::mem::size_of::<Edge>()
+            + accesses.len() * std::mem::size_of::<((u64, u64), CacheStats)>();
+        self.edges.lock().insert((from, Arc::clone(accesses)), edge, bytes)
+    }
+}
+
+/// Bound of the memo a simulator built without one keeps to itself: all it
+/// can reuse is its own latest walks (a trace's fixed point).
+const PRIVATE_MEMO_BYTES: usize = 1 << 20;
+
+/// How one trial's accesses reach the simulator, from [`CacheSim::begin`]
+/// through [`CacheSim::access`] to [`CacheSim::finish`].
+#[derive(Debug)]
+pub(crate) enum Walk {
+    /// The memo holds this trial: take each access's deltas from its edge.
+    Replay { edge: Edge, credited: usize },
+    /// Walk the lines and keep each access's deltas for the memo; `before`
+    /// is the line state entering the trial, if it is to be compared with
+    /// the one leaving it.
+    Record { deltas: Vec<CacheStats>, before: Option<LineState> },
+}
+
 /// A two-level (L1D + L2) cache with LRU replacement.
 ///
 /// # Example
@@ -128,12 +232,18 @@ pub struct CacheSim {
     l2: Level<16>,
     salt: u64,
     stats: CacheStats,
+    memo: Arc<WalkMemo>,
+    /// Names the line state: `l1` and `l2` once `pending` is walked.
+    node: Node,
+    /// Credited but not walked: the first `n` accesses of each list.
+    pending: Vec<(Accesses, usize)>,
+    counts: WalkMemoCounts,
 }
 
 /// A [`CacheSim`]'s line state at one moment, flattened to one allocation:
 /// per set its length, then its tags, least recently used first.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct LineState(Vec<u64>);
+pub struct LineState(Vec<u64>);
 
 #[cfg(test)]
 thread_local! {
@@ -152,11 +262,20 @@ impl CacheSim {
     /// Creates a 32-KiB/8-way L1D over a 1-MiB/16-way L2, with the given
     /// page-color `salt` (0 = identity frame mapping).
     pub fn new(salt: u64) -> Self {
+        CacheSim::with_memo(salt, Arc::new(WalkMemo::new(PRIVATE_MEMO_BYTES)))
+    }
+
+    /// As [`CacheSim::new`], sharing `memo`.
+    pub(crate) fn with_memo(salt: u64, memo: Arc<WalkMemo>) -> Self {
         CacheSim {
             l1: Level::new(32 << 10),
             l2: Level::new(1 << 20),
             salt,
             stats: CacheStats::default(),
+            memo,
+            node: Node::Root(salt),
+            pending: Vec::new(),
+            counts: WalkMemoCounts::default(),
         }
     }
 
@@ -165,13 +284,83 @@ impl CacheSim {
         self.stats
     }
 
+    /// Memo lookups so far.
+    pub fn memo_counts(&self) -> WalkMemoCounts {
+        self.counts
+    }
+
     /// Feeds one sequential access run of `bytes` at `addr`. `_write` is
     /// kept for future dirty-line modelling; reads and writes currently cost
     /// the same. Returns (refs, l2_hits, misses) deltas for cost charging.
     pub fn touch(&mut self, addr: u64, bytes: u64, _write: bool) -> CacheStats {
+        self.materialize();
         let delta = self.walk(addr, bytes);
         self.credit(delta);
+        self.node = self.memo.mint();
         delta
+    }
+
+    /// Opens a trial over `accesses`: a replay if the memo knows them from
+    /// this state, else a record, the lines made current — snapshotted too
+    /// with `prove`, for [`CacheSim::finish`] to see whether they moved.
+    pub(crate) fn begin(&mut self, accesses: &Accesses, prove: bool) -> Walk {
+        if let Some(edge) = self.memo.lookup(self.node, accesses) {
+            self.counts.hits += 1;
+            return Walk::Replay { edge, credited: 0 };
+        }
+        self.counts.misses += 1;
+        self.materialize();
+        let before = prove.then(|| self.line_state());
+        Walk::Record { deltas: Vec::with_capacity(accesses.len()), before }
+    }
+
+    /// The trial's next access: its deltas, credited — walked for now, or
+    /// taken from the edge.
+    pub(crate) fn access(&mut self, walk: &mut Walk, addr: u64, bytes: u64) -> CacheStats {
+        let delta = match walk {
+            Walk::Replay { edge, credited } => {
+                *credited += 1;
+                edge.deltas[*credited - 1]
+            }
+            Walk::Record { deltas, .. } => {
+                deltas.push(self.walk(addr, bytes));
+                deltas[deltas.len() - 1]
+            }
+        };
+        self.credit(delta);
+        delta
+    }
+
+    /// Closes a trial that ran to its end (`completed`) or faulted part-way.
+    /// A replay leaves the accesses it credited pending, unless the edge
+    /// says they change nothing; a completed record goes to the memo; a
+    /// trial cut short leaves a state nobody has named.
+    pub(crate) fn finish(&mut self, accesses: &Accesses, walk: Walk, completed: bool) {
+        let to = match walk {
+            Walk::Replay { edge, .. } if completed && edge.to == self.node => return,
+            Walk::Replay { edge, credited } => {
+                self.pending.push((Arc::clone(accesses), credited));
+                completed.then_some(edge.to)
+            }
+            Walk::Record { deltas, before } if completed => {
+                let fixed = before.is_some_and(|before| self.lines_equal(&before));
+                let to = if fixed { self.node } else { self.memo.mint() };
+                let edge = Edge { deltas: deltas.into(), to };
+                self.counts.evictions += self.memo.record(self.node, accesses, edge);
+                Some(to)
+            }
+            Walk::Record { .. } => None,
+        };
+        self.node = to.unwrap_or_else(|| self.memo.mint());
+    }
+
+    /// Walks what was credited on the strength of the memo, oldest first.
+    fn materialize(&mut self) {
+        for (accesses, credited) in std::mem::take(&mut self.pending) {
+            for &(addr, bytes) in &accesses[..credited] {
+                self.walk(addr, bytes);
+            }
+        }
     }
 
     /// The line walk of [`CacheSim::touch`]: moves tags and LRU order and
@@ -180,7 +369,7 @@ impl CacheSim {
     /// there. Never inlined: this loop is most of a campaign's time, and in
     /// a function of its own its placement follows from this file alone.
     #[inline(never)]
-    pub(crate) fn walk(&mut self, addr: u64, bytes: u64) -> CacheStats {
+    fn walk(&mut self, addr: u64, bytes: u64) -> CacheStats {
         #[cfg(test)]
         WALKS.with(|n| n.set(n.get() + 1));
         if bytes == 0 {
@@ -208,10 +397,8 @@ impl CacheSim {
     }
 
     /// The bookkeeping of [`CacheSim::touch`]: adds an access's deltas to
-    /// the cumulative statistics. With the deltas of an earlier walk of the
-    /// same access from the same line state, `credit` alone stands for the
-    /// whole `touch` whenever that walk left the lines where it found them.
-    pub(crate) fn credit(&mut self, delta: CacheStats) {
+    /// the cumulative statistics.
+    fn credit(&mut self, delta: CacheStats) {
         self.stats.references += delta.references;
         self.stats.l2_hits += delta.l2_hits;
         self.stats.misses += delta.misses;
@@ -225,9 +412,10 @@ impl CacheSim {
     /// Tags and LRU order of every set of both levels; the cumulative
     /// statistics are not part of it. Two simulators with equal line state
     /// answer every future access alike.
-    pub(crate) fn line_state(&self) -> LineState {
+    pub fn line_state(&mut self) -> LineState {
         #[cfg(test)]
         SNAPSHOTS.with(|n| n.set(n.get() + 1));
+        self.materialize();
         let sets = self.l1.fill.iter().chain(&self.l2.fill);
         let mut flat = Vec::with_capacity(sets.map(|&(len, _)| 1 + usize::from(len)).sum());
         flat.extend(self.canonical());
@@ -236,7 +424,8 @@ impl CacheSim {
 
     /// Whether [`CacheSim::line_state`] would return `state`, without
     /// flattening anything to find out.
-    pub(crate) fn lines_equal(&self, state: &LineState) -> bool {
+    pub(crate) fn lines_equal(&mut self, state: &LineState) -> bool {
+        self.materialize();
         self.canonical().eq(state.0.iter().copied())
     }
 
@@ -266,6 +455,13 @@ impl CacheSim {
 mod tests {
     use super::*;
     use confbench_crypto::SplitMix64;
+
+    impl CacheSim {
+        /// Sets of either level that hold a tag array.
+        pub(crate) fn boxed_sets(&self) -> usize {
+            self.l1.sets.iter().flatten().count() + self.l2.sets.iter().flatten().count()
+        }
+    }
 
     /// The reference model: the level as it was before the ring sets, a
     /// per-set LRU stack of tags, most recent last.

@@ -46,7 +46,7 @@ mod snp;
 mod tdx;
 mod vm;
 
-pub use cache::{CacheSim, CacheStats};
+pub use cache::{CacheSim, CacheStats, LineState, WalkMemo, WalkMemoCounts};
 pub use cca::{CcaError, Fvp, RealmId, RealmPhase, Rmm};
 pub use cost::CostModel;
 pub use evtpm::{EvTpm, EvTpmError, EVTPM_PCRS};

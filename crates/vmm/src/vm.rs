@@ -14,7 +14,7 @@ use confbench_types::{
     VmKind, VmTarget,
 };
 
-use crate::cache::{CacheSim, CacheStats, LineState};
+use crate::cache::{accesses_of, Accesses, CacheSim, CacheStats, Walk, WalkMemo, WalkMemoCounts};
 use crate::cca::{Fvp, RealmId, Rmm};
 use crate::cost::CostModel;
 use crate::evtpm::EvTpm;
@@ -74,8 +74,8 @@ impl ExecutionReport {
     }
 
     /// Attaches one child span per *nonzero* cost-event class under
-    /// `parent` — from `target` and `events` alone, so a trial
-    /// [`Vm::try_execute_trials`] replayed gets the spans of a walked one:
+    /// `parent` — from `target` and `events` alone, so a trial credited
+    /// from the walk memo gets the spans of a walked one:
     ///
     /// * world switches — `tdx.seamcall` / `snp.ghcb-exit` / `cca.rmm-exit`
     ///   (or `vmexit` in a normal VM), attrs `count` (== `perf.vm_exits`)
@@ -198,6 +198,7 @@ pub struct TeeVmBuilder {
     fvp: Option<Fvp>,
     faults: Option<Arc<TeeFaultPlan>>,
     device: Option<DeviceKind>,
+    walks: Option<Arc<WalkMemo>>,
 }
 
 impl TeeVmBuilder {
@@ -211,6 +212,7 @@ impl TeeVmBuilder {
             fvp: None,
             faults: None,
             device: None,
+            walks: None,
         }
     }
 
@@ -264,6 +266,15 @@ impl TeeVmBuilder {
         self
     }
 
+    /// Shares `memo` with the built VM's cache simulator: a trial any VM
+    /// holding it has walked from the same line state is credited from the
+    /// record, to reports and state bit for bit what walking gives (default:
+    /// a small memo of the VM's own).
+    pub fn walk_memo(mut self, memo: Arc<WalkMemo>) -> Self {
+        self.walks = Some(memo);
+        self
+    }
+
     /// Boots the VM: builds the cost model, launches the TEE context
     /// (measured 64-page boot image), and returns a
     /// ready-to-run [`Vm`].
@@ -298,7 +309,10 @@ impl TeeVmBuilder {
                 }
             }
         }
-        let cache = self.cache_model.then(|| CacheSim::new(cost.cache_salt));
+        let cache = self.cache_model.then(|| match self.walks {
+            Some(memo) => CacheSim::with_memo(cost.cache_salt, memo),
+            None => CacheSim::new(cost.cache_salt),
+        });
         let platform = Platform::launch(self.target, self.faults.as_deref())?;
         let device = match self.device {
             // One modeled device today; `DeviceKind` keeps the plug point open.
@@ -502,17 +516,6 @@ pub struct VmRuntimeState {
     pub total_faults: u64,
 }
 
-/// How one trial's `MemRead`/`MemWrite` ops reach the cache simulator.
-enum Walk<'a> {
-    /// Walk the lines.
-    Live,
-    /// Walk the lines and keep each op's deltas, in trace order.
-    Record(&'a mut Vec<CacheStats>),
-    /// Take each op's deltas from the record of a trial that started from
-    /// this line state and left it unchanged.
-    Replay(std::slice::Iter<'a, CacheStats>),
-}
-
 impl Vm {
     /// The VM's target.
     pub fn target(&self) -> VmTarget {
@@ -538,6 +541,16 @@ impl Vm {
     /// cache model off).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(CacheSim::stats)
+    }
+
+    /// The cache simulator (`None` with the cache model off).
+    pub fn cache_mut(&mut self) -> Option<&mut CacheSim> {
+        self.cache.as_mut()
+    }
+
+    /// Walk-memo lookups since boot: one per trial with the cache model on.
+    pub fn walk_memo_counts(&self) -> WalkMemoCounts {
+        self.cache.as_ref().map(CacheSim::memo_counts).unwrap_or_default()
     }
 
     /// The TDX module, when this VM is a trust domain (used by attestation).
@@ -655,7 +668,7 @@ impl Vm {
     /// group…), not per individual exit, so the draw count is bounded by
     /// the trace length.
     pub fn try_execute(&mut self, trace: &OpTrace) -> Result<ExecutionReport, TeeFault> {
-        self.execute_trial(trace, &mut Walk::Live)
+        self.walk_or_replay(trace, &accesses_of(trace), false)
     }
 
     /// Executes `trace` `trials` times in a row, exactly as that many
@@ -664,15 +677,19 @@ impl Vm {
     /// lines only as often as it has to.
     ///
     /// The simulator is deterministic: the same accesses from the same line
-    /// state (tags and LRU order of both levels) give the same hit/miss
-    /// deltas and leave the same line state. So while at least one more
-    /// trial follows, a trial records each memory op's deltas, and once a
-    /// trial has left the lines where it found them, every later trial takes
-    /// its deltas from that record instead of walking. Nothing else is
-    /// skipped: heap and page accounting, the page mechanism, dirty marking,
-    /// fault rolls, the accumulation order and the jitter draw run per trial.
-    /// A typical warm trace reaches that fixed point on its second trial, so
-    /// ten trials walk twice.
+    /// state (tags and LRU order of both levels) give the same deltas and
+    /// leave the same line state. Every trial, here and under
+    /// [`Vm::try_execute`], asks the VM's [`WalkMemo`] whether these accesses
+    /// were walked from this state before, by any VM holding the memo: if so
+    /// it takes its deltas from that record and the walk waits until the
+    /// lines are needed, if not it walks and records. This call adds the
+    /// proof of a fixed point: a walked trial with one before it and one
+    /// after is checked for having left the lines where it found them, and
+    /// from then on every trial is a hit with nothing left to walk. A typical
+    /// trace gets there on its second trial, so ten trials new to the memo
+    /// walk twice. Nothing else is skipped: heap and page accounting, the
+    /// page mechanism, dirty marking, fault rolls, the accumulation order and
+    /// the jitter draw run per trial.
     ///
     /// # Errors
     ///
@@ -683,66 +700,40 @@ impl Vm {
         trace: &OpTrace,
         trials: u32,
     ) -> Result<Vec<ExecutionReport>, TeeFault> {
+        let accesses = accesses_of(trace);
         // Grown as trials succeed: `trials` can come straight off the wire.
         let mut reports = Vec::new();
-        // Line state entering the coming trial, held only while a trial
-        // after it could replay its record.
-        let mut before: Option<LineState> = None;
-        let mut deltas: Vec<CacheStats> = Vec::new();
-        let mut replaying = false;
         for trial in 0..trials {
-            let mut walk = if replaying {
-                Walk::Replay(deltas.iter())
-            } else if before.is_some() {
-                deltas.clear();
-                Walk::Record(&mut deltas)
-            } else {
-                Walk::Live
-            };
-            let outcome = self.execute_trial(trace, &mut walk);
-            let unread = match walk {
-                Walk::Replay(unread) => Some(unread.len()),
-                _ => None,
-            };
-            if let (Err(_), Some(unread)) = (&outcome, unread) {
-                // A live trial would have faulted with the lines mid-walk;
-                // the replay has only credited the ops before the fault.
-                self.walk_lines(trace, deltas.len() - unread);
-            }
-            reports.push(outcome?);
-            if replaying {
-                continue;
-            }
-            let Some(cache) = &self.cache else { continue };
-            let another_could_replay = trials - trial > 2;
-            replaying = before.as_ref().is_some_and(|before| cache.lines_equal(before));
-            before = (another_could_replay && !replaying).then(|| cache.line_state());
+            // The first trial enters from wherever another trace left the
+            // lines, and a proof is worth its snapshot only to a later trial.
+            let prove = trial > 0 && trials - trial > 1;
+            reports.push(self.walk_or_replay(trace, &accesses, prove)?);
         }
         Ok(reports)
     }
 
-    /// Walks the lines of the first `mem_ops` memory ops of `trace` without
-    /// crediting statistics a replay has already credited.
-    fn walk_lines(&mut self, trace: &OpTrace, mut mem_ops: usize) {
-        let Some(cache) = &mut self.cache else { return };
-        for op in trace {
-            if mem_ops == 0 {
-                break;
-            }
-            if let Op::MemRead { addr, bytes } | Op::MemWrite { addr, bytes } = *op {
-                cache.walk(addr, bytes);
-                mem_ops -= 1;
-            }
+    /// One trial through the memo's lookup-or-record step
+    /// ([`CacheSim::begin`], [`CacheSim::finish`]); `accesses` are `trace`'s.
+    fn walk_or_replay(
+        &mut self,
+        trace: &OpTrace,
+        accesses: &Accesses,
+        prove: bool,
+    ) -> Result<ExecutionReport, TeeFault> {
+        let mut walk = self.cache.as_mut().map(|cache| cache.begin(accesses, prove));
+        let outcome = self.execute_trial(trace, walk.as_mut());
+        if let Some((cache, walk)) = self.cache.as_mut().zip(walk) {
+            cache.finish(accesses, walk, outcome.is_ok());
         }
+        outcome
     }
 
-    /// One trial: the op loop under [`Vm::try_execute`] and
-    /// [`Vm::try_execute_trials`]. `walk` decides only how a memory op's
-    /// cache deltas are obtained.
+    /// One trial's op loop. `walk` decides only how a memory op's cache
+    /// deltas are obtained.
     fn execute_trial(
         &mut self,
         trace: &OpTrace,
-        walk: &mut Walk<'_>,
+        mut walk: Option<&mut Walk>,
     ) -> Result<ExecutionReport, TeeFault> {
         let exit_mech = TeeMechanism::exit_for(self.target.platform);
         let page_mech = TeeMechanism::page_for(self.target.platform);
@@ -779,31 +770,15 @@ impl Vm {
                     cycles += n as f64 * self.cost.float_op;
                 }
                 Op::MemRead { addr, bytes } | Op::MemWrite { addr, bytes } => {
-                    let write = matches!(op, Op::MemWrite { .. });
-                    if write {
+                    if matches!(op, Op::MemWrite { .. }) {
                         self.mark_write_dirty(addr, bytes);
                     }
-                    let (refs, l2_hits, misses) = match &mut self.cache {
-                        Some(cache) => {
-                            let d = match walk {
-                                Walk::Live => cache.touch(addr, bytes, write),
-                                Walk::Record(deltas) => {
-                                    let d = cache.touch(addr, bytes, write);
-                                    deltas.push(d);
-                                    d
-                                }
-                                Walk::Replay(deltas) => {
-                                    let d = *deltas.next().expect(
-                                        "the recorded trial ran this trace to its end, \
-                                         so it holds a delta for every memory op",
-                                    );
-                                    cache.credit(d);
-                                    d
-                                }
-                            };
+                    let (refs, l2_hits, misses) = match (&mut self.cache, &mut walk) {
+                        (Some(cache), Some(walk)) => {
+                            let d = cache.access(walk, addr, bytes);
                             (d.references, d.l2_hits, d.misses)
                         }
-                        None => {
+                        _ => {
                             // Flat model: every line costs an average blend.
                             let lines = bytes.div_ceil(64).max(1);
                             (lines, 0, lines / 8)
@@ -1204,6 +1179,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::WalkMemoCounts;
     use confbench_obs::SpanRecorder;
     use confbench_types::ManualClock;
     use std::sync::Arc;
@@ -1556,7 +1532,7 @@ mod tests {
         let snapshots = crate::cache::SNAPSHOTS.with(std::cell::Cell::get) - before;
         let singles: Vec<_> = (0..trials).map(|_| twin.try_execute(trace).unwrap()).collect();
         assert_eq!(format!("{reports:?}"), format!("{singles:?}"), "{trials} trials");
-        let (cache, twin_cache) = (vm.cache.as_ref().unwrap(), twin.cache.as_ref().unwrap());
+        let (cache, twin_cache) = (vm.cache.as_mut().unwrap(), twin.cache.as_mut().unwrap());
         assert_eq!(cache.stats(), twin_cache.stats(), "{trials} trials: cumulative stats");
         assert!(cache.line_state() == twin_cache.line_state(), "{trials} trials: line state");
         (snapshots, reports)
@@ -1603,6 +1579,45 @@ mod tests {
             assert_eq!(vm.try_execute_trials(&trace, trials).unwrap().len(), trials as usize);
             assert_eq!(walks() - before, mem_ops * walked, "{trials} trials");
         }
+    }
+
+    #[test]
+    fn on_a_warm_memo_a_bootstrap_and_ten_trials_walk_nothing() {
+        let walks = || crate::cache::WALKS.with(std::cell::Cell::get);
+        let snapshots = || crate::cache::SNAPSHOTS.with(std::cell::Cell::get);
+        let mut bootstrap = OpTrace::new();
+        bootstrap.mem_write(256 << 10);
+        let mut trace = io_heavy_trace();
+        trace.mem_write(96 << 10);
+        let buffer = trace.mem_read(24 << 10);
+        trace.mem_read_at(buffer, 24 << 10);
+        let target = VmTarget::secure(TeePlatform::Tdx);
+        let memo = Arc::new(WalkMemo::new(1 << 20));
+        let boot = |seed| TeeVmBuilder::new(target).seed(seed).walk_memo(Arc::clone(&memo)).build();
+        let host_calls = |vm: &mut Vm| {
+            vm.try_execute(&bootstrap).unwrap();
+            vm.try_execute_trials(&trace, 10).unwrap()
+        };
+        // Another seed walks first: twice per op of the trace, as ever.
+        let (mut first, before) = (boot(21), walks());
+        host_calls(&mut first);
+        assert_eq!(walks() - before, 1 + 3 * 2);
+        assert_eq!(first.walk_memo_counts(), WalkMemoCounts { hits: 8, misses: 3, evictions: 0 });
+
+        let (mut second, before) = (boot(22), (walks(), snapshots()));
+        let reports = host_calls(&mut second);
+        assert_eq!((walks(), snapshots()), before, "every trial was taken on credit");
+        assert_eq!(second.cache.as_ref().unwrap().boxed_sets(), 0, "and no line was needed");
+        assert_eq!(second.walk_memo_counts(), WalkMemoCounts { hits: 11, misses: 0, evictions: 0 });
+
+        // Asked, it is the VM that walked everything itself.
+        let mut alone = TeeVmBuilder::new(target).seed(22).build();
+        assert_eq!(format!("{reports:?}"), format!("{:?}", host_calls(&mut alone)));
+        assert_eq!(second.cache_stats(), alone.cache_stats());
+        let lines = |vm: &mut Vm| vm.cache.as_mut().unwrap().line_state();
+        assert!(lines(&mut second) == lines(&mut alone), "line state");
+        let pending = 1 + 3;
+        assert_eq!(walks() - before.0, pending + 1 + 3 * 2, "the bootstrap and the first trial");
     }
 
     #[test]

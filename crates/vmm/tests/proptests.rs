@@ -6,8 +6,9 @@
 use std::sync::Arc;
 
 use confbench_crypto::SplitMix64;
-use confbench_types::{Op, OpTrace, SyscallKind, TeePlatform, VmKind, VmTarget};
-use confbench_vmm::{TeeFaultPlan, TeeVmBuilder};
+use confbench_obs::SpanRecorder;
+use confbench_types::{ManualClock, Op, OpTrace, SyscallKind, TeePlatform, VmKind, VmTarget};
+use confbench_vmm::{CacheSim, TeeFaultPlan, TeeVmBuilder, Vm, WalkMemo};
 
 const CASES: u64 = 48;
 
@@ -289,4 +290,142 @@ fn fuzz_sweep_trials_equal_single_executions() {
     }
     assert!(faulted > 0, "no case faulted: the plan's rate no longer fits the traces");
     assert!(faulted_in_replay > 0, "no case faulted in a trial that could have been replayed");
+}
+
+/// A trace for the shared-memo sweep: a few memory ops, mostly short (the
+/// ring sets have a sweep of their own) with the odd run past L1 or past
+/// the sampling cap, between ops that move the rest of the VM and roll its
+/// fault plan.
+fn arb_memo_trace(rng: &mut SplitMix64) -> OpTrace {
+    let mut t = OpTrace::new();
+    let mut last = (0, 0);
+    for _ in 0..1 + rng.next_below(8) {
+        let span = match rng.next_below(16) {
+            0 => 0,
+            1..=12 => 1 + rng.next_below(8 << 10),
+            13 | 14 => (32 << 10) + rng.next_below(64 << 10),
+            _ => (256 << 10) + 1 + rng.next_below(2 << 20),
+        };
+        match rng.next_below(10) {
+            0 | 1 => last = (t.mem_read(span), span),
+            2 | 3 => last = (t.mem_write(span), span),
+            4 => t.mem_read_at(last.0, last.1),
+            5 => t.alloc(span),
+            6 => t.io_write(span),
+            7 => t.ctx_switch(rng.next_below(4)),
+            8 => t.page_cycle(span),
+            _ => t.cpu(rng.next_below(10_000)),
+        }
+    }
+    t
+}
+
+/// What one step of the shared-memo sweep left behind, rendered for
+/// comparison: reports or the fault, the span tree of a spanned execution,
+/// the deltas of a public `touch`.
+fn memo_sweep_step(vm: &mut Vm, step: u64, trace: &OpTrace, recorder: &SpanRecorder) -> String {
+    match step {
+        0 => format!("{:?}", vm.try_execute(trace)),
+        1..=3 => format!("{:?}", vm.try_execute_trials(trace, step as u32 * 2 - 1)),
+        4 => {
+            let mut root = recorder.root("vm.execute");
+            let outcome = vm.try_execute_spanned(trace, &mut root);
+            format!("{outcome:?} {:?}", root.finish())
+        }
+        _ => {
+            let (addr, bytes) = (step.wrapping_mul(0x9e37_79b9) % (1 << 22), step % (96 << 10));
+            format!("{:?}", vm.cache_mut().map(|cache| cache.touch(addr, bytes, false)))
+        }
+    }
+}
+
+/// A shared [`WalkMemo`] leaves no trace. Several VMs hold one memo whose
+/// byte bound fits a handful of edges, so edges are evicted mid-sequence —
+/// two of one salt under distinct seeds (normal VMs of two platforms, or two
+/// secure VMs of one), in every fourth case a third of any salt, every other
+/// case under a fault plan — and take turns through random steps over a pool
+/// of two traces:
+/// single executions, 1, 3 and 5 trials, spanned executions, public
+/// `touch`es. Each has a twin, identically seeded, that keeps its memo to
+/// itself. Twins agree on every step's reports, spans and faults, on the
+/// cumulative cache statistics after it and, at the end, on the canonical
+/// line state (which makes the shared VM walk what it had only been
+/// credited) and the runtime state.
+///
+/// Mutations tried by hand, and what caught each: a completed hit on a
+/// non-fixed edge not pushed onto `pending` — "step" (case 5, turn 5: the
+/// next miss walked from lines that lacked the credited trial); a faulted
+/// replay pushed as the whole edge instead of its credited prefix — "line
+/// state" (case 354); `mint` handing out a number twice (the counter reset
+/// whenever a record evicts) — "step" (case 24, turn 6: deltas served from
+/// a state that was not theirs).
+#[test]
+fn fuzz_sweep_shared_walk_memo_equals_private() {
+    let targets: Vec<VmTarget> =
+        TeePlatform::ALL.iter().flat_map(|&p| [VmTarget::secure(p), VmTarget::normal(p)]).collect();
+    let recorder = SpanRecorder::new(Arc::new(ManualClock::new()));
+    let (mut hits, mut evictions, mut faulted_in_replay) = (0, 0, 0);
+    for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+        let mut rng = SplitMix64::new(0x3A1C_3E30 ^ case);
+        let pool = [arb_memo_trace(&mut rng), arb_memo_trace(&mut rng)];
+        let memo = Arc::new(WalkMemo::new(400 + rng.next_below(2_000) as usize));
+        let first = targets[(case % 6) as usize];
+        // Normal VMs share salt 0 whatever their platform.
+        let same_salt = match first.kind {
+            VmKind::Secure => first,
+            VmKind::Normal => targets[((case + 2) % 6) as usize],
+        };
+        let chaos = (case / 6) % 2 == 1;
+        let third = (case % 4 == 0).then(|| targets[((case / 12) % 6) as usize]);
+        let mut vms: Vec<(Vm, Vm)> = Vec::new();
+        for target in [first, same_salt].into_iter().chain(third) {
+            let seed = rng.next_u64();
+            let boot = |shared: Option<&Arc<WalkMemo>>| {
+                let mut builder = TeeVmBuilder::new(target).seed(seed);
+                if chaos {
+                    builder = builder.fault_plan(Arc::new(TeeFaultPlan::new(seed, 0.03)));
+                }
+                if let Some(memo) = shared {
+                    builder = builder.walk_memo(Arc::clone(memo));
+                }
+                builder.try_build()
+            };
+            // Boot faults are the other sweep's; these twins roll alike.
+            if let (Ok(vm), Ok(twin)) = (boot(Some(&memo)), boot(None)) {
+                vms.push((vm, twin));
+            }
+        }
+        let booted = vms.len();
+        for turn in 0..3 * booted {
+            let (vm, twin) = &mut vms[turn % booted];
+            let trace = &pool[rng.next_below(2) as usize];
+            let step = match rng.next_below(16) {
+                n @ 0..=4 => n,
+                5 => 5 + rng.next_below(1 << 20),
+                n => n % 2,
+            };
+            let label = format!("case {case}, turn {turn}, step {step}, {}", vm.target());
+            let before = vm.walk_memo_counts();
+            let (shared, private) = (
+                memo_sweep_step(vm, step, trace, &recorder),
+                memo_sweep_step(twin, step, trace, &recorder),
+            );
+            assert_eq!(shared, private, "{label}: step");
+            assert_eq!(vm.cache_stats(), twin.cache_stats(), "{label}: cumulative cache stats");
+            let after = vm.walk_memo_counts();
+            faulted_in_replay +=
+                usize::from(after.hits > before.hits && shared.contains("Err(TeeFault"));
+        }
+        for (vm, twin) in &mut vms {
+            let counts = vm.walk_memo_counts();
+            (hits, evictions) = (hits + counts.hits, evictions + counts.evictions);
+            let label = format!("case {case}, {}", vm.target());
+            let lines = |vm: &mut Vm| vm.cache_mut().map(CacheSim::line_state);
+            assert!(lines(vm) == lines(twin), "{label}: line state");
+            assert_eq!(vm.export_runtime_state(), twin.export_runtime_state(), "{label}");
+        }
+    }
+    assert!(hits > 0, "no trial was credited from another's walk");
+    assert!(evictions > 0, "the memo never overflowed: its bound no longer fits the traces");
+    assert!(faulted_in_replay > 0, "no step faulted after a hit");
 }

@@ -46,20 +46,26 @@ fn boot(queue_capacity: usize) -> (Server, Client, Arc<Gateway>, Arc<Scheduler>)
             .local_host(TeePlatform::SevSnp)
             .build(),
     );
+    let sched = scheduler_over(&gw, queue_capacity);
+    let server = Arc::clone(&gw).serve_with_scheduler(Arc::clone(&sched), "127.0.0.1:0").unwrap();
+    let client = Client::new(server.addr());
+    (server, client, gw, sched)
+}
+
+/// A scheduler — queue, job records and result cache of its own — executing
+/// on `gw` and publishing into its metrics registry.
+fn scheduler_over(gw: &Arc<Gateway>, queue_capacity: usize) -> Arc<Scheduler> {
     let config = SchedulerConfig {
         queue_capacity,
         retry_after_secs: gw.retry_policy().retry_after_secs(),
         ..SchedulerConfig::default()
     };
-    let sched = Arc::new(Scheduler::with_metrics(
-        Arc::clone(&gw) as Arc<dyn confbench_sched::Executor>,
+    Arc::new(Scheduler::with_metrics(
+        Arc::clone(gw) as Arc<dyn confbench_sched::Executor>,
         Arc::new(ManualClock::new()),
         config,
         Arc::clone(gw.metrics()),
-    ));
-    let server = Arc::clone(&gw).serve_with_scheduler(Arc::clone(&sched), "127.0.0.1:0").unwrap();
-    let client = Client::new(server.addr());
-    (server, client, gw, sched)
+    ))
 }
 
 fn submit(client: &Client, spec: &CampaignSpec) -> CampaignReceipt {
@@ -255,6 +261,43 @@ fn execution_order_and_worker_count_leave_no_trace_in_the_results() {
         }
         sched.shutdown();
         assert_eq!(snapshot(&sched).unwrap(), single_threaded, "{workers} worker(s) per platform");
+    }
+}
+
+/// The cache-walk memo rides the gateway's function store and reads no seed:
+/// once the matrix has run under one seed, the same matrix under another
+/// walks nothing — and nothing tells. A second scheduler (so a result cache
+/// that has seen nothing) over the warmed gateway ends up with the snapshot
+/// a fresh gateway's ends up with, whatever the worker count.
+#[test]
+fn a_gateway_warmed_under_another_seed_leaves_the_results_a_fresh_one_leaves() {
+    let snapshot = |sched: &Scheduler| serde_json::to_string(&sched.result_cache().snapshot());
+    let (_server, _client, _gw, sched) = boot(64);
+    sched.submit(matrix_spec()).unwrap();
+    sched.drain();
+    let fresh = snapshot(&sched).unwrap();
+
+    for workers in [1, 2, 4] {
+        let (_server, _client, gw, warming) = boot(64);
+        warming.submit(CampaignSpec { seed: 12, ..matrix_spec() }).unwrap();
+        warming.drain();
+        let walks = |name: &str| gw.metrics().counter_value(&format!("walk_memo_{name}_total"));
+        let (hits, walked) = (walks("hits").unwrap(), walks("misses").unwrap());
+        assert!(walked > 0 && hits > 0, "warming walked {walked} trials, was credited {hits}");
+
+        let sched = scheduler_over(&gw, 64);
+        let receipt = sched.submit(matrix_spec()).unwrap();
+        sched.spawn_workers(workers);
+        while !sched.campaign_status(&receipt.id).unwrap().is_done() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        sched.shutdown();
+        let status = sched.campaign_status(&receipt.id).unwrap();
+        assert_eq!((status.completed, status.cache_hits), (MATRIX_JOBS, 0), "all executed");
+        assert_eq!(snapshot(&sched).unwrap(), fresh, "{workers} worker(s) per platform");
+        // A bootstrap and three trials a cell, every one of them on credit.
+        assert_eq!(walks("misses"), Some(walked), "{workers} worker(s): nothing walked");
+        assert_eq!(walks("hits"), Some(hits + 4 * MATRIX_JOBS as u64));
     }
 }
 

@@ -1,7 +1,9 @@
 //! Binary wire codec for attestation evidence.
 //!
-//! Quotes and reports cross trust boundaries: the gateway receives them from
-//! untrusted guests over the REST surface, so the decoder is written to the
+//! Quotes and reports are evidence from untrusted guests. No route decodes
+//! these bytes today — the simulated flows pass quotes and reports as
+//! values — but this is the form they take on a wire, and a verifier that
+//! reads it faces whatever a guest sends. So the decoder is written to the
 //! same standard as the HTTP parser — every malformed input must produce a
 //! typed [`WireError`], never a panic and never a silently-corrected value.
 //! The encoding is *canonical*: for every byte string, either decoding fails

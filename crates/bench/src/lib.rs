@@ -105,7 +105,7 @@ pub const FIGURES: [Figure; 12] = [
 ///
 /// The first [`Error::TeeFault`] an execution surfaces.
 pub fn run_trace(vm: &mut Vm, trace: &OpTrace, trials: u32) -> Result<Vec<ExecutionReport>> {
-    Ok(vm.try_execute_trials(trace, trials.max(1))?)
+    (0..trials.max(1)).map(|_| Ok(vm.try_execute(trace)?)).collect()
 }
 
 /// Boots a fresh VM from `builder`, replays the unmeasured `startup` trace,

@@ -439,8 +439,9 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidRequest`] when `trials == 0` (nothing to measure);
-    /// [`Error::NoVmAvailable`] when no pool serves the platform or every
+    /// What [`RunRequest::validate`] refuses, before anything executes
+    /// ([`Error::PayloadTooLarge`] above [`confbench_types::MAX_TRIALS`],
+    /// [`Error::InvalidRequest`] otherwise); [`Error::NoVmAvailable`] when no pool serves the platform or every
     /// member's circuit is open; [`Error::DeadlineExceeded`] when
     /// `deadline_ms` elapses first; the host's own error when the request
     /// itself is at fault (unknown function, wrong platform); the last
@@ -473,9 +474,7 @@ impl Gateway {
     /// The dispatch loop behind [`Gateway::run`] (separated so the span can
     /// be finalized uniformly on both exits).
     fn dispatch(&self, request: &RunRequest, root: &mut ActiveSpan) -> Result<RunResult> {
-        if request.trials == 0 {
-            return Err(Error::InvalidRequest("trials must be at least 1 (got 0)".into()));
-        }
+        request.validate()?;
         // Attestation gate: a live session token skips verification (one
         // cache lookup); a dead one re-verifies through the session cache
         // before the request reaches a pool.
@@ -936,18 +935,21 @@ mod tests {
         let mut req = request("factors", Language::Go, TeePlatform::Tdx);
         req.deadline_ms = Some(0);
         let err = gw.run(&req).unwrap_err();
-        assert!(matches!(err, Error::DeadlineExceeded(_)), "got {err}");
+        assert!(matches!(err, Error::InvalidRequest(_)), "got {err}");
+        assert_eq!(err.rest_status(), 400);
     }
 
     #[test]
     fn zero_deadline_trips_before_local_dispatch_too() {
-        // Parity with the remote path: an expired budget must not start a
-        // local execution either (it can't be cancelled once running).
+        // Parity with the remote path: a budget spent before it starts is a
+        // malformed request, refused before any execution.
         let gw = Gateway::builder().local_host(TeePlatform::Tdx).build();
         let mut req = request("factors", Language::Go, TeePlatform::Tdx);
         req.deadline_ms = Some(0);
         let err = gw.run(&req).unwrap_err();
-        assert!(matches!(err, Error::DeadlineExceeded(_)), "got {err}");
+        assert!(matches!(err, Error::InvalidRequest(_)), "got {err}");
+        let served = gw.served_counts(TeePlatform::Tdx).unwrap();
+        assert_eq!(served.iter().sum::<u64>(), 0, "nothing executed");
     }
 
     #[test]

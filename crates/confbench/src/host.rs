@@ -162,9 +162,11 @@ impl HostAgent {
     ///
     /// # Errors
     ///
-    /// Unknown functions, wrong-platform targets, workload failures, and
-    /// [`Error::TeeFault`] when the slot's recovery budget is exhausted.
+    /// Requests [`RunRequest::validate`] refuses, unknown functions,
+    /// wrong-platform targets, workload failures, and [`Error::TeeFault`]
+    /// when the slot's recovery budget is exhausted.
     pub fn execute(&self, request: &RunRequest) -> Result<RunResult> {
+        request.validate()?;
         if request.target.platform != self.platform {
             return Err(Error::InvalidRequest(format!(
                 "host serves {}, request targets {}",
@@ -179,11 +181,10 @@ impl HostAgent {
             self.store.launch(&function.name, function.language, &function.args, &self.metrics)?;
 
         let supervisor = self.supervisor(request.target.kind);
-        let trials = request.trials.max(1);
         let deadline = request.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
         let mut span = self.recorder.root("host.execute");
-        span.set_attr("trials", u64::from(trials));
+        span.set_attr("trials", u64::from(request.trials));
 
         let recorder = &self.recorder;
         let measured = supervisor.run(&mut span, deadline, request.seed, |vm, span| {
@@ -191,7 +192,7 @@ impl HostAgent {
             let bootstrap = span.child("launcher.bootstrap");
             vm.try_execute(&output.startup_trace)?;
             span.finish_child(bootstrap);
-            measure_trials(vm, &output.trace, trials, recorder)
+            measure_trials(vm, &output.trace, request.trials, recorder)
         })?;
         Ok(run_result(request, span, measured, output.output.clone()))
     }
@@ -223,17 +224,16 @@ impl HostAgent {
             if offloaded { workload.classify_device(index) } else { workload.classify_host(index) };
 
         let supervisor = self.supervisor(request.target.kind);
-        let trials = request.trials.max(1);
         let deadline = request.deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
 
         let mut span = self.recorder.root("host.execute");
-        span.set_attr("trials", u64::from(trials));
+        span.set_attr("trials", u64::from(request.trials));
         span.set_attr("offloaded", u64::from(offloaded));
 
         let recorder = &self.recorder;
         let measured =
             supervisor.run_on(request.device, &mut span, deadline, request.seed, |vm, _| {
-                measure_trials(vm, &run.trace, trials, recorder)
+                measure_trials(vm, &run.trace, request.trials, recorder)
             })?;
         let (reports, _) = &measured;
         for (path, bytes) in [
@@ -278,19 +278,18 @@ impl HostAgent {
     }
 }
 
-/// The measured trials of one attempt, as one [`Vm::try_execute_trials`]
-/// call (which stops walking through the cache simulator once a trial leaves
-/// its lines unchanged), the last of them sampled by the perf collector: its
-/// sample — span tree included — is piggybacked on the result (paper
-/// §III-B).
+/// The measured trials of one attempt, one [`Vm::try_execute`] each, the
+/// last of them sampled by the perf collector: its sample — span tree
+/// included — is piggybacked on the result (paper §III-B).
 fn measure_trials(
     vm: &mut Vm,
     trace: &OpTrace,
     trials: u32,
     recorder: &SpanRecorder,
 ) -> std::result::Result<(Vec<ExecutionReport>, PerfSample), TeeFault> {
-    let reports = vm.try_execute_trials(trace, trials)?;
-    let measured = reports.last().expect("callers ask for at least one trial");
+    let reports: Vec<_> =
+        (0..trials).map(|_| vm.try_execute(trace)).collect::<std::result::Result<_, _>>()?;
+    let measured = reports.last().expect("validated requests ask for at least one trial");
     let sample = PerfStat::for_vm(vm).sample(measured, recorder);
     Ok((reports, sample))
 }
@@ -407,32 +406,6 @@ mod tests {
         assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(2));
     }
 
-    /// [`HostAgent::execute`] with the measured trial on its own, as it was
-    /// before that trial joined the others: `trials - 1` executions in one
-    /// call, then one more — always walked — under the collector.
-    fn execute_with_the_measured_trial_walked(
-        h: &HostAgent,
-        req: &RunRequest,
-    ) -> Result<RunResult> {
-        let function = &req.function;
-        let output =
-            h.store.launch(&function.name, function.language, &function.args, &h.metrics)?;
-        let mut span = h.recorder.root("host.execute");
-        span.set_attr("trials", u64::from(req.trials));
-        let measured =
-            h.supervisor(req.target.kind).run(&mut span, None, req.seed, |vm, span| {
-                let bootstrap = span.child("launcher.bootstrap");
-                vm.try_execute(&output.startup_trace)?;
-                span.finish_child(bootstrap);
-                let mut reports = vm.try_execute_trials(&output.trace, req.trials - 1)?;
-                let (report, sample) =
-                    PerfStat::for_vm(vm).try_measure_spanned(vm, &output.trace, &h.recorder)?;
-                reports.push(report);
-                Ok((reports, sample))
-            })?;
-        Ok(run_result(req, span, measured, output.output.clone()))
-    }
-
     const CHAOS_RATE: f64 = 0.002;
 
     /// A still-clock host over `store`, under the fault plan of that seed.
@@ -445,6 +418,16 @@ mod tests {
             SpanRecorder::new(Arc::new(confbench_types::ManualClock::new())),
             HostConfig { seed: 1, retry, faults, ..HostConfig::default() },
         )
+    }
+
+    /// A [`chaos_host`] whose VMs share a walk memo that keeps nothing, so
+    /// every trial walks its lines.
+    fn walking_host(plan: Option<u64>) -> HostAgent {
+        let mut host = chaos_host(Arc::new(FunctionStore::new()), plan);
+        let forgetful = Arc::new(confbench_vmm::WalkMemo::new(0));
+        host.secure = host.secure.with_walk_memo(Arc::clone(&forgetful));
+        host.normal = host.normal.with_walk_memo(forgetful);
+        host
     }
 
     /// A plan whose first fault lands inside the last trial of `req`'s first
@@ -463,7 +446,7 @@ mod tests {
                 return false;
             };
             vm.try_execute(&output.startup_trace).is_ok()
-                && vm.try_execute_trials(&output.trace, req.trials - 1).is_ok()
+                && (1..req.trials).all(|_| vm.try_execute(&output.trace).is_ok())
                 && vm.try_execute(&output.trace).is_err()
                 && chaos_host(Arc::new(FunctionStore::new()), Some(seed)).execute(req).is_ok()
         };
@@ -475,15 +458,19 @@ mod tests {
         let mut req = request(TeePlatform::Tdx, VmKind::Secure);
         req.function = FunctionSpec::new("iostress", Language::Lua).arg("2");
         req.trials = 10;
-        let host = |plan| chaos_host(Arc::new(FunctionStore::new()), plan);
         let plan = plan_firing_in_the_last_trial(&req);
         for plan in [None, Some(plan)] {
-            let (replaying, walking) = (host(plan), host(plan));
+            let (replaying, walking) =
+                (chaos_host(Arc::new(FunctionStore::new()), plan), walking_host(plan));
             let replayed = replaying.execute(&req).unwrap();
-            let walked = execute_with_the_measured_trial_walked(&walking, &req).unwrap();
+            let walked = walking.execute(&req).unwrap();
             for h in [&replaying, &walking] {
                 let faulted = h.metrics.render_text().contains("vmm_faults_total");
                 assert_eq!(faulted, plan.is_some(), "fault plan {plan:?}");
+            }
+            if plan.is_none() {
+                let misses = |h: &HostAgent| h.metrics.counter_value("walk_memo_misses_total");
+                assert_eq!((misses(&replaying), misses(&walking)), (Some(3), Some(11)));
             }
             assert_eq!(replayed.trial_ms.len(), 10);
             let measured = replayed.trace.as_ref().and_then(|t| t.find("perf.measure")).unwrap();

@@ -336,7 +336,7 @@ impl Fleet {
         for platform in TeePlatform::ALL {
             for id in self.alive_shards() {
                 let shard = &self.shards[id];
-                if shard.sched.step(platform) {
+                if shard.sched.step_with(platform, shard.gateway.as_ref()) {
                     progressed = true;
                     continue;
                 }

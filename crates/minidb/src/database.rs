@@ -1,5 +1,5 @@
-//! The database: named tables, transactions with an undo journal, and
-//! operation-trace instrumentation.
+//! The database: named tables, transactions, and operation-trace
+//! instrumentation.
 //!
 //! Every statement records the abstract operations a real embedded engine
 //! performs — B+tree node traffic, page allocation for splits, journal
@@ -56,12 +56,6 @@ impl From<TableError> for DbError {
     }
 }
 
-enum Undo {
-    Insert { table: String, rowid: i64 },
-    Update { table: String, rowid: i64, column: String, old: DbValue },
-    Delete { table: String, rowid: i64, row: Row },
-}
-
 /// An embedded relational database.
 ///
 /// # Example
@@ -83,7 +77,6 @@ enum Undo {
 pub struct Database {
     tables: HashMap<String, Table>,
     trace: OpTrace,
-    journal: Vec<Undo>,
     journal_bytes: u64,
     in_txn: bool,
     nodes_seen: u64,
@@ -104,7 +97,6 @@ impl Database {
         Database {
             tables: HashMap::new(),
             trace: OpTrace::new(),
-            journal: Vec::new(),
             journal_bytes: 0,
             in_txn: false,
             nodes_seen: 0,
@@ -170,43 +162,8 @@ impl Database {
             return Err(DbError::TxnState("no open transaction"));
         }
         self.fsync();
-        self.journal.clear();
         self.journal_bytes = 0;
         self.in_txn = false;
-        Ok(())
-    }
-
-    /// Rolls back the open transaction, undoing every statement.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::TxnState`] without an open transaction.
-    pub fn rollback(&mut self) -> Result<(), DbError> {
-        if !self.in_txn {
-            return Err(DbError::TxnState("no open transaction"));
-        }
-        while let Some(undo) = self.journal.pop() {
-            match undo {
-                Undo::Insert { table, rowid } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        let _ = t.delete(rowid);
-                    }
-                }
-                Undo::Update { table, rowid, column, old } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        let _ = t.update(rowid, &column, old);
-                    }
-                }
-                Undo::Delete { table, rowid, row } => {
-                    if let Some(t) = self.tables.get_mut(&table) {
-                        t.restore(rowid, row);
-                    }
-                }
-            }
-        }
-        self.journal_bytes = 0;
-        self.in_txn = false;
-        self.trace.syscall(SyscallKind::FileMeta, 1); // journal unlink
         Ok(())
     }
 
@@ -217,9 +174,8 @@ impl Database {
     /// Table errors.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<i64, DbError> {
         let row_len: u64 = row.iter().map(DbValue::byte_len).sum();
-        let t = self.table_mut(table)?;
-        let rowid = t.insert(row)?;
-        self.after_write(table, row_len, Undo::Insert { table: table.to_owned(), rowid });
+        let rowid = self.table_mut(table)?.insert(row)?;
+        self.after_write(row_len);
         Ok(rowid)
     }
 
@@ -237,15 +193,8 @@ impl Database {
         value: DbValue,
     ) -> Result<(), DbError> {
         let bytes = value.byte_len();
-        let t = self.table_mut(table)?;
-        let col = t.column_index(column)?;
-        let old = t.get(rowid).ok_or(TableError::NoSuchRow(rowid))?[col].clone();
-        t.update(rowid, column, value)?;
-        self.after_write(
-            table,
-            bytes,
-            Undo::Update { table: table.to_owned(), rowid, column: column.to_owned(), old },
-        );
+        self.table_mut(table)?.update(rowid, column, value)?;
+        self.after_write(bytes);
         Ok(())
     }
 
@@ -255,10 +204,8 @@ impl Database {
     ///
     /// Table errors.
     pub fn delete(&mut self, table: &str, rowid: i64) -> Result<(), DbError> {
-        let t = self.table_mut(table)?;
-        let row = t.delete(rowid)?;
-        let bytes: u64 = row.iter().map(DbValue::byte_len).sum();
-        self.after_write(table, bytes, Undo::Delete { table: table.to_owned(), rowid, row });
+        let row = self.table_mut(table)?.delete(rowid)?;
+        self.after_write(row.iter().map(DbValue::byte_len).sum());
         Ok(())
     }
 
@@ -329,7 +276,7 @@ impl Database {
         self.tables.get_mut(name).ok_or_else(|| DbError::NoSuchTable(name.to_owned()))
     }
 
-    fn after_write(&mut self, table: &str, payload_bytes: u64, undo: Undo) {
+    fn after_write(&mut self, payload_bytes: u64) {
         // B+tree write path: descent, node dirtying, possible splits.
         self.trace.cpu(900 + payload_bytes * 4);
         self.trace.mem_write(4 * 64 + payload_bytes);
@@ -338,11 +285,8 @@ impl Database {
             self.trace.alloc((nodes_now - self.nodes_seen) * NODE_BYTES);
             self.nodes_seen = nodes_now;
         }
-        let _ = table;
         self.journal_bytes += payload_bytes + 24;
-        if self.in_txn {
-            self.journal.push(undo);
-        } else {
+        if !self.in_txn {
             // Auto-commit: every statement pays the journal + fsync price,
             // exactly why speedtest1 runs its insert batches both ways.
             self.fsync();
@@ -399,28 +343,12 @@ mod tests {
     }
 
     #[test]
-    fn txn_rollback_undoes_everything() {
-        let mut d = db();
-        let keep = d.insert("t", vec![0i64.into(), "keep".into()]).unwrap();
-        d.begin().unwrap();
-        let added = d.insert("t", vec![1i64.into(), "x".into()]).unwrap();
-        d.update("t", keep, "b", "changed".into()).unwrap();
-        d.delete("t", keep).unwrap();
-        d.rollback().unwrap();
-        let t = d.table("t").unwrap();
-        assert!(t.get(added).is_none(), "insert undone");
-        assert_eq!(t.get(keep).unwrap()[1], DbValue::Text("keep".into()), "update+delete undone");
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
     fn nested_begin_rejected() {
         let mut d = db();
         d.begin().unwrap();
         assert!(matches!(d.begin(), Err(DbError::TxnState(_))));
         d.commit().unwrap();
         assert!(matches!(d.commit(), Err(DbError::TxnState(_))));
-        assert!(matches!(d.rollback(), Err(DbError::TxnState(_))));
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //!
 //! * [`BTree`] — an order-32 B+tree storage engine with range scans;
 //! * [`Table`] — schema-checked rows with secondary indexes;
-//! * [`Database`] — named tables, transactions with an undo journal,
-//!   auto-commit fsync semantics, and operation-trace instrumentation so a
-//!   simulated VM can charge for the I/O and syscall behaviour;
-//! * query helpers ([`aggregate`], [`order_by`], [`group_count`]) and a
-//!   small SQL front-end ([`run_sql`]);
+//! * [`Database`] — named tables, transactions, auto-commit fsync
+//!   semantics, and operation-trace instrumentation so a simulated VM can
+//!   charge for the I/O and syscall behaviour;
+//! * query helpers ([`aggregate`], [`order_by`], [`group_count`]);
 //! * [`run_speedtest`] — a 15-case stress suite mirroring `speedtest1`'s
-//!   heterogeneous mix, scaled by the same relative-size parameter.
+//!   heterogeneous mix, scaled by the same relative-size parameter, driven
+//!   through the [`Database`] API.
 //!
 //! # Example
 //!
@@ -32,7 +32,6 @@ mod btree;
 mod database;
 mod query;
 mod speedtest;
-mod sql;
 mod table;
 mod value;
 
@@ -40,6 +39,5 @@ pub use btree::BTree;
 pub use database::{Database, DbError};
 pub use query::{aggregate, group_count, order_by, Aggregate};
 pub use speedtest::{run_speedtest, SpeedTest, SpeedTestCase, SpeedTestReport};
-pub use sql::{run_sql, SqlError, SqlOutput};
 pub use table::{Column, ColumnType, Table, TableError};
 pub use value::{DbValue, IndexKey, Row};

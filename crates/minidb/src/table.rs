@@ -133,11 +133,6 @@ impl Table {
         &self.name
     }
 
-    /// The schema.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -297,16 +292,6 @@ impl Table {
             }
         });
         out
-    }
-
-    /// Reinstates a previously deleted row under its original rowid
-    /// (transaction rollback path). Index entries are rebuilt.
-    pub(crate) fn restore(&mut self, rowid: i64, row: Row) {
-        for index in self.indexes.values_mut() {
-            index.tree.insert(IndexKey(row[index.column].clone(), rowid), ());
-        }
-        self.rows.insert(rowid, row);
-        self.next_rowid = self.next_rowid.max(rowid + 1);
     }
 
     fn validate(&self, row: &Row) -> Result<(), TableError> {

@@ -88,76 +88,3 @@ fn table_index_consistent_with_scan() {
         assert_eq!(via_index, via_scan, "case {case}");
     }
 }
-
-mod sql_differential {
-    use confbench_crypto::SplitMix64;
-    use confbench_minidb::{run_sql, Database, DbValue, SqlOutput};
-
-    const CASES: u64 = 48;
-
-    /// SQL SELECT with a range predicate agrees with a hand-rolled scan
-    /// over the same data, for arbitrary datasets and bounds.
-    #[test]
-    fn sql_select_matches_manual_scan() {
-        for case in 0..CASES {
-            let mut rng = SplitMix64::new(0xB7EE_0004 ^ case);
-            let values: Vec<i64> =
-                (0..1 + rng.next_below(59)).map(|_| rng.next_below(200) as i64 - 100).collect();
-            let lo = rng.next_below(200) as i64 - 100;
-            let span = rng.next_below(120) as i64;
-
-            let mut db = Database::new();
-            run_sql(&mut db, "CREATE TABLE t (v INTEGER);").unwrap();
-            for v in &values {
-                run_sql(&mut db, &format!("INSERT INTO t VALUES ({v});")).unwrap();
-            }
-            let hi = lo + span;
-            let out = run_sql(
-                &mut db,
-                &format!("SELECT v FROM t WHERE v >= {lo} AND v < {hi} ORDER BY v;"),
-            )
-            .unwrap();
-            let got: Vec<i64> = match &out[0] {
-                SqlOutput::Rows { rows, .. } => rows
-                    .iter()
-                    .map(|r| match r[0] {
-                        DbValue::Integer(n) => n,
-                        _ => unreachable!(),
-                    })
-                    .collect(),
-                other => panic!("{other:?}"),
-            };
-            let mut want: Vec<i64> =
-                values.iter().copied().filter(|v| *v >= lo && *v < hi).collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "case {case}");
-        }
-    }
-
-    /// DELETE then COUNT agrees with the model.
-    #[test]
-    fn sql_delete_counts() {
-        for case in 0..CASES {
-            let mut rng = SplitMix64::new(0xB7EE_0005 ^ case);
-            let values: Vec<i64> =
-                (0..1 + rng.next_below(39)).map(|_| rng.next_below(50) as i64).collect();
-            let cut = rng.next_below(50) as i64;
-
-            let mut db = Database::new();
-            run_sql(&mut db, "CREATE TABLE t (v INTEGER);").unwrap();
-            for v in &values {
-                run_sql(&mut db, &format!("INSERT INTO t VALUES ({v});")).unwrap();
-            }
-            let out = run_sql(&mut db, &format!("DELETE FROM t WHERE v < {cut};")).unwrap();
-            let deleted = values.iter().filter(|v| **v < cut).count() as u64;
-            assert_eq!(&out[0], &SqlOutput::Affected(deleted), "case {case}");
-            let out = run_sql(&mut db, "SELECT * FROM t;").unwrap();
-            match &out[0] {
-                SqlOutput::Rows { rows, .. } => {
-                    assert_eq!(rows.len() as u64, values.len() as u64 - deleted, "case {case}")
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-    }
-}

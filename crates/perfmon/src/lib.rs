@@ -184,8 +184,7 @@ impl PerfStat {
     /// The sample of one finished execution: the collector's view of its
     /// counters, under a `perf.measure` root span (stamped on `recorder`'s
     /// clock as the sample is taken) with the report's cost-event children.
-    /// It reads `report` alone, so any trial of
-    /// [`Vm::try_execute_trials`] can be the measured one.
+    /// It reads `report` alone, so any trial can be the measured one.
     pub fn sample(&self, report: &ExecutionReport, recorder: &SpanRecorder) -> PerfSample {
         let mut root = recorder.root("perf.measure");
         report.attach_spans(&mut root);

@@ -21,7 +21,7 @@
 //!
 //! Everything is deterministic under a
 //! [`ManualClock`](confbench_types::ManualClock): tests drive workers with
-//! [`Scheduler::step`]/[`Scheduler::drain`] instead of spawning threads, and
+//! [`Scheduler::step_with`]/[`Scheduler::drain`] instead of spawning threads, and
 //! no wall-clock or RNG state leaks into results.
 //!
 //! # Example

@@ -155,7 +155,7 @@ impl WorkerSignal {
 ///
 /// Deterministic by construction: all timing comes from the injected
 /// [`Clock`], execution is delegated to an [`Executor`], and tests drive
-/// progress with [`Scheduler::step`]/[`Scheduler::drain`] instead of
+/// progress with [`Scheduler::step_with`]/[`Scheduler::drain`] instead of
 /// threads. Production deployments call [`Scheduler::spawn_workers`] for
 /// per-platform worker pools that drain the queue continuously.
 pub struct Scheduler {
@@ -299,24 +299,19 @@ impl Scheduler {
         Ok(receipt)
     }
 
-    /// Processes at most one queued job for `platform`: dequeues it, expires
-    /// it if its queue deadline passed, serves it from the result cache, or
-    /// executes it through the [`Executor`]. Returns whether a job was
-    /// processed (i.e. whether the platform's queue was non-empty).
+    /// Processes at most one queued job for `platform` on `executor`:
+    /// dequeues it, expires it if its queue deadline passed, serves it from
+    /// the result cache, or executes it. Returns whether a job was processed
+    /// (i.e. whether the platform's queue was non-empty).
     ///
     /// This is the worker loop body; tests call it directly for fully
-    /// deterministic, single-threaded draining.
-    pub fn step(&self, platform: TeePlatform) -> bool {
-        self.step_with(platform, self.executor.as_ref())
-    }
-
-    /// [`Scheduler::step`] with the execution delegated to an arbitrary
-    /// [`Executor`] — the work-stealing primitive. A thief shard calls this
-    /// on the *victim's* scheduler with its own gateway as the executor:
-    /// the victim keeps all bookkeeping (queue, job records, result cache,
-    /// metrics), only the VM execution itself happens on the thief's
-    /// hosts. Content addressing still goes through the scheduler's own
-    /// executor so the cache key is the victim's view of the function.
+    /// deterministic, single-threaded draining. The executor need not be the
+    /// scheduler's own — that is the work-stealing primitive: a thief shard
+    /// calls this on the *victim's* scheduler with its own gateway, and the
+    /// victim keeps all bookkeeping (queue, job records, result cache,
+    /// metrics) while only the VM execution happens on the thief's hosts.
+    /// Content addressing always goes through the scheduler's own executor,
+    /// so the cache key is the victim's view of the function.
     pub fn step_with(&self, platform: TeePlatform, executor: &dyn Executor) -> bool {
         // Phase 1 (locked): dequeue and classify.
         let (job_id, cell, key, enqueued_at_ms) = {
@@ -443,7 +438,7 @@ impl Scheduler {
     /// and CLI workhorse: after `drain` returns, every submitted job is in
     /// a terminal state.
     pub fn drain(&self) {
-        while TeePlatform::ALL.iter().any(|&p| self.step(p)) {}
+        while TeePlatform::ALL.iter().any(|&p| self.step_with(p, self.executor.as_ref())) {}
     }
 
     /// Spawns `per_platform` worker threads for each TEE platform. Workers
@@ -457,7 +452,7 @@ impl Scheduler {
                 workers.push(std::thread::spawn(move || {
                     let mut seen = 0;
                     while !sched.signal.stopped() {
-                        if !sched.step(platform) {
+                        if !sched.step_with(platform, sched.executor.as_ref()) {
                             seen = sched.signal.wait(seen);
                         }
                     }
@@ -803,7 +798,7 @@ mod tests {
         high.seed = 99; // distinct cells so both execute
         let low_r = sched.submit(low).unwrap();
         let high_r = sched.submit(high).unwrap();
-        assert!(sched.step(TeePlatform::Tdx));
+        assert!(sched.step_with(TeePlatform::Tdx, sched.executor.as_ref()));
         let high_status = sched.campaign_status(&high_r.id).unwrap();
         let low_status = sched.campaign_status(&low_r.id).unwrap();
         assert_eq!(high_status.completed, 1, "high priority jumped the queue");

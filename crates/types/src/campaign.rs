@@ -11,7 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DeviceKind, Language, TeePlatform, TraceSpan, VmKind};
+use crate::{DeviceKind, Language, TeePlatform, TraceSpan, VmKind, MAX_TRIALS};
 
 /// Scheduling priority of a campaign's jobs. Higher priorities drain first;
 /// within a priority the queue is FIFO.
@@ -199,6 +199,8 @@ pub enum InvalidCampaign {
     },
     /// `trials == 0`.
     ZeroTrials,
+    /// `trials` above [`MAX_TRIALS`].
+    TooManyTrials(u32),
     /// The cross product exceeds the admission limit in force.
     TooManyCells(usize),
     /// `deadline_ms == Some(0)`.
@@ -215,6 +217,9 @@ impl fmt::Display for InvalidCampaign {
                 write!(f, "campaign axis {axis:?} has {len} entries (limit {MAX_AXIS_LEN})")
             }
             InvalidCampaign::ZeroTrials => write!(f, "trials must be at least 1 (got 0)"),
+            InvalidCampaign::TooManyTrials(n) => {
+                write!(f, "{n} trials a cell requested (limit {MAX_TRIALS})")
+            }
             InvalidCampaign::TooManyCells(n) => {
                 write!(f, "campaign expands to {n} cells (limit {MAX_CAMPAIGN_CELLS})")
             }
@@ -232,9 +237,9 @@ impl From<InvalidCampaign> for crate::Error {
         match e {
             // Size rejections are 413: the spec is well-formed, just bigger
             // than the service admits — the client should shrink it.
-            InvalidCampaign::TooManyCells(_) | InvalidCampaign::AxisTooLong { .. } => {
-                crate::Error::PayloadTooLarge(e.to_string())
-            }
+            InvalidCampaign::TooManyCells(_)
+            | InvalidCampaign::AxisTooLong { .. }
+            | InvalidCampaign::TooManyTrials(_) => crate::Error::PayloadTooLarge(e.to_string()),
             _ => crate::Error::InvalidRequest(e.to_string()),
         }
     }
@@ -270,8 +275,8 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// [`InvalidCampaign`] when an axis is empty or longer than
-    /// [`MAX_AXIS_LEN`], `trials` is zero, a zero deadline was set, or the
-    /// cross product exceeds the limit in force.
+    /// [`MAX_AXIS_LEN`], `trials` is outside `1..=`[`MAX_TRIALS`], a zero
+    /// deadline was set, or the cross product exceeds the limit in force.
     pub fn validate_with_limit(&self, max_cells: usize) -> Result<(), InvalidCampaign> {
         let axes: [(&'static str, usize); 4] = [
             ("functions", self.functions.len()),
@@ -289,6 +294,9 @@ impl CampaignSpec {
         }
         if self.trials == 0 {
             return Err(InvalidCampaign::ZeroTrials);
+        }
+        if self.trials > MAX_TRIALS {
+            return Err(InvalidCampaign::TooManyTrials(self.trials));
         }
         if self.deadline_ms == Some(0) {
             return Err(InvalidCampaign::ZeroDeadline);
@@ -486,6 +494,8 @@ mod tests {
         let mut s = spec();
         s.trials = 0;
         assert_eq!(s.validate(), Err(InvalidCampaign::ZeroTrials));
+        s.trials = MAX_TRIALS + 1;
+        assert_eq!(s.validate(), Err(InvalidCampaign::TooManyTrials(MAX_TRIALS + 1)));
         let mut s = spec();
         s.deadline_ms = Some(0);
         assert_eq!(s.validate(), Err(InvalidCampaign::ZeroDeadline));
@@ -595,6 +605,8 @@ mod tests {
         let e: crate::Error = InvalidCampaign::TooManyCells(1_000_000).into();
         assert_eq!(e.rest_status(), 413);
         let e: crate::Error = InvalidCampaign::AxisTooLong { axis: "functions", len: 99 }.into();
+        assert_eq!(e.rest_status(), 413);
+        let e: crate::Error = InvalidCampaign::TooManyTrials(u32::MAX).into();
         assert_eq!(e.rest_status(), 413);
     }
 

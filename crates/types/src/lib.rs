@@ -53,5 +53,6 @@ pub use ops::{Op, OpTrace, SyscallKind};
 pub use platform::{ParsePlatformError, TeePlatform, VmKind, VmTarget};
 pub use run::{
     FunctionSpec, InvalidRunRequest, PerfReport, RunRequest, RunResult, TrialStats, WorkloadKind,
+    MAX_TRIALS,
 };
 pub use trace::TraceSpan;

@@ -87,15 +87,21 @@ fn default_trials() -> u32 {
     1
 }
 
-/// Typed rejection from [`RunRequest::validate`] (the gateway's entry
-/// validation).
-///
-/// Both conditions used to be accepted silently and fail — or spin — deep in
-/// the dispatch path; now they are rejected at the API boundary.
+/// Most trials one request, or one campaign cell, may ask for. The paper
+/// measures 10 a cell; a hundred times that leaves room for any tighter
+/// confidence interval a study could want, while the worker a request holds
+/// and the reports it accumulates stay bounded by a constant rather than by
+/// a `u32` read off the wire.
+pub const MAX_TRIALS: u32 = 1_000;
+
+/// Typed rejection from [`RunRequest::validate`], which the gateway and
+/// every host call before anything executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InvalidRunRequest {
     /// `trials == 0`: there is nothing to measure.
     ZeroTrials,
+    /// `trials` above [`MAX_TRIALS`].
+    TooManyTrials(u32),
     /// `deadline_ms == Some(0)`: the budget is already exhausted.
     ZeroDeadline,
 }
@@ -105,6 +111,9 @@ impl fmt::Display for InvalidRunRequest {
         match self {
             InvalidRunRequest::ZeroTrials => {
                 write!(f, "trials must be at least 1 (got 0)")
+            }
+            InvalidRunRequest::TooManyTrials(n) => {
+                write!(f, "{n} trials requested (limit {MAX_TRIALS})")
             }
             InvalidRunRequest::ZeroDeadline => {
                 write!(f, "deadline_ms must be positive when set (got 0)")
@@ -117,7 +126,11 @@ impl std::error::Error for InvalidRunRequest {}
 
 impl From<InvalidRunRequest> for crate::Error {
     fn from(e: InvalidRunRequest) -> Self {
-        crate::Error::InvalidRequest(e.to_string())
+        match e {
+            // 413, like the campaign size rejections: well-formed, too big.
+            InvalidRunRequest::TooManyTrials(_) => crate::Error::PayloadTooLarge(e.to_string()),
+            _ => crate::Error::InvalidRequest(e.to_string()),
+        }
     }
 }
 
@@ -135,8 +148,8 @@ impl RunRequest {
         }
     }
 
-    /// Rejects `trials == 0` and a zero deadline at the API boundary
-    /// instead of deep in the gateway, which calls this on every request.
+    /// Rejects `trials` outside `1..=`[`MAX_TRIALS`] and a zero deadline at
+    /// the API boundary, before anything executes.
     ///
     /// # Example
     ///
@@ -153,10 +166,14 @@ impl RunRequest {
     /// # Errors
     ///
     /// [`InvalidRunRequest::ZeroTrials`] when `trials == 0`;
+    /// [`InvalidRunRequest::TooManyTrials`] above [`MAX_TRIALS`];
     /// [`InvalidRunRequest::ZeroDeadline`] when a zero deadline was set.
     pub fn validate(&self) -> Result<(), InvalidRunRequest> {
         if self.trials == 0 {
             return Err(InvalidRunRequest::ZeroTrials);
+        }
+        if self.trials > MAX_TRIALS {
+            return Err(InvalidRunRequest::TooManyTrials(self.trials));
         }
         if self.deadline_ms == Some(0) {
             return Err(InvalidRunRequest::ZeroDeadline);
@@ -390,6 +407,9 @@ mod tests {
         assert_eq!(err, InvalidRunRequest::ZeroTrials);
         let err = RunRequest::new(spec.clone(), target).deadline_ms(0).validate().unwrap_err();
         assert_eq!(err, InvalidRunRequest::ZeroDeadline);
+        let err = RunRequest::new(spec.clone(), target).trials(u32::MAX).validate().unwrap_err();
+        assert_eq!(err, InvalidRunRequest::TooManyTrials(u32::MAX));
+        RunRequest::new(spec.clone(), target).trials(MAX_TRIALS).validate().unwrap();
         let ok = RunRequest::new(spec, target).trials(10).deadline_ms(500);
         assert_eq!(ok.trials, 10);
         assert_eq!(ok.deadline_ms, Some(500));
@@ -401,6 +421,8 @@ mod tests {
         let e: crate::Error = InvalidRunRequest::ZeroTrials.into();
         assert!(matches!(e, crate::Error::InvalidRequest(_)));
         assert_eq!(e.rest_status(), 400);
+        let e: crate::Error = InvalidRunRequest::TooManyTrials(MAX_TRIALS + 1).into();
+        assert_eq!(e.rest_status(), 413);
     }
 
     #[test]

@@ -237,6 +237,8 @@ pub struct CacheSim {
     node: Node,
     /// Credited but not walked: the first `n` accesses of each list.
     pending: Vec<(Accesses, usize)>,
+    /// The accesses of the last trial that ran to its end.
+    last: Option<Accesses>,
     counts: WalkMemoCounts,
 }
 
@@ -275,6 +277,7 @@ impl CacheSim {
             memo,
             node: Node::Root(salt),
             pending: Vec::new(),
+            last: None,
             counts: WalkMemoCounts::default(),
         }
     }
@@ -301,16 +304,19 @@ impl CacheSim {
     }
 
     /// Opens a trial over `accesses`: a replay if the memo knows them from
-    /// this state, else a record, the lines made current — snapshotted too
-    /// with `prove`, for [`CacheSim::finish`] to see whether they moved.
-    pub(crate) fn begin(&mut self, accesses: &Accesses, prove: bool) -> Walk {
+    /// this state, else a record, the lines made current. A record that
+    /// repeats the last completed trial is snapshotted too, for
+    /// [`CacheSim::finish`] to prove whether it left the lines where it
+    /// found them: a fixed point the next repeat replays.
+    pub(crate) fn begin(&mut self, accesses: &Accesses) -> Walk {
         if let Some(edge) = self.memo.lookup(self.node, accesses) {
             self.counts.hits += 1;
             return Walk::Replay { edge, credited: 0 };
         }
         self.counts.misses += 1;
         self.materialize();
-        let before = prove.then(|| self.line_state());
+        let repeats = self.last.as_deref() == Some(&**accesses);
+        let before = repeats.then(|| self.line_state());
         Walk::Record { deltas: Vec::with_capacity(accesses.len()), before }
     }
 
@@ -336,6 +342,9 @@ impl CacheSim {
     /// says they change nothing; a completed record goes to the memo; a
     /// trial cut short leaves a state nobody has named.
     pub(crate) fn finish(&mut self, accesses: &Accesses, walk: Walk, completed: bool) {
+        if completed {
+            self.last = Some(Arc::clone(accesses));
+        }
         let to = match walk {
             Walk::Replay { edge, .. } if completed && edge.to == self.node => return,
             Walk::Replay { edge, credited } => {

@@ -14,7 +14,7 @@ use confbench_types::{
     VmKind, VmTarget,
 };
 
-use crate::cache::{accesses_of, Accesses, CacheSim, CacheStats, Walk, WalkMemo, WalkMemoCounts};
+use crate::cache::{accesses_of, CacheSim, CacheStats, Walk, WalkMemo, WalkMemoCounts};
 use crate::cca::{Fvp, RealmId, Rmm};
 use crate::cost::CostModel;
 use crate::evtpm::EvTpm;
@@ -653,6 +653,19 @@ impl Vm {
     /// report. Consecutive calls model independent trials: per-trial jitter
     /// is drawn from the VM's seeded PRNG.
     ///
+    /// The cache simulator is deterministic: the same accesses from the same
+    /// line state (tags and LRU order of both levels) give the same deltas
+    /// and leave the same line state. Every call asks the VM's [`WalkMemo`]
+    /// whether these accesses were walked from this state before, by any VM
+    /// holding the memo: if so it takes its deltas from that record and the
+    /// walk waits until the lines are needed, if not it walks and records. A
+    /// walked trial that repeats the last completed one is also checked for
+    /// having left the lines where it found them, and from then on every
+    /// repeat is a hit with nothing left to walk: ten trials new to the memo
+    /// walk twice. Nothing else is skipped: heap and page accounting, the
+    /// page mechanism, dirty marking, fault rolls, the accumulation order
+    /// and the jitter draw run per call.
+    ///
     /// TEE faults injected by an installed plan surface as `Err`. A faulted
     /// execution charges nothing — the virtual clock, exit totals, and
     /// jitter stream are only advanced on success — but the TEE page/bounce
@@ -668,62 +681,11 @@ impl Vm {
     /// group…), not per individual exit, so the draw count is bounded by
     /// the trace length.
     pub fn try_execute(&mut self, trace: &OpTrace) -> Result<ExecutionReport, TeeFault> {
-        self.walk_or_replay(trace, &accesses_of(trace), false)
-    }
-
-    /// Executes `trace` `trials` times in a row, exactly as that many
-    /// [`Vm::try_execute`] calls would — equal reports, equal VM state, the
-    /// same fault at the same trial — while walking the cache simulator's
-    /// lines only as often as it has to.
-    ///
-    /// The simulator is deterministic: the same accesses from the same line
-    /// state (tags and LRU order of both levels) give the same deltas and
-    /// leave the same line state. Every trial, here and under
-    /// [`Vm::try_execute`], asks the VM's [`WalkMemo`] whether these accesses
-    /// were walked from this state before, by any VM holding the memo: if so
-    /// it takes its deltas from that record and the walk waits until the
-    /// lines are needed, if not it walks and records. This call adds the
-    /// proof of a fixed point: a walked trial with one before it and one
-    /// after is checked for having left the lines where it found them, and
-    /// from then on every trial is a hit with nothing left to walk. A typical
-    /// trace gets there on its second trial, so ten trials new to the memo
-    /// walk twice. Nothing else is skipped: heap and page accounting, the
-    /// page mechanism, dirty marking, fault rolls, the accumulation order and
-    /// the jitter draw run per trial.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vm::try_execute`], from the first trial that faults; the
-    /// reports of the trials before it are dropped with it.
-    pub fn try_execute_trials(
-        &mut self,
-        trace: &OpTrace,
-        trials: u32,
-    ) -> Result<Vec<ExecutionReport>, TeeFault> {
         let accesses = accesses_of(trace);
-        // Grown as trials succeed: `trials` can come straight off the wire.
-        let mut reports = Vec::new();
-        for trial in 0..trials {
-            // The first trial enters from wherever another trace left the
-            // lines, and a proof is worth its snapshot only to a later trial.
-            let prove = trial > 0 && trials - trial > 1;
-            reports.push(self.walk_or_replay(trace, &accesses, prove)?);
-        }
-        Ok(reports)
-    }
-
-    /// One trial through the memo's lookup-or-record step
-    /// ([`CacheSim::begin`], [`CacheSim::finish`]); `accesses` are `trace`'s.
-    fn walk_or_replay(
-        &mut self,
-        trace: &OpTrace,
-        accesses: &Accesses,
-        prove: bool,
-    ) -> Result<ExecutionReport, TeeFault> {
-        let mut walk = self.cache.as_mut().map(|cache| cache.begin(accesses, prove));
+        let mut walk = self.cache.as_mut().map(|cache| cache.begin(&accesses));
         let outcome = self.execute_trial(trace, walk.as_mut());
         if let Some((cache, walk)) = self.cache.as_mut().zip(walk) {
-            cache.finish(accesses, walk, outcome.is_ok());
+            cache.finish(&accesses, walk, outcome.is_ok());
         }
         outcome
     }
@@ -1515,23 +1477,30 @@ mod tests {
         }
     }
 
-    /// Runs `trace` as one `try_execute_trials` call and, on an identically
-    /// seeded twin, as `trials` single executions; asserts the two agree on
-    /// every report and on the cache simulator, line state included, and
-    /// returns how many line-state snapshots the trials call took, and its
-    /// reports.
+    /// Line walks and line-state snapshots taken on this thread so far.
+    fn walks_and_snapshots() -> (usize, usize) {
+        let get = std::cell::Cell::get;
+        (crate::cache::WALKS.with(get), crate::cache::SNAPSHOTS.with(get))
+    }
+
+    /// Runs `trace` `trials` times and, on an identically seeded twin whose
+    /// memo keeps nothing (so it walks every trial), as often again; asserts
+    /// the two agree on every report and on the cache simulator, line state
+    /// included, and returns how many line-state snapshots the first took,
+    /// and its reports.
     fn snapshots_with_twin_agreement(
         target: VmTarget,
         trace: &OpTrace,
         trials: u32,
     ) -> (usize, Vec<ExecutionReport>) {
         let mut vm = TeeVmBuilder::new(target).seed(21).build();
-        let mut twin = TeeVmBuilder::new(target).seed(21).build();
-        let before = crate::cache::SNAPSHOTS.with(std::cell::Cell::get);
-        let reports = vm.try_execute_trials(trace, trials).unwrap();
-        let snapshots = crate::cache::SNAPSHOTS.with(std::cell::Cell::get) - before;
-        let singles: Vec<_> = (0..trials).map(|_| twin.try_execute(trace).unwrap()).collect();
-        assert_eq!(format!("{reports:?}"), format!("{singles:?}"), "{trials} trials");
+        let forgetful = Arc::new(WalkMemo::new(0));
+        let mut twin = TeeVmBuilder::new(target).seed(21).walk_memo(forgetful).build();
+        let before = walks_and_snapshots().1;
+        let reports: Vec<_> = (0..trials).map(|_| vm.try_execute(trace).unwrap()).collect();
+        let snapshots = walks_and_snapshots().1 - before;
+        let walked: Vec<_> = (0..trials).map(|_| twin.try_execute(trace).unwrap()).collect();
+        assert_eq!(format!("{reports:?}"), format!("{walked:?}"), "{trials} trials");
         let (cache, twin_cache) = (vm.cache.as_mut().unwrap(), twin.cache.as_mut().unwrap());
         assert_eq!(cache.stats(), twin_cache.stats(), "{trials} trials: cumulative stats");
         assert!(cache.line_state() == twin_cache.line_state(), "{trials} trials: line state");
@@ -1539,27 +1508,34 @@ mod tests {
     }
 
     #[test]
-    fn trials_that_no_later_trial_could_replay_take_no_snapshot() {
+    fn only_a_trial_repeating_the_last_completed_one_takes_a_snapshot() {
         let target = VmTarget::secure(TeePlatform::Tdx);
         let mut trace = io_heavy_trace();
         trace.mem_write(96 << 10);
-        for trials in 0..=2 {
-            let (snapshots, _) = snapshots_with_twin_agreement(target, &trace, trials);
-            assert_eq!(snapshots, 0, "{trials} trials");
+        // The second trial is the first repeat: one snapshot, which its own
+        // lines are compared with in place; the third replays the proof.
+        for (trials, snapshots) in [(0, 0), (1, 0), (2, 1), (3, 1), (10, 1)] {
+            assert_eq!(snapshots_with_twin_agreement(target, &trace, trials).0, snapshots);
         }
-        // Three is the first count with a trial to serve: one snapshot after
-        // the cold trial, which the warm trial's lines are compared with in
-        // place.
-        assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 1);
-        assert_eq!(snapshots_with_twin_agreement(target, &trace, 10).0, 1);
+        // A trace alternating with another repeats neither: nothing to
+        // prove, and every trial of both walks.
+        let mut other = OpTrace::new();
+        other.mem_read(64 << 10);
+        let mut vm = TeeVmBuilder::new(target).seed(21).build();
+        let before = walks_and_snapshots();
+        for _ in 0..5 {
+            vm.try_execute(&trace).unwrap();
+            vm.try_execute(&other).unwrap();
+        }
+        assert_eq!(walks_and_snapshots(), (before.0 + 10, before.1));
+        assert_eq!(vm.walk_memo_counts(), WalkMemoCounts { hits: 0, misses: 10, evictions: 0 });
     }
 
     #[test]
     fn ten_trials_walk_their_lines_twice_and_one_trial_once() {
         // The calls `HostAgent::execute` makes on an attempt's VM: the
-        // launcher bootstrap's own execution, then every trial in one call,
-        // the measured one included.
-        let walks = || crate::cache::WALKS.with(std::cell::Cell::get);
+        // launcher bootstrap's own execution, then one per trial, the
+        // measured one included.
         let mut bootstrap = OpTrace::new();
         bootstrap.mem_write(256 << 10);
         let mut trace = io_heavy_trace();
@@ -1570,21 +1546,23 @@ mod tests {
             trace.iter().filter(|op| matches!(op, Op::MemRead { .. } | Op::MemWrite { .. }));
         let mem_ops = mem_ops.count();
         assert_eq!(mem_ops, 3);
-        for (trials, walked) in [(1, 1), (3, 2), (10, 2)] {
+        for (trials, walked, snapshots) in [(1, 1, 0), (3, 2, 1), (10, 2, 1)] {
             let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(21).build();
-            let before = walks();
+            let before = walks_and_snapshots();
             vm.try_execute(&bootstrap).unwrap();
-            assert_eq!(walks() - before, 1, "the bootstrap's one memory op");
-            let before = walks();
-            assert_eq!(vm.try_execute_trials(&trace, trials).unwrap().len(), trials as usize);
-            assert_eq!(walks() - before, mem_ops * walked, "{trials} trials");
+            assert_eq!(walks_and_snapshots(), (before.0 + 1, before.1), "the bootstrap's one op");
+            let before = walks_and_snapshots();
+            for _ in 0..trials {
+                vm.try_execute(&trace).unwrap();
+            }
+            let after = (before.0 + mem_ops * walked, before.1 + snapshots);
+            assert_eq!(walks_and_snapshots(), after, "{trials} trials");
         }
     }
 
     #[test]
     fn on_a_warm_memo_a_bootstrap_and_ten_trials_walk_nothing() {
-        let walks = || crate::cache::WALKS.with(std::cell::Cell::get);
-        let snapshots = || crate::cache::SNAPSHOTS.with(std::cell::Cell::get);
+        let walks = || walks_and_snapshots().0;
         let mut bootstrap = OpTrace::new();
         bootstrap.mem_write(256 << 10);
         let mut trace = io_heavy_trace();
@@ -1596,7 +1574,7 @@ mod tests {
         let boot = |seed| TeeVmBuilder::new(target).seed(seed).walk_memo(Arc::clone(&memo)).build();
         let host_calls = |vm: &mut Vm| {
             vm.try_execute(&bootstrap).unwrap();
-            vm.try_execute_trials(&trace, 10).unwrap()
+            (0..10).map(|_| vm.try_execute(&trace).unwrap()).collect::<Vec<_>>()
         };
         // Another seed walks first: twice per op of the trace, as ever.
         let (mut first, before) = (boot(21), walks());
@@ -1604,9 +1582,9 @@ mod tests {
         assert_eq!(walks() - before, 1 + 3 * 2);
         assert_eq!(first.walk_memo_counts(), WalkMemoCounts { hits: 8, misses: 3, evictions: 0 });
 
-        let (mut second, before) = (boot(22), (walks(), snapshots()));
+        let (mut second, before) = (boot(22), walks_and_snapshots());
         let reports = host_calls(&mut second);
-        assert_eq!((walks(), snapshots()), before, "every trial was taken on credit");
+        assert_eq!(walks_and_snapshots(), before, "every trial was taken on credit");
         assert_eq!(second.cache.as_ref().unwrap().boxed_sets(), 0, "and no line was needed");
         assert_eq!(second.walk_memo_counts(), WalkMemoCounts { hits: 11, misses: 0, evictions: 0 });
 
@@ -1633,7 +1611,8 @@ mod tests {
         trace.mem_write(8 << 20);
         for target in [VmTarget::normal(TeePlatform::Tdx), VmTarget::secure(TeePlatform::SevSnp)] {
             let mut vm = TeeVmBuilder::new(target).build();
-            let warm = vm.try_execute_trials(&trace, 2).unwrap()[1];
+            vm.try_execute(&trace).unwrap();
+            let warm = vm.try_execute(&trace).unwrap();
             assert!(warm.perf.cache_misses * 2 > warm.perf.cache_references, "thrashes: {warm:?}");
             assert_eq!(snapshots_with_twin_agreement(target, &trace, 5).0, 1, "{target}");
         }
@@ -1667,8 +1646,8 @@ mod tests {
         let (snapshots, reports) = snapshots_with_twin_agreement(target, &trace, 6);
         let misses: Vec<u64> = reports.iter().map(|r| r.perf.cache_misses).collect();
         assert_eq!(misses, [17, 1, 0, 0, 0, 0]);
-        assert_eq!(snapshots, 2, "after trials 1 and 2: trial 3 matched trial 2's in place");
-        assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 1, "too few to engage");
+        assert_eq!(snapshots, 2, "before trials 2 and 3: trial 3 matched its own in place");
+        assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 2, "both repeats prove");
     }
 
     #[test]

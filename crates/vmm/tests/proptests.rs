@@ -211,12 +211,13 @@ fn arb_trials_trace(rng: &mut SplitMix64) -> OpTrace {
     t
 }
 
-/// `try_execute_trials(t, n)` is `n × try_execute(t)`: on identically
-/// seeded twins — every platform × kind, cache model on and off, with and
-/// without a fault plan, in turn — the two give equal reports (`wall_ms`
-/// bit for bit) or the same fault after the same number of clean trials,
-/// and leave equal runtime state, dirty pages, cumulative cache statistics
-/// and (seen through one more execution) cache lines.
+/// A VM's walk memo leaves no trace: `n × try_execute(t)` under the memo
+/// every VM gets equals it on an identically seeded twin whose memo keeps
+/// nothing, so walks every trial. Every platform × kind, cache model on and
+/// off, with and without a fault plan, in turn: the two give equal reports
+/// (`wall_ms` bit for bit) or the same fault after the same number of clean
+/// trials, and leave equal runtime state, dirty pages, cumulative cache
+/// statistics and (seen through one more execution) cache lines.
 #[test]
 fn fuzz_sweep_trials_equal_single_executions() {
     let targets: Vec<VmTarget> =
@@ -234,14 +235,17 @@ fn fuzz_sweep_trials_equal_single_executions() {
         let label = format!("case {case}: {target}, cache {cache_model}, chaos {chaos}, {trials}×");
 
         // Each twin rolls its own, identically seeded plan.
-        let boot = || {
+        let boot = |memo: Option<Arc<WalkMemo>>| {
             let mut builder = TeeVmBuilder::new(target).seed(seed).cache_model(cache_model);
             if chaos {
                 builder = builder.fault_plan(Arc::new(TeeFaultPlan::new(seed, 0.02)));
             }
+            if let Some(memo) = memo {
+                builder = builder.walk_memo(memo);
+            }
             builder.try_build()
         };
-        let (mut vm, mut twin) = match (boot(), boot()) {
+        let (mut vm, mut twin) = match (boot(None), boot(Some(Arc::new(WalkMemo::new(0))))) {
             (Ok(vm), Ok(twin)) => (vm, twin),
             (Err(a), Err(b)) => {
                 assert_eq!(a, b, "{label}: boot fault");
@@ -250,33 +254,28 @@ fn fuzz_sweep_trials_equal_single_executions() {
             _ => panic!("{label}: one twin booted, the other did not"),
         };
 
-        let batched = vm.try_execute_trials(&trace, trials);
-        let mut singles = Vec::new();
-        let mut single_fault = None;
-        for _ in 0..trials {
-            match twin.try_execute(&trace) {
-                Ok(report) => singles.push(report),
-                Err(fault) => {
-                    single_fault = Some(fault);
-                    break;
+        let run = |vm: &mut Vm| {
+            let mut reports = Vec::new();
+            for _ in 0..trials {
+                match vm.try_execute(&trace) {
+                    Ok(report) => reports.push(report),
+                    Err(fault) => return (reports, Some(fault)),
                 }
             }
+            (reports, None)
+        };
+        let (reports, fault) = run(&mut vm);
+        let (walked, walked_fault) = run(&mut twin);
+        assert_eq!(format!("{reports:?}"), format!("{walked:?}"), "{label}");
+        for (a, b) in reports.iter().zip(&walked) {
+            assert_eq!(a.wall_ms.to_bits(), b.wall_ms.to_bits(), "{label}");
         }
-        match (&batched, single_fault) {
-            (Ok(reports), None) => {
-                assert_eq!(format!("{reports:?}"), format!("{singles:?}"), "{label}");
-                for (a, b) in reports.iter().zip(&singles) {
-                    assert_eq!(a.wall_ms.to_bits(), b.wall_ms.to_bits(), "{label}");
-                }
-            }
-            // Equal runtime state (below) pins the trial: the jitter stream
-            // advances once per clean trial.
-            (Err(a), Some(b)) => {
-                assert_eq!(*a, b, "{label}");
-                faulted += 1;
-                faulted_in_replay += usize::from(cache_model && singles.len() >= 2);
-            }
-            _ => panic!("{label}: {batched:?} vs {singles:?} then {single_fault:?}"),
+        // Equal runtime state (below) pins the trial: the jitter stream
+        // advances once per clean trial.
+        assert_eq!(fault, walked_fault, "{label}");
+        if fault.is_some() {
+            faulted += 1;
+            faulted_in_replay += usize::from(cache_model && reports.len() >= 2);
         }
         assert_eq!(vm.cache_stats(), twin.cache_stats(), "{label}: cumulative cache stats");
         assert_eq!(
@@ -326,7 +325,11 @@ fn arb_memo_trace(rng: &mut SplitMix64) -> OpTrace {
 fn memo_sweep_step(vm: &mut Vm, step: u64, trace: &OpTrace, recorder: &SpanRecorder) -> String {
     match step {
         0 => format!("{:?}", vm.try_execute(trace)),
-        1..=3 => format!("{:?}", vm.try_execute_trials(trace, step as u32 * 2 - 1)),
+        1..=3 => {
+            let reports: Result<Vec<_>, _> =
+                (0..step * 2 - 1).map(|_| vm.try_execute(trace)).collect();
+            format!("{reports:?}")
+        }
         4 => {
             let mut root = recorder.root("vm.execute");
             let outcome = vm.try_execute_spanned(trace, &mut root);

@@ -52,9 +52,11 @@ fn http_corpus_replays_clean() {
 /// documented status — size rejections as 413, malformed ones as 400.
 #[test]
 fn campaign_corpus_replays_clean() {
-    let corpus: [(&str, &[u8], u16); 3] = [
+    let corpus: [(&str, &[u8], u16); 4] = [
         // 40 × 60 × 7 × 7 = 117 600 cells from a ~1 KiB body.
         ("too_many_cells", include_bytes!("fuzz_corpus/campaign/too_many_cells.json"), 413),
+        // u32::MAX trials a cell: one worker for hours, reports toward OOM.
+        ("too_many_trials", include_bytes!("fuzz_corpus/campaign/too_many_trials.json"), 413),
         ("zero_trials", include_bytes!("fuzz_corpus/campaign/zero_trials.json"), 400),
         ("zero_deadline", include_bytes!("fuzz_corpus/campaign/zero_deadline.json"), 400),
     ];
@@ -67,6 +69,59 @@ fn campaign_corpus_replays_clean() {
             "{name}: wrong admission status"
         );
     }
+}
+
+/// A trial count above `MAX_TRIALS` is refused 413 on all four routes that
+/// take one — the corpus spec on both campaign routes, `u32::MAX` trials on
+/// both run routes — before anything launches, queues or executes; a zero
+/// deadline on `/v1/run` is a 400.
+#[test]
+fn too_many_trials_are_refused_413_on_every_route_before_anything_executes() {
+    use std::sync::Arc;
+
+    use confbench::{FunctionStore, Gateway, HostAgent, HostConfig, ManualClock};
+    use confbench_fleet::{Fleet, FleetConfig};
+    use confbench_httpd::{Client, Method};
+    use confbench_obs::{MetricsRegistry, SpanRecorder};
+    use confbench_sched::{Scheduler, SchedulerConfig};
+    use confbench_types::{FunctionSpec, Language, RunRequest, TeePlatform, VmTarget};
+
+    let campaign: CampaignSpec =
+        serde_json::from_slice(include_bytes!("fuzz_corpus/campaign/too_many_trials.json"))
+            .unwrap();
+    let function = FunctionSpec::new("factors", Language::Go).arg("360360");
+    let run = RunRequest::new(function, VmTarget::secure(TeePlatform::Tdx)).trials(u32::MAX);
+    fn post(addr: std::net::SocketAddr, path: &str, body: &impl serde::Serialize) -> u16 {
+        Client::new(addr).send(&Request::new(Method::Post, path).json(body)).unwrap().status
+    }
+
+    let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
+    let sched = Arc::new(Scheduler::with_metrics(
+        Arc::clone(&gw) as Arc<dyn confbench_sched::Executor>,
+        Arc::new(ManualClock::new()),
+        SchedulerConfig::default(),
+        Arc::clone(gw.metrics()),
+    ));
+    let server = Arc::clone(&gw).serve_with_scheduler(Arc::clone(&sched), "127.0.0.1:0").unwrap();
+    assert_eq!(post(server.addr(), "/v1/run", &run), 413);
+    assert_eq!(post(server.addr(), "/v1/campaigns", &campaign), 413);
+    assert_eq!(post(server.addr(), "/v1/run", &run.clone().trials(1).deadline_ms(0)), 400);
+    assert_eq!(gw.served_counts(TeePlatform::Tdx).unwrap().iter().sum::<u64>(), 0);
+    assert_eq!(gw.metrics().counter_value("launch_cache_misses_total"), None);
+    assert_eq!(sched.queue_depth(), 0);
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let config = HostConfig { metrics: Arc::clone(&registry), ..HostConfig::default() };
+    let store = Arc::new(FunctionStore::new());
+    let host = HostAgent::with_config(TeePlatform::Tdx, store, SpanRecorder::default(), config);
+    let host_server = Arc::new(host).serve().unwrap();
+    assert_eq!(post(host_server.addr(), "/v1/execute", &run), 413);
+    assert_eq!(registry.counter_value("launch_cache_misses_total"), None);
+
+    let fleet = Arc::new(Fleet::new(FleetConfig { shards: 1, ..FleetConfig::default() }));
+    let fleet_server = fleet.serve_on("127.0.0.1:0").unwrap();
+    assert_eq!(post(fleet_server.addr(), "/v1/fleet/campaigns", &campaign), 413);
+    assert!(fleet.status().iter().all(|shard| shard.queue_depth == 0));
 }
 
 /// Attestation-wire corpus: every framing violation decodes to the matching

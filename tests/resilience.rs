@@ -133,14 +133,15 @@ fn remote_and_local_hosts_return_identical_rest_statuses() {
 
 #[test]
 fn expired_deadline_maps_to_504_over_rest() {
-    // A pool whose only member is unreachable: with a 0 ms budget the
-    // gateway must answer 504 (deadline) rather than hang or 500.
+    // A pool whose only member is unreachable: with a 1 ms budget the
+    // gateway must answer 504 (deadline) rather than hang or 500. (A 0 ms
+    // budget is spent before it starts: a malformed request, 400.)
     let dead: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
     let gw = Arc::new(Gateway::builder().remote_host(TeePlatform::Tdx, dead).build());
     let rest = Arc::clone(&gw).serve().unwrap();
     let client = Client::new(rest.addr());
     let mut req = run_request();
-    req.deadline_ms = Some(0);
+    req.deadline_ms = Some(1);
     let resp = client.send(&Request::new(Method::Post, "/v1/run").json(&req)).unwrap();
     assert_eq!(resp.status, 504);
 }

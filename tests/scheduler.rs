@@ -81,17 +81,18 @@ fn poll(client: &Client, receipt: &CampaignReceipt) -> CampaignStatus {
     resp.body_json().unwrap()
 }
 
-/// Steps the scheduler to completion, polling over REST between steps and
-/// asserting the observed status only ever moves forward.
+/// Steps the scheduler to completion on `gw`, polling over REST between
+/// steps and asserting the observed status only ever moves forward.
 fn drain_with_monotone_polling(
     client: &Client,
+    gw: &Gateway,
     sched: &Scheduler,
     receipt: &CampaignReceipt,
 ) -> CampaignStatus {
     let mut status = poll(client, receipt);
     assert_eq!(status.state, CampaignState::Active);
     while !status.is_done() {
-        let progressed = TeePlatform::ALL.iter().any(|&p| sched.step(p));
+        let progressed = TeePlatform::ALL.iter().any(|&p| sched.step_with(p, gw));
         assert!(progressed, "active campaign must have queued work");
         let next = poll(client, receipt);
         assert!(next.terminal_jobs() >= status.terminal_jobs(), "terminal count regressed");
@@ -104,11 +105,11 @@ fn drain_with_monotone_polling(
 
 #[test]
 fn campaign_over_rest_drains_deterministically() {
-    let (_server, client, _gw, sched) = boot(64);
+    let (_server, client, gw, sched) = boot(64);
     let receipt = submit(&client, &matrix_spec());
     assert_eq!(receipt.jobs, MATRIX_JOBS);
 
-    let status = drain_with_monotone_polling(&client, &sched, &receipt);
+    let status = drain_with_monotone_polling(&client, &gw, &sched, &receipt);
     assert_eq!(status.state, CampaignState::Completed);
     assert_eq!(status.completed, MATRIX_JOBS);
     assert_eq!(status.cache_hits, 0, "cold pass runs every cell");
@@ -137,13 +138,13 @@ fn identical_resubmission_is_served_entirely_from_cache() {
     let (_server, client, gw, sched) = boot(64);
 
     let first = submit(&client, &matrix_spec());
-    let cold = drain_with_monotone_polling(&client, &sched, &first);
+    let cold = drain_with_monotone_polling(&client, &gw, &sched, &first);
     let runs_after_cold = gw.metrics().counter_value("gateway_requests_total").unwrap();
     assert_eq!(runs_after_cold, MATRIX_JOBS as u64);
 
     let second = submit(&client, &matrix_spec());
     assert_ne!(second.id, first.id, "resubmission gets a fresh campaign id");
-    let warm = drain_with_monotone_polling(&client, &sched, &second);
+    let warm = drain_with_monotone_polling(&client, &gw, &sched, &second);
 
     assert_eq!(warm.completed, MATRIX_JOBS);
     assert_eq!(warm.cache_hits, MATRIX_JOBS, "every cell memoized");

@@ -52,6 +52,9 @@ struct SupervisorMetrics {
     registry: Arc<MetricsRegistry>,
     rebuilds: Arc<Counter>,
     quarantined: Arc<Gauge>,
+    walk_hits: Arc<Counter>,
+    walk_misses: Arc<Counter>,
+    walk_evictions: Arc<Counter>,
 }
 
 /// Watchdog and recovery driver for one VM slot. See the module docs for
@@ -86,6 +89,9 @@ impl VmSupervisor {
         let metrics = SupervisorMetrics {
             rebuilds: metrics.counter(&format!("vm_rebuilds_total{label}")),
             quarantined: metrics.gauge(&format!("vm_quarantined{label}")),
+            walk_hits: metrics.counter("walk_memo_hits_total"),
+            walk_misses: metrics.counter("walk_memo_misses_total"),
+            walk_evictions: metrics.counter("walk_memo_evictions_total"),
             registry: Arc::clone(metrics),
         };
         VmSupervisor {
@@ -229,13 +235,9 @@ impl VmSupervisor {
                         self.bring_up_device(&mut vm, span).and_then(|()| attempt(&mut vm, span));
                     // One lookup per trial, whether or not the attempt stood.
                     let walks = vm.walk_memo_counts();
-                    for (counter, n) in [
-                        ("walk_memo_hits_total", walks.hits),
-                        ("walk_memo_misses_total", walks.misses),
-                        ("walk_memo_evictions_total", walks.evictions),
-                    ] {
-                        self.metrics.registry.counter(counter).add(n);
-                    }
+                    self.metrics.walk_hits.add(walks.hits);
+                    self.metrics.walk_misses.add(walks.misses);
+                    self.metrics.walk_evictions.add(walks.evictions);
                     outcome
                 }
                 Err(boot_fault) => Err(boot_fault),

@@ -105,7 +105,7 @@ impl Machine for RmpMachine {
     }
 
     fn initial(&self) -> Self::State {
-        Rmp::new(self.pages).entries().to_vec()
+        Rmp::new(self.pages).entries()
     }
 
     fn ops(&self) -> Vec<RmpOp> {
@@ -140,8 +140,8 @@ impl Machine for RmpMachine {
             RmpOp::HostWrite { page } => rmp.check_host_write(PageNum(page)),
         };
         match result {
-            Ok(()) => Outcome::ok(rmp.entries().to_vec()),
-            Err(e) => Outcome::rejected(rmp.entries().to_vec(), rmp_code(e)),
+            Ok(()) => Outcome::ok(rmp.entries()),
+            Err(e) => Outcome::rejected(rmp.entries(), rmp_code(e)),
         }
     }
 }

@@ -82,29 +82,28 @@ impl std::error::Error for GranuleError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct GranuleTable {
+    /// World and state through at least the highest granule ever written;
+    /// the granules above, up to `granules`, are non-secure and undelegated.
     world: Vec<World>,
     state: Vec<GranuleState>,
+    granules: u64,
     checks: u64,
 }
 
 impl GranuleTable {
     /// Creates a GPT of `granules` entries, all non-secure and undelegated.
     pub fn new(granules: u64) -> Self {
-        GranuleTable {
-            world: vec![World::NonSecure; granules as usize],
-            state: vec![GranuleState::Undelegated; granules as usize],
-            checks: 0,
-        }
+        GranuleTable { world: Vec::new(), state: Vec::new(), granules, checks: 0 }
     }
 
     /// Number of granules covered.
     pub fn len(&self) -> u64 {
-        self.world.len() as u64
+        self.granules
     }
 
     /// Whether the table covers zero granules.
     pub fn is_empty(&self) -> bool {
-        self.world.is_empty()
+        self.granules == 0
     }
 
     /// GPT checks performed so far (perf-model input).
@@ -118,8 +117,9 @@ impl GranuleTable {
     /// # Errors
     ///
     /// [`GranuleError::WrongWorld`] unless currently non-secure.
+    #[inline]
     pub fn delegate(&mut self, g: PageNum) -> Result<(), GranuleError> {
-        let idx = self.index(g)?;
+        let idx = self.index_mut(g)?;
         if self.world[idx] != World::NonSecure {
             return Err(GranuleError::WrongWorld(g, self.world[idx]));
         }
@@ -135,7 +135,7 @@ impl GranuleTable {
     ///
     /// [`GranuleError::WrongState`] unless the granule is `Delegated`.
     pub fn undelegate(&mut self, g: PageNum) -> Result<(), GranuleError> {
-        let idx = self.index(g)?;
+        let idx = self.index_mut(g)?;
         if self.world[idx] != World::Realm || self.state[idx] != GranuleState::Delegated {
             return Err(GranuleError::WrongState(g));
         }
@@ -150,8 +150,9 @@ impl GranuleTable {
     /// # Errors
     ///
     /// [`GranuleError::WrongState`] unless the granule is `Delegated`.
+    #[inline]
     pub fn assign_to_realm(&mut self, g: PageNum, rd: u32) -> Result<(), GranuleError> {
-        let idx = self.index(g)?;
+        let idx = self.index_mut(g)?;
         if self.world[idx] != World::Realm || self.state[idx] != GranuleState::Delegated {
             return Err(GranuleError::WrongState(g));
         }
@@ -165,7 +166,7 @@ impl GranuleTable {
     ///
     /// [`GranuleError::WrongState`] unless assigned to `rd`.
     pub fn release_from_realm(&mut self, g: PageNum, rd: u32) -> Result<(), GranuleError> {
-        let idx = self.index(g)?;
+        let idx = self.index_mut(g)?;
         if self.state[idx] != (GranuleState::Assigned { rd }) {
             return Err(GranuleError::WrongState(g));
         }
@@ -184,7 +185,7 @@ impl GranuleTable {
     pub fn check_access(&mut self, g: PageNum, from: World) -> Result<(), GranuleError> {
         self.checks += 1;
         let idx = self.index(g)?;
-        if from == World::Root || self.world[idx] == from {
+        if from == World::Root || self.world_at(idx) == from {
             Ok(())
         } else {
             Err(GranuleError::ProtectionFault(g, from))
@@ -197,7 +198,7 @@ impl GranuleTable {
     ///
     /// [`GranuleError::OutOfRange`] if `g` is beyond the table.
     pub fn world_of(&self, g: PageNum) -> Result<World, GranuleError> {
-        Ok(self.world[self.index(g)?])
+        Ok(self.world_at(self.index(g)?))
     }
 
     /// The state of a granule.
@@ -206,7 +207,7 @@ impl GranuleTable {
     ///
     /// [`GranuleError::OutOfRange`] if `g` is beyond the table.
     pub fn state_of(&self, g: PageNum) -> Result<GranuleState, GranuleError> {
-        Ok(self.state[self.index(g)?])
+        Ok(self.state_at(self.index(g)?))
     }
 
     /// Number of granules assigned to realm `rd`.
@@ -217,7 +218,7 @@ impl GranuleTable {
     /// Canonical per-granule snapshot, for state-snapshotting (model
     /// checking).
     pub fn snapshot(&self) -> Vec<(World, GranuleState)> {
-        self.world.iter().copied().zip(self.state.iter().copied()).collect()
+        (0..self.granules as usize).map(|idx| (self.world_at(idx), self.state_at(idx))).collect()
     }
 
     /// Rebuilds a GPT from a [`GranuleTable::snapshot`]. The checks counter
@@ -226,16 +227,46 @@ impl GranuleTable {
         GranuleTable {
             world: snapshot.iter().map(|(w, _)| *w).collect(),
             state: snapshot.iter().map(|(_, s)| *s).collect(),
+            granules: snapshot.len() as u64,
             checks: 0,
         }
     }
 
     fn index(&self, g: PageNum) -> Result<usize, GranuleError> {
-        if (g.0 as usize) < self.world.len() {
+        if g.0 < self.granules {
             Ok(g.0 as usize)
         } else {
             Err(GranuleError::OutOfRange(g))
         }
+    }
+
+    /// [`GranuleTable::index`], with the table materialized through `g`.
+    #[inline]
+    fn index_mut(&mut self, g: PageNum) -> Result<usize, GranuleError> {
+        let idx = g.0 as usize;
+        if idx >= self.world.len() {
+            self.grow_to(g)?;
+        }
+        Ok(idx)
+    }
+
+    /// Materializes the table through `g`, doubling, so that a run of first
+    /// writes costs O(1) a granule.
+    #[cold]
+    fn grow_to(&mut self, g: PageNum) -> Result<(), GranuleError> {
+        let idx = self.index(g)?;
+        let len = (idx + 1).max(2 * self.world.len()).min(self.granules as usize);
+        self.world.resize(len, World::NonSecure);
+        self.state.resize(len, GranuleState::Undelegated);
+        Ok(())
+    }
+
+    fn world_at(&self, idx: usize) -> World {
+        self.world.get(idx).copied().unwrap_or(World::NonSecure)
+    }
+
+    fn state_at(&self, idx: usize) -> GranuleState {
+        self.state.get(idx).copied().unwrap_or(GranuleState::Undelegated)
     }
 }
 
@@ -310,6 +341,21 @@ mod tests {
         let mut gpt = GranuleTable::new(1);
         assert_eq!(gpt.delegate(PageNum(1)), Err(GranuleError::OutOfRange(PageNum(1))));
         assert!(gpt.world_of(PageNum(5)).is_err());
+    }
+
+    #[test]
+    fn granules_never_written_read_as_non_secure_and_undelegated() {
+        let mut gpt = GranuleTable::new(8);
+        gpt.delegate(PageNum(2)).unwrap();
+        assert_eq!(gpt.world_of(PageNum(7)), Ok(World::NonSecure));
+        assert_eq!(gpt.state_of(PageNum(7)), Ok(GranuleState::Undelegated));
+        gpt.check_access(PageNum(6), World::NonSecure).unwrap();
+        let snapshot = gpt.snapshot();
+        assert_eq!(snapshot.len(), 8, "one entry per covered granule");
+        assert_eq!(snapshot[2], (World::Realm, GranuleState::Delegated));
+        assert_eq!(snapshot[7], (World::NonSecure, GranuleState::Undelegated));
+        assert_eq!(GranuleTable::from_snapshot(&snapshot).snapshot(), snapshot);
+        assert_eq!(gpt.delegate(PageNum(8)), Err(GranuleError::OutOfRange(PageNum(8))));
     }
 
     #[test]

@@ -88,7 +88,10 @@ impl std::error::Error for RmpError {}
 /// ```
 #[derive(Debug, Clone)]
 pub struct Rmp {
+    /// Entries through at least the highest page ever written; the pages
+    /// above, up to `pages`, are hypervisor-owned.
     entries: Vec<RmpEntry>,
+    pages: u64,
     /// Count of RMP checks performed (feeds the perf model: RMP walks have a
     /// small per-access cost on TLB miss).
     checks: u64,
@@ -97,17 +100,17 @@ pub struct Rmp {
 impl Rmp {
     /// Creates an RMP covering `pages` physical pages, all hypervisor-owned.
     pub fn new(pages: u64) -> Self {
-        Rmp { entries: vec![RmpEntry::HYPERVISOR; pages as usize], checks: 0 }
+        Rmp { entries: Vec::new(), pages, checks: 0 }
     }
 
     /// Number of pages covered.
     pub fn len(&self) -> u64 {
-        self.entries.len() as u64
+        self.pages
     }
 
     /// Whether the table covers zero pages.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pages == 0
     }
 
     /// Total RMP checks performed so far (perf-model input).
@@ -121,7 +124,10 @@ impl Rmp {
     ///
     /// [`RmpError::OutOfRange`] if `page` is beyond the table.
     pub fn entry(&self, page: PageNum) -> Result<RmpEntry, RmpError> {
-        self.entries.get(page.0 as usize).copied().ok_or(RmpError::OutOfRange(page))
+        if page.0 >= self.pages {
+            return Err(RmpError::OutOfRange(page));
+        }
+        Ok(self.entries.get(page.0 as usize).copied().unwrap_or(RmpEntry::HYPERVISOR))
     }
 
     /// Hypervisor operation `RMPUPDATE`: assign a hypervisor-owned page to
@@ -130,6 +136,7 @@ impl Rmp {
     /// # Errors
     ///
     /// [`RmpError::AlreadyAssigned`] if a guest already owns the page.
+    #[inline]
     pub fn assign(&mut self, page: PageNum, asid: u32) -> Result<(), RmpError> {
         let e = self.entry_mut(page)?;
         if e.owner != RmpOwner::Hypervisor {
@@ -146,6 +153,7 @@ impl Rmp {
     /// [`RmpError::NotOwner`] if `asid` does not own the page;
     /// [`RmpError::DoubleValidation`] if already validated (real SNP guests
     /// treat this as a potential remapping attack).
+    #[inline]
     pub fn pvalidate(&mut self, page: PageNum, asid: u32) -> Result<(), RmpError> {
         let e = self.entry_mut(page)?;
         if e.owner != (RmpOwner::Guest { asid }) {
@@ -240,20 +248,41 @@ impl Rmp {
         self.entries.iter().filter(|e| e.owner == RmpOwner::Guest { asid }).count() as u64
     }
 
-    /// The full entry table, for state-snapshotting (model checking).
-    pub fn entries(&self) -> &[RmpEntry] {
-        &self.entries
+    /// The full entry table, one entry per covered page, for
+    /// state-snapshotting (model checking).
+    pub fn entries(&self) -> Vec<RmpEntry> {
+        let mut entries = self.entries.clone();
+        entries.resize(self.pages as usize, RmpEntry::HYPERVISOR);
+        entries
     }
 
     /// Rebuilds an RMP from a snapshot previously taken via
     /// [`Rmp::entries`]. The checks counter restarts at zero; it is
     /// perf-model state, not security state.
     pub fn from_entries(entries: Vec<RmpEntry>) -> Self {
-        Rmp { entries, checks: 0 }
+        Rmp { pages: entries.len() as u64, entries, checks: 0 }
     }
 
+    /// The entry of a covered page, materializing the table through it.
+    #[inline]
     fn entry_mut(&mut self, page: PageNum) -> Result<&mut RmpEntry, RmpError> {
-        self.entries.get_mut(page.0 as usize).ok_or(RmpError::OutOfRange(page))
+        let at = page.0 as usize;
+        if at >= self.entries.len() {
+            self.grow_to(page)?;
+        }
+        self.entries.get_mut(at).ok_or(RmpError::OutOfRange(page))
+    }
+
+    /// Materializes the table through `page`, doubling, so that a run of
+    /// first writes costs O(1) a page.
+    #[cold]
+    fn grow_to(&mut self, page: PageNum) -> Result<(), RmpError> {
+        if page.0 >= self.pages {
+            return Err(RmpError::OutOfRange(page));
+        }
+        let len = (page.0 as usize + 1).max(2 * self.entries.len()).min(self.pages as usize);
+        self.entries.resize(len, RmpEntry::HYPERVISOR);
+        Ok(())
     }
 }
 
@@ -337,6 +366,19 @@ mod tests {
         let mut rmp = Rmp::new(2);
         assert_eq!(rmp.assign(PageNum(2), 1), Err(RmpError::OutOfRange(PageNum(2))));
         assert_eq!(rmp.entry(PageNum(99)), Err(RmpError::OutOfRange(PageNum(99))));
+    }
+
+    #[test]
+    fn pages_never_written_read_as_hypervisor_owned() {
+        let mut rmp = Rmp::new(8);
+        rmp.assign(PageNum(5), 1).unwrap();
+        assert_eq!(rmp.entry(PageNum(7)), Ok(RmpEntry::HYPERVISOR));
+        rmp.check_host_write(PageNum(6)).unwrap();
+        let entries = rmp.entries();
+        assert_eq!(entries.len(), 8, "one entry per covered page");
+        assert_eq!(entries.iter().filter(|e| **e == RmpEntry::HYPERVISOR).count(), 7);
+        assert_eq!(Rmp::from_entries(entries.clone()).entries(), entries);
+        assert_eq!(rmp.assign(PageNum(8), 1), Err(RmpError::OutOfRange(PageNum(8))));
     }
 
     #[test]

@@ -194,24 +194,19 @@ impl MetricsRegistry {
     /// suffix, optionally with `{key="value"}` labels baked into the name
     /// (the registry treats the whole string as the identity).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.counters.lock().entry(name.to_owned()).or_default())
+        instrument(&self.counters, name, Counter::default)
     }
 
     /// Returns (creating if needed) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(self.gauges.lock().entry(name.to_owned()).or_default())
+        instrument(&self.gauges, name, Gauge::default)
     }
 
     /// Returns (creating if needed) the histogram named `name` with the
     /// given inclusive upper `bounds`. Bounds are fixed at first
     /// registration; later calls ignore the argument.
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Arc<Histogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new(bounds))),
-        )
+        instrument(&self.histograms, name, || Histogram::new(bounds))
     }
 
     /// The value of counter `name`, or `None` if it was never created.
@@ -293,6 +288,20 @@ impl MetricsRegistry {
         }
         out
     }
+}
+
+/// The instrument named `name` in `map`, created by `new` on first use. A
+/// lookup that finds it allocates nothing; only creation copies the name.
+fn instrument<T>(
+    map: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    new: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = map.lock();
+    if let Some(found) = map.get(name) {
+        return Arc::clone(found);
+    }
+    Arc::clone(map.entry(name.to_owned()).or_insert_with(|| Arc::new(new())))
 }
 
 /// Strips baked-in `{labels}` from a metric name for `# TYPE` lines.
@@ -408,6 +417,38 @@ mod tests {
         assert!(text.contains("lat_ms_bucket{platform=\"tdx\",le=\"5\"} 1"), "{text}");
         assert!(text.contains("lat_ms_sum{platform=\"tdx\"} 3"), "{text}");
         assert!(text.contains("lat_ms_count{platform=\"tdx\"} 1"), "{text}");
+    }
+
+    /// Instruments found by name are the ones created, and the exposition
+    /// is byte for byte what it was when every lookup copied the name.
+    #[test]
+    fn repeated_lookups_render_the_pinned_text() {
+        let reg = MetricsRegistry::new();
+        for _ in 0..3 {
+            reg.counter("walk_memo_hits_total").add(2);
+            reg.counter("vm_rebuilds_total{platform=\"tdx\",kind=\"secure\"}").inc();
+            reg.gauge("sched_jobs_inflight").inc();
+            reg.histogram("gateway_run_ms", &[1, 10]).observe(5);
+        }
+        reg.gauge("sched_jobs_inflight").dec();
+        assert!(Arc::ptr_eq(&reg.counter("a_total"), &reg.counter("a_total")));
+        assert_eq!(
+            reg.render_text(),
+            "# TYPE a_total counter\n\
+             a_total 0\n\
+             # TYPE vm_rebuilds_total counter\n\
+             vm_rebuilds_total{platform=\"tdx\",kind=\"secure\"} 3\n\
+             # TYPE walk_memo_hits_total counter\n\
+             walk_memo_hits_total 6\n\
+             # TYPE sched_jobs_inflight gauge\n\
+             sched_jobs_inflight 2\n\
+             # TYPE gateway_run_ms histogram\n\
+             gateway_run_ms_bucket{le=\"1\"} 0\n\
+             gateway_run_ms_bucket{le=\"10\"} 3\n\
+             gateway_run_ms_bucket{le=\"+Inf\"} 3\n\
+             gateway_run_ms_sum 15\n\
+             gateway_run_ms_count 3\n"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! here as [`Fvp`], a uniform slowdown plus timing jitter that the paper
 //! identifies as the dominant factor in its CCA numbers.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use confbench_crypto::{Digest, Sha256};
@@ -88,7 +88,7 @@ struct Realm {
 #[derive(Debug)]
 pub struct Rmm {
     gpt: GranuleTable,
-    realms: HashMap<RealmId, Realm>,
+    realms: BTreeMap<RealmId, Realm>,
     rmi_calls: u64,
     rsi_calls: u64,
 }
@@ -96,7 +96,12 @@ pub struct Rmm {
 impl Rmm {
     /// Creates an RMM over a GPT of `granules` granules.
     pub fn new(granules: u64) -> Self {
-        Rmm { gpt: GranuleTable::new(granules), realms: HashMap::new(), rmi_calls: 0, rsi_calls: 0 }
+        Rmm {
+            gpt: GranuleTable::new(granules),
+            realms: BTreeMap::new(),
+            rmi_calls: 0,
+            rsi_calls: 0,
+        }
     }
 
     /// RMI calls serviced.

@@ -39,6 +39,7 @@
 mod cache;
 mod cca;
 mod cost;
+mod dirty;
 mod evtpm;
 mod fault;
 mod host;

@@ -8,7 +8,7 @@
 //! even those come from the host — which is why the paper finds SNP
 //! attestation much faster than TDX's (Fig. 5).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use confbench_crypto::{Digest, Sha256, Signature, SigningKey, VerifyingKey};
@@ -107,7 +107,7 @@ pub struct AmdSp {
     tcb_version: u64,
     vcek: SigningKey,
     rmp: Rmp,
-    guests: HashMap<u32, SnpGuest>,
+    guests: BTreeMap<u32, SnpGuest>,
     ghcb_exits: u64,
     reports_issued: u64,
 }
@@ -125,7 +125,7 @@ impl AmdSp {
             tcb_version,
             vcek: SigningKey::from_seed(chip_id ^ 0x56_43_45_4b /* "VCEK" */),
             rmp: Rmp::new(RMP_PAGES),
-            guests: HashMap::new(),
+            guests: BTreeMap::new(),
             ghcb_exits: 0,
             reports_issued: 0,
         }

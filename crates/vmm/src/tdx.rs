@@ -6,7 +6,7 @@
 //! slice of the interface ConfBench exercises: TD lifecycle with measured
 //! page adds, runtime page acceptance, and `TDG.MR.REPORT` for attestation.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use confbench_crypto::{Digest, Sha256};
@@ -97,7 +97,7 @@ struct Td {
 /// ```
 #[derive(Debug)]
 pub struct TdxModule {
-    tds: HashMap<TdId, Td>,
+    tds: BTreeMap<TdId, Td>,
     tcb_version: String,
     seamcalls: u64,
     tdcalls: u64,
@@ -108,7 +108,12 @@ impl TdxModule {
     /// runs `TDX_1.5.05.46.698` — the firmware that fixed the unexplained
     /// 10× slowdowns they initially hit (§III-B).
     pub fn new(tcb_version: impl Into<String>) -> Self {
-        TdxModule { tds: HashMap::new(), tcb_version: tcb_version.into(), seamcalls: 0, tdcalls: 0 }
+        TdxModule {
+            tds: BTreeMap::new(),
+            tcb_version: tcb_version.into(),
+            seamcalls: 0,
+            tdcalls: 0,
+        }
     }
 
     /// TCB version string.

@@ -2,7 +2,6 @@
 //! cost model, driving the real TEE machinery (SEPT / RMP / GPT) along the
 //! way and producing deterministic cycle counts and perf counters.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use confbench_crypto::SplitMix64;
@@ -17,6 +16,7 @@ use confbench_types::{
 use crate::cache::{accesses_of, CacheSim, CacheStats, Walk, WalkMemo, WalkMemoCounts};
 use crate::cca::{Fvp, RealmId, Rmm};
 use crate::cost::CostModel;
+use crate::dirty::DirtyPages;
 use crate::evtpm::EvTpm;
 use crate::fault::{TeeFault, TeeFaultPlan};
 use crate::snp::AmdSp;
@@ -355,7 +355,7 @@ impl TeeVmBuilder {
             next_gpa: HEAP_GPA_BASE,
             total_exits: 0,
             total_faults: 0,
-            dirty: BTreeSet::new(),
+            dirty: DirtyPages::default(),
         })
     }
 }
@@ -489,7 +489,7 @@ pub struct Vm {
     total_faults: u64,
     /// Guest pages written since tracking was last reset — the working set
     /// a live migration's pre-copy rounds must re-send.
-    dirty: BTreeSet<u64>,
+    dirty: DirtyPages,
 }
 
 /// Architectural runtime state captured at a migration's stop-and-copy
@@ -1003,7 +1003,9 @@ impl Vm {
     /// Marks every resident page dirty — the start of a migration, where
     /// the first pre-copy round must transfer the whole memory image.
     pub fn mark_all_dirty(&mut self) {
-        self.dirty = self.resident_page_ids().into_iter().collect();
+        for id in self.resident_page_ids() {
+            self.dirty.insert(id);
+        }
     }
 
     /// Drains the dirty set for one pre-copy round, returning the pages to
@@ -1017,7 +1019,7 @@ impl Vm {
     /// The injected [`TeeFault`].
     pub fn export_dirty_pages(&mut self) -> Result<Vec<u64>, TeeFault> {
         self.roll(TeeMechanism::MigrationExport)?;
-        Ok(std::mem::take(&mut self.dirty).into_iter().collect())
+        Ok(self.dirty.take())
     }
 
     /// Captures the architectural runtime state at the stop-and-copy
@@ -1648,6 +1650,77 @@ mod tests {
         assert_eq!(misses, [17, 1, 0, 0, 0, 0]);
         assert_eq!(snapshots, 2, "before trials 2 and 3: trial 3 matched its own in place");
         assert_eq!(snapshots_with_twin_agreement(target, &trace, 3).0, 2, "both repeats prove");
+    }
+
+    /// The dirty bitmap is the `BTreeSet` it replaced, which `DirtyPages`
+    /// keeps beside it in unit-test builds and checks every count and
+    /// export against. Random traces of writes anywhere in the address
+    /// space, allocations, frees and page cycles, on every platform × kind,
+    /// between random rounds of `dirty_page_count`, `mark_all_dirty`,
+    /// `export_dirty_pages` and a migration onto a fresh VM (everything
+    /// marked and exported, `import_pages`, `adopt_runtime_state`), after
+    /// which the sequence continues on the target. Every export is
+    /// ascending and resident. Mutation tried by hand: `take` leaving the
+    /// words set — caught by the model's `len` check.
+    #[test]
+    fn fuzz_sweep_dirty_bitmap_equals_set_model() {
+        let targets: Vec<VmTarget> = TeePlatform::ALL
+            .iter()
+            .flat_map(|&p| [VmTarget::secure(p), VmTarget::normal(p)])
+            .collect();
+        let (mut exported, mut migrated) = (0, 0);
+        for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+            let mut rng = SplitMix64::new(0xD127_0000 ^ case);
+            let target = targets[(case % 6) as usize];
+            let boot = || TeeVmBuilder::new(target).seed(case).cache_model(false).build();
+            let mut vm = boot();
+            for round in 0..1 + rng.next_below(8) {
+                let mut trace = OpTrace::new();
+                for _ in 0..1 + rng.next_below(12) {
+                    let magnitude = rng.next_below(21);
+                    let bytes = rng.next_below(1 << magnitude);
+                    match rng.next_below(5) {
+                        0 => trace.alloc(bytes),
+                        1 => trace.free(bytes),
+                        2 => trace.page_cycle(bytes),
+                        3 => trace.push(Op::MemWrite { addr: rng.next_u64(), bytes }),
+                        _ => drop(trace.mem_write(bytes)),
+                    }
+                }
+                vm.try_execute(&trace).unwrap();
+                let label = format!("case {case}, round {round}, {target}");
+                match rng.next_below(4) {
+                    0 => assert!(vm.dirty_page_count() as u64 <= vm.resident_page_count()),
+                    1 => {
+                        vm.mark_all_dirty();
+                        assert_eq!(vm.dirty_page_count() as u64, vm.resident_page_count());
+                    }
+                    2 => {
+                        let ids = vm.export_dirty_pages().unwrap();
+                        let resident = vm.resident_page_ids();
+                        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{label}: ascending");
+                        assert!(ids.iter().all(|id| resident.contains(id)), "{label}: resident");
+                        assert_eq!(vm.dirty_page_count(), 0, "{label}: drained");
+                        exported += usize::from(!ids.is_empty());
+                    }
+                    _ => {
+                        let mut target_vm = boot();
+                        vm.mark_all_dirty();
+                        let pages = vm.export_dirty_pages().unwrap();
+                        let state = vm.export_runtime_state().unwrap();
+                        target_vm.import_pages(&pages).unwrap();
+                        target_vm.adopt_runtime_state(&state).unwrap();
+                        assert_eq!(target_vm.dirty_page_count(), 0, "{label}: adopted");
+                        assert_eq!(target_vm.resident_page_ids(), vm.resident_page_ids());
+                        vm = target_vm;
+                        migrated += 1;
+                    }
+                }
+            }
+            // Whatever is left drains through the model check too.
+            vm.export_dirty_pages().unwrap();
+        }
+        assert!(exported > 0 && migrated > 0, "{exported} exports, {migrated} migrations");
     }
 
     #[test]

@@ -11,9 +11,20 @@
 //! addresses (`cache_key`), so a resubmission routes every cell to the
 //! shard whose result cache already holds it; a drained shard hands its
 //! cache entries to the new owners first, so re-placed work cache-hits
-//! instead of re-executing. The *harvest* — a fleet-level merge of every
-//! shard's result-cache snapshot after each pump — is the campaign's
-//! durable record: anything harvested survives any later host loss.
+//! instead of re-executing. The *harvest* — a fleet-level map that each
+//! pump extends with what every alive shard's result cache gained since
+//! the last pump — is the campaign's durable record: anything harvested
+//! survives any later host loss.
+//!
+//! # Harvest cursors
+//!
+//! A result cache already orders its live entries by the tick of their
+//! last insert or hit, so that index is the completion log: the fleet
+//! keeps one cursor per shard and reads only the entries touched after
+//! it. A pass steps at most one job per shard, so a harvest costs what the
+//! pass touched, not what the fleet has ever cached. After every harvest
+//! the harvest holds every key an alive shard's cache holds, exactly as a
+//! merge of whole snapshots would ([`Fleet::harvest`] gives the argument).
 //!
 //! The shared [`AttestService`] is also the fix for a sharding-specific
 //! regression: the session cache's single-flight and the collateral
@@ -108,8 +119,10 @@ struct FleetCampaign {
 struct FleetState {
     next_campaign: u64,
     campaigns: Vec<FleetCampaign>,
-    /// Fleet-durable results: merged from shard caches after every pump.
+    /// Fleet-durable results: what shard caches gained, after every pump.
     harvest: BTreeMap<String, CachedCell>,
+    /// Per shard, the result-cache tick the harvest has read up to.
+    cursors: Vec<u64>,
     migrations: Vec<MigrationReport>,
 }
 
@@ -225,7 +238,10 @@ impl Fleet {
             metrics,
             clock: config.clock,
             seed: config.seed,
-            state: Mutex::new(FleetState::default()),
+            state: Mutex::new(FleetState {
+                cursors: vec![0; config.shards],
+                ..FleetState::default()
+            }),
         }
     }
 
@@ -330,7 +346,7 @@ impl Fleet {
     /// a shard whose own queue for a platform is empty *steals* — it runs
     /// the deepest other shard's next job on its own hosts (the victim
     /// keeps the bookkeeping and the result lands in the victim's cache).
-    /// Returns whether any job was processed.
+    /// Ends with a [`Fleet::harvest`]. Returns whether any job was processed.
     pub fn pump(&self) -> bool {
         let mut progressed = false;
         for platform in TeePlatform::ALL {
@@ -361,16 +377,28 @@ impl Fleet {
         progressed
     }
 
-    /// Merges every alive shard's result-cache snapshot into the fleet
-    /// harvest. Results harvested once survive any later shard loss.
+    /// Merges into the fleet harvest what every alive shard's result cache
+    /// gained since the last harvest: the entries inserted or hit after the
+    /// shard's cursor, a key already harvested keeping its first value.
+    /// Results harvested once survive any later shard loss.
+    ///
+    /// This holds every key an alive shard's cache holds, as a merge of
+    /// whole snapshots would: a key whose last touch is at or before the
+    /// cursor was in the cache, untouched, when the previous harvest read
+    /// up to that cursor under the same cache lock, so it was harvested
+    /// then. It costs the entries touched since, not the entries cached.
     pub fn harvest(&self) {
         let mut state = self.state.lock();
+        let FleetState { harvest, cursors, .. } = &mut *state;
         for id in self.alive_shards() {
-            for (key, cell) in self.shards[id].sched.result_cache().snapshot() {
-                state.harvest.entry(key).or_insert(cell);
-            }
+            let cache = self.shards[id].sched.result_cache();
+            cursors[id] = cache.touched_since(cursors[id], |key, cell| {
+                if !harvest.contains_key(key) {
+                    harvest.insert(key.to_owned(), cell.clone());
+                }
+            });
         }
-        self.metrics.gauge("fleet_harvest_entries").set(state.harvest.len() as u64);
+        self.metrics.gauge("fleet_harvest_entries").set(harvest.len() as u64);
     }
 
     /// Pumps until no shard makes progress and every queue is empty.
@@ -418,40 +446,34 @@ impl Fleet {
             }
             ring.remove(id);
         }
-        if graceful {
-            // Harvest while the shard still counts as... it just went
-            // dead, so merge its snapshot directly: a graceful drain keeps
-            // every result it computed.
-            let snapshot = self.shards[id].sched.result_cache().snapshot();
-            let mut state = self.state.lock();
-            for (key, cell) in &snapshot {
-                state.harvest.entry(key.clone()).or_insert_with(|| cell.clone());
-            }
-        }
         self.metrics.gauge("fleet_shards_alive").set(self.alive_shards().len() as u64);
+        // The shard is off the ring, so no harvest reads it again. A
+        // graceful drain keeps every result it computed: one snapshot joins
+        // the harvest here and moves to the new owners below.
+        let handoff = graceful.then(|| self.shards[id].sched.result_cache().snapshot());
 
         // Re-place orphaned cells. Under a graceful drain the cache
         // entries move first, so the resubmitted duplicates cache-hit.
         let mut replaced = 0;
         let mut state = self.state.lock();
-        let harvest_keys: Vec<String> = state.harvest.keys().cloned().collect();
-        let harvested: std::collections::BTreeSet<&String> = harvest_keys.iter().collect();
+        for (key, cell) in handoff.iter().flatten() {
+            if !state.harvest.contains_key(key) {
+                state.harvest.insert(key.clone(), cell.clone());
+            }
+        }
         let mut resubmit: BTreeMap<usize, Vec<(usize, usize, CampaignCell)>> = BTreeMap::new();
         {
             let ring = self.ring.lock();
             for (ci, campaign) in state.campaigns.iter().enumerate() {
                 for (pi, placed) in campaign.cells.iter().enumerate() {
-                    if placed.shard != id || harvested.contains(&placed.key) {
+                    if placed.shard != id || state.harvest.contains_key(&placed.key) {
                         continue;
                     }
                     let new_owner = ring.owner(&placed.key).expect("ring still has live shards");
                     resubmit.entry(new_owner).or_default().push((ci, pi, placed.cell.clone()));
                 }
             }
-        }
-        if graceful {
-            let ring = self.ring.lock();
-            for (key, cell) in self.shards[id].sched.result_cache().snapshot() {
+            for (key, cell) in handoff.into_iter().flatten() {
                 if let Some(owner) = ring.owner(&key) {
                     self.shards[owner].sched.result_cache().insert(key, cell);
                 }
@@ -575,8 +597,178 @@ impl Fleet {
         self.state.lock().migrations.clone()
     }
 
+    /// How many migrations have run (`GET /v1/fleet`), counted without
+    /// copying their reports.
+    pub fn migration_count(&self) -> usize {
+        self.state.lock().migrations.len()
+    }
+
     /// The fleet clock (shared by every shard).
     pub fn clock(&self) -> &Arc<dyn Clock> {
         &self.clock
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use confbench_crypto::fuzz::sweep_iters;
+    use confbench_crypto::SplitMix64;
+    use confbench_types::{CampaignFunction, Language, ManualClock, VmKind};
+
+    const SEED: u64 = 11;
+
+    /// `factors` of each argument on every platform and mode, one trial:
+    /// specs that share an argument share its six cells.
+    fn spec(args: &[&str]) -> CampaignSpec {
+        CampaignSpec {
+            functions: args.iter().map(|&a| CampaignFunction::new("factors").arg(a)).collect(),
+            languages: vec![Language::Go],
+            platforms: TeePlatform::ALL.to_vec(),
+            modes: vec![VmKind::Secure, VmKind::Normal],
+            trials: 1,
+            seed: SEED,
+            priority: Priority::Normal,
+            deadline_ms: None,
+            device: None,
+        }
+    }
+
+    /// The reference harvest: every alive shard's whole result-cache
+    /// snapshot, first key wins.
+    fn merge_snapshots(fleet: &Fleet, into: &mut BTreeMap<String, CachedCell>) {
+        for id in fleet.alive_shards() {
+            for (key, cell) in fleet.shards[id].sched.result_cache().snapshot() {
+                into.entry(key).or_insert(cell);
+            }
+        }
+    }
+
+    /// The single-gateway control: the same specs on one scheduler.
+    fn control_bytes(specs: &[CampaignSpec]) -> Vec<u8> {
+        let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
+        let gateway = Arc::new(
+            Gateway::builder()
+                .seed(SEED)
+                .clock(Arc::clone(&clock))
+                .local_host(TeePlatform::Tdx)
+                .local_host(TeePlatform::SevSnp)
+                .local_host(TeePlatform::Cca)
+                .build(),
+        );
+        let sched = Scheduler::with_metrics(
+            Arc::clone(&gateway) as Arc<dyn Executor>,
+            clock,
+            SchedulerConfig::default(),
+            Arc::clone(gateway.metrics()),
+        );
+        for spec in specs {
+            sched.submit(spec.clone()).expect("control campaign admitted");
+        }
+        sched.drain();
+        serde_json::to_vec(&sched.result_cache().snapshot()).expect("snapshot serializes")
+    }
+
+    /// A pass whose harvest never comes: every alive shard steps each of
+    /// its platform queues once.
+    fn pass_without_harvest(fleet: &Fleet) {
+        for shard in fleet.alive_shards().into_iter().map(|id| &fleet.shards[id]) {
+            for platform in TeePlatform::ALL {
+                shard.sched.step_with(platform, shard.gateway.as_ref());
+            }
+        }
+    }
+
+    /// Retires a shard, abruptly or gracefully. For a drain, `reference`
+    /// takes the shard's snapshot as the snapshot-merge harvest did.
+    /// Returns the cells re-placed and how many results the shard held
+    /// unharvested when it left: a kill loses them, a drain keeps them.
+    fn retire(
+        fleet: &Fleet,
+        id: usize,
+        graceful: bool,
+        reference: &mut BTreeMap<String, CachedCell>,
+    ) -> (usize, usize) {
+        let alive = fleet.alive_shards();
+        if alive.len() < 2 || !alive.contains(&id) {
+            let replaced = if graceful { fleet.drain_shard(id) } else { fleet.kill_shard(id) };
+            assert_eq!(replaced, 0, "shard {id} cannot retire");
+            return (0, 0);
+        }
+        let cached = fleet.shards[id].sched.result_cache().snapshot();
+        let unharvested = cached.keys().filter(|k| !reference.contains_key(*k)).count();
+        if !graceful {
+            return (fleet.kill_shard(id), unharvested);
+        }
+        for (key, cell) in cached {
+            reference.entry(key).or_insert(cell);
+        }
+        (fleet.drain_shard(id), unharvested)
+    }
+
+    /// The harvest's oracle at fleet scale. Random sequences of submits,
+    /// resubmits and pumps on a three-shard fleet, with kills and graceful
+    /// drains that come between two pumps or cut a pass short before its
+    /// harvest. After every operation the cursor harvest equals the
+    /// full-snapshot merge it replaced. Once the fleet drains, its results
+    /// are byte-identical to the single-gateway control.
+    #[test]
+    fn fuzz_sweep_harvest_cursors_equal_snapshot_merge() {
+        let pool = [spec(&["360"]), spec(&["360", "5040"]), spec(&["5040", "720"])];
+        let (mut replaced, mut lost, mut kept) = (0, 0, 0);
+        for case in 0..(sweep_iters() / 20).max(1) as u64 {
+            let mut rng = SplitMix64::new(0xF1EE_0000 ^ case);
+            let fleet = Fleet::new(FleetConfig {
+                seed: SEED,
+                clock: Arc::new(ManualClock::new()),
+                ..FleetConfig::default()
+            });
+            let mut reference = BTreeMap::new();
+            let mut submitted: Vec<CampaignSpec> = Vec::new();
+            let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+            for op in 0..8 + rng.next_below(24) {
+                let id = pick(&mut rng, fleet.shard_count());
+                match rng.next_below(10) {
+                    kind @ (0 | 1) => {
+                        let spec = match kind {
+                            1 if !submitted.is_empty() => {
+                                &submitted[pick(&mut rng, submitted.len())]
+                            }
+                            _ => &pool[pick(&mut rng, pool.len())],
+                        }
+                        .clone();
+                        fleet.submit(spec.clone()).expect("fleet campaign admitted");
+                        submitted.push(spec);
+                    }
+                    kind @ (2..=5) => {
+                        if kind % 2 == 0 {
+                            pass_without_harvest(&fleet);
+                        }
+                        let graceful = kind >= 4;
+                        let (placed, unharvested) = retire(&fleet, id, graceful, &mut reference);
+                        replaced += placed;
+                        if graceful {
+                            kept += unharvested;
+                        } else {
+                            lost += unharvested;
+                        }
+                    }
+                    _ => {
+                        fleet.pump();
+                        merge_snapshots(&fleet, &mut reference);
+                    }
+                }
+                assert_eq!(fleet.results(), reference, "case {case}, op {op}");
+            }
+            fleet.drain();
+            merge_snapshots(&fleet, &mut reference);
+            assert_eq!(fleet.results(), reference, "case {case}, drained");
+            assert_eq!(
+                serde_json::to_vec(&fleet.results()).unwrap(),
+                control_bytes(&submitted),
+                "case {case}: results differ from the single-gateway control"
+            );
+        }
+        assert!(replaced > 0 && lost > 0 && kept > 0, "{replaced} / {lost} / {kept}");
     }
 }

@@ -88,7 +88,7 @@ impl Fleet {
                 shards,
                 steals: fleet.steals(),
                 cells_replaced: fleet.metrics().counter("fleet_cells_replaced_total").get(),
-                migrations: fleet.migrations().len(),
+                migrations: fleet.migration_count(),
             };
             Response::json(&view)
         });
@@ -296,6 +296,9 @@ mod tests {
         let list = router.dispatch(&Request::new(Method::Get, "/v1/migrations"));
         let views: serde_json::Value = serde_json::from_slice(&list.body).unwrap();
         assert_eq!(views.as_array().unwrap().len(), 1);
+        let status = router.dispatch(&Request::new(Method::Get, "/v1/fleet"));
+        let view: serde_json::Value = serde_json::from_slice(&status.body).unwrap();
+        assert_eq!(view["migrations"], 1);
     }
 
     #[test]

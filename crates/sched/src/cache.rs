@@ -8,6 +8,7 @@
 //! and invalidates precisely that function's entries.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use confbench_crypto::Sha256;
@@ -171,6 +172,21 @@ impl ResultCache {
         self.inner.lock().entries.iter().map(|(k, (cell, _))| (k.clone(), cell.clone())).collect()
     }
 
+    /// Visits every live entry inserted or hit after tick `since`, oldest
+    /// touch first, without touching recency, and returns the current tick:
+    /// the cursor to pass next time. The recency index is the completion
+    /// log, so a caller that passes back each returned cursor has been shown
+    /// every key the cache holds, at the cost of what changed in between.
+    /// Entries evicted in between are never visited. The visitor runs under
+    /// the cache lock; keep it short.
+    pub fn touched_since(&self, since: u64, mut visit: impl FnMut(&str, &CachedCell)) -> u64 {
+        let inner = self.inner.lock();
+        for key in inner.order.range((Bound::Excluded(since), Bound::Unbounded)).map(|(_, k)| k) {
+            visit(key, &inner.entries[key].0);
+        }
+        inner.tick
+    }
+
     /// Entries evicted to stay under the cap since creation.
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::SeqCst)
@@ -317,6 +333,72 @@ mod tests {
         cache.insert("c".into(), entry("c"));
         assert!(cache.get("b").is_none());
         assert!(cache.get("a").is_some());
+    }
+
+    #[test]
+    fn touched_since_visits_what_was_inserted_or_hit_after_the_cursor() {
+        let cache = ResultCache::with_capacity(3);
+        let visit = |since| {
+            let mut seen = Vec::new();
+            let cursor = cache.touched_since(since, |k, c| seen.push(format!("{k}={}", c.output)));
+            (cursor, seen)
+        };
+        cache.insert("a".into(), entry("a"));
+        cache.insert("b".into(), entry("b"));
+        cache.insert("c".into(), entry("c"));
+        assert_eq!(visit(0), (3, vec!["a=a".into(), "b=b".into(), "c=c".into()]));
+        assert_eq!(visit(3), (3, vec![]), "nothing touched since");
+
+        assert!(cache.get("a").is_some());
+        assert!(cache.get("zz").is_none(), "a miss touches nothing");
+        cache.insert("d".into(), entry("d")); // evicts "b"
+        cache.insert("c".into(), entry("c2"));
+        assert_eq!(visit(3), (6, vec!["a=a".into(), "d=d".into(), "c=c2".into()]));
+        assert_eq!(visit(4), (6, vec!["d=d".into(), "c=c2".into()]));
+        assert_eq!(cache.get("a").map(|c| c.output), Some("a".into()));
+        assert_eq!(visit(6), (7, vec!["a=a".into()]), "visiting left recency alone");
+    }
+
+    /// The harvest's oracle. A reader folding in `touched_since` from its
+    /// last cursor, first key wins, holds exactly what a reader folding in
+    /// a whole `snapshot()` after every batch holds. Caches of 1 to 8
+    /// entries over 12 keys, so that between two reads entries are evicted,
+    /// hit, overwritten with new values and inserted again.
+    #[test]
+    fn fuzz_sweep_touched_since_equals_snapshot_merge() {
+        let keys: Vec<String> = (0..12).map(|k| format!("k{k}")).collect();
+        let (mut evictions, mut overwritten) = (0, 0);
+        for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+            let mut rng = confbench_crypto::SplitMix64::new(0xC5C0_0000 ^ case);
+            let cache = ResultCache::with_capacity(1 + rng.next_below(8) as usize);
+            let (mut by_cursor, mut by_snapshot) = (BTreeMap::new(), BTreeMap::new());
+            let mut cursor = 0;
+            for batch in 0..1 + rng.next_below(24) {
+                for op in 0..rng.next_below(8) {
+                    let key = &keys[rng.next_below(keys.len() as u64) as usize];
+                    if rng.next_below(3) == 0 {
+                        cache.get(key);
+                    } else {
+                        cache.insert(key.clone(), entry(&format!("{key}@{batch}.{op}")));
+                    }
+                }
+                cursor = cache.touched_since(cursor, |k, c| {
+                    by_cursor.entry(k.to_owned()).or_insert_with(|| c.clone());
+                });
+                let snapshot = cache.snapshot();
+                overwritten += snapshot
+                    .iter()
+                    .filter(|&(k, c)| by_snapshot.get(k).is_some_and(|h| h != c))
+                    .count();
+                for (k, c) in snapshot {
+                    by_snapshot.entry(k).or_insert(c);
+                }
+                assert_eq!(by_cursor, by_snapshot, "case {case}, batch {batch}");
+            }
+            evictions += cache.evictions();
+        }
+        assert!(evictions > 0, "no entry was ever evicted");
+        assert!(overwritten > 0, "no harvested key was ever given a new value");
     }
 
     #[test]

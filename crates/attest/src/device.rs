@@ -149,7 +149,10 @@ mod tests {
     }
 
     fn attested_vm(platform: TeePlatform) -> (Evidence, [u8; 64]) {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(platform)).device(DeviceKind::Gpu).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(platform))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         let nonce = [0x42; 32];
         let report = vm.device_report(nonce).unwrap();
         (Evidence::device(platform, report), nonce_data(nonce))
@@ -231,12 +234,15 @@ mod tests {
         let v = DeviceVerifier::new(TeePlatform::Tdx);
         // Two different VMs, same device model: one verification, one hit —
         // nonces differ per VM but the TCB identity is the same.
-        let mut vm_a =
-            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut vm_a = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         let mut vm_b = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
             .seed(1)
             .device(DeviceKind::Gpu)
-            .build();
+            .try_build()
+            .unwrap();
         let nonce_a = [1u8; 32];
         let nonce_b = [2u8; 32];
         let ev_a = Evidence::device(TeePlatform::Tdx, vm_a.device_report(nonce_a).unwrap());

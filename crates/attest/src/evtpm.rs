@@ -74,7 +74,8 @@ mod tests {
 
     #[test]
     fn runtime_quote_is_stable_until_extended() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
         let (a, timing) = quote_runtime(&vm).unwrap();
         let (b, _) = quote_runtime(&vm).unwrap();
         assert_eq!(a.digest(), b.digest());
@@ -89,8 +90,10 @@ mod tests {
 
     #[test]
     fn pool_members_share_a_runtime_identity_at_boot() {
-        let a = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).build();
-        let b = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(2).build();
+        let a =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).try_build().unwrap();
+        let b =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(2).try_build().unwrap();
         assert_eq!(
             quote_runtime(&a).unwrap().0.digest(),
             quote_runtime(&b).unwrap().0.digest(),
@@ -100,15 +103,15 @@ mod tests {
 
     #[test]
     fn normal_vms_have_no_runtime_measurements() {
-        let vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         assert_eq!(quote_runtime(&vm).unwrap_err(), AttestError::WrongVmKind);
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         assert_eq!(extend_runtime(&mut vm, 0, b"x").unwrap_err(), AttestError::WrongVmKind);
     }
 
     #[test]
     fn bad_register_index_surfaces_as_firmware_error() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).try_build().unwrap();
         assert!(matches!(extend_runtime(&mut vm, 99, b"x").unwrap_err(), AttestError::Firmware(_)));
     }
 }

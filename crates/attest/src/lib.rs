@@ -22,13 +22,13 @@
 //! use confbench_types::{TeePlatform, VmTarget};
 //! use confbench_vmm::TeeVmBuilder;
 //!
-//! let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+//! let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
 //! let eco = TdxEcosystem::new(1);
 //! let (quote, attest) = eco.generate_quote(&mut td, [1u8; 64]).unwrap();
 //! let check = eco.verify_quote(&quote, [1u8; 64]).unwrap();
 //! assert!(check.latency_ms > attest.latency_ms, "PCS round trips dominate");
 //!
-//! let mut snp = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).build();
+//! let mut snp = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).try_build().unwrap();
 //! let eco = SnpEcosystem::new(2);
 //! let (report, attest) = eco.request_report(&mut snp, [1u8; 64]).unwrap();
 //! let check = eco.verify_report(&report, [1u8; 64]).unwrap();
@@ -90,12 +90,14 @@ mod tests {
 
     #[test]
     fn fig5_shape_snp_faster_in_both_phases() {
-        let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(5).build();
+        let mut td =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(5).try_build().unwrap();
         let tdx = TdxEcosystem::new(5);
         let (quote, tdx_attest) = tdx.generate_quote(&mut td, [9; 64]).unwrap();
         let tdx_check = tdx.verify_quote(&quote, [9; 64]).unwrap();
 
-        let mut guest = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(5).build();
+        let mut guest =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(5).try_build().unwrap();
         let snp = SnpEcosystem::new(5);
         let (report, snp_attest) = snp.request_report(&mut guest, [9; 64]).unwrap();
         let snp_check = snp.verify_report(&report, [9; 64]).unwrap();
@@ -119,9 +121,9 @@ mod tests {
 
     #[test]
     fn attestation_unavailable_on_normal_vms() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         assert!(TdxEcosystem::new(1).generate_quote(&mut vm, [0; 64]).is_err());
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).try_build().unwrap();
         assert!(SnpEcosystem::new(1).request_report(&mut vm, [0; 64]).is_err());
     }
 }

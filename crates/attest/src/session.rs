@@ -573,11 +573,6 @@ impl CollateralRefresher {
     pub fn refresh_total(&self) -> u64 {
         self.refreshes.get()
     }
-
-    /// The ecosystem being refreshed.
-    pub fn ecosystem(&self) -> &Arc<TdxEcosystem> {
-        &self.eco
-    }
 }
 
 #[cfg(test)]
@@ -590,7 +585,8 @@ mod tests {
     use std::sync::Barrier;
 
     fn td_evidence(eco: &TdxEcosystem, nonce: u64) -> (Evidence, [u8; 64]) {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
         let data = TdxEcosystem::report_data_for_nonce(nonce);
         let (quote, _) = eco.generate_quote(&mut vm, data).unwrap();
         let runtime = quote_runtime(&vm).unwrap().0;
@@ -765,7 +761,8 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let cache = cache(&clock);
         let eco = TdxEcosystem::new(1);
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
         let data = TdxEcosystem::report_data_for_nonce(7);
         let (quote, _) = eco.generate_quote(&mut vm, data).unwrap();
         let evidence = Evidence::tdx(quote).with_runtime(quote_runtime(&vm).unwrap().0);
@@ -797,7 +794,8 @@ mod tests {
         );
         let eco = TdxEcosystem::new(1);
         // Distinct identities via distinct runtime digests.
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
         let data = TdxEcosystem::report_data_for_nonce(8);
         let mut ids = Vec::new();
         for layer in 0..3u8 {

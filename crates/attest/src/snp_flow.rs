@@ -203,7 +203,7 @@ mod tests {
     use confbench_vmm::TeeVmBuilder;
 
     fn guest() -> Vm {
-        TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).build()
+        TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).try_build().unwrap()
     }
 
     #[test]
@@ -270,7 +270,7 @@ mod tests {
 
     #[test]
     fn wrong_vm_kind_rejected() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         assert_eq!(
             SnpEcosystem::new(1).request_report(&mut vm, [0; 64]).unwrap_err(),
             AttestError::WrongVmKind

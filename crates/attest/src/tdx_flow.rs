@@ -447,7 +447,7 @@ mod tests {
     use confbench_vmm::TeeVmBuilder;
 
     fn td() -> Vm {
-        TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build()
+        TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap()
     }
 
     #[test]
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn normal_vm_cannot_quote() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         assert_eq!(
             TdxEcosystem::new(1).generate_quote(&mut vm, [0; 64]).unwrap_err(),
             AttestError::WrongVmKind

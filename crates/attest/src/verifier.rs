@@ -222,7 +222,8 @@ mod tests {
 
     #[test]
     fn identity_ignores_nonce_but_tracks_runtime_state() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
         let eco = TdxEcosystem::new(1);
         let (q1, _) = eco.generate_quote(&mut vm, TdxEcosystem::report_data_for_nonce(1)).unwrap();
         let (q2, _) = eco.generate_quote(&mut vm, TdxEcosystem::report_data_for_nonce(2)).unwrap();
@@ -240,8 +241,10 @@ mod tests {
 
     #[test]
     fn verifier_trait_dispatches_and_rejects_cross_platform_evidence() {
-        let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
-        let mut guest = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).build();
+        let mut td =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
+        let mut guest =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).try_build().unwrap();
         let tdx = TdxEcosystem::new(1);
         let snp = SnpEcosystem::new(1);
         let nonce = TdxEcosystem::report_data_for_nonce(3);

@@ -15,7 +15,7 @@ use confbench_attest::{
 };
 use confbench_stats::{boxplot, stacked_percentiles, Summary};
 use confbench_types::{Clock, ManualClock, Result, TeePlatform, VmTarget};
-use confbench_vmm::TeeVmBuilder;
+use confbench_vmm::{TeeVmBuilder, Vm};
 
 use crate::ExperimentConfig;
 
@@ -45,11 +45,17 @@ impl AttestationFigure {
     }
 }
 
+/// A secure VM for `platform`. No fault plan is installed, so boot cannot
+/// fail.
+fn secure_vm(platform: TeePlatform, seed: u64) -> Vm {
+    TeeVmBuilder::new(VmTarget::secure(platform)).seed(seed).try_build().expect("boot")
+}
+
 /// Runs `trials` full attestation flows per platform.
 pub fn run(cfg: ExperimentConfig) -> AttestationFigure {
     let trials = cfg.trials();
 
-    let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(cfg.seed).build();
+    let mut td = secure_vm(TeePlatform::Tdx, cfg.seed);
     let tdx = TdxEcosystem::new(cfg.seed);
     let mut tdx_attest_ms = Vec::new();
     let mut tdx_check_ms = Vec::new();
@@ -61,7 +67,7 @@ pub fn run(cfg: ExperimentConfig) -> AttestationFigure {
         tdx_check_ms.push(check.latency_ms);
     }
 
-    let mut guest = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(cfg.seed).build();
+    let mut guest = secure_vm(TeePlatform::SevSnp, cfg.seed);
     let snp = SnpEcosystem::new(cfg.seed);
     let mut snp_attest_ms = Vec::new();
     let mut snp_check_ms = Vec::new();
@@ -116,7 +122,7 @@ impl FleetAmortizedFigure {
 
 /// TDX evidence (quote + e-vTPM runtime snapshot) from a fresh fleet VM.
 fn fleet_evidence(eco: &TdxEcosystem, seed: u64, nonce: u64) -> (Evidence, [u8; 64]) {
-    let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(seed).build();
+    let mut vm = secure_vm(TeePlatform::Tdx, seed);
     let data = TdxEcosystem::report_data_for_nonce(nonce);
     let (quote, _) = eco.generate_quote(&mut vm, data).expect("td quote");
     let runtime = quote_runtime(&vm).expect("runtime snapshot").0;

@@ -13,6 +13,7 @@
 //! [`AttestService::recent_spans`]) and counted in the `attest_*` metrics
 //! family.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -228,9 +229,7 @@ impl AttestService {
     fn evidence_for(&self, platform: TeePlatform, nonce: u64) -> Result<(Evidence, [u8; 64])> {
         let report_data = TdxEcosystem::report_data_for_nonce(nonce);
         let mut probes = self.probes.lock();
-        let vm = probes.entry(platform).or_insert_with(|| {
-            TeeVmBuilder::new(VmTarget::secure(platform)).seed(self.seed).build()
-        });
+        let vm = self.probe(&mut probes, platform)?;
         let body = match platform {
             TeePlatform::Tdx => {
                 let (quote, _) = self.tdx.generate_quote(vm, report_data).map_err(attest_error)?;
@@ -248,6 +247,20 @@ impl AttestService {
         };
         let (runtime, _) = quote_runtime(vm).map_err(attest_error)?;
         Ok((body.with_runtime(runtime), report_data))
+    }
+
+    /// `platform`'s probe VM, booted on first use; a boot fault propagates
+    /// as [`Error::TeeFault`].
+    fn probe<'a>(
+        &self,
+        probes: &'a mut HashMap<TeePlatform, Vm>,
+        platform: TeePlatform,
+    ) -> Result<&'a mut Vm> {
+        Ok(match probes.entry(platform) {
+            Entry::Occupied(vm) => vm.into_mut(),
+            Entry::Vacant(slot) => slot
+                .insert(TeeVmBuilder::new(VmTarget::secure(platform)).seed(self.seed).try_build()?),
+        })
     }
 
     fn verifier_for(&self, platform: TeePlatform) -> Result<&dyn Verifier> {
@@ -329,9 +342,7 @@ impl AttestService {
         let platform = session.identity.platform;
         let new_digest = {
             let mut probes = self.probes.lock();
-            let vm = probes.entry(platform).or_insert_with(|| {
-                TeeVmBuilder::new(VmTarget::secure(platform)).seed(self.seed).build()
-            });
+            let vm = self.probe(&mut probes, platform)?;
             extend_runtime(vm, index, data).map_err(attest_error)?;
             quote_runtime(vm).map_err(attest_error)?.0.digest()
         };

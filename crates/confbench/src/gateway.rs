@@ -20,7 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use confbench_crypto::SplitMix64;
-use confbench_httpd::{Client, Method, Request, Response, Router, Server, ServerConfig};
+use confbench_httpd::{Client, Method, Request, Response, Router};
 use confbench_obs::{
     ActiveSpan, Counter, Histogram, MetricsRegistry, RegistrySnapshot, SpanRecorder,
 };
@@ -133,7 +133,6 @@ pub struct GatewayBuilder {
     clock: Arc<dyn Clock>,
     metrics: Arc<MetricsRegistry>,
     seed: u64,
-    http: ServerConfig,
     chaos: Option<Arc<TeeFaultPlan>>,
     rebuild_budget: u32,
     attest: AttestConfig,
@@ -233,18 +232,6 @@ impl GatewayBuilder {
         self
     }
 
-    /// Tunes the REST listener's connection layer (handler worker pool
-    /// size, connection admission window, keep-alive timeouts; socket I/O
-    /// itself runs on the listener's epoll reactor). The `Retry-After`
-    /// hint on
-    /// backpressure 503s always comes from the gateway's [`RetryPolicy`],
-    /// overriding whatever the passed config says, so the header and the
-    /// retry machinery agree.
-    pub fn http(mut self, http: ServerConfig) -> Self {
-        self.http = http;
-        self
-    }
-
     /// Builds the gateway.
     ///
     /// # Panics
@@ -302,11 +289,6 @@ impl GatewayBuilder {
             })
             .collect();
         let counters = GatewayCounters::register(&self.metrics);
-        // Backpressure 503s and rejected-campaign 429s must hint the same
-        // backoff, so the listener's Retry-After is derived from the retry
-        // policy rather than trusted from the http config.
-        let mut http = self.http;
-        http.retry_after_secs = self.retry.retry_after_secs();
         Gateway {
             store: self.store,
             pools,
@@ -315,7 +297,6 @@ impl GatewayBuilder {
             metrics: self.metrics,
             recorder,
             counters,
-            http,
             attest,
         }
     }
@@ -374,7 +355,6 @@ pub struct Gateway {
     metrics: Arc<MetricsRegistry>,
     recorder: SpanRecorder,
     counters: GatewayCounters,
-    http: ServerConfig,
     attest: Arc<AttestService>,
 }
 
@@ -390,7 +370,6 @@ impl Gateway {
             clock: Arc::new(SystemClock),
             metrics: Arc::new(MetricsRegistry::new()),
             seed: 0,
-            http: ServerConfig::default(),
             chaos: None,
             rebuild_budget: DEFAULT_REBUILD_BUDGET,
             attest: AttestConfig::default(),
@@ -408,7 +387,8 @@ impl Gateway {
         &self.store
     }
 
-    /// The gateway's metrics registry (what `GET /v1/metrics` renders).
+    /// The gateway's metrics registry (the daemon's `GET /v1/metrics` sums
+    /// it with the fleet's).
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
@@ -579,26 +559,6 @@ impl Gateway {
         Ok((secure, normal))
     }
 
-    /// Serves the gateway's REST interface on an ephemeral loopback port:
-    /// the routes of [`Gateway::add_routes`] plus `GET /v1/metrics` over
-    /// the gateway's registry. The daemon serves the same routes through
-    /// its one router (`confbench-fleet`); this is the in-process surface
-    /// for tests and examples.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn serve(self: Arc<Self>) -> std::io::Result<Server> {
-        let mut router = Router::new();
-        self.add_routes(&mut router);
-        let metrics = Arc::clone(&self.metrics);
-        add_metrics_route(&mut router, move || metrics.snapshot());
-        Server::build(router)
-            .config(self.http)
-            .metrics(Arc::clone(&self.metrics))
-            .spawn("127.0.0.1:0")
-    }
-
     /// Registers the gateway's REST routes, all under `/v1`:
     ///
     /// * `POST /v1/run` — JSON [`RunRequest`] body → [`RunResult`];
@@ -610,6 +570,8 @@ impl Gateway {
     /// * `POST /v1/attest/sessions/{id}/extend` — extend an e-vTPM runtime
     ///   register, invalidating the session;
     /// * `GET /v1/health`.
+    ///
+    /// The daemon's one router (`confbench-fleet`) serves them on shard 0.
     pub fn add_routes(self: &Arc<Self>, router: &mut Router) {
         let gw = Arc::clone(self);
         router.add(Method::Post, "/v1/run", move |req, _| match req.body_json::<RunRequest>() {
@@ -792,6 +754,16 @@ mod tests {
         RunRequest::new(FunctionSpec::new(name, language).arg("360360"), VmTarget::secure(platform))
     }
 
+    /// The gateway's routes plus `/v1/metrics` over its registry, dispatched
+    /// without a socket (the daemon's server is `confbench-fleet`'s).
+    fn rest(gw: &Arc<Gateway>) -> Router {
+        let mut router = Router::new();
+        gw.add_routes(&mut router);
+        let metrics = Arc::clone(gw.metrics());
+        add_metrics_route(&mut router, move || metrics.snapshot());
+        router
+    }
+
     #[test]
     fn runs_on_local_host() {
         let gw = Gateway::builder().local_host(TeePlatform::Tdx).build();
@@ -819,20 +791,18 @@ mod tests {
 
     #[test]
     fn rest_interface_end_to_end() {
-        let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
-        let server = Arc::clone(&gw).serve().unwrap();
-        let client = Client::new(server.addr());
+        let router = rest(&Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build()));
 
         // Upload (Fig. 2 step 1).
         let upload = Request::new(Method::Post, "/v1/functions").json(&UploadRequest {
             name: "quadruple".into(),
             script: "result(int(ARGS[0]) * 4);".into(),
         });
-        assert_eq!(client.send(&upload).unwrap().status, 201);
+        assert_eq!(router.dispatch(&upload).status, 201);
 
         // List includes the upload.
         let names: Vec<String> =
-            client.send(&Request::new(Method::Get, "/v1/functions")).unwrap().body_json().unwrap();
+            router.dispatch(&Request::new(Method::Get, "/v1/functions")).body_json().unwrap();
         assert!(names.contains(&"quadruple".to_owned()));
 
         // Run it (Fig. 2 steps 2-5).
@@ -840,7 +810,7 @@ mod tests {
             FunctionSpec::new("quadruple", Language::Lua).arg("21"),
             VmTarget::secure(TeePlatform::Tdx),
         ));
-        let resp = client.send(&run).unwrap();
+        let resp = router.dispatch(&run);
         assert_eq!(resp.status, 200);
         let result: RunResult = resp.body_json().unwrap();
         assert_eq!(result.output, "84");
@@ -850,14 +820,14 @@ mod tests {
             FunctionSpec::new("ghost", Language::Lua),
             VmTarget::secure(TeePlatform::Tdx),
         ));
-        assert_eq!(client.send(&bad).unwrap().status, 404);
+        assert_eq!(router.dispatch(&bad).status, 404);
 
         // Unpooled platform maps to 503.
         let no_vm = Request::new(Method::Post, "/v1/run").json(&RunRequest::new(
             FunctionSpec::new("quadruple", Language::Lua).arg("1"),
             VmTarget::secure(TeePlatform::Cca),
         ));
-        assert_eq!(client.send(&no_vm).unwrap().status, 503);
+        assert_eq!(router.dispatch(&no_vm).status, 503);
     }
 
     #[test]
@@ -984,25 +954,22 @@ mod tests {
 
     #[test]
     fn v1_metrics_endpoint_serves_text_and_json() {
-        let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
-        let server = Arc::clone(&gw).serve().unwrap();
-        let client = Client::new(server.addr());
+        let router = rest(&Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build()));
 
         let run = Request::new(Method::Post, "/v1/run").json(&request(
             "factors",
             Language::Go,
             TeePlatform::Tdx,
         ));
-        let resp = client.send(&run).unwrap();
-        assert_eq!(resp.status, 200);
+        assert_eq!(router.dispatch(&run).status, 200);
 
-        let text = client.send(&Request::new(Method::Get, "/v1/metrics")).unwrap();
+        let text = router.dispatch(&Request::new(Method::Get, "/v1/metrics"));
         assert_eq!(text.status, 200);
         let body = String::from_utf8(text.body).unwrap();
         assert!(body.contains("gateway_requests_total 1"), "text exposition:\n{body}");
         assert!(body.contains("pool_served_total{platform=\"tdx\"} 1"), "text exposition:\n{body}");
 
-        let json = client.send(&Request::new(Method::Get, "/v1/metrics?format=json")).unwrap();
+        let json = router.dispatch(&Request::new(Method::Get, "/v1/metrics?format=json"));
         assert_eq!(json.status, 200);
         let snap: confbench_obs::RegistrySnapshot = json.body_json().unwrap();
         assert_eq!(snap.counters.get("gateway_requests_total"), Some(&1));
@@ -1010,10 +977,7 @@ mod tests {
 
     #[test]
     fn bare_paths_answer_404() {
-        let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
-        let mut router = Router::new();
-        gw.add_routes(&mut router);
-        add_metrics_route(&mut router, RegistrySnapshot::default);
+        let router = rest(&Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build()));
         for (method, path) in [
             (Method::Post, "/run"),
             (Method::Post, "/functions"),

@@ -249,15 +249,21 @@ impl HostAgent {
         Ok(run_result(request, span, measured, run.class.to_string()))
     }
 
-    /// Serves the agent over HTTP: `POST /v1/execute` with a JSON
-    /// [`RunRequest`] body, `GET /v1/health`.
+    /// Serves [`HostAgent::add_routes`] on an ephemeral loopback port.
     ///
     /// # Errors
     ///
     /// Bind failures.
     pub fn serve(self: Arc<Self>) -> std::io::Result<Server> {
         let mut router = Router::new();
-        let agent = Arc::clone(&self);
+        self.add_routes(&mut router);
+        Server::spawn(router)
+    }
+
+    /// Registers the agent's routes: `POST /v1/execute` with a JSON
+    /// [`RunRequest`] body, `GET /v1/health`.
+    pub fn add_routes(self: &Arc<Self>, router: &mut Router) {
+        let agent = Arc::clone(self);
         router.add(Method::Post, "/v1/execute", move |req, _| {
             match req.body_json::<RunRequest>() {
                 Err(e) => Response::error(400, format!("bad request body: {e}")),
@@ -274,7 +280,6 @@ impl HostAgent {
         router.add(Method::Get, "/v1/health", move |_, _| {
             Response::json(&serde_json::json!({ "platform": platform.to_string(), "ok": true }))
         });
-        Server::spawn(router)
     }
 }
 

@@ -708,7 +708,10 @@ impl Fleet {
         warmup: &[confbench_types::OpTrace],
         cfg: &MigrationConfig,
     ) -> Result<MigrationReport, MigrationError> {
-        let mut source = TeeVmBuilder::new(target).seed(self.seed).build();
+        let mut source = TeeVmBuilder::new(target)
+            .seed(self.seed)
+            .try_build()
+            .expect("no fault plan is installed on the source, so its boot cannot fail");
         let target_builder = TeeVmBuilder::new(target).seed(self.seed ^ 0x5EED);
         let warmed = warmup.iter().try_for_each(|trace| source.try_execute(trace).map(drop));
         let result = match warmed {

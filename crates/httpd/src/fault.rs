@@ -1,5 +1,4 @@
-//! Deterministic fault injection for [`Server`](crate::Server) and
-//! [`TcpRelay`](crate::TcpRelay).
+//! Deterministic fault injection for [`Server`](crate::Server).
 //!
 //! Resilience features (retry, failover, circuit breakers) need repeatable
 //! failures to be testable. A [`FaultInjector`] counts incoming requests and
@@ -54,8 +53,7 @@ impl Trigger {
 
 /// A counter plus rule list deciding the fate of each incoming request.
 ///
-/// Attach one with [`ServerBuilder::faults`](crate::ServerBuilder::faults)
-/// or [`TcpRelay::spawn_with_faults`](crate::TcpRelay::spawn_with_faults).
+/// Attach one with [`ServerBuilder::faults`](crate::ServerBuilder::faults).
 /// The first matching rule wins.
 ///
 /// # Example

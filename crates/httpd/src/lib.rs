@@ -1,9 +1,8 @@
-//! A minimal HTTP/1.1 framework and TCP relay.
+//! A minimal HTTP/1.1 framework.
 //!
-//! The real ConfBench gateway is built on the Axum web framework and its
-//! hosts steer traffic to VMs with `socat` (paper §III-B). Neither is
-//! available offline, so this crate supplies the equivalent substrate from
-//! scratch over `std::net`:
+//! The real ConfBench gateway is built on the Axum web framework (paper
+//! §III-B). It is not available offline, so this crate supplies the
+//! equivalent substrate from scratch over `std::net`:
 //!
 //! * [`Request`] / [`Response`] — HTTP/1.1 messages with JSON helpers and
 //!   hardened framing (size-capped request lines and headers, strict
@@ -17,9 +16,12 @@
 //!   window/timeouts);
 //! * [`Client`] — a blocking client with persistent pooled connections and
 //!   transparent retry on stale keep-alive sockets;
-//! * [`TcpRelay`] — socat-style bidirectional port forwarding;
 //! * [`FaultInjector`] — deterministic connection drops, delays, error
 //!   statuses, and mid-keep-alive closes for resilience testing.
+//!
+//! The paper's hosts also run `socat` to steer traffic to their VMs. Here a
+//! VM lives inside its host agent's process, so there is no VM port to
+//! steer to, and no relay.
 //!
 //! # Example
 //!
@@ -42,7 +44,6 @@
 mod fault;
 mod http;
 mod poll;
-mod relay;
 mod router;
 mod server;
 
@@ -51,6 +52,5 @@ pub use http::{
     HttpError, Method, Request, Response, MAX_BODY, MAX_HEADERS, MAX_HEADER_BYTES, MAX_HEADER_LINE,
     MAX_START_LINE,
 };
-pub use relay::TcpRelay;
 pub use router::{Handler, Router};
 pub use server::{Client, Server, ServerBuilder, ServerConfig};

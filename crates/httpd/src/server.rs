@@ -19,9 +19,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -35,22 +33,9 @@ use crate::http::{try_parse_request, HttpError, Request, Response};
 use crate::poll::{event_buffer, Epoll, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::router::Router;
 
-/// Turns a bound address into one a client can connect to: wildcard binds
-/// (`0.0.0.0` / `[::]`) are not connectable, so substitute loopback.
-pub(crate) fn connectable(addr: SocketAddr) -> SocketAddr {
-    let mut addr = addr;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        });
-    }
-    addr
-}
-
 /// Waits up to `timeout` for `handle` to finish, then joins it; detaches
 /// (drops the handle) if it does not finish in time so shutdown can't hang.
-pub(crate) fn join_with_timeout(handle: JoinHandle<()>, timeout: Duration) {
+fn join_with_timeout(handle: JoinHandle<()>, timeout: Duration) {
     let deadline = Instant::now() + timeout;
     while !handle.is_finished() {
         if Instant::now() >= deadline {

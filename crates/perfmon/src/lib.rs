@@ -16,7 +16,7 @@
 //! use confbench_types::{OpTrace, TeePlatform, VmTarget};
 //! use confbench_vmm::TeeVmBuilder;
 //!
-//! let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+//! let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
 //! let mut trace = OpTrace::new();
 //! trace.cpu(10_000);
 //!
@@ -232,14 +232,14 @@ mod tests {
     #[test]
     fn hardware_path_for_tdx_and_snp() {
         for p in [TeePlatform::Tdx, TeePlatform::SevSnp] {
-            let vm = TeeVmBuilder::new(VmTarget::secure(p)).build();
+            let vm = TeeVmBuilder::new(VmTarget::secure(p)).try_build().unwrap();
             assert!(PerfStat::for_vm(&vm).is_hardware(), "{p} should use perf");
         }
     }
 
     #[test]
     fn script_fallback_for_cca() {
-        let vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
+        let vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).try_build().unwrap();
         let stat = PerfStat::for_vm(&vm);
         assert!(!stat.is_hardware());
         assert_eq!(stat.collector_name(), "script:cca-cycles");
@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn hardware_sample_carries_cache_counters() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         let (_, sample) = PerfStat::for_vm(&vm)
             .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
             .unwrap();
@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn script_sample_degrades_to_wallclock() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).try_build().unwrap();
         let (report, sample) = PerfStat::for_vm(&vm)
             .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
             .unwrap();
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn custom_script_overrides_platform_choice() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         let (_, sample) = PerfStat::with_collector(Arc::new(ScriptCollector::new("my-probe")))
             .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
             .unwrap();
@@ -300,7 +300,7 @@ mod tests {
 
     #[test]
     fn user_collector_implementations_plug_in() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         let mut t = trace();
         t.io_write(8192);
         let (report, sample) = PerfStat::with_collector(Arc::new(ExitsOnly))
@@ -316,7 +316,7 @@ mod tests {
     fn spanned_measure_attaches_the_span_tree() {
         let clock = Arc::new(ManualClock::new());
         let recorder = SpanRecorder::new(clock.clone());
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         let mut t = trace();
         t.io_write(64 * 1024);
         clock.advance(3);
@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn sample_display_is_informative() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).try_build().unwrap();
         let (_, sample) = PerfStat::for_vm(&vm)
             .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
             .unwrap();
@@ -344,7 +344,7 @@ mod tests {
 
     #[test]
     fn sample_serializes() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         let (_, sample) = PerfStat::for_vm(&vm)
             .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
             .unwrap();

@@ -94,16 +94,6 @@ impl TraceSpan {
         self.children.iter().find_map(|c| c.find(name))
     }
 
-    /// All descendant spans (self included) whose name matches `name`.
-    pub fn find_all<'a>(&'a self, name: &str, out: &mut Vec<&'a TraceSpan>) {
-        if self.name == name {
-            out.push(self);
-        }
-        for c in &self.children {
-            c.find_all(name, out);
-        }
-    }
-
     /// Total number of spans in this tree (self included).
     pub fn span_count(&self) -> usize {
         1 + self.children.iter().map(TraceSpan::span_count).sum::<usize>()

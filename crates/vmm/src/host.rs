@@ -92,7 +92,8 @@ impl SharedHost {
     ) -> Self {
         assert!(tenants > 0, "a host needs at least one tenant");
         let vms = (0..tenants)
-            .map(|i| TeeVmBuilder::new(target).seed(seed.wrapping_add(i as u64 * 0x9e37)).build())
+            .map(|i| TeeVmBuilder::new(target).seed(seed.wrapping_add(i as u64 * 0x9e37)))
+            .map(|vm| vm.try_build().expect("no fault plan is installed, so boot cannot fail"))
             .collect();
         SharedHost { vms, contention }
     }

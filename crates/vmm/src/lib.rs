@@ -25,8 +25,8 @@
 //! let mut trace = OpTrace::new();
 //! trace.cpu(1_000_000);
 //!
-//! let mut secure = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
-//! let mut normal = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+//! let mut secure = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
+//! let mut normal = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
 //! let rs = secure.try_execute(&trace).unwrap();
 //! let rn = normal.try_execute(&trace).unwrap();
 //! let ratio = rs.cycles.get() as f64 / rn.cycles.get() as f64;

@@ -186,8 +186,9 @@ pub struct CostEvents {
 /// let vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
 ///     .seed(42)
 ///     .cache_model(true)
-///     .build();
+///     .try_build()?;
 /// assert_eq!(vm.target(), VmTarget::secure(TeePlatform::Tdx));
+/// # Ok::<(), confbench_vmm::TeeFault>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct TeeVmBuilder {
@@ -276,26 +277,14 @@ impl TeeVmBuilder {
     }
 
     /// Boots the VM: builds the cost model, launches the TEE context
-    /// (measured 64-page boot image), and returns a
-    /// ready-to-run [`Vm`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an installed [fault plan](TeeVmBuilder::fault_plan) injects
-    /// a boot fault (use [`TeeVmBuilder::try_build`] under chaos). Without
-    /// a plan, boot cannot fail and this never panics.
-    pub fn build(self) -> Vm {
-        self.try_build().unwrap_or_else(|f| panic!("unsupervised TEE boot fault: {f}"))
-    }
-
-    /// Fallible boot: like [`TeeVmBuilder::build`], but boot-time TEE
-    /// faults — injected by the plan, or a mechanism state machine
-    /// refusing a launch step — surface as `Err` instead of panicking.
+    /// (measured 64-page boot image), and returns a ready-to-run [`Vm`].
     ///
     /// # Errors
     ///
-    /// The injected or observed [`TeeFault`]; transient faults may succeed
-    /// on a fresh `try_build` of the same builder.
+    /// A boot-time TEE fault — injected by an installed
+    /// [fault plan](TeeVmBuilder::fault_plan), or a mechanism state machine
+    /// refusing a launch step. Transient faults may succeed on a fresh
+    /// `try_build` of the same builder. Without a plan, boot cannot fail.
     pub fn try_build(self) -> Result<Vm, TeeFault> {
         let mut cost = CostModel::for_target_with(self.target, self.bounce_buffers);
         if let Some(fvp) = &self.fvp {
@@ -1159,7 +1148,7 @@ mod tests {
 
     #[test]
     fn events_mirror_perf_counters() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         let r = vm.try_execute(&io_heavy_trace()).unwrap();
         assert_eq!(r.events.exits, r.perf.vm_exits);
         assert_eq!(r.events.bounce_bytes, r.perf.bounce_bytes);
@@ -1171,7 +1160,7 @@ mod tests {
 
     #[test]
     fn normal_vm_has_no_bounce_events() {
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
         let r = vm.try_execute(&io_heavy_trace()).unwrap();
         assert_eq!(r.events.bounce_bytes, 0);
         assert_eq!(r.perf.bounce_bytes, 0);
@@ -1187,7 +1176,7 @@ mod tests {
             (TeePlatform::SevSnp, "snp.ghcb-exit", "snp.rmp-validate"),
             (TeePlatform::Cca, "cca.rmm-exit", "cca.rmm-delegate"),
         ] {
-            let mut vm = TeeVmBuilder::new(VmTarget::secure(platform)).build();
+            let mut vm = TeeVmBuilder::new(VmTarget::secure(platform)).try_build().unwrap();
             let mut root = rec.root("vm.execute");
             let r = vm.try_execute_spanned(&io_heavy_trace(), &mut root).unwrap();
             let tree = root.finish();
@@ -1205,7 +1194,7 @@ mod tests {
     #[test]
     fn spanned_execution_in_normal_vm_uses_generic_exit_name() {
         let rec = SpanRecorder::new(Arc::new(ManualClock::new()));
-        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::SevSnp)).try_build().unwrap();
         let mut root = rec.root("vm.execute");
         vm.try_execute_spanned(&io_heavy_trace(), &mut root).unwrap();
         let tree = root.finish();
@@ -1245,7 +1234,8 @@ mod tests {
         let trace = io_heavy_trace();
         for platform in TeePlatform::ALL {
             let target = VmTarget::secure(platform);
-            let clean = TeeVmBuilder::new(target).seed(9).build().try_execute(&trace).unwrap();
+            let clean =
+                TeeVmBuilder::new(target).seed(9).try_build().unwrap().try_execute(&trace).unwrap();
             let plan = Arc::new(TeeFaultPlan::new(41, 0.25));
             let survived = run_until_clean(target, 9, &plan, &trace);
             assert!(plan.injected() > 0, "{platform}: chaos plan never fired");
@@ -1298,7 +1288,7 @@ mod tests {
         let trace = io_heavy_trace();
         for platform in TeePlatform::ALL {
             let survived = run_until_clean(VmTarget::secure(platform), 5, &plan, &trace);
-            let clean = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).build();
+            let clean = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).try_build().unwrap();
             assert_eq!(survived, {
                 let mut vm = clean;
                 vm.try_execute(&trace).unwrap()
@@ -1325,8 +1315,10 @@ mod tests {
 
     #[test]
     fn secure_device_boots_locked_and_runs_after_attestation() {
-        let mut vm =
-            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         assert_eq!(vm.device_state(), Some(TdispState::Locked));
         attest_device(&mut vm);
         assert_eq!(vm.device_state(), Some(TdispState::Run));
@@ -1340,8 +1332,10 @@ mod tests {
 
     #[test]
     fn unattested_device_dma_rides_the_bounce_path() {
-        let mut vm =
-            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, 0);
         assert_eq!(r.events.dma_bounce_bytes, (512 + 64) * 1024);
@@ -1350,8 +1344,10 @@ mod tests {
 
     #[test]
     fn normal_vm_device_dma_is_direct_without_attestation() {
-        let mut vm =
-            TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         assert_eq!(vm.device_state(), Some(TdispState::Unlocked));
         let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, (512 + 64) * 1024);
@@ -1372,16 +1368,19 @@ mod tests {
             let mut normal = TeeVmBuilder::new(VmTarget::normal(platform))
                 .seed(3)
                 .device(DeviceKind::Gpu)
-                .build();
+                .try_build()
+                .unwrap();
             let mut attested = TeeVmBuilder::new(VmTarget::secure(platform))
                 .seed(3)
                 .device(DeviceKind::Gpu)
-                .build();
+                .try_build()
+                .unwrap();
             attest_device(&mut attested);
             let mut locked = TeeVmBuilder::new(VmTarget::secure(platform))
                 .seed(3)
                 .device(DeviceKind::Gpu)
-                .build();
+                .try_build()
+                .unwrap();
             let base = mean(&mut normal);
             let direct_ratio = mean(&mut attested) / base;
             let bounce_ratio = mean(&mut locked) / base;
@@ -1401,7 +1400,7 @@ mod tests {
     fn device_traces_replay_without_a_device() {
         // A gpu-inference trace scheduled onto a device-less VM still runs:
         // DMA degrades to plain emulated I/O.
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).try_build().unwrap();
         let r = vm.try_execute(&dev_dma_trace()).unwrap();
         assert_eq!(r.events.dma_direct_bytes, 0);
         assert_eq!(r.events.dma_bounce_bytes, 0, "no device: not accounted as device DMA");
@@ -1410,7 +1409,7 @@ mod tests {
 
     #[test]
     fn device_report_requires_a_plugged_device() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
         let fault = vm.device_report([0; 32]).unwrap_err();
         assert_eq!(fault.mechanism, TeeMechanism::DeviceAttest);
         assert!(!fault.is_transient());
@@ -1420,8 +1419,10 @@ mod tests {
     #[test]
     fn spanned_device_execution_emits_devio_children() {
         let rec = SpanRecorder::new(Arc::new(ManualClock::new()));
-        let mut vm =
-            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         attest_device(&mut vm);
         let mut root = rec.root("vm.execute");
         let r = vm.try_execute_spanned(&dev_dma_trace(), &mut root).unwrap();
@@ -1432,8 +1433,10 @@ mod tests {
         assert_eq!(kernel.attr("count"), Some(1));
         assert!(tree.find("devio.dma-bounce").is_none());
 
-        let mut locked =
-            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).device(DeviceKind::Gpu).build();
+        let mut locked = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+            .device(DeviceKind::Gpu)
+            .try_build()
+            .unwrap();
         let mut root = rec.root("vm.execute");
         let r = locked.try_execute_spanned(&dev_dma_trace(), &mut root).unwrap();
         let tree = root.finish();
@@ -1451,7 +1454,8 @@ mod tests {
         for platform in TeePlatform::ALL {
             let target = VmTarget::secure(platform);
             let clean = {
-                let mut vm = TeeVmBuilder::new(target).seed(13).device(DeviceKind::Gpu).build();
+                let mut vm =
+                    TeeVmBuilder::new(target).seed(13).device(DeviceKind::Gpu).try_build().unwrap();
                 attest_device(&mut vm);
                 vm.try_execute(&trace).unwrap()
             };
@@ -1495,9 +1499,9 @@ mod tests {
         trace: &OpTrace,
         trials: u32,
     ) -> (usize, Vec<ExecutionReport>) {
-        let mut vm = TeeVmBuilder::new(target).seed(21).build();
+        let mut vm = TeeVmBuilder::new(target).seed(21).try_build().unwrap();
         let forgetful = Arc::new(WalkMemo::new(0));
-        let mut twin = TeeVmBuilder::new(target).seed(21).walk_memo(forgetful).build();
+        let mut twin = TeeVmBuilder::new(target).seed(21).walk_memo(forgetful).try_build().unwrap();
         let before = walks_and_snapshots().1;
         let reports: Vec<_> = (0..trials).map(|_| vm.try_execute(trace).unwrap()).collect();
         let snapshots = walks_and_snapshots().1 - before;
@@ -1523,7 +1527,7 @@ mod tests {
         // prove, and every trial of both walks.
         let mut other = OpTrace::new();
         other.mem_read(64 << 10);
-        let mut vm = TeeVmBuilder::new(target).seed(21).build();
+        let mut vm = TeeVmBuilder::new(target).seed(21).try_build().unwrap();
         let before = walks_and_snapshots();
         for _ in 0..5 {
             vm.try_execute(&trace).unwrap();
@@ -1549,7 +1553,8 @@ mod tests {
         let mem_ops = mem_ops.count();
         assert_eq!(mem_ops, 3);
         for (trials, walked, snapshots) in [(1, 1, 0), (3, 2, 1), (10, 2, 1)] {
-            let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(21).build();
+            let mut vm =
+                TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(21).try_build().unwrap();
             let before = walks_and_snapshots();
             vm.try_execute(&bootstrap).unwrap();
             assert_eq!(walks_and_snapshots(), (before.0 + 1, before.1), "the bootstrap's one op");
@@ -1573,7 +1578,9 @@ mod tests {
         trace.mem_read_at(buffer, 24 << 10);
         let target = VmTarget::secure(TeePlatform::Tdx);
         let memo = Arc::new(WalkMemo::new(1 << 20));
-        let boot = |seed| TeeVmBuilder::new(target).seed(seed).walk_memo(Arc::clone(&memo)).build();
+        let boot = |seed| {
+            TeeVmBuilder::new(target).seed(seed).walk_memo(Arc::clone(&memo)).try_build().unwrap()
+        };
         let host_calls = |vm: &mut Vm| {
             vm.try_execute(&bootstrap).unwrap();
             (0..10).map(|_| vm.try_execute(&trace).unwrap()).collect::<Vec<_>>()
@@ -1591,7 +1598,7 @@ mod tests {
         assert_eq!(second.walk_memo_counts(), WalkMemoCounts { hits: 11, misses: 0, evictions: 0 });
 
         // Asked, it is the VM that walked everything itself.
-        let mut alone = TeeVmBuilder::new(target).seed(22).build();
+        let mut alone = TeeVmBuilder::new(target).seed(22).try_build().unwrap();
         assert_eq!(format!("{reports:?}"), format!("{:?}", host_calls(&mut alone)));
         assert_eq!(second.cache_stats(), alone.cache_stats());
         let lines = |vm: &mut Vm| vm.cache.as_mut().unwrap().line_state();
@@ -1612,7 +1619,7 @@ mod tests {
         }
         trace.mem_write(8 << 20);
         for target in [VmTarget::normal(TeePlatform::Tdx), VmTarget::secure(TeePlatform::SevSnp)] {
-            let mut vm = TeeVmBuilder::new(target).build();
+            let mut vm = TeeVmBuilder::new(target).try_build().unwrap();
             vm.try_execute(&trace).unwrap();
             let warm = vm.try_execute(&trace).unwrap();
             assert!(warm.perf.cache_misses * 2 > warm.perf.cache_references, "thrashes: {warm:?}");
@@ -1672,7 +1679,8 @@ mod tests {
         for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
             let mut rng = SplitMix64::new(0xD127_0000 ^ case);
             let target = targets[(case % 6) as usize];
-            let boot = || TeeVmBuilder::new(target).seed(case).cache_model(false).build();
+            let boot =
+                || TeeVmBuilder::new(target).seed(case).cache_model(false).try_build().unwrap();
             let mut vm = boot();
             for round in 0..1 + rng.next_below(8) {
                 let mut trace = OpTrace::new();
@@ -1726,8 +1734,10 @@ mod tests {
     #[test]
     fn spanned_and_plain_execution_charge_identically() {
         let rec = SpanRecorder::new(Arc::new(ManualClock::new()));
-        let mut a = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).build();
-        let mut b = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).build();
+        let mut a =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).try_build().unwrap();
+        let mut b =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).try_build().unwrap();
         let trace = io_heavy_trace();
         let ra = a.try_execute(&trace).unwrap();
         let mut root = rec.root("vm.execute");

@@ -12,8 +12,8 @@ fn trial_cycles(vm: &mut Vm, trace: &OpTrace, trials: u32) -> Vec<f64> {
 
 /// Mean secure/normal cycle ratio over `trials` trials of `trace`.
 fn ratio(platform: TeePlatform, trace: &OpTrace, trials: u32) -> f64 {
-    let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(7).build();
-    let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(7).build();
+    let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(7).try_build().unwrap();
+    let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(7).try_build().unwrap();
     let s: f64 = trial_cycles(&mut secure, trace, trials).iter().sum();
     let n: f64 = trial_cycles(&mut normal, trace, trials).iter().sum();
     s / n
@@ -132,8 +132,8 @@ fn cca_wall_times_dwarf_hardware_platforms() {
     // The FVP multiplier must show in absolute times (Fig. 8 is plotted in
     // absolute seconds for this reason) for both VM kinds.
     let trace = cpu_bound();
-    let mut cca = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Cca)).build();
-    let mut tdx = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).build();
+    let mut cca = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Cca)).try_build().unwrap();
+    let mut tdx = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).try_build().unwrap();
     let c = cca.try_execute(&trace).unwrap().wall_ms;
     let t = tdx.try_execute(&trace).unwrap().wall_ms;
     assert!(c > 5.0 * t, "FVP-hosted normal VM should be much slower: cca={c}ms tdx={t}ms");
@@ -143,7 +143,7 @@ fn cca_wall_times_dwarf_hardware_platforms() {
 fn cca_trials_have_widest_spread() {
     let trace = cpu_bound();
     let spread = |p: TeePlatform| {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(p)).seed(3).build();
+        let mut vm = TeeVmBuilder::new(VmTarget::secure(p)).seed(3).try_build().unwrap();
         let xs = trial_cycles(&mut vm, &trace, 12);
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
@@ -157,9 +157,12 @@ fn cca_trials_have_widest_spread() {
 #[test]
 fn bounce_buffer_ablation_closes_the_io_gap() {
     let trace = io_bound();
-    let mut on = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
-    let mut off =
-        TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).bounce_buffers(false).build();
+    let mut on = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build().unwrap();
+    let mut off = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+        .seed(1)
+        .bounce_buffers(false)
+        .try_build()
+        .unwrap();
     let c_on = on.try_execute(&trace).unwrap().cycles.get() as f64;
     let c_off = off.try_execute(&trace).unwrap().cycles.get() as f64;
     assert!(
@@ -172,7 +175,8 @@ fn bounce_buffer_ablation_closes_the_io_gap() {
 fn determinism_same_seed_same_cycles() {
     let trace = syscall_storm();
     let run = || {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(99).build();
+        let mut vm =
+            TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(99).try_build().unwrap();
         trial_cycles(&mut vm, &trace, 3)
     };
     assert_eq!(run(), run());
@@ -180,7 +184,7 @@ fn determinism_same_seed_same_cycles() {
 
 #[test]
 fn perf_counters_populated() {
-    let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).build();
+    let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
     let mut t = OpTrace::new();
     t.cpu(1000);
     t.mem_write(1 << 16);
@@ -191,7 +195,7 @@ fn perf_counters_populated() {
     assert!(r.perf.cache_references > 0);
     assert!(r.perf.vm_exits > 4, "io doorbells + ctx switches: {}", r.perf.vm_exits);
     assert!(r.perf.from_hw_counters);
-    let mut cca = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).build();
+    let mut cca = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).try_build().unwrap();
     assert!(!cca.try_execute(&t).unwrap().perf.from_hw_counters);
 }
 
@@ -226,10 +230,16 @@ fn some_workload_runs_faster_in_secure_vm() {
         }
     }
     t.cpu(1_000);
-    let mut secure =
-        TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(7).cache_model(false).build();
-    let mut normal =
-        TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx)).seed(7).cache_model(false).build();
+    let mut secure = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
+        .seed(7)
+        .cache_model(false)
+        .try_build()
+        .unwrap();
+    let mut normal = TeeVmBuilder::new(VmTarget::normal(TeePlatform::Tdx))
+        .seed(7)
+        .cache_model(false)
+        .try_build()
+        .unwrap();
     let s: f64 = trial_cycles(&mut secure, &t, 10).iter().sum();
     let n: f64 = trial_cycles(&mut normal, &t, 10).iter().sum();
     assert!(s / n > 0.99, "without the cache model the sub-1.0 effect vanishes (r was {r})");

@@ -52,7 +52,7 @@ fn execution_is_deterministic() {
         let target = arb_target(&mut rng);
         let seed = rng.next_u64();
         let run = || {
-            let mut vm = TeeVmBuilder::new(target).seed(seed).build();
+            let mut vm = TeeVmBuilder::new(target).seed(seed).try_build().unwrap();
             let r = vm.try_execute(&trace).unwrap();
             (r.cycles, r.perf)
         };
@@ -72,10 +72,10 @@ fn counters_are_additive() {
         both.extend_from(&a);
         both.extend_from(&b);
 
-        let mut vm1 = TeeVmBuilder::new(target).seed(1).build();
+        let mut vm1 = TeeVmBuilder::new(target).seed(1).try_build().unwrap();
         let ra = vm1.try_execute(&a).unwrap();
         let rb = vm1.try_execute(&b).unwrap();
-        let mut vm2 = TeeVmBuilder::new(target).seed(1).build();
+        let mut vm2 = TeeVmBuilder::new(target).seed(1).try_build().unwrap();
         let rab = vm2.try_execute(&both).unwrap();
 
         assert_eq!(
@@ -101,7 +101,7 @@ fn basic_sanity_bounds() {
         let mut rng = SplitMix64::new(0x73E_0003 ^ case);
         let trace = arb_trace(&mut rng);
         let target = arb_target(&mut rng);
-        let mut vm = TeeVmBuilder::new(target).seed(3).build();
+        let mut vm = TeeVmBuilder::new(target).seed(3).try_build().unwrap();
         let r = vm.try_execute(&trace).unwrap();
         assert!(r.perf.cache_misses <= r.perf.cache_references, "case {case}");
         assert!(r.wall_ms >= 0.0, "case {case}");
@@ -119,8 +119,8 @@ fn secure_exits_dominate() {
         let mut rng = SplitMix64::new(0x73E_0004 ^ case);
         let trace = arb_trace(&mut rng);
         let platform = TeePlatform::ALL[rng.next_below(TeePlatform::ALL.len() as u64) as usize];
-        let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).build();
-        let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(5).build();
+        let mut secure = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).try_build().unwrap();
+        let mut normal = TeeVmBuilder::new(VmTarget::normal(platform)).seed(5).try_build().unwrap();
         let rs = secure.try_execute(&trace).unwrap();
         let rn = normal.try_execute(&trace).unwrap();
         assert!(
@@ -142,7 +142,7 @@ fn pure_cpu_ratio_is_cost_model_only() {
         let mut t = OpTrace::new();
         t.cpu(n);
         let mean = |target: VmTarget| {
-            let mut vm = TeeVmBuilder::new(target).seed(9).build();
+            let mut vm = TeeVmBuilder::new(target).seed(9).try_build().unwrap();
             let xs: Vec<f64> =
                 (0..6).map(|_| vm.try_execute(&t).unwrap().cycles.get() as f64).collect();
             xs.iter().sum::<f64>() / xs.len() as f64

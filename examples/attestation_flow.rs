@@ -12,7 +12,7 @@ use confbench_vmm::TeeVmBuilder;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // --- TDX: TDREPORT -> QE quote -> DCAP verification with PCS fetches.
-    let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).build();
+    let mut td = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).seed(1).try_build()?;
     let tdx = TdxEcosystem::new(1);
     let nonce = TdxEcosystem::report_data_for_nonce(0xfeed);
 
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // --- SEV-SNP: AMD-SP report + local VCEK chain (no network at all).
-    let mut guest = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).build();
+    let mut guest = TeeVmBuilder::new(VmTarget::secure(TeePlatform::SevSnp)).seed(1).try_build()?;
     let snp = SnpEcosystem::new(1);
     let mut snp_nonce = [0u8; 64];
     snp_nonce[..4].copy_from_slice(b"beef");
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
 
     // --- CCA: no attestation on the FVP testbed (paper §IV-B).
-    let mut realm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).seed(1).build();
+    let mut realm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).seed(1).try_build()?;
     let (rmm, rd) = realm.rmm_mut().expect("realm vm");
     match rmm.rsi_attestation_token(rd) {
         Err(e) => println!("\nCCA: {e} — exactly as in the paper's testbed"),

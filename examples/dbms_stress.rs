@@ -25,8 +25,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("speedtest suite at relative size 20, platform {platform}\n");
 
     let reports = run_speedtest(20, 5)?;
-    let mut secure_vm = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).build();
-    let mut normal_vm = TeeVmBuilder::new(VmTarget::normal(platform)).seed(5).build();
+    let mut secure_vm = TeeVmBuilder::new(VmTarget::secure(platform)).seed(5).try_build()?;
+    let mut normal_vm = TeeVmBuilder::new(VmTarget::normal(platform)).seed(5).try_build()?;
 
     println!("{:<34} {:>6} {:>12} {:>12} {:>7}", "test", "rows", "secure ms", "normal ms", "ratio");
     for report in &reports {

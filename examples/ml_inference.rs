@@ -30,7 +30,7 @@ fn main() -> Result<(), TeeFault> {
     for platform in TeePlatform::ALL {
         for kind in VmKind::ALL {
             let target = VmTarget { platform, kind };
-            let mut vm = TeeVmBuilder::new(target).seed(7).build();
+            let mut vm = TeeVmBuilder::new(target).seed(7).try_build()?;
             let mut samples = Vec::new();
             for _ in 0..5 {
                 for run in &runs {
@@ -77,7 +77,7 @@ fn main() -> Result<(), TeeFault> {
     let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx))
         .seed(7)
         .device(DeviceKind::Gpu)
-        .build();
+        .try_build()?;
     let nonce = [7u8; 32];
     let report = vm.device_report(nonce)?;
     let verifier = confbench_attest::DeviceVerifier::new(TeePlatform::Tdx);

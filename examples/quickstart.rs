@@ -1,8 +1,9 @@
 //! Quickstart: the paper's Fig. 2 flow, end to end, over real HTTP.
 //!
-//! 1. boot a gateway with local TEE hosts for all three platforms;
-//! 2. upload a user function (CBScript source) via `POST /functions`;
-//! 3. run it on secure and normal VMs of each platform via `POST /run`;
+//! 1. boot the daemon's gateway (a one-shard fleet) with local TEE hosts
+//!    for all three platforms;
+//! 2. upload a user function (CBScript source) via `POST /v1/functions`;
+//! 3. run it on secure and normal VMs of each platform via `POST /v1/run`;
 //! 4. read back timing + perf counters.
 //!
 //! Run with: `cargo run --example quickstart`
@@ -10,21 +11,21 @@
 use std::error::Error;
 use std::sync::Arc;
 
-use confbench::{Gateway, UploadRequest};
-use confbench_httpd::{Client, Method, Request};
+use confbench::UploadRequest;
+use confbench_fleet::{Fleet, FleetConfig};
+use confbench_httpd::{Client, Method, Request, ServerConfig};
 use confbench_types::{FunctionSpec, Language, RunRequest, RunResult, TeePlatform, VmTarget};
 
 fn main() -> Result<(), Box<dyn Error>> {
-    // A gateway with one TEE-enabled host per platform (paper §III-A).
-    let gateway = Arc::new(
-        Gateway::builder()
-            .seed(42)
-            .local_host(TeePlatform::Tdx)
-            .local_host(TeePlatform::SevSnp)
-            .local_host(TeePlatform::Cca)
-            .build(),
-    );
-    let server = Arc::clone(&gateway).serve()?;
+    // A gateway with one TEE-enabled host per platform (paper §III-A),
+    // served by the daemon's router, as `confbench-gateway --seed 42` does.
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed: 42,
+        platforms: TeePlatform::ALL.to_vec(),
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default())?;
     let client = Client::new(server.addr());
     println!("gateway listening on http://{}\n", server.addr());
 

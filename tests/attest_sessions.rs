@@ -9,7 +9,8 @@ use std::sync::{Arc, Barrier};
 
 use confbench::{AttestConfig, Gateway, ManualClock, RetryPolicy, TeeFaultPlan};
 use confbench_attest::SessionSource;
-use confbench_httpd::{Client, Method, Request};
+use confbench_fleet::{Fleet, FleetConfig};
+use confbench_httpd::{Client, Method, Request, ServerConfig};
 use confbench_types::{
     Error, FunctionSpec, Language, RunRequest, RunResult, TeePlatform, VmTarget,
 };
@@ -203,9 +204,15 @@ fn supervisor_rebuilds_reuse_sessions_and_stay_byte_identical() {
 /// revoke, and 404s for unknown ids.
 #[test]
 fn attest_routes_over_http() {
-    let clock = Arc::new(ManualClock::new());
-    let gw = attest_gateway(3, &clock, 60_000);
-    let server = Arc::clone(&gw).serve().unwrap();
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed: 3,
+        clock: Arc::new(ManualClock::new()),
+        attest: AttestConfig { ttl_ms: 60_000, capacity: 64 },
+        platforms: vec![TeePlatform::Tdx],
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default()).unwrap();
     let client = Client::new(server.addr());
 
     // Create: 201 + the verification's timing on the wire.
@@ -222,7 +229,7 @@ fn attest_routes_over_http() {
     // The opportunistic collateral refresh ran ahead of the verification,
     // so even the cold path stayed off the PCS (one refresh cycle total).
     assert_eq!(created.network_ms.unwrap(), 0.0);
-    assert_eq!(gw.attest().tdx().pcs().requests(), 3);
+    assert_eq!(fleet.attest().tdx().pcs().requests(), 3);
 
     // Status.
     let resp = client

@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use confbench::{Gateway, ManualClock, RetryPolicy, TeeFaultPlan};
-use confbench_httpd::{Client, Method, Request, Server};
+use confbench_fleet::{Fleet, FleetConfig};
+use confbench_httpd::{Client, Method, Request, ServerConfig};
 use confbench_sched::{Scheduler, SchedulerConfig};
 use confbench_types::{
     CampaignFunction, CampaignSpec, CampaignState, Language, Priority, RunRequest, TeePlatform,
@@ -129,21 +130,21 @@ fn chaos_campaign_replays_exactly_under_the_same_seed() {
 }
 
 /// When every TEE crossing faults fatally, the supervisor burns its rebuild
-/// budget and quarantines the VM; the pool's circuit breaker then takes the
-/// host out of rotation and the REST surface reports 503 throughout.
+/// budget (the daemon's default, [`confbench::DEFAULT_REBUILD_BUDGET`]) and
+/// quarantines the VM; the pool's circuit breaker then takes the host out of
+/// rotation and the REST surface reports 503 throughout.
 #[test]
 fn exhausted_rebuild_budget_quarantines_and_trips_the_breaker() {
-    let gw = Arc::new(
-        Gateway::builder()
-            .seed(5)
-            .retry(fast_retry())
-            .chaos(Arc::new(TeeFaultPlan::new(13, 1.0).with_fatal_ratio(1.0)))
-            .rebuild_budget(1)
-            .clock(Arc::new(ManualClock::new()))
-            .local_host(TeePlatform::Tdx)
-            .build(),
-    );
-    let server: Server = Arc::clone(&gw).serve().unwrap();
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed: 5,
+        retry: fast_retry(),
+        chaos: Some(Arc::new(TeeFaultPlan::new(13, 1.0).with_fatal_ratio(1.0))),
+        clock: Arc::new(ManualClock::new()),
+        platforms: vec![TeePlatform::Tdx],
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default()).unwrap();
     let client = Client::new(server.addr());
 
     let mut function = confbench_types::FunctionSpec::new("factors", Language::Go);
@@ -167,7 +168,7 @@ fn exhausted_rebuild_budget_quarantines_and_trips_the_breaker() {
 
     // The repeated failures tripped the single member's breaker.
     assert_eq!(
-        gw.circuit_states(TeePlatform::Tdx).unwrap(),
+        fleet.gateway().circuit_states(TeePlatform::Tdx).unwrap(),
         vec![confbench::CircuitState::Open],
         "quarantined host's circuit must open"
     );
@@ -190,10 +191,11 @@ fn exhausted_rebuild_budget_quarantines_and_trips_the_breaker() {
         text.contains(r#"vm_quarantined{platform="tdx",kind="secure"} 1"#),
         "quarantine gauge exported: {text}"
     );
-    assert!(
-        text.contains(r#"vm_rebuilds_total{platform="tdx",kind="secure"} 1"#),
-        "rebuild counter exported: {text}"
+    let rebuilds = format!(
+        r#"vm_rebuilds_total{{platform="tdx",kind="secure"}} {}"#,
+        confbench::DEFAULT_REBUILD_BUDGET
     );
+    assert!(text.contains(&rebuilds), "rebuild counter exported: {text}");
     assert!(text.contains(r#"vmm_faults_total{mechanism="#), "fault counters exported: {text}");
 }
 
@@ -238,13 +240,13 @@ fn probe_supervision_overhead() {
 #[test]
 fn fleet_chaos_campaign_with_host_kill_matches_fault_free_control() {
     let chaos = Arc::new(TeeFaultPlan::new(41, CHAOS_RATE));
-    let fleet = confbench_fleet::Fleet::new(confbench_fleet::FleetConfig {
+    let fleet = Fleet::new(FleetConfig {
         shards: 3,
         seed: 11,
         clock: Arc::new(ManualClock::new()),
         chaos: Some(Arc::clone(&chaos)),
         retry: fast_retry(),
-        ..confbench_fleet::FleetConfig::default()
+        ..FleetConfig::default()
     });
     let receipt = fleet.submit(campaign_spec()).expect("fleet campaign admitted");
     assert_eq!(receipt.jobs, CAMPAIGN_JOBS);

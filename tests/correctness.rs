@@ -10,31 +10,29 @@
 //! security invariants over *every* operation sequence up to the default
 //! depth.
 
-use std::io::{Cursor, Read};
+use std::io::{Cursor, Read, Write};
 
 use confbench_httpd::{HttpError, Request};
 use confbench_types::CampaignSpec;
 
-/// HTTP corpus: every input must yield a typed parse error with the right
+/// HTTP corpus: each input with the status its rejection must carry.
+const HTTP_CORPUS: [(&str, &[u8], u16); 6] = [
+    // Non-UTF-8 bytes used to surface as Io(InvalidData), not Malformed.
+    ("non_utf8_request_line", include_bytes!("fuzz_corpus/http/non_utf8_request_line.bin"), 400),
+    ("non_utf8_header", include_bytes!("fuzz_corpus/http/non_utf8_header.bin"), 400),
+    // A double space yields an empty target token; it used to parse as "".
+    ("empty_target", include_bytes!("fuzz_corpus/http/empty_target.bin"), 400),
+    // `u64::parse` accepts "+3"; DIGIT-only framing must not.
+    ("plus_content_length", include_bytes!("fuzz_corpus/http/plus_content_length.bin"), 400),
+    ("dup_content_length", include_bytes!("fuzz_corpus/http/dup_content_length.bin"), 400),
+    ("huge_content_length", include_bytes!("fuzz_corpus/http/huge_content_length.bin"), 413),
+];
+
+/// Every HTTP corpus input must yield a typed parse error with the right
 /// status — never a panic, never an `Io` misclassification, never an accept.
 #[test]
 fn http_corpus_replays_clean() {
-    let corpus: [(&str, &[u8], u16); 6] = [
-        // Non-UTF-8 bytes used to surface as Io(InvalidData), not Malformed.
-        (
-            "non_utf8_request_line",
-            include_bytes!("fuzz_corpus/http/non_utf8_request_line.bin"),
-            400,
-        ),
-        ("non_utf8_header", include_bytes!("fuzz_corpus/http/non_utf8_header.bin"), 400),
-        // A double space yields an empty target token; it used to parse as "".
-        ("empty_target", include_bytes!("fuzz_corpus/http/empty_target.bin"), 400),
-        // `u64::parse` accepts "+3"; DIGIT-only framing must not.
-        ("plus_content_length", include_bytes!("fuzz_corpus/http/plus_content_length.bin"), 400),
-        ("dup_content_length", include_bytes!("fuzz_corpus/http/dup_content_length.bin"), 400),
-        ("huge_content_length", include_bytes!("fuzz_corpus/http/huge_content_length.bin"), 413),
-    ];
-    for (name, raw, status) in corpus {
+    for (name, raw, status) in HTTP_CORPUS {
         let err = Request::read_from(&mut Cursor::new(raw.to_vec()))
             .expect_err(&format!("{name} must be rejected"));
         assert!(!matches!(err, HttpError::Io(_)), "{name} misclassified as I/O: {err}");
@@ -44,6 +42,46 @@ fn http_corpus_replays_clean() {
             let err = Request::read_from(&mut raw[..cut].chain(&raw[cut..]))
                 .expect_err(&format!("{name} cut at {cut} must be rejected"));
             assert_eq!(err.status(), status, "{name} cut at {cut}: {err}");
+        }
+    }
+}
+
+/// The HTTP corpus against the parser the daemon runs: each input, sent to
+/// a live server whole and then in two writes cut at every byte, is answered
+/// with its status and `connection: close`. The server may answer the first
+/// part and close before the second arrives, so that write may be reset.
+#[test]
+fn http_corpus_replays_clean_on_a_live_server() {
+    use std::io::ErrorKind;
+    use std::net::TcpStream;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use confbench_fleet::{Fleet, FleetConfig};
+    use confbench_httpd::{Response, ServerConfig};
+    use confbench_types::TeePlatform;
+
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        platforms: vec![TeePlatform::Tdx],
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default()).unwrap();
+    for (name, raw, status) in HTTP_CORPUS {
+        for cut in std::iter::once(raw.len()).chain(1..raw.len()) {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.set_nodelay(true).unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            stream.write_all(&raw[..cut]).unwrap();
+            if let Err(e) = stream.write_all(&raw[cut..]) {
+                let reset = matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::BrokenPipe);
+                assert!(reset, "{name} cut at {cut}: second write failed with {e}");
+            }
+            let response = Response::read_from(&mut stream)
+                .unwrap_or_else(|e| panic!("{name} cut at {cut}: no answer: {e}"));
+            assert_eq!(response.status, status, "{name} cut at {cut}");
+            let connection = response.headers.get("connection").map(String::as_str);
+            assert_eq!(connection, Some("close"), "{name} cut at {cut}");
         }
     }
 }

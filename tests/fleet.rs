@@ -294,8 +294,8 @@ fn refused_campaign_leaves_nothing_queued_on_any_shard() {
 #[test]
 fn migrated_vm_execution_is_identical_to_an_unmigrated_twin() {
     let target = VmTarget { platform: TeePlatform::Tdx, kind: VmKind::Secure };
-    let mut source = TeeVmBuilder::new(target).seed(7).build();
-    let mut twin = TeeVmBuilder::new(target).seed(7).build();
+    let mut source = TeeVmBuilder::new(target).seed(7).try_build().unwrap();
+    let mut twin = TeeVmBuilder::new(target).seed(7).try_build().unwrap();
 
     let mut warm = OpTrace::new();
     warm.cpu(2_000_000);
@@ -339,8 +339,8 @@ fn migrated_vm_execution_is_identical_to_an_unmigrated_twin() {
 #[test]
 fn aborted_migration_returns_a_runnable_source() {
     let target = VmTarget { platform: TeePlatform::Cca, kind: VmKind::Secure };
-    let mut source = TeeVmBuilder::new(target).seed(7).build();
-    let mut twin = TeeVmBuilder::new(target).seed(7).build();
+    let mut source = TeeVmBuilder::new(target).seed(7).try_build().unwrap();
+    let mut twin = TeeVmBuilder::new(target).seed(7).try_build().unwrap();
     let mut warm = OpTrace::new();
     warm.cpu(1_000_000);
     warm.alloc(8 * 4096);

@@ -11,13 +11,21 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use confbench::{FunctionStore, Gateway, HostAgent};
+use confbench_fleet::{Fleet, FleetConfig};
 use confbench_httpd::{Client, Method, Request, Server, ServerConfig};
 use confbench_types::{FunctionSpec, Language, RunRequest, TeePlatform, VmTarget};
 
-fn gateway_server() -> (Arc<Gateway>, Server) {
-    let gateway = Arc::new(Gateway::builder().seed(3).local_host(TeePlatform::Tdx).build());
-    let server = Arc::clone(&gateway).serve().unwrap();
-    (gateway, server)
+/// The daemon at its default one shard, with a TDX host, serving its
+/// router with the connection layer `http`.
+fn daemon(http: ServerConfig) -> (Arc<Fleet>, Server) {
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed: 3,
+        platforms: vec![TeePlatform::Tdx],
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", http).unwrap();
+    (fleet, server)
 }
 
 /// Writes raw bytes to the server and returns everything it answers until
@@ -33,7 +41,7 @@ fn raw_roundtrip(addr: std::net::SocketAddr, payload: &[u8]) -> String {
 
 #[test]
 fn slow_loris_header_flood_is_cut_off_with_431() {
-    let (_gw, server) = gateway_server();
+    let (_fleet, server) = daemon(ServerConfig::default());
     // A slow-loris client never finishes its header block; the server must
     // give up at the header-count cap instead of reading (and buffering)
     // forever. 150 headers exceeds the cap of 100.
@@ -54,7 +62,7 @@ fn slow_loris_header_flood_is_cut_off_with_431() {
 
 #[test]
 fn oversized_request_line_is_rejected_431() {
-    let (_gw, server) = gateway_server();
+    let (_fleet, server) = daemon(ServerConfig::default());
     let request = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(16 << 10));
     let out = raw_roundtrip(server.addr(), request.as_bytes());
     assert!(out.starts_with("HTTP/1.1 431"), "got {out:?}");
@@ -62,7 +70,7 @@ fn oversized_request_line_is_rejected_431() {
 
 #[test]
 fn oversized_single_header_is_rejected_431() {
-    let (_gw, server) = gateway_server();
+    let (_fleet, server) = daemon(ServerConfig::default());
     let request = format!("GET /v1/health HTTP/1.1\r\nx-big: {}\r\n\r\n", "b".repeat(16 << 10));
     let out = raw_roundtrip(server.addr(), request.as_bytes());
     assert!(out.starts_with("HTTP/1.1 431"), "got {out:?}");
@@ -70,7 +78,7 @@ fn oversized_single_header_is_rejected_431() {
 
 #[test]
 fn malformed_content_length_is_rejected_400() {
-    let (_gw, server) = gateway_server();
+    let (_fleet, server) = daemon(ServerConfig::default());
     for bad in ["nope", "-5", "1e3", "18446744073709551616"] {
         let request = format!("POST /v1/run HTTP/1.1\r\ncontent-length: {bad}\r\n\r\n");
         let out = raw_roundtrip(server.addr(), request.as_bytes());
@@ -80,7 +88,7 @@ fn malformed_content_length_is_rejected_400() {
 
 #[test]
 fn duplicate_content_length_is_rejected_400() {
-    let (_gw, server) = gateway_server();
+    let (_fleet, server) = daemon(ServerConfig::default());
     let request = b"POST /v1/run HTTP/1.1\r\ncontent-length: 3\r\ncontent-length: 7\r\n\r\nabc";
     let out = raw_roundtrip(server.addr(), request);
     assert!(out.starts_with("HTTP/1.1 400"), "got {out:?}");
@@ -89,15 +97,15 @@ fn duplicate_content_length_is_rejected_400() {
 
 #[test]
 fn cli_to_gateway_hop_reuses_one_socket() {
-    let (gateway, server) = gateway_server();
+    let (fleet, server) = daemon(ServerConfig::default());
     let client = Client::new(server.addr());
     for _ in 0..6 {
         let resp = client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
         assert_eq!(resp.status, 200);
     }
-    // The gateway shares its registry with the listener, so `httpd_*`
-    // instruments are visible next to `gateway_*` ones.
-    let metrics = gateway.metrics();
+    // The fleet shares its registry with the listener, so `httpd_*`
+    // instruments are part of `/v1/metrics`.
+    let metrics = fleet.metrics();
     assert_eq!(metrics.counter_value("httpd_connections_total"), Some(1));
     assert_eq!(metrics.counter_value("httpd_requests_total"), Some(6));
     assert_eq!(metrics.counter_value("httpd_keepalive_reuse_total"), Some(5));
@@ -106,7 +114,7 @@ fn cli_to_gateway_hop_reuses_one_socket() {
 
 #[test]
 fn connection_close_is_honored_end_to_end() {
-    let (gateway, server) = gateway_server();
+    let (fleet, server) = daemon(ServerConfig::default());
     let client = Client::new(server.addr());
     let mut req = Request::new(Method::Get, "/v1/health");
     req.headers.insert("connection".into(), "close".into());
@@ -114,22 +122,15 @@ fn connection_close_is_honored_end_to_end() {
     assert_eq!(resp.headers.get("connection").map(String::as_str), Some("close"));
     assert_eq!(client.pooled_connections(), 0);
     client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
-    assert_eq!(gateway.metrics().counter_value("httpd_connections_total"), Some(2));
+    assert_eq!(fleet.metrics().counter_value("httpd_connections_total"), Some(2));
 }
 
 #[test]
 fn idle_timeout_closes_socket_and_client_recovers() {
-    let gateway = Arc::new(
-        Gateway::builder()
-            .seed(3)
-            .local_host(TeePlatform::Tdx)
-            .http(ServerConfig {
-                keep_alive_idle: Duration::from_millis(60),
-                ..ServerConfig::default()
-            })
-            .build(),
-    );
-    let server = Arc::clone(&gateway).serve().unwrap();
+    let (fleet, server) = daemon(ServerConfig {
+        keep_alive_idle: Duration::from_millis(60),
+        ..ServerConfig::default()
+    });
     let client = Client::new(server.addr());
     client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
     std::thread::sleep(Duration::from_millis(300));
@@ -138,7 +139,7 @@ fn idle_timeout_closes_socket_and_client_recovers() {
     let resp = client.send(&Request::new(Method::Get, "/v1/health")).unwrap();
     assert_eq!(resp.status, 200);
     assert_eq!(client.stale_retries(), 1);
-    assert_eq!(gateway.metrics().counter_value("httpd_connections_total"), Some(2));
+    assert_eq!(fleet.metrics().counter_value("httpd_connections_total"), Some(2));
 }
 
 #[test]
@@ -163,14 +164,8 @@ fn gateway_to_host_hop_reuses_pooled_connections() {
 
 #[test]
 fn saturated_gateway_answers_503_with_retry_after() {
-    let gateway = Arc::new(
-        Gateway::builder()
-            .seed(3)
-            .local_host(TeePlatform::Tdx)
-            .http(ServerConfig { workers: 1, backlog: 1, ..ServerConfig::default() })
-            .build(),
-    );
-    let server = Arc::clone(&gateway).serve().unwrap();
+    let (fleet, server) =
+        daemon(ServerConfig { workers: 1, backlog: 1, ..ServerConfig::default() });
     // Occupy the single worker with a connection that never sends its
     // request (the worker blocks in the first read)…
     let hold_worker = TcpStream::connect(server.addr()).unwrap();
@@ -191,26 +186,17 @@ fn saturated_gateway_answers_503_with_retry_after() {
     assert_eq!(resp.status, 503);
     assert_eq!(
         resp.headers.get("retry-after").map(String::as_str),
-        Some(gateway.retry_policy().retry_after_secs().to_string().as_str())
+        Some(fleet.gateway().retry_policy().retry_after_secs().to_string().as_str())
     );
-    assert_eq!(gateway.metrics().counter_value("httpd_rejected_total"), Some(1));
+    assert_eq!(fleet.metrics().counter_value("httpd_rejected_total"), Some(1));
     drop(hold_worker);
     drop(hold_backlog);
 }
 
 #[test]
 fn partial_request_read_timeout_answers_408() {
-    let gateway = Arc::new(
-        Gateway::builder()
-            .seed(3)
-            .local_host(TeePlatform::Tdx)
-            .http(ServerConfig {
-                read_timeout: Duration::from_millis(80),
-                ..ServerConfig::default()
-            })
-            .build(),
-    );
-    let server = Arc::clone(&gateway).serve().unwrap();
+    let (_fleet, server) =
+        daemon(ServerConfig { read_timeout: Duration::from_millis(80), ..ServerConfig::default() });
     // Half a request then silence: the read deadline must answer 408 +
     // close instead of cutting the socket without a word.
     let mut stream = TcpStream::connect(server.addr()).unwrap();

@@ -6,7 +6,8 @@
 use std::sync::Arc;
 
 use confbench::{FunctionStore, Gateway, HostAgent, ManualClock};
-use confbench_httpd::{Client, Method, Request};
+use confbench_fleet::{Fleet, FleetConfig};
+use confbench_httpd::{Client, Method, Request, ServerConfig};
 use confbench_obs::RegistrySnapshot;
 use confbench_types::{
     FunctionSpec, Language, RunRequest, RunResult, TeePlatform, TraceSpan, VmTarget,
@@ -108,14 +109,14 @@ fn remote_dispatch_round_trips_the_span_tree() {
 
 #[test]
 fn v1_metrics_agree_with_pool_served_counts() {
-    let gw = Arc::new(
-        Gateway::builder()
-            .seed(3)
-            .local_host(TeePlatform::Tdx)
-            .local_host(TeePlatform::Tdx)
-            .build(),
-    );
-    let server = Arc::clone(&gw).serve().unwrap();
+    // The daemon at one shard, with two TDX hosts in the pool.
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed: 3,
+        platforms: vec![TeePlatform::Tdx, TeePlatform::Tdx],
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default()).unwrap();
     let client = Client::new(server.addr());
 
     for _ in 0..3 {
@@ -133,7 +134,7 @@ fn v1_metrics_agree_with_pool_served_counts() {
         .unwrap()
         .body_json()
         .unwrap();
-    let served: u64 = gw.served_counts(TeePlatform::Tdx).unwrap().iter().sum();
+    let served: u64 = fleet.gateway().served_counts(TeePlatform::Tdx).unwrap().iter().sum();
     assert_eq!(served, 3);
     assert_eq!(snap.counters.get("pool_served_total{platform=\"tdx\"}"), Some(&served));
     assert_eq!(snap.counters.get("gateway_requests_total"), Some(&3));

@@ -2,7 +2,7 @@
 //! and one healthy local host must lose zero requests, open the faulty
 //! member's circuit, skip it while open, and re-admit it after cooldown.
 //!
-//! Everything is deterministic: faults fire on fixed connection ordinals,
+//! Everything is deterministic: faults fire on fixed request ordinals,
 //! backoff jitter comes from the gateway's seeded RNG, and circuit cooldown
 //! runs on a [`ManualClock`] rather than wall time.
 
@@ -11,8 +11,29 @@ use std::sync::Arc;
 use confbench::{
     CircuitState, FunctionStore, Gateway, HealthPolicy, HostAgent, ManualClock, RetryPolicy,
 };
-use confbench_httpd::{Client, Fault, FaultInjector, Method, Request, TcpRelay, Trigger};
+use confbench_fleet::{Fleet, FleetConfig};
+use confbench_httpd::{
+    Client, Fault, FaultInjector, Method, Request, Router, Server, ServerConfig, Trigger,
+};
 use confbench_types::{FunctionSpec, Language, RunRequest, TeePlatform, VmTarget};
+
+/// A one-shard fleet (the daemon at its default `--shards 1`) with local
+/// hosts for `platforms` and the given remote hosts.
+fn daemon(
+    seed: u64,
+    platforms: Vec<TeePlatform>,
+    remote_hosts: Vec<(TeePlatform, std::net::SocketAddr)>,
+) -> (Arc<Fleet>, Server) {
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 1,
+        seed,
+        platforms,
+        remote_hosts,
+        ..FleetConfig::default()
+    }));
+    let server = fleet.serve_on("127.0.0.1:0", ServerConfig::default()).unwrap();
+    (fleet, server)
+}
 
 fn run_request() -> RunRequest {
     RunRequest::new(
@@ -23,18 +44,19 @@ fn run_request() -> RunRequest {
 
 #[test]
 fn failover_opens_circuit_then_recovers_with_zero_lost_requests() {
-    // A healthy host agent, fronted (socat-style) by a relay that drops the
-    // first three connections — the "flaky host".
+    // A healthy host agent whose server drops its first three requests —
+    // the "flaky host". Each drop closes the connection, so every request
+    // the injector counts arrived on a connection of its own.
     let agent = Arc::new(HostAgent::new(TeePlatform::Tdx, Arc::new(FunctionStore::new()), 7));
-    let backend = Arc::clone(&agent).serve().unwrap();
+    let mut router = Router::new();
+    agent.add_routes(&mut router);
     let faults = Arc::new(FaultInjector::new().rule(Trigger::FirstN(3), Fault::DropConnection));
-    let relay =
-        TcpRelay::spawn_with_faults("127.0.0.1:0", backend.addr(), Arc::clone(&faults)).unwrap();
+    let flaky = Server::build(router).faults(Arc::clone(&faults)).spawn("127.0.0.1:0").unwrap();
 
     let clock = Arc::new(ManualClock::new());
     let gateway = Gateway::builder()
         .seed(7)
-        .remote_host(TeePlatform::Tdx, relay.addr()) // member 0: flaky
+        .remote_host(TeePlatform::Tdx, flaky.addr()) // member 0: flaky
         .local_host(TeePlatform::Tdx) // member 1: healthy
         .retry(RetryPolicy { max_attempts: 3, base_backoff_ms: 1, max_backoff_ms: 4, jitter: true })
         .health(HealthPolicy { failure_threshold: 3, cooldown_ms: 1_000 })
@@ -50,13 +72,13 @@ fn failover_opens_circuit_then_recovers_with_zero_lost_requests() {
     assert_eq!(
         gateway.circuit_states(TeePlatform::Tdx).unwrap()[0],
         CircuitState::Open,
-        "three dropped connections must open the flaky member's circuit"
+        "three dropped requests must open the flaky member's circuit"
     );
     let dropped = faults.requests_seen();
-    assert_eq!(dropped, 3, "exactly the three injected drops reached the relay");
+    assert_eq!(dropped, 3, "exactly the three injected drops reached the flaky member");
 
-    // Phase 2: with the circuit open, checkouts skip the flaky member — the
-    // relay sees no further connections.
+    // Phase 2: with the circuit open, checkouts skip the flaky member — its
+    // server sees no further requests.
     for _ in 0..4 {
         assert_eq!(gateway.run(&req).unwrap().output, "1572480");
     }
@@ -95,12 +117,9 @@ fn remote_and_local_hosts_return_identical_rest_statuses() {
     let agent = Arc::new(HostAgent::new(TeePlatform::Tdx, Arc::new(FunctionStore::new()), 3));
     let agent_server = Arc::clone(&agent).serve().unwrap();
 
-    let local_gw = Arc::new(Gateway::builder().seed(3).local_host(TeePlatform::Tdx).build());
-    let remote_gw = Arc::new(
-        Gateway::builder().seed(3).remote_host(TeePlatform::Tdx, agent_server.addr()).build(),
-    );
-    let local_rest = Arc::clone(&local_gw).serve().unwrap();
-    let remote_rest = Arc::clone(&remote_gw).serve().unwrap();
+    let (local_fleet, local_rest) = daemon(3, vec![TeePlatform::Tdx], vec![]);
+    let (_remote_fleet, remote_rest) =
+        daemon(3, vec![], vec![(TeePlatform::Tdx, agent_server.addr())]);
     let local = Client::new(local_rest.addr());
     let remote = Client::new(remote_rest.addr());
 
@@ -121,7 +140,7 @@ fn remote_and_local_hosts_return_identical_rest_statuses() {
     let (l, r) = (local.send(&body).unwrap(), remote.send(&body).unwrap());
     assert_eq!(l.status, 503);
     assert_eq!(r.status, l.status, "remote/local no-VM parity");
-    let expected = local_gw.retry_policy().retry_after_secs().to_string();
+    let expected = local_fleet.gateway().retry_policy().retry_after_secs().to_string();
     for resp in [&l, &r] {
         assert_eq!(
             resp.headers.get("retry-after"),
@@ -137,8 +156,7 @@ fn expired_deadline_maps_to_504_over_rest() {
     // gateway must answer 504 (deadline) rather than hang or 500. (A 0 ms
     // budget is spent before it starts: a malformed request, 400.)
     let dead: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
-    let gw = Arc::new(Gateway::builder().remote_host(TeePlatform::Tdx, dead).build());
-    let rest = Arc::clone(&gw).serve().unwrap();
+    let (_fleet, rest) = daemon(0, vec![], vec![(TeePlatform::Tdx, dead)]);
     let client = Client::new(rest.addr());
     let mut req = run_request();
     req.deadline_ms = Some(1);

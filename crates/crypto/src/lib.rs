@@ -5,7 +5,13 @@
 //! structure and tamper detection. This crate provides:
 //!
 //! * [`Sha256`] — a from-scratch FIPS 180-4 SHA-256 with incremental and
-//!   one-shot APIs (validated against the NIST test vectors in unit tests);
+//!   one-shot APIs, the one hash under every content address, cell seed,
+//!   ring placement, launch measurement and attestation digest. It runs a
+//!   SHA-NI kernel when run-time CPU detection finds `sha`, `ssse3` and
+//!   `sse4.1`, and a portable scalar kernel everywhere else; both compute
+//!   the same digests, and the portable one is the reference (NIST test
+//!   vectors through each kernel, and a randomized sweep of one against the
+//!   other, in unit tests);
 //! * [`hmac_sha256`] — HMAC per RFC 2104 (validated against RFC 4231);
 //! * [`SigningKey`] / [`VerifyingKey`] — a Schnorr signature over a 62-bit
 //!   safe-prime group;
@@ -39,7 +45,10 @@
 //! assert!(sk.verifying_key().verify(digest.as_ref(), &sig).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
+// The SHA-NI kernel (`sha256/ni.rs`) is called through one `unsafe` once
+// CPU detection has found its features; it is the only module allowed to
+// opt back in via `#[allow(unsafe_code)]`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounded;

@@ -1,6 +1,17 @@
 //! FIPS 180-4 SHA-256, implemented from scratch.
+//!
+//! Two compression kernels compute the same function. The SHA-NI kernel
+//! (`ni`) runs when the CPU reports `sha`, `ssse3` and `sse4.1`; the
+//! portable kernel runs everywhere else, and is the reference the tests
+//! check the other against. Detection happens at run time on every
+//! compression call (a cached flag), so one binary serves every x86-64 CPU
+//! and no build setting is involved. Every digest is the same whichever
+//! kernel computed it.
 
 use std::fmt;
+
+#[cfg(target_arch = "x86_64")]
+mod ni;
 
 /// A 32-byte SHA-256 digest.
 ///
@@ -32,10 +43,13 @@ impl Digest {
 
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for b in self.0 {
-            write!(f, "{b:02x}")?;
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut hex = [0u8; 64];
+        for (pair, b) in hex.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
         }
-        Ok(())
+        f.write_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"))
     }
 }
 
@@ -116,53 +130,75 @@ impl Sha256 {
     }
 
     /// Feeds more input into the hash.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Consumes the hasher and returns the digest.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`Sha256::update`] through a given kernel. Whole blocks go to the
+    /// kernel in one call, so its state stays in registers between them.
+    fn update_with(&mut self, mut data: &[u8], kernel: Kernel) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            kernel(&mut self.state, std::slice::from_ref(&self.buf));
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let block: [u8; 64] = block.try_into().expect("64-byte block");
-            self.compress(&block);
-            data = rest;
+        let (blocks, rest) = data.as_chunks::<64>();
+        if !blocks.is_empty() {
+            kernel(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.buf_len = rest.len();
     }
 
-    /// Consumes the hasher and returns the digest.
-    pub fn finalize(mut self) -> Digest {
+    /// [`Sha256::finalize`] through a given kernel. The padding — `0x80`,
+    /// zeros, the 64-bit big-endian bit length — is written straight into
+    /// the last one or two blocks.
+    fn finalize_with(mut self, kernel: Kernel) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        // `update` above also bumped total_len; that is fine because we
-        // captured bit_len first.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.total_len = 0; // irrelevant from here on
-        let mut block = self.buf;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let mut tail = [[0u8; 64]; 2];
+        let used = self.buf_len;
+        tail[0][..used].copy_from_slice(&self.buf[..used]);
+        tail[0][used] = 0x80;
+        let blocks = if used < 56 { 1 } else { 2 };
+        tail[blocks - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        kernel(&mut self.state, &tail[..blocks]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// A compression kernel: folds whole 64-byte blocks into the state.
+type Kernel = fn(&mut [u32; 8], &[[u8; 64]]);
+
+/// The kernel every hasher uses: SHA-NI when the CPU has it, else the
+/// portable one.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if ni::compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The portable kernel: FIPS 180-4 §6.2.2 in scalar code. The only kernel
+/// on CPUs without SHA-NI and off x86-64, and the tests' reference.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4 bytes"));
@@ -173,7 +209,7 @@ impl Sha256 {
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -191,56 +227,85 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fuzz::sweep_iters;
+    use crate::SplitMix64;
 
     fn hex(d: &Digest) -> String {
         d.to_string()
     }
 
-    // NIST FIPS 180-4 / common known-answer tests.
+    fn digest_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut h = Sha256::new();
+        h.update_with(data, kernel);
+        h.finalize_with(kernel)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn ni_only(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        assert!(ni::compress(state, blocks), "SHA-NI kernel called on a CPU without it");
+    }
+
+    /// Every kernel this CPU can run, by name: the portable one always, the
+    /// SHA-NI one where detection finds it.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut kernels: Vec<(&'static str, Kernel)> = vec![("portable", compress_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if ni::detected() {
+            kernels.push(("sha-ni", ni_only));
+        }
+        kernels
+    }
+
+    /// The kernel `Sha256::new()` dispatches to on this CPU.
+    fn dispatched() -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if ni::detected() {
+            return "sha-ni";
+        }
+        "portable"
+    }
+
+    // NIST FIPS 180-4 / common known-answer tests, through each kernel and
+    // through dispatch.
+    fn known_answer(data: &[u8], want: &str) {
+        assert_eq!(hex(&Sha256::digest(data)), want, "dispatched ({})", dispatched());
+        for (name, kernel) in kernels() {
+            assert_eq!(hex(&digest_with(kernel, data)), want, "{name} kernel");
+        }
+    }
+
     #[test]
     fn empty_string() {
-        assert_eq!(
-            hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+        known_answer(b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+        known_answer(b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        known_answer(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&Sha256::digest(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        known_answer(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -253,6 +318,43 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
+        }
+    }
+
+    /// Random messages of 0-4 KiB, fed in random splits, through the
+    /// dispatching hasher and through the portable kernel: equal digests.
+    #[test]
+    fn fuzz_sweep_sha256_kernels_agree() {
+        println!("SHA-256 kernel dispatched on this CPU: {}", dispatched());
+        let mut rng = SplitMix64::new(0x5EA2_56A1);
+        for case in 0..sweep_iters() {
+            let len = rng.next_below(4097) as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let mut dispatching = Sha256::new();
+            let mut portable = Sha256::new();
+            let mut rest = &data[..];
+            while !rest.is_empty() {
+                let (part, tail) = rest.split_at(rng.next_below(rest.len() as u64 + 1) as usize);
+                dispatching.update(part);
+                portable.update_with(part, compress_portable);
+                rest = tail;
+            }
+            assert_eq!(
+                dispatching.finalize(),
+                portable.finalize_with(compress_portable),
+                "case {case}: {len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn table_hex_equals_formatted_bytes() {
+        let mut rng = SplitMix64::new(0x4E8);
+        for _ in 0..256 {
+            let mut bytes = [0u8; 32];
+            bytes.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+            let want: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(Digest(bytes).to_string(), want);
         }
     }
 

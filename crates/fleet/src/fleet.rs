@@ -58,7 +58,7 @@ use confbench_sched::{
     cache_key, campaign, CachedCell, Executor, Scheduler, SchedulerConfig, SubmitError,
     DEFAULT_CACHE_CAPACITY,
 };
-use confbench_types::{CampaignCell, CampaignSpec, Priority, TeePlatform, VmTarget};
+use confbench_types::{CampaignCell, CampaignSpec, JobId, Priority, TeePlatform, VmTarget};
 use confbench_vmm::TeeVmBuilder;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
@@ -127,13 +127,26 @@ struct Shard {
     alive: AtomicBool,
 }
 
-/// A cell placed on the fleet: its content address, the cell itself, and
-/// the shard currently responsible for it.
+/// A cell placed on the fleet: its placement key, the cell itself, and
+/// the shard and job currently responsible for it.
 #[derive(Clone)]
 struct PlacedCell {
     key: String,
+    /// Whether `key` is the cell's content address, the key its job
+    /// carries. It is not when the function was unknown at submission:
+    /// then the cell is placed by its address under an empty fingerprint.
+    addressed: bool,
     cell: CampaignCell,
     shard: usize,
+    job: JobId,
+}
+
+impl PlacedCell {
+    /// The cell as a shard's scheduler takes it: with its content address,
+    /// if it has one.
+    fn to_submit(&self) -> (CampaignCell, Option<String>) {
+        (self.cell.clone(), self.addressed.then(|| self.key.clone()))
+    }
 }
 
 /// One fleet-level campaign (fans out to per-shard scheduler campaigns).
@@ -174,7 +187,10 @@ pub struct FleetCampaignStatus {
     pub total: usize,
     /// Cells whose results are harvested.
     pub done: usize,
-    /// Whether every cell's result is harvested.
+    /// Cells whose job ended without a result: failed, expired or
+    /// cancelled.
+    pub failed: usize,
+    /// Whether every cell is harvested or failed (`done + failed == total`).
     pub complete: bool,
 }
 
@@ -370,17 +386,14 @@ impl Fleet {
         (0..self.shards.len()).filter(|&s| self.shards[s].alive.load(Ordering::SeqCst)).collect()
     }
 
-    /// The content address a cell is placed by. Content addressing wants
-    /// the function's source fingerprint; unknown functions fall back to
-    /// an empty fingerprint (still deterministic, still well-spread).
-    fn placement_key(&self, cell: &CampaignCell) -> String {
-        let fp =
-            self.shards[0].gateway.function_fingerprint(&cell.function.name).unwrap_or_default();
-        cache_key(cell, &fp)
-    }
-
     /// Validates, expands, and places a campaign across the fleet: each
-    /// cell goes to the shard owning its content address on the ring.
+    /// cell goes to the shard owning its content address on the ring, and
+    /// carries the address to that shard's job, so no shard hashes it
+    /// again. Every shard shares one store, whose names are immutable, so
+    /// the address is the one the shard would compute. A function the
+    /// store does not know is placed by its address under an empty
+    /// fingerprint (still deterministic, still well-spread) and submitted
+    /// without one.
     ///
     /// # Errors
     ///
@@ -391,21 +404,30 @@ impl Fleet {
             .map_err(SubmitError::Invalid)?;
         let cells = campaign::expand(&spec);
         let mut placed = Vec::with_capacity(cells.len());
-        let mut per_shard: BTreeMap<usize, Vec<CampaignCell>> = BTreeMap::new();
+        let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         {
             let ring = self.ring.lock();
             for cell in cells {
-                let key = self.placement_key(&cell);
+                let fingerprint = self.shards[0].gateway.function_fingerprint(&cell.function.name);
+                let key = cache_key(&cell, fingerprint.as_deref().unwrap_or_default());
                 let shard = ring.owner(&key).expect("fleet has at least one live shard");
-                per_shard.entry(shard).or_default().push(cell.clone());
-                placed.push(PlacedCell { key, cell, shard });
+                per_shard.entry(shard).or_default().push(placed.len());
+                // The job is known once the shard admits its partition.
+                let job = JobId(String::new());
+                placed.push(PlacedCell { key, addressed: fingerprint.is_some(), cell, shard, job });
             }
         }
         let mut admitted = Vec::with_capacity(per_shard.len());
-        for (shard, cells) in per_shard {
+        for (shard, indices) in per_shard {
             let sched = &self.shards[shard].sched;
+            let cells = indices.iter().map(|&i| placed[i].to_submit()).collect();
             match sched.submit_cells(cells, spec.priority, spec.deadline_ms) {
-                Ok(partition) => admitted.push((sched, partition.id)),
+                Ok(partition) => {
+                    for (job, &i) in indices.iter().enumerate() {
+                        placed[i].job = JobId::in_campaign(&partition.id, job);
+                    }
+                    admitted.push((sched, partition.id));
+                }
                 Err(refusal) => {
                     // All-or-nothing across shards: the client is told to
                     // resubmit, so nothing of this attempt may stay queued.
@@ -607,7 +629,7 @@ impl Fleet {
         }
         // Per new owner and campaign, so re-placed cells keep their own
         // campaign's priority and queue deadline.
-        let mut resubmit: BTreeMap<(usize, usize), Vec<(usize, CampaignCell)>> = BTreeMap::new();
+        let mut resubmit: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
         {
             let ring = self.ring.lock();
             for (ci, campaign) in state.campaigns.iter().enumerate() {
@@ -616,7 +638,7 @@ impl Fleet {
                         continue;
                     }
                     let new_owner = ring.owner(&placed.key).expect("ring still has live shards");
-                    resubmit.entry((new_owner, ci)).or_default().push((pi, placed.cell.clone()));
+                    resubmit.entry((new_owner, ci)).or_default().push(pi);
                 }
             }
             for (key, cell) in handoff.into_iter().flatten() {
@@ -626,14 +648,19 @@ impl Fleet {
             }
         }
         for ((owner, ci), batch) in resubmit {
-            let cells: Vec<CampaignCell> = batch.iter().map(|(_, c)| c.clone()).collect();
-            let (priority, deadline) =
-                (state.campaigns[ci].priority, state.campaigns[ci].deadline_ms);
+            let campaign = &mut state.campaigns[ci];
+            let cells = batch.iter().map(|&pi| campaign.cells[pi].to_submit()).collect();
             // Recovery is never refused: the survivor may go past its queue
             // bound, and refuses new campaigns until it drains.
-            self.shards[owner].sched.readmit_cells(cells, priority, deadline);
-            for (pi, _) in batch {
-                state.campaigns[ci].cells[pi].shard = owner;
+            let partition = self.shards[owner].sched.readmit_cells(
+                cells,
+                campaign.priority,
+                campaign.deadline_ms,
+            );
+            for (job, pi) in batch.into_iter().enumerate() {
+                let placed = &mut campaign.cells[pi];
+                placed.shard = owner;
+                placed.job = JobId::in_campaign(&partition.id, job);
                 replaced += 1;
             }
         }
@@ -643,16 +670,28 @@ impl Fleet {
         replaced
     }
 
-    /// Progress of a fleet campaign, judged against the harvest.
+    /// Progress of a fleet campaign, judged against the harvest: a cell is
+    /// done once its result is harvested, and failed once its current job
+    /// ended without one (asked of each shard once, under its lock).
     pub fn campaign_status(&self, id: &str) -> Option<FleetCampaignStatus> {
         let state = self.state.lock();
         let campaign = state.campaigns.iter().find(|c| c.id == id)?;
-        let done = campaign.cells.iter().filter(|p| state.harvest.contains_key(&p.key)).count();
+        let mut pending: BTreeMap<usize, Vec<&JobId>> = BTreeMap::new();
+        for placed in campaign.cells.iter().filter(|p| !state.harvest.contains_key(&p.key)) {
+            pending.entry(placed.shard).or_default().push(&placed.job);
+        }
+        let total = campaign.cells.len();
+        let done = total - pending.values().map(Vec::len).sum::<usize>();
+        let failed = pending
+            .into_iter()
+            .map(|(shard, jobs)| self.shards[shard].sched.ended_without_result(jobs))
+            .sum();
         Some(FleetCampaignStatus {
             id: campaign.id.clone(),
-            total: campaign.cells.len(),
+            total,
             done,
-            complete: done == campaign.cells.len(),
+            failed,
+            complete: done + failed == total,
         })
     }
 
@@ -861,6 +900,65 @@ mod tests {
         fleet.shutdown();
         assert!(fleet.drivers.lock().is_empty());
         assert_eq!(fleet.total_executions(), 12);
+    }
+
+    /// Every placed cell carries to its job the content address it was
+    /// placed by, and that is the key the step would compute:
+    /// `cache_key(cell, fingerprint)`, in every drained summary.
+    #[test]
+    fn placed_cells_carry_their_content_address() {
+        let fleet = Fleet::new(FleetConfig {
+            seed: SEED,
+            clock: Arc::new(ManualClock::new()),
+            ..FleetConfig::default()
+        });
+        let receipt = fleet.submit(spec(&["360", "5040"])).expect("fleet campaign admitted");
+        fleet.drain();
+        let state = fleet.state.lock();
+        let campaign = state.campaigns.iter().find(|c| c.id == receipt.id).expect("tracked");
+        for placed in &campaign.cells {
+            let fingerprint = fleet.store().fingerprint(&placed.cell.function.name);
+            let want = cache_key(&placed.cell, &fingerprint.expect("built in").to_string());
+            assert_eq!(placed.key, want);
+            let job = fleet.shards[placed.shard].sched.job_status(&placed.job).expect("job");
+            assert_eq!(job.summary.expect("completed").cache_key, want);
+        }
+    }
+
+    /// A cell whose job fails is terminal: once drained, a campaign of one
+    /// failing and one passing cell is complete, with the failure counted —
+    /// also when the shard holding the cells is killed before they ran, so
+    /// they are re-placed on new jobs.
+    #[test]
+    fn campaign_with_a_failing_cell_completes() {
+        let spec = CampaignSpec {
+            functions: vec![
+                CampaignFunction::new("nope").arg("1"),
+                CampaignFunction::new("fib").arg("5"),
+            ],
+            platforms: vec![TeePlatform::Tdx],
+            modes: vec![VmKind::Secure],
+            ..spec(&[])
+        };
+        for victim in [None, Some(0), Some(1), Some(2)] {
+            let fleet = Fleet::new(FleetConfig {
+                seed: SEED,
+                clock: Arc::new(ManualClock::new()),
+                platforms: vec![TeePlatform::Tdx],
+                ..FleetConfig::default()
+            });
+            let receipt = fleet.submit(spec.clone()).expect("fleet campaign admitted");
+            if let Some(id) = victim {
+                fleet.kill_shard(id);
+            }
+            fleet.drain();
+            let status = fleet.campaign_status(&receipt.id).expect("tracked");
+            assert_eq!(
+                (status.total, status.done, status.failed, status.complete),
+                (2, 1, 1, true),
+                "victim {victim:?}: {status:?}"
+            );
+        }
     }
 
     /// The harvest's oracle at fleet scale. Random sequences of submits,

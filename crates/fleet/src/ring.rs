@@ -73,6 +73,21 @@ mod tests {
         (0..n).map(|i| format!("cell-key-{i}")).collect()
     }
 
+    /// Owners of a fixed key list, as placed before the SHA-NI kernel and
+    /// the direct padding existed: placement is a pure function of the key.
+    #[test]
+    fn placement_is_pinned() {
+        let mut ring = HashRing::new(32);
+        for s in 0..3 {
+            ring.insert(s);
+        }
+        let owners: Vec<usize> = keys(24).iter().map(|k| ring.owner(k).unwrap()).collect();
+        assert_eq!(
+            owners,
+            [1, 2, 1, 2, 1, 1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 1, 2, 2, 2, 0, 1, 0, 1, 1]
+        );
+    }
+
     #[test]
     fn placement_is_stable_and_total() {
         let mut ring = HashRing::new(32);

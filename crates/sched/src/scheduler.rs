@@ -94,6 +94,9 @@ struct JobRecord {
     id: JobId,
     campaign: CampaignId,
     cell: CampaignCell,
+    /// The cell's content address, computed at submission (outside the
+    /// lock) and taken by the step; `None` when the function was unknown.
+    key: Option<String>,
     state: JobState,
     enqueued_at_ms: u64,
     expires_at_ms: Option<u64>,
@@ -176,7 +179,9 @@ impl Scheduler {
         &self.cache
     }
 
-    /// Validates, expands, and enqueues a campaign.
+    /// Validates, expands, and enqueues a campaign. Each cell's content
+    /// address is computed here, before the lock is taken, and carried in
+    /// its job.
     ///
     /// # Errors
     ///
@@ -186,15 +191,30 @@ impl Scheduler {
     /// when the bounded queue cannot take the whole matrix.
     pub fn submit(&self, spec: CampaignSpec) -> Result<CampaignReceipt, SubmitError> {
         spec.validate_with_limit(self.config.max_cells).map_err(SubmitError::Invalid)?;
-        let cells = campaign::expand(&spec);
+        let cells = campaign::expand(&spec)
+            .into_iter()
+            .map(|cell| {
+                let key = self.content_address(&cell);
+                (cell, key)
+            })
+            .collect();
         self.submit_cells(cells, spec.priority, spec.deadline_ms)
     }
 
-    /// Enqueues pre-expanded cells as one campaign. The fleet layer uses
-    /// this to place a partition of a campaign's matrix on the shard that
-    /// owns those cells' content addresses (and to re-place the remainder
-    /// after a shard dies); [`Scheduler::submit`] is the
-    /// expand-then-enqueue wrapper.
+    /// A cell's content address as the scheduler's own executor sees its
+    /// function, or `None` for a function it does not know.
+    fn content_address(&self, cell: &CampaignCell) -> Option<String> {
+        self.executor.function_fingerprint(&cell.function.name).map(|fp| cache_key(cell, &fp))
+    }
+
+    /// Enqueues pre-expanded cells as one campaign, each with its content
+    /// address (`None` for a function the executor does not know; the step
+    /// addresses it again, in case it was uploaded since). The fleet layer
+    /// uses this to place a partition of a campaign's matrix on the shard
+    /// that owns those cells' content addresses (and to re-place the
+    /// remainder after a shard dies); [`Scheduler::submit`] is the
+    /// expand-then-enqueue wrapper. Job `i` of the receipt's campaign is
+    /// [`JobId::in_campaign`]`(id, i)`, cell `i`'s job.
     ///
     /// # Errors
     ///
@@ -202,7 +222,7 @@ impl Scheduler {
     /// cell (admission stays all-or-nothing).
     pub fn submit_cells(
         &self,
-        cells: Vec<CampaignCell>,
+        cells: Vec<(CampaignCell, Option<String>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
     ) -> Result<CampaignReceipt, SubmitError> {
@@ -224,7 +244,7 @@ impl Scheduler {
     /// [`SubmitError::QueueFull`] until it drains below it again.
     pub fn readmit_cells(
         &self,
-        cells: Vec<CampaignCell>,
+        cells: Vec<(CampaignCell, Option<String>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
     ) -> CampaignReceipt {
@@ -234,7 +254,7 @@ impl Scheduler {
     fn enqueue(
         &self,
         inner: &mut Inner,
-        cells: Vec<CampaignCell>,
+        cells: Vec<(CampaignCell, Option<String>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
         push: fn(&mut BoundedQueue, TeePlatform, Priority, JobId),
@@ -243,8 +263,8 @@ impl Scheduler {
         inner.next_campaign += 1;
         let id = CampaignId(format!("c{}", inner.next_campaign));
         let mut job_ids = Vec::with_capacity(cells.len());
-        for (idx, cell) in cells.into_iter().enumerate() {
-            let job_id = JobId(format!("{id}-j{idx}"));
+        for (idx, (cell, key)) in cells.into_iter().enumerate() {
+            let job_id = JobId::in_campaign(&id, idx);
             push(&mut inner.queue, cell.platform, priority, job_id.clone());
             inner.jobs.insert(
                 job_id.clone(),
@@ -252,6 +272,7 @@ impl Scheduler {
                     id: job_id.clone(),
                     campaign: id.clone(),
                     cell,
+                    key,
                     state: JobState::Queued,
                     enqueued_at_ms: now,
                     expires_at_ms: deadline_ms.map(|d| now.saturating_add(d)),
@@ -281,8 +302,9 @@ impl Scheduler {
     /// calls this on the *victim's* scheduler with its own gateway, and the
     /// victim keeps all bookkeeping (queue, job records, result cache,
     /// metrics) while only the VM execution happens on the thief's hosts.
-    /// Content addressing always goes through the scheduler's own executor,
-    /// so the cache key is the victim's view of the function.
+    /// The cache key is the one the job carries from submission; a job
+    /// submitted without one is addressed here through the scheduler's own
+    /// executor, so the key is always the victim's view of the function.
     pub fn step_with(&self, platform: TeePlatform, executor: &dyn Executor) -> bool {
         // Phase 1 (locked): dequeue and classify.
         let (job_id, cell, key, enqueued_at_ms) = {
@@ -309,10 +331,7 @@ impl Scheduler {
             // Content address: only functions the executor knows have a
             // fingerprint; unknown ones fall through to execution, which
             // reports the precise error.
-            let key = self
-                .executor
-                .function_fingerprint(&cell.function.name)
-                .map(|fp| cache_key(&cell, &fp));
+            let key = job.key.take().or_else(|| self.content_address(&cell));
             if let Some(key) = &key {
                 if let Some(hit) = self.cache.get(key) {
                     let summary = build_summary(&job_id, &cell, &hit, true, key);
@@ -372,10 +391,7 @@ impl Scheduler {
             let key = key.unwrap_or_else(|| {
                 // Executed successfully without a fingerprint (function
                 // appeared mid-flight); address it now for completeness.
-                self.executor
-                    .function_fingerprint(&cell.function.name)
-                    .map(|fp| cache_key(&cell, &fp))
-                    .unwrap_or_default()
+                self.content_address(&cell).unwrap_or_default()
             });
             (build_summary(&job_id, &cell, &cached, false, &key), key, cached)
         });
@@ -500,6 +516,16 @@ impl Scheduler {
         })
     }
 
+    /// How many of `jobs` ended without a result — failed, expired or
+    /// cancelled — read under one lock. Unknown ids count for nothing.
+    pub fn ended_without_result<'a>(&self, jobs: impl IntoIterator<Item = &'a JobId>) -> usize {
+        let inner = self.inner.lock();
+        jobs.into_iter()
+            .filter_map(|id| inner.jobs.get(id))
+            .filter(|job| job.state.is_terminal() && job.state != JobState::Completed)
+            .count()
+    }
+
     /// Total jobs currently queued (all platforms).
     pub fn queue_depth(&self) -> usize {
         self.inner.lock().queue.depth()
@@ -541,14 +567,16 @@ mod tests {
     use confbench_types::{CampaignFunction, Language, ManualClock, Result, RunResult, VmKind};
 
     /// Deterministic synthetic executor: trial times derive from the seed,
-    /// executions are counted, and unknown functions fail.
+    /// executions and fingerprint lookups are counted, and unknown
+    /// functions fail.
     struct SimExec {
         executions: AtomicUsize,
+        fingerprints: AtomicUsize,
     }
 
     impl SimExec {
         fn new() -> Self {
-            SimExec { executions: AtomicUsize::new(0) }
+            SimExec { executions: AtomicUsize::new(0), fingerprints: AtomicUsize::new(0) }
         }
     }
 
@@ -574,8 +602,15 @@ mod tests {
         }
 
         fn function_fingerprint(&self, name: &str) -> Option<String> {
+            self.fingerprints.fetch_add(1, Ordering::SeqCst);
             (name != "missing").then(|| format!("src-of-{name}"))
         }
+    }
+
+    /// The key `step_with` would compute for a cell: `cache_key` under
+    /// `SimExec`'s fingerprint.
+    fn step_key(cell: &CampaignCell) -> String {
+        cache_key(cell, &format!("src-of-{}", cell.function.name))
     }
 
     fn harness(capacity: usize) -> (Arc<Scheduler>, Arc<SimExec>, Arc<ManualClock>) {
@@ -787,6 +822,55 @@ mod tests {
         let inner = sched.inner.lock();
         let job = inner.jobs.values().find(|j| j.state == JobState::Failed).unwrap();
         assert!(job.error.as_deref().unwrap().contains("unknown function"));
+    }
+
+    /// `submit` addresses each cell once, outside the lock, and the step
+    /// reads the key the job carries: one fingerprint a cell, and every
+    /// summary's key is the one the step would compute.
+    #[test]
+    fn submit_carries_the_key_the_step_would_compute() {
+        let (sched, exec, _) = harness(64);
+        let receipt = sched.submit(spec()).unwrap();
+        assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 4);
+        sched.drain();
+        assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 4, "the step re-addressed a cell");
+        let status = sched.campaign_status(&receipt.id).unwrap();
+        assert_eq!(status.cells.len(), 4);
+        for c in &status.cells {
+            assert_eq!(c.cache_key, step_key(&c.cell));
+        }
+    }
+
+    /// The fleet's path: the placer addresses each cell once and hands the
+    /// keys over with the cells, so a placed cell costs one fingerprint
+    /// where it cost two (placement, then the step). A cell handed over
+    /// without a key is addressed at its step.
+    #[test]
+    fn placed_cells_are_addressed_once() {
+        let (sched, exec, _) = harness(64);
+        let cells: Vec<(CampaignCell, Option<String>)> = campaign::expand(&spec())
+            .into_iter()
+            .map(|cell| {
+                let key =
+                    exec.function_fingerprint(&cell.function.name).map(|fp| cache_key(&cell, &fp));
+                (cell, key)
+            })
+            .collect();
+        let placed = sched.submit_cells(cells, Priority::Normal, None).unwrap();
+        sched.drain();
+        assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 4);
+        let status = sched.campaign_status(&placed.id).unwrap();
+        assert!(status.cells.iter().all(|c| c.cache_key == step_key(&c.cell)));
+
+        let mut unaddressed = spec();
+        unaddressed.seed = 6;
+        let cells = campaign::expand(&unaddressed).into_iter().map(|cell| (cell, None)).collect();
+        let late = sched.submit_cells(cells, Priority::Normal, None).unwrap();
+        sched.drain();
+        assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 8, "one at each step");
+        let status = sched.campaign_status(&late.id).unwrap();
+        assert_eq!(status.completed, 4);
+        assert!(status.cells.iter().all(|c| c.cache_key == step_key(&c.cell)));
     }
 
     #[test]

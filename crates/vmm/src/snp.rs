@@ -253,6 +253,21 @@ mod tests {
         sp.launch_finish(asid).unwrap()
     }
 
+    /// The launch digest of 64 `LAUNCH.UPDATE`s, as measured before the
+    /// SHA-NI kernel and the direct padding existed.
+    #[test]
+    fn launch_digest_is_pinned() {
+        let mut sp = AmdSp::new(1, 1);
+        sp.launch_start(1).unwrap();
+        for i in 0..64 {
+            sp.launch_update(1, PageNum(100 + i)).unwrap();
+        }
+        assert_eq!(
+            sp.launch_finish(1).unwrap().to_string(),
+            "c432a066a68d3ae1e11b7d1749a993974154ef9f965dfb4c46ef6a9b13337fed"
+        );
+    }
+
     #[test]
     fn identical_launch_sequences_measure_equal() {
         let mut a = AmdSp::new(1, 1);

@@ -282,6 +282,17 @@ mod tests {
         module.tdh_mr_finalize(id).unwrap()
     }
 
+    /// The MRTD of a 64-page image (a secure boot's `PAGE.ADD` count), as
+    /// measured before the SHA-NI kernel and the direct padding existed.
+    #[test]
+    fn mrtd_is_pinned() {
+        let mut m = TdxModule::new("v1");
+        assert_eq!(
+            built_td(&mut m, TdId(1), 64).to_string(),
+            "0f5c16f691f325384f5a4503d2007860ce3c023b0da992b724981fa77c0953e9"
+        );
+    }
+
     #[test]
     fn identical_images_produce_identical_mrtd() {
         let mut m = TdxModule::new("v1");

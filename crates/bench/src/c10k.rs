@@ -6,7 +6,9 @@
 //! them; the table reports p50/p95/p99 latency plus the server's thread
 //! count at each level. Under the old thread-per-connection design the 5k
 //! and 10k points were unreachable (each idle socket pinned a 16 MiB-stack
-//! worker); the epoll reactor holds them in one thread.
+//! worker); here they are reactor state, and the server runs `WORKERS + 1`
+//! threads at every level. The run fails if that count differs or a round
+//! trip fails, so the smoke run checks the property, not only prints it.
 //!
 //! `Scale::Quick` runs the 100/1k points with a smaller sample for CI.
 //! Levels are clamped to the process's open-files limit (each in-process
@@ -87,24 +89,33 @@ pub fn render(cfg: ExperimentConfig, out: &mut dyn Write) -> Result<()> {
         // first-request path, then measure round-robin across a spread of
         // the open connections (every socket idles between its turns —
         // exactly the keep-alive pattern that used to pin workers).
+        let failed =
+            |e: io::Error| Error::Transport(format!("round trip at {target} connections: {e}"));
         for stream in conns.iter_mut() {
-            roundtrip(stream)?;
+            roundtrip(stream).map_err(failed)?;
         }
         let stride = (target / 64).max(1);
         let mut latencies = Vec::with_capacity(samples);
         for i in 0..samples {
             let stream = &mut conns[(i * stride) % target];
             let start = Instant::now();
-            roundtrip(stream)?;
+            roundtrip(stream).map_err(failed)?;
             latencies.push(start.elapsed());
         }
         latencies.sort_unstable();
+        let threads = thread_count().saturating_sub(baseline_threads);
+        if threads != WORKERS + 1 {
+            return Err(Error::Transport(format!(
+                "server runs {threads} threads at {target} connections, not {} (workers + 1)",
+                WORKERS + 1
+            )));
+        }
         rows.push(vec![
             target.to_string(),
             format_us(percentile(&latencies, 50.0)),
             format_us(percentile(&latencies, 95.0)),
             format_us(percentile(&latencies, 99.0)),
-            thread_count().saturating_sub(baseline_threads).to_string(),
+            threads.to_string(),
         ]);
         drop(conns);
         // Let the reactor reap the closed sockets before the next level.

@@ -8,12 +8,13 @@
 //!   hardened framing (size-capped request lines and headers, strict
 //!   `content-length` parsing);
 //! * [`Router`] — method + path routing with `:param` captures;
-//! * [`Server`] — an epoll-reactor listener with HTTP/1.1 keep-alive:
-//!   one reactor thread owns every socket nonblocking, a bounded worker
-//!   pool executes handlers only, saturation answers `503` +
-//!   `Retry-After`, and shutdown drains gracefully, with `httpd_*`
-//!   metrics throughout ([`ServerConfig`] tunes workers/admission
-//!   window/timeouts);
+//! * [`Server`] — a leader/followers epoll listener with HTTP/1.1
+//!   keep-alive: `workers + 1` threads take turns leading the reactor,
+//!   which owns every socket nonblocking, and the thread that reads a
+//!   request runs its handler and writes the answer; saturation answers
+//!   `503` + `Retry-After`, and shutdown drains gracefully, with
+//!   `httpd_*` metrics throughout ([`ServerConfig`] tunes
+//!   workers/admission window/timeouts);
 //! * [`Client`] — a blocking client with persistent pooled connections and
 //!   transparent retry on stale keep-alive sockets;
 //! * [`FaultInjector`] — deterministic connection drops, delays, error

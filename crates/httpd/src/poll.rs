@@ -164,8 +164,8 @@ impl Epoll {
     }
 }
 
-/// An eventfd the worker pool (and `Server::stop`) writes to wake the
-/// reactor out of `epoll_wait`. Cloneable across threads; `wake` is
+/// An eventfd handler threads (and `Server::stop`) write to wake the
+/// leading thread out of `epoll_wait`. Cloneable across threads; `wake` is
 /// async-signal-safe cheap (one 8-byte write).
 #[derive(Clone)]
 pub(crate) struct Waker {

@@ -1,20 +1,24 @@
-//! An epoll-reactor HTTP/1.1 server with keep-alive, and a
+//! A leader/followers epoll HTTP/1.1 server with keep-alive, and a
 //! connection-pooling client.
 //!
-//! One reactor thread owns the listener and every connection socket in
-//! nonblocking mode; each connection is a small state machine (reading →
-//! dispatching → writing → keep-alive idle). The worker pool executes
-//! handlers only: a connection occupies a worker exactly while
-//! `Router::dispatch` runs and hands the socket back to the reactor for
-//! all I/O, so an idle keep-alive socket costs a few hundred bytes of
-//! state instead of a pinned thread. Admission control caps open
-//! connections at `workers + backlog`; overflow is answered `503` +
-//! `Retry-After` as a nonblocking write state inside the reactor, so a
-//! slow or malicious rejected client can never stall the accept path.
-//! Idle/read timeouts ride the `epoll_wait` timeout, and
+//! The server runs `workers + 1` identical threads. The one holding the
+//! reactor leads: it owns the listener and every nonblocking socket, and
+//! each connection is a small state machine (reading → dispatching →
+//! writing → keep-alive idle). When another thread waits to lead, the
+//! leader takes the request it parsed back, hands the reactor over and
+//! runs the handler, so the thread that read a request answers it, writing
+//! a keep-alive answer itself (DESIGN.md, "How a request crosses the
+//! server"). At most `workers` handlers run at once; an idle keep-alive
+//! socket costs a few hundred bytes of state, not a thread. Admission
+//! control caps open connections at `workers + backlog`; overflow is
+//! answered `503` + `Retry-After` as a nonblocking write state inside the
+//! reactor, so a slow or malicious rejected client can never stall the
+//! accept path. Idle/read timeouts ride the `epoll_wait` timeout, and
 //! [`Server::shutdown`] drains gracefully by walking the connection
 //! table: accept stops, idle sockets close immediately, and dispatched
 //! requests get a deadline to finish.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -26,11 +30,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use confbench_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::fault::{Fault, FaultInjector};
 use crate::http::{try_parse_request, HttpError, Request, Response};
-use crate::poll::{event_buffer, Epoll, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
+use crate::poll::{event_buffer, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::router::Router;
 
 /// Waits up to `timeout` for `handle` to finish, then joins it; detaches
@@ -51,8 +55,9 @@ fn join_with_timeout(handle: JoinHandle<()>, timeout: Duration) {
 /// request bytes are discarded for at most this long before the socket
 /// closes, no matter how slowly they trickle in.
 const REJECT_DRAIN_TOTAL: Duration = Duration::from_millis(500);
-/// One shared budget for joining the whole worker pool on shutdown (a
-/// wedged handler detaches its worker instead of serializing 1 s each).
+/// Budget, beyond the drain window, for joining every server thread on
+/// shutdown (a wedged handler detaches its thread instead of serializing
+/// 1 s each).
 const WORKER_JOIN_TOTAL: Duration = Duration::from_secs(1);
 /// Events drained per `epoll_wait` call.
 const EVENT_BATCH: usize = 256;
@@ -66,9 +71,10 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// Connection-layer tuning for a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Worker threads executing handlers. A connection occupies a worker
-    /// only while its request dispatches; all socket I/O (including idle
-    /// keep-alive waits) stays on the reactor thread. Clamped to ≥ 1.
+    /// Handlers that may run at once. The server runs `workers + 1`
+    /// threads: one leads the reactor (all socket I/O, including idle
+    /// keep-alive waits) while the others run handlers, so a connection
+    /// occupies a thread only while its request dispatches. Clamped to ≥ 1.
     pub workers: usize,
     /// Admitted connections allowed beyond `workers`: once `workers +
     /// backlog` connections are open, further arrivals are answered `503`
@@ -136,59 +142,40 @@ impl HttpdMetrics {
     }
 }
 
-/// A parsed request handed from the reactor to the worker pool.
+/// A parsed request waiting for a thread to run its handler.
 struct Task {
     conn: u64,
     request: Request,
-    /// Injected [`Fault::Delay`], slept on the worker (not the reactor).
+    /// Injected [`Fault::Delay`], slept on the handler's thread.
     delay: Option<Duration>,
+    /// The socket, when the handler's thread may write a keep-alive answer
+    /// itself (see [`Reactor::start_request`]).
+    inline: Option<Arc<TcpStream>>,
 }
 
-/// Handoff queue between the reactor and the worker pool.
+/// The parsed-request FIFO and the threads waiting to lead, under one lock:
+/// a thread with nothing to run takes a request or registers as waiting in
+/// one step, so a request never sits queued while a thread idles.
 #[derive(Default)]
-struct TaskQueue {
-    state: Mutex<(VecDeque<Task>, bool)>, // (pending, closed)
-    cv: Condvar,
+struct Dispatch {
+    queue: VecDeque<Task>,
+    /// Threads registered to lead next, blocked (or about to be) on the reactor.
+    waiting: usize,
+    /// The reactor has finished draining: every thread exits.
+    closed: bool,
 }
 
-impl TaskQueue {
-    fn push(&self, task: Task) {
-        let mut state = self.state.lock();
-        if state.1 {
-            return;
-        }
-        state.0.push_back(task);
-        drop(state);
-        self.cv.notify_one();
-    }
-
-    /// Blocks until a task is available or the queue is closed. `None`
-    /// tells the worker to exit.
-    fn pop(&self) -> Option<Task> {
-        let mut state = self.state.lock();
-        loop {
-            if let Some(task) = state.0.pop_front() {
-                return Some(task);
-            }
-            if state.1 {
-                return None;
-            }
-            state = self.cv.wait(state);
-        }
-    }
-
-    /// Closes the queue, dropping tasks never picked up (their connections
-    /// are force-closed by the reactor's drain deadline).
-    fn close(&self) {
-        let mut state = self.state.lock();
-        state.1 = true;
-        state.0.clear();
-        drop(state);
-        self.cv.notify_all();
-    }
+/// What a handler's thread leaves the reactor about a dispatched connection.
+enum Reply {
+    /// The answer, for the reactor to frame and write.
+    Answer(Response),
+    /// A keep-alive answer and the part the socket took; the reactor writes the rest.
+    Rest(Vec<u8>, usize),
+    /// A keep-alive answer written whole at this instant, `EPOLLIN` re-armed.
+    Written(Instant),
 }
 
-/// State shared by the reactor thread and the worker pool.
+/// State shared by every server thread.
 struct Shared {
     router: Router,
     config: ServerConfig,
@@ -196,15 +183,111 @@ struct Shared {
     metrics: HttpdMetrics,
     registry: Arc<MetricsRegistry>,
     shutdown: AtomicBool,
-    tasks: TaskQueue,
-    /// Responses ready to be written, applied by the reactor each tick.
-    completions: Mutex<Vec<(u64, Response)>>,
+    dispatch: Mutex<Dispatch>,
+    /// Replies applied by the reactor right after every `epoll_wait`.
+    replies: Mutex<Vec<(u64, Reply)>>,
     epoll: Epoll,
     waker: Waker,
 }
 
+impl Shared {
+    /// Takes the oldest queued request.
+    fn pop(&self, dispatch: &mut Dispatch) -> Option<Task> {
+        let task = dispatch.queue.pop_front()?;
+        self.metrics.dispatch_depth.dec();
+        Some(task)
+    }
+
+    /// Queues a parsed request. With `may_take`, hands the queue's head back
+    /// to the leader if another thread waits to lead, to run it there.
+    fn queue(&self, task: Task, may_take: bool) -> Option<Task> {
+        let mut dispatch = self.dispatch.lock();
+        dispatch.queue.push_back(task);
+        self.metrics.dispatch_depth.inc();
+        if may_take && dispatch.waiting > 0 {
+            return self.pop(&mut dispatch);
+        }
+        None
+    }
+
+    /// Runs a request's handler and answers it. A keep-alive answer the
+    /// task allows is written on this thread; anything else, and whatever
+    /// the socket did not take, goes back to the reactor.
+    fn answer(&self, task: Task) {
+        self.metrics.workers_busy.inc();
+        if let Some(delay) = task.delay {
+            std::thread::sleep(delay);
+        }
+        // A panicking handler must not kill the thread.
+        let mut response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.router.dispatch(&task.request)
+        }))
+        .unwrap_or_else(|_| Response::error(500, "handler panicked"));
+        self.metrics.workers_busy.dec();
+        let reply = match task.inline {
+            Some(stream) if response.keep_alive() && !self.shutdown.load(Ordering::SeqCst) => {
+                response.headers.insert("connection".into(), "keep-alive".into());
+                let bytes = response.to_bytes();
+                let mut written = 0;
+                if write_some(&stream, &bytes, &mut written).is_ok() && written == bytes.len() {
+                    // Note first, then `EPOLLIN`: the reactor cannot read
+                    // the next request before the note is there to apply.
+                    // It needs a wake only if it has dropped the socket
+                    // (the peer hung up) or drains.
+                    self.replies.lock().push((task.conn, Reply::Written(Instant::now())));
+                    if self.epoll.modify(&*stream, EPOLLIN, task.conn).is_err()
+                        || self.shutdown.load(Ordering::SeqCst)
+                    {
+                        self.waker.wake();
+                    }
+                    return;
+                }
+                Reply::Rest(bytes, written)
+            }
+            _ => Reply::Answer(response),
+        };
+        self.replies.lock().push((task.conn, reply));
+        self.waker.wake();
+    }
+}
+
+/// Writes `bytes[*pos..]` until the nonblocking socket would block,
+/// advancing `pos`; `Err` when the socket has failed.
+fn write_some(mut stream: &TcpStream, bytes: &[u8], pos: &mut usize) -> io::Result<()> {
+    while *pos < bytes.len() {
+        match stream.write(&bytes[*pos..]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => *pos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// The body of every server thread: run a queued request, or else wait to
+/// lead and lead until a request can be taken back.
+fn serve(shared: &Shared, reactor: &Mutex<Reactor>) {
+    loop {
+        let queued = {
+            let mut dispatch = shared.dispatch.lock();
+            let task = shared.pop(&mut dispatch);
+            if task.is_none() {
+                if dispatch.closed {
+                    return;
+                }
+                dispatch.waiting += 1;
+            }
+            task
+        };
+        let Some(task) = queued.or_else(|| reactor.lock().lead()) else { return };
+        shared.answer(task);
+    }
+}
+
 /// Where a connection is in its request lifecycle. Transitions happen only
-/// on the reactor thread, which is what makes the drain-vs-dispatch race
+/// under the reactor lock, which is what makes the drain-vs-dispatch race
 /// of the old registry design impossible: a connection is `Dispatching`
 /// from the instant its request parses, atomically with everything else
 /// the reactor decides.
@@ -212,7 +295,8 @@ struct Shared {
 enum State {
     /// Waiting for (more of) a request; interest `EPOLLIN`.
     Reading,
-    /// Request handed to the worker pool; no I/O interest.
+    /// Request handed to a handler; no I/O interest until an inline answer
+    /// re-arms `EPOLLIN`, after its note is queued.
     Dispatching,
     /// Response bytes draining to the peer; interest `EPOLLOUT`.
     Writing,
@@ -224,7 +308,8 @@ enum State {
 
 /// Per-connection reactor state.
 struct Conn {
-    stream: TcpStream,
+    /// Shared with the handler's thread while an inline answer is allowed.
+    stream: Arc<TcpStream>,
     state: State,
     /// Unparsed request bytes received so far.
     buf: Vec<u8>,
@@ -243,12 +328,17 @@ struct Conn {
     unregistered: bool,
     /// Generation guard: a timer entry only fires if it matches.
     timer_gen: u64,
+    /// When the connection's timer is due.
+    deadline: Instant,
+    /// When its live heap entry is due (`None`: no live entry). An entry
+    /// due before `deadline` is queued again when it pops.
+    queued_at: Option<Instant>,
 }
 
 impl Conn {
     fn new(stream: TcpStream) -> Conn {
         Conn {
-            stream,
+            stream: Arc::new(stream),
             state: State::Reading,
             buf: Vec::new(),
             write_buf: Vec::new(),
@@ -261,11 +351,14 @@ impl Conn {
             linger: false,
             unregistered: false,
             timer_gen: 0,
+            deadline: Instant::now(),
+            queued_at: None,
         }
     }
 }
 
 /// The readiness loop: owns the listener and every connection socket.
+/// Whichever thread holds it leads.
 struct Reactor {
     shared: Arc<Shared>,
     listener: Option<TcpListener>,
@@ -276,51 +369,85 @@ struct Reactor {
     next_id: u64,
     draining: bool,
     drain_deadline: Option<Instant>,
-}
-
-enum WriteOutcome {
-    Done,
-    Pending,
-    Failed,
+    /// A request taken back this tick, for the leader to run.
+    taken: Option<Task>,
+    events: Vec<EpollEvent>,
+    chunk: Vec<u8>,
 }
 
 impl Reactor {
-    fn run(&mut self) {
-        let mut events = event_buffer(EVENT_BATCH);
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
-                self.begin_drain();
-            }
-            if self.draining {
-                if self.conns.is_empty() {
-                    break;
-                }
-                if self.drain_deadline.is_some_and(|d| Instant::now() >= d) {
-                    for id in self.conns.keys().copied().collect::<Vec<_>>() {
-                        self.close_conn(id);
-                    }
-                    break;
+    /// Leads until a request has been taken back for this thread to run,
+    /// or returns `None` once the server has drained.
+    fn lead(&mut self) -> Option<Task> {
+        {
+            let mut dispatch = self.shared.dispatch.lock();
+            dispatch.waiting -= 1;
+            // The previous leader left a request queued: it goes to this
+            // thread while yet another waits to lead.
+            if dispatch.waiting > 0 {
+                if let Some(task) = self.shared.pop(&mut dispatch) {
+                    return Some(task);
                 }
             }
-            let n = match self.shared.epoll.wait(&mut events, self.next_deadline()) {
-                Ok(n) => n,
-                Err(_) => {
-                    // Unexpected epoll failure: back off instead of spinning.
-                    std::thread::sleep(Duration::from_millis(1));
-                    0
-                }
-            };
-            for event in events.iter().take(n) {
-                let (token, bits) = (event.token(), event.events());
-                match token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => self.shared.waker.drain(),
-                    id => self.conn_ready(id, bits),
-                }
-            }
-            self.apply_completions();
-            self.fire_timers();
         }
+        while self.tick() {
+            if let Some(task) = self.taken.take() {
+                return Some(task);
+            }
+        }
+        None
+    }
+
+    /// One turn of the readiness loop; `false` once the drain has finished.
+    fn tick(&mut self) -> bool {
+        if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
+            self.begin_drain();
+        }
+        if self.draining
+            && (self.conns.is_empty() || self.drain_deadline.is_some_and(|d| Instant::now() >= d))
+        {
+            self.finish();
+            return false;
+        }
+        let deadline = self.next_deadline();
+        let n = match self.shared.epoll.wait(&mut self.events, deadline) {
+            Ok(n) => n,
+            Err(_) => {
+                // Unexpected epoll failure: back off instead of spinning.
+                std::thread::sleep(Duration::from_millis(1));
+                0
+            }
+        };
+        // Drain the waker before taking the replies, so a reply queued
+        // after the take leaves a wake pending for the next wait.
+        if self.events[..n].iter().any(|e| e.token() == TOKEN_WAKER) {
+            self.shared.waker.drain();
+        }
+        // Replies before events: an inline answer's note must be applied
+        // before its connection's next request is read.
+        self.apply_replies();
+        for i in 0..n {
+            match (self.events[i].token(), self.events[i].events()) {
+                (TOKEN_LISTENER, _) => self.accept_ready(),
+                (TOKEN_WAKER, _) => {}
+                (id, bits) => self.conn_ready(id, bits),
+            }
+        }
+        self.fire_timers();
+        true
+    }
+
+    /// Closes what is left, stops every thread and drops the requests no
+    /// thread picked up (their connections were just closed). A thread that
+    /// leads afterwards finishes again at once.
+    fn finish(&mut self) {
+        for id in self.conns.keys().copied().collect::<Vec<_>>() {
+            self.close_conn(id);
+        }
+        let mut dispatch = self.shared.dispatch.lock();
+        dispatch.closed = true;
+        dispatch.queue.clear();
+        self.shared.metrics.dispatch_depth.set(0);
     }
 
     /// Stops accepting and cuts connections not serving a request; the
@@ -381,7 +508,7 @@ impl Reactor {
             conn.close_after_write = true;
             conn.write_buf = response.to_bytes();
             conn.state = State::Writing;
-            if self.shared.epoll.add(&conn.stream, EPOLLOUT, id).is_err() {
+            if self.shared.epoll.add(&*conn.stream, EPOLLOUT, id).is_err() {
                 return; // drop: the peer sees a reset
             }
             self.conns.insert(id, conn);
@@ -392,7 +519,7 @@ impl Reactor {
         self.shared.metrics.connections_total.inc();
         self.shared.metrics.active.inc();
         let conn = Conn::new(stream);
-        if self.shared.epoll.add(&conn.stream, EPOLLIN, id).is_err() {
+        if self.shared.epoll.add(&*conn.stream, EPOLLIN, id).is_err() {
             self.shared.metrics.active.dec();
             return;
         }
@@ -401,30 +528,29 @@ impl Reactor {
     }
 
     fn conn_ready(&mut self, id: u64, bits: u32) {
-        let Some(state) = self.conns.get(&id).map(|c| c.state) else { return };
-        if bits & (EPOLLHUP | EPOLLERR) != 0 {
-            match state {
-                // The worker still owns this request; drop the fd from the
-                // epoll set so it stops reporting, and let the completion
-                // discover the dead peer at write time.
-                State::Dispatching => {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        let _ = self.shared.epoll.delete(&conn.stream);
-                        conn.unregistered = true;
-                    }
-                }
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        match conn.state {
+            // No interest is armed while a request dispatches, so this is a
+            // hangup: drop the fd from the epoll set so it stops reporting,
+            // and let the reply discover the dead peer.
+            State::Dispatching => {
+                let _ = self.shared.epoll.delete(&*conn.stream);
+                conn.unregistered = true;
+            }
+            state if bits & (EPOLLHUP | EPOLLERR) != 0 => match state {
                 // Pending input may precede the hangup; read it to EOF so a
                 // final pipelined request or the FIN is seen in order.
                 State::Reading | State::RejectDraining if bits & EPOLLIN != 0 => self.readable(id),
                 _ => self.close_conn(id),
+            },
+            _ => {
+                if bits & EPOLLIN != 0 {
+                    self.readable(id);
+                }
+                if bits & EPOLLOUT != 0 {
+                    self.flush_write(id);
+                }
             }
-            return;
-        }
-        if bits & EPOLLIN != 0 {
-            self.readable(id);
-        }
-        if bits & EPOLLOUT != 0 {
-            self.flush_write(id);
         }
     }
 
@@ -432,16 +558,22 @@ impl Reactor {
         let Some(state) = self.conns.get(&id).map(|c| c.state) else { return };
         match state {
             State::Reading => {
-                let mut chunk = [0u8; READ_CHUNK];
                 let mut eof = false;
                 loop {
                     let Some(conn) = self.conns.get_mut(&id) else { return };
-                    match conn.stream.read(&mut chunk) {
+                    match (&*conn.stream).read(&mut self.chunk) {
                         Ok(0) => {
                             eof = true;
                             break;
                         }
-                        Ok(n) => conn.buf.extend_from_slice(&chunk[..n]),
+                        Ok(n) => {
+                            conn.buf.extend_from_slice(&self.chunk[..n]);
+                            // A short read took all there was; the
+                            // level-triggered registration reports any rest.
+                            if n < self.chunk.len() {
+                                break;
+                            }
+                        }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                         Err(_) => {
@@ -452,25 +584,22 @@ impl Reactor {
                 }
                 self.advance(id, eof);
             }
-            State::RejectDraining => {
-                let mut chunk = [0u8; READ_CHUNK];
-                loop {
-                    let Some(conn) = self.conns.get_mut(&id) else { return };
-                    match conn.stream.read(&mut chunk) {
-                        Ok(0) => {
-                            self.close_conn(id);
-                            return;
-                        }
-                        Ok(_) => {} // discard
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            self.close_conn(id);
-                            return;
-                        }
+            State::RejectDraining => loop {
+                let Some(conn) = self.conns.get_mut(&id) else { return };
+                match (&*conn.stream).read(&mut self.chunk) {
+                    Ok(0) => {
+                        self.close_conn(id);
+                        return;
+                    }
+                    Ok(_) => {} // discard
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        self.close_conn(id);
+                        return;
                     }
                 }
-            }
+            },
             _ => {}
         }
     }
@@ -523,7 +652,7 @@ impl Reactor {
         }
     }
 
-    /// Applies fault decisions and hands the request to the worker pool.
+    /// Applies fault decisions and queues the request for a handler.
     fn start_request(&mut self, id: u64, request: Request) {
         {
             let Some(conn) = self.conns.get_mut(&id) else { return };
@@ -548,108 +677,120 @@ impl Reactor {
             _ => {}
         }
         let delay = if let Some(Fault::Delay(d)) = fault { Some(d) } else { None };
-        {
+        let max_requests = self.shared.config.max_requests_per_conn;
+        let draining = self.draining;
+        let inline = {
             let Some(conn) = self.conns.get_mut(&id) else { return };
             // `CloseAfterResponse` deliberately lies (keep-alive advertised,
             // socket closed anyway) to simulate a server dying mid-keep-alive.
             conn.fault_close = fault == Some(Fault::CloseAfterResponse);
             conn.state = State::Dispatching;
-            conn.timer_gen += 1; // cancel the read/idle timer
+            // The handler's thread may answer on its own only when the
+            // connection reads on afterwards with nothing left to parse.
+            let inline = conn.req_keep_alive
+                && conn.served < max_requests
+                && !conn.fault_close
+                && conn.buf.is_empty()
+                && !draining;
+            inline.then(|| Arc::clone(&conn.stream))
+        };
+        // Quiesce: level-triggered EPOLLIN would spin.
+        self.set_interest(id, 0);
+        // The reactor wakes at least every `keep_alive_idle` while the
+        // request runs, so an inline answer's note is applied, and its idle
+        // timer armed, on time.
+        self.arm_timer(id, Instant::now() + self.shared.config.keep_alive_idle);
+        let task = Task { conn: id, request, delay, inline };
+        let may_take = self.taken.is_none();
+        if let Some(task) = self.shared.queue(task, may_take) {
+            self.taken = Some(task);
         }
-        self.set_interest(id, 0); // quiesce: level-triggered EPOLLIN would spin
-        self.shared.metrics.dispatch_depth.inc();
-        self.shared.tasks.push(Task { conn: id, request, delay });
     }
 
     /// Queues `response` for writing and decides the connection's fate.
     fn finish_response(&mut self, id: u64, mut response: Response) {
         let draining = self.draining;
-        {
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            let exhausted = conn.served >= self.shared.config.max_requests_per_conn;
-            let close = !conn.req_keep_alive || !response.keep_alive() || draining || exhausted;
-            if !conn.fault_close {
-                response
-                    .headers
-                    .insert("connection".into(), if close { "close" } else { "keep-alive" }.into());
-            }
-            conn.close_after_write = close || conn.fault_close;
-            conn.write_buf = response.to_bytes();
-            conn.write_pos = 0;
-            conn.state = State::Writing;
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        let exhausted = conn.served >= self.shared.config.max_requests_per_conn;
+        let close = !conn.req_keep_alive || !response.keep_alive() || draining || exhausted;
+        if !conn.fault_close {
+            response
+                .headers
+                .insert("connection".into(), if close { "close" } else { "keep-alive" }.into());
         }
-        self.set_interest(id, EPOLLOUT);
-        self.flush_write(id);
+        let close_after = close || conn.fault_close;
+        self.start_write(id, response.to_bytes(), 0, close_after);
+    }
+
+    /// Applies an inline answer's note: the connection reads again, idle
+    /// since `at`.
+    fn written(&mut self, id: u64, at: Instant) {
+        let draining = self.draining;
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.unregistered || draining {
+            // The peer hung up mid-dispatch, or the server drains.
+            self.close_conn(id);
+            return;
+        }
+        conn.state = State::Reading;
+        self.arm_timer(id, at + self.shared.config.keep_alive_idle);
     }
 
     /// Queues an error answer (408/4xx/431) followed by a lingering close.
     fn send_response_and_close(&mut self, id: u64, response: Response) {
-        {
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            conn.write_buf = response.to_bytes();
-            conn.write_pos = 0;
-            conn.state = State::Writing;
-            conn.close_after_write = true;
-            conn.linger = true;
-        }
-        self.set_interest(id, EPOLLOUT);
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        conn.linger = true;
+        self.start_write(id, response.to_bytes(), 0, true);
         // Also bounds the write phase against a peer that never reads.
-        self.arm_timer(id, Instant::now() + REJECT_DRAIN_TOTAL);
+        if self.conns.get(&id).is_some_and(|c| c.state == State::Writing) {
+            self.arm_timer(id, Instant::now() + REJECT_DRAIN_TOTAL);
+        }
+    }
+
+    /// Puts `bytes[written..]` on the connection's `EPOLLOUT` path, with no
+    /// deadline.
+    fn start_write(&mut self, id: u64, bytes: Vec<u8>, written: usize, close_after: bool) {
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        conn.timer_gen += 1; // cancel the timer
+        conn.queued_at = None;
+        conn.close_after_write = close_after;
+        conn.write_buf = bytes;
+        conn.write_pos = written;
+        conn.state = State::Writing;
+        self.set_interest(id, EPOLLOUT);
         self.flush_write(id);
     }
 
     fn flush_write(&mut self, id: u64) {
-        let outcome = loop {
-            let Some(conn) = self.conns.get_mut(&id) else { return };
-            if conn.state != State::Writing {
-                return;
-            }
-            if conn.write_pos >= conn.write_buf.len() {
-                break WriteOutcome::Done;
-            }
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => break WriteOutcome::Failed,
-                Ok(n) => conn.write_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break WriteOutcome::Pending,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => break WriteOutcome::Failed,
-            }
-        };
-        match outcome {
-            WriteOutcome::Done => self.write_complete(id),
-            WriteOutcome::Pending => {} // EPOLLOUT interest already armed
-            WriteOutcome::Failed => self.close_conn(id),
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        if conn.state != State::Writing {
+            return;
+        }
+        match write_some(&conn.stream, &conn.write_buf, &mut conn.write_pos) {
+            Ok(()) if conn.write_pos == conn.write_buf.len() => self.write_complete(id),
+            Ok(()) => {} // EPOLLOUT interest already armed
+            Err(_) => self.close_conn(id),
         }
     }
 
     fn write_complete(&mut self, id: u64) {
-        let Some((linger, close_after)) =
-            self.conns.get(&id).map(|c| (c.linger, c.close_after_write))
-        else {
-            return;
-        };
-        if linger {
+        let draining = self.draining;
+        let Some(conn) = self.conns.get_mut(&id) else { return };
+        conn.write_buf = Vec::new();
+        conn.write_pos = 0;
+        if conn.linger {
             // Half-close, then discard the peer's unread bytes until the
             // drain budget expires: an immediate close would RST the
             // answer out of the peer's receive buffer.
-            {
-                let conn = self.conns.get_mut(&id).expect("conn checked above");
-                let _ = conn.stream.shutdown(Shutdown::Write);
-                conn.state = State::RejectDraining;
-                conn.write_buf = Vec::new();
-            }
+            let _ = conn.stream.shutdown(Shutdown::Write);
+            conn.state = State::RejectDraining;
             self.set_interest(id, EPOLLIN);
             self.arm_timer(id, Instant::now() + REJECT_DRAIN_TOTAL);
             self.readable(id);
-        } else if close_after || self.draining {
+        } else if conn.close_after_write || draining {
             self.close_conn(id);
         } else {
-            {
-                let conn = self.conns.get_mut(&id).expect("conn checked above");
-                conn.state = State::Reading;
-                conn.write_buf = Vec::new();
-                conn.write_pos = 0;
-            }
+            conn.state = State::Reading;
             self.set_interest(id, EPOLLIN);
             self.arm_timer(id, Instant::now() + self.shared.config.keep_alive_idle);
             // A pipelined follow-up may already be buffered.
@@ -657,11 +798,15 @@ impl Reactor {
         }
     }
 
-    /// Applies responses the worker pool finished since the last tick.
-    fn apply_completions(&mut self) {
-        let done: Vec<(u64, Response)> = std::mem::take(&mut *self.shared.completions.lock());
-        for (id, response) in done {
-            self.finish_response(id, response);
+    /// Applies what handler threads left since the last tick.
+    fn apply_replies(&mut self) {
+        let replies = std::mem::take(&mut *self.shared.replies.lock());
+        for (id, reply) in replies {
+            match reply {
+                Reply::Answer(response) => self.finish_response(id, response),
+                Reply::Rest(bytes, written) => self.start_write(id, bytes, written, false),
+                Reply::Written(at) => self.written(id, at),
+            }
         }
     }
 
@@ -686,7 +831,9 @@ impl Reactor {
             // Reject/error drain budget exhausted, or the peer never read
             // the final answer.
             State::RejectDraining | State::Writing => self.close_conn(id),
-            State::Dispatching => {}
+            State::Dispatching => {
+                self.arm_timer(id, Instant::now() + self.shared.config.keep_alive_idle)
+            }
         }
     }
 
@@ -697,19 +844,33 @@ impl Reactor {
                 break;
             }
             self.timers.pop();
-            if self.conns.get(&id).map(|c| c.timer_gen) == Some(generation) {
-                self.timer_fired(id);
+            let Some(conn) = self.conns.get_mut(&id) else { continue };
+            if conn.timer_gen != generation {
+                continue;
             }
+            if conn.deadline > now {
+                conn.queued_at = Some(conn.deadline);
+                self.timers.push(Reverse((conn.deadline, id, generation)));
+                continue;
+            }
+            conn.queued_at = None;
+            self.timer_fired(id);
         }
     }
 
-    /// Re-arms the connection's (single) timer; any previous entry for it
-    /// in the heap goes stale via the generation bump.
+    /// Re-arms the connection's (single) timer. A live heap entry due no
+    /// later than `deadline` is kept, so a keep-alive request pushes no
+    /// entry; an earlier deadline pushes one, and the generation bump makes
+    /// the previous entry stale.
     fn arm_timer(&mut self, id: u64, deadline: Instant) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
+        conn.deadline = deadline;
+        if conn.queued_at.is_some_and(|at| at <= deadline) {
+            return;
+        }
         conn.timer_gen += 1;
-        let generation = conn.timer_gen;
-        self.timers.push(Reverse((deadline, id, generation)));
+        conn.queued_at = Some(deadline);
+        self.timers.push(Reverse((deadline, id, conn.timer_gen)));
     }
 
     /// The next instant the reactor must wake even without I/O.
@@ -724,41 +885,28 @@ impl Reactor {
     fn set_interest(&mut self, id: u64, events: u32) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         if conn.unregistered {
-            if self.shared.epoll.add(&conn.stream, events, id).is_ok() {
+            if self.shared.epoll.add(&*conn.stream, events, id).is_ok() {
                 conn.unregistered = false;
             }
         } else {
-            let _ = self.shared.epoll.modify(&conn.stream, events, id);
+            let _ = self.shared.epoll.modify(&*conn.stream, events, id);
         }
     }
 
     fn close_conn(&mut self, id: u64) {
         let Some(conn) = self.conns.remove(&id) else { return };
         if !conn.unregistered {
-            let _ = self.shared.epoll.delete(&conn.stream);
+            let _ = self.shared.epoll.delete(&*conn.stream);
+        }
+        if conn.state == State::Dispatching {
+            // The handler's thread may still hold the socket: close the
+            // peer's side now rather than when that thread lets go.
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         if conn.counted {
             self.shared.metrics.requests_per_conn.observe(conn.served);
             self.shared.metrics.active.dec();
         }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    while let Some(task) = shared.tasks.pop() {
-        shared.metrics.dispatch_depth.dec();
-        shared.metrics.workers_busy.inc();
-        if let Some(delay) = task.delay {
-            std::thread::sleep(delay);
-        }
-        // A panicking handler must not kill the pool's worker.
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.router.dispatch(&task.request)
-        }))
-        .unwrap_or_else(|_| Response::error(500, "handler panicked"));
-        shared.metrics.workers_busy.dec();
-        shared.completions.lock().push((task.conn, response));
-        shared.waker.wake();
     }
 }
 
@@ -790,7 +938,7 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds `addr` and starts the reactor thread plus the worker pool.
+    /// Binds `addr` and starts the `workers + 1` server threads.
     ///
     /// # Errors
     ///
@@ -815,40 +963,38 @@ impl ServerBuilder {
             metrics: HttpdMetrics::register(&registry),
             registry,
             shutdown: AtomicBool::new(false),
-            tasks: TaskQueue::default(),
-            completions: Mutex::new(Vec::new()),
+            dispatch: Mutex::new(Dispatch::default()),
+            replies: Mutex::new(Vec::new()),
             epoll,
             waker,
         });
+        let reactor = Arc::new(Mutex::new(Reactor {
+            shared: Arc::clone(&shared),
+            listener: Some(listener),
+            conns: HashMap::new(),
+            timers: BinaryHeap::new(),
+            next_id: 0,
+            draining: false,
+            drain_deadline: None,
+            taken: None,
+            events: event_buffer(EVENT_BATCH),
+            chunk: vec![0; READ_CHUNK],
+        }));
 
-        let reactor_shared = Arc::clone(&shared);
-        let reactor_thread =
-            std::thread::Builder::new().name(format!("httpd-{addr}")).spawn(move || {
-                Reactor {
-                    shared: reactor_shared,
-                    listener: Some(listener),
-                    conns: HashMap::new(),
-                    timers: BinaryHeap::new(),
-                    next_id: 0,
-                    draining: false,
-                    drain_deadline: None,
-                }
-                .run()
-            })?;
-
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let worker_shared = Arc::clone(&shared);
-            // Handlers run language interpreters whose recursion is deep in
-            // debug builds, so give workers a generous stack.
-            workers.push(
+        let mut threads = Vec::with_capacity(config.workers + 1);
+        for i in 0..=config.workers {
+            let (shared, reactor) = (Arc::clone(&shared), Arc::clone(&reactor));
+            // Every thread may run handlers, and handlers run language
+            // interpreters whose recursion is deep in debug builds, so give
+            // each a generous stack.
+            threads.push(
                 std::thread::Builder::new()
-                    .name(format!("httpd-worker-{i}"))
+                    .name(format!("httpd-{i}"))
                     .stack_size(16 << 20)
-                    .spawn(move || worker_loop(&worker_shared))?,
+                    .spawn(move || serve(&shared, &reactor))?,
             );
         }
-        Ok(Server { addr, shared, reactor_thread: Some(reactor_thread), workers })
+        Ok(Server { addr, shared, threads })
     }
 }
 
@@ -869,8 +1015,7 @@ impl ServerBuilder {
 pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactor_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -903,17 +1048,16 @@ impl Server {
         self.shared.metrics.active.get()
     }
 
-    /// Admitted connections beyond the worker count — the portion of the
-    /// admission window (`workers + backlog`) consumed by connections that
-    /// would have queued for a worker under the old thread-per-connection
-    /// design.
+    /// Admitted connections beyond the worker count: the part of the
+    /// admission window (`workers + backlog`) held by connections that
+    /// could not all have a handler running at once.
     pub fn backlog_depth(&self) -> usize {
         (self.shared.metrics.active.get() as usize).saturating_sub(self.shared.config.workers)
     }
 
     /// Gracefully shuts down: stops accepting, cuts idle keep-alive
     /// sockets, lets dispatched requests finish within the drain deadline,
-    /// then joins the reactor and the pool.
+    /// then joins every server thread.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -921,17 +1065,11 @@ impl Server {
     fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.waker.wake();
-        if let Some(handle) = self.reactor_thread.take() {
-            // The reactor needs the drain window plus slack to walk the
-            // connection table and exit.
-            join_with_timeout(handle, self.shared.config.drain_timeout + Duration::from_secs(2));
-        }
-        self.shared.tasks.close();
-        self.shared.metrics.dispatch_depth.set(0);
-        // One shared deadline for the whole pool: a wedged handler costs
-        // the budget once, not per worker.
-        let deadline = Instant::now() + WORKER_JOIN_TOTAL;
-        for handle in self.workers.drain(..) {
+        // One deadline for every thread: the leader needs the drain window
+        // to walk the connection table, and a wedged handler costs the join
+        // budget once, not per thread.
+        let deadline = Instant::now() + self.shared.config.drain_timeout + WORKER_JOIN_TOTAL;
+        for handle in self.threads.drain(..) {
             join_with_timeout(handle, deadline.saturating_duration_since(Instant::now()));
         }
     }
@@ -939,7 +1077,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.reactor_thread.is_some() || !self.workers.is_empty() {
+        if !self.threads.is_empty() {
             self.stop();
         }
     }
@@ -950,6 +1088,13 @@ impl Drop for Server {
 struct ClientStats {
     reused: AtomicU64,
     stale_retries: AtomicU64,
+}
+
+/// A client socket and the timeout last set on it: a send re-sets the
+/// socket's timeouts only when it asks for a different one.
+struct ClientConn {
+    stream: TcpStream,
+    timeout: Option<Duration>,
 }
 
 /// An HTTP client for one server address, with persistent connection reuse.
@@ -963,7 +1108,7 @@ struct ClientStats {
 pub struct Client {
     addr: SocketAddr,
     timeout: Duration,
-    pool: Arc<Mutex<Vec<TcpStream>>>,
+    pool: Arc<Mutex<Vec<ClientConn>>>,
     stats: Arc<ClientStats>,
 }
 
@@ -1050,11 +1195,11 @@ impl Client {
         // `.lock().pop()` would hold the pool guard for the whole body and
         // deadlock against `maybe_pool`'s re-lock.
         let pooled = self.pool.lock().pop();
-        if let Some(mut stream) = pooled {
-            match Self::exchange(&mut stream, request, timeout) {
+        if let Some(mut conn) = pooled {
+            match Self::exchange(&mut conn, request, timeout) {
                 Ok(response) => {
                     self.stats.reused.fetch_add(1, Ordering::SeqCst);
-                    self.maybe_pool(stream, &response);
+                    self.maybe_pool(conn, &response);
                     return Ok(response);
                 }
                 Err(e) if is_stale_socket(&e) => {
@@ -1066,32 +1211,36 @@ impl Client {
                 Err(e) => return Err(e),
             }
         }
-        let mut stream = TcpStream::connect_timeout(&self.addr, timeout)?;
-        let response = Self::exchange(&mut stream, request, timeout)?;
-        self.maybe_pool(stream, &response);
-        Ok(response)
-    }
-
-    fn exchange(
-        stream: &mut TcpStream,
-        request: &Request,
-        timeout: Duration,
-    ) -> Result<Response, HttpError> {
+        let stream = TcpStream::connect_timeout(&self.addr, timeout)?;
         // Without nodelay, the second small write on a reused socket sits
         // behind Nagle waiting for the peer's delayed ACK (~40 ms per
         // request), erasing the keep-alive win.
         let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        request.write_to(stream)?;
-        Response::read_from(stream)
+        let mut conn = ClientConn { stream, timeout: None };
+        let response = Self::exchange(&mut conn, request, timeout)?;
+        self.maybe_pool(conn, &response);
+        Ok(response)
     }
 
-    fn maybe_pool(&self, stream: TcpStream, response: &Response) {
+    fn exchange(
+        conn: &mut ClientConn,
+        request: &Request,
+        timeout: Duration,
+    ) -> Result<Response, HttpError> {
+        if conn.timeout != Some(timeout) {
+            conn.stream.set_read_timeout(Some(timeout))?;
+            conn.stream.set_write_timeout(Some(timeout))?;
+            conn.timeout = Some(timeout);
+        }
+        request.write_to(&mut conn.stream)?;
+        Response::read_from(&mut conn.stream)
+    }
+
+    fn maybe_pool(&self, conn: ClientConn, response: &Response) {
         if response.keep_alive() {
             let mut pool = self.pool.lock();
             if pool.len() < POOL_CAP {
-                pool.push(stream);
+                pool.push(conn);
             }
         }
     }
@@ -1599,5 +1748,225 @@ mod tests {
         assert!(first < second, "responses out of order: {out:?}");
         assert_eq!(server.metrics().counter_value("httpd_requests_total"), Some(2));
         assert_eq!(server.metrics().counter_value("httpd_connections_total"), Some(1));
+    }
+
+    #[test]
+    fn reused_socket_takes_a_shorter_timeout() {
+        let mut router = Router::new();
+        router.add(Method::Get, "/ok", |_, _| Response::text("up"));
+        router.add(Method::Get, "/slow", |_, _| {
+            std::thread::sleep(Duration::from_millis(300));
+            Response::text("late")
+        });
+        let server = Server::build(router).spawn("127.0.0.1:0").unwrap();
+        let client = Client::new(server.addr());
+        client.send(&Request::new(Method::Get, "/ok")).unwrap();
+        assert_eq!(client.pooled_connections(), 1, "the socket carries the 30 s default");
+        // The pooled socket is reused and must take the shorter timeout
+        // instead of keeping the one it was pooled with.
+        let sent = client
+            .send_with_timeout(&Request::new(Method::Get, "/slow"), Duration::from_millis(100));
+        assert!(sent.is_err(), "a stale 30 s timeout was reused: {sent:?}");
+        assert_eq!(server.metrics().counter_value("httpd_connections_total"), Some(1));
+    }
+
+    /// The size of the large answers below: far more than loopback socket
+    /// buffers hold while the peer does not read.
+    const BIG: usize = 4 << 20;
+
+    fn get(path: &str, close: bool) -> Vec<u8> {
+        let close = if close { "connection: close\r\n" } else { "" };
+        format!("GET {path} HTTP/1.1\r\n{close}\r\n").into_bytes()
+    }
+
+    fn connect(addr: SocketAddr) -> (TcpStream, io::BufReader<TcpStream>) {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let reader = io::BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    }
+
+    /// Reads one response from a reader kept across a connection's answers,
+    /// so a pipelined answer buffered behind it is not lost.
+    fn read_response(reader: &mut impl io::BufRead) -> Result<Response, HttpError> {
+        let mut message = Vec::new();
+        while !message.ends_with(b"\r\n\r\n") {
+            if reader.read_until(b'\n', &mut message)? == 0 {
+                return Err(HttpError::Closed);
+            }
+        }
+        let head = String::from_utf8_lossy(&message).to_ascii_lowercase();
+        let len = head
+            .lines()
+            .find_map(|l| l.strip_prefix("content-length:"))
+            .map_or(0, |v| v.trim().parse().unwrap());
+        let start = message.len();
+        message.resize(start + len, 0);
+        reader.read_exact(&mut message[start..])?;
+        Response::read_from(&mut message.as_slice())
+    }
+
+    fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
+        let give_up = Instant::now() + deadline;
+        while !done() {
+            assert!(Instant::now() < give_up, "{what} within {deadline:?}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn settled(server: &Server) -> bool {
+        let m = server.metrics();
+        m.gauge_value("httpd_dispatch_queue_depth") == Some(0)
+            && m.gauge_value("httpd_workers_busy") == Some(0)
+            && server.active_connections() == 0
+    }
+
+    /// One client of the hand-off stress: 300 keep-alive requests, every
+    /// fourth handler sleeping 0–2 ms, pipelined pairs, `connection:
+    /// close` on every 7th request and a large answer, read late, on every
+    /// 50th.
+    fn stress_client(addr: SocketAddr, client: usize) {
+        const REQUESTS: usize = 300;
+        let close = |i: usize| i % 7 == 6;
+        let big = |i: usize| (i + client) % 50 == 25;
+        let (mut stream, mut reader) = connect(addr);
+        let mut i = 0;
+        while i < REQUESTS {
+            let pair = i % 11 == 3 && !close(i) && i + 1 < REQUESTS;
+            let batch: Vec<usize> = if pair { vec![i, i + 1] } else { vec![i] };
+            let mut bytes = Vec::new();
+            for &j in &batch {
+                let sleep_us = if j % 4 == 0 { (j / 4 % 3) * 1000 } else { 0 };
+                let path = format!("/r/c{client}-{j}/{sleep_us}/{}", u8::from(big(j)));
+                bytes.extend(get(&path, close(j)));
+            }
+            stream.write_all(&bytes).unwrap();
+            for &j in &batch {
+                if big(j) {
+                    // A slow reader: the answer outgrows the socket buffers
+                    // before anything is read.
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                let response = read_response(&mut reader)
+                    .unwrap_or_else(|e| panic!("client {client} request {j}: {e}"));
+                let tag = format!("c{client}-{j}");
+                assert_eq!(response.status, 200, "{tag}");
+                assert!(response.body.starts_with(tag.as_bytes()), "{tag} got another answer");
+                let len = if big(j) { BIG } else { tag.len() };
+                assert_eq!(response.body.len(), len, "{tag}");
+                assert_eq!(response.keep_alive(), !close(j), "{tag}");
+                if close(j) {
+                    (stream, reader) = connect(addr);
+                }
+            }
+            i += batch.len();
+        }
+    }
+
+    #[test]
+    fn hand_off_strands_duplicates_and_reorders_nothing() {
+        for workers in [1, 2, 8] {
+            let mut router = Router::new();
+            router.add(Method::Get, "/r/:tag/:sleep_us/:big", |_, p| {
+                let sleep_us: u64 = p["sleep_us"].parse().unwrap();
+                std::thread::sleep(Duration::from_micros(sleep_us));
+                let tag = &p["tag"];
+                let pad = if p["big"] == "1" { BIG - tag.len() } else { 0 };
+                Response::text(format!("{tag}{}", "x".repeat(pad)))
+            });
+            let config = ServerConfig {
+                workers,
+                keep_alive_idle: Duration::from_secs(1),
+                ..ServerConfig::default()
+            };
+            let server = Server::build(router).config(config).spawn("127.0.0.1:0").unwrap();
+            let addr = server.addr();
+            let clients: Vec<_> =
+                (0..16).map(|c| std::thread::spawn(move || stress_client(addr, c))).collect();
+            let deadline = Instant::now() + Duration::from_secs(60);
+            for client in clients {
+                while !client.is_finished() {
+                    assert!(Instant::now() < deadline, "workers {workers}: clients stranded");
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                client.join().unwrap();
+            }
+            wait_for(
+                "queue, busy handlers and connections back to 0",
+                Duration::from_secs(5),
+                || settled(&server),
+            );
+            // Left alone, a fresh keep-alive answer idles out on time. The
+            // run's stale timer entries pass first, so only the answer's own
+            // timer can wake the reactor.
+            std::thread::sleep(config.keep_alive_idle + Duration::from_millis(200));
+            let (mut stream, mut reader) = connect(addr);
+            stream.write_all(&get("/r/last/0/0", false)).unwrap();
+            assert_eq!(read_response(&mut reader).unwrap().body, b"last");
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "bytes after the answer: {rest:?}");
+            server.shutdown();
+        }
+    }
+
+    #[test]
+    fn inline_answer_idles_out_on_time() {
+        let mut router = Router::new();
+        router.add(Method::Get, "/ok", |_, _| Response::text("up"));
+        let config =
+            ServerConfig { keep_alive_idle: Duration::from_millis(100), ..ServerConfig::default() };
+        let server = Server::build(router).config(config).spawn("127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let start = Instant::now();
+        stream.write_all(&get("/ok", false)).unwrap();
+        // A timer never armed would leave the read to its 5 s timeout.
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        assert!(out.ends_with("up"), "got {out:?}");
+        assert!(out.contains("connection: keep-alive"), "got {out:?}");
+        assert!(start.elapsed() < Duration::from_secs(2), "EOF after {:?}", start.elapsed());
+    }
+
+    #[test]
+    fn slow_reader_gets_a_large_keep_alive_answer_whole() {
+        let mut router = Router::new();
+        router.add(Method::Get, "/big", |_, _| Response::text("y".repeat(BIG)));
+        router.add(Method::Get, "/hello/:who", |_, p| Response::text(format!("hi {}", p["who"])));
+        let server = Server::spawn(router).unwrap();
+        let (mut stream, mut reader) = connect(server.addr());
+        stream.write_all(&get("/big", false)).unwrap();
+        // Nothing is read until the socket buffers are long full.
+        std::thread::sleep(Duration::from_millis(200));
+        let response = read_response(&mut reader).unwrap();
+        assert_eq!(response.body.len(), BIG);
+        assert!(response.body.iter().all(|&b| b == b'y'));
+        assert!(response.keep_alive());
+        stream.write_all(&get("/hello/next", false)).unwrap();
+        assert_eq!(read_response(&mut reader).unwrap().body, b"hi next");
+        assert_eq!(server.metrics().counter_value("httpd_connections_total"), Some(1));
+    }
+
+    #[test]
+    fn peer_hanging_up_mid_dispatch_is_reclaimed() {
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let (flag, gate) = (Arc::clone(&started), Arc::clone(&release));
+        let mut router = Router::new();
+        router.add(Method::Get, "/held", move |_, _| {
+            flag.store(true, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Response::text("nobody listens")
+        });
+        let server = Server::spawn(router).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&get("/held", false)).unwrap();
+        wait_for("the handler starts", Duration::from_secs(5), || started.load(Ordering::SeqCst));
+        drop(stream);
+        release.store(true, Ordering::SeqCst);
+        wait_for("the connection is reclaimed", Duration::from_secs(5), || settled(&server));
     }
 }

@@ -692,6 +692,11 @@ impl confbench_sched::Executor for Gateway {
     fn function_fingerprint(&self, name: &str) -> Option<String> {
         self.store.fingerprint(name).map(|digest| digest.to_string())
     }
+
+    fn would_wait(&self, cell: &confbench_types::CampaignCell) -> bool {
+        let function = &cell.function;
+        self.store.launch_in_flight(&function.name, cell.language, &function.args)
+    }
 }
 
 fn deadline_error(request: &RunRequest, last_err: Option<&Error>) -> Error {

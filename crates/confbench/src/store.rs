@@ -196,6 +196,12 @@ impl LaunchMemo {
         metrics.counter("launch_cache_evictions_total").add(evicted);
         launched
     }
+
+    /// Whether another thread is launching `name` × `language` × `args`
+    /// right now.
+    fn in_flight(&self, name: &str, language: Language, args: &[String]) -> bool {
+        self.flight.any_in_flight(|(n, l, a)| n == name && *l == language && a == args)
+    }
 }
 
 /// What retaining `launched` under `key` is charged: the heap behind the
@@ -327,6 +333,12 @@ impl FunctionStore {
                 FunctionLauncher::new(language).launch(&function, args).map_err(|e| e.to_string())
             })
             .map_err(Error::Workload)
+    }
+
+    /// Whether [`FunctionStore::launch`] of these three would park right
+    /// now, behind another thread launching them.
+    pub fn launch_in_flight(&self, name: &str, language: Language, args: &[String]) -> bool {
+        self.launches.in_flight(name, language, args)
     }
 
     /// The cache-walk memo of every VM built for a host holding this store
@@ -535,6 +547,31 @@ mod tests {
         assert_eq!(counters(&metrics), [3, 1, 0], "the three that waited count as hits");
         let first = outputs[0].as_ref().unwrap();
         assert!(outputs.iter().all(|o| Arc::ptr_eq(o.as_ref().unwrap(), first)));
+    }
+
+    /// A key is in flight exactly while its leader launches: before, during
+    /// and after, as a step asking whether to pass over a cell sees it.
+    #[test]
+    fn a_key_is_in_flight_only_while_it_launches() {
+        let (memo, metrics) = (LaunchMemo::new(1 << 20), MetricsRegistry::new());
+        let (started, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
+        let in_flight = |name: &str, language| memo.in_flight(name, language, &[]);
+        assert!(!in_flight("f", Language::Go));
+        std::thread::scope(|scope| {
+            let launching = scope.spawn(|| {
+                memo.get_or_launch(key("f"), &metrics, || {
+                    started.wait();
+                    release.wait();
+                    Ok(output_of(1))
+                })
+            });
+            started.wait();
+            assert!(in_flight("f", Language::Go));
+            assert!(!in_flight("g", Language::Go) && !in_flight("f", Language::Lua));
+            release.wait();
+            assert!(launching.join().unwrap().is_ok());
+        });
+        assert!(!in_flight("f", Language::Go), "landed: a join would hit, not park");
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::collections::HashSet;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -24,6 +25,9 @@ struct Inner<K, S> {
 pub struct Flight<K, S> {
     inner: Mutex<Inner<K, S>>,
     landed: Condvar,
+    /// How many keys are in flight, kept beside the set under its lock, so
+    /// that [`Flight::any_in_flight`] answers "none" without the lock.
+    flying: AtomicUsize,
 }
 
 /// Held by the one thread computing `key`. Publish with [`Flight::with`]
@@ -39,7 +43,10 @@ pub struct Leader<'a, K: Eq + Hash, S> {
 
 impl<K: Eq + Hash, S> Drop for Leader<'_, K, S> {
     fn drop(&mut self) {
-        self.flight.inner.lock().in_flight.remove(self.key);
+        let mut inner = self.flight.inner.lock();
+        inner.in_flight.remove(self.key);
+        self.flight.flying.store(inner.in_flight.len(), Ordering::Release);
+        drop(inner);
         self.flight.landed.notify_all();
     }
 }
@@ -50,6 +57,7 @@ impl<K: Eq + Hash + Clone, S> Flight<K, S> {
         Flight {
             inner: Mutex::new(Inner { shared, in_flight: HashSet::new() }),
             landed: Condvar::new(),
+            flying: AtomicUsize::new(0),
         }
     }
 
@@ -57,6 +65,14 @@ impl<K: Eq + Hash + Clone, S> Flight<K, S> {
     /// free of caller-supplied code: everything else queues behind it.
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
         f(&mut self.inner.lock().shared)
+    }
+
+    /// Whether some thread is computing a key that `matches` right now: a
+    /// [`Flight::join`] on it would park. Costs a look at each key in
+    /// flight, at most one per computing thread, and builds no key; with
+    /// none in flight it takes no lock.
+    pub fn any_in_flight(&self, matches: impl FnMut(&K) -> bool) -> bool {
+        self.flying.load(Ordering::Acquire) > 0 && self.inner.lock().in_flight.iter().any(matches)
     }
 
     /// Looks `key` up with `probe`, under the lock; a hit costs that one
@@ -77,6 +93,7 @@ impl<K: Eq + Hash + Clone, S> Flight<K, S> {
             }
             if !inner.in_flight.contains(key) {
                 inner.in_flight.insert(key.clone());
+                self.flying.store(inner.in_flight.len(), Ordering::Release);
                 return (Err(Leader { flight: self, key }), waited);
             }
             waited = true;

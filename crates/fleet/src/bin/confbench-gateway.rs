@@ -49,7 +49,8 @@ mod tests {
         assert_eq!((c.listen.as_str(), c.fleet.seed), ("127.0.0.1:0", 13));
         assert_eq!((c.fleet.queue_capacity, &c.fleet.platforms[..]), (64, &[TeePlatform::Tdx][..]));
         let d = config_of("").unwrap();
-        assert_eq!((d.listen.as_str(), d.workers, d.fleet.shards), ("127.0.0.1:7700", 1, 1));
+        let cpus = std::thread::available_parallelism().map_or(1, usize::from);
+        assert_eq!((d.listen.as_str(), d.workers, d.fleet.shards), ("127.0.0.1:7700", cpus, 1));
         assert_eq!(d.fleet.platforms, TeePlatform::ALL);
         assert!(d.fleet.chaos.is_none() && d.fleet.remote_hosts.is_empty());
         assert_eq!(d.fleet.attest, AttestConfig::default());

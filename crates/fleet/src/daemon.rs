@@ -3,8 +3,8 @@
 //! `confbench-gateway` and `confbench-fleetd` are the same program (the
 //! second name stays because the benchmark builds and spawns it). It always
 //! builds a [`Fleet`] — `--shards 1`, the default, is the paper's single
-//! gateway — serves [`Fleet::build_router`], and drives campaigns with
-//! `--workers` fleet driver threads per platform.
+//! gateway — serves [`Fleet::build_router`], and drives campaigns with one
+//! pool of `--workers` driver threads, by default one per available CPU.
 //!
 //! Flags are the only way to configure it — nothing is read from the
 //! environment; `--help` prints [`FLAGS`]. `--chaos-seed` (nonzero) arms
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use confbench::flags::{self, Flag, Flags};
 use confbench::BalancePolicy;
-use confbench_httpd::ServerConfig;
+use confbench_httpd::{Server, ServerConfig};
 
 use crate::fleet::{Fleet, FleetConfig};
 
@@ -35,7 +35,7 @@ pub const FLAGS: [Flag; 15] = [
     ("--policy", "P", "round-robin (default) or least-loaded"),
     ("--remote-host", "PLATFORM=ADDR", "register a remote host agent (repeatable)"),
     ("--queue-capacity", "N", "campaign jobs a shard admits before 429 (default 4096)"),
-    ("--workers", "N", "campaign driver threads per platform (default 1)"),
+    ("--workers", "N", "campaign driver threads in all (default: available CPUs)"),
     ("--cache-capacity", "N", "result-cache LRU bound per shard (default 4096)"),
     ("--http-workers", "N", "REST handler threads (default 8)"),
     ("--http-backlog", "N", "connections admitted beyond the workers before 503 (default 1024)"),
@@ -61,7 +61,7 @@ pub fn main(program: &str) -> ExitCode {
 pub struct Config {
     /// `--listen`: the address to serve on.
     pub listen: String,
-    /// `--workers`: campaign driver threads per platform.
+    /// `--workers`: campaign driver threads in all.
     pub workers: usize,
     /// `--http-workers` and `--http-backlog`.
     pub http: ServerConfig,
@@ -123,7 +123,9 @@ pub fn config(args: Vec<String>) -> Result<Config, String> {
     fleet.chaos = flags::chaos_plan(&flags)?;
     Ok(Config {
         listen: flags.flag_value("--listen").unwrap_or("127.0.0.1:7700").to_owned(),
-        workers: flags.positive("--workers", "worker count")?.unwrap_or(1),
+        workers: flags
+            .positive("--workers", "worker count")?
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, usize::from)),
         http,
         fleet,
     })
@@ -134,6 +136,22 @@ pub fn listening_line(program: &str, addr: SocketAddr) -> String {
     format!("{program} listening on http://{addr}")
 }
 
+/// Builds the fleet `c` describes, spawns its pool of `c.workers` driver
+/// threads and serves the fleet on `c.listen`: the daemon, up to the
+/// start-up lines.
+///
+/// # Errors
+///
+/// The message `main` prints when the address cannot be bound.
+pub fn start(c: Config) -> Result<(Arc<Fleet>, Server), String> {
+    let fleet = Arc::new(Fleet::new(c.fleet));
+    fleet.spawn_drivers(c.workers);
+    let server = fleet
+        .serve_on(&c.listen, c.http)
+        .map_err(|e| format!("cannot listen on {}: {e}", c.listen))?;
+    Ok((fleet, server))
+}
+
 fn run(program: &str) -> Result<(), String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if flags::wants_help(&args) {
@@ -141,29 +159,24 @@ fn run(program: &str) -> Result<(), String> {
         return Ok(());
     }
     let c = config(args)?;
-    let (shards, platforms) = (c.fleet.shards, c.fleet.platforms.clone());
+    let (shards, workers, http) = (c.fleet.shards, c.workers, c.http);
     let (queue_capacity, cache_capacity) = (c.fleet.queue_capacity, c.fleet.cache_capacity);
-    for platform in &platforms {
+    for platform in &c.fleet.platforms {
         eprintln!("booting {shards} local {platform} host(s) (secure + normal VMs)...");
     }
     for (platform, addr) in &c.fleet.remote_hosts {
         eprintln!("registering remote {platform} host at {addr}");
     }
-    let fleet = Arc::new(Fleet::new(c.fleet));
-    fleet.spawn_drivers(c.workers);
-    let server = fleet
-        .serve_on(&c.listen, c.http)
-        .map_err(|e| format!("cannot listen on {}: {e}", c.listen))?;
+    let (_fleet, server) = start(c)?;
     println!("{}", listening_line(program, server.addr()));
     println!(
-        "fleet: {shards} shard(s), {} driver(s) per platform, queue capacity {queue_capacity}, \
-         result cache capped at {cache_capacity} entries",
-        c.workers
+        "fleet: {shards} shard(s), {workers} campaign driver(s), queue capacity {queue_capacity}, \
+         result cache capped at {cache_capacity} entries"
     );
     println!(
         "http: {} handler worker(s), admission window {} connections",
-        c.http.workers,
-        c.http.workers + c.http.backlog
+        http.workers,
+        http.workers + http.backlog
     );
 
     // Serve until interrupted.

@@ -31,9 +31,11 @@
 //! A fleet of one shard is the gateway: the daemon (`crate::daemon`) always
 //! builds a fleet, serves `/v1/run`, `/v1/campaigns` and `/v1/jobs` on
 //! shard 0 ([`Fleet::gateway`], [`Fleet::scheduler`]), and drives every
-//! campaign with the fleet's driver threads ([`Fleet::spawn_drivers`]):
-//! per platform, a driver steps every alive shard, steals for shards whose
-//! own queue is empty, harvests, and sleeps until a submission wakes it.
+//! campaign with one pool of driver threads ([`Fleet::spawn_drivers`]):
+//! every driver steps every platform of every alive shard, steals for
+//! shards whose own queue is empty, harvests, and sleeps until a
+//! submission wakes it. The routes that queue work wake the pool only once
+//! their answer is written, so a receipt never waits behind the drivers.
 //!
 //! The shared [`AttestService`] is also the fix for a sharding-specific
 //! regression: the session cache's single-flight and the collateral
@@ -68,6 +70,9 @@ use crate::ring::HashRing;
 
 /// Virtual nodes per shard on the placement ring.
 const VNODES: usize = 32;
+
+/// The name of every driver thread ([`Fleet::spawn_drivers`]).
+pub const DRIVER_THREAD: &str = "fleet-driver";
 
 /// Tunables of a [`Fleet`]: every shard is a gateway built from the same
 /// settings (the daemon's flags).
@@ -221,35 +226,58 @@ pub struct Fleet {
     seed: u64,
     state: Mutex<FleetState>,
     signal: WakeSignal,
-    drivers: Mutex<Vec<JoinHandle<()>>>,
+    drivers: Mutex<Drivers>,
 }
 
 /// Wakeup channel between submitters and driver threads: a generation
-/// counter and a stop flag.
+/// counter, moved on by every wake, and how many spawns of drivers are told
+/// to stop.
 #[derive(Default)]
 struct WakeSignal {
-    state: Mutex<(u64, bool)>,
+    state: Mutex<Wake>,
     cv: Condvar,
 }
 
+#[derive(Default)]
+struct Wake {
+    generation: u64,
+    /// Spawns `1..=stopped` are told to stop; a later spawn runs.
+    stopped: u64,
+}
+
 impl WakeSignal {
-    /// Moves the generation on (with `stop`, also stops the drivers) and
-    /// wakes every waiter.
-    fn raise(&self, stop: bool) {
-        let mut state = self.state.lock();
-        *state = (state.0 + 1, state.1 || stop);
+    /// Moves the generation on and wakes every waiter.
+    fn raise(&self) {
+        self.update(|wake| wake.generation += 1);
+    }
+
+    /// Tells every spawn up to `spawn` to stop, and wakes every waiter.
+    fn stop(&self, spawn: u64) {
+        self.update(|wake| wake.stopped = wake.stopped.max(spawn));
+    }
+
+    fn update(&self, f: impl FnOnce(&mut Wake)) {
+        f(&mut self.state.lock());
         self.cv.notify_all();
     }
 
-    /// The latest generation — when `idle`, once it has moved past `seen` —
-    /// or `None` once the drivers are told to stop.
-    fn next(&self, seen: u64, idle: bool) -> Option<u64> {
+    /// For a driver of spawn number `spawn`: the latest generation — when
+    /// `idle`, once it has moved past `seen` — or `None` once the spawn is
+    /// told to stop.
+    fn next(&self, spawn: u64, seen: u64, idle: bool) -> Option<u64> {
         let mut state = self.state.lock();
-        while idle && *state == (seen, false) {
+        while idle && state.generation == seen && state.stopped < spawn {
             state = self.cv.wait(state);
         }
-        (!state.1).then_some(state.0)
+        (state.stopped < spawn).then_some(state.generation)
     }
+}
+
+/// The driver threads running, and how many times drivers were spawned.
+#[derive(Default)]
+struct Drivers {
+    spawns: u64,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Fleet {
@@ -325,7 +353,7 @@ impl Fleet {
                 ..FleetState::default()
             }),
             signal: WakeSignal::default(),
-            drivers: Mutex::new(Vec::new()),
+            drivers: Mutex::new(Drivers::default()),
         }
     }
 
@@ -386,20 +414,28 @@ impl Fleet {
         (0..self.shards.len()).filter(|&s| self.shards[s].alive.load(Ordering::SeqCst)).collect()
     }
 
-    /// Validates, expands, and places a campaign across the fleet: each
-    /// cell goes to the shard owning its content address on the ring, and
-    /// carries the address to that shard's job, so no shard hashes it
-    /// again. Every shard shares one store, whose names are immutable, so
-    /// the address is the one the shard would compute. A function the
-    /// store does not know is placed by its address under an empty
-    /// fingerprint (still deterministic, still well-spread) and submitted
-    /// without one.
+    /// Validates, expands, and places a campaign across the fleet, then
+    /// wakes the drivers ([`Fleet::wake`]): each cell goes to the shard
+    /// owning its content address on the ring, and carries the address to
+    /// that shard's job, so no shard hashes it again. Every shard shares one
+    /// store, whose names are immutable, so the address is the one the shard
+    /// would compute. A function the store does not know is placed by its
+    /// address under an empty fingerprint (still deterministic, still
+    /// well-spread) and submitted without one.
     ///
     /// # Errors
     ///
     /// [`SubmitError`] — invalid specs are rejected up front; a shard
     /// refusing admission (queue full) fails the whole submission.
     pub fn submit(&self, spec: CampaignSpec) -> Result<FleetReceipt, SubmitError> {
+        let receipt = self.place(spec)?;
+        self.wake();
+        Ok(receipt)
+    }
+
+    /// [`Fleet::submit`] without the wake: `POST /v1/fleet/campaigns` wakes
+    /// the drivers once its receipt is written.
+    pub(crate) fn place(&self, spec: CampaignSpec) -> Result<FleetReceipt, SubmitError> {
         spec.validate_with_limit(confbench_types::MAX_CAMPAIGN_CELLS)
             .map_err(SubmitError::Invalid)?;
         let cells = campaign::expand(&spec);
@@ -449,42 +485,31 @@ impl Fleet {
             deadline_ms: spec.deadline_ms,
         });
         drop(state);
-        self.wake();
         self.metrics.counter("fleet_campaigns_total").inc();
         self.metrics.counter("fleet_cells_placed_total").add(jobs as u64);
         Ok(FleetReceipt { id, jobs })
     }
 
     /// Wakes idle driver threads: work was queued. [`Fleet::submit`],
-    /// shard retirement and the router's `POST /v1/campaigns` call it;
-    /// whoever queues on [`Fleet::scheduler`] directly calls it after.
+    /// [`Fleet::kill_shard`] and [`Fleet::drain_shard`] call it; the routes
+    /// that queue work call it once their answer is written; whoever queues
+    /// on [`Fleet::scheduler`] directly calls it after.
     pub fn wake(&self) {
-        self.signal.raise(false);
+        self.signal.raise();
     }
 
-    /// One scheduling pass: [`Fleet::pump_platform`] for every platform,
-    /// with one [`Fleet::harvest`] at the end. Returns whether any job was
-    /// processed.
+    /// One scheduling pass, what a driver thread runs: for every platform,
+    /// every alive shard steps its queue once, and a shard whose own queue
+    /// is empty *steals* — it runs the deepest other shard's next job on its
+    /// own hosts (the victim keeps the bookkeeping and the result lands in
+    /// the victim's cache). The pass ends with one [`Fleet::harvest`].
+    /// Returns whether any job was processed.
     pub fn pump(&self) -> bool {
         let mut progressed = false;
         for platform in TeePlatform::ALL {
             progressed |= self.step_platform(platform);
         }
         self.harvest();
-        progressed
-    }
-
-    /// A driver thread's pass over one platform: every alive shard steps
-    /// its `platform` queue once; a shard whose own queue is empty
-    /// *steals* — it runs the deepest other shard's next job on its own
-    /// hosts (the victim keeps the bookkeeping and the result lands in the
-    /// victim's cache). A pass that processed a job ends with a
-    /// [`Fleet::harvest`]. Returns whether any job was processed.
-    pub fn pump_platform(&self, platform: TeePlatform) -> bool {
-        let progressed = self.step_platform(platform);
-        if progressed {
-            self.harvest();
-        }
         progressed
     }
 
@@ -515,30 +540,37 @@ impl Fleet {
         progressed
     }
 
-    /// Spawns `per_platform` driver threads for each TEE platform. A driver
-    /// runs [`Fleet::pump_platform`] for its platform and, when a pass
-    /// finds nothing queued, sleeps until [`Fleet::wake`];
-    /// [`Fleet::shutdown`] stops and joins them.
-    pub fn spawn_drivers(self: &Arc<Self>, per_platform: usize) {
+    /// Spawns `n` driver threads in all. Drivers are alike: each runs
+    /// [`Fleet::pump`] over every platform and shard and, when a pass
+    /// processes nothing, sleeps until [`Fleet::wake`]. Which driver runs a
+    /// cell leaves no trace in its result: every shard executes any cell
+    /// byte-identically. [`Fleet::shutdown`] stops and joins them; drivers
+    /// spawned after it run.
+    pub fn spawn_drivers(self: &Arc<Self>, n: usize) {
         let mut drivers = self.drivers.lock();
-        for platform in TeePlatform::ALL {
-            for _ in 0..per_platform {
-                let fleet = Arc::clone(self);
-                drivers.push(std::thread::spawn(move || {
-                    let mut seen = Some(0);
-                    while let Some(generation) = seen {
-                        seen = fleet.signal.next(generation, !fleet.pump_platform(platform));
-                    }
-                }));
-            }
+        drivers.spawns += 1;
+        let spawn = drivers.spawns;
+        for _ in 0..n {
+            let fleet = Arc::clone(self);
+            let driver = std::thread::Builder::new().name(DRIVER_THREAD.into()).spawn(move || {
+                let mut seen = Some(0);
+                while let Some(generation) = seen {
+                    seen = fleet.signal.next(spawn, generation, !fleet.pump());
+                }
+            });
+            drivers.threads.push(driver.expect("driver thread spawns"));
         }
     }
 
-    /// Signals every driver to stop and joins them. Queued jobs stay queued.
+    /// Signals every running driver to stop and joins them. Queued jobs stay
+    /// queued, for the next [`Fleet::spawn_drivers`] or [`Fleet::drain`].
     pub fn shutdown(&self) {
-        self.signal.raise(true);
-        let drivers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.drivers.lock());
-        for driver in drivers {
+        let threads = {
+            let mut drivers = self.drivers.lock();
+            self.signal.stop(drivers.spawns);
+            std::mem::take(&mut drivers.threads)
+        };
+        for driver in threads {
             let _ = driver.join();
         }
     }
@@ -590,7 +622,9 @@ impl Fleet {
     /// retired, by this or by [`Fleet::drain_shard`]: an empty ring could
     /// place nothing, so the call returns 0 and the shard stays alive.
     pub fn kill_shard(&self, id: usize) -> usize {
-        self.retire_shard(id, false)
+        let replaced = self.retire_shard(id, false);
+        self.wake();
+        replaced
     }
 
     /// Gracefully drains a shard: its results are harvested and its cache
@@ -598,10 +632,15 @@ impl Fleet {
     /// so re-placed cells cache-hit on their new shard instead of
     /// re-executing. Returns how many cells were re-placed.
     pub fn drain_shard(&self, id: usize) -> usize {
-        self.retire_shard(id, true)
+        let replaced = self.retire_shard(id, true);
+        self.wake();
+        replaced
     }
 
-    fn retire_shard(&self, id: usize, graceful: bool) -> usize {
+    /// [`Fleet::kill_shard`] (`graceful` false) or [`Fleet::drain_shard`]
+    /// without the wake: the shard routes wake the drivers once their
+    /// answer is written.
+    pub(crate) fn retire_shard(&self, id: usize, graceful: bool) -> usize {
         assert!(id < self.shards.len(), "unknown shard {id}");
         {
             // Decided under the ring lock, so two retirements racing for
@@ -665,7 +704,6 @@ impl Fleet {
             }
         }
         drop(state);
-        self.wake();
         self.metrics.counter("fleet_cells_replaced_total").add(replaced as u64);
         replaced
     }
@@ -898,7 +936,29 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         fleet.shutdown();
-        assert!(fleet.drivers.lock().is_empty());
+        assert!(fleet.drivers.lock().threads.is_empty());
+        assert_eq!(fleet.total_executions(), 12);
+    }
+
+    /// Drivers spawned after a shutdown run: the stop is scoped to the
+    /// spawn it was meant for, so a campaign submitted to the new pool
+    /// completes instead of sitting queued behind drivers that exit after
+    /// one pass.
+    #[test]
+    fn drivers_spawned_after_a_shutdown_drain_the_next_campaign() {
+        let fleet =
+            Arc::new(Fleet::new(FleetConfig { shards: 1, seed: SEED, ..FleetConfig::default() }));
+        fleet.spawn_drivers(1);
+        fleet.shutdown();
+        fleet.spawn_drivers(1);
+        let receipt = fleet.submit(spec(&["360", "5040"])).expect("fleet campaign admitted");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !fleet.campaign_status(&receipt.id).is_some_and(|s| s.complete) {
+            assert!(std::time::Instant::now() < deadline, "the second pool never ran");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(fleet.drivers.lock().threads.len(), 1, "the second pool is still up");
+        fleet.shutdown();
         assert_eq!(fleet.total_executions(), 12);
     }
 

@@ -12,13 +12,13 @@
 //!   addresses agree fleet-wide) and one `AttestService` (the session
 //!   cache's single-flight and the collateral refresher's claim slots span
 //!   the fleet: N shards cold-verifying the same TCB identity do *one* PCS
-//!   collateral cycle), with cross-shard work stealing when a platform's
-//!   workers idle and kill/drain recovery that completes campaigns
+//!   collateral cycle), with cross-shard work stealing when a shard's
+//!   queue runs dry and kill/drain recovery that completes campaigns
 //!   byte-identically (dedup via the content-addressed cache — no cell
 //!   executes twice);
 //! * [`daemon`] — the one daemon `main` behind `confbench-gateway` and
-//!   `confbench-fleetd`: a fleet of `--shards N` (default 1) shards, its
-//!   driver threads, and one router;
+//!   `confbench-fleetd`: a fleet of `--shards N` (default 1) shards, one
+//!   pool of `--workers` driver threads, and one router;
 //! * [`fsm`] — the migration state machine
 //!   (`Idle → Draining → PreCopy → StopAndCopy → ReAttest →
 //!   Resumed/Aborted`), pure and bounded so `confbench-mc` can model-check
@@ -46,7 +46,9 @@ mod rest;
 pub mod ring;
 pub mod wire;
 
-pub use fleet::{Fleet, FleetCampaignStatus, FleetConfig, FleetReceipt, ShardStatus};
+pub use fleet::{
+    Fleet, FleetCampaignStatus, FleetConfig, FleetReceipt, ShardStatus, DRIVER_THREAD,
+};
 pub use fsm::{FsmError, MigrationFsm, MigrationOp, MigrationPhase, SourceVm};
 pub use migrate::{migrate, MigrationConfig, MigrationError, MigrationReport};
 pub use ring::HashRing;

@@ -84,6 +84,9 @@ impl Fleet {
     /// * `POST /v1/migrations` — run a live migration for a platform,
     ///   returning the measured report (downtime, rounds, pages);
     /// * `GET /v1/migrations` — reports of migrations run so far.
+    ///
+    /// The routes that queue work — both campaign routes and the two shard
+    /// retirements — wake the drivers only once their answer is written.
     pub fn build_router(self: &Arc<Self>) -> Router {
         let mut router = Router::new();
         self.gateway().add_routes(&mut router);
@@ -113,8 +116,11 @@ impl Fleet {
                 Ok(spec) => spec,
                 Err(e) => return Response::error(400, format!("bad campaign spec: {e}")),
             };
-            match fleet.submit(spec) {
-                Ok(receipt) => Response::json(&receipt),
+            match fleet.place(spec) {
+                Ok(receipt) => {
+                    let fleet = Arc::clone(&fleet);
+                    Response::json(&receipt).after_answer(move || fleet.wake())
+                }
                 Err(e) => confbench_sched::rest::submit_error_response(e),
             }
         });
@@ -129,12 +135,12 @@ impl Fleet {
 
         let fleet = Arc::clone(self);
         router.add(Method::Post, "/v1/fleet/shards/:id/drain", move |_, params| {
-            shard_action(&fleet, &params["id"], |f, id| f.drain_shard(id))
+            shard_action(&fleet, &params["id"], true)
         });
 
         let fleet = Arc::clone(self);
         router.add(Method::Post, "/v1/fleet/shards/:id/kill", move |_, params| {
-            shard_action(&fleet, &params["id"], |f, id| f.kill_shard(id))
+            shard_action(&fleet, &params["id"], false)
         });
 
         let fleet = Arc::clone(self);
@@ -188,11 +194,9 @@ impl Fleet {
     }
 }
 
-fn shard_action(
-    fleet: &Arc<Fleet>,
-    raw_id: &str,
-    action: impl Fn(&Fleet, usize) -> usize,
-) -> Response {
+/// Retires a shard, gracefully or not; the drivers wake for the re-placed
+/// cells once the answer is written.
+fn shard_action(fleet: &Arc<Fleet>, raw_id: &str, graceful: bool) -> Response {
     let Ok(id) = raw_id.parse::<usize>() else {
         return Response::error(400, format!("bad shard id {raw_id:?}"));
     };
@@ -204,12 +208,14 @@ fn shard_action(
     if id == 0 {
         return Response::error(409, "shard 0 serves /v1/campaigns and /v1/jobs; it cannot retire");
     }
-    let replaced = action(fleet, id);
+    let replaced = fleet.retire_shard(id, graceful);
+    let fleet = Arc::clone(fleet);
     Response::json(&serde_json::json!({
         "shard": id,
         "alive": false,
         "cells_replaced": replaced,
     }))
+    .after_answer(move || fleet.wake())
 }
 
 #[cfg(test)]

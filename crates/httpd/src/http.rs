@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
+use std::sync::Arc;
 
 /// Maximum length of a request/status line in bytes.
 pub const MAX_START_LINE: usize = 8 << 10;
@@ -213,22 +214,66 @@ pub struct Response {
     pub headers: HashMap<String, String>,
     /// Raw body bytes.
     pub body: Vec<u8>,
+    /// What runs once the answer is written ([`Response::after_answer`]).
+    pub(crate) after: Option<Arc<AfterAnswer>>,
+}
+
+/// Work an answer carries for after it is written: it runs when dropped, so
+/// whoever holds the last copy decides when — the server once the answer's
+/// last byte reaches the socket, anyone else whenever they let go.
+pub(crate) struct AfterAnswer(Option<Box<dyn FnOnce() + Send + Sync>>);
+
+impl Drop for AfterAnswer {
+    fn drop(&mut self) {
+        if let Some(hook) = self.0.take() {
+            hook();
+        }
+    }
+}
+
+impl fmt::Debug for AfterAnswer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("AfterAnswer")
+    }
 }
 
 impl Response {
+    fn new(status: u16, headers: HashMap<String, String>, body: Vec<u8>) -> Self {
+        Response { status, headers, body, after: None }
+    }
+
     /// 200 with a JSON body.
     pub fn json(value: &impl serde::Serialize) -> Self {
         let body = serde_json::to_vec(value).expect("serializable value");
         let mut headers = HashMap::new();
         headers.insert("content-type".into(), "application/json".into());
-        Response { status: 200, headers, body }
+        Response::new(200, headers, body)
     }
 
     /// 200 with a plain-text body.
     pub fn text(body: impl Into<String>) -> Self {
         let mut headers = HashMap::new();
         headers.insert("content-type".into(), "text/plain".into());
-        Response { status: 200, headers, body: body.into().into_bytes() }
+        Response::new(200, headers, body.into().into_bytes())
+    }
+
+    /// Runs `hook` once this answer is written: a [`crate::Server`] runs it
+    /// right after the answer's last byte reaches the socket. An answer that
+    /// is never written — the peer is gone, or the response came from
+    /// [`crate::Router::dispatch`] in process — runs it when dropped, so it
+    /// runs exactly once either way. Copies share the hook; it runs when
+    /// the last copy goes. A second hook runs after the first.
+    ///
+    /// This is how a handler starts work the answer must not wait behind:
+    /// the campaign routes wake the drivers here. Keep the hook short: it
+    /// may run on the thread leading the server's reactor.
+    pub fn after_answer(mut self, hook: impl FnOnce() + Send + Sync + 'static) -> Self {
+        let first = self.after.take();
+        self.after = Some(Arc::new(AfterAnswer(Some(Box::new(move || {
+            drop(first);
+            hook();
+        })))));
+        self
     }
 
     /// An error response with a plain-text message.
@@ -255,7 +300,7 @@ impl Response {
     /// when the peer closed before sending any response bytes.
     pub fn read_from(stream: &mut impl Read) -> Result<Response, HttpError> {
         let (head, body) = read_message(&mut BufReader::new(stream), parse_status_line)?;
-        Ok(Response { status: head.start, headers: head.headers, body })
+        Ok(Response::new(head.start, head.headers, body))
     }
 
     /// Whether the sender will keep the connection open after this response

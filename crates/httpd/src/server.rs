@@ -33,7 +33,7 @@ use confbench_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use parking_lot::Mutex;
 
 use crate::fault::{Fault, FaultInjector};
-use crate::http::{try_parse_request, HttpError, Request, Response};
+use crate::http::{try_parse_request, AfterAnswer, HttpError, Request, Response};
 use crate::poll::{event_buffer, Epoll, EpollEvent, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT};
 use crate::router::Router;
 
@@ -169,8 +169,9 @@ struct Dispatch {
 enum Reply {
     /// The answer, for the reactor to frame and write.
     Answer(Response),
-    /// A keep-alive answer and the part the socket took; the reactor writes the rest.
-    Rest(Vec<u8>, usize),
+    /// A keep-alive answer, the part the socket took, and the answer's
+    /// after-answer hook; the reactor writes the rest.
+    Rest(Vec<u8>, usize, Option<Arc<AfterAnswer>>),
     /// A keep-alive answer written whole at this instant, `EPOLLIN` re-armed.
     Written(Instant),
 }
@@ -228,6 +229,7 @@ impl Shared {
             Some(stream) if response.keep_alive() && !self.shutdown.load(Ordering::SeqCst) => {
                 response.headers.insert("connection".into(), "keep-alive".into());
                 let bytes = response.to_bytes();
+                let after = response.after.take();
                 let mut written = 0;
                 if write_some(&stream, &bytes, &mut written).is_ok() && written == bytes.len() {
                     // Note first, then `EPOLLIN`: the reactor cannot read
@@ -240,9 +242,11 @@ impl Shared {
                     {
                         self.waker.wake();
                     }
+                    // The answer is on the wire: its hook runs now.
+                    drop(after);
                     return;
                 }
-                Reply::Rest(bytes, written)
+                Reply::Rest(bytes, written, after)
             }
             _ => Reply::Answer(response),
         };
@@ -315,6 +319,9 @@ struct Conn {
     buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
+    /// The hook of the answer in `write_buf`, dropped (so run) once the
+    /// answer is written or the connection goes.
+    after: Option<Arc<AfterAnswer>>,
     served: u64,
     req_keep_alive: bool,
     fault_close: bool,
@@ -343,6 +350,7 @@ impl Conn {
             buf: Vec::new(),
             write_buf: Vec::new(),
             write_pos: 0,
+            after: None,
             served: 0,
             req_keep_alive: true,
             fault_close: false,
@@ -719,7 +727,8 @@ impl Reactor {
                 .insert("connection".into(), if close { "close" } else { "keep-alive" }.into());
         }
         let close_after = close || conn.fault_close;
-        self.start_write(id, response.to_bytes(), 0, close_after);
+        let after = response.after.take();
+        self.start_write(id, response.to_bytes(), 0, close_after, after);
     }
 
     /// Applies an inline answer's note: the connection reads again, idle
@@ -740,7 +749,7 @@ impl Reactor {
     fn send_response_and_close(&mut self, id: u64, response: Response) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         conn.linger = true;
-        self.start_write(id, response.to_bytes(), 0, true);
+        self.start_write(id, response.to_bytes(), 0, true, None);
         // Also bounds the write phase against a peer that never reads.
         if self.conns.get(&id).is_some_and(|c| c.state == State::Writing) {
             self.arm_timer(id, Instant::now() + REJECT_DRAIN_TOTAL);
@@ -748,14 +757,22 @@ impl Reactor {
     }
 
     /// Puts `bytes[written..]` on the connection's `EPOLLOUT` path, with no
-    /// deadline.
-    fn start_write(&mut self, id: u64, bytes: Vec<u8>, written: usize, close_after: bool) {
+    /// deadline; `after` runs once they are written.
+    fn start_write(
+        &mut self,
+        id: u64,
+        bytes: Vec<u8>,
+        written: usize,
+        close_after: bool,
+        after: Option<Arc<AfterAnswer>>,
+    ) {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         conn.timer_gen += 1; // cancel the timer
         conn.queued_at = None;
         conn.close_after_write = close_after;
         conn.write_buf = bytes;
         conn.write_pos = written;
+        conn.after = after;
         conn.state = State::Writing;
         self.set_interest(id, EPOLLOUT);
         self.flush_write(id);
@@ -778,6 +795,8 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else { return };
         conn.write_buf = Vec::new();
         conn.write_pos = 0;
+        // The answer is on the wire: its hook runs now.
+        conn.after = None;
         if conn.linger {
             // Half-close, then discard the peer's unread bytes until the
             // drain budget expires: an immediate close would RST the
@@ -804,7 +823,9 @@ impl Reactor {
         for (id, reply) in replies {
             match reply {
                 Reply::Answer(response) => self.finish_response(id, response),
-                Reply::Rest(bytes, written) => self.start_write(id, bytes, written, false),
+                Reply::Rest(bytes, written, after) => {
+                    self.start_write(id, bytes, written, false, after)
+                }
                 Reply::Written(at) => self.written(id, at),
             }
         }
@@ -1968,5 +1989,74 @@ mod tests {
         drop(stream);
         release.store(true, Ordering::SeqCst);
         wait_for("the connection is reclaimed", Duration::from_secs(5), || settled(&server));
+    }
+
+    /// An answer's hook runs once its last byte is on the wire, whichever
+    /// thread writes it: the handler's (keep-alive) or the leader's
+    /// (`Connection: close`). Each hook waits for the client to have read
+    /// the answer; a hook run before the write would wait in vain.
+    #[test]
+    fn after_answer_hook_runs_once_the_answer_is_written() {
+        let (read_tx, read_rx) = std::sync::mpsc::channel::<()>();
+        let read_rx = Arc::new(Mutex::new(read_rx));
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel::<bool>();
+        let mut router = Router::new();
+        router.add(Method::Get, "/hooked", move |_, _| {
+            let (read, ran) = (Arc::clone(&read_rx), ran_tx.clone());
+            Response::text("receipt").after_answer(move || {
+                let after_read = read.lock().recv_timeout(Duration::from_secs(5)).is_ok();
+                let _ = ran.send(after_read);
+            })
+        });
+        let server = Server::spawn(router).unwrap();
+        for close in [false, true] {
+            let (mut stream, mut reader) = connect(server.addr());
+            stream.write_all(&get("/hooked", close)).unwrap();
+            assert_eq!(read_response(&mut reader).unwrap().body, b"receipt");
+            read_tx.send(()).unwrap();
+            let ran = ran_rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(ran, Ok(true), "close {close}: the hook ran before the answer was read");
+        }
+    }
+
+    /// An answer nobody writes still runs its hook, once: when the last copy
+    /// of an in-process answer is dropped, and when the peer is gone before
+    /// the handler returns.
+    #[test]
+    fn after_answer_hook_runs_when_the_answer_is_not_written() {
+        let runs = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let (started, release) =
+            (Arc::new(AtomicBool::new(false)), Arc::new(AtomicBool::new(false)));
+        let (count, flag, gate) = (Arc::clone(&runs), Arc::clone(&started), Arc::clone(&release));
+        let mut router = Router::new();
+        router.add(Method::Get, "/held", move |_, _| {
+            flag.store(true, Ordering::SeqCst);
+            while !gate.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let count = Arc::clone(&count);
+            Response::text("late").after_answer(move || {
+                count.fetch_add(1, Ordering::SeqCst);
+            })
+        });
+        release.store(true, Ordering::SeqCst);
+        let answer = router.dispatch(&crate::http::Request::new(Method::Get, "/held"));
+        let copy = answer.clone();
+        drop(answer);
+        assert_eq!(runs.load(Ordering::SeqCst), 0, "a copy still holds the hook");
+        drop(copy);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+
+        release.store(false, Ordering::SeqCst);
+        started.store(false, Ordering::SeqCst);
+        let server = Server::spawn(router).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(&get("/held", false)).unwrap();
+        wait_for("the handler starts", Duration::from_secs(5), || started.load(Ordering::SeqCst));
+        drop(stream);
+        release.store(true, Ordering::SeqCst);
+        wait_for("the hook runs", Duration::from_secs(5), || runs.load(Ordering::SeqCst) == 2);
+        wait_for("the connection is reclaimed", Duration::from_secs(5), || settled(&server));
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 }

@@ -85,7 +85,7 @@ mod queue;
 pub mod rest;
 mod scheduler;
 
-use confbench_types::{Result, RunRequest, RunResult};
+use confbench_types::{CampaignCell, Result, RunRequest, RunResult};
 
 pub use cache::{cache_key, CachedCell, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use queue::BoundedQueue;
@@ -111,4 +111,13 @@ pub trait Executor: Send + Sync {
     /// The fingerprint is folded into result-cache keys so editing a
     /// function's source invalidates exactly that function's cached cells.
     fn function_fingerprint(&self, name: &str) -> Option<String>;
+
+    /// Whether executing `cell` now would park behind work another thread
+    /// is doing for it — its function's launch, say. A step passes over
+    /// such a job to the next one ([`Scheduler::step_with`]), so a second
+    /// driver runs something instead of waiting. Never, by default.
+    fn would_wait(&self, cell: &CampaignCell) -> bool {
+        let _ = cell;
+        false
+    }
 }

@@ -78,6 +78,30 @@ impl BoundedQueue {
         None
     }
 
+    /// Dequeues the first of `platform`'s next `lookahead` jobs (in
+    /// [`BoundedQueue::pop`] order) that `pass_over` does not pass over; the
+    /// jobs passed over keep their places. When it passes over every one of
+    /// them, the next job is dequeued after all.
+    pub fn pop_unless(
+        &mut self,
+        platform: TeePlatform,
+        lookahead: usize,
+        mut pass_over: impl FnMut(&JobId) -> bool,
+    ) -> Option<JobId> {
+        let lanes = self.lanes.get_mut(&platform)?;
+        let mut budget = lookahead;
+        for p in Priority::DESCENDING {
+            let queue = &mut lanes[lane(p)];
+            let looked = queue.len().min(budget);
+            if let Some(at) = (0..looked).find(|&at| !pass_over(&queue[at])) {
+                self.depth -= 1;
+                return queue.remove(at);
+            }
+            budget -= looked;
+        }
+        self.pop(platform)
+    }
+
     /// Removes specific jobs wherever they are queued (cancellation),
     /// returning how many were actually present (and therefore removed
     /// before any worker could pick them up).
@@ -109,6 +133,29 @@ mod tests {
 
     fn id(s: &str) -> JobId {
         JobId(s.to_owned())
+    }
+
+    #[test]
+    fn pop_unless_passes_over_jobs_within_the_lookahead_and_keeps_their_places() {
+        let mut q = BoundedQueue::new(10);
+        for (priority, job) in [
+            (Priority::Normal, "a"),
+            (Priority::Normal, "b"),
+            (Priority::Low, "c"),
+            (Priority::High, "h"),
+        ] {
+            q.push(TeePlatform::Tdx, priority, id(job));
+        }
+        // In pop order: h, a, b, c.
+        let busy = |job: &JobId| job.0 == "h" || job.0 == "a";
+        assert_eq!(q.pop_unless(TeePlatform::Tdx, 4, busy), Some(id("b")));
+        // Every job within the lookahead passed over: the head goes.
+        assert_eq!(q.pop_unless(TeePlatform::Tdx, 2, busy), Some(id("h")));
+        assert_eq!(q.pop_unless(TeePlatform::Tdx, 4, |_| true), Some(id("a")));
+        assert_eq!(q.depth(), 1);
+        assert_eq!(q.pop(TeePlatform::Tdx), Some(id("c")));
+        assert_eq!(q.pop_unless(TeePlatform::Tdx, 4, |_| false), None);
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]

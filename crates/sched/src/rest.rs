@@ -22,14 +22,16 @@ use confbench_types::{CampaignId, CampaignSpec, Error, JobId};
 use crate::scheduler::{Scheduler, SubmitError};
 
 /// Registers the campaign and job routes on `router`. `admitted` runs
-/// after every campaign the scheduler admits: whatever steps the scheduler
-/// learns there is work.
+/// once the receipt of every campaign the scheduler admits is written
+/// ([`Response::after_answer`]): whatever steps the scheduler learns there
+/// is work, and the receipt does not wait behind it.
 pub fn add_routes(
     router: &mut Router,
     sched: Arc<Scheduler>,
     admitted: impl Fn() + Send + Sync + 'static,
 ) {
     let s = Arc::clone(&sched);
+    let admitted = Arc::new(admitted);
     router.add(Method::Post, "/v1/campaigns", move |req, _| {
         let spec: CampaignSpec = match req.body_json() {
             Ok(spec) => spec,
@@ -37,8 +39,8 @@ pub fn add_routes(
         };
         match s.submit(spec) {
             Ok(receipt) => {
-                admitted();
-                let mut resp = Response::json(&receipt);
+                let admitted = Arc::clone(&admitted);
+                let mut resp = Response::json(&receipt).after_answer(move || admitted());
                 resp.status = 202;
                 resp
             }

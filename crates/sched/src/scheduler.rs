@@ -2,9 +2,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use confbench_obs::{MetricsRegistry, SpanRecorder};
+use confbench_obs::{Counter, Gauge, MetricsRegistry, SpanRecorder};
 use confbench_stats::Summary;
 use confbench_types::{
     CampaignCell, CampaignId, CampaignReceipt, CampaignSpec, CampaignState, CampaignStatus,
@@ -117,6 +118,10 @@ struct Inner {
     queue: BoundedQueue,
 }
 
+/// How many queued jobs a step looks at for one that would not wait
+/// ([`Scheduler::step_with`]): a few per driver that can be launching.
+const PASS_OVER_LOOKAHEAD: usize = 16;
+
 /// The campaign scheduler.
 ///
 /// Deterministic by construction: all timing comes from the injected
@@ -128,9 +133,47 @@ pub struct Scheduler {
     clock: Arc<dyn Clock>,
     config: SchedulerConfig,
     metrics: Arc<MetricsRegistry>,
+    step: StepMetrics,
+    /// Jobs queued per platform, in [`TeePlatform::ALL`] order, published
+    /// under the lock whenever the queue changes, so that a step — or a
+    /// thief sizing up victims — finds a platform with nothing queued
+    /// without taking the lock. Every driver of a fleet sweeps every
+    /// platform of every shard, and most of those queues are empty.
+    queued: [AtomicUsize; 3],
     recorder: SpanRecorder,
     cache: ResultCache,
     inner: Mutex<Inner>,
+}
+
+/// The instruments a step touches, looked up in the registry once: a step
+/// then takes no registry lock, which every driver and every shard's
+/// executions would otherwise share.
+struct StepMetrics {
+    queue_depth: Arc<Gauge>,
+    inflight: Arc<Gauge>,
+    cache_entries: Arc<Gauge>,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
+    evictions: Arc<Counter>,
+    completed: Arc<Counter>,
+    failed: Arc<Counter>,
+    expired: Arc<Counter>,
+}
+
+impl StepMetrics {
+    fn register(metrics: &MetricsRegistry) -> Self {
+        StepMetrics {
+            queue_depth: metrics.gauge("sched_queue_depth"),
+            inflight: metrics.gauge("sched_jobs_inflight"),
+            cache_entries: metrics.gauge("sched_cache_entries"),
+            hits: metrics.counter("sched_cache_hits_total"),
+            misses: metrics.counter("sched_cache_misses_total"),
+            evictions: metrics.counter("sched_cache_evictions_total"),
+            completed: metrics.counter("sched_jobs_completed_total"),
+            failed: metrics.counter("sched_jobs_failed_total"),
+            expired: metrics.counter("sched_jobs_expired_total"),
+        }
+    }
 }
 
 impl Scheduler {
@@ -163,6 +206,8 @@ impl Scheduler {
             clock,
             cache: ResultCache::with_capacity(config.cache_capacity),
             config,
+            step: StepMetrics::register(&metrics),
+            queued: Default::default(),
             metrics,
             recorder,
             inner: Mutex::new(inner),
@@ -287,8 +332,18 @@ impl Scheduler {
         inner.campaigns.insert(id.clone(), CampaignRecord { job_ids, cancelled: false });
         self.metrics.counter("sched_campaigns_total").inc();
         self.metrics.counter("sched_jobs_enqueued_total").add(jobs as u64);
-        self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
+        self.queue_changed(&inner.queue);
         CampaignReceipt { id, jobs }
+    }
+
+    /// Publishes the queue's depths: the gauge and the per-platform counts
+    /// [`Scheduler::queue_depth_for`] reads. Called under the lock after
+    /// every change to the queue.
+    fn queue_changed(&self, queue: &BoundedQueue) {
+        self.step.queue_depth.set(queue.depth() as u64);
+        for (queued, platform) in self.queued.iter().zip(TeePlatform::ALL) {
+            queued.store(queue.depth_for(platform), Ordering::Release);
+        }
     }
 
     /// Processes at most one queued job for `platform` on `executor`:
@@ -305,14 +360,26 @@ impl Scheduler {
     /// The cache key is the one the job carries from submission; a job
     /// submitted without one is addressed here through the scheduler's own
     /// executor, so the key is always the victim's view of the function.
+    ///
+    /// Of the next 16 jobs (`PASS_OVER_LOOKAHEAD`), the step takes the first
+    /// that would not park behind another thread's work for it
+    /// ([`Executor::would_wait`]); those passed over keep their places at
+    /// the head of the queue. A campaign's secure and normal cell of one
+    /// function share its launch and sit side by side, so a second driver
+    /// launches the next function instead of waiting for the first.
     pub fn step_with(&self, platform: TeePlatform, executor: &dyn Executor) -> bool {
+        if self.queue_depth_for(platform) == 0 {
+            return false;
+        }
         // Phase 1 (locked): dequeue and classify.
         let (job_id, cell, key, enqueued_at_ms) = {
             let mut inner = self.inner.lock();
-            let Some(job_id) = inner.queue.pop(platform) else {
+            let Inner { queue, jobs, .. } = &mut *inner;
+            let waits = |job: &JobId| jobs.get(job).is_some_and(|j| executor.would_wait(&j.cell));
+            let Some(job_id) = queue.pop_unless(platform, PASS_OVER_LOOKAHEAD, waits) else {
                 return false;
             };
-            self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
+            self.queue_changed(&inner.queue);
             let now = self.clock.now_ms();
             let job = inner.jobs.get_mut(&job_id).expect("queued job is recorded");
             if job.expires_at_ms.is_some_and(|t| now >= t) {
@@ -321,34 +388,31 @@ impl Scheduler {
                     "queued past its {}ms deadline",
                     job.expires_at_ms.unwrap_or(0).saturating_sub(job.enqueued_at_ms)
                 ));
-                self.metrics.counter("sched_jobs_expired_total").inc();
+                self.step.expired.inc();
                 return true;
             }
             job.state = JobState::Running;
-            let cell = job.cell.clone();
-            let enqueued_at_ms = job.enqueued_at_ms;
 
             // Content address: only functions the executor knows have a
             // fingerprint; unknown ones fall through to execution, which
             // reports the precise error.
-            let key = job.key.take().or_else(|| self.content_address(&cell));
+            let key = job.key.take().or_else(|| self.content_address(&job.cell));
             if let Some(key) = &key {
                 if let Some(hit) = self.cache.get(key) {
-                    let summary = build_summary(&job_id, &cell, &hit, true, key);
+                    job.summary = Some(build_summary(&job_id, &job.cell, &hit, true, key));
                     job.state = JobState::Completed;
-                    job.summary = Some(summary);
-                    self.metrics.counter("sched_cache_hits_total").inc();
-                    self.metrics.counter("sched_jobs_completed_total").inc();
+                    self.step.hits.inc();
+                    self.step.completed.inc();
                     return true;
                 }
-                self.metrics.counter("sched_cache_misses_total").inc();
+                self.step.misses.inc();
             }
-            (job_id, cell, key, enqueued_at_ms)
+            (job_id, job.cell.clone(), key, job.enqueued_at_ms)
         };
 
         // Phase 2 (unlocked): execute — potentially slow, must not hold the
         // scheduler lock so other platforms keep draining.
-        self.metrics.gauge("sched_jobs_inflight").inc();
+        self.step.inflight.inc();
         let dequeued_at_ms = self.clock.now_ms();
         let request = RunRequest {
             function: FunctionSpec {
@@ -404,20 +468,20 @@ impl Scheduler {
             Ok((summary, key, cached)) => {
                 if !key.is_empty() {
                     let evicted = self.cache.insert(key, cached);
-                    self.metrics.gauge("sched_cache_entries").set(self.cache.len() as u64);
-                    self.metrics.counter("sched_cache_evictions_total").add(evicted);
+                    self.step.cache_entries.set(self.cache.len() as u64);
+                    self.step.evictions.add(evicted);
                 }
                 job.state = JobState::Completed;
                 job.summary = Some(summary);
-                self.metrics.counter("sched_jobs_completed_total").inc();
+                self.step.completed.inc();
             }
             Err(error) => {
                 job.state = JobState::Failed;
                 job.error = Some(error);
-                self.metrics.counter("sched_jobs_failed_total").inc();
+                self.step.failed.inc();
             }
         }
-        self.metrics.gauge("sched_jobs_inflight").dec();
+        self.step.inflight.dec();
         true
     }
 
@@ -450,7 +514,7 @@ impl Scheduler {
                 job.state = JobState::Cancelled;
             }
             self.metrics.counter("sched_jobs_cancelled_total").add(queued.len() as u64);
-            self.metrics.gauge("sched_queue_depth").set(inner.queue.depth() as u64);
+            self.queue_changed(&inner.queue);
         }
         self.campaign_status(id)
     }
@@ -532,9 +596,11 @@ impl Scheduler {
     }
 
     /// Jobs currently queued for one platform — what a work-stealing fleet
-    /// inspects to pick the deepest victim.
+    /// inspects to pick the deepest victim. Takes no lock: the count is the
+    /// one the last change to the queue published.
     pub fn queue_depth_for(&self, platform: TeePlatform) -> usize {
-        self.inner.lock().queue.depth_for(platform)
+        let index = TeePlatform::ALL.iter().position(|&p| p == platform);
+        index.map_or(0, |i| self.queued[i].load(Ordering::Acquire))
     }
 }
 
@@ -658,6 +724,42 @@ mod tests {
             SchedulerConfig::default(),
         );
         assert_eq!(sched.submit(fig6).unwrap().jobs, 350);
+    }
+
+    /// `SimExec` for which every Go cell would wait.
+    struct GoBusy(SimExec);
+
+    impl Executor for GoBusy {
+        fn execute(&self, req: &RunRequest) -> Result<RunResult> {
+            self.0.execute(req)
+        }
+
+        fn function_fingerprint(&self, name: &str) -> Option<String> {
+            self.0.function_fingerprint(name)
+        }
+
+        fn would_wait(&self, cell: &CampaignCell) -> bool {
+            cell.language == Language::Go
+        }
+    }
+
+    /// A step passes over a job that would wait and runs the next one; the
+    /// job passed over keeps its place, and runs once nothing else can.
+    #[test]
+    fn a_step_passes_over_a_job_that_would_wait() {
+        let (sched, _, _) = harness(64);
+        let receipt = sched.submit(spec()).unwrap();
+        let busy = GoBusy(SimExec::new());
+        let ran = |sched: &Scheduler| -> Vec<Language> {
+            let status = sched.campaign_status(&receipt.id).unwrap();
+            status.cells.iter().map(|c| c.cell.language).collect()
+        };
+        assert!(sched.step_with(TeePlatform::Tdx, &busy));
+        assert_eq!(ran(&sched), [Language::Lua], "the Go job waits, the Lua job runs");
+        assert!(sched.step_with(TeePlatform::Tdx, &busy));
+        assert_eq!(ran(&sched).len(), 2, "with nothing else queued the Go job runs");
+        assert!(!sched.step_with(TeePlatform::Tdx, &busy));
+        assert_eq!(busy.0.executions.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -885,9 +987,22 @@ mod tests {
     #[test]
     fn metrics_track_queue_and_cache() {
         let (sched, _, _) = harness(64);
+        // The lock-free per-platform depths follow every change to the
+        // queue: admission, a step, a cancellation.
+        let depths = |sched: &Scheduler| TeePlatform::ALL.map(|p| sched.queue_depth_for(p));
+        let receipt = sched.submit(spec()).unwrap();
+        assert_eq!(depths(&sched), [2, 2, 0]);
+        assert!(sched.step_with(TeePlatform::SevSnp, sched.executor.as_ref()));
+        assert_eq!(depths(&sched), [2, 1, 0]);
+        assert!(!sched.step_with(TeePlatform::Cca, sched.executor.as_ref()));
+        sched.cancel_campaign(&receipt.id).unwrap();
+        assert_eq!(depths(&sched), [0, 0, 0]);
+
+        let (sched, _, _) = harness(64);
         sched.submit(spec()).unwrap();
         assert_eq!(sched.metrics().gauge_value("sched_queue_depth"), Some(4));
         sched.drain();
+        assert_eq!(depths(&sched), [0, 0, 0]);
         assert_eq!(sched.metrics().gauge_value("sched_queue_depth"), Some(0));
         assert_eq!(sched.metrics().gauge_value("sched_cache_entries"), Some(4));
         assert_eq!(sched.metrics().counter("sched_cache_misses_total").get(), 4);

@@ -120,15 +120,54 @@ impl<const WAYS: usize> Level<WAYS> {
 }
 
 /// The `(addr, bytes)` of a trace's memory ops, in trace order: all of a
-/// trace that the simulator reads.
-pub(crate) type Accesses = Arc<[(u64, u64)]>;
+/// trace that the simulator reads. It carries a hash of the list, taken
+/// once when the list is made: [`WalkMemo`] hashes its keys under its lock,
+/// and a key's hash is then one word, and two lists are compared only when
+/// their hashes agree.
+#[derive(Debug, Clone)]
+pub(crate) struct Accesses {
+    hash: u64,
+    list: Arc<[(u64, u64)]>,
+}
+
+impl Accesses {
+    fn new(list: Arc<[(u64, u64)]>) -> Self {
+        // FxHash's step: the key's one word only has to spread well.
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let step = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(K);
+        let hash = list.iter().fold(list.len() as u64, |h, &(a, b)| step(step(h, a), b));
+        Accesses { hash, list }
+    }
+}
+
+impl std::ops::Deref for Accesses {
+    type Target = [(u64, u64)];
+
+    fn deref(&self) -> &[(u64, u64)] {
+        &self.list
+    }
+}
+
+impl PartialEq for Accesses {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && (Arc::ptr_eq(&self.list, &other.list) || self.list == other.list)
+    }
+}
+
+impl Eq for Accesses {}
+
+impl std::hash::Hash for Accesses {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
 
 pub(crate) fn accesses_of(trace: &OpTrace) -> Accesses {
     let mem_ops = trace.iter().filter_map(|op| match *op {
         Op::MemRead { addr, bytes } | Op::MemWrite { addr, bytes } => Some((addr, bytes)),
         _ => None,
     });
-    mem_ops.collect()
+    Accesses::new(mem_ops.collect())
 }
 
 /// The name of a line state. Two simulators under one memo at the same node
@@ -153,8 +192,9 @@ pub(crate) struct Edge {
 /// A trie over access sequences whose nodes name [`CacheSim`] line states:
 /// what the simulators sharing it ([`crate::TeeVmBuilder::walk_memo`]) have
 /// walked, for each other to take on credit. Keys are whole access lists,
-/// compared structurally, and no node number is handed out twice: a hit is
-/// the walk it stands for, and an eviction loses edges but mis-serves none.
+/// hashed once outside the lock and compared structurally on a hash match,
+/// and no node number is handed out twice: a hit is the walk it stands
+/// for, and an eviction loses edges but mis-serves none.
 #[derive(Debug)]
 pub struct WalkMemo {
     edges: Mutex<OldestOut<(Node, Accesses), Edge>>,
@@ -184,7 +224,8 @@ impl WalkMemo {
     }
 
     fn lookup(&self, from: Node, accesses: &Accesses) -> Option<Edge> {
-        self.edges.lock().get(&(from, Arc::clone(accesses))).cloned()
+        let key = (from, accesses.clone());
+        self.edges.lock().get(&key).cloned()
     }
 
     /// Keeps an edge; returns how many older ones went for it.
@@ -193,7 +234,8 @@ impl WalkMemo {
         let bytes = 2 * std::mem::size_of::<(Node, Accesses)>()
             + std::mem::size_of::<Edge>()
             + accesses.len() * std::mem::size_of::<((u64, u64), CacheStats)>();
-        self.edges.lock().insert((from, Arc::clone(accesses)), edge, bytes)
+        let key = (from, accesses.clone());
+        self.edges.lock().insert(key, edge, bytes)
     }
 }
 
@@ -315,7 +357,7 @@ impl CacheSim {
         }
         self.counts.misses += 1;
         self.materialize();
-        let repeats = self.last.as_deref() == Some(&**accesses);
+        let repeats = self.last.as_ref() == Some(accesses);
         let before = repeats.then(|| self.line_state());
         Walk::Record { deltas: Vec::with_capacity(accesses.len()), before }
     }
@@ -343,12 +385,12 @@ impl CacheSim {
     /// trial cut short leaves a state nobody has named.
     pub(crate) fn finish(&mut self, accesses: &Accesses, walk: Walk, completed: bool) {
         if completed {
-            self.last = Some(Arc::clone(accesses));
+            self.last = Some(accesses.clone());
         }
         let to = match walk {
             Walk::Replay { edge, .. } if completed && edge.to == self.node => return,
             Walk::Replay { edge, credited } => {
-                self.pending.push((Arc::clone(accesses), credited));
+                self.pending.push((accesses.clone(), credited));
                 completed.then_some(edge.to)
             }
             Walk::Record { deltas, before } if completed => {

@@ -276,3 +276,38 @@ fn fleet_chaos_campaign_with_host_kill_matches_fault_free_control() {
         "fleet-under-chaos results must be byte-identical to the fault-free control"
     );
 }
+
+/// Chaos × the driver pool: a 3-shard fleet campaign under ambient fault
+/// injection, driven by a pool of four drivers racing over every shard and
+/// platform, harvests byte for byte what the fault-free single-gateway
+/// control holds — which driver absorbed which fault leaves no trace.
+#[test]
+fn fleet_chaos_campaign_driven_by_a_pool_of_four_matches_fault_free_control() {
+    let chaos = Arc::new(TeeFaultPlan::new(41, CHAOS_RATE));
+    let fleet = Arc::new(Fleet::new(FleetConfig {
+        shards: 3,
+        seed: 11,
+        clock: Arc::new(ManualClock::new()),
+        chaos: Some(Arc::clone(&chaos)),
+        retry: fast_retry(),
+        ..FleetConfig::default()
+    }));
+    fleet.spawn_drivers(4);
+    let receipt = fleet.submit(campaign_spec()).expect("fleet campaign admitted");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while !fleet.campaign_status(&receipt.id).expect("campaign tracked").complete {
+        assert!(std::time::Instant::now() < deadline, "the pool did not finish in time");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    fleet.shutdown();
+
+    assert!(chaos.injected() > 0, "the chaotic fleet run must see injections");
+    let status = fleet.campaign_status(&receipt.id).expect("campaign tracked");
+    assert_eq!((status.done, status.failed), (CAMPAIGN_JOBS, 0), "{status:?}");
+    let (_gw, clean_sched) = boot(Arc::new(TeeFaultPlan::new(41, 0.0)), u32::MAX);
+    assert_eq!(
+        serde_json::to_vec(&fleet.results()).expect("fleet results serialize"),
+        run_campaign(&clean_sched),
+        "pool-driven results under chaos must be byte-identical to the fault-free control"
+    );
+}

@@ -82,8 +82,8 @@ fn poll(client: &Client, receipt: &CampaignReceipt) -> CampaignStatus {
     resp.body_json().unwrap()
 }
 
-/// Steps the fleet to completion one job at a time, polling over REST
-/// between steps and asserting the observed status only ever moves forward.
+/// Steps the fleet to completion one pass at a time, polling over REST
+/// between passes and asserting the observed status only ever moves forward.
 fn drain_with_monotone_polling(
     client: &Client,
     fleet: &Fleet,
@@ -92,7 +92,7 @@ fn drain_with_monotone_polling(
     let mut status = poll(client, receipt);
     assert_eq!(status.state, CampaignState::Active);
     while !status.is_done() {
-        let progressed = TeePlatform::ALL.iter().any(|&p| fleet.pump_platform(p));
+        let progressed = fleet.pump();
         assert!(progressed, "active campaign must have queued work");
         let next = poll(client, receipt);
         assert!(next.terminal_jobs() >= status.terminal_jobs(), "terminal count regressed");
@@ -244,24 +244,45 @@ fn cancellation_keeps_queued_jobs_off_the_vms() {
 /// driver threads run them can show in a result: whatever the axis order of
 /// the spec and the driver count, the result cache ends up byte-identical to
 /// the single-threaded drain's.
+/// A fleet of `shards` with hosts for every platform, under a manual clock.
+fn fleet_of(shards: usize) -> Arc<Fleet> {
+    Arc::new(Fleet::new(FleetConfig {
+        shards,
+        seed: 11,
+        clock: Arc::new(ManualClock::new()),
+        ..FleetConfig::default()
+    }))
+}
+
+/// Which driver of a pool runs a cell, in which order, on which shard,
+/// leaves no trace: a TDX + SEV-SNP + CCA campaign, its axes reordered,
+/// driven by pools of 1, 2 and 4 on one shard and on three, harvests what
+/// one shard drained on the test's own thread holds, byte for byte.
 #[test]
 fn execution_order_and_worker_count_leave_no_trace_in_the_results() {
-    let (_server, _client, fleet) = boot(64);
-    fleet.scheduler().submit(matrix_spec()).unwrap();
-    fleet.drain();
-    let single_threaded = serde_json::to_string(&results(&fleet)).unwrap();
+    let spec = CampaignSpec { platforms: TeePlatform::ALL.to_vec(), ..matrix_spec() };
+    let control = fleet_of(1);
+    control.scheduler().submit(spec.clone()).unwrap();
+    control.drain();
+    let single_threaded = serde_json::to_string(&results(&control)).unwrap();
 
-    for drivers in [1, 2, 4] {
-        let mut spec = matrix_spec();
-        spec.functions.rotate_left(drivers % 2);
-        spec.languages.reverse();
-        spec.platforms.reverse();
-        spec.modes.rotate_left(drivers / 2 % 2);
-        let (_server, _client, fleet) = boot(64);
-        let receipt = fleet.scheduler().submit(spec).unwrap();
-        drive(&fleet, &receipt, drivers);
-        let results = serde_json::to_string(&results(&fleet)).unwrap();
-        assert_eq!(results, single_threaded, "{drivers} driver(s) per platform");
+    for shards in [1, 3] {
+        for drivers in [1, 2, 4] {
+            let mut spec = spec.clone();
+            spec.functions.rotate_left(drivers % 2);
+            spec.languages.reverse();
+            spec.platforms.rotate_left(drivers / 2 + shards / 3);
+            spec.modes.rotate_left(drivers / 2 % 2);
+            let fleet = fleet_of(shards);
+            let receipt = fleet.submit(spec).unwrap();
+            fleet.spawn_drivers(drivers);
+            while !fleet.campaign_status(&receipt.id).unwrap().complete {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+            }
+            fleet.shutdown();
+            let results = serde_json::to_string(&fleet.results()).unwrap();
+            assert_eq!(results, single_threaded, "{shards} shard(s), a pool of {drivers}");
+        }
     }
 }
 
@@ -291,7 +312,7 @@ fn a_gateway_warmed_under_another_seed_leaves_the_results_a_fresh_one_leaves() {
         assert_eq!((status.completed, status.cache_hits), (MATRIX_JOBS, 0), "all executed");
         let mut warmed = results(&fleet);
         warmed.retain(|key, _| fresh.contains_key(key));
-        assert_eq!(warmed, fresh, "{drivers} driver(s) per platform");
+        assert_eq!(warmed, fresh, "a pool of {drivers}");
         // A bootstrap and three trials a cell, every one of them on credit.
         assert_eq!(walks("misses"), Some(walked), "{drivers} driver(s): nothing walked");
         assert_eq!(walks("hits"), Some(hits + 4 * MATRIX_JOBS as u64));

@@ -1,10 +1,13 @@
-//! The HTTP server's thread count stays bounded: under connection stress,
-//! and with idle keep-alive connections far past its worker count.
+//! Thread counts stay what they are configured to be: the HTTP server's
+//! under connection stress and with idle keep-alive connections far past
+//! its worker count, and the daemon's campaign drivers whatever platforms
+//! it boots.
 //!
-//! Both tests read `Threads:` from `/proc/self/status`, which counts every
-//! thread of the process. They have this test binary to themselves, and
-//! take [`SERIAL`] so that neither counts the other's threads; anything
-//! else that starts threads belongs in another binary.
+//! The tests read every thread of the process (`Threads:` in
+//! `/proc/self/status`, or the names under `/proc/self/task`). They have
+//! this test binary to themselves, and take [`SERIAL`] so that none counts
+//! another's threads; anything else that starts threads belongs in another
+//! binary.
 
 #![cfg(target_os = "linux")]
 
@@ -13,6 +16,7 @@ use std::net::TcpStream;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use confbench_fleet::{daemon, DRIVER_THREAD};
 use confbench_httpd::{Client, Method, Request, Response, Router, Server, ServerConfig};
 
 /// Held for the whole of each test.
@@ -206,4 +210,37 @@ fn idle_keepalive_connections_scale_past_worker_count() {
 
     drop(conns);
     server.shutdown();
+}
+
+/// Threads of this process named as fleet drivers.
+fn driver_threads() -> usize {
+    let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+    tasks
+        .filter_map(Result::ok)
+        .filter(|task| {
+            std::fs::read_to_string(task.path().join("comm"))
+                .is_ok_and(|name| name.trim_end() == DRIVER_THREAD)
+        })
+        .count()
+}
+
+/// The daemon runs exactly `--workers` campaign driver threads, in one pool
+/// for every platform: a TDX-only daemon keeps no idle SEV-SNP or CCA
+/// driver, and a three-platform one no driver per platform.
+#[test]
+fn the_daemon_runs_exactly_workers_driver_threads_whatever_its_platforms() {
+    let _serial = serial();
+    for (platforms, workers) in [("tdx", 1), ("tdx", 3), ("tdx,sev-snp,cca", 2)] {
+        let args = format!("--listen 127.0.0.1:0 --platforms {platforms} --workers {workers}");
+        let config = daemon::config(args.split_whitespace().map(str::to_owned).collect()).unwrap();
+        let (fleet, server) = daemon::start(config).unwrap();
+        assert_eq!(driver_threads(), workers, "--platforms {platforms} --workers {workers}");
+        server.shutdown();
+        fleet.shutdown();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while driver_threads() > 0 {
+            assert!(Instant::now() < deadline, "drivers survived shutdown");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 }

@@ -835,6 +835,37 @@ mod tests {
         assert_eq!(router.dispatch(&no_vm).status, 503);
     }
 
+    /// `break`/`continue` outside a loop once ran as a no-op in Lua and
+    /// failed in LuaJIT and Wasm; upload rejects them now, so all seven
+    /// languages of an uploaded script agree.
+    #[test]
+    fn upload_rejects_break_and_continue_outside_a_loop() {
+        let gw = Arc::new(Gateway::builder().local_host(TeePlatform::Tdx).build());
+        let router = rest(&gw);
+        let upload = |name: &str, script: &str| {
+            let request = Request::new(Method::Post, "/v1/functions")
+                .json(&UploadRequest { name: name.into(), script: script.into() });
+            router.dispatch(&request)
+        };
+        for (name, script, word) in [
+            ("top_break", "let x = 1; break; result(x);", "break"),
+            ("fn_continue", "fn f() { continue; return 2; } result(f());", "continue"),
+        ] {
+            let resp = upload(name, script);
+            assert_eq!(resp.status, 400, "{name}");
+            let body = String::from_utf8_lossy(&resp.body);
+            assert!(body.contains(&format!("{word} outside loop")), "{name}: {body}");
+            assert!(gw.store.get(name).is_none(), "{name}");
+        }
+        let looped = "let s = 0; for i in 0, 9 { if i == 5 { break; } if i % 2 == 0 { continue; } \
+                      s = s + i; } result(s);";
+        assert_eq!(upload("in_loop", looped).status, 201);
+        for language in Language::ALL {
+            let result = gw.run(&request("in_loop", language, TeePlatform::Tdx)).unwrap();
+            assert_eq!(result.output, "4", "{language}");
+        }
+    }
+
     #[test]
     fn remote_host_dispatch_over_http() {
         let store = Arc::new(FunctionStore::new());

@@ -548,6 +548,11 @@ mod tests {
         assert_eq!(miss, hit);
         assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
         assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(1));
+        // LuaJIT shares Wasm's execution, and so its failure.
+        req.function = FunctionSpec::new("bomb", Language::LuaJit);
+        assert_eq!(text(h.execute(&req).unwrap_err()), miss);
+        assert_eq!(registry.counter_value("launch_cache_misses_total"), Some(1));
+        assert_eq!(registry.counter_value("launch_cache_hits_total"), Some(2));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use confbench_crypto::bounded::OldestOut;
 use confbench_crypto::flight::Flight;
 use confbench_crypto::{Digest, Sha256};
-use confbench_faasrt::{parse, run_program, FaasFunction, FunctionLauncher, LaunchOutput};
+use confbench_faasrt::{parse, run_program, Engine, FaasFunction, LaunchOutput};
 use confbench_obs::MetricsRegistry;
 use confbench_types::{Error, Language, Op, OpTrace};
 use confbench_vmm::WalkMemo;
@@ -139,17 +139,19 @@ const LAUNCH_MEMO_BYTES: usize = 16 << 20;
 /// and both recorded trials of every cell, is about 1.1 MB.
 const WALK_MEMO_BYTES: usize = 16 << 20;
 
-/// What identifies a launch: `FunctionLauncher::launch` reads nothing else
-/// (no platform, VM kind or seed), and a name's source never changes.
-type LaunchKey = (String, Language, Vec<String>);
+/// What identifies an engine execution: [`Engine::launch`] reads nothing
+/// else (no platform, VM kind or seed), and a name's source never changes.
+type LaunchKey = (String, Engine, Vec<String>);
 
-/// A finished launch: its output, or its failure rendered as text. Failures
-/// are kept like outputs — they are as pure, and the costliest launch there
-/// is is a runaway script burning its whole step budget before it fails.
-type Launched = Result<Arc<LaunchOutput>, String>;
+/// A finished engine execution: the outputs of the engine's languages, in
+/// [`Engine::languages`] order, or its failure rendered as text — which is
+/// every one of those languages' failure. Failures are kept like outputs:
+/// they are as pure, and the costliest launch there is is a runaway script
+/// burning its whole step budget before it fails.
+type Launched = Result<Arc<[Arc<LaunchOutput>]>, String>;
 
 /// The memo under [`FunctionStore::launch`]: bounded by retained bytes
-/// (oldest out), and single-flight — concurrent misses on one key launch
+/// (oldest out), and single-flight — concurrent misses on one key execute
 /// once, the rest wait for the leader and are served its result.
 #[derive(Debug)]
 struct LaunchMemo {
@@ -169,7 +171,7 @@ impl LaunchMemo {
         &self,
         key: LaunchKey,
         metrics: &MetricsRegistry,
-        launch: impl FnOnce() -> Result<LaunchOutput, String>,
+        launch: impl FnOnce() -> Result<Vec<LaunchOutput>, String>,
     ) -> Launched {
         let retained = |state: &OldestOut<LaunchKey, Launched>| state.get(&key).cloned();
         // Held to the end: a panic out of `launch` frees the key, and the
@@ -183,12 +185,15 @@ impl LaunchMemo {
         };
         metrics.counter("launch_cache_misses_total").inc();
 
-        let launched = launch().map(|mut output| {
-            output.output.shrink_to_fit();
-            output.log.shrink_to_fit();
-            output.trace.shrink_to_fit();
-            output.startup_trace.shrink_to_fit();
-            Arc::new(output)
+        let launched = launch().map(|outputs| {
+            let shrunk = |mut output: LaunchOutput| {
+                output.output.shrink_to_fit();
+                output.log.shrink_to_fit();
+                output.trace.shrink_to_fit();
+                output.startup_trace.shrink_to_fit();
+                Arc::new(output)
+            };
+            outputs.into_iter().map(shrunk).collect()
         });
         let bytes = retained_bytes(&key, &launched);
         // Larger than the whole bound: served, not retained.
@@ -197,10 +202,10 @@ impl LaunchMemo {
         launched
     }
 
-    /// Whether another thread is launching `name` × `language` × `args`
+    /// Whether another thread is executing `name` × `engine` × `args`
     /// right now.
-    fn in_flight(&self, name: &str, language: Language, args: &[String]) -> bool {
-        self.flight.any_in_flight(|(n, l, a)| n == name && *l == language && a == args)
+    fn in_flight(&self, name: &str, engine: Engine, args: &[String]) -> bool {
+        self.flight.any_in_flight(|(n, e, a)| n == name && *e == engine && a == args)
     }
 }
 
@@ -212,12 +217,15 @@ fn retained_bytes(key: &LaunchKey, launched: &Launched) -> usize {
     let key_bytes =
         name.len() + args.iter().map(|a| a.len() + std::mem::size_of::<String>()).sum::<usize>();
     let value_bytes = match launched {
-        Ok(out) => {
-            std::mem::size_of::<LaunchOutput>()
-                + out.output.len()
-                + out.log.len()
-                + (out.trace.len() + out.startup_trace.len()) * std::mem::size_of::<Op>()
-        }
+        Ok(outputs) => outputs
+            .iter()
+            .map(|out| {
+                std::mem::size_of::<LaunchOutput>()
+                    + out.output.len()
+                    + out.log.len()
+                    + (out.trace.len() + out.startup_trace.len()) * std::mem::size_of::<Op>()
+            })
+            .sum(),
         Err(text) => text.len(),
     };
     2 * key_bytes + value_bytes
@@ -304,15 +312,17 @@ impl FunctionStore {
         self.functions.read().get(name).map(|&(_, fingerprint)| fingerprint)
     }
 
-    /// Launches `name` under `language`'s runtime with `args`, once: a
-    /// launch reads nothing but these three (no platform, VM kind or seed)
-    /// and a name's source never changes, so its output is computed by the
-    /// first caller and shared by every later one — across the hosts of a
-    /// gateway and the shards of a fleet, which all hold this store.
-    /// Concurrent first callers launch once; a failing launch is remembered
-    /// like a successful one. Retained outputs are bounded in bytes, oldest
-    /// out. Counts `launch_cache_hits_total` / `_misses_total` /
-    /// `_evictions_total` into the caller's `metrics`.
+    /// Launches `name` under `language`'s runtime with `args`, once per
+    /// engine: a launch reads nothing but these three (no platform, VM kind
+    /// or seed), a name's source never changes, and the languages of one
+    /// [`Engine`] share one execution, so the outputs of all of them are
+    /// computed by the first caller for any and shared by every later one —
+    /// across the hosts of a gateway and the shards of a fleet, which all
+    /// hold this store. Concurrent first callers execute once; a failing
+    /// execution is remembered like a successful one, and is each of its
+    /// languages' failure. Retained outputs are bounded in bytes, oldest
+    /// out. Counts engine executions into the caller's `metrics`:
+    /// `launch_cache_hits_total` / `_misses_total` / `_evictions_total`.
     ///
     /// # Errors
     ///
@@ -327,18 +337,24 @@ impl FunctionStore {
         metrics: &MetricsRegistry,
     ) -> Result<Arc<LaunchOutput>, Error> {
         let function = self.get(name).ok_or_else(|| Error::UnknownFunction(name.to_owned()))?;
-        let key = (name.to_owned(), language, args.to_vec());
-        self.launches
+        let engine = Engine::of(language);
+        let key = (name.to_owned(), engine, args.to_vec());
+        let outputs = self
+            .launches
             .get_or_launch(key, metrics, || {
-                FunctionLauncher::new(language).launch(&function, args).map_err(|e| e.to_string())
+                engine.launch(&function, args).map_err(|e| e.to_string())
             })
-            .map_err(Error::Workload)
+            .map_err(Error::Workload)?;
+        let at = engine.languages().iter().position(|&l| l == language);
+        at.and_then(|at| outputs.get(at))
+            .cloned()
+            .ok_or_else(|| Error::Workload(format!("{engine:?} launched no {language}")))
     }
 
     /// Whether [`FunctionStore::launch`] of these three would park right
-    /// now, behind another thread launching them.
+    /// now, behind another thread executing `language`'s engine on them.
     pub fn launch_in_flight(&self, name: &str, language: Language, args: &[String]) -> bool {
-        self.launches.in_flight(name, language, args)
+        self.launches.in_flight(name, Engine::of(language), args)
     }
 
     /// The cache-walk memo of every VM built for a host holding this store
@@ -369,6 +385,8 @@ impl FunctionStore {
 
 #[cfg(test)]
 mod tests {
+    use confbench_faasrt::FunctionLauncher;
+
     use super::*;
 
     #[test]
@@ -485,14 +503,114 @@ mod tests {
         let first = launch(Language::Go, "360360");
         assert!(Arc::ptr_eq(&first, &launch(Language::Go, "360360")), "the second is the first");
         assert_eq!(counters(&metrics), [1, 1, 0]);
-        // Another language or another argument is another launch.
+        // Another engine or another argument is another launch.
         assert_eq!(launch(Language::Lua, "360360").output, first.output);
         assert_ne!(launch(Language::Go, "1001").output, first.output);
         assert_eq!(counters(&metrics), [1, 3, 0]);
-        let direct = FunctionLauncher::new(Language::Go)
-            .launch(&store.get("factors").unwrap(), &["360360".to_owned()])
-            .unwrap();
-        assert_eq!(*first, direct, "what the launcher itself returns");
+        // Another language of the same engine shares its execution.
+        let (node, wasm) = (launch(Language::Node, "360360"), launch(Language::Wasm, "360360"));
+        assert_eq!(counters(&metrics), [2, 4, 0]);
+        assert_eq!(launch(Language::LuaJit, "360360").output, wasm.output);
+        assert_eq!(counters(&metrics), [3, 4, 0]);
+        let function = store.get("factors").unwrap();
+        for (language, out) in
+            [(Language::Go, first), (Language::Node, node), (Language::Wasm, wasm)]
+        {
+            let direct = FunctionLauncher::new(language).launch(&function, &["360360".to_owned()]);
+            assert_eq!(*out, direct.unwrap(), "{language}: what the launcher itself returns");
+        }
+    }
+
+    /// The ledger's quick-scale Fig. 6 arguments, a tenth of the paper's
+    /// work (`QUICK_ARGS` in `benchmark/src/spec.rs`).
+    const QUICK_ARGS: [(&str, &[&str]); 25] = [
+        ("cpustress", &["8000"]),
+        ("memstress", &["6"]),
+        ("iostress", &["2"]),
+        ("logging", &["150"]),
+        ("factors", &["360360"]),
+        ("filesystem", &["1"]),
+        ("ack", &["4", "16"]),
+        ("fib", &["13"]),
+        ("primes", &["4000"]),
+        ("matrix", &["12"]),
+        ("quicksort", &["600"]),
+        ("mergesort", &["600"]),
+        ("base64", &["1500"]),
+        ("json", &["40"]),
+        ("checksum", &["4000"]),
+        ("compress", &["4000"]),
+        ("mandelbrot", &["20"]),
+        ("nbody", &["200"]),
+        ("binarytrees", &["9"]),
+        ("spectralnorm", &["20", "2"]),
+        ("dijkstra", &["10"]),
+        ("wordcount", &["4000"]),
+        ("histogram", &["4000"]),
+        ("montecarlo", &["3000"]),
+        ("strings", &["400"]),
+    ];
+
+    /// SHA-256 over the `Debug` renderings of every launch below, one a
+    /// line, as `FunctionLauncher::launch` returned them when each language
+    /// still executed on its own.
+    const LAUNCH_ORACLE_DIGEST: &str =
+        "7bac43f3bba4974f1c7d1e33f3851ef2e19b35ba14d776697b38812a9f9931a6";
+
+    /// The launch oracle: for every registry workload × language ×
+    /// {registry default arguments, the ledger's quick ones}, what the
+    /// store serves is, byte for byte in its `Debug` rendering, what the
+    /// language's own launcher returns — and that is pinned. Executions
+    /// are counted per engine: three a function and argument row.
+    #[test]
+    fn every_registry_launch_equals_the_launchers_and_is_pinned() {
+        let (store, metrics) = (FunctionStore::new(), MetricsRegistry::new());
+        let mut rows = Vec::new();
+        for workload in faas_registry() {
+            let quick = QUICK_ARGS.iter().find(|(name, _)| *name == workload.name()).unwrap();
+            let quick = quick.1.iter().map(|a| (*a).to_owned()).collect();
+            rows.push((workload.clone(), workload.default_args()));
+            rows.push((workload, quick));
+        }
+        let mut rendered = String::new();
+        for (workload, args) in &rows {
+            for language in Language::ALL {
+                let stored = store.launch(workload.name(), language, args, &metrics).unwrap();
+                let direct = FunctionLauncher::new(language).launch(workload, args).unwrap();
+                let text = format!("{direct:?}");
+                assert_eq!(format!("{stored:?}"), text, "{} {language} {args:?}", workload.name());
+                rendered.push_str(&text);
+                rendered.push('\n');
+            }
+        }
+        assert_eq!(Sha256::digest(rendered.as_bytes()).to_string(), LAUNCH_ORACLE_DIGEST);
+        let executions = 3 * rows.len() as u64;
+        assert_eq!(counters(&metrics), [7 * rows.len() as u64 - executions, executions, 0]);
+    }
+
+    /// LuaJIT and Wasm share one execution, so a failing one is both
+    /// languages' failure, whichever asks first, in the text each one's own
+    /// launcher gives.
+    #[test]
+    fn a_stack_vm_failure_is_both_languages_failure_whichever_asks_first() {
+        for first in [Language::LuaJit, Language::Wasm] {
+            let (store, metrics) = (FunctionStore::new(), MetricsRegistry::new());
+            store.upload("bomb", "fn f(n) { return f(n + 1); } result(f(0));").unwrap();
+            store.upload("div", "let s = 0; for i in 0, 9 { s = s + i; } result(s / 0);").unwrap();
+            let second = if first == Language::LuaJit { Language::Wasm } else { Language::LuaJit };
+            for name in ["bomb", "div"] {
+                for language in [first, second] {
+                    let direct =
+                        FunctionLauncher::new(language).launch(&store.get(name).unwrap(), &[]);
+                    let direct = direct.unwrap_err().to_string();
+                    match store.launch(name, language, &[], &metrics) {
+                        Err(Error::Workload(text)) => assert_eq!(text, direct, "{name} {language}"),
+                        other => panic!("{name} {language}: {other:?}"),
+                    }
+                }
+            }
+            assert_eq!(counters(&metrics), [2, 2, 0], "{first} first");
+        }
     }
 
     #[test]
@@ -517,7 +635,7 @@ mod tests {
     }
 
     fn key(name: &str) -> LaunchKey {
-        (name.to_owned(), Language::Go, Vec::new())
+        (name.to_owned(), Engine::Native, Vec::new())
     }
 
     #[test]
@@ -536,7 +654,7 @@ mod tests {
                             for _ in 0..1_000 {
                                 std::thread::yield_now();
                             }
-                            Ok(output_of(3))
+                            Ok(vec![output_of(3)])
                         })
                     })
                 })
@@ -547,6 +665,7 @@ mod tests {
         assert_eq!(counters(&metrics), [3, 1, 0], "the three that waited count as hits");
         let first = outputs[0].as_ref().unwrap();
         assert!(outputs.iter().all(|o| Arc::ptr_eq(o.as_ref().unwrap(), first)));
+        assert_eq!(first.len(), 1);
     }
 
     /// A key is in flight exactly while its leader launches: before, during
@@ -555,23 +674,23 @@ mod tests {
     fn a_key_is_in_flight_only_while_it_launches() {
         let (memo, metrics) = (LaunchMemo::new(1 << 20), MetricsRegistry::new());
         let (started, release) = (std::sync::Barrier::new(2), std::sync::Barrier::new(2));
-        let in_flight = |name: &str, language| memo.in_flight(name, language, &[]);
-        assert!(!in_flight("f", Language::Go));
+        let in_flight = |name: &str, engine| memo.in_flight(name, engine, &[]);
+        assert!(!in_flight("f", Engine::Native));
         std::thread::scope(|scope| {
             let launching = scope.spawn(|| {
                 memo.get_or_launch(key("f"), &metrics, || {
                     started.wait();
                     release.wait();
-                    Ok(output_of(1))
+                    Ok(vec![output_of(1)])
                 })
             });
             started.wait();
-            assert!(in_flight("f", Language::Go));
-            assert!(!in_flight("g", Language::Go) && !in_flight("f", Language::Lua));
+            assert!(in_flight("f", Engine::Native));
+            assert!(!in_flight("g", Engine::Native) && !in_flight("f", Engine::TreeWalk));
             release.wait();
             assert!(launching.join().unwrap().is_ok());
         });
-        assert!(!in_flight("f", Language::Go), "landed: a join would hit, not park");
+        assert!(!in_flight("f", Engine::Native), "landed: a join would hit, not park");
     }
 
     #[test]
@@ -582,16 +701,16 @@ mod tests {
         }));
         assert!(panicked.is_err());
         // Not parked behind a leader that will never land.
-        assert!(memo.get_or_launch(key("f"), &metrics, || Ok(output_of(1))).is_ok());
+        assert!(memo.get_or_launch(key("f"), &metrics, || Ok(vec![output_of(1)])).is_ok());
     }
 
     #[test]
     fn retained_bytes_stay_under_the_bound_oldest_out() {
-        let entry = retained_bytes(&key("f00"), &Ok(Arc::new(output_of(10))));
+        let entry = retained_bytes(&key("f00"), &Ok(Arc::new([Arc::new(output_of(10))])));
         // Room for four such entries, not five.
         let (memo, metrics) = (LaunchMemo::new(4 * entry + entry / 2), MetricsRegistry::new());
         let launch =
-            |name: &str, ops| memo.get_or_launch(key(name), &metrics, || Ok(output_of(ops)));
+            |name: &str, ops| memo.get_or_launch(key(name), &metrics, || Ok(vec![output_of(ops)]));
         for i in 0..20 {
             launch(&format!("f{i:02}"), 10).unwrap();
         }
@@ -605,7 +724,7 @@ mod tests {
         // Larger than the whole bound: served, nothing evicted for it, and
         // launched again the next time.
         let huge = launch("huge", 10_000).unwrap();
-        assert_eq!(huge.trace.len(), 10_000);
+        assert_eq!(huge[0].trace.len(), 10_000);
         launch("huge", 10_000).unwrap();
         assert_eq!(counters(&metrics), [2, 23, 17]);
         launch("f15", 10).unwrap();
@@ -618,8 +737,9 @@ mod tests {
         let mut roomy = output_of(3);
         roomy.output = String::with_capacity(4096);
         roomy.output.push('7');
-        let kept = memo.get_or_launch(key("f"), &metrics, || Ok(roomy)).unwrap();
-        assert!(kept.output.capacity() < 4096, "kept {} bytes for one", kept.output.capacity());
+        let kept = memo.get_or_launch(key("f"), &metrics, || Ok(vec![roomy])).unwrap();
+        let capacity = kept[0].output.capacity();
+        assert!(capacity < 4096, "kept {capacity} bytes for one");
     }
 
     #[test]

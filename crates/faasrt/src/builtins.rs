@@ -38,8 +38,8 @@ pub(crate) const BUILTIN_NAMES: &[&str] = &[
 ];
 
 /// Dispatches a builtin call.
-pub(crate) fn call_builtin(
-    meter: &mut Meter,
+pub(crate) fn call_builtin<const N: usize>(
+    meter: &mut Meter<N>,
     name: &str,
     mut args: Vec<Value>,
 ) -> Result<Value, ScriptError> {
@@ -124,46 +124,50 @@ pub(crate) fn call_builtin(
         }
         "io_write" => {
             let n = positive_int_arg(&args, "io_write")?;
-            let trace = meter.ordered();
-            trace.syscall(SyscallKind::FileWrite, 1);
-            trace.io_write(n);
+            meter.ordered(|trace| {
+                trace.syscall(SyscallKind::FileWrite, 1);
+                trace.io_write(n);
+            });
             Ok(Value::Nil)
         }
         "io_read" => {
             let n = positive_int_arg(&args, "io_read")?;
-            let trace = meter.ordered();
-            trace.syscall(SyscallKind::FileRead, 1);
-            trace.io_read(n);
+            meter.ordered(|trace| {
+                trace.syscall(SyscallKind::FileRead, 1);
+                trace.io_read(n);
+            });
             Ok(Value::Nil)
         }
         "file_meta" => {
             let n = positive_int_arg(&args, "file_meta")?;
-            meter.ordered().syscall(SyscallKind::FileMeta, n);
+            meter.ordered(|trace| trace.syscall(SyscallKind::FileMeta, n));
             Ok(Value::Nil)
         }
         "dir_op" => {
             let n = positive_int_arg(&args, "dir_op")?;
-            meter.ordered().syscall(SyscallKind::DirOp, n);
+            meter.ordered(|trace| trace.syscall(SyscallKind::DirOp, n));
             Ok(Value::Nil)
         }
         "alloc" => {
             let n = positive_int_arg(&args, "alloc")?;
-            meter.ordered().alloc(n);
+            meter.ordered(|trace| trace.alloc(n));
             Ok(Value::Nil)
         }
         "release" => {
             let n = positive_int_arg(&args, "release")?;
-            meter.ordered().free(n);
+            meter.ordered(|trace| trace.free(n));
             Ok(Value::Nil)
         }
         "mem_touch" => {
             let n = positive_int_arg(&args, "mem_touch")?;
-            meter.ordered().mem_write(n);
+            meter.ordered(|trace| {
+                trace.mem_write(n);
+            });
             Ok(Value::Nil)
         }
         "ctx_switch" => {
             let n = positive_int_arg(&args, "ctx_switch")?;
-            meter.ordered().ctx_switch(n);
+            meter.ordered(|trace| trace.ctx_switch(n));
             Ok(Value::Nil)
         }
         _ => Err(ScriptError::Runtime(format!("unknown function {name}"))),

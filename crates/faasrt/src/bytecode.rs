@@ -133,12 +133,15 @@ pub fn compile(program: &Program) -> Result<Module, ScriptError> {
 struct FnCompiler<'a> {
     fn_ids: &'a HashMap<&'a str, u32>,
     locals: Vec<String>,
-    scope_starts: Vec<usize>,
     code: Vec<Instr>,
-    loop_stack: Vec<LoopLabels>,
+    /// The jumps to patch at the end of the innermost loop being compiled.
+    labels: LoopLabels,
+    /// How many loops enclose the code being compiled.
+    loop_depth: u32,
     max_locals: u32,
 }
 
+#[derive(Default)]
 struct LoopLabels {
     breaks: Vec<usize>,
     continues: Vec<usize>,
@@ -149,9 +152,9 @@ impl<'a> FnCompiler<'a> {
         FnCompiler {
             fn_ids,
             locals: params.to_vec(),
-            scope_starts: Vec::new(),
             code: Vec::new(),
-            loop_stack: Vec::new(),
+            labels: LoopLabels::default(),
+            loop_depth: 0,
             max_locals: params.len() as u32,
         }
     }
@@ -197,13 +200,14 @@ impl<'a> FnCompiler<'a> {
         (self.locals.len() - 1) as u32
     }
 
-    fn enter_scope(&mut self) {
-        self.scope_starts.push(self.locals.len());
-    }
-
-    fn exit_scope(&mut self) {
-        let start = self.scope_starts.pop().expect("balanced scopes");
-        self.locals.truncate(start);
+    /// Compiles a loop body, returning the jumps out of it to patch.
+    fn loop_body(&mut self, body: &[Stmt], module: &mut Module) -> Result<LoopLabels, ScriptError> {
+        let outer = std::mem::take(&mut self.labels);
+        self.loop_depth += 1;
+        let compiled = self.block(body, module);
+        self.loop_depth -= 1;
+        let labels = std::mem::replace(&mut self.labels, outer);
+        compiled.map(|()| labels)
     }
 
     fn stmt(&mut self, stmt: &Stmt, module: &mut Module) -> Result<(), ScriptError> {
@@ -255,9 +259,7 @@ impl<'a> FnCompiler<'a> {
                 let top = self.code.len() as u32;
                 self.expr(cond, module)?;
                 let exit = self.emit_placeholder();
-                self.loop_stack.push(LoopLabels { breaks: Vec::new(), continues: Vec::new() });
-                self.block(body, module)?;
-                let labels = self.loop_stack.pop().expect("loop stack");
+                let labels = self.loop_body(body, module)?;
                 for c in labels.continues {
                     self.patch(c, Instr::Jump(top));
                 }
@@ -269,7 +271,7 @@ impl<'a> FnCompiler<'a> {
                 }
             }
             Stmt::For(var, from, to, body) => {
-                self.enter_scope();
+                let scope = self.locals.len();
                 self.expr(from, module)?;
                 let ivar = self.declare_local(var);
                 self.code.push(Instr::StoreLocal(ivar));
@@ -281,9 +283,7 @@ impl<'a> FnCompiler<'a> {
                 self.code.push(Instr::LoadLocal(limit));
                 self.code.push(Instr::Bin(BinOp::Lt));
                 let exit = self.emit_placeholder();
-                self.loop_stack.push(LoopLabels { breaks: Vec::new(), continues: Vec::new() });
-                self.block(body, module)?;
-                let labels = self.loop_stack.pop().expect("loop stack");
+                let labels = self.loop_body(body, module)?;
                 let incr = self.code.len() as u32;
                 for c in labels.continues {
                     self.patch(c, Instr::Jump(incr));
@@ -298,7 +298,7 @@ impl<'a> FnCompiler<'a> {
                 for b in labels.breaks {
                     self.patch(b, Instr::Jump(end));
                 }
-                self.exit_scope();
+                self.locals.truncate(scope);
             }
             Stmt::Return(expr) => {
                 match expr {
@@ -307,32 +307,30 @@ impl<'a> FnCompiler<'a> {
                 }
                 self.code.push(Instr::Return);
             }
+            // `parse` rejects both outside a loop; a hand-built program
+            // can still hold one.
+            Stmt::Break | Stmt::Continue if self.loop_depth == 0 => {
+                let word = if matches!(stmt, Stmt::Break) { "break" } else { "continue" };
+                return Err(ScriptError::Runtime(format!("{word} outside loop")));
+            }
             Stmt::Break => {
-                let at = self.code.len();
+                self.labels.breaks.push(self.code.len());
                 self.code.push(Instr::Jump(0));
-                match self.loop_stack.last_mut() {
-                    Some(labels) => labels.breaks.push(at),
-                    None => return Err(ScriptError::Runtime("break outside loop".into())),
-                }
             }
             Stmt::Continue => {
-                let at = self.code.len();
+                self.labels.continues.push(self.code.len());
                 self.code.push(Instr::Jump(0));
-                match self.loop_stack.last_mut() {
-                    Some(labels) => labels.continues.push(at),
-                    None => return Err(ScriptError::Runtime("continue outside loop".into())),
-                }
             }
         }
         Ok(())
     }
 
     fn block(&mut self, stmts: &[Stmt], module: &mut Module) -> Result<(), ScriptError> {
-        self.enter_scope();
+        let scope = self.locals.len();
         for s in stmts {
             self.stmt(s, module)?;
         }
-        self.exit_scope();
+        self.locals.truncate(scope);
         Ok(())
     }
 
@@ -477,23 +475,43 @@ impl StackVm {
     ///
     /// Runtime errors and [`ScriptError::StepLimitExceeded`].
     pub fn run(&self, module: &Module, args: &[String]) -> Result<ScriptOutcome, ScriptError> {
+        let [outcome] = StackVm::run_metered(module, args, [self.jit], self.step_limit)?;
+        Ok(outcome)
+    }
+
+    /// Runs a module's `__main__` once, metered for each of `jits`, for at
+    /// most `step_limit` instructions: each outcome is what [`StackVm::run`]
+    /// in that mode returns, since modes differ only in what an
+    /// instruction costs. One run serves the LuaJIT and the Wasm language
+    /// at half the time of two.
+    ///
+    /// # Errors
+    ///
+    /// As [`StackVm::run`]: a failure is every mode's, at the same
+    /// instruction.
+    pub fn run_metered<const N: usize>(
+        module: &Module,
+        args: &[String],
+        jits: [JitMode; N],
+        step_limit: u64,
+    ) -> Result<[ScriptOutcome; N], ScriptError> {
         let mut state = VmState {
             module,
             globals: HashMap::from([("ARGS".to_owned(), args_array(args))]),
-            meter: Meter::new(self.jit, self.step_limit),
+            meter: Meter::new(jits, step_limit),
         };
         state.call_function(0, Vec::new())?;
         Ok(state.meter.finish())
     }
 }
 
-struct VmState<'m> {
+struct VmState<'m, const N: usize> {
     module: &'m Module,
     globals: HashMap<String, Value>,
-    meter: Meter,
+    meter: Meter<N>,
 }
 
-impl VmState<'_> {
+impl<const N: usize> VmState<'_, N> {
     fn call_function(&mut self, fn_index: u32, args: Vec<Value>) -> Result<Value, ScriptError> {
         self.meter.enter_call()?;
         let result = self.call_function_inner(fn_index, args);
@@ -714,8 +732,13 @@ mod tests {
 
     #[test]
     fn break_outside_loop_is_compile_error() {
-        let program = parse("break;").unwrap();
-        assert!(compile(&program).is_err());
+        // `parse` rejects these; the compiler still does for a hand-built
+        // program.
+        for (stmt, word) in [(Stmt::Break, "break"), (Stmt::Continue, "continue")] {
+            let program = Program { body: vec![stmt], ..Program::default() };
+            let message = format!("{word} outside loop");
+            assert_eq!(compile(&program), Err(ScriptError::Runtime(message)));
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub fn run_program(
     let mut interp = Interp {
         functions: program.functions.iter().map(|f| (f.name.as_str(), f)).collect(),
         globals: HashMap::from([("ARGS".to_owned(), args_array(args))]),
-        meter: Meter::new(JitMode::Interpret { dispatch_cost }, step_limit),
+        meter: Meter::new([JitMode::Interpret { dispatch_cost }], step_limit),
         block_depth: 0,
     };
     for stmt in &program.body {
@@ -47,13 +47,14 @@ pub fn run_program(
             break;
         }
     }
-    Ok(interp.meter.finish())
+    let [outcome] = interp.meter.finish();
+    Ok(outcome)
 }
 
 struct Interp<'p> {
     functions: HashMap<&'p str, &'p FnDecl>,
     globals: HashMap<String, Value>,
-    meter: Meter,
+    meter: Meter<1>,
     block_depth: u32,
 }
 

@@ -77,6 +77,71 @@ impl From<ScriptError> for LaunchError {
 /// Interpreter/VM step budget per function execution.
 const STEP_LIMIT: u64 = 400_000_000;
 
+/// What a launch executes. The languages of one engine differ only in what
+/// they charge for the same execution, so one execution serves them all
+/// ([`Engine::launch`]): the stack VM meters one run for both of its JIT
+/// modes, and the native path's one logical trace is inflated by each
+/// runtime's profile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// The tree-walking interpreter: Lua.
+    TreeWalk,
+    /// The bytecode stack VM: LuaJIT and Wasm.
+    StackVm,
+    /// The function's native logic under a runtime profile: Python, Node,
+    /// Ruby and Go.
+    Native,
+}
+
+impl Engine {
+    /// Every engine, in [`Language::ALL`] order of their first language.
+    pub const ALL: [Engine; 3] = [Engine::Native, Engine::TreeWalk, Engine::StackVm];
+
+    /// The engine `language` runs on.
+    pub fn of(language: Language) -> Engine {
+        match language {
+            Language::Lua => Engine::TreeWalk,
+            Language::LuaJit | Language::Wasm => Engine::StackVm,
+            Language::Python | Language::Node | Language::Ruby | Language::Go => Engine::Native,
+        }
+    }
+
+    /// The languages this engine runs, in the order [`Engine::launch`]
+    /// returns their outputs.
+    pub fn languages(self) -> &'static [Language] {
+        match self {
+            Engine::TreeWalk => &[Language::Lua],
+            Engine::StackVm => &STACK_VM_LANGUAGES,
+            Engine::Native => &[Language::Python, Language::Node, Language::Ruby, Language::Go],
+        }
+    }
+
+    /// Executes `function` with `args` once and returns what
+    /// [`FunctionLauncher::launch`] returns for each of
+    /// [`Engine::languages`], in that order.
+    ///
+    /// # Errors
+    ///
+    /// [`LaunchError`]: a failure is every language's, as each of their
+    /// launches would report it.
+    pub fn launch(
+        self,
+        function: &dyn FaasFunction,
+        args: &[String],
+    ) -> Result<Vec<LaunchOutput>, LaunchError> {
+        match self {
+            Engine::TreeWalk => Ok(vec![launch_tree_walk(function, args)?]),
+            Engine::StackVm => Ok(launch_stack_vm(function, args, STACK_VM_LANGUAGES)?.into()),
+            Engine::Native => {
+                let run = run_native(function, args)?;
+                self.languages().iter().map(|&language| native_output(language, &run)).collect()
+            }
+        }
+    }
+}
+
+const STACK_VM_LANGUAGES: [Language; 2] = [Language::LuaJit, Language::Wasm];
+
 /// A workload-agnostic launcher bound to one language runtime.
 ///
 /// # Example
@@ -127,53 +192,79 @@ impl FunctionLauncher {
         function: &dyn FaasFunction,
         args: &[String],
     ) -> Result<LaunchOutput, LaunchError> {
-        match self.language {
-            Language::Lua => {
-                let program = parse(function.script())?;
-                let outcome = run_program(&program, args, TREE_WALK_DISPATCH, STEP_LIMIT)?;
-                Ok(LaunchOutput {
-                    output: outcome.result,
-                    log: outcome.log,
-                    trace: outcome.trace,
-                    startup_trace: interpreter_startup(4 << 20),
-                })
+        match Engine::of(self.language) {
+            Engine::TreeWalk => launch_tree_walk(function, args),
+            Engine::StackVm => {
+                let [output] = launch_stack_vm(function, args, [self.language])?;
+                Ok(output)
             }
-            Language::LuaJit => self.run_vm(function, args, JitMode::luajit(), 6 << 20),
-            Language::Wasm => self.run_vm(function, args, JitMode::wasmi(), 3 << 20),
-            Language::Python | Language::Node | Language::Ruby | Language::Go => {
-                let profile = RuntimeProfile::for_language(self.language)
-                    .expect("emulated languages have profiles");
-                let mut logical = OpTrace::new();
-                let output =
-                    function.run_native(args, &mut logical).map_err(LaunchError::Native)?;
-                let trace = profile.apply(&logical);
-                Ok(LaunchOutput {
-                    output,
-                    log: String::new(),
-                    trace,
-                    startup_trace: interpreter_startup(profile.footprint_bytes),
-                })
-            }
+            Engine::Native => native_output(self.language, &run_native(function, args)?),
         }
     }
+}
 
-    fn run_vm(
-        &self,
-        function: &dyn FaasFunction,
-        args: &[String],
-        jit: JitMode,
-        footprint: u64,
-    ) -> Result<LaunchOutput, LaunchError> {
-        let program = parse(function.script())?;
-        let module = compile(&program)?;
-        let outcome = StackVm::new(jit, STEP_LIMIT).run(&module, args)?;
-        Ok(LaunchOutput {
-            output: outcome.result,
-            log: outcome.log,
-            trace: outcome.trace,
-            startup_trace: interpreter_startup(footprint),
-        })
+fn launch_tree_walk(
+    function: &dyn FaasFunction,
+    args: &[String],
+) -> Result<LaunchOutput, LaunchError> {
+    let program = parse(function.script())?;
+    let outcome = run_program(&program, args, TREE_WALK_DISPATCH, STEP_LIMIT)?;
+    Ok(LaunchOutput {
+        output: outcome.result,
+        log: outcome.log,
+        trace: outcome.trace,
+        startup_trace: interpreter_startup(4 << 20),
+    })
+}
+
+/// One stack-VM run, metered for each of `languages` (LuaJIT or Wasm).
+fn launch_stack_vm<const N: usize>(
+    function: &dyn FaasFunction,
+    args: &[String],
+    languages: [Language; N],
+) -> Result<[LaunchOutput; N], LaunchError> {
+    // (JIT mode, runtime footprint): LuaJIT's, or else Wasm's.
+    let lane = |language| match language {
+        Language::LuaJit => (JitMode::luajit(), 6 << 20),
+        _ => (JitMode::wasmi(), 3 << 20),
+    };
+    let module = compile(&parse(function.script())?)?;
+    let outcomes = StackVm::run_metered(&module, args, languages.map(|l| lane(l).0), STEP_LIMIT)?;
+    let mut outputs = outcomes.map(|outcome| LaunchOutput {
+        output: outcome.result,
+        log: outcome.log,
+        trace: outcome.trace,
+        startup_trace: OpTrace::new(),
+    });
+    for (output, language) in outputs.iter_mut().zip(languages) {
+        output.startup_trace = interpreter_startup(lane(language).1);
     }
+    Ok(outputs)
+}
+
+/// The function's native run: its output and its logical trace.
+fn run_native(
+    function: &dyn FaasFunction,
+    args: &[String],
+) -> Result<(String, OpTrace), LaunchError> {
+    let mut logical = OpTrace::new();
+    let output = function.run_native(args, &mut logical).map_err(LaunchError::Native)?;
+    Ok((output, logical))
+}
+
+/// A native run as `language`'s runtime profile inflates it.
+fn native_output(
+    language: Language,
+    (output, logical): &(String, OpTrace),
+) -> Result<LaunchOutput, LaunchError> {
+    let profile = RuntimeProfile::for_language(language)
+        .ok_or_else(|| LaunchError::Native(format!("{language} has no runtime profile")))?;
+    Ok(LaunchOutput {
+        output: output.clone(),
+        log: String::new(),
+        trace: profile.apply(logical),
+        startup_trace: interpreter_startup(profile.footprint_bytes),
+    })
 }
 
 fn interpreter_startup(footprint: u64) -> OpTrace {
@@ -271,5 +362,57 @@ mod tests {
             FunctionLauncher::new(Language::Go).launch(&Broken, &[]),
             Err(LaunchError::Native(_))
         ));
+    }
+
+    #[test]
+    fn an_engine_serves_each_of_its_languages_what_its_own_launcher_does() {
+        let args = ["5000".to_owned()];
+        let mut covered = Vec::new();
+        for engine in Engine::ALL {
+            let outputs = engine.launch(&SumTo, &args).unwrap();
+            assert_eq!(outputs.len(), engine.languages().len(), "{engine:?}");
+            for (output, &language) in outputs.iter().zip(engine.languages()) {
+                assert_eq!(Engine::of(language), engine);
+                let own = FunctionLauncher::new(language).launch(&SumTo, &args).unwrap();
+                assert_eq!(*output, own, "{language}");
+                covered.push(language);
+            }
+        }
+        covered.sort_by_key(|l| Language::ALL.iter().position(|all| all == l));
+        assert_eq!(covered, Language::ALL, "every language, once");
+    }
+
+    #[test]
+    fn an_engine_failure_is_each_of_its_languages_failure() {
+        struct Broken;
+        impl FaasFunction for Broken {
+            fn name(&self) -> &str {
+                "broken"
+            }
+            fn script(&self) -> &str {
+                "let s = 0; for i in 0, 100 { s = s + i; } result(s / (s - 4950));"
+            }
+            fn run_native(&self, _: &[String], _: &mut OpTrace) -> Result<String, String> {
+                Err("native boom".into())
+            }
+        }
+        for engine in Engine::ALL {
+            let failure = engine.launch(&Broken, &[]).unwrap_err();
+            for &language in engine.languages() {
+                let own = FunctionLauncher::new(language).launch(&Broken, &[]).unwrap_err();
+                assert_eq!(failure.to_string(), own.to_string(), "{language}");
+            }
+        }
+        // A runaway loop stops at the same instruction in every lane,
+        // whichever mode comes first.
+        let module = compile(&parse("while true { }").unwrap()).unwrap();
+        for modes in [[JitMode::luajit(), JitMode::wasmi()], [JitMode::wasmi(), JitMode::luajit()]]
+        {
+            let stopped = ScriptError::StepLimitExceeded(1_000);
+            assert_eq!(StackVm::run_metered(&module, &[], modes, 1_000), Err(stopped.clone()));
+            for jit in modes {
+                assert_eq!(StackVm::new(jit, 1_000).run(&module, &[]), Err(stopped.clone()));
+            }
+        }
     }
 }

@@ -16,7 +16,10 @@
 //! * [`FunctionLauncher`] — the paper's per-language, workload-agnostic
 //!   launcher: give it any [`FaasFunction`] and a language, get output plus
 //!   the operation trace a simulated VM can charge for (bootstrap trace kept
-//!   separate, since the paper excludes launcher bootstrap from timings).
+//!   separate, since the paper excludes launcher bootstrap from timings);
+//! * [`Engine`] — what a launch executes: the languages of one engine share
+//!   one execution ([`Engine::launch`]), the stack VM metering one run for
+//!   both of its JIT modes ([`StackVm::run_metered`]).
 //!
 //! # Example
 //!
@@ -30,6 +33,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod ast;
@@ -49,7 +53,7 @@ pub use ast::{BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 pub use bytecode::{compile, CompiledFn, Instr, JitMode, Module, StackVm};
 pub use error::ScriptError;
 pub use interp::{run_program, TREE_WALK_DISPATCH};
-pub use launcher::{FaasFunction, FunctionLauncher, LaunchError, LaunchOutput};
+pub use launcher::{Engine, FaasFunction, FunctionLauncher, LaunchError, LaunchOutput};
 pub use lexer::lex;
 pub use meter::ScriptOutcome;
 pub use parser::parse;

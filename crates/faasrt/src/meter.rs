@@ -12,6 +12,17 @@
 //! whose cost is part of their semantics. The tree-walker and the stack VM
 //! each own one [`Meter`] and add only what differs between them: scopes
 //! against slots and a stack, and the frame each charges for a call.
+//!
+//! A meter has `N` lanes, one per [`JitMode`] it charges for. Two modes of
+//! one engine differ only in what a step costs, so one execution can record
+//! both traces: each lane owns its trace, its compile flag and its pending
+//! dispatch charge, and flushes when *its own* charge crosses
+//! [`FLUSH_EVERY`], exactly as a one-lane meter would; the steps, the call
+//! depth, the `result`/`log` sinks and the float/memory/log tallies are the
+//! run's and shared, each lane remembering how much of them it has
+//! emitted. So every lane's trace is the trace a run of its mode alone
+//! records. The tree-walker and a single-mode [`crate::StackVm::run`] are
+//! the one-lane case.
 
 use std::rc::Rc;
 
@@ -47,58 +58,42 @@ pub(crate) fn args_array(args: &[String]) -> Value {
     Value::array(args.iter().map(|s| Value::Str(Rc::from(s.as_str()))).collect())
 }
 
-/// One script execution's metering state; see the module docs.
-pub(crate) struct Meter {
-    trace: OpTrace,
-    result: String,
-    log: String,
-    steps: u64,
-    step_limit: u64,
-    jit: JitMode,
-    compiled: bool,
-    call_depth: u32,
-    cpu_pending: u64,
-    float_pending: u64,
-    mem_pending: u64,
-    log_pending: u64,
+/// Float ops, boxed-value bytes and log bytes: a run's cumulative tallies,
+/// or what of them a lane has emitted.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tallies {
+    float: u64,
+    mem: u64,
+    log: u64,
 }
 
-impl Meter {
-    /// A meter charging `jit`'s dispatch cost per step, for at most
-    /// `step_limit` steps. A fixed per-step cost is [`JitMode::Interpret`].
-    pub(crate) fn new(jit: JitMode, step_limit: u64) -> Self {
-        Meter {
-            trace: OpTrace::new(),
-            result: String::new(),
-            log: String::new(),
-            steps: 0,
-            step_limit,
+/// What one [`JitMode`] owns of a run; see the module docs.
+struct Lane {
+    jit: JitMode,
+    trace: OpTrace,
+    compiled: bool,
+    cpu_pending: u64,
+    emitted: Tallies,
+}
+
+impl Lane {
+    fn new(jit: JitMode) -> Self {
+        Lane {
             jit,
+            trace: OpTrace::new(),
             compiled: false,
-            call_depth: 0,
             cpu_pending: 0,
-            float_pending: 0,
-            mem_pending: 0,
-            log_pending: 0,
+            emitted: Tallies::default(),
         }
     }
 
-    /// Counts one step (an AST node or a bytecode instruction) against the
-    /// budget, then charges its dispatch cost.
-    ///
-    /// Inlined into the engines' loops, where it lived when each had its
-    /// own copy: as an out-of-line call per step the stack VM ran 3–5 %
-    /// slower over the Fig. 6 scripts.
+    /// Charges step number `steps` at this lane's dispatch cost.
     #[inline]
-    pub(crate) fn step(&mut self) -> Result<(), ScriptError> {
-        self.steps += 1;
-        if self.steps > self.step_limit {
-            return Err(ScriptError::StepLimitExceeded(self.step_limit));
-        }
+    fn charge(&mut self, steps: u64, tallies: &Tallies) {
         let cost = match self.jit {
             JitMode::Interpret { dispatch_cost } => dispatch_cost,
             JitMode::Tracing { cold_cost, threshold, compile_cost, hot_cost } => {
-                if self.steps == threshold && !self.compiled {
+                if steps == threshold && !self.compiled {
                     self.compiled = true;
                     self.cpu_pending += compile_cost;
                 }
@@ -111,53 +106,111 @@ impl Meter {
         };
         self.cpu_pending += cost;
         if self.cpu_pending >= FLUSH_EVERY {
-            self.flush();
+            self.flush(tallies);
         }
-        Ok(())
     }
 
-    fn flush(&mut self) {
+    /// Emits the pending dispatch charge, then whatever of the run's
+    /// `tallies` this lane has not emitted yet.
+    fn flush(&mut self, tallies: &Tallies) {
         if self.cpu_pending > 0 {
             self.trace.cpu(self.cpu_pending);
             self.cpu_pending = 0;
         }
-        if self.float_pending > 0 {
-            self.trace.float(self.float_pending);
-            self.float_pending = 0;
+        if tallies.float > self.emitted.float {
+            self.trace.float(tallies.float - self.emitted.float);
         }
-        if self.mem_pending > 0 {
+        if tallies.mem > self.emitted.mem {
             // Boxed-value heap traffic: reads and writes interleave; model
             // as one combined run over a recycled region.
-            self.trace.mem_read(self.mem_pending);
-            self.mem_pending = 0;
+            self.trace.mem_read(tallies.mem - self.emitted.mem);
         }
-        if self.log_pending > 0 {
-            self.trace.log(self.log_pending);
-            self.log_pending = 0;
+        if tallies.log > self.emitted.log {
+            self.trace.log(tallies.log - self.emitted.log);
+        }
+        self.emitted = *tallies;
+    }
+}
+
+/// One script execution's metering state, for `N` modes at once; see the
+/// module docs.
+pub(crate) struct Meter<const N: usize> {
+    lanes: [Lane; N],
+    tallies: Tallies,
+    result: String,
+    log: String,
+    steps: u64,
+    step_limit: u64,
+    call_depth: u32,
+}
+
+impl<const N: usize> Meter<N> {
+    /// A meter charging each of `jits`' dispatch cost per step, for at most
+    /// `step_limit` steps. A fixed per-step cost is [`JitMode::Interpret`].
+    pub(crate) fn new(jits: [JitMode; N], step_limit: u64) -> Self {
+        Meter {
+            lanes: jits.map(Lane::new),
+            tallies: Tallies::default(),
+            result: String::new(),
+            log: String::new(),
+            steps: 0,
+            step_limit,
+            call_depth: 0,
         }
     }
 
-    /// The trace, for an op whose position matters (I/O, syscalls, explicit
-    /// memory): everything tallied so far is emitted ahead of it.
-    pub(crate) fn ordered(&mut self) -> &mut OpTrace {
-        self.flush();
-        &mut self.trace
+    /// Counts one step (an AST node or a bytecode instruction) against the
+    /// budget, then charges its dispatch cost in every lane.
+    ///
+    /// Inlined into the engines' loops, where it lived when each had its
+    /// own copy: as an out-of-line call per step the stack VM ran 3–5 %
+    /// slower over the Fig. 6 scripts.
+    #[inline]
+    pub(crate) fn step(&mut self) -> Result<(), ScriptError> {
+        self.steps += 1;
+        if self.steps > self.step_limit {
+            return Err(ScriptError::StepLimitExceeded(self.step_limit));
+        }
+        for lane in &mut self.lanes {
+            lane.charge(self.steps, &self.tallies);
+        }
+        Ok(())
+    }
+
+    /// Appends an op whose position matters (I/O, syscalls, explicit
+    /// memory) to every lane's trace, each lane's tallies emitted ahead of
+    /// it.
+    pub(crate) fn ordered(&mut self, op: impl Fn(&mut OpTrace)) {
+        for lane in &mut self.lanes {
+            lane.flush(&self.tallies);
+            op(&mut lane.trace);
+        }
+    }
+
+    /// Records an allocation at once, ahead of every lane's pending
+    /// tallies.
+    fn alloc(&mut self, bytes: u64) {
+        for lane in &mut self.lanes {
+            lane.trace.alloc(bytes);
+        }
     }
 
     pub(crate) fn add_mem(&mut self, bytes: u64) {
-        self.mem_pending += bytes;
+        self.tallies.mem += bytes;
     }
 
     pub(crate) fn add_float(&mut self, ops: u64) {
-        self.float_pending += ops;
+        self.tallies.float += ops;
     }
 
     pub(crate) fn add_log(&mut self, text: &str) {
         self.log.push_str(text);
         self.log.push('\n');
-        self.log_pending += text.len() as u64 + 1;
-        if self.log_pending >= FLUSH_EVERY {
-            self.flush();
+        self.tallies.log += text.len() as u64 + 1;
+        for lane in &mut self.lanes {
+            if self.tallies.log - lane.emitted.log >= FLUSH_EVERY {
+                lane.flush(&self.tallies);
+            }
         }
     }
 
@@ -180,23 +233,27 @@ impl Meter {
         self.call_depth -= 1;
     }
 
-    /// Emits what is still tallied and hands over the outcome.
-    pub(crate) fn finish(mut self) -> ScriptOutcome {
-        self.flush();
-        ScriptOutcome { result: self.result, log: self.log, trace: self.trace, steps: self.steps }
+    /// Emits what each lane still has pending and hands over one outcome
+    /// per lane, in the order of the modes the meter was made with.
+    pub(crate) fn finish(self) -> [ScriptOutcome; N] {
+        let Meter { lanes, tallies, result, log, steps, .. } = self;
+        lanes.map(|mut lane| {
+            lane.flush(&tallies);
+            ScriptOutcome { result: result.clone(), log: log.clone(), trace: lane.trace, steps }
+        })
     }
 
     /// Boxes `items` as a new array: one allocation, one slot write each.
     pub(crate) fn new_array(&mut self, items: Vec<Value>) -> Value {
-        self.trace.alloc(16 * items.len().max(1) as u64);
-        self.mem_pending += 16 * items.len() as u64;
+        self.alloc(16 * items.len().max(1) as u64);
+        self.tallies.mem += 16 * items.len() as u64;
         Value::array(items)
     }
 
     /// `target[index]`: an array element, or a string's byte as an int.
     pub(crate) fn index(&mut self, target: &Value, index: &Value) -> Result<Value, ScriptError> {
         let i = as_index(index)?;
-        self.mem_pending += 24; // bounds check + boxed read
+        self.tallies.mem += 24; // bounds check + boxed read
         match target {
             Value::Array(items) => {
                 let items = items.borrow();
@@ -221,7 +278,7 @@ impl Meter {
         value: Value,
     ) -> Result<(), ScriptError> {
         let i = as_index(index)?;
-        self.mem_pending += 24; // bounds check + boxed write
+        self.tallies.mem += 24; // bounds check + boxed write
         match target {
             Value::Array(items) => {
                 let mut items = items.borrow_mut();
@@ -243,7 +300,7 @@ impl Meter {
         match (op, v) {
             (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(-n)),
             (UnOp::Neg, Value::Float(x)) => {
-                self.float_pending += 1;
+                self.tallies.float += 1;
                 Ok(Value::Float(-x))
             }
             (UnOp::Not, v) => Ok(Value::Bool(!v.is_truthy())),
@@ -261,8 +318,8 @@ impl Meter {
                 (Int(a), Int(b)) => Ok(Int(a.wrapping_add(b))),
                 (a @ Str(_), b) | (a, b @ Str(_)) => {
                     let s = format!("{a}{b}");
-                    self.trace.alloc(s.len() as u64);
-                    self.mem_pending += s.len() as u64;
+                    self.alloc(s.len() as u64);
+                    self.tallies.mem += s.len() as u64;
                     Ok(Str(s.into()))
                 }
                 (a, b) => self.float_bin(a, b, |x, y| x + y, "+"),
@@ -333,7 +390,7 @@ impl Meter {
     ) -> Result<Value, ScriptError> {
         match (l.as_f64(), r.as_f64()) {
             (Some(x), Some(y)) => {
-                self.float_pending += 1;
+                self.tallies.float += 1;
                 Ok(Value::Float(f(x, y)))
             }
             _ => Err(ScriptError::Runtime(format!(
@@ -358,18 +415,20 @@ mod tests {
 
     use super::*;
 
-    fn meter() -> Meter {
-        Meter::new(JitMode::Interpret { dispatch_cost: 14 }, 1_000)
+    fn meter() -> Meter<1> {
+        Meter::new([JitMode::Interpret { dispatch_cost: 14 }], 1_000)
     }
 
-    /// What is in the trace so far, pending tallies not included.
-    fn emitted(meter: &Meter) -> Vec<Op> {
-        meter.trace.iter().copied().collect()
+    /// What is in the first lane's trace so far, pending tallies not
+    /// included.
+    fn emitted<const N: usize>(meter: &Meter<N>) -> Vec<Op> {
+        meter.lanes[0].trace.iter().copied().collect()
     }
 
-    /// The whole trace of a finished run.
-    fn ops(meter: Meter) -> Vec<Op> {
-        meter.finish().trace.iter().copied().collect()
+    /// The whole trace of a finished one-lane run.
+    fn ops(meter: Meter<1>) -> Vec<Op> {
+        let [outcome] = meter.finish();
+        outcome.trace.iter().copied().collect()
     }
 
     fn err(result: Result<Value, ScriptError>) -> String {
@@ -401,16 +460,16 @@ mod tests {
         assert_eq!(ops(meter()), []);
         let mut m = meter();
         m.add_mem(8);
-        m.ordered().io_write(512);
+        m.ordered(|t| t.io_write(512));
         let ops = ops(m);
         assert!(matches!(ops[..], [Op::MemRead { bytes: 8, .. }, Op::IoWrite(512)]), "{ops:?}");
     }
 
     #[test]
     fn step_flushes_cpu_at_the_threshold_and_stops_at_the_limit() {
-        let mut m = Meter::new(JitMode::Interpret { dispatch_cost: FLUSH_EVERY / 2 }, 3);
+        let mut m = Meter::new([JitMode::Interpret { dispatch_cost: FLUSH_EVERY / 2 }], 3);
         m.step().unwrap();
-        assert!(m.trace.is_empty());
+        assert!(emitted(&m).is_empty());
         m.step().unwrap();
         assert_eq!(emitted(&m), [Op::Cpu(FLUSH_EVERY)]);
         m.step().unwrap();
@@ -420,7 +479,7 @@ mod tests {
     #[test]
     fn tracing_mode_charges_the_compile_once_then_runs_hot() {
         let jit = JitMode::Tracing { cold_cost: 8, threshold: 3, compile_cost: 100, hot_cost: 2 };
-        let mut m = Meter::new(jit, 1_000);
+        let mut m = Meter::new([jit], 1_000);
         for _ in 0..5 {
             m.step().unwrap();
         }
@@ -432,10 +491,10 @@ mod tests {
         let mut m = meter();
         let line = "x".repeat(FLUSH_EVERY as usize - 2);
         m.add_log(&line);
-        assert!(m.trace.is_empty(), "one byte short of the threshold");
+        assert!(emitted(&m).is_empty(), "one byte short of the threshold");
         m.add_log("");
         assert_eq!(emitted(&m), [Op::Log(FLUSH_EVERY)]);
-        let outcome = m.finish();
+        let [outcome] = m.finish();
         assert_eq!(outcome.trace.len(), 1, "nothing left to flush");
         assert_eq!(outcome.log.len() as u64, FLUSH_EVERY);
     }
@@ -509,5 +568,66 @@ mod tests {
         );
         m.exit_call();
         m.enter_call().unwrap();
+    }
+
+    /// The same calls into a meter of any width: steps, shared tallies
+    /// that cross `FLUSH_EVERY` on the log path, ordered ops and
+    /// allocations ahead of pending tallies.
+    fn drive<const N: usize>(m: &mut Meter<N>) {
+        for i in 0..40u64 {
+            m.step().unwrap();
+            m.add_mem(8 * i);
+            if i % 3 == 0 {
+                m.add_float(i);
+            }
+            if i % 7 == 0 {
+                m.add_log(&"y".repeat(FLUSH_EVERY as usize / 5));
+            }
+            if i % 11 == 0 {
+                m.ordered(|t| t.io_write(64 * i));
+                m.new_array(vec![Value::Int(1); i as usize]);
+            }
+            if i % 13 == 0 {
+                m.binary(BinOp::Add, Value::Str("s".into()), Value::Int(i as i64)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn each_lane_records_what_a_meter_of_its_mode_alone_records() {
+        let modes = [
+            JitMode::Interpret { dispatch_cost: FLUSH_EVERY / 3 },
+            JitMode::Tracing {
+                cold_cost: FLUSH_EVERY / 8,
+                threshold: 17,
+                compile_cost: FLUSH_EVERY,
+                hot_cost: 5,
+            },
+        ];
+        let mut both = Meter::new(modes, 1_000);
+        drive(&mut both);
+        let alone = modes.map(|jit| {
+            let mut m = Meter::new([jit], 1_000);
+            drive(&mut m);
+            let [outcome] = m.finish();
+            outcome
+        });
+        let lanes = both.finish();
+        assert_eq!(lanes, alone);
+        assert_ne!(lanes[0].trace, lanes[1].trace, "the modes charge differently");
+    }
+
+    #[test]
+    fn a_lane_flushes_on_its_own_charge_not_its_siblings() {
+        let cheap = JitMode::Interpret { dispatch_cost: 1 };
+        let mut m = Meter::new([JitMode::Interpret { dispatch_cost: FLUSH_EVERY }, cheap], 1_000);
+        m.add_mem(40);
+        m.step().unwrap();
+        assert!(matches!(emitted(&m)[..], [Op::Cpu(FLUSH_EVERY), Op::MemRead { bytes: 40, .. }]));
+        assert!(m.lanes[1].trace.is_empty(), "one op short of its own threshold");
+        m.add_mem(2);
+        let [_, cheap] = m.finish();
+        let ops: Vec<Op> = cheap.trace.iter().copied().collect();
+        assert!(matches!(ops[..], [Op::Cpu(1), Op::MemRead { bytes: 42, .. }]), "{ops:?}");
     }
 }

@@ -12,12 +12,16 @@ use crate::token::{Token, TokenKind};
 /// [`ScriptError::Lex`] or [`ScriptError::Parse`] with the offending line.
 pub fn parse(source: &str) -> Result<Program, ScriptError> {
     let tokens = lex(source)?;
-    Parser { tokens, pos: 0 }.program()
+    Parser { tokens, pos: 0, loop_depth: 0 }.program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// How many loops enclose the statement being parsed: `break` and
+    /// `continue` outside every loop are rejected here, so that no engine
+    /// has to give them a meaning.
+    loop_depth: u32,
 }
 
 impl Parser {
@@ -109,6 +113,13 @@ impl Parser {
         Ok(stmts)
     }
 
+    fn loop_body(&mut self) -> Result<Vec<Stmt>, ScriptError> {
+        self.loop_depth += 1;
+        let body = self.block();
+        self.loop_depth -= 1;
+        body
+    }
+
     fn stmt(&mut self) -> Result<Stmt, ScriptError> {
         match self.peek().clone() {
             TokenKind::Let => {
@@ -137,7 +148,7 @@ impl Parser {
             TokenKind::While => {
                 self.advance();
                 let cond = self.expr()?;
-                let body = self.block()?;
+                let body = self.loop_body()?;
                 Ok(Stmt::While(cond, body))
             }
             TokenKind::For => {
@@ -147,7 +158,7 @@ impl Parser {
                 let from = self.expr()?;
                 self.expect(TokenKind::Comma)?;
                 let to = self.expr()?;
-                let body = self.block()?;
+                let body = self.loop_body()?;
                 Ok(Stmt::For(var, from, to, body))
             }
             TokenKind::Return => {
@@ -160,6 +171,9 @@ impl Parser {
                 };
                 self.eat(&TokenKind::Semi);
                 Ok(Stmt::Return(value))
+            }
+            TokenKind::Break | TokenKind::Continue if self.loop_depth == 0 => {
+                Err(self.err(format!("{} outside loop", self.peek())))
             }
             TokenKind::Break => {
                 self.advance();
@@ -444,6 +458,25 @@ mod tests {
                 assert!(matches!(**left, Expr::Binary(BinOp::And, ..)));
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn break_and_continue_are_rejected_outside_every_loop() {
+        for (src, line, word) in [
+            ("let x = 1; break; result(x);", 1, "break"),
+            ("fn f() { continue; return 2; } result(f());", 1, "continue"),
+            ("if true {\n  break;\n}", 2, "break"),
+            ("while true { fn_call(); }\nfn g() { if true { continue; } }", 2, "continue"),
+        ] {
+            let message = format!("{word} outside loop");
+            assert_eq!(parse(src), Err(ScriptError::Parse { line, message }), "{src}");
+        }
+        for src in [
+            "while true { if true { break; } else { continue; } }",
+            "for i in 0, 3 { while false { continue; } break; }",
+        ] {
+            assert!(parse(src).is_ok(), "{src}");
         }
     }
 }

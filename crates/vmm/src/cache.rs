@@ -107,6 +107,57 @@ impl<const WAYS: usize> Level<WAYS> {
         true
     }
 
+    /// How many slots [`Level::copy_into`] copies: those of every set
+    /// holding a tag.
+    fn tag_slots(&self) -> usize {
+        WAYS * self.fill.iter().filter(|&&(len, _)| len > 0).count()
+    }
+
+    /// Appends this level's raw line state to `proof`: every set's
+    /// `(len, head)`, and the slots of every set holding a tag.
+    fn copy_into(&self, proof: &mut Proof) {
+        proof.fill.extend_from_slice(&self.fill);
+        for (tags, &(len, _)) in self.sets.iter().zip(&self.fill) {
+            if let (Some(tags), 1..) = (tags, len) {
+                proof.tags.extend_from_slice(&tags[..]);
+            }
+        }
+    }
+
+    /// Whether this level's canonical line state is the one whose raw copy
+    /// `fill` and `tags` start with ([`Level::copy_into`]); advances both
+    /// past it. A set whose raw form is unchanged is equal at the cost of a
+    /// slice comparison; only one whose ring turned or whose tags moved is
+    /// compared in LRU order.
+    fn equals_copy(&self, fill: &mut &[(u8, u8)], tags: &mut &[u64]) -> bool {
+        let Some((before, rest)) = fill.split_at_checked(self.fill.len()) else {
+            return false;
+        };
+        *fill = rest;
+        for ((now, &(len, head)), &(was_len, was_head)) in
+            self.sets.iter().zip(&self.fill).zip(before)
+        {
+            if len != was_len {
+                return false;
+            }
+            if len == 0 {
+                continue;
+            }
+            let (Some(now), Some((was, rest))) = (now, tags.split_first_chunk::<WAYS>()) else {
+                return false;
+            };
+            *tags = rest;
+            let in_lru_order = || {
+                let at = |tags: &[u64; WAYS], head: u8, age| tags[(usize::from(head) + age) % WAYS];
+                (0..usize::from(len)).all(|age| at(now, head, age) == at(was, was_head, age))
+            };
+            if !((head == was_head && **now == *was) || in_lru_order()) {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Per set its length, then its tags least recently used first —
     /// whatever `head` the ring has turned to.
     fn canonical(&self) -> impl Iterator<Item = u64> + '_ {
@@ -249,10 +300,21 @@ const PRIVATE_MEMO_BYTES: usize = 1 << 20;
 pub(crate) enum Walk {
     /// The memo holds this trial: take each access's deltas from its edge.
     Replay { edge: Edge, credited: usize },
-    /// Walk the lines and keep each access's deltas for the memo; `before`
-    /// is the line state entering the trial, if it is to be compared with
-    /// the one leaving it.
-    Record { deltas: Vec<CacheStats>, before: Option<LineState> },
+    /// Walk the lines and keep each access's deltas for the memo;
+    /// `proving` if the simulator's [`Proof`] holds the line state entering
+    /// the trial, to be compared with the one leaving it.
+    Record { deltas: Vec<CacheStats>, proving: bool },
+}
+
+/// A raw copy of a [`CacheSim`]'s line state, taken to prove that a trial
+/// leaves the lines as it found them: each set's `(len, head)`, L1's then
+/// L2's, and the slots of each set holding a tag. Copying slots is a
+/// `memcpy` where flattening to a [`LineState`] takes a `%` per tag, and
+/// the buffers are the simulator's, reused by each proof it takes.
+#[derive(Debug, Clone, Default)]
+struct Proof {
+    fill: Vec<(u8, u8)>,
+    tags: Vec<u64>,
 }
 
 /// A two-level (L1D + L2) cache with LRU replacement.
@@ -282,6 +344,7 @@ pub struct CacheSim {
     /// The accesses of the last trial that ran to its end.
     last: Option<Accesses>,
     counts: WalkMemoCounts,
+    proof: Proof,
 }
 
 /// A [`CacheSim`]'s line state at one moment, flattened to one allocation:
@@ -321,6 +384,7 @@ impl CacheSim {
             pending: Vec::new(),
             last: None,
             counts: WalkMemoCounts::default(),
+            proof: Proof::default(),
         }
     }
 
@@ -347,9 +411,9 @@ impl CacheSim {
 
     /// Opens a trial over `accesses`: a replay if the memo knows them from
     /// this state, else a record, the lines made current. A record that
-    /// repeats the last completed trial is snapshotted too, for
-    /// [`CacheSim::finish`] to prove whether it left the lines where it
-    /// found them: a fixed point the next repeat replays.
+    /// repeats the last completed trial copies the lines too, for
+    /// [`CacheSim::finish`] to prove whether it left them where it found
+    /// them: a fixed point the next repeat replays.
     pub(crate) fn begin(&mut self, accesses: &Accesses) -> Walk {
         if let Some(edge) = self.memo.lookup(self.node, accesses) {
             self.counts.hits += 1;
@@ -357,9 +421,11 @@ impl CacheSim {
         }
         self.counts.misses += 1;
         self.materialize();
-        let repeats = self.last.as_ref() == Some(accesses);
-        let before = repeats.then(|| self.line_state());
-        Walk::Record { deltas: Vec::with_capacity(accesses.len()), before }
+        let proving = self.last.as_ref() == Some(accesses);
+        if proving {
+            self.copy_lines();
+        }
+        Walk::Record { deltas: Vec::with_capacity(accesses.len()), proving }
     }
 
     /// The trial's next access: its deltas, credited — walked for now, or
@@ -393,8 +459,8 @@ impl CacheSim {
                 self.pending.push((accesses.clone(), credited));
                 completed.then_some(edge.to)
             }
-            Walk::Record { deltas, before } if completed => {
-                let fixed = before.is_some_and(|before| self.lines_equal(&before));
+            Walk::Record { deltas, proving } if completed => {
+                let fixed = proving && self.lines_unchanged();
                 let to = if fixed { self.node } else { self.memo.mint() };
                 let edge = Edge { deltas: deltas.into(), to };
                 self.counts.evictions += self.memo.record(self.node, accesses, edge);
@@ -460,6 +526,34 @@ impl CacheSim {
         self.l1.canonical().chain(self.l2.canonical())
     }
 
+    /// Takes the [`Proof`] of the current line state, in place of the last.
+    fn copy_lines(&mut self) {
+        #[cfg(test)]
+        SNAPSHOTS.with(|n| n.set(n.get() + 1));
+        self.materialize();
+        let proof = &mut self.proof;
+        proof.fill.clear();
+        proof.tags.clear();
+        // Sized at once: a VM's first proof would otherwise grow the slots
+        // through a dozen reallocations.
+        proof.fill.reserve(self.l1.fill.len() + self.l2.fill.len());
+        proof.tags.reserve(self.l1.tag_slots() + self.l2.tag_slots());
+        self.l1.copy_into(proof);
+        self.l2.copy_into(proof);
+    }
+
+    /// Whether the line state is the one [`CacheSim::copy_lines`] last
+    /// took: the verdict `lines_equal` gives against a [`LineState`] taken
+    /// then.
+    fn lines_unchanged(&mut self) -> bool {
+        self.materialize();
+        let (mut fill, mut tags) = (&self.proof.fill[..], &self.proof.tags[..]);
+        self.l1.equals_copy(&mut fill, &mut tags)
+            && self.l2.equals_copy(&mut fill, &mut tags)
+            && fill.is_empty()
+            && tags.is_empty()
+    }
+
     /// Tags and LRU order of every set of both levels; the cumulative
     /// statistics are not part of it. Two simulators with equal line state
     /// answer every future access alike.
@@ -474,7 +568,9 @@ impl CacheSim {
     }
 
     /// Whether [`CacheSim::line_state`] would return `state`, without
-    /// flattening anything to find out.
+    /// flattening anything to find out: the reference the fixed-point
+    /// proof is swept against.
+    #[cfg(test)]
     pub(crate) fn lines_equal(&mut self, state: &LineState) -> bool {
         self.materialize();
         self.canonical().eq(state.0.iter().copied())
@@ -586,6 +682,34 @@ mod tests {
         }
     }
 
+    const SALTS: [u64; 4] = [0, 0x5a5a_0001, 0xa5a5_0002, 0x3c3c_0003];
+
+    /// One op of a sweep's access stream, as the `(addr, bytes)` runs it
+    /// touches in order: sequential runs, runs above [`MAX_LINES_PER_OP`],
+    /// near-empty ones, a re-touch of an earlier op's run (kept in `runs`),
+    /// or conflict strides.
+    fn draw_touches(rng: &mut SplitMix64, runs: &mut Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+        let mut touches = Vec::new();
+        let run = match (rng.next_below(8), runs.len() as u64) {
+            (0..=2, _) | (5, 0) => (rng.next_below(1 << 22), 1 + rng.next_below(48 << 10)),
+            (3, _) => (rng.next_below(1 << 22), (256 << 10) + rng.next_below(4 << 20)),
+            (4, _) => (rng.next_below(1 << 30), rng.next_below(3) * 64),
+            (5, n) => runs[rng.next_below(n) as usize],
+            _ => {
+                // Twenty lines of one L2 set (and one L1 set), the first
+                // few again: hits on a set's oldest tag, on its newest, and
+                // in between.
+                let base = rng.next_below(64) * 64;
+                let lines = (0..20).chain(0..rng.next_below(20));
+                touches.extend(lines.map(|i| (base + i * 8192, 64)));
+                (base, 64)
+            }
+        };
+        runs.push(run);
+        touches.push(run);
+        touches
+    }
+
     /// The ring sets are the LRU stacks: SplitMix64 streams of sequential
     /// runs, runs above [`MAX_LINES_PER_OP`], re-touches of earlier runs and
     /// conflict strides, under the identity mapping and the three secure
@@ -598,7 +722,6 @@ mod tests {
     /// case 0 op 0).
     #[test]
     fn fuzz_sweep_ring_sets_equal_lru_stacks() {
-        const SALTS: [u64; 4] = [0, 0x5a5a_0001, 0xa5a5_0002, 0x3c3c_0003];
         let (mut full_sets, mut unchanged) = (0, 0);
         for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
             let mut rng = SplitMix64::new(0xC4C_4E00 ^ case);
@@ -608,27 +731,10 @@ mod tests {
             let mut state = stacks.line_state();
             for op in 0..1 + rng.next_below(12) {
                 let label = format!("case {case}, salt {salt:#x}, op {op}");
-                let run = match (rng.next_below(8), runs.len() as u64) {
-                    (0..=2, _) | (5, 0) => (rng.next_below(1 << 22), 1 + rng.next_below(48 << 10)),
-                    (3, _) => (rng.next_below(1 << 22), (256 << 10) + rng.next_below(4 << 20)),
-                    (4, _) => (rng.next_below(1 << 30), rng.next_below(3) * 64),
-                    (5, n) => runs[rng.next_below(n) as usize],
-                    _ => {
-                        // Twenty lines of one L2 set (and one L1 set), the
-                        // first few again: hits on a set's oldest tag, on
-                        // its newest, and in between.
-                        let base = rng.next_below(64) * 64;
-                        let lines = (0..20).chain(0..rng.next_below(20));
-                        for i in lines {
-                            let delta = stacks.touch(base + i * 8192, 64);
-                            assert_eq!(rings.touch(base + i * 8192, 64, false), delta, "{label}");
-                        }
-                        (base, 64)
-                    }
-                };
-                runs.push(run);
-                let delta = stacks.touch(run.0, run.1);
-                assert_eq!(rings.touch(run.0, run.1, false), delta, "{label}: {run:?}");
+                for run in draw_touches(&mut rng, &mut runs) {
+                    let delta = stacks.touch(run.0, run.1);
+                    assert_eq!(rings.touch(run.0, run.1, false), delta, "{label}: {run:?}");
+                }
                 assert_eq!(rings.stats(), stacks.unwalked.stats(), "{label}");
                 let after = stacks.line_state();
                 assert!(rings.line_state() == after, "{label}: line state");
@@ -641,6 +747,64 @@ mod tests {
         }
         assert!(full_sets > 0, "no L2 ring ever turned: the streams no longer fill a set");
         assert!(unchanged > 0, "no op left the lines as they were");
+    }
+
+    /// The fixed-point proof is the comparison of line states it replaced:
+    /// over the ring sweep's streams, with a raw copy taken before a third
+    /// of the ops, [`CacheSim::lines_unchanged`] answers after every op
+    /// what [`CacheSim::lines_equal`] answers against a [`LineState`] taken
+    /// with the copy. A quarter of the ops fill one set of each level with
+    /// sixteen lines, take the copy, and touch them again in an order that
+    /// leaves every LRU order as it was but turns the L2 ring by 14 slots:
+    /// equal, though not slot for slot. Mutations tried by hand: a
+    /// slot-for-slot comparison only, and an LRU-order fallback that reads
+    /// the copy from the current `head`; the "verdict" assertion caught
+    /// both (case 4, op 3).
+    #[test]
+    fn fuzz_sweep_fixed_point_check_equals_line_state() {
+        let (mut turned_back, mut verdicts) = (0, [0; 2]);
+        for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+            let mut rng = SplitMix64::new(0xF1_C5ED ^ case);
+            let salt = SALTS[(case % 4) as usize];
+            let mut sim = CacheSim::new(salt);
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            let prove = |sim: &mut CacheSim| {
+                sim.copy_lines();
+                sim.line_state()
+            };
+            let mut reference = prove(&mut sim);
+            for op in 0..1 + rng.next_below(12) {
+                let label = format!("case {case}, salt {salt:#x}, op {op}");
+                let turned = rng.next_below(4) == 0;
+                if turned {
+                    // One set of each level under the identity map: lines
+                    // 64 KiB apart.
+                    let base = rng.next_below(1 << 16) * 64;
+                    let line = |i: usize| base + (i as u64) * (64 << 10);
+                    for i in 0..16 {
+                        sim.touch(line(i), 64, false);
+                    }
+                    reference = prove(&mut sim);
+                    let again = [1, 0].into_iter().chain(2..16).chain([0, 1]).chain(2..16);
+                    for i in again {
+                        sim.touch(line(i), 64, false);
+                    }
+                } else {
+                    if rng.next_below(3) == 0 {
+                        reference = prove(&mut sim);
+                    }
+                    for (addr, bytes) in draw_touches(&mut rng, &mut runs) {
+                        sim.touch(addr, bytes, false);
+                    }
+                }
+                let verdict = sim.lines_unchanged();
+                assert_eq!(verdict, sim.lines_equal(&reference), "{label}: verdict");
+                verdicts[usize::from(verdict)] += 1;
+                turned_back += usize::from(turned && verdict && salt == 0);
+            }
+        }
+        assert!(turned_back > 0, "no turned ring came back canonically equal");
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "one-sided verdicts: {verdicts:?}");
     }
 
     #[test]

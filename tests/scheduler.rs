@@ -349,9 +349,11 @@ const TINY_ARGS: [(&str, &[&str]); 25] = [
 ];
 
 /// The shape of the paper's Fig. 6 on one platform — 25 functions × 7
-/// languages × {secure, normal} — launches each function × language once:
-/// the second VM kind, and every cell of every later campaign, is served
-/// from the store's launch memo, whatever the campaign seed.
+/// languages × {secure, normal} — launches each function × language once,
+/// and executes each function once per engine (tree-walker, stack VM,
+/// native): 75 executions serve the 175 launches. The sibling languages of
+/// an engine, the second VM kind, and every cell of every later campaign
+/// are served from the store's launch memo, whatever the campaign seed.
 #[test]
 fn a_fig6_shaped_campaign_launches_each_function_once_per_language() {
     let fleet = Arc::new(Fleet::new(FleetConfig {
@@ -386,18 +388,18 @@ fn a_fig6_shaped_campaign_launches_each_function_once_per_language() {
     fleet.drain();
     let status = sched.campaign_status(&receipt.id).unwrap();
     assert_eq!((status.completed, status.failed), (350, 0));
-    assert_eq!((launches("misses"), launches("hits")), (Some(175), Some(175)));
+    assert_eq!((launches("misses"), launches("hits")), (Some(75), Some(275)));
 
     // Another seed: 350 cells the result cache has never seen, no launch.
     let receipt = sched.submit(spec(14)).unwrap();
     fleet.drain();
     let status = sched.campaign_status(&receipt.id).unwrap();
     assert_eq!((status.completed, status.cache_hits), (350, 0));
-    assert_eq!((launches("misses"), launches("hits")), (Some(175), Some(525)));
+    assert_eq!((launches("misses"), launches("hits")), (Some(75), Some(625)));
     assert_eq!(launches("evictions"), Some(0));
 
     let metrics = Client::new(server.addr()).send(&Request::new(Method::Get, "/v1/metrics"));
     let body = String::from_utf8(metrics.unwrap().body).unwrap();
-    assert!(body.contains("launch_cache_hits_total 525\n"), "{body}");
-    assert!(body.contains("launch_cache_misses_total 175\n"), "{body}");
+    assert!(body.contains("launch_cache_hits_total 625\n"), "{body}");
+    assert!(body.contains("launch_cache_misses_total 75\n"), "{body}");
 }

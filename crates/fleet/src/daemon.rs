@@ -142,10 +142,13 @@ pub fn listening_line(program: &str, addr: SocketAddr) -> String {
 ///
 /// # Errors
 ///
-/// The message `main` prints when the address cannot be bound.
+/// The message `main` prints when a driver thread cannot be spawned or the
+/// address cannot be bound.
 pub fn start(c: Config) -> Result<(Arc<Fleet>, Server), String> {
     let fleet = Arc::new(Fleet::new(c.fleet));
-    fleet.spawn_drivers(c.workers);
+    fleet
+        .spawn_drivers(c.workers)
+        .map_err(|e| format!("cannot spawn {} campaign driver(s): {e}", c.workers))?;
     let server = fleet
         .serve_on(&c.listen, c.http)
         .map_err(|e| format!("cannot listen on {}: {e}", c.listen))?;

@@ -7,14 +7,20 @@
 //! [`FunctionStore`], and shares one [`AttestService`]. Same seed + same
 //! store means any shard executes any cell byte-identically, so a cell
 //! re-placed after a host dies reproduces exactly the result the dead
-//! host would have computed. Placement keys are the scheduler's content
-//! addresses (`cache_key`), so a resubmission routes every cell to the
-//! shard whose result cache already holds it; a drained shard hands its
-//! cache entries to the new owners first, so re-placed work cache-hits
-//! instead of re-executing. The *harvest* — a fleet-level map that each
+//! host would have computed. The *harvest* — a fleet-level map that each
 //! pump extends with what every alive shard's result cache gained since
 //! the last pump — is the campaign's durable record: anything harvested
-//! survives any later host loss.
+//! survives any later host loss, and it only grows.
+//!
+//! So the harvest is also the first cache a placement reads: a cell whose
+//! content address (`cache_key`) it holds is done at placement, and never
+//! reaches a shard — no job, no queue entry, no step, and no driver wake
+//! when nothing at all was queued. A resubmitted campaign that finished
+//! is complete before any pump. Every other cell is placed by its content
+//! address on the ring, so a resubmission of work not yet harvested routes
+//! to the shard whose result cache already holds it; a drained shard hands
+//! its cache entries to the new owners first, so re-placed work cache-hits
+//! instead of re-executing.
 //!
 //! # Harvest cursors
 //!
@@ -57,8 +63,8 @@ use confbench::{
 };
 use confbench_obs::{MetricsRegistry, RegistrySnapshot};
 use confbench_sched::{
-    cache_key, campaign, CachedCell, Executor, Scheduler, SchedulerConfig, SubmitError,
-    DEFAULT_CACHE_CAPACITY,
+    cache_key, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
+    SubmitError, DEFAULT_CACHE_CAPACITY,
 };
 use confbench_types::{CampaignCell, CampaignSpec, JobId, Priority, TeePlatform, VmTarget};
 use confbench_vmm::TeeVmBuilder;
@@ -70,6 +76,13 @@ use crate::ring::HashRing;
 
 /// Virtual nodes per shard on the placement ring.
 const VNODES: usize = 32;
+
+/// The shard owning `key` on the ring. The ring is never empty — no
+/// retirement takes the last alive shard off it — so the fallback to shard
+/// 0 is never taken.
+fn owner(ring: &HashRing, key: &str) -> usize {
+    ring.owner(key).unwrap_or(0)
+}
 
 /// The name of every driver thread ([`Fleet::spawn_drivers`]).
 pub const DRIVER_THREAD: &str = "fleet-driver";
@@ -157,6 +170,10 @@ impl PlacedCell {
 /// One fleet-level campaign (fans out to per-shard scheduler campaigns).
 struct FleetCampaign {
     id: String,
+    /// Cells the harvest answered at placement. They are done for good —
+    /// the harvest only grows — so they keep no [`PlacedCell`].
+    done_at_placement: usize,
+    /// The cells placed on shards.
     cells: Vec<PlacedCell>,
     priority: Priority,
     deadline_ms: Option<u64>,
@@ -165,6 +182,7 @@ struct FleetCampaign {
 #[derive(Default)]
 struct FleetState {
     next_campaign: u64,
+    /// Campaign `f{n}` at index `n - 1`.
     campaigns: Vec<FleetCampaign>,
     /// Fleet-durable results: what shard caches gained, after every pump.
     harvest: BTreeMap<String, CachedCell>,
@@ -173,12 +191,23 @@ struct FleetState {
     migrations: Vec<MigrationReport>,
 }
 
+impl FleetState {
+    /// The campaign minted as `id`: found by the number in it, then
+    /// checked whole, so `f01` or `f+1` is no alias of `f1`.
+    fn campaign(&self, id: &str) -> Option<&FleetCampaign> {
+        let n: usize = id.strip_prefix('f')?.parse().ok()?;
+        let campaign = self.campaigns.get(n.checked_sub(1)?)?;
+        (campaign.id == id).then_some(campaign)
+    }
+}
+
 /// Receipt for a fleet campaign submission.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetReceipt {
     /// Fleet-level campaign id.
     pub id: String,
-    /// Cells placed (across all shards).
+    /// The campaign's cells: those queued on shards plus those the harvest
+    /// answered at placement.
     pub jobs: usize,
 }
 
@@ -210,7 +239,9 @@ pub struct ShardStatus {
     pub queue_depth: usize,
     /// Entries in the shard's result cache.
     pub cache_entries: usize,
-    /// The shard's cache hits (jobs served without executing).
+    /// The shard's cache hits (jobs served without executing). Cells the
+    /// fleet harvest answers at placement never reach a shard, so they are
+    /// not counted here but in `fleet_cells_from_harvest_total`.
     pub cache_hits: u64,
     /// The shard's cache misses (jobs that executed).
     pub cache_misses: u64,
@@ -341,6 +372,8 @@ impl Fleet {
             });
         }
         metrics.gauge("fleet_shards_alive").set(config.shards as u64);
+        // Rendered from the start, as zero until a placement reads the harvest.
+        metrics.counter("fleet_cells_from_harvest_total");
         Fleet {
             shards,
             ring: Mutex::new(ring),
@@ -404,6 +437,16 @@ impl Fleet {
         &self.shards[shard].metrics
     }
 
+    /// A shard's result cache (what it served or computed; snapshots,
+    /// occupancy).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-range shard id.
+    pub fn shard_cache(&self, shard: usize) -> &ResultCache {
+        self.shards[shard].sched.result_cache()
+    }
+
     /// Number of shards built (alive or not).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -415,12 +458,14 @@ impl Fleet {
     }
 
     /// Validates, expands, and places a campaign across the fleet, then
-    /// wakes the drivers ([`Fleet::wake`]): each cell goes to the shard
-    /// owning its content address on the ring, and carries the address to
-    /// that shard's job, so no shard hashes it again. Every shard shares one
-    /// store, whose names are immutable, so the address is the one the shard
-    /// would compute. A function the store does not know is placed by its
-    /// address under an empty fingerprint (still deterministic, still
+    /// wakes the drivers ([`Fleet::wake`]) if any cell was queued. A cell
+    /// whose content address the harvest holds is done at placement: it is
+    /// queued nowhere. Every other cell goes to the shard owning its
+    /// content address on the ring, and carries the address to that
+    /// shard's job, so no shard hashes it again. Every shard shares one
+    /// store, whose names are immutable, so the address is the one the
+    /// shard would compute. A function the store does not know is placed by
+    /// its address under an empty fingerprint (still deterministic, still
     /// well-spread) and submitted without one.
     ///
     /// # Errors
@@ -428,29 +473,52 @@ impl Fleet {
     /// [`SubmitError`] — invalid specs are rejected up front; a shard
     /// refusing admission (queue full) fails the whole submission.
     pub fn submit(&self, spec: CampaignSpec) -> Result<FleetReceipt, SubmitError> {
-        let receipt = self.place(spec)?;
-        self.wake();
+        let (receipt, queued) = self.place(spec)?;
+        if queued > 0 {
+            self.wake();
+        }
         Ok(receipt)
     }
 
-    /// [`Fleet::submit`] without the wake: `POST /v1/fleet/campaigns` wakes
-    /// the drivers once its receipt is written.
-    pub(crate) fn place(&self, spec: CampaignSpec) -> Result<FleetReceipt, SubmitError> {
+    /// [`Fleet::submit`] without the wake, returning with the receipt how
+    /// many cells were queued: `POST /v1/fleet/campaigns` wakes the drivers
+    /// once its receipt is written, if that is not zero.
+    pub(crate) fn place(&self, spec: CampaignSpec) -> Result<(FleetReceipt, usize), SubmitError> {
         spec.validate_with_limit(confbench_types::MAX_CAMPAIGN_CELLS)
             .map_err(SubmitError::Invalid)?;
+        // Content addresses before any lock, one fingerprint per function.
+        let mut fingerprints: BTreeMap<&str, Option<String>> = BTreeMap::new();
+        for function in &spec.functions {
+            fingerprints
+                .entry(&function.name)
+                .or_insert_with(|| self.shards[0].gateway.function_fingerprint(&function.name));
+        }
         let cells = campaign::expand(&spec);
-        let mut placed = Vec::with_capacity(cells.len());
+        let total = cells.len();
+        let addressed: Vec<_> = cells
+            .into_iter()
+            .map(|cell| {
+                let fingerprint =
+                    fingerprints.get(cell.function.name.as_str()).and_then(Option::as_deref);
+                (cache_key(&cell, fingerprint.unwrap_or_default()), fingerprint.is_some(), cell)
+            })
+            .collect();
+        let unharvested: Vec<_> = {
+            let state = self.state.lock();
+            addressed.into_iter().filter(|(key, ..)| !state.harvest.contains_key(key)).collect()
+        };
+        // A cell harvested from here on is queued anyway and cache-hits on
+        // its owner: harmless, only not skipped.
+        let mut placed = Vec::with_capacity(unharvested.len());
         let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         {
             let ring = self.ring.lock();
-            for cell in cells {
-                let fingerprint = self.shards[0].gateway.function_fingerprint(&cell.function.name);
-                let key = cache_key(&cell, fingerprint.as_deref().unwrap_or_default());
-                let shard = ring.owner(&key).expect("fleet has at least one live shard");
+            for (key, addressed, cell) in unharvested {
+                let shard = owner(&ring, &key);
                 per_shard.entry(shard).or_default().push(placed.len());
                 // The job is known once the shard admits its partition.
                 let job = JobId(String::new());
-                placed.push(PlacedCell { key, addressed: fingerprint.is_some(), cell, shard, job });
+                placed.push(PlacedCell { key, addressed, cell, shard, job });
             }
         }
         let mut admitted = Vec::with_capacity(per_shard.len());
@@ -474,20 +542,23 @@ impl Fleet {
                 }
             }
         }
+        let queued = placed.len();
+        let done_at_placement = total - queued;
         let mut state = self.state.lock();
         state.next_campaign += 1;
         let id = format!("f{}", state.next_campaign);
-        let jobs = placed.len();
         state.campaigns.push(FleetCampaign {
             id: id.clone(),
+            done_at_placement,
             cells: placed,
             priority: spec.priority,
             deadline_ms: spec.deadline_ms,
         });
         drop(state);
         self.metrics.counter("fleet_campaigns_total").inc();
-        self.metrics.counter("fleet_cells_placed_total").add(jobs as u64);
-        Ok(FleetReceipt { id, jobs })
+        self.metrics.counter("fleet_cells_placed_total").add(queued as u64);
+        self.metrics.counter("fleet_cells_from_harvest_total").add(done_at_placement as u64);
+        Ok((FleetReceipt { id, jobs: total }, queued))
     }
 
     /// Wakes idle driver threads: work was queued. [`Fleet::submit`],
@@ -496,6 +567,12 @@ impl Fleet {
     /// on [`Fleet::scheduler`] directly calls it after.
     pub fn wake(&self) {
         self.signal.raise();
+    }
+
+    /// How many wakes there have been.
+    #[cfg(test)]
+    pub(crate) fn wakes(&self) -> u64 {
+        self.signal.state.lock().generation
     }
 
     /// One scheduling pass, what a driver thread runs: for every platform,
@@ -546,20 +623,27 @@ impl Fleet {
     /// cell leaves no trace in its result: every shard executes any cell
     /// byte-identically. [`Fleet::shutdown`] stops and joins them; drivers
     /// spawned after it run.
-    pub fn spawn_drivers(self: &Arc<Self>, n: usize) {
+    ///
+    /// # Errors
+    ///
+    /// The system refusing a thread. The drivers spawned before it keep
+    /// running, until [`Fleet::shutdown`].
+    pub fn spawn_drivers(self: &Arc<Self>, n: usize) -> std::io::Result<()> {
         let mut drivers = self.drivers.lock();
         drivers.spawns += 1;
         let spawn = drivers.spawns;
         for _ in 0..n {
             let fleet = Arc::clone(self);
-            let driver = std::thread::Builder::new().name(DRIVER_THREAD.into()).spawn(move || {
-                let mut seen = Some(0);
-                while let Some(generation) = seen {
-                    seen = fleet.signal.next(spawn, generation, !fleet.pump());
-                }
-            });
-            drivers.threads.push(driver.expect("driver thread spawns"));
+            let driver =
+                std::thread::Builder::new().name(DRIVER_THREAD.into()).spawn(move || {
+                    let mut seen = Some(0);
+                    while let Some(generation) = seen {
+                        seen = fleet.signal.next(spawn, generation, !fleet.pump());
+                    }
+                })?;
+            drivers.threads.push(driver);
         }
+        Ok(())
     }
 
     /// Signals every running driver to stop and joins them. Queued jobs stay
@@ -676,8 +760,7 @@ impl Fleet {
                     if placed.shard != id || state.harvest.contains_key(&placed.key) {
                         continue;
                     }
-                    let new_owner = ring.owner(&placed.key).expect("ring still has live shards");
-                    resubmit.entry((new_owner, ci)).or_default().push(pi);
+                    resubmit.entry((owner(&ring, &placed.key), ci)).or_default().push(pi);
                 }
             }
             for (key, cell) in handoff.into_iter().flatten() {
@@ -709,16 +792,18 @@ impl Fleet {
     }
 
     /// Progress of a fleet campaign, judged against the harvest: a cell is
-    /// done once its result is harvested, and failed once its current job
-    /// ended without one (asked of each shard once, under its lock).
+    /// done if the harvest answered it at placement or once its result is
+    /// harvested, and failed once its current job ended without one (asked
+    /// of each shard once, under its lock). A campaign the harvest answered
+    /// whole is complete before any pump.
     pub fn campaign_status(&self, id: &str) -> Option<FleetCampaignStatus> {
         let state = self.state.lock();
-        let campaign = state.campaigns.iter().find(|c| c.id == id)?;
+        let campaign = state.campaign(id)?;
         let mut pending: BTreeMap<usize, Vec<&JobId>> = BTreeMap::new();
         for placed in campaign.cells.iter().filter(|p| !state.harvest.contains_key(&p.key)) {
             pending.entry(placed.shard).or_default().push(&placed.job);
         }
-        let total = campaign.cells.len();
+        let total = campaign.done_at_placement + campaign.cells.len();
         let done = total - pending.values().map(Vec::len).sum::<usize>();
         let failed = pending
             .into_iter()
@@ -778,23 +863,27 @@ impl Fleet {
     /// # Errors
     ///
     /// [`MigrationError`] (the source VM is dropped here; REST callers get
-    /// the message).
+    /// the message). No fault plan is installed on the source, so
+    /// [`MigrationError::SourceBoot`] is not expected, but it is answered
+    /// like the others.
     pub fn run_migration(
         &self,
         target: VmTarget,
         warmup: &[confbench_types::OpTrace],
         cfg: &MigrationConfig,
     ) -> Result<MigrationReport, MigrationError> {
-        let mut source = TeeVmBuilder::new(target)
-            .seed(self.seed)
-            .try_build()
-            .expect("no fault plan is installed on the source, so its boot cannot fail");
-        let target_builder = TeeVmBuilder::new(target).seed(self.seed ^ 0x5EED);
-        let warmed = warmup.iter().try_for_each(|trace| source.try_execute(trace).map(drop));
-        let result = match warmed {
-            Ok(()) => migrate(source, target_builder, &self.attest, &[], cfg),
-            Err(fault) => {
-                Err(MigrationError::Fault { stage: "execute", fault, source: Box::new(source) })
+        let result = match TeeVmBuilder::new(target).seed(self.seed).try_build() {
+            Err(fault) => Err(MigrationError::SourceBoot { fault }),
+            Ok(mut source) => {
+                let target_builder = TeeVmBuilder::new(target).seed(self.seed ^ 0x5EED);
+                match warmup.iter().try_for_each(|trace| source.try_execute(trace).map(drop)) {
+                    Ok(()) => migrate(source, target_builder, &self.attest, &[], cfg),
+                    Err(fault) => Err(MigrationError::Fault {
+                        stage: "execute",
+                        fault,
+                        source: Box::new(source),
+                    }),
+                }
             }
         };
         match &result {
@@ -923,12 +1012,50 @@ mod tests {
         (fleet.drain_shard(id), unharvested)
     }
 
+    /// A fleet of three shards under a manual clock.
+    fn manual_fleet() -> Fleet {
+        Fleet::new(FleetConfig {
+            seed: SEED,
+            clock: Arc::new(ManualClock::new()),
+            ..FleetConfig::default()
+        })
+    }
+
+    /// Jobs queued on the alive shards, summed.
+    fn queued(fleet: &Fleet) -> usize {
+        fleet.alive_shards().iter().map(|&id| fleet.shards[id].sched.queue_depth()).sum()
+    }
+
+    /// Per shard, the job records its scheduler ever made: one per job
+    /// enqueued.
+    fn job_records(fleet: &Fleet) -> Vec<u64> {
+        (0..fleet.shard_count())
+            .map(|id| fleet.shard_metrics(id).counter("sched_jobs_enqueued_total").get())
+            .collect()
+    }
+
+    /// The content addresses of a spec's cells.
+    fn addresses(fleet: &Fleet, spec: &CampaignSpec) -> Vec<String> {
+        campaign::expand(spec)
+            .iter()
+            .map(|cell| {
+                let fingerprint = fleet.store().fingerprint(&cell.function.name);
+                cache_key(cell, &fingerprint.expect("built in").to_string())
+            })
+            .collect()
+    }
+
+    fn status(fleet: &Fleet, receipt: &FleetReceipt) -> (usize, usize, usize, bool) {
+        let s = fleet.campaign_status(&receipt.id).expect("tracked");
+        (s.total, s.done, s.failed, s.complete)
+    }
+
     /// Driver threads drain a placed campaign without any pump from the
     /// caller, woken by the submission, and stop and join on shutdown.
     #[test]
     fn driver_threads_drain_and_shut_down() {
         let fleet = Arc::new(Fleet::new(FleetConfig { seed: SEED, ..FleetConfig::default() }));
-        fleet.spawn_drivers(2);
+        fleet.spawn_drivers(2).expect("drivers spawn");
         let receipt = fleet.submit(spec(&["360", "5040"])).expect("fleet campaign admitted");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while !fleet.campaign_status(&receipt.id).is_some_and(|s| s.complete) {
@@ -948,9 +1075,9 @@ mod tests {
     fn drivers_spawned_after_a_shutdown_drain_the_next_campaign() {
         let fleet =
             Arc::new(Fleet::new(FleetConfig { shards: 1, seed: SEED, ..FleetConfig::default() }));
-        fleet.spawn_drivers(1);
+        fleet.spawn_drivers(1).expect("drivers spawn");
         fleet.shutdown();
-        fleet.spawn_drivers(1);
+        fleet.spawn_drivers(1).expect("drivers spawn again");
         let receipt = fleet.submit(spec(&["360", "5040"])).expect("fleet campaign admitted");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
         while !fleet.campaign_status(&receipt.id).is_some_and(|s| s.complete) {
@@ -975,7 +1102,7 @@ mod tests {
         let receipt = fleet.submit(spec(&["360", "5040"])).expect("fleet campaign admitted");
         fleet.drain();
         let state = fleet.state.lock();
-        let campaign = state.campaigns.iter().find(|c| c.id == receipt.id).expect("tracked");
+        let campaign = state.campaign(&receipt.id).expect("tracked");
         for placed in &campaign.cells {
             let fingerprint = fleet.store().fingerprint(&placed.cell.function.name);
             let want = cache_key(&placed.cell, &fingerprint.expect("built in").to_string());
@@ -1021,12 +1148,141 @@ mod tests {
         }
     }
 
+    /// A campaign is found by the number in its id and only under the id
+    /// it was minted with: unknown, malformed and zero-padded ids find
+    /// nothing.
+    #[test]
+    fn campaign_ids_answer_only_as_minted() {
+        let fleet = manual_fleet();
+        for _ in 0..2 {
+            fleet.submit(spec(&["360"])).expect("fleet campaign admitted");
+        }
+        for id in ["f1", "f2"] {
+            assert_eq!(fleet.campaign_status(id).map(|s| s.id), Some(id.to_owned()));
+        }
+        for id in [
+            "f0",
+            "f3",
+            "f01",
+            "f02",
+            "f+1",
+            "f",
+            "",
+            "1",
+            "F1",
+            "g1",
+            "f1 ",
+            " f1",
+            "f-1",
+            "fx",
+            "f1f",
+            "f18446744073709551617",
+        ] {
+            assert!(fleet.campaign_status(id).is_none(), "{id:?} must answer 404");
+        }
+    }
+
+    /// Cells whose results sit only in shard caches — computed, not yet
+    /// harvested — are placed by content address, so a resubmission routes
+    /// each of them to the shard whose cache already holds it: no miss
+    /// moves, and every resubmitted cell cache-hits on its owner.
+    #[test]
+    fn resubmission_routes_to_the_cached_shard() {
+        let fleet = manual_fleet();
+        let spec = spec(&["360", "5040"]);
+        fleet.submit(spec.clone()).expect("first run admitted");
+        while queued(&fleet) > 0 {
+            pass_without_harvest(&fleet);
+        }
+        assert!(fleet.results().is_empty(), "nothing is harvested yet");
+        let misses: Vec<u64> = fleet.status().iter().map(|s| s.cache_misses).collect();
+        assert_eq!(misses.iter().sum::<u64>(), 12);
+
+        let receipt = fleet.submit(spec).expect("resubmission admitted");
+        assert_eq!(queued(&fleet), 12, "unharvested cells are queued");
+        {
+            let state = fleet.state.lock();
+            let campaign = state.campaign(&receipt.id).expect("tracked");
+            assert_eq!((campaign.done_at_placement, campaign.cells.len()), (0, 12));
+            for placed in &campaign.cells {
+                let cache = fleet.shards[placed.shard].sched.result_cache();
+                assert!(cache.get(&placed.key).is_some(), "routed to the shard caching it");
+            }
+        }
+        fleet.drain();
+        assert_eq!(status(&fleet, &receipt), (12, 12, 0, true));
+        let after = fleet.status();
+        assert_eq!(after.iter().map(|s| s.cache_misses).collect::<Vec<_>>(), misses);
+        assert_eq!(after.iter().map(|s| s.cache_hits).sum::<u64>(), 12);
+    }
+
+    /// Resubmitting a drained campaign: the harvest answers every cell at
+    /// placement. No shard makes a job record, nothing is queued, no
+    /// driver is woken, nothing executes, and the campaign is complete
+    /// before any pump.
+    #[test]
+    fn resubmission_adds_no_job_record_and_wakes_no_driver() {
+        let fleet = manual_fleet();
+        let spec = spec(&["360", "5040"]);
+        fleet.submit(spec.clone()).expect("first run admitted");
+        fleet.drain();
+        let (records, wakes) = (job_records(&fleet), fleet.wakes());
+
+        let receipt = fleet.submit(spec).expect("resubmission admitted");
+        assert_eq!(receipt.jobs, 12, "the receipt counts every cell");
+        assert_eq!(status(&fleet, &receipt), (12, 12, 0, true));
+        assert_eq!(job_records(&fleet), records, "no shard made a job record");
+        assert_eq!(queued(&fleet), 0);
+        assert_eq!(fleet.wakes(), wakes, "no driver woken");
+        assert_eq!(fleet.metrics().counter("fleet_cells_from_harvest_total").get(), 12);
+        assert!(!fleet.pump(), "nothing to step");
+        assert_eq!(fleet.total_executions(), 12);
+    }
+
+    /// A spec that overlaps a drained one queues exactly its cells the
+    /// harvest does not hold; the others are done at placement.
+    #[test]
+    fn partially_overlapping_spec_queues_only_its_unharvested_cells() {
+        let fleet = manual_fleet();
+        fleet.submit(spec(&["360"])).expect("first run admitted");
+        fleet.drain();
+        let records: u64 = job_records(&fleet).iter().sum();
+
+        let receipt = fleet.submit(spec(&["360", "5040"])).expect("overlap admitted");
+        assert_eq!(receipt.jobs, 12);
+        assert_eq!(queued(&fleet), 6, "only the 5040 cells are queued");
+        assert_eq!(job_records(&fleet).iter().sum::<u64>(), records + 6);
+        assert_eq!(status(&fleet, &receipt), (12, 6, 0, false));
+        fleet.drain();
+        assert_eq!(status(&fleet, &receipt), (12, 12, 0, true));
+        assert_eq!(fleet.total_executions(), 12);
+    }
+
+    /// A cell answered at placement has no shard to lose: killing any shard
+    /// right after a harvest-first placement re-places nothing, and the
+    /// campaign stays complete.
+    #[test]
+    fn kill_after_a_harvest_first_placement_replaces_nothing() {
+        for victim in 0..3 {
+            let fleet = manual_fleet();
+            let spec = spec(&["360", "5040"]);
+            fleet.submit(spec.clone()).expect("first run admitted");
+            fleet.drain();
+            let receipt = fleet.submit(spec).expect("resubmission admitted");
+            assert_eq!(fleet.kill_shard(victim), 0, "victim {victim}");
+            assert_eq!(status(&fleet, &receipt), (12, 12, 0, true), "victim {victim}");
+            assert_eq!(queued(&fleet), 0, "victim {victim}");
+        }
+    }
+
     /// The harvest's oracle at fleet scale. Random sequences of submits,
     /// resubmits and pumps on a three-shard fleet, with kills and graceful
     /// drains that come between two pumps or cut a pass short before its
     /// harvest. After every operation the cursor harvest equals the
-    /// full-snapshot merge it replaced. Once the fleet drains, its results
-    /// are byte-identical to the single-gateway control.
+    /// full-snapshot merge it replaced, and every submit queues exactly the
+    /// spec's cells the harvest does not hold. Once the fleet drains, every
+    /// campaign is complete and the results are byte-identical to the
+    /// single-gateway control.
     #[test]
     fn fuzz_sweep_harvest_cursors_equal_snapshot_merge() {
         let pool = [spec(&["360"]), spec(&["360", "5040"]), spec(&["5040", "720"])];
@@ -1040,6 +1296,7 @@ mod tests {
             });
             let mut reference = BTreeMap::new();
             let mut submitted: Vec<CampaignSpec> = Vec::new();
+            let mut receipts = Vec::new();
             let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
             for op in 0..8 + rng.next_below(24) {
                 let id = pick(&mut rng, fleet.shard_count());
@@ -1052,7 +1309,14 @@ mod tests {
                             _ => &pool[pick(&mut rng, pool.len())],
                         }
                         .clone();
-                        fleet.submit(spec.clone()).expect("fleet campaign admitted");
+                        let harvest = fleet.results();
+                        let absent = addresses(&fleet, &spec)
+                            .iter()
+                            .filter(|key| !harvest.contains_key(*key))
+                            .count();
+                        let before = queued(&fleet);
+                        receipts.push(fleet.submit(spec.clone()).expect("fleet campaign admitted"));
+                        assert_eq!(queued(&fleet), before + absent, "case {case}, op {op}");
                         submitted.push(spec);
                     }
                     kind @ (2..=5) => {
@@ -1078,6 +1342,10 @@ mod tests {
             fleet.drain();
             merge_snapshots(&fleet, &mut reference);
             assert_eq!(fleet.results(), reference, "case {case}, drained");
+            for receipt in &receipts {
+                let status = fleet.campaign_status(&receipt.id).expect("tracked");
+                assert!(status.complete, "case {case}: {status:?}");
+            }
             assert_eq!(
                 serde_json::to_vec(&fleet.results()).unwrap(),
                 control_bytes(&submitted),

@@ -6,8 +6,9 @@
 //!
 //! * [`HashRing`] — consistent-hash placement of campaign cells keyed on
 //!   the scheduler's *content address* (`confbench_sched::cache_key`), so
-//!   the memoization cache shards naturally and a resubmission routes to
-//!   the shard that owns the cached cell;
+//!   the memoization cache shards naturally and a resubmitted cell not yet
+//!   harvested routes to the shard that owns the cached cell (a harvested
+//!   one is answered at placement and routes nowhere);
 //! * [`Fleet`] — N gateway shards sharing one [`FunctionStore`] (content
 //!   addresses agree fleet-wide) and one `AttestService` (the session
 //!   cache's single-flight and the collateral refresher's claim slots span
@@ -36,6 +37,7 @@
 //! [`FunctionStore`]: confbench::FunctionStore
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -33,7 +33,7 @@ use confbench::AttestService;
 use confbench_types::OpTrace;
 use confbench_vmm::{ExecutionReport, TeeFault, TeeVmBuilder, Vm};
 
-use crate::fsm::{MigrationFsm, MigrationOp};
+use crate::fsm::{FsmError, MigrationFsm, MigrationOp};
 use crate::wire::{decode_stream, MigrationFrame, WireError};
 
 /// Tunables of one migration.
@@ -86,6 +86,11 @@ pub struct MigrationReport {
 /// existed hands the source VM back, still runnable.
 #[derive(Debug)]
 pub enum MigrationError {
+    /// The source VM could not boot, so there was nothing to migrate.
+    SourceBoot {
+        /// The fault its boot raised.
+        fault: TeeFault,
+    },
     /// A TEE fault was injected at an export/import crossing, while the
     /// source executed its pending work, or while the target booted.
     Fault {
@@ -117,16 +122,26 @@ pub enum MigrationError {
         /// The source VM, returned runnable.
         source: Box<Vm>,
     },
+    /// The migration state machine refused a step the orchestrator took:
+    /// an orchestration bug, answered instead of panicking.
+    IllegalStep {
+        /// The machine's refusal.
+        error: FsmError,
+        /// The source VM, returned runnable.
+        source: Box<Vm>,
+    },
 }
 
 impl MigrationError {
-    /// Reclaims the still-runnable source VM.
-    pub fn into_source(self) -> Vm {
+    /// Reclaims the still-runnable source VM; `None` when it never booted.
+    pub fn into_source(self) -> Option<Vm> {
         match self {
+            MigrationError::SourceBoot { .. } => None,
             MigrationError::Fault { source, .. }
             | MigrationError::Attest { source, .. }
             | MigrationError::Wire { source, .. }
-            | MigrationError::TargetMismatch { source } => *source,
+            | MigrationError::TargetMismatch { source }
+            | MigrationError::IllegalStep { source, .. } => Some(*source),
         }
     }
 }
@@ -134,6 +149,7 @@ impl MigrationError {
 impl std::fmt::Display for MigrationError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            MigrationError::SourceBoot { fault } => write!(f, "source VM failed to boot: {fault}"),
             MigrationError::Fault { stage, fault, .. } => {
                 write!(f, "migration {stage} faulted: {fault}")
             }
@@ -141,6 +157,9 @@ impl std::fmt::Display for MigrationError {
             MigrationError::Wire { error, .. } => write!(f, "migration stream corrupt: {error}"),
             MigrationError::TargetMismatch { .. } => {
                 f.write_str("target builder does not match the source VM's target")
+            }
+            MigrationError::IllegalStep { error, .. } => {
+                write!(f, "migration state machine refused a step: {error}")
             }
         }
     }
@@ -172,11 +191,24 @@ pub fn migrate(
     let mut fsm = MigrationFsm::new(u64::MAX);
     let mut frames: Vec<MigrationFrame> = Vec::new();
     let mut source_reports = Vec::new();
+    // Takes an op the orchestrator has arranged to be valid; a refusal is
+    // an orchestration bug (the model checker verifies the machine, this
+    // verifies the driver), answered with the source handed back.
+    macro_rules! step {
+        ($op:expr) => {
+            fsm = match fsm.apply($op) {
+                Ok(next) => next,
+                Err(error) => {
+                    return Err(MigrationError::IllegalStep { error, source: Box::new(source) })
+                }
+            }
+        };
+    }
 
-    fsm = step(fsm, MigrationOp::Drain);
+    step!(MigrationOp::Drain);
     source.mark_all_dirty();
     let resident = source.resident_page_count();
-    fsm = step(fsm, MigrationOp::BeginPreCopy { resident });
+    step!(MigrationOp::BeginPreCopy { resident });
     frames.push(MigrationFrame::Begin {
         platform: target_spec.platform,
         kind: target_spec.kind,
@@ -199,7 +231,7 @@ pub fn migrate(
             };
             if !gpas.is_empty() {
                 round += 1;
-                fsm = step(fsm, MigrationOp::CopyRound { copied: gpas.len() as u64 });
+                step!(MigrationOp::CopyRound { copied: gpas.len() as u64 });
                 tracked -= gpas.len() as u64;
                 precopy_pages += gpas.len() as u64;
                 frames.push(MigrationFrame::Pages { round, gpas });
@@ -215,7 +247,7 @@ pub fn migrate(
         let dirtied = source.dirty_page_count() as u64;
         let delta = dirtied.saturating_sub(tracked);
         if delta > 0 {
-            fsm = step(fsm, MigrationOp::Touch { pages: delta });
+            step!(MigrationOp::Touch { pages: delta });
             tracked = dirtied;
         }
         // Within the round budget, ship each delta while still running;
@@ -229,7 +261,7 @@ pub fn migrate(
     // Stop-and-copy: pause the source (downtime starts), drain the final
     // delta — it cannot grow any more.
     let pause_started = Instant::now();
-    fsm = step(fsm, MigrationOp::Pause);
+    step!(MigrationOp::Pause);
     let final_delta = match source.export_dirty_pages() {
         Ok(gpas) => gpas,
         Err(fault) => return Err(abort(fsm, source, "export", fault)),
@@ -238,8 +270,8 @@ pub fn migrate(
     if !final_delta.is_empty() {
         frames.push(MigrationFrame::Pages { round: round + 1, gpas: final_delta });
     }
-    fsm = step(fsm, MigrationOp::FinalCopy);
-    fsm = step(fsm, MigrationOp::BeginReAttest);
+    step!(MigrationOp::FinalCopy);
+    step!(MigrationOp::BeginReAttest);
 
     let state = match source.export_runtime_state() {
         Ok(state) => state,
@@ -258,7 +290,7 @@ pub fn migrate(
     } else {
         "unattested-normal-vm".to_owned()
     };
-    fsm = step(fsm, MigrationOp::Attest);
+    step!(MigrationOp::Attest);
 
     let pages_total = precopy_pages + stopcopy_pages;
     frames.push(MigrationFrame::Commit {
@@ -283,9 +315,7 @@ pub fn migrate(
         Err(fault) => return Err(abort(fsm, source, "build", fault)),
     };
     if target.target() != target_spec {
-        let aborted = fsm.apply(MigrationOp::Abort).expect("abort is legal from any live phase");
-        debug_assert_eq!(aborted.source, crate::fsm::SourceVm::Running);
-        return Err(MigrationError::TargetMismatch { source: Box::new(source) });
+        return Err(abort(fsm, source, "target", TargetMismatch));
     }
     for frame in &decoded {
         let imported = match frame {
@@ -298,7 +328,7 @@ pub fn migrate(
         }
     }
 
-    fsm = step(fsm, MigrationOp::Resume);
+    step!(MigrationOp::Resume);
     debug_assert!(fsm.phase.is_terminal());
     let downtime_us = pause_started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
 
@@ -318,23 +348,23 @@ pub fn migrate(
     ))
 }
 
-/// Applies an op the orchestrator has arranged to be valid; a rejection
-/// here is an orchestration bug (the model checker verifies the machine,
-/// this verifies the driver).
-fn step(fsm: MigrationFsm, op: MigrationOp) -> MigrationFsm {
-    fsm.apply(op).expect("orchestrator drives only legal transitions")
-}
-
 /// Takes the `Abort` edge and wraps the failure, handing the source back.
+/// Abort is legal from every live phase; were it refused, the refusal is
+/// the error.
 fn abort<E: AbortCause>(
     fsm: MigrationFsm,
     source: Vm,
     stage: &'static str,
     cause: E,
 ) -> MigrationError {
-    let aborted = fsm.apply(MigrationOp::Abort).expect("abort is legal from any live phase");
-    debug_assert_eq!(aborted.source, crate::fsm::SourceVm::Running);
-    cause.into_error(stage, Box::new(source))
+    let source = Box::new(source);
+    match fsm.apply(MigrationOp::Abort) {
+        Ok(aborted) => {
+            debug_assert_eq!(aborted.source, crate::fsm::SourceVm::Running);
+            cause.into_error(stage, source)
+        }
+        Err(error) => MigrationError::IllegalStep { error, source },
+    }
 }
 
 trait AbortCause {
@@ -356,5 +386,14 @@ impl AbortCause for confbench_types::Error {
 impl AbortCause for WireError {
     fn into_error(self, _stage: &'static str, source: Box<Vm>) -> MigrationError {
         MigrationError::Wire { error: self, source }
+    }
+}
+
+/// The target VM booted for another platform or kind than the source's.
+struct TargetMismatch;
+
+impl AbortCause for TargetMismatch {
+    fn into_error(self, _stage: &'static str, source: Box<Vm>) -> MigrationError {
+        MigrationError::TargetMismatch { source }
     }
 }

@@ -74,7 +74,8 @@ impl Fleet {
     /// * `GET /v1/fleet` — shard table (alive, queue depth, cache
     ///   hit/miss counters), steal and replacement totals;
     /// * `POST /v1/fleet/campaigns` — place a campaign across the fleet
-    ///   (consistent-hash on each cell's content address);
+    ///   (consistent-hash on each cell's content address; a cell the
+    ///   harvest holds is answered at placement and queued nowhere);
     /// * `GET /v1/fleet/campaigns/{id}` — harvest-judged progress;
     /// * `POST /v1/fleet/shards/{id}/drain` — graceful drain: cache
     ///   entries migrate to new owners, orphaned cells re-place;
@@ -86,7 +87,8 @@ impl Fleet {
     /// * `GET /v1/migrations` — reports of migrations run so far.
     ///
     /// The routes that queue work — both campaign routes and the two shard
-    /// retirements — wake the drivers only once their answer is written.
+    /// retirements — wake the drivers only once their answer is written; a
+    /// fleet campaign that queued nothing wakes none.
     pub fn build_router(self: &Arc<Self>) -> Router {
         let mut router = Router::new();
         self.gateway().add_routes(&mut router);
@@ -117,7 +119,10 @@ impl Fleet {
                 Err(e) => return Response::error(400, format!("bad campaign spec: {e}")),
             };
             match fleet.place(spec) {
-                Ok(receipt) => {
+                // Nothing queued, no driver to wake: the harvest answered
+                // every cell.
+                Ok((receipt, 0)) => Response::json(&receipt),
+                Ok((receipt, _)) => {
                     let fleet = Arc::clone(&fleet);
                     Response::json(&receipt).after_answer(move || fleet.wake())
                 }
@@ -346,13 +351,33 @@ mod tests {
         let receipt: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
         assert_eq!(receipt["jobs"], 2);
         let id = receipt["id"].as_str().unwrap().to_owned();
+        let wakes = f.wakes();
+        drop(resp);
+        assert_eq!(f.wakes(), wakes + 1, "queued cells wake the drivers once answered");
 
         f.drain();
-        let resp =
-            router.dispatch(&Request::new(Method::Get, &format!("/v1/fleet/campaigns/{id}")));
-        assert_eq!(resp.status, 200);
-        let status: serde_json::Value = serde_json::from_slice(&resp.body).unwrap();
+        let progress = |id: &str| {
+            let resp =
+                router.dispatch(&Request::new(Method::Get, &format!("/v1/fleet/campaigns/{id}")));
+            assert_eq!(resp.status, 200);
+            body(&resp)
+        };
+        let status = progress(&id);
         assert_eq!(status["complete"], true, "{status:?}");
+
+        // The same spec again: the harvest answers both cells at placement,
+        // with the same receipt shape, and no driver wakes.
+        let resp = router.dispatch(&Request::new(Method::Post, "/v1/fleet/campaigns").json(&spec));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let receipt = body(&resp);
+        assert_eq!(receipt["jobs"], 2);
+        drop(resp);
+        assert_eq!(f.wakes(), wakes + 1, "nothing queued, no driver woken");
+        let status = progress(receipt["id"].as_str().unwrap());
+        assert_eq!((status["done"].as_u64(), status["complete"].as_bool()), (Some(2), Some(true)));
+        let text = router.dispatch(&Request::new(Method::Get, "/v1/metrics"));
+        let text = String::from_utf8_lossy(&text.body);
+        assert!(text.contains("fleet_cells_from_harvest_total 2\n"), "{text}");
         assert_eq!(
             router.dispatch(&Request::new(Method::Get, "/v1/fleet/campaigns/nope")).status,
             404

@@ -2,9 +2,10 @@
 //!
 //! Placement is keyed on the scheduler's content address (the SHA-256
 //! `cache_key` of a campaign cell), so the cell → shard mapping is stable
-//! across submissions: resubmitting a campaign routes every cell back to
-//! the shard whose result cache already holds it. Virtual nodes smooth the
-//! distribution; removing a shard re-homes only the arcs it owned.
+//! across submissions: a resubmitted cell the fleet has not yet harvested
+//! routes back to the shard whose result cache already holds it. Virtual
+//! nodes smooth the distribution; removing a shard re-homes only the arcs
+//! it owned.
 
 use std::collections::{BTreeMap, BTreeSet};
 

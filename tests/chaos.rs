@@ -292,7 +292,7 @@ fn fleet_chaos_campaign_driven_by_a_pool_of_four_matches_fault_free_control() {
         retry: fast_retry(),
         ..FleetConfig::default()
     }));
-    fleet.spawn_drivers(4);
+    fleet.spawn_drivers(4).expect("drivers spawn");
     let receipt = fleet.submit(campaign_spec()).expect("fleet campaign admitted");
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     while !fleet.campaign_status(&receipt.id).expect("campaign tracked").complete {

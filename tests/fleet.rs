@@ -1,5 +1,5 @@
 //! Fleet end-to-end: sharded placement, kill/drain recovery with
-//! byte-identical results, content-addressed routing of resubmissions,
+//! byte-identical results, resubmissions answered from the harvest,
 //! fleet-wide collateral sharing, cross-shard work stealing, and live
 //! migration (execution equality after resume, runnable source on abort).
 
@@ -155,29 +155,53 @@ fn recovery_past_a_full_queue_completes_byte_identical() {
     f.submit(small).expect("a drained survivor admits again");
 }
 
-/// Resubmitting a finished campaign routes every cell (by content
-/// address) to the shard whose cache already holds it: per-shard miss
-/// counters do not move, only hits do.
-#[test]
-fn resubmission_routes_to_the_cached_shard() {
-    let f = fleet(3);
-    f.submit(campaign_spec()).expect("first run admitted");
-    f.drain();
-    assert_eq!(f.total_executions(), CAMPAIGN_JOBS as u64);
-    let misses_before: Vec<u64> = f.status().iter().map(|s| s.cache_misses).collect();
+/// The shape of the paper's Fig. 6 on TDX at a debug-friendly size: 25
+/// functions × 7 languages × {secure, normal} = 350 cells.
+fn fig6_shaped_spec() -> CampaignSpec {
+    CampaignSpec {
+        functions: (0..25)
+            .map(|i| CampaignFunction::new("factors").arg((360 + i).to_string()))
+            .collect(),
+        languages: Language::ALL.to_vec(),
+        platforms: vec![TeePlatform::Tdx],
+        trials: 1,
+        ..campaign_spec()
+    }
+}
 
-    let receipt = f.submit(campaign_spec()).expect("resubmission admitted");
+/// Resubmitting a drained 350-cell campaign on three shards: the harvest
+/// answers every cell at placement, so no shard queues a job, makes a job
+/// record or executes a cell, and the campaign is complete before any pump.
+/// (Routing to the caching shard, for cells computed but not yet harvested,
+/// is the fleet's `resubmission_routes_to_the_cached_shard` unit test.)
+#[test]
+fn resubmission_is_answered_from_the_harvest() {
+    let f = fleet(3);
+    let spec = fig6_shaped_spec();
+    assert_eq!(f.submit(spec.clone()).expect("first run admitted").jobs, 350);
     f.drain();
-    assert!(f.campaign_status(&receipt.id).unwrap().complete);
-    let after = f.status();
-    let misses_after: Vec<u64> = after.iter().map(|s| s.cache_misses).collect();
-    assert_eq!(misses_before, misses_after, "resubmission must not execute anything");
-    let hits: u64 = after.iter().map(|s| s.cache_hits).sum();
-    assert_eq!(hits, CAMPAIGN_JOBS as u64, "every resubmitted cell cache-hits on its owner");
+    assert_eq!(f.total_executions(), 350);
+    let counters = |f: &Fleet, name: &str| {
+        (0..f.shard_count())
+            .map(|s| f.shard_metrics(s).counter_value(name).unwrap_or(0))
+            .collect::<Vec<_>>()
+    };
+    let records = counters(&f, "sched_jobs_enqueued_total");
+    let misses = counters(&f, "sched_cache_misses_total");
+
+    let receipt = f.submit(spec).expect("resubmission admitted");
+    assert_eq!(receipt.jobs, 350, "the receipt counts every cell");
+    let status = f.campaign_status(&receipt.id).expect("campaign tracked");
+    assert_eq!((status.total, status.done, status.complete), (350, 350, true), "{status:?}");
+    assert!(f.status().iter().all(|s| s.queue_depth == 0), "nothing queued");
+    assert_eq!(counters(&f, "sched_jobs_enqueued_total"), records, "no job record made");
+    assert_eq!(counters(&f, "sched_cache_misses_total"), misses, "nothing executed");
+    assert_eq!(f.metrics().counter_value("fleet_cells_from_harvest_total"), Some(350));
 }
 
 /// A graceful drain hands the leaving shard's cache entries to the ring's
-/// new owners, so a resubmission after the drain still executes nothing.
+/// new owners: the survivors' caches hold every entry it had, and a
+/// resubmission after the drain executes nothing.
 #[test]
 fn drained_shard_hands_its_cache_to_new_owners() {
     let f = fleet(3);
@@ -186,8 +210,14 @@ fn drained_shard_hands_its_cache_to_new_owners() {
     assert_eq!(f.total_executions(), CAMPAIGN_JOBS as u64);
 
     // Everything is harvested, so nothing needs re-placement...
+    let drained = f.shard_cache(0).snapshot();
+    assert!(!drained.is_empty(), "shard 0 owns some of the campaign");
     assert_eq!(f.drain_shard(0), 0);
     // ...and the drained shard's entries now live on the survivors.
+    for (key, cell) in drained {
+        let held = [1, 2].map(|s| f.shard_cache(s).get(&key));
+        assert!(held.contains(&Some(cell)), "{key} was handed to a survivor");
+    }
     let receipt = f.submit(campaign_spec()).expect("resubmission admitted");
     f.drain();
     assert!(f.campaign_status(&receipt.id).unwrap().complete);
@@ -358,7 +388,7 @@ fn aborted_migration_returns_a_runnable_source() {
     .expect_err("secure-CCA migration must abort at re-attest");
     assert!(matches!(err, MigrationError::Attest { .. }), "{err}");
 
-    let mut recovered = err.into_source();
+    let mut recovered = err.into_source().expect("an abort hands the source back");
     let mut probe = OpTrace::new();
     probe.cpu(750_000);
     assert_eq!(
@@ -396,7 +426,10 @@ fn faulting_pending_trace_aborts_with_a_runnable_source() {
 
     let mut probe = OpTrace::new();
     probe.cpu(750_000);
-    err.into_source().try_execute(&probe).expect("the aborted source still runs");
+    err.into_source()
+        .expect("an abort hands the source back")
+        .try_execute(&probe)
+        .expect("the aborted source still runs");
 }
 
 /// A target builder whose fault plan fires at boot aborts the migration at
@@ -421,5 +454,8 @@ fn faulting_target_boot_aborts_with_a_runnable_source() {
 
     let mut probe = OpTrace::new();
     probe.cpu(750_000);
-    err.into_source().try_execute(&probe).expect("the aborted source still runs");
+    err.into_source()
+        .expect("an abort hands the source back")
+        .try_execute(&probe)
+        .expect("the aborted source still runs");
 }

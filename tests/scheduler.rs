@@ -61,7 +61,7 @@ fn results(fleet: &Fleet) -> BTreeMap<String, CachedCell> {
 
 /// Runs the fleet's driver threads until the campaign is done.
 fn drive(fleet: &Arc<Fleet>, receipt: &CampaignReceipt, drivers: usize) -> CampaignStatus {
-    fleet.spawn_drivers(drivers);
+    fleet.spawn_drivers(drivers).expect("drivers spawn");
     while !fleet.scheduler().campaign_status(&receipt.id).unwrap().is_done() {
         std::thread::sleep(std::time::Duration::from_millis(2));
     }
@@ -275,7 +275,7 @@ fn execution_order_and_worker_count_leave_no_trace_in_the_results() {
             spec.modes.rotate_left(drivers / 2 % 2);
             let fleet = fleet_of(shards);
             let receipt = fleet.submit(spec).unwrap();
-            fleet.spawn_drivers(drivers);
+            fleet.spawn_drivers(drivers).expect("drivers spawn");
             while !fleet.campaign_status(&receipt.id).unwrap().complete {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }

@@ -39,17 +39,24 @@ impl Digest {
     pub fn to_u64(&self) -> u64 {
         u64::from_be_bytes(self.0[..8].try_into().expect("8 bytes"))
     }
-}
 
-impl fmt::Display for Digest {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// The lowercase hex text of the digest, on the stack: what `Display`
+    /// writes, without allocating. Lowercase hex sorts as the bytes do.
+    pub fn hex(&self) -> [u8; 64] {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut hex = [0u8; 64];
         for (pair, b) in hex.chunks_exact_mut(2).zip(self.0) {
             pair[0] = HEX[usize::from(b >> 4)];
             pair[1] = HEX[usize::from(b & 0xf)];
         }
-        f.write_str(std::str::from_utf8(&hex).expect("hex digits are ASCII"))
+        hex
+    }
+}
+
+impl fmt::Display for Digest {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let hex = self.hex();
+        f.write_str(std::str::from_utf8(&hex).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -280,6 +287,18 @@ mod tests {
         assert_eq!(hex(&Sha256::digest(data)), want, "dispatched ({})", dispatched());
         for (name, kernel) in kernels() {
             assert_eq!(hex(&digest_with(kernel, data)), want, "{name} kernel");
+        }
+    }
+
+    /// `hex()` is the `Display` text, and it sorts as the bytes do: maps
+    /// keyed by digests iterate in the order of their text.
+    #[test]
+    fn hex_text_sorts_as_the_bytes_do() {
+        let digests: Vec<Digest> = (0..512u32).map(|i| Sha256::digest(&i.to_le_bytes())).collect();
+        for pair in digests.windows(2) {
+            let [a, b] = [pair[0], pair[1]];
+            assert_eq!(a.to_string().as_bytes(), a.hex());
+            assert_eq!(a.cmp(&b), a.hex().cmp(&b.hex()), "{a} vs {b}");
         }
     }
 

@@ -61,9 +61,10 @@ use confbench::{
     AttestConfig, AttestService, BalancePolicy, Clock, FunctionStore, Gateway, RetryPolicy,
     SystemClock, TeeFaultPlan,
 };
+use confbench_crypto::Digest;
 use confbench_obs::{MetricsRegistry, RegistrySnapshot};
 use confbench_sched::{
-    cache_key, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
+    cache_address, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
     SubmitError, DEFAULT_CACHE_CAPACITY,
 };
 use confbench_types::{CampaignCell, CampaignSpec, JobId, Priority, TeePlatform, VmTarget};
@@ -80,8 +81,8 @@ const VNODES: usize = 32;
 /// The shard owning `key` on the ring. The ring is never empty — no
 /// retirement takes the last alive shard off it — so the fallback to shard
 /// 0 is never taken.
-fn owner(ring: &HashRing, key: &str) -> usize {
-    ring.owner(key).unwrap_or(0)
+fn owner(ring: &HashRing, key: &Digest) -> usize {
+    ring.owner_of(key).unwrap_or(0)
 }
 
 /// The name of every driver thread ([`Fleet::spawn_drivers`]).
@@ -149,7 +150,7 @@ struct Shard {
 /// the shard and job currently responsible for it.
 #[derive(Clone)]
 struct PlacedCell {
-    key: String,
+    key: Digest,
     /// Whether `key` is the cell's content address, the key its job
     /// carries. It is not when the function was unknown at submission:
     /// then the cell is placed by its address under an empty fingerprint.
@@ -162,13 +163,15 @@ struct PlacedCell {
 impl PlacedCell {
     /// The cell as a shard's scheduler takes it: with its content address,
     /// if it has one.
-    fn to_submit(&self) -> (CampaignCell, Option<String>) {
-        (self.cell.clone(), self.addressed.then(|| self.key.clone()))
+    fn to_submit(&self) -> (CampaignCell, Option<Digest>) {
+        (self.cell.clone(), self.addressed.then_some(self.key))
     }
 }
 
 /// One fleet-level campaign (fans out to per-shard scheduler campaigns).
 struct FleetCampaign {
+    /// Minted when the campaign is recorded ([`Fleet::record`]); empty
+    /// until then.
     id: String,
     /// Cells the harvest answered at placement. They are done for good —
     /// the harvest only grows — so they keep no [`PlacedCell`].
@@ -185,7 +188,8 @@ struct FleetState {
     /// Campaign `f{n}` at index `n - 1`.
     campaigns: Vec<FleetCampaign>,
     /// Fleet-durable results: what shard caches gained, after every pump.
-    harvest: BTreeMap<String, CachedCell>,
+    /// Keyed by address, which orders as its hex text does.
+    harvest: BTreeMap<Digest, CachedCell>,
     /// Per shard, the result-cache tick the harvest has read up to.
     cursors: Vec<u64>,
     migrations: Vec<MigrationReport>,
@@ -484,6 +488,14 @@ impl Fleet {
     /// many cells were queued: `POST /v1/fleet/campaigns` wakes the drivers
     /// once its receipt is written, if that is not zero.
     pub(crate) fn place(&self, spec: CampaignSpec) -> Result<(FleetReceipt, usize), SubmitError> {
+        let campaign = self.enqueue(spec)?;
+        Ok(self.record(campaign))
+    }
+
+    /// The first half of [`Fleet::place`]: addresses the campaign's cells,
+    /// answers those the harvest holds, and queues the others on their ring
+    /// owners, under no fleet lock. The campaign is not yet recorded.
+    fn enqueue(&self, spec: CampaignSpec) -> Result<FleetCampaign, SubmitError> {
         spec.validate_with_limit(confbench_types::MAX_CAMPAIGN_CELLS)
             .map_err(SubmitError::Invalid)?;
         // Content addresses before any lock, one fingerprint per function.
@@ -500,7 +512,7 @@ impl Fleet {
             .map(|cell| {
                 let fingerprint =
                     fingerprints.get(cell.function.name.as_str()).and_then(Option::as_deref);
-                (cache_key(&cell, fingerprint.unwrap_or_default()), fingerprint.is_some(), cell)
+                (cache_address(&cell, fingerprint.unwrap_or_default()), fingerprint.is_some(), cell)
             })
             .collect();
         let unharvested: Vec<_> = {
@@ -542,23 +554,80 @@ impl Fleet {
                 }
             }
         }
-        let queued = placed.len();
-        let done_at_placement = total - queued;
-        let mut state = self.state.lock();
-        state.next_campaign += 1;
-        let id = format!("f{}", state.next_campaign);
-        state.campaigns.push(FleetCampaign {
-            id: id.clone(),
-            done_at_placement,
+        Ok(FleetCampaign {
+            id: String::new(),
+            done_at_placement: total - placed.len(),
             cells: placed,
             priority: spec.priority,
             deadline_ms: spec.deadline_ms,
-        });
+        })
+    }
+
+    /// The second half of [`Fleet::place`]: mints the campaign's id and
+    /// records it, so that a shard retired from now on re-places its cells.
+    /// A shard retired since [`Fleet::enqueue`] read the ring did not see
+    /// the campaign, so its cells are re-placed here: a retirement marks the
+    /// shard dead under the ring lock before it takes `state`, so either it
+    /// finds the campaign recorded or this finds the shard dead.
+    fn record(&self, mut campaign: FleetCampaign) -> (FleetReceipt, usize) {
+        let queued = campaign.cells.len();
+        let mut state = self.state.lock();
+        let dead = |shard: usize| !self.shards[shard].alive.load(Ordering::SeqCst);
+        let replaced = if campaign.cells.iter().any(|placed| dead(placed.shard)) {
+            self.replace_cells(&mut campaign, &state.harvest, &self.ring.lock(), dead)
+        } else {
+            0
+        };
+        state.next_campaign += 1;
+        campaign.id = format!("f{}", state.next_campaign);
+        let receipt =
+            FleetReceipt { id: campaign.id.clone(), jobs: campaign.done_at_placement + queued };
+        let done_at_placement = campaign.done_at_placement as u64;
+        state.campaigns.push(campaign);
         drop(state);
         self.metrics.counter("fleet_campaigns_total").inc();
         self.metrics.counter("fleet_cells_placed_total").add(queued as u64);
-        self.metrics.counter("fleet_cells_from_harvest_total").add(done_at_placement as u64);
-        Ok((FleetReceipt { id, jobs: total }, queued))
+        self.metrics.counter("fleet_cells_from_harvest_total").add(done_at_placement);
+        if replaced > 0 {
+            self.metrics.counter("fleet_cells_replaced_total").add(replaced as u64);
+        }
+        (receipt, queued)
+    }
+
+    /// Re-places, each on its ring owner, the cells of `campaign` that sit
+    /// on a shard `gone` names and whose results the harvest lacks, keeping
+    /// the campaign's priority and queue deadline. Recovery is never
+    /// refused: a survivor may go past its queue bound, and refuses new
+    /// campaigns until it drains. Returns how many cells were re-placed.
+    fn replace_cells(
+        &self,
+        campaign: &mut FleetCampaign,
+        harvest: &BTreeMap<Digest, CachedCell>,
+        ring: &HashRing,
+        gone: impl Fn(usize) -> bool,
+    ) -> usize {
+        let mut per_owner: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (pi, placed) in campaign.cells.iter().enumerate() {
+            if gone(placed.shard) && !harvest.contains_key(&placed.key) {
+                per_owner.entry(owner(ring, &placed.key)).or_default().push(pi);
+            }
+        }
+        let mut replaced = 0;
+        for (owner, batch) in per_owner {
+            let cells = batch.iter().map(|&pi| campaign.cells[pi].to_submit()).collect();
+            let partition = self.shards[owner].sched.readmit_cells(
+                cells,
+                campaign.priority,
+                campaign.deadline_ms,
+            );
+            for (job, pi) in batch.into_iter().enumerate() {
+                let placed = &mut campaign.cells[pi];
+                placed.shard = owner;
+                placed.job = JobId::in_campaign(&partition.id, job);
+                replaced += 1;
+            }
+        }
+        replaced
     }
 
     /// Wakes idle driver threads: work was queued. [`Fleet::submit`],
@@ -675,9 +744,7 @@ impl Fleet {
         for id in self.alive_shards() {
             let cache = self.shards[id].sched.result_cache();
             cursors[id] = cache.touched_since(cursors[id], |key, cell| {
-                if !harvest.contains_key(key) {
-                    harvest.insert(key.to_owned(), cell.clone());
-                }
+                harvest.entry(*key).or_insert_with(|| cell.clone());
             });
         }
         self.metrics.gauge("fleet_harvest_entries").set(harvest.len() as u64);
@@ -737,55 +804,35 @@ impl Fleet {
         }
         self.metrics.gauge("fleet_shards_alive").set(self.alive_shards().len() as u64);
         // The shard is off the ring, so no harvest reads it again. A
-        // graceful drain keeps every result it computed: one snapshot joins
-        // the harvest here and moves to the new owners below.
-        let handoff = graceful.then(|| self.shards[id].sched.result_cache().snapshot());
+        // graceful drain keeps every result it computed: its whole cache, in
+        // address order, joins the harvest here and moves to the new owners
+        // below.
+        let handoff = graceful.then(|| {
+            let mut entries = BTreeMap::new();
+            self.shards[id].sched.result_cache().touched_since(0, |key, cell| {
+                entries.insert(*key, cell.clone());
+            });
+            entries
+        });
 
         // Re-place orphaned cells. Under a graceful drain the cache
         // entries move first, so the resubmitted duplicates cache-hit.
-        let mut replaced = 0;
         let mut state = self.state.lock();
+        let FleetState { harvest, campaigns, .. } = &mut *state;
         for (key, cell) in handoff.iter().flatten() {
-            if !state.harvest.contains_key(key) {
-                state.harvest.insert(key.clone(), cell.clone());
+            harvest.entry(*key).or_insert_with(|| cell.clone());
+        }
+        let ring = self.ring.lock();
+        for (key, cell) in handoff.into_iter().flatten() {
+            if let Some(owner) = ring.owner_of(&key) {
+                self.shards[owner].sched.result_cache().insert(key, cell);
             }
         }
-        // Per new owner and campaign, so re-placed cells keep their own
-        // campaign's priority and queue deadline.
-        let mut resubmit: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        {
-            let ring = self.ring.lock();
-            for (ci, campaign) in state.campaigns.iter().enumerate() {
-                for (pi, placed) in campaign.cells.iter().enumerate() {
-                    if placed.shard != id || state.harvest.contains_key(&placed.key) {
-                        continue;
-                    }
-                    resubmit.entry((owner(&ring, &placed.key), ci)).or_default().push(pi);
-                }
-            }
-            for (key, cell) in handoff.into_iter().flatten() {
-                if let Some(owner) = ring.owner(&key) {
-                    self.shards[owner].sched.result_cache().insert(key, cell);
-                }
-            }
-        }
-        for ((owner, ci), batch) in resubmit {
-            let campaign = &mut state.campaigns[ci];
-            let cells = batch.iter().map(|&pi| campaign.cells[pi].to_submit()).collect();
-            // Recovery is never refused: the survivor may go past its queue
-            // bound, and refuses new campaigns until it drains.
-            let partition = self.shards[owner].sched.readmit_cells(
-                cells,
-                campaign.priority,
-                campaign.deadline_ms,
-            );
-            for (job, pi) in batch.into_iter().enumerate() {
-                let placed = &mut campaign.cells[pi];
-                placed.shard = owner;
-                placed.job = JobId::in_campaign(&partition.id, job);
-                replaced += 1;
-            }
-        }
+        let replaced: usize = campaigns
+            .iter_mut()
+            .map(|campaign| self.replace_cells(campaign, harvest, &ring, |shard| shard == id))
+            .sum();
+        drop(ring);
         drop(state);
         self.metrics.counter("fleet_cells_replaced_total").add(replaced as u64);
         replaced
@@ -818,11 +865,13 @@ impl Fleet {
         })
     }
 
-    /// The fleet's durable results: content address → cached cell. After
-    /// [`Fleet::drain`], serializing this is the byte-identical artifact
-    /// the chaos tests compare against a single-gateway control.
+    /// The fleet's durable results: content address, as its hex text →
+    /// cached cell. After [`Fleet::drain`], serializing this is the
+    /// byte-identical artifact the chaos tests compare against a
+    /// single-gateway control's [`ResultCache::snapshot`].
     pub fn results(&self) -> BTreeMap<String, CachedCell> {
-        self.state.lock().harvest.clone()
+        let state = self.state.lock();
+        state.harvest.iter().map(|(key, cell)| (key.to_string(), cell.clone())).collect()
     }
 
     /// Per-shard status rows plus ring occupancy, for `GET /v1/fleet`.
@@ -920,6 +969,7 @@ mod tests {
     use super::*;
     use confbench_crypto::fuzz::sweep_iters;
     use confbench_crypto::SplitMix64;
+    use confbench_sched::cache_key;
     use confbench_types::{CampaignFunction, Language, ManualClock, VmKind};
 
     const SEED: u64 = 11;
@@ -1106,9 +1156,39 @@ mod tests {
         for placed in &campaign.cells {
             let fingerprint = fleet.store().fingerprint(&placed.cell.function.name);
             let want = cache_key(&placed.cell, &fingerprint.expect("built in").to_string());
-            assert_eq!(placed.key, want);
+            assert_eq!(placed.key.to_string(), want);
             let job = fleet.shards[placed.shard].sched.job_status(&placed.job).expect("job");
             assert_eq!(job.summary.expect("completed").cache_key, want);
+        }
+    }
+
+    /// A shard retired after a placement read the ring and queued cells on
+    /// it, but before the campaign was recorded, strands nothing: the
+    /// retirement cannot see the campaign, so recording it re-places the
+    /// cells the shard held, and once drained the campaign is complete with
+    /// the fault-free control's results. Every shard holding cells is tried,
+    /// killed and drained.
+    #[test]
+    fn a_shard_retired_while_a_campaign_is_placed_strands_no_cell() {
+        let spec = spec(&["360", "5040"]);
+        let control = control_bytes(std::slice::from_ref(&spec));
+        for graceful in [false, true] {
+            for victim in 0..3 {
+                let fleet = manual_fleet();
+                let campaign = fleet.enqueue(spec.clone()).expect("fleet campaign admitted");
+                let held = campaign.cells.iter().filter(|p| p.shard == victim).count();
+                let retired =
+                    if graceful { fleet.drain_shard(victim) } else { fleet.kill_shard(victim) };
+                assert_eq!(retired, 0, "the retirement cannot see an unrecorded campaign");
+                let (receipt, queued) = fleet.record(campaign);
+                assert_eq!((receipt.jobs, queued), (12, 12));
+                let replaced = fleet.metrics().counter("fleet_cells_replaced_total").get();
+                assert_eq!(replaced, held as u64, "victim {victim}, graceful {graceful}");
+                fleet.drain();
+                assert_eq!(status(&fleet, &receipt), (12, 12, 0, true), "victim {victim}");
+                assert_eq!(serde_json::to_vec(&fleet.results()).unwrap(), control);
+                assert_eq!(fleet.total_executions(), 12, "victim {victim}");
+            }
         }
     }
 

@@ -404,6 +404,87 @@ mod tests {
         assert!(resp.headers.contains_key("retry-after"), "{:?}", resp.headers);
     }
 
+    /// SHA-256 over the bodies `response_bodies_are_pinned` reads, one a
+    /// line, as served when every finished job kept its summary and its
+    /// span tree whole.
+    const RESPONSE_ORACLE_DIGEST: &str =
+        "c73a0796ae35b75fae92e8144d95bf943b39628023c37fd8b7c8a3e2cccfcc17";
+
+    /// A GET through the router, which must answer 200.
+    fn get(router: &Router, path: &str) -> Response {
+        let resp = router.dispatch(&Request::new(Method::Get, path));
+        assert_eq!(resp.status, 200, "{path}: {}", String::from_utf8_lossy(&resp.body));
+        resp
+    }
+
+    /// The response oracle. A fig6-shaped campaign of 350 cells (25
+    /// functions × 7 languages × both modes on TDX, the first function
+    /// unknown, so its 14 cells fail) goes through `POST /v1/campaigns` on
+    /// three shards under a manual clock, then again (every other cell a
+    /// cache hit), then through `POST /v1/fleet/campaigns` (the harvest
+    /// answers 336 cells, the 14 failing ones are placed and fail again).
+    /// Every campaign shard 0 holds, every job of it, and the fleet
+    /// campaign answer byte for byte what they answered before.
+    #[test]
+    fn response_bodies_are_pinned() {
+        use confbench_types::{CampaignFunction, Language};
+        let f = fleet();
+        let router = f.build_router();
+        let function = |i: usize| match i {
+            0 => CampaignFunction::new("nope"),
+            _ => CampaignFunction::new("factors").arg((360 + i).to_string()),
+        };
+        let spec = confbench_types::CampaignSpec {
+            functions: (0..25).map(function).collect(),
+            languages: Language::ALL.to_vec(),
+            ..spec()
+        };
+        for _ in 0..2 {
+            let resp = router.dispatch(&Request::new(Method::Post, "/v1/campaigns").json(&spec));
+            assert_eq!(resp.status, 202, "{}", String::from_utf8_lossy(&resp.body));
+            f.drain();
+        }
+        let resp = router.dispatch(&Request::new(Method::Post, "/v1/fleet/campaigns").json(&spec));
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        let fleet_id = body(&resp)["id"].as_str().unwrap().to_owned();
+        drop(resp);
+        f.drain();
+
+        let mut bodies = Vec::new();
+        let fleet_status = get(&router, &format!("/v1/fleet/campaigns/{fleet_id}"));
+        let view = body(&fleet_status);
+        assert_eq!((view["done"].as_u64(), view["failed"].as_u64()), (Some(336), Some(14)));
+        bodies.push(fleet_status.body);
+        for n in 1.. {
+            let path = format!("/v1/campaigns/c{n}");
+            if router.dispatch(&Request::new(Method::Get, &path)).status == 404 {
+                break;
+            }
+            let status = get(&router, &path);
+            let view = body(&status);
+            if n == 2 {
+                assert_eq!(
+                    (view["cache_hits"].as_u64(), view["failed"].as_u64()),
+                    (Some(336), Some(14))
+                );
+            }
+            bodies.push(status.body);
+            for job in 0..view["total_jobs"].as_u64().unwrap() {
+                bodies.push(get(&router, &format!("/v1/jobs/c{n}-j{job}")).body);
+            }
+        }
+        // The fleet campaign, `c1` and `c2` with 350 jobs each, and `c3`:
+        // the 5 failing cells the fleet placed on shard 0.
+        assert_eq!(bodies.len(), 1 + 2 * 351 + 6);
+        let traced =
+            bodies.iter().filter(|b| b.windows(15).any(|w| w == b"\"sched.execute\"")).count();
+        // Every job that executed: all of `c1`, and the failing cells of `c2`
+        // and `c3`, which no cache answers.
+        assert_eq!(traced, 350 + 14 + 5, "every executed job answers its span tree");
+        let text = bodies.join(&b'\n');
+        assert_eq!(confbench_crypto::Sha256::digest(&text).to_string(), RESPONSE_ORACLE_DIGEST);
+    }
+
     /// Every route on a three-shard fleet: health, summed metrics, and a
     /// `/v1/campaigns` campaign that the idle shards steal from shard 0,
     /// with cells byte-identical to a one-shard fleet's; shard 0 stays.

@@ -1,15 +1,15 @@
 //! Consistent-hash ring with virtual nodes.
 //!
 //! Placement is keyed on the scheduler's content address (the SHA-256
-//! `cache_key` of a campaign cell), so the cell → shard mapping is stable
-//! across submissions: a resubmitted cell the fleet has not yet harvested
-//! routes back to the shard whose result cache already holds it. Virtual
-//! nodes smooth the distribution; removing a shard re-homes only the arcs
-//! it owned.
+//! `cache_address` of a campaign cell, placed at the point of its hex text,
+//! `cache_key`), so the cell → shard mapping is stable across submissions:
+//! a resubmitted cell the fleet has not yet harvested routes back to the
+//! shard whose result cache already holds it. Virtual nodes smooth the
+//! distribution; removing a shard re-homes only the arcs it owned.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use confbench_crypto::Sha256;
+use confbench_crypto::{Digest, Sha256};
 
 /// A consistent-hash ring mapping string keys to shard ids.
 #[derive(Debug, Clone)]
@@ -47,7 +47,17 @@ impl HashRing {
     /// The shard owning `key`: the first virtual node at or after the
     /// key's hash, wrapping around. `None` on an empty ring.
     pub fn owner(&self, key: &str) -> Option<usize> {
-        let h = Sha256::digest(key.as_bytes()).to_u64();
+        self.owner_of_text(key.as_bytes())
+    }
+
+    /// The shard owning a content address: the owner of its hex text, as
+    /// [`HashRing::owner`] places it, hashed from the stack.
+    pub fn owner_of(&self, key: &Digest) -> Option<usize> {
+        self.owner_of_text(&key.hex())
+    }
+
+    fn owner_of_text(&self, key: &[u8]) -> Option<usize> {
+        let h = Sha256::digest(key).to_u64();
         self.points.range(h..).next().or_else(|| self.points.iter().next()).map(|(_, shard)| *shard)
     }
 
@@ -87,6 +97,30 @@ mod tests {
             owners,
             [1, 2, 1, 2, 1, 1, 0, 0, 2, 0, 0, 0, 2, 0, 0, 1, 2, 2, 2, 0, 1, 0, 1, 1]
         );
+    }
+
+    /// A content address is placed where its hex text is: for random
+    /// addresses, on rings of one to five shards and after a removal, the
+    /// owner of the digest is the owner of its text.
+    #[test]
+    fn a_digest_is_placed_at_its_hex_text() {
+        let mut rng = confbench_crypto::SplitMix64::new(0x7146);
+        for shards in 1..=5 {
+            let mut ring = HashRing::new(32);
+            (0..shards).for_each(|s| ring.insert(s));
+            for round in 0..2 {
+                for _ in 0..500 {
+                    let mut bytes = [0u8; 32];
+                    rng.fill_bytes(&mut bytes);
+                    let key = Digest(bytes);
+                    assert_eq!(ring.owner_of(&key), ring.owner(&key.to_string()), "{key}");
+                }
+                if round == 0 && shards > 1 {
+                    ring.remove(rng.next_below(shards as u64) as usize);
+                }
+            }
+        }
+        assert_eq!(HashRing::new(8).owner_of(&Digest([0; 32])), None);
     }
 
     #[test]

@@ -12,20 +12,29 @@ use std::fmt::Write as _;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use confbench_crypto::Sha256;
+use confbench_crypto::{Digest, Sha256};
 use confbench_types::CampaignCell;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-/// Computes the content address of a cell's result: lowercase-hex SHA-256
-/// over the cell identity plus the function-source fingerprint.
+/// The content address of a cell's result as text: the lowercase hex of
+/// [`cache_address`], the form written on the wire
+/// (`CellSummary::cache_key`) and pinned by the tests.
+pub fn cache_key(cell: &CampaignCell, fingerprint: &str) -> String {
+    cache_address(cell, fingerprint).to_string()
+}
+
+/// The content address of a cell's result as 32 bytes: what the scheduler,
+/// its result cache and the fleet keep. Displays as [`cache_key`], and
+/// orders as that text does.
 ///
 /// Fields are newline-framed with `key=` prefixes so distinct inputs cannot
 /// collide by concatenation, and the string is versioned so a future layout
 /// change cannot silently alias old entries.
-pub fn cache_key(cell: &CampaignCell, fingerprint: &str) -> String {
+pub fn cache_address(cell: &CampaignCell, fingerprint: &str) -> Digest {
     // One buffer hashed once: the bytes are those of hashing each field in
-    // turn, for one allocation instead of one a field.
+    // turn, for one allocation instead of one a field. Writing into a
+    // String cannot fail.
     let mut text = String::with_capacity(256);
     text.push_str("confbench.result-cache.v1\nfn=");
     text.push_str(&cell.function.name);
@@ -33,18 +42,17 @@ pub fn cache_key(cell: &CampaignCell, fingerprint: &str) -> String {
         text.push_str("\narg=");
         text.push_str(arg);
     }
-    write!(
+    let _ = write!(
         text,
         "\nsrc={fingerprint}\nlang={}\nplatform={}\nkind={}\ntrials={}\nseed={}",
         cell.language, cell.platform, cell.kind, cell.trials, cell.seed
-    )
-    .expect("writing to a String cannot fail");
+    );
     // Appended (not interleaved) so device-less cells keep their pre-device
     // addresses and old cache entries stay valid.
     if let Some(device) = cell.device {
-        write!(text, "\ndevice={device}").expect("writing to a String cannot fail");
+        let _ = write!(text, "\ndevice={device}");
     }
-    Sha256::digest(text.as_bytes()).to_string()
+    Sha256::digest(text.as_bytes())
 }
 
 /// The memoized portion of a completed cell: everything a
@@ -72,22 +80,24 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
 /// Entries plus a recency index. `tick` is a logical clock bumped on every
 /// touch; `order` maps tick → key so the least-recently-used entry is the
-/// first in the map.
+/// first in the map. Keys are 32-byte addresses, copied, never allocated.
 #[derive(Debug, Default)]
 struct CacheInner {
-    entries: HashMap<String, (CachedCell, u64)>,
-    order: BTreeMap<u64, String>,
+    entries: HashMap<Digest, (CachedCell, u64)>,
+    order: BTreeMap<u64, Digest>,
     tick: u64,
 }
 
 impl CacheInner {
-    fn touch(&mut self, key: &str) {
+    /// Makes `key` the most recently used entry and returns its cell, or
+    /// `None`, touching nothing, when the cache does not hold it.
+    fn touch(&mut self, key: &Digest) -> Option<&mut CachedCell> {
+        let (cell, at) = self.entries.get_mut(key)?;
         self.tick += 1;
-        if let Some((_, at)) = self.entries.get_mut(key) {
-            let prev = std::mem::replace(at, self.tick);
-            self.order.remove(&prev);
-            self.order.insert(self.tick, key.to_owned());
-        }
+        let prev = std::mem::replace(at, self.tick);
+        self.order.remove(&prev);
+        self.order.insert(self.tick, *key);
+        Some(cell)
     }
 }
 
@@ -133,23 +143,17 @@ impl ResultCache {
     }
 
     /// Looks up a result by its content address, refreshing its recency.
-    pub fn get(&self, key: &str) -> Option<CachedCell> {
-        let mut inner = self.inner.lock();
-        let hit = inner.entries.get(key).map(|(cell, _)| cell.clone());
-        if hit.is_some() {
-            inner.touch(key);
-        }
-        hit
+    pub fn get(&self, key: &Digest) -> Option<CachedCell> {
+        self.inner.lock().touch(key).map(|cell| cell.clone())
     }
 
     /// Stores a result under its content address, evicting the
     /// least-recently-used entries if the cache is full. Returns how many
     /// entries were evicted (so callers can bump an evictions counter).
-    pub fn insert(&self, key: String, cell: CachedCell) -> u64 {
+    pub fn insert(&self, key: Digest, cell: CachedCell) -> u64 {
         let mut inner = self.inner.lock();
-        if inner.entries.contains_key(&key) {
-            inner.touch(&key);
-            inner.entries.get_mut(&key).expect("touched entry exists").0 = cell;
+        if let Some(stored) = inner.touch(&key) {
+            *stored = cell;
             return 0;
         }
         let mut evicted = 0;
@@ -161,17 +165,19 @@ impl ResultCache {
         self.evictions.fetch_add(evicted, Ordering::SeqCst);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.order.insert(tick, key.clone());
+        inner.order.insert(tick, key);
         inner.entries.insert(key, (cell, tick));
         evicted
     }
 
-    /// A sorted copy of the cache contents (key → cell), without touching
-    /// recency. Serializing a snapshot gives a canonical byte string — the
-    /// chaos suite compares snapshots from a faulted and a fault-free
-    /// campaign to prove recovery changes nothing measurable.
+    /// A sorted copy of the cache contents (key → cell), keyed by the hex
+    /// text of each address ([`cache_key`]), without touching recency.
+    /// Serializing a snapshot gives a canonical byte string — the chaos
+    /// suite compares snapshots from a faulted and a fault-free campaign to
+    /// prove recovery changes nothing measurable.
     pub fn snapshot(&self) -> BTreeMap<String, CachedCell> {
-        self.inner.lock().entries.iter().map(|(k, (cell, _))| (k.clone(), cell.clone())).collect()
+        let inner = self.inner.lock();
+        inner.entries.iter().map(|(k, (cell, _))| (k.to_string(), cell.clone())).collect()
     }
 
     /// Visits every live entry inserted or hit after tick `since`, oldest
@@ -179,12 +185,14 @@ impl ResultCache {
     /// the cursor to pass next time. The recency index is the completion
     /// log, so a caller that passes back each returned cursor has been shown
     /// every key the cache holds, at the cost of what changed in between.
-    /// Entries evicted in between are never visited. The visitor runs under
-    /// the cache lock; keep it short.
-    pub fn touched_since(&self, since: u64, mut visit: impl FnMut(&str, &CachedCell)) -> u64 {
+    /// Entries evicted in between are never visited; from cursor 0, every
+    /// live entry is. The visitor runs under the cache lock; keep it short.
+    pub fn touched_since(&self, since: u64, mut visit: impl FnMut(&Digest, &CachedCell)) -> u64 {
         let inner = self.inner.lock();
         for key in inner.order.range((Bound::Excluded(since), Bound::Unbounded)).map(|(_, k)| k) {
-            visit(key, &inner.entries[key].0);
+            if let Some((cell, _)) = inner.entries.get(key) {
+                visit(key, cell);
+            }
         }
         inner.tick
     }
@@ -257,6 +265,12 @@ mod tests {
         assert_eq!(k.len(), 64);
         assert!(k.chars().all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase()));
         assert_eq!(k, cache_key(&cell(), "srchash"));
+        assert_eq!(k, cache_address(&cell(), "srchash").to_string(), "the address's text");
+    }
+
+    /// A cache key by name, for the tests below.
+    fn key(name: &str) -> Digest {
+        Sha256::digest(name.as_bytes())
     }
 
     #[test]
@@ -294,9 +308,9 @@ mod tests {
     fn store_and_retrieve() {
         let cache = ResultCache::new();
         assert!(cache.is_empty());
-        let key = cache_key(&cell(), "src");
+        let key = cache_address(&cell(), "src");
         assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), cached());
+        cache.insert(key, cached());
         assert_eq!(cache.get(&key), Some(cached()));
         assert_eq!(cache.len(), 1);
         // Re-inserting the same address does not grow the store.
@@ -311,82 +325,87 @@ mod tests {
     #[test]
     fn eviction_is_least_recently_used_order() {
         let cache = ResultCache::with_capacity(3);
-        cache.insert("a".into(), entry("a"));
-        cache.insert("b".into(), entry("b"));
-        cache.insert("c".into(), entry("c"));
+        cache.insert(key("a"), entry("a"));
+        cache.insert(key("b"), entry("b"));
+        cache.insert(key("c"), entry("c"));
         assert_eq!(cache.evictions(), 0);
         // Full: inserting a fourth key evicts the stalest ("a").
-        cache.insert("d".into(), entry("d"));
+        cache.insert(key("d"), entry("d"));
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.get("a").is_none(), "LRU entry evicted first");
+        assert!(cache.get(&key("a")).is_none(), "LRU entry evicted first");
         // "b" is now stalest; the next insert drops it.
-        cache.insert("e".into(), entry("e"));
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("c").is_some());
+        cache.insert(key("e"), entry("e"));
+        assert!(cache.get(&key("b")).is_none());
+        assert!(cache.get(&key("c")).is_some());
         assert_eq!(cache.evictions(), 2);
     }
 
     #[test]
     fn get_refreshes_recency() {
         let cache = ResultCache::with_capacity(2);
-        cache.insert("old".into(), entry("old"));
-        cache.insert("new".into(), entry("new"));
+        cache.insert(key("old"), entry("old"));
+        cache.insert(key("new"), entry("new"));
         // Touch "old" so "new" becomes the eviction candidate.
-        assert!(cache.get("old").is_some());
-        cache.insert("third".into(), entry("third"));
-        assert!(cache.get("old").is_some(), "recently read entry survives");
-        assert!(cache.get("new").is_none(), "unread entry was evicted");
+        assert!(cache.get(&key("old")).is_some());
+        cache.insert(key("third"), entry("third"));
+        assert!(cache.get(&key("old")).is_some(), "recently read entry survives");
+        assert!(cache.get(&key("new")).is_none(), "unread entry was evicted");
     }
 
     #[test]
     fn reinsert_updates_without_evicting() {
         let cache = ResultCache::with_capacity(2);
-        cache.insert("a".into(), entry("v1"));
-        cache.insert("b".into(), entry("b"));
+        cache.insert(key("a"), entry("v1"));
+        cache.insert(key("b"), entry("b"));
         // Same key: overwrite in place, no eviction even though full.
-        cache.insert("a".into(), entry("v2"));
+        cache.insert(key("a"), entry("v2"));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.get("a").unwrap().output, "v2");
+        assert_eq!(cache.get(&key("a")).unwrap().output, "v2");
         // The overwrite also refreshed "a", so "b" evicts next.
-        cache.insert("c".into(), entry("c"));
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("a").is_some());
+        cache.insert(key("c"), entry("c"));
+        assert!(cache.get(&key("b")).is_none());
+        assert!(cache.get(&key("a")).is_some());
     }
 
     #[test]
     fn touched_since_visits_what_was_inserted_or_hit_after_the_cursor() {
         let cache = ResultCache::with_capacity(3);
+        // Each entry's output names its key, but for "c"'s second value.
         let visit = |since| {
             let mut seen = Vec::new();
-            let cursor = cache.touched_since(since, |k, c| seen.push(format!("{k}={}", c.output)));
+            let cursor = cache.touched_since(since, |k, c| {
+                assert_eq!(*k, key(c.output.trim_end_matches('2')));
+                seen.push(c.output.clone());
+            });
             (cursor, seen)
         };
-        cache.insert("a".into(), entry("a"));
-        cache.insert("b".into(), entry("b"));
-        cache.insert("c".into(), entry("c"));
-        assert_eq!(visit(0), (3, vec!["a=a".into(), "b=b".into(), "c=c".into()]));
+        cache.insert(key("a"), entry("a"));
+        cache.insert(key("b"), entry("b"));
+        cache.insert(key("c"), entry("c"));
+        assert_eq!(visit(0), (3, vec!["a".into(), "b".into(), "c".into()]));
         assert_eq!(visit(3), (3, vec![]), "nothing touched since");
 
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("zz").is_none(), "a miss touches nothing");
-        cache.insert("d".into(), entry("d")); // evicts "b"
-        cache.insert("c".into(), entry("c2"));
-        assert_eq!(visit(3), (6, vec!["a=a".into(), "d=d".into(), "c=c2".into()]));
-        assert_eq!(visit(4), (6, vec!["d=d".into(), "c=c2".into()]));
-        assert_eq!(cache.get("a").map(|c| c.output), Some("a".into()));
-        assert_eq!(visit(6), (7, vec!["a=a".into()]), "visiting left recency alone");
+        assert!(cache.get(&key("a")).is_some());
+        assert!(cache.get(&key("zz")).is_none(), "a miss touches nothing");
+        cache.insert(key("d"), entry("d")); // evicts "b"
+        cache.insert(key("c"), entry("c2"));
+        assert_eq!(visit(3), (6, vec!["a".into(), "d".into(), "c2".into()]));
+        assert_eq!(visit(4), (6, vec!["d".into(), "c2".into()]));
+        assert_eq!(cache.get(&key("a")).map(|c| c.output), Some("a".into()));
+        assert_eq!(visit(6), (7, vec!["a".into()]), "visiting left recency alone");
     }
 
     /// The harvest's oracle. A reader folding in `touched_since` from its
     /// last cursor, first key wins, holds exactly what a reader folding in
-    /// a whole `snapshot()` after every batch holds. Caches of 1 to 8
-    /// entries over 12 keys, so that between two reads entries are evicted,
-    /// hit, overwritten with new values and inserted again.
+    /// a whole `snapshot()` after every batch holds, its addresses read as
+    /// their text. Caches of 1 to 8 entries over 12 keys, so that between
+    /// two reads entries are evicted, hit, overwritten with new values and
+    /// inserted again.
     #[test]
     fn fuzz_sweep_touched_since_equals_snapshot_merge() {
-        let keys: Vec<String> = (0..12).map(|k| format!("k{k}")).collect();
+        let keys: Vec<Digest> = (0..12).map(|k| key(&format!("k{k}"))).collect();
         let (mut evictions, mut overwritten) = (0, 0);
         for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
             let mut rng = confbench_crypto::SplitMix64::new(0xC5C0_0000 ^ case);
@@ -399,11 +418,11 @@ mod tests {
                     if rng.next_below(3) == 0 {
                         cache.get(key);
                     } else {
-                        cache.insert(key.clone(), entry(&format!("{key}@{batch}.{op}")));
+                        cache.insert(*key, entry(&format!("{key}@{batch}.{op}")));
                     }
                 }
                 cursor = cache.touched_since(cursor, |k, c| {
-                    by_cursor.entry(k.to_owned()).or_insert_with(|| c.clone());
+                    by_cursor.entry(*k).or_insert_with(|| c.clone());
                 });
                 let snapshot = cache.snapshot();
                 overwritten += snapshot
@@ -413,7 +432,9 @@ mod tests {
                 for (k, c) in snapshot {
                     by_snapshot.entry(k).or_insert(c);
                 }
-                assert_eq!(by_cursor, by_snapshot, "case {case}, batch {batch}");
+                let by_text: BTreeMap<String, CachedCell> =
+                    by_cursor.iter().map(|(k, c)| (k.to_string(), c.clone())).collect();
+                assert_eq!(by_text, by_snapshot, "case {case}, batch {batch}");
             }
             evictions += cache.evictions();
         }
@@ -425,9 +446,9 @@ mod tests {
     fn capacity_clamps_to_one() {
         let cache = ResultCache::with_capacity(0);
         assert_eq!(cache.capacity(), 1);
-        cache.insert("a".into(), entry("a"));
-        assert!(cache.get("a").is_some(), "cap-1 cache still serves hits");
-        cache.insert("b".into(), entry("b"));
+        cache.insert(key("a"), entry("a"));
+        assert!(cache.get(&key("a")).is_some(), "cap-1 cache still serves hits");
+        cache.insert(key("b"), entry("b"));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 1);
     }

@@ -12,11 +12,14 @@
 //! * [`ResultCache`] — content-addressed memoization of cell results, keyed
 //!   on a SHA-256 over (function identity *and source*, platform, language,
 //!   VM kind, trials, seed), so replaying a campaign is free and editing a
-//!   function's source invalidates exactly its cells;
+//!   function's source invalidates exactly its cells. The address is kept as
+//!   its 32 bytes ([`cache_address`]); its hex text ([`cache_key`]) is only
+//!   written on the wire;
 //! * [`Scheduler`] — ties the above together: expands campaigns, enqueues
 //!   jobs, executes them through an [`Executor`] (the gateway), aggregates
 //!   per-cell summaries with `confbench-stats`, and exposes cancellation,
-//!   queue deadlines, metrics, and trace spans;
+//!   queue deadlines, metrics, and trace spans. A finished job keeps its
+//!   result once and its span tree packed; its summary is assembled on read;
 //! * [`rest::add_routes`] — the `/v1/campaigns` and `/v1/jobs` REST surface.
 //!
 //! Everything is deterministic under a
@@ -77,6 +80,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod cache;
@@ -87,7 +91,7 @@ mod scheduler;
 
 use confbench_types::{CampaignCell, Result, RunRequest, RunResult};
 
-pub use cache::{cache_key, CachedCell, ResultCache, DEFAULT_CACHE_CAPACITY};
+pub use cache::{cache_address, cache_key, CachedCell, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use queue::BoundedQueue;
 pub use scheduler::{Scheduler, SchedulerConfig, SubmitError};
 

@@ -5,16 +5,17 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use confbench_crypto::Digest;
 use confbench_obs::{Counter, Gauge, MetricsRegistry, SpanRecorder};
 use confbench_stats::Summary;
 use confbench_types::{
     CampaignCell, CampaignId, CampaignReceipt, CampaignSpec, CampaignState, CampaignStatus,
-    CellSummary, Clock, Error, FunctionSpec, InvalidCampaign, JobId, JobState, JobStatus, Priority,
-    RunRequest, TeePlatform, TraceSpan, VmTarget,
+    CellSummary, Clock, Error, FunctionSpec, InvalidCampaign, JobId, JobState, JobStatus,
+    PackedTrace, Priority, RunRequest, TeePlatform, TraceSpan, VmTarget,
 };
 use parking_lot::Mutex;
 
-use crate::cache::{cache_key, CachedCell, ResultCache};
+use crate::cache::{cache_address, CachedCell, ResultCache};
 use crate::queue::BoundedQueue;
 use crate::{campaign, Executor};
 
@@ -91,19 +92,25 @@ impl From<SubmitError> for Error {
     }
 }
 
+/// What the scheduler keeps of a job, under its id: the cell once, its
+/// address as 32 bytes, and once finished its result and its span tree
+/// packed into one allocation. Its [`CellSummary`] is assembled on read
+/// ([`build_summary`]).
 struct JobRecord {
-    id: JobId,
     campaign: CampaignId,
     cell: CampaignCell,
     /// The cell's content address, computed at submission (outside the
-    /// lock) and taken by the step; `None` when the function was unknown.
-    key: Option<String>,
+    /// lock), or at the step for a function unknown until then; `None`
+    /// while the function is unknown.
+    key: Option<Digest>,
     state: JobState,
     enqueued_at_ms: u64,
     expires_at_ms: Option<u64>,
-    summary: Option<CellSummary>,
+    /// A completed job's result, and whether the cache served it.
+    result: Option<(CachedCell, bool)>,
     error: Option<String>,
-    trace: Option<TraceSpan>,
+    /// The `sched.execute` span tree of a job that executed.
+    trace: Option<PackedTrace>,
 }
 
 struct CampaignRecord {
@@ -248,8 +255,8 @@ impl Scheduler {
 
     /// A cell's content address as the scheduler's own executor sees its
     /// function, or `None` for a function it does not know.
-    fn content_address(&self, cell: &CampaignCell) -> Option<String> {
-        self.executor.function_fingerprint(&cell.function.name).map(|fp| cache_key(cell, &fp))
+    fn content_address(&self, cell: &CampaignCell) -> Option<Digest> {
+        self.executor.function_fingerprint(&cell.function.name).map(|fp| cache_address(cell, &fp))
     }
 
     /// Enqueues pre-expanded cells as one campaign, each with its content
@@ -267,7 +274,7 @@ impl Scheduler {
     /// cell (admission stays all-or-nothing).
     pub fn submit_cells(
         &self,
-        cells: Vec<(CampaignCell, Option<String>)>,
+        cells: Vec<(CampaignCell, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
     ) -> Result<CampaignReceipt, SubmitError> {
@@ -289,7 +296,7 @@ impl Scheduler {
     /// [`SubmitError::QueueFull`] until it drains below it again.
     pub fn readmit_cells(
         &self,
-        cells: Vec<(CampaignCell, Option<String>)>,
+        cells: Vec<(CampaignCell, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
     ) -> CampaignReceipt {
@@ -299,7 +306,7 @@ impl Scheduler {
     fn enqueue(
         &self,
         inner: &mut Inner,
-        cells: Vec<(CampaignCell, Option<String>)>,
+        cells: Vec<(CampaignCell, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
         push: fn(&mut BoundedQueue, TeePlatform, Priority, JobId),
@@ -314,14 +321,13 @@ impl Scheduler {
             inner.jobs.insert(
                 job_id.clone(),
                 JobRecord {
-                    id: job_id.clone(),
                     campaign: id.clone(),
                     cell,
                     key,
                     state: JobState::Queued,
                     enqueued_at_ms: now,
                     expires_at_ms: deadline_ms.map(|d| now.saturating_add(d)),
-                    summary: None,
+                    result: None,
                     error: None,
                     trace: None,
                 },
@@ -379,14 +385,16 @@ impl Scheduler {
             let Some(job_id) = queue.pop_unless(platform, PASS_OVER_LOOKAHEAD, waits) else {
                 return false;
             };
-            self.queue_changed(&inner.queue);
+            self.queue_changed(queue);
+            // Every queued job is recorded; were one not, it would leave the
+            // queue here unprocessed.
+            let Some(job) = jobs.get_mut(&job_id) else { return true };
             let now = self.clock.now_ms();
-            let job = inner.jobs.get_mut(&job_id).expect("queued job is recorded");
-            if job.expires_at_ms.is_some_and(|t| now >= t) {
+            if let Some(deadline) = job.expires_at_ms.filter(|&t| now >= t) {
                 job.state = JobState::Expired;
                 job.error = Some(format!(
                     "queued past its {}ms deadline",
-                    job.expires_at_ms.unwrap_or(0).saturating_sub(job.enqueued_at_ms)
+                    deadline.saturating_sub(job.enqueued_at_ms)
                 ));
                 self.step.expired.inc();
                 return true;
@@ -396,10 +404,12 @@ impl Scheduler {
             // Content address: only functions the executor knows have a
             // fingerprint; unknown ones fall through to execution, which
             // reports the precise error.
-            let key = job.key.take().or_else(|| self.content_address(&job.cell));
-            if let Some(key) = &key {
+            if job.key.is_none() {
+                job.key = self.content_address(&job.cell);
+            }
+            if let Some(key) = &job.key {
                 if let Some(hit) = self.cache.get(key) {
-                    job.summary = Some(build_summary(&job_id, &job.cell, &hit, true, key));
+                    job.result = Some((hit, true));
                     job.state = JobState::Completed;
                     self.step.hits.inc();
                     self.step.completed.inc();
@@ -407,7 +417,7 @@ impl Scheduler {
                 }
                 self.step.misses.inc();
             }
-            (job_id, job.cell.clone(), key, job.enqueued_at_ms)
+            (job_id, job.cell.clone(), job.key, job.enqueued_at_ms)
         };
 
         // Phase 2 (unlocked): execute — potentially slow, must not hold the
@@ -429,7 +439,7 @@ impl Scheduler {
         };
         let outcome = executor.execute(&request);
 
-        // Phase 3: build the record — span tree, summary, cache entry —
+        // Phase 3: build the record — result, packed span tree, address —
         // unlocked, then file it under the lock, which status polls and the
         // other workers are waiting for.
         let mut span = self.recorder.root("sched.execute");
@@ -439,46 +449,45 @@ impl Scheduler {
         queued_span.end_ms = dequeued_at_ms;
         span.adopt(queued_span);
 
-        let record = outcome.map_err(|e| e.to_string()).map(|mut result| {
+        let outcome = outcome.map_err(|e| e.to_string()).map(|mut result| {
             if let Some(subtree) = result.trace.take() {
                 span.adopt(subtree);
             }
             let stats = Summary::from_samples(&result.trial_ms);
-            let cached = CachedCell {
+            CachedCell {
                 mean_ms: stats.mean,
                 median_ms: stats.median(),
                 min_ms: stats.min,
                 max_ms: stats.max,
                 stddev_ms: stats.stddev,
                 output: result.output,
-            };
-            let key = key.unwrap_or_else(|| {
-                // Executed successfully without a fingerprint (function
-                // appeared mid-flight); address it now for completeness.
-                self.content_address(&cell).unwrap_or_default()
-            });
-            (build_summary(&job_id, &cell, &cached, false, &key), key, cached)
+            }
         });
-        let trace = span.finish();
+        // Executed successfully without a fingerprint (function appeared
+        // mid-flight): address it now for completeness.
+        let key = key.or_else(|| outcome.as_ref().ok().and_then(|_| self.content_address(&cell)));
+        let trace = PackedTrace::pack(&span.finish());
 
         let mut inner = self.inner.lock();
-        let job = inner.jobs.get_mut(&job_id).expect("running job is recorded");
-        job.trace = Some(trace);
-        match record {
-            Ok((summary, key, cached)) => {
-                if !key.is_empty() {
-                    let evicted = self.cache.insert(key, cached);
-                    self.step.cache_entries.set(self.cache.len() as u64);
-                    self.step.evictions.add(evicted);
+        if let (Ok(cached), Some(key)) = (&outcome, key) {
+            let evicted = self.cache.insert(key, cached.clone());
+            self.step.cache_entries.set(self.cache.len() as u64);
+            self.step.evictions.add(evicted);
+        }
+        if let Some(job) = inner.jobs.get_mut(&job_id) {
+            job.key = key;
+            job.trace = Some(trace);
+            match outcome {
+                Ok(cached) => {
+                    job.state = JobState::Completed;
+                    job.result = Some((cached, false));
+                    self.step.completed.inc();
                 }
-                job.state = JobState::Completed;
-                job.summary = Some(summary);
-                self.step.completed.inc();
-            }
-            Err(error) => {
-                job.state = JobState::Failed;
-                job.error = Some(error);
-                self.step.failed.inc();
+                Err(error) => {
+                    job.state = JobState::Failed;
+                    job.error = Some(error);
+                    self.step.failed.inc();
+                }
             }
         }
         self.step.inflight.dec();
@@ -499,22 +508,24 @@ impl Scheduler {
     pub fn cancel_campaign(&self, id: &CampaignId) -> Option<CampaignStatus> {
         {
             let mut inner = self.inner.lock();
-            let record = inner.campaigns.get_mut(id)?;
+            let Inner { campaigns, jobs, queue, .. } = &mut *inner;
+            let record = campaigns.get_mut(id)?;
             record.cancelled = true;
             let queued: Vec<JobId> = record
                 .job_ids
-                .clone()
-                .into_iter()
-                .filter(|j| inner.jobs.get(j).is_some_and(|job| job.state == JobState::Queued))
+                .iter()
+                .filter(|j| jobs.get(*j).is_some_and(|job| job.state == JobState::Queued))
+                .cloned()
                 .collect();
-            let removed = inner.queue.remove(&queued);
+            let removed = queue.remove(&queued);
             debug_assert_eq!(removed, queued.len(), "queued jobs live in the queue");
             for job_id in &queued {
-                let job = inner.jobs.get_mut(job_id).expect("job recorded");
-                job.state = JobState::Cancelled;
+                if let Some(job) = jobs.get_mut(job_id) {
+                    job.state = JobState::Cancelled;
+                }
             }
             self.metrics.counter("sched_jobs_cancelled_total").add(queued.len() as u64);
-            self.queue_changed(&inner.queue);
+            self.queue_changed(queue);
         }
         self.campaign_status(id)
     }
@@ -538,8 +549,7 @@ impl Scheduler {
             cache_hits: 0,
             cells: Vec::new(),
         };
-        for job_id in &record.job_ids {
-            let job = inner.jobs.get(job_id).expect("job recorded");
+        for (job_id, job) in record.job_ids.iter().filter_map(|j| Some((j, inner.jobs.get(j)?))) {
             match job.state {
                 JobState::Queued => status.queued += 1,
                 JobState::Running => status.running += 1,
@@ -548,11 +558,9 @@ impl Scheduler {
                 JobState::Cancelled => status.cancelled += 1,
                 JobState::Expired => status.expired += 1,
             }
-            if let Some(summary) = &job.summary {
-                if summary.from_cache {
-                    status.cache_hits += 1;
-                }
-                status.cells.push(summary.clone());
+            if let Some(summary) = build_summary(job_id, job) {
+                status.cache_hits += usize::from(summary.from_cache);
+                status.cells.push(summary);
             }
         }
         status.state = if record.cancelled {
@@ -565,19 +573,24 @@ impl Scheduler {
         Some(status)
     }
 
-    /// Point-in-time status of one job, or `None` for an unknown id.
+    /// Point-in-time status of one job, or `None` for an unknown id. Its
+    /// span tree is unpacked once the lock is released.
     pub fn job_status(&self, id: &JobId) -> Option<JobStatus> {
-        let inner = self.inner.lock();
-        let job = inner.jobs.get(id)?;
-        Some(JobStatus {
-            id: job.id.clone(),
-            campaign: job.campaign.clone(),
-            state: job.state,
-            cell: job.cell.clone(),
-            summary: job.summary.clone(),
-            error: job.error.clone(),
-            trace: job.trace.clone(),
-        })
+        let (status, trace) = {
+            let inner = self.inner.lock();
+            let job = inner.jobs.get(id)?;
+            let status = JobStatus {
+                id: id.clone(),
+                campaign: job.campaign.clone(),
+                state: job.state,
+                cell: job.cell.clone(),
+                summary: build_summary(id, job),
+                error: job.error.clone(),
+                trace: None,
+            };
+            (status, job.trace.clone())
+        };
+        Some(JobStatus { trace: trace.as_ref().and_then(PackedTrace::unpack), ..status })
     }
 
     /// How many of `jobs` ended without a result — failed, expired or
@@ -604,25 +617,23 @@ impl Scheduler {
     }
 }
 
-fn build_summary(
-    job: &JobId,
-    cell: &CampaignCell,
-    cached: &CachedCell,
-    from_cache: bool,
-    key: &str,
-) -> CellSummary {
-    CellSummary {
-        job: job.clone(),
-        cell: cell.clone(),
+/// A completed job's summary, assembled from its id, cell, address and
+/// result; `None` until the job completes. A job that completed without an
+/// address (its function unknown throughout) reads an empty `cache_key`.
+fn build_summary(id: &JobId, job: &JobRecord) -> Option<CellSummary> {
+    let (cached, from_cache) = job.result.as_ref()?;
+    Some(CellSummary {
+        job: id.clone(),
+        cell: job.cell.clone(),
         mean_ms: cached.mean_ms,
         median_ms: cached.median_ms,
         min_ms: cached.min_ms,
         max_ms: cached.max_ms,
         stddev_ms: cached.stddev_ms,
         output: cached.output.clone(),
-        from_cache,
-        cache_key: key.to_owned(),
-    }
+        from_cache: *from_cache,
+        cache_key: job.key.map(|key| key.to_string()).unwrap_or_default(),
+    })
 }
 
 #[cfg(test)]
@@ -676,7 +687,7 @@ mod tests {
     /// The key `step_with` would compute for a cell: `cache_key` under
     /// `SimExec`'s fingerprint.
     fn step_key(cell: &CampaignCell) -> String {
-        cache_key(cell, &format!("src-of-{}", cell.function.name))
+        crate::cache_key(cell, &format!("src-of-{}", cell.function.name))
     }
 
     fn harness(capacity: usize) -> (Arc<Scheduler>, Arc<SimExec>, Arc<ManualClock>) {
@@ -950,11 +961,12 @@ mod tests {
     #[test]
     fn placed_cells_are_addressed_once() {
         let (sched, exec, _) = harness(64);
-        let cells: Vec<(CampaignCell, Option<String>)> = campaign::expand(&spec())
+        let cells: Vec<(CampaignCell, Option<Digest>)> = campaign::expand(&spec())
             .into_iter()
             .map(|cell| {
-                let key =
-                    exec.function_fingerprint(&cell.function.name).map(|fp| cache_key(&cell, &fp));
+                let key = exec
+                    .function_fingerprint(&cell.function.name)
+                    .map(|fp| cache_address(&cell, &fp));
                 (cell, key)
             })
             .collect();

@@ -55,4 +55,4 @@ pub use run::{
     FunctionSpec, InvalidRunRequest, PerfReport, RunRequest, RunResult, TrialStats, WorkloadKind,
     MAX_TRIALS,
 };
-pub use trace::TraceSpan;
+pub use trace::{PackedTrace, TraceSpan};

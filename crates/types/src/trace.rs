@@ -123,6 +123,108 @@ impl TraceSpan {
     }
 }
 
+/// A finished [`TraceSpan`] tree packed into one allocation, for keeping.
+///
+/// A live tree costs an allocation per name, per attribute key and per
+/// attribute map, and a vector per span with children. Packed, the same
+/// tree is one byte string: spans in pre-order, each its name, start and
+/// end, its attributes and its child count, integers as LEB128 varints and
+/// strings length-prefixed.
+/// [`PackedTrace::unpack`] gives back a tree `==` to the one packed.
+///
+/// ```
+/// use confbench_types::{PackedTrace, TraceSpan};
+///
+/// let mut root = TraceSpan::new("sched.execute", 3);
+/// root.set_attr("trials", 10);
+/// root.children.push(TraceSpan::new("gateway.run", 4));
+/// assert_eq!(PackedTrace::pack(&root).unpack(), Some(root));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedTrace(Box<[u8]>);
+
+impl PackedTrace {
+    /// Packs `span` and its whole subtree.
+    pub fn pack(span: &TraceSpan) -> Self {
+        let mut out = Vec::with_capacity(256);
+        pack_span(span, &mut out);
+        PackedTrace(out.into_boxed_slice())
+    }
+
+    /// The tree [`PackedTrace::pack`] was given. `None` is never returned
+    /// for a packed tree; it answers bytes that are not one.
+    pub fn unpack(&self) -> Option<TraceSpan> {
+        let mut rest = &self.0[..];
+        let span = unpack_span(&mut rest)?;
+        rest.is_empty().then_some(span)
+    }
+}
+
+fn pack_span(span: &TraceSpan, out: &mut Vec<u8>) {
+    pack_str(&span.name, out);
+    pack_varint(span.start_ms, out);
+    pack_varint(span.end_ms, out);
+    pack_varint(span.attrs.len() as u64, out);
+    for (key, &value) in &span.attrs {
+        pack_str(key, out);
+        pack_varint(value, out);
+    }
+    pack_varint(span.children.len() as u64, out);
+    for child in &span.children {
+        pack_span(child, out);
+    }
+}
+
+fn pack_str(s: &str, out: &mut Vec<u8>) {
+    pack_varint(s.len() as u64, out);
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn pack_varint(mut v: u64, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn unpack_span(rest: &mut &[u8]) -> Option<TraceSpan> {
+    let mut span = TraceSpan::new(unpack_str(rest)?, unpack_varint(rest)?);
+    span.end_ms = unpack_varint(rest)?;
+    for _ in 0..unpack_varint(rest)? {
+        let key = unpack_str(rest)?;
+        span.attrs.insert(key, unpack_varint(rest)?);
+    }
+    let children = usize::try_from(unpack_varint(rest)?).ok()?;
+    // Every child takes at least five bytes: no count can ask for more
+    // room than the bytes left could fill.
+    span.children.reserve_exact(children.min(rest.len() / 5));
+    for _ in 0..children {
+        span.children.push(unpack_span(rest)?);
+    }
+    Some(span)
+}
+
+fn unpack_str(rest: &mut &[u8]) -> Option<String> {
+    let len = usize::try_from(unpack_varint(rest)?).ok()?;
+    let (text, tail) = rest.split_at_checked(len)?;
+    *rest = tail;
+    String::from_utf8(text.to_vec()).ok()
+}
+
+fn unpack_varint(rest: &mut &[u8]) -> Option<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, tail) = rest.split_first()?;
+        *rest = tail;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return Some(v);
+        }
+    }
+    None
+}
+
 impl fmt::Display for TraceSpan {
     /// Renders the indented outline (see [`TraceSpan::render`]).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -193,6 +295,83 @@ mod tests {
         assert!(lines[1].starts_with("  host.execute"));
         assert!(lines[2].starts_with("    tdx.seamcall"));
         assert!(lines[2].contains("count=7"));
+    }
+
+    /// A random tree: names and keys drawn from plain, escaped, non-ASCII
+    /// and empty strings, empty and full attribute maps, values across the
+    /// whole u64 range, wide or deep (down to 300 levels) nesting.
+    fn random_tree(rng: &mut confbench_crypto::SplitMix64, depth: u32) -> TraceSpan {
+        const TEXT: [&str; 9] = [
+            "sched.execute",
+            "tdx.seamcall",
+            "",
+            "quote\"back\\slash",
+            "line\nfeed\ttab\u{1}",
+            "héllo wörld",
+            "名前",
+            "🦀 spans",
+            "\u{7f}\u{80}\u{10ffff}",
+        ];
+        let draw_u64 = |rng: &mut confbench_crypto::SplitMix64| match rng.next_below(4) {
+            0 => rng.next_below(128),
+            1 => u64::MAX - rng.next_below(4),
+            _ => rng.next_u64() >> rng.next_below(64),
+        };
+        let name = TEXT[rng.next_below(TEXT.len() as u64) as usize];
+        let mut span = TraceSpan::new(format!("{name}{}", rng.next_below(3)), draw_u64(rng));
+        span.end_ms = draw_u64(rng);
+        for _ in 0..rng.next_below(4) * rng.next_below(4) {
+            let key = TEXT[rng.next_below(TEXT.len() as u64) as usize];
+            span.set_attr(format!("{key}{}", rng.next_below(5)), draw_u64(rng));
+        }
+        if depth > 8 {
+            // A chain down to the shallow levels, so deep trees stay narrow.
+            span.children.push(random_tree(rng, depth - 1));
+        }
+        let siblings = match rng.next_below(8) {
+            _ if depth == 0 => 0,
+            0 => 4,
+            1 | 2 => 1,
+            _ => 0,
+        };
+        for _ in 0..siblings {
+            span.children.push(random_tree(rng, (depth - 1).min(7)));
+        }
+        span
+    }
+
+    /// Every random tree passes through the packed form unchanged, and a
+    /// packed tree is smaller than its JSON. Cut short anywhere, its bytes
+    /// unpack to nothing rather than to another tree.
+    #[test]
+    fn fuzz_sweep_packed_trace_round_trips() {
+        let (mut spans, mut deepest) = (0, 0);
+        for case in 0..confbench_crypto::fuzz::sweep_iters() as u64 {
+            let mut rng = confbench_crypto::SplitMix64::new(0x7ACE_0000 ^ case);
+            let depth = if rng.next_below(16) == 0 { 300 } else { rng.next_below(8) as u32 };
+            let tree = random_tree(&mut rng, depth);
+            let packed = PackedTrace::pack(&tree);
+            assert_eq!(packed.unpack().as_ref(), Some(&tree), "case {case}");
+            assert!(packed.0.len() <= serde_json::to_string(&tree).unwrap().len(), "case {case}");
+            let cut = rng.next_below(packed.0.len() as u64) as usize;
+            let short = PackedTrace(packed.0[..cut].into());
+            assert_eq!(short.unpack(), None, "case {case}, cut at {cut}");
+            spans += tree.span_count();
+            deepest = deepest.max(depth_of(&tree));
+        }
+        assert!(deepest >= 100 && spans > 0, "deepest {deepest}, {spans} spans");
+    }
+
+    fn depth_of(span: &TraceSpan) -> usize {
+        1 + span.children.iter().map(depth_of).max().unwrap_or(0)
+    }
+
+    #[test]
+    fn packed_trace_keeps_the_pinned_tree() {
+        let t = tree();
+        let packed = PackedTrace::pack(&t);
+        assert_eq!(packed.unpack(), Some(t));
+        assert_eq!(packed.0.len(), 72);
     }
 
     #[test]

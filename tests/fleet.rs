@@ -215,7 +215,7 @@ fn drained_shard_hands_its_cache_to_new_owners() {
     assert_eq!(f.drain_shard(0), 0);
     // ...and the drained shard's entries now live on the survivors.
     for (key, cell) in drained {
-        let held = [1, 2].map(|s| f.shard_cache(s).get(&key));
+        let held = [1, 2].map(|s| f.shard_cache(s).snapshot().remove(&key));
         assert!(held.contains(&Some(cell)), "{key} was handed to a survivor");
     }
     let receipt = f.submit(campaign_spec()).expect("resubmission admitted");

@@ -234,6 +234,12 @@ fn the_daemon_runs_exactly_workers_driver_threads_whatever_its_platforms() {
         let args = format!("--listen 127.0.0.1:0 --platforms {platforms} --workers {workers}");
         let config = daemon::config(args.split_whitespace().map(str::to_owned).collect()).unwrap();
         let (fleet, server) = daemon::start(config).unwrap();
+        // A spawned thread takes its name as it starts running, which may
+        // be after `start` returns: wait for the names, then count exactly.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while driver_threads() < workers && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert_eq!(driver_threads(), workers, "--platforms {platforms} --workers {workers}");
         server.shutdown();
         fleet.shutdown();

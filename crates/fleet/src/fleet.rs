@@ -62,7 +62,7 @@ use confbench::{
     SystemClock, TeeFaultPlan,
 };
 use confbench_crypto::Digest;
-use confbench_obs::{MetricsRegistry, RegistrySnapshot};
+use confbench_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 use confbench_sched::{
     cache_address, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
     SubmitError, DEFAULT_CACHE_CAPACITY,
@@ -258,10 +258,32 @@ pub struct Fleet {
     store: Arc<FunctionStore>,
     attest: Arc<AttestService>,
     metrics: Arc<MetricsRegistry>,
+    migration_metrics: MigrationMetrics,
     seed: u64,
     state: Mutex<FleetState>,
     signal: WakeSignal,
     drivers: Mutex<Drivers>,
+}
+
+/// Cached `migration*` instrument handles, registered with the fleet.
+struct MigrationMetrics {
+    total: Arc<Counter>,
+    failed: Arc<Counter>,
+    rounds: Arc<Counter>,
+    pages_copied: Arc<Counter>,
+    last_downtime_us: Arc<Gauge>,
+}
+
+impl MigrationMetrics {
+    fn register(registry: &MetricsRegistry) -> Self {
+        MigrationMetrics {
+            total: registry.counter("migrations_total"),
+            failed: registry.counter("migrations_failed_total"),
+            rounds: registry.counter("migration_rounds_total"),
+            pages_copied: registry.counter("migration_pages_copied_total"),
+            last_downtime_us: registry.gauge("migration_last_downtime_us"),
+        }
+    }
 }
 
 /// Wakeup channel between submitters and driver threads: a generation
@@ -383,6 +405,7 @@ impl Fleet {
             ring: Mutex::new(ring),
             store,
             attest,
+            migration_metrics: MigrationMetrics::register(&metrics),
             metrics,
             seed: config.seed,
             state: Mutex::new(FleetState {
@@ -935,19 +958,18 @@ impl Fleet {
                 }
             }
         };
+        let metrics = &self.migration_metrics;
         match &result {
             Ok((_, report)) => {
-                self.metrics.counter("migrations_total").inc();
-                self.metrics
-                    .counter("migration_rounds_total")
+                metrics.total.inc();
+                metrics
+                    .rounds
                     .add(u64::from(report.precopy_rounds) + u64::from(report.stopcopy_pages > 0));
-                self.metrics.counter("migration_pages_copied_total").add(report.pages_total);
-                self.metrics.gauge("migration_last_downtime_us").set(report.downtime_us);
+                metrics.pages_copied.add(report.pages_total);
+                metrics.last_downtime_us.set(report.downtime_us);
                 self.state.lock().migrations.push(report.clone());
             }
-            Err(_) => {
-                self.metrics.counter("migrations_failed_total").inc();
-            }
+            Err(_) => metrics.failed.inc(),
         }
         result.map(|(_, report)| report)
     }

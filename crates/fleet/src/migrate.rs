@@ -304,7 +304,7 @@ pub fn migrate(
     // the source's pages and runtime state.
     let mut wire = Vec::new();
     for frame in &frames {
-        wire.extend_from_slice(&frame.encode());
+        frame.encode_into(&mut wire);
     }
     let decoded = match decode_stream(&wire) {
         Ok(decoded) => decoded,

@@ -146,26 +146,34 @@ pub enum MigrationFrame {
 impl MigrationFrame {
     /// Serializes the frame (header + body, big-endian).
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the frame's encoding to `out`, so a stream of frames is
+    /// written into one buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&WIRE_MAGIC);
+        out.push(WIRE_VERSION);
         match self {
             MigrationFrame::Begin { platform, kind, resident, nonce } => {
-                let mut out = header(KIND_BEGIN);
+                out.push(KIND_BEGIN);
                 out.push(platform_byte(*platform));
                 out.push(vmkind_byte(*kind));
                 out.extend_from_slice(&resident.to_be_bytes());
                 out.extend_from_slice(&nonce.to_be_bytes());
-                out
             }
             MigrationFrame::Pages { round, gpas } => {
-                let mut out = header(KIND_PAGES);
+                out.push(KIND_PAGES);
                 out.extend_from_slice(&round.to_be_bytes());
                 out.extend_from_slice(&(gpas.len() as u32).to_be_bytes());
                 for gpa in gpas {
                     out.extend_from_slice(&gpa.to_be_bytes());
                 }
-                out
             }
             MigrationFrame::State(s) => {
-                let mut out = header(KIND_STATE);
+                out.push(KIND_STATE);
                 for word in [
                     s.cycles,
                     s.rng_state,
@@ -177,15 +185,13 @@ impl MigrationFrame {
                 ] {
                     out.extend_from_slice(&word.to_be_bytes());
                 }
-                out
             }
             MigrationFrame::Commit { session, pages_total, rounds } => {
-                let mut out = header(KIND_COMMIT);
+                out.push(KIND_COMMIT);
                 out.extend_from_slice(&(session.len() as u16).to_be_bytes());
                 out.extend_from_slice(session.as_bytes());
                 out.extend_from_slice(&pages_total.to_be_bytes());
                 out.extend_from_slice(&rounds.to_be_bytes());
-                out
             }
         }
     }
@@ -218,14 +224,6 @@ pub fn decode_stream(buf: &[u8]) -> Result<Vec<MigrationFrame>, WireError> {
         frames.push(decode_one(&mut r)?);
     }
     Ok(frames)
-}
-
-fn header(kind: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.push(WIRE_VERSION);
-    out.push(kind);
-    out
 }
 
 fn platform_byte(p: TeePlatform) -> u8 {
@@ -339,6 +337,13 @@ mod tests {
         ]
     }
 
+    /// A frame header, for bodies built by hand.
+    fn header(kind: u8) -> Vec<u8> {
+        let mut out = WIRE_MAGIC.to_vec();
+        out.extend([WIRE_VERSION, kind]);
+        out
+    }
+
     #[test]
     fn roundtrip_every_frame_kind() {
         for frame in samples() {
@@ -352,8 +357,10 @@ mod tests {
         let frames = samples();
         let mut bytes = Vec::new();
         for f in &frames {
-            bytes.extend_from_slice(&f.encode());
+            f.encode_into(&mut bytes);
         }
+        // Appending is encoding frame by frame.
+        assert_eq!(bytes, frames.iter().flat_map(MigrationFrame::encode).collect::<Vec<_>>());
         assert_eq!(decode_stream(&bytes).unwrap(), frames);
         bytes.push(0xAA);
         // A stream's final frame is still strictly delimited: the stray

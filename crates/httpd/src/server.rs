@@ -4,11 +4,12 @@
 //! The server runs `workers + 1` identical threads. The one holding the
 //! reactor leads: it owns the listener and every nonblocking socket, and
 //! each connection is a small state machine (reading → dispatching →
-//! writing → keep-alive idle). When another thread waits to lead, the
-//! leader takes the request it parsed back, hands the reactor over and
-//! runs the handler, so the thread that read a request answers it, writing
-//! a keep-alive answer itself (DESIGN.md, "How a request crosses the
-//! server"). At most `workers` handlers run at once; an idle keep-alive
+//! writing → keep-alive idle). When a thread is parked, the leader takes
+//! the request it parsed back, hands the reactor to the thread that parked
+//! last and runs the handler, so the thread that read a request answers
+//! it, writing a keep-alive answer itself, and one busy connection keeps
+//! to two warm threads (DESIGN.md, "How a request crosses the server").
+//! At most `workers` handlers run at once; an idle keep-alive
 //! socket costs a few hundred bytes of state, not a thread. Admission
 //! control caps open connections at `workers + backlog`; overflow is
 //! answered `503` + `Retry-After` as a nonblocking write state inside the
@@ -18,7 +19,7 @@
 //! table: accept stops, idle sockets close immediately, and dispatched
 //! requests get a deadline to finish.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -30,7 +31,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use confbench_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::fault::{Fault, FaultInjector};
 use crate::http::{try_parse_request, AfterAnswer, HttpError, Request, Response};
@@ -153,17 +154,32 @@ struct Task {
     inline: Option<Arc<TcpStream>>,
 }
 
-/// The parsed-request FIFO and the threads waiting to lead, under one lock:
-/// a thread with nothing to run takes a request or registers as waiting in
-/// one step, so a request never sits queued while a thread idles.
+/// The parsed-request FIFO and the parked threads, under one lock: a
+/// thread with nothing to run takes a request or parks in one step, so a
+/// request never sits queued while a thread idles.
 #[derive(Default)]
 struct Dispatch {
     queue: VecDeque<Task>,
-    /// Threads registered to lead next, blocked (or about to be) on the reactor.
-    waiting: usize,
+    /// Seats of the parked threads, the most recently parked last: the
+    /// reactor goes to the top, the thread whose stack and arena are warm.
+    parked: Vec<usize>,
+    /// The reactor, handed to the seat named and not yet taken up.
+    baton: Option<(usize, Box<Reactor>)>,
     /// The reactor has finished draining: every thread exits.
     closed: bool,
 }
+
+/// What a server thread does next.
+enum Turn {
+    /// Run a request's handler.
+    Run(Task),
+    /// Lead: the thread holds the reactor.
+    Lead(Box<Reactor>),
+}
+
+/// A connection an inline answer left reading on: `EPOLLIN` is re-armed
+/// once the answering thread has taken its next turn.
+type ReadOn = (u64, Arc<TcpStream>);
 
 /// What a handler's thread leaves the reactor about a dispatched connection.
 enum Reply {
@@ -172,7 +188,8 @@ enum Reply {
     /// A keep-alive answer, the part the socket took, and the answer's
     /// after-answer hook; the reactor writes the rest.
     Rest(Vec<u8>, usize, Option<Arc<AfterAnswer>>),
-    /// A keep-alive answer written whole at this instant, `EPOLLIN` re-armed.
+    /// A keep-alive answer written whole at this instant; its thread
+    /// re-arms `EPOLLIN` in its next turn.
     Written(Instant),
 }
 
@@ -185,6 +202,8 @@ struct Shared {
     registry: Arc<MetricsRegistry>,
     shutdown: AtomicBool,
     dispatch: Mutex<Dispatch>,
+    /// One per thread, waited on with the `dispatch` lock while parked.
+    seats: Box<[Condvar]>,
     /// Replies applied by the reactor right after every `epoll_wait`.
     replies: Mutex<Vec<(u64, Reply)>>,
     epoll: Epoll,
@@ -199,22 +218,70 @@ impl Shared {
         Some(task)
     }
 
-    /// Queues a parsed request. With `may_take`, hands the queue's head back
-    /// to the leader if another thread waits to lead, to run it there.
-    fn queue(&self, task: Task, may_take: bool) -> Option<Task> {
+    /// Queues a parsed request.
+    fn queue(&self, task: Task) {
         let mut dispatch = self.dispatch.lock();
         dispatch.queue.push_back(task);
         self.metrics.dispatch_depth.inc();
-        if may_take && dispatch.waiting > 0 {
-            return self.pop(&mut dispatch);
+    }
+
+    /// If a request is queued and a thread parked, hands the reactor to the
+    /// thread that parked last and returns the oldest request, for the
+    /// leader to run; else gives the reactor back. The wake is the parked
+    /// thread's own, and the request does not wait for it.
+    fn hand_over(&self, reactor: Box<Reactor>) -> Result<Task, Box<Reactor>> {
+        let mut dispatch = self.dispatch.lock();
+        let Some(&seat) = dispatch.parked.last() else { return Err(reactor) };
+        let Some(task) = self.pop(&mut dispatch) else { return Err(reactor) };
+        dispatch.parked.pop();
+        dispatch.baton = Some((seat, reactor));
+        drop(dispatch);
+        if let Some(condvar) = self.seats.get(seat) {
+            condvar.notify_one();
         }
-        None
+        Ok(task)
+    }
+
+    /// The next turn of a thread with nothing to run: the oldest queued
+    /// request, or else the reactor once a leader hands it to this parked
+    /// thread; `None` once the server has closed. `read_on` is re-armed
+    /// only after this thread has parked or taken a request, so the next
+    /// request on that connection finds it on top of the stack.
+    fn next_turn(&self, seat: usize, read_on: Option<ReadOn>) -> Option<Turn> {
+        let condvar = self.seats.get(seat)?;
+        let mut dispatch = self.dispatch.lock();
+        let task = self.pop(&mut dispatch);
+        if task.is_none() && !dispatch.closed {
+            dispatch.parked.push(seat);
+        }
+        if let Some((conn, stream)) = read_on {
+            // The reactor needs a wake only if it has dropped the socket
+            // (the peer hung up) or drains.
+            if self.epoll.modify(&*stream, EPOLLIN, conn).is_err()
+                || self.shutdown.load(Ordering::SeqCst)
+            {
+                self.waker.wake();
+            }
+        }
+        if let Some(task) = task {
+            return Some(Turn::Run(task));
+        }
+        loop {
+            if dispatch.closed {
+                return None;
+            }
+            if let Some((_, reactor)) = dispatch.baton.take_if(|(to, _)| *to == seat) {
+                return Some(Turn::Lead(reactor));
+            }
+            dispatch = condvar.wait(dispatch);
+        }
     }
 
     /// Runs a request's handler and answers it. A keep-alive answer the
-    /// task allows is written on this thread; anything else, and whatever
-    /// the socket did not take, goes back to the reactor.
-    fn answer(&self, task: Task) {
+    /// task allows is written on this thread, and its connection comes
+    /// back to read on; anything else, and whatever the socket did not
+    /// take, goes back to the reactor.
+    fn answer(&self, task: Task) -> Option<ReadOn> {
         self.metrics.workers_busy.inc();
         if let Some(delay) = task.delay {
             std::thread::sleep(delay);
@@ -232,19 +299,13 @@ impl Shared {
                 let after = response.after.take();
                 let mut written = 0;
                 if write_some(&stream, &bytes, &mut written).is_ok() && written == bytes.len() {
-                    // Note first, then `EPOLLIN`: the reactor cannot read
-                    // the next request before the note is there to apply.
-                    // It needs a wake only if it has dropped the socket
-                    // (the peer hung up) or drains.
+                    // Note first, then `EPOLLIN` (in `next_turn`): the
+                    // reactor cannot read the next request before the note
+                    // is there to apply.
                     self.replies.lock().push((task.conn, Reply::Written(Instant::now())));
-                    if self.epoll.modify(&*stream, EPOLLIN, task.conn).is_err()
-                        || self.shutdown.load(Ordering::SeqCst)
-                    {
-                        self.waker.wake();
-                    }
                     // The answer is on the wire: its hook runs now.
                     drop(after);
-                    return;
+                    return Some((task.conn, stream));
                 }
                 Reply::Rest(bytes, written, after)
             }
@@ -252,14 +313,15 @@ impl Shared {
         };
         self.replies.lock().push((task.conn, reply));
         self.waker.wake();
+        None
     }
 }
 
 /// Writes `bytes[*pos..]` until the nonblocking socket would block,
 /// advancing `pos`; `Err` when the socket has failed.
 fn write_some(mut stream: &TcpStream, bytes: &[u8], pos: &mut usize) -> io::Result<()> {
-    while *pos < bytes.len() {
-        match stream.write(&bytes[*pos..]) {
+    while let Some(rest) = bytes.get(*pos..).filter(|rest| !rest.is_empty()) {
+        match stream.write(rest) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => *pos += n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -270,31 +332,34 @@ fn write_some(mut stream: &TcpStream, bytes: &[u8], pos: &mut usize) -> io::Resu
     Ok(())
 }
 
-/// The body of every server thread: run a queued request, or else wait to
-/// lead and lead until a request can be taken back.
-fn serve(shared: &Shared, reactor: &Mutex<Reactor>) {
+/// The body of every server thread: lead while holding the reactor, until
+/// a request can be taken back and the reactor handed on; run a queued
+/// request; or park. `turn` is the first thread's reactor.
+fn serve(shared: &Shared, seat: usize, mut turn: Option<Turn>) {
+    let mut read_on = None;
     loop {
-        let queued = {
-            let mut dispatch = shared.dispatch.lock();
-            let task = shared.pop(&mut dispatch);
-            if task.is_none() {
-                if dispatch.closed {
+        let task = match turn.take().or_else(|| shared.next_turn(seat, read_on.take())) {
+            Some(Turn::Run(task)) => task,
+            Some(Turn::Lead(mut reactor)) => loop {
+                match shared.hand_over(reactor) {
+                    Ok(task) => break task,
+                    Err(kept) => reactor = kept,
+                }
+                if !reactor.tick() {
                     return;
                 }
-                dispatch.waiting += 1;
-            }
-            task
+            },
+            None => return,
         };
-        let Some(task) = queued.or_else(|| reactor.lock().lead()) else { return };
-        shared.answer(task);
+        read_on = shared.answer(task);
     }
 }
 
 /// Where a connection is in its request lifecycle. Transitions happen only
-/// under the reactor lock, which is what makes the drain-vs-dispatch race
-/// of the old registry design impossible: a connection is `Dispatching`
-/// from the instant its request parses, atomically with everything else
-/// the reactor decides.
+/// on the thread holding the reactor, which is what makes the
+/// drain-vs-dispatch race of the old registry design impossible: a
+/// connection is `Dispatching` from the instant its request parses,
+/// atomically with everything else the reactor decides.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Waiting for (more of) a request; interest `EPOLLIN`.
@@ -366,7 +431,8 @@ impl Conn {
 }
 
 /// The readiness loop: owns the listener and every connection socket.
-/// Whichever thread holds it leads.
+/// Whichever thread holds it leads; it moves from thread to thread by
+/// value ([`Shared::hand_over`]).
 struct Reactor {
     shared: Arc<Shared>,
     listener: Option<TcpListener>,
@@ -377,35 +443,11 @@ struct Reactor {
     next_id: u64,
     draining: bool,
     drain_deadline: Option<Instant>,
-    /// A request taken back this tick, for the leader to run.
-    taken: Option<Task>,
     events: Vec<EpollEvent>,
     chunk: Vec<u8>,
 }
 
 impl Reactor {
-    /// Leads until a request has been taken back for this thread to run,
-    /// or returns `None` once the server has drained.
-    fn lead(&mut self) -> Option<Task> {
-        {
-            let mut dispatch = self.shared.dispatch.lock();
-            dispatch.waiting -= 1;
-            // The previous leader left a request queued: it goes to this
-            // thread while yet another waits to lead.
-            if dispatch.waiting > 0 {
-                if let Some(task) = self.shared.pop(&mut dispatch) {
-                    return Some(task);
-                }
-            }
-        }
-        while self.tick() {
-            if let Some(task) = self.taken.take() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
     /// One turn of the readiness loop; `false` once the drain has finished.
     fn tick(&mut self) -> bool {
         if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
@@ -428,14 +470,15 @@ impl Reactor {
         };
         // Drain the waker before taking the replies, so a reply queued
         // after the take leaves a wake pending for the next wait.
-        if self.events[..n].iter().any(|e| e.token() == TOKEN_WAKER) {
+        if self.events.iter().take(n).any(|e| e.token() == TOKEN_WAKER) {
             self.shared.waker.drain();
         }
         // Replies before events: an inline answer's note must be applied
         // before its connection's next request is read.
         self.apply_replies();
         for i in 0..n {
-            match (self.events[i].token(), self.events[i].events()) {
+            let Some(event) = self.events.get(i) else { break };
+            match (event.token(), event.events()) {
                 (TOKEN_LISTENER, _) => self.accept_ready(),
                 (TOKEN_WAKER, _) => {}
                 (id, bits) => self.conn_ready(id, bits),
@@ -445,9 +488,9 @@ impl Reactor {
         true
     }
 
-    /// Closes what is left, stops every thread and drops the requests no
-    /// thread picked up (their connections were just closed). A thread that
-    /// leads afterwards finishes again at once.
+    /// Closes what is left, stops every thread, parked ones included, and
+    /// drops the requests no thread picked up (their connections were just
+    /// closed).
     fn finish(&mut self) {
         for id in self.conns.keys().copied().collect::<Vec<_>>() {
             self.close_conn(id);
@@ -456,6 +499,10 @@ impl Reactor {
         dispatch.closed = true;
         dispatch.queue.clear();
         self.shared.metrics.dispatch_depth.set(0);
+        drop(dispatch);
+        for condvar in self.shared.seats.iter() {
+            condvar.notify_one();
+        }
     }
 
     /// Stops accepting and cuts connections not serving a request; the
@@ -575,7 +622,7 @@ impl Reactor {
                             break;
                         }
                         Ok(n) => {
-                            conn.buf.extend_from_slice(&self.chunk[..n]);
+                            conn.buf.extend_from_slice(self.chunk.get(..n).unwrap_or_default());
                             // A short read took all there was; the
                             // level-triggered registration reports any rest.
                             if n < self.chunk.len() {
@@ -708,11 +755,7 @@ impl Reactor {
         // request runs, so an inline answer's note is applied, and its idle
         // timer armed, on time.
         self.arm_timer(id, Instant::now() + self.shared.config.keep_alive_idle);
-        let task = Task { conn: id, request, delay, inline };
-        let may_take = self.taken.is_none();
-        if let Some(task) = self.shared.queue(task, may_take) {
-            self.taken = Some(task);
-        }
+        self.shared.queue(Task { conn: id, request, delay, inline });
     }
 
     /// Queues `response` for writing and decides the connection's fate.
@@ -985,11 +1028,12 @@ impl ServerBuilder {
             registry,
             shutdown: AtomicBool::new(false),
             dispatch: Mutex::new(Dispatch::default()),
+            seats: (0..=config.workers).map(|_| Condvar::new()).collect(),
             replies: Mutex::new(Vec::new()),
             epoll,
             waker,
         });
-        let reactor = Arc::new(Mutex::new(Reactor {
+        let mut reactor = Some(Box::new(Reactor {
             shared: Arc::clone(&shared),
             listener: Some(listener),
             conns: HashMap::new(),
@@ -997,22 +1041,21 @@ impl ServerBuilder {
             next_id: 0,
             draining: false,
             drain_deadline: None,
-            taken: None,
             events: event_buffer(EVENT_BATCH),
             chunk: vec![0; READ_CHUNK],
         }));
 
         let mut threads = Vec::with_capacity(config.workers + 1);
-        for i in 0..=config.workers {
-            let (shared, reactor) = (Arc::clone(&shared), Arc::clone(&reactor));
+        for seat in 0..=config.workers {
+            let (shared, turn) = (Arc::clone(&shared), reactor.take().map(Turn::Lead));
             // Every thread may run handlers, and handlers run language
             // interpreters whose recursion is deep in debug builds, so give
             // each a generous stack.
             threads.push(
                 std::thread::Builder::new()
-                    .name(format!("httpd-{i}"))
+                    .name(format!("httpd-{seat}"))
                     .stack_size(16 << 20)
-                    .spawn(move || serve(&shared, &reactor))?,
+                    .spawn(move || serve(&shared, seat, turn))?,
             );
         }
         Ok(Server { addr, shared, threads })
@@ -1928,6 +1971,55 @@ mod tests {
             reader.read_to_end(&mut rest).unwrap();
             assert!(rest.is_empty(), "bytes after the answer: {rest:?}");
             server.shutdown();
+        }
+    }
+
+    /// One keep-alive connection's requests, sent one at a time, keep to
+    /// two threads: the leader runs the request it read and hands the
+    /// reactor to the thread that parked last, the one that ran the
+    /// request before.
+    #[test]
+    fn one_connection_keeps_to_two_warm_threads() {
+        let mut router = Router::new();
+        router.add(Method::Get, "/thread", |_, _| {
+            Response::text(format!("{:?}", std::thread::current().id()))
+        });
+        let server = Server::spawn(router).unwrap();
+        let (mut stream, mut reader) = connect(server.addr());
+        let mut threads = std::collections::BTreeSet::new();
+        for i in 0..300 {
+            stream.write_all(&get("/thread", false)).unwrap();
+            let answer = read_response(&mut reader).unwrap();
+            if i > 0 {
+                threads.insert(String::from_utf8(answer.body).unwrap());
+            }
+        }
+        assert!(
+            threads.len() <= 2,
+            "{} threads answered one connection: {threads:?}",
+            threads.len()
+        );
+    }
+
+    /// Shutting down a server whose threads are all parked but the leader
+    /// wakes every one of them.
+    #[test]
+    fn shutdown_wakes_every_parked_thread() {
+        let mut server = test_server();
+        let workers = server.shared.config.workers;
+        let client = Client::new(server.addr());
+        client.send(&Request::new(Method::Get, "/hello/parked")).unwrap();
+        drop(client);
+        wait_for("every thread but the leader parks", Duration::from_secs(5), || {
+            server.shared.dispatch.lock().parked.len() == workers
+        });
+        let threads = std::mem::take(&mut server.threads);
+        server.shutdown();
+        wait_for("every thread exits", WORKER_JOIN_TOTAL, || {
+            threads.iter().all(|t| t.is_finished())
+        });
+        for thread in threads {
+            thread.join().unwrap();
         }
     }
 

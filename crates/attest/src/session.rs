@@ -23,11 +23,12 @@
 //! runtime-measurement extend, or the TCB watermark moving past it. All
 //! four force the next dispatch through full re-verification.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use confbench_crypto::bounded::OldestOut;
 use confbench_crypto::flight::Flight;
 use confbench_crypto::{Digest, Sha256};
 use confbench_obs::{Counter, MetricsRegistry};
@@ -203,12 +204,12 @@ impl SessionEntry {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct CacheState {
-    by_id: HashMap<String, SessionEntry>,
+    /// Sessions by id, charged 1 apiece and never touched: the oldest
+    /// issued goes first.
+    by_id: OldestOut<String, SessionEntry>,
     by_key: HashMap<Digest, String>,
-    /// Insertion order, for oldest-first eviction.
-    order: VecDeque<String>,
     /// Per-platform required-TCB watermark (raised by collateral refresh).
     required_tcb: HashMap<TeePlatform, u64>,
     next_seq: u64,
@@ -248,10 +249,16 @@ impl SessionCache {
     /// Panics if `config.capacity` is zero.
     pub fn new(clock: Arc<dyn Clock>, config: SessionConfig) -> Self {
         assert!(config.capacity > 0, "session cache capacity must be at least 1");
+        let state = CacheState {
+            by_id: OldestOut::new(config.capacity),
+            by_key: HashMap::new(),
+            required_tcb: HashMap::new(),
+            next_seq: 0,
+        };
         SessionCache {
             clock,
             config,
-            flight: Flight::new(CacheState::default()),
+            flight: Flight::new(state),
             hits: Arc::new(Counter::default()),
             misses: Arc::new(Counter::default()),
             waits: Arc::new(Counter::default()),
@@ -366,14 +373,6 @@ impl SessionCache {
         timing: PhaseTiming,
         now_ms: u64,
     ) -> AttestSession {
-        while state.by_id.len() >= config.capacity {
-            let Some(oldest) = state.order.pop_front() else { break };
-            if let Some(evicted) = state.by_id.remove(&oldest) {
-                if state.by_key.get(&evicted.key) == Some(&oldest) {
-                    state.by_key.remove(&evicted.key);
-                }
-            }
-        }
         state.next_seq += 1;
         let id = format!("as-{:04x}-{:.12}", state.next_seq, key.to_string());
         let entry = SessionEntry {
@@ -389,8 +388,12 @@ impl SessionCache {
         let required = state.required(identity.platform);
         let snapshot = entry.snapshot(now_ms, required);
         state.by_key.insert(key, id.clone());
-        state.order.push_back(id.clone());
-        state.by_id.insert(id, entry);
+        let by_key = &mut state.by_key;
+        state.by_id.insert_evicting(id, entry, 1, |oldest, evicted| {
+            if by_key.get(&evicted.key) == Some(&oldest) {
+                by_key.remove(&evicted.key);
+            }
+        });
         snapshot
     }
 

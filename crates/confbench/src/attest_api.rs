@@ -8,29 +8,24 @@
 //! [`CollateralRefresher`] that keeps TDX collateral warm so steady-state
 //! verification never blocks on the PCS.
 //!
-//! Every verification and refresh is recorded as an `attest.verify` /
-//! `attest.refresh` span (last few retained, see
-//! [`AttestService::recent_spans`]) and counted in the `attest_*` metrics
-//! family.
+//! Verifications and refreshes are counted in the `attest_*` metrics
+//! family; a request that verifies carries its own `attest.verify` span in
+//! its trace.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use confbench_attest::{
     extend_runtime, quote_runtime, AttestError, AttestSession, CollateralRefresher, DeviceVerifier,
-    Evidence, SessionCache, SessionConfig, SessionOutcome, SessionSource, SnpEcosystem,
-    TdxEcosystem, Verifier,
+    Evidence, SessionCache, SessionConfig, SessionOutcome, SnpEcosystem, TdxEcosystem, Verifier,
 };
-use confbench_obs::{Counter, MetricsRegistry, SpanRecorder};
-use confbench_types::{Clock, Error, Result, RunRequest, TeePlatform, TraceSpan, VmKind, VmTarget};
+use confbench_obs::{Counter, MetricsRegistry};
+use confbench_types::{Clock, Error, Result, RunRequest, TeePlatform, VmKind, VmTarget};
 use confbench_vmm::{MeasurementReport, TeeVmBuilder, Vm};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-
-/// Spans retained by [`AttestService::recent_spans`].
-const SPAN_RING: usize = 16;
 
 /// Tuning for the gateway's attestation-session layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,8 +137,6 @@ pub struct AttestService {
     /// runtime identity (every pool member boots the same image, so one
     /// probe's evidence stands for all of them).
     probes: Mutex<HashMap<TeePlatform, Vm>>,
-    recorder: SpanRecorder,
-    spans: Mutex<VecDeque<TraceSpan>>,
     nonce: AtomicU64,
     devio_attests: Arc<Counter>,
 }
@@ -184,8 +177,6 @@ impl AttestService {
             snp: Arc::new(SnpEcosystem::new(seed)),
             refresher,
             probes: Mutex::new(HashMap::new()),
-            recorder: SpanRecorder::new(clock),
-            spans: Mutex::new(VecDeque::new()),
             nonce: AtomicU64::new(seed.wrapping_mul(2) | 1),
             devio_attests: registry.counter("devio_attest_total"),
         }
@@ -204,20 +195,6 @@ impl AttestService {
     /// The background collateral refresher.
     pub fn refresher(&self) -> &CollateralRefresher {
         &self.refresher
-    }
-
-    /// The most recent `attest.verify` / `attest.refresh` spans (newest
-    /// last, bounded ring).
-    pub fn recent_spans(&self) -> Vec<TraceSpan> {
-        self.spans.lock().iter().cloned().collect()
-    }
-
-    fn push_span(&self, span: TraceSpan) {
-        let mut ring = self.spans.lock();
-        if ring.len() >= SPAN_RING {
-            ring.pop_front();
-        }
-        ring.push_back(span);
     }
 
     fn next_nonce(&self) -> u64 {
@@ -290,26 +267,13 @@ impl AttestService {
         nonce: Option<u64>,
     ) -> Result<SessionOutcome> {
         if platform == TeePlatform::Tdx {
-            self.tick_refresh();
+            // Counted in `attest_collateral_refresh{,_failures}_total`.
+            self.refresher.tick();
         }
         let verifier = self.verifier_for(platform)?;
         let nonce = nonce.unwrap_or_else(|| self.next_nonce());
         let (evidence, report_data) = self.evidence_for(platform, nonce)?;
-        let mut span = self.recorder.root("attest.verify");
-        let outcome = self.cache.verify_or_join(verifier, &evidence, report_data);
-        match &outcome {
-            Ok(outcome) => {
-                span.set_attr("cached", u64::from(outcome.source == SessionSource::CacheHit));
-                span.set_attr(
-                    "single_flight",
-                    u64::from(outcome.source == SessionSource::SingleFlight),
-                );
-                span.set_attr("network_us", (outcome.timing.network_ms * 1_000.0) as u64);
-            }
-            Err(_) => span.set_attr("failed", 1),
-        }
-        self.push_span(span.finish());
-        outcome.map_err(attest_error)
+        self.cache.verify_or_join(verifier, &evidence, report_data).map_err(attest_error)
     }
 
     /// Reads a session (None = unknown id).
@@ -401,9 +365,8 @@ impl AttestService {
     /// not by the host's quoting enclave, so even CCA hosts (which have no
     /// platform attestation stack) verify their accelerators.
     ///
-    /// Recorded as a `devio.attest` span and counted in
-    /// `devio_attest_total`; cache behaviour (hits, single-flight joins)
-    /// lands in the shared `attest_sessions_*` metrics family.
+    /// Counted in `devio_attest_total`; cache behaviour (hits, single-flight
+    /// joins) lands in the shared `attest_sessions_*` metrics family.
     ///
     /// # Errors
     ///
@@ -419,37 +382,9 @@ impl AttestService {
         let evidence = Evidence::device(platform, report);
         let mut report_data = [0u8; 64];
         report_data[..32].copy_from_slice(&nonce);
-        let mut span = self.recorder.root("devio.attest");
         let outcome = self.cache.verify_or_join(&verifier, &evidence, report_data);
-        match &outcome {
-            Ok(outcome) => {
-                span.set_attr("cached", u64::from(outcome.source == SessionSource::CacheHit));
-                span.set_attr(
-                    "single_flight",
-                    u64::from(outcome.source == SessionSource::SingleFlight),
-                );
-            }
-            Err(_) => span.set_attr("failed", 1),
-        }
-        self.push_span(span.finish());
         self.devio_attests.inc();
         outcome.map_err(attest_error)
-    }
-
-    /// Runs the collateral refresher if its interval has elapsed, recording
-    /// an `attest.refresh` span when it fires. Cheap when not due (an
-    /// atomic load) — called opportunistically from the verification path.
-    pub fn tick_refresh(&self) {
-        let Some(result) = self.refresher.tick() else { return };
-        let mut span = self.recorder.root("attest.refresh");
-        match result {
-            Ok((required_tcb, net_ms)) => {
-                span.set_attr("required_tcb", required_tcb);
-                span.set_attr("network_us", (net_ms * 1_000.0) as u64);
-            }
-            Err(_) => span.set_attr("failed", 1),
-        }
-        self.push_span(span.finish());
     }
 }
 
@@ -484,6 +419,7 @@ pub(crate) fn gate_request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use confbench_attest::SessionSource;
     use confbench_types::ManualClock;
 
     fn service(clock: &Arc<ManualClock>) -> AttestService {
@@ -505,11 +441,6 @@ mod tests {
         assert_eq!(warm.source, SessionSource::CacheHit);
         assert_eq!(warm.session.id, cold.session.id);
         assert_eq!(warm.timing.network_ms, 0.0);
-        // Both calls recorded verify spans; the cold one may be preceded by
-        // an attest.refresh from the opportunistic tick.
-        let spans = svc.recent_spans();
-        assert!(spans.iter().any(|s| s.name == "attest.verify"));
-        assert!(spans.iter().any(|s| s.name == "attest.refresh"));
     }
 
     #[test]
@@ -608,6 +539,5 @@ mod tests {
         assert_eq!(warm.session.id, cold.session.id);
 
         assert_eq!(registry.counter_value("devio_attest_total"), Some(2));
-        assert!(svc.recent_spans().iter().any(|s| s.name == "devio.attest"));
     }
 }

@@ -538,7 +538,9 @@ impl Gateway {
                 }
             }
         }
-        Err(last_err.expect("retry loop ran at least once"))
+        // The loop ran at least once, and every pass that did not return
+        // left an error.
+        Err(last_err.unwrap_or_else(|| Error::NoVmAvailable(request.target.to_string())))
     }
 
     /// Convenience: run the same function on the secure and normal VM of

@@ -283,19 +283,23 @@ impl HostAgent {
     }
 }
 
-/// The measured trials of one attempt, one [`Vm::try_execute`] each, the
-/// last of them sampled by the perf collector: its sample — span tree
-/// included — is piggybacked on the result (paper §III-B).
+/// The measured trials of one attempt (at least one; validated requests ask
+/// for that many), one [`Vm::try_execute`] each, the last of them sampled by
+/// the perf collector: its sample — span tree included — is piggybacked on
+/// the result (paper §III-B).
 fn measure_trials(
     vm: &mut Vm,
     trace: &OpTrace,
     trials: u32,
     recorder: &SpanRecorder,
 ) -> std::result::Result<(Vec<ExecutionReport>, PerfSample), TeeFault> {
-    let reports: Vec<_> =
-        (0..trials).map(|_| vm.try_execute(trace)).collect::<std::result::Result<_, _>>()?;
-    let measured = reports.last().expect("validated requests ask for at least one trial");
-    let sample = PerfStat::for_vm(vm).sample(measured, recorder);
+    let mut reports = Vec::with_capacity(trials as usize);
+    for _ in 1..trials {
+        reports.push(vm.try_execute(trace)?);
+    }
+    let measured = vm.try_execute(trace)?;
+    let sample = PerfStat::for_vm(vm).sample(&measured, recorder);
+    reports.push(measured);
     Ok((reports, sample))
 }
 

@@ -184,7 +184,8 @@ impl<T> TeePool<T> {
     /// that tracks the request as in-flight until dropped.
     pub fn checkout(&self) -> PoolGuard<'_, T> {
         let mut state = self.state.lock();
-        let idx = self.select(&mut state, |_| true).expect("non-empty pool");
+        // Construction asserts a member, and every member is eligible.
+        let idx = self.select(&mut state, |_| true).unwrap_or(0);
         self.admit(&mut state, idx, false)
     }
 

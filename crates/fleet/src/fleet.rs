@@ -72,7 +72,7 @@ use confbench_vmm::TeeVmBuilder;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 
-use crate::migrate::{migrate, MigrationConfig, MigrationError, MigrationReport};
+use crate::migrate::{migrate, MigrationConfig, MigrationError, MigrationRecord, MigrationReport};
 use crate::ring::HashRing;
 
 /// Virtual nodes per shard on the placement ring.
@@ -192,7 +192,7 @@ struct FleetState {
     harvest: BTreeMap<Digest, CachedCell>,
     /// Per shard, the result-cache tick the harvest has read up to.
     cursors: Vec<u64>,
-    migrations: Vec<MigrationReport>,
+    migrations: Vec<MigrationRecord>,
 }
 
 impl FleetState {
@@ -929,8 +929,8 @@ impl Fleet {
     /// Runs one demonstration live migration: boots a source VM for
     /// `target`, warms it with `warmup` traces, then migrates it to a
     /// fresh host (re-attesting through the fleet's shared session cache)
-    /// and records the report. This is what `POST /v1/migrations` and the
-    /// CLI's `migrate` command execute.
+    /// and keeps its [`MigrationRecord`]. This is what `POST /v1/migrations`
+    /// and the CLI's `migrate` command execute.
     ///
     /// # Errors
     ///
@@ -967,20 +967,21 @@ impl Fleet {
                     .add(u64::from(report.precopy_rounds) + u64::from(report.stopcopy_pages > 0));
                 metrics.pages_copied.add(report.pages_total);
                 metrics.last_downtime_us.set(report.downtime_us);
-                self.state.lock().migrations.push(report.clone());
+                let record = MigrationRecord::from(report);
+                self.state.lock().migrations.push(record);
             }
             Err(_) => metrics.failed.inc(),
         }
         result.map(|(_, report)| report)
     }
 
-    /// Reports of migrations run so far (`GET /v1/migrations`).
-    pub fn migrations(&self) -> Vec<MigrationReport> {
+    /// Records of migrations run so far (`GET /v1/migrations`).
+    pub fn migrations(&self) -> Vec<MigrationRecord> {
         self.state.lock().migrations.clone()
     }
 
     /// How many migrations have run (`GET /v1/fleet`), counted without
-    /// copying their reports.
+    /// copying their records.
     pub fn migration_count(&self) -> usize {
         self.state.lock().migrations.len()
     }

@@ -52,6 +52,6 @@ pub use fleet::{
     Fleet, FleetCampaignStatus, FleetConfig, FleetReceipt, ShardStatus, DRIVER_THREAD,
 };
 pub use fsm::{FsmError, MigrationFsm, MigrationOp, MigrationPhase, SourceVm};
-pub use migrate::{migrate, MigrationConfig, MigrationError, MigrationReport};
+pub use migrate::{migrate, MigrationConfig, MigrationError, MigrationRecord, MigrationReport};
 pub use ring::HashRing;
 pub use wire::{MigrationFrame, WireError, MAX_PAGES_PER_FRAME, MAX_SESSION_ID_LEN};

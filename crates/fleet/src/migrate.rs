@@ -32,6 +32,7 @@ use std::time::Instant;
 use confbench::AttestService;
 use confbench_types::OpTrace;
 use confbench_vmm::{ExecutionReport, TeeFault, TeeVmBuilder, Vm};
+use serde::Serialize;
 
 use crate::fsm::{FsmError, MigrationFsm, MigrationOp};
 use crate::wire::{decode_stream, MigrationFrame, WireError};
@@ -80,6 +81,47 @@ pub struct MigrationReport {
     pub session: String,
     /// Reports of the pending traces executed on the source mid-migration.
     pub source_reports: Vec<ExecutionReport>,
+}
+
+/// What the fleet keeps of a finished migration: a [`MigrationReport`]'s
+/// numbers, with the source's executions counted rather than kept. One row
+/// of `GET /v1/migrations`, and the body of a `POST /v1/migrations`.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct MigrationRecord {
+    /// As [`MigrationReport::precopy_rounds`].
+    pub precopy_rounds: u32,
+    /// As [`MigrationReport::precopy_pages`].
+    pub precopy_pages: u64,
+    /// As [`MigrationReport::stopcopy_pages`].
+    pub stopcopy_pages: u64,
+    /// As [`MigrationReport::pages_total`].
+    pub pages_total: u64,
+    /// As [`MigrationReport::downtime_us`].
+    pub downtime_us: u64,
+    /// As [`MigrationReport::wire_bytes`].
+    pub wire_bytes: usize,
+    /// As [`MigrationReport::frames`].
+    pub frames: usize,
+    /// As [`MigrationReport::session`].
+    pub session: String,
+    /// How many traces the source executed mid-migration.
+    pub source_executions: usize,
+}
+
+impl From<&MigrationReport> for MigrationRecord {
+    fn from(report: &MigrationReport) -> Self {
+        MigrationRecord {
+            precopy_rounds: report.precopy_rounds,
+            precopy_pages: report.precopy_pages,
+            stopcopy_pages: report.stopcopy_pages,
+            pages_total: report.pages_total,
+            downtime_us: report.downtime_us,
+            wire_bytes: report.wire_bytes,
+            frames: report.frames,
+            session: report.session.clone(),
+            source_executions: report.source_reports.len(),
+        }
+    }
 }
 
 /// Why a migration failed. Every variant that aborts after the source

@@ -9,7 +9,7 @@ use confbench_types::{TeePlatform, VmKind, VmTarget};
 use serde::{Deserialize, Serialize};
 
 use crate::fleet::Fleet;
-use crate::migrate::{MigrationConfig, MigrationReport};
+use crate::migrate::{MigrationConfig, MigrationRecord};
 
 /// `POST /v1/migrations` request body.
 #[derive(Debug, Deserialize)]
@@ -19,37 +19,6 @@ struct MigrationRequest {
     kind: Option<VmKind>,
     #[serde(default)]
     max_rounds: Option<u32>,
-}
-
-/// Serializable view of a [`MigrationReport`] (execution reports of the
-/// mid-migration traces are summarized to a count).
-#[derive(Debug, Serialize)]
-struct MigrationView {
-    precopy_rounds: u32,
-    precopy_pages: u64,
-    stopcopy_pages: u64,
-    pages_total: u64,
-    downtime_us: u64,
-    wire_bytes: usize,
-    frames: usize,
-    session: String,
-    source_executions: usize,
-}
-
-impl MigrationView {
-    fn from_report(report: &MigrationReport) -> Self {
-        MigrationView {
-            precopy_rounds: report.precopy_rounds,
-            precopy_pages: report.precopy_pages,
-            stopcopy_pages: report.stopcopy_pages,
-            pages_total: report.pages_total,
-            downtime_us: report.downtime_us,
-            wire_bytes: report.wire_bytes,
-            frames: report.frames,
-            session: report.session.clone(),
-            source_executions: report.source_reports.len(),
-        }
-    }
 }
 
 #[derive(Debug, Serialize)]
@@ -167,17 +136,13 @@ impl Fleet {
             warm.alloc(24 * 4096);
             warm.cpu(500_000);
             match fleet.run_migration(target, &[warm], &cfg) {
-                Ok(report) => Response::json(&MigrationView::from_report(&report)),
+                Ok(report) => Response::json(&MigrationRecord::from(&report)),
                 Err(e) => Response::error(409, format!("migration aborted: {e}")),
             }
         });
 
         let fleet = Arc::clone(self);
-        router.add(Method::Get, "/v1/migrations", move |_, _| {
-            let views: Vec<MigrationView> =
-                fleet.migrations().iter().map(MigrationView::from_report).collect();
-            Response::json(&views)
-        });
+        router.add(Method::Get, "/v1/migrations", move |_, _| Response::json(&fleet.migrations()));
 
         router
     }

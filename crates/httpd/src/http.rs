@@ -125,6 +125,14 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+/// `value`'s JSON text as bytes: what `serde_json::to_vec` writes, through
+/// the one writer that cannot fail.
+fn json_bytes(value: &impl serde::Serialize) -> Vec<u8> {
+    let mut text = String::with_capacity(128);
+    value.write_json(&mut text);
+    text.into_bytes()
+}
+
 impl Request {
     /// Creates a request (client side).
     pub fn new(method: Method, path_and_query: &str) -> Self {
@@ -134,7 +142,7 @@ impl Request {
 
     /// Sets a JSON body (client side).
     pub fn json(mut self, value: &impl serde::Serialize) -> Self {
-        self.body = serde_json::to_vec(value).expect("serializable value");
+        self.body = json_bytes(value);
         self.headers.insert("content-type".into(), "application/json".into());
         self
     }
@@ -244,7 +252,7 @@ impl Response {
 
     /// 200 with a JSON body.
     pub fn json(value: &impl serde::Serialize) -> Self {
-        let body = serde_json::to_vec(value).expect("serializable value");
+        let body = json_bytes(value);
         let mut headers = HashMap::new();
         headers.insert("content-type".into(), "application/json".into());
         Response::new(200, headers, body)

@@ -40,6 +40,7 @@
 // `poll` needs FFI for epoll/eventfd (no libc crate offline); it is the
 // only module allowed to opt back in via `#[allow(unsafe_code)]`.
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 mod fault;

@@ -19,7 +19,7 @@
 //! table: accept stops, idle sockets close immediately, and dispatched
 //! requests get a deadline to finish.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};

@@ -7,11 +7,11 @@
 //! touching a VM, and editing a function's source changes its fingerprint
 //! and invalidates precisely that function's entries.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use confbench_crypto::bounded::OldestOut;
 use confbench_crypto::{Digest, Sha256};
 use confbench_types::CampaignCell;
 use parking_lot::Mutex;
@@ -78,39 +78,19 @@ pub struct CachedCell {
 /// [`ResultCache::with_capacity`] (gateway flag `--cache-capacity`).
 pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 
-/// Entries plus a recency index. `tick` is a logical clock bumped on every
-/// touch; `order` maps tick → key so the least-recently-used entry is the
-/// first in the map. Keys are 32-byte addresses, copied, never allocated.
-#[derive(Debug, Default)]
-struct CacheInner {
-    entries: HashMap<Digest, (CachedCell, u64)>,
-    order: BTreeMap<u64, Digest>,
-    tick: u64,
-}
-
-impl CacheInner {
-    /// Makes `key` the most recently used entry and returns its cell, or
-    /// `None`, touching nothing, when the cache does not hold it.
-    fn touch(&mut self, key: &Digest) -> Option<&mut CachedCell> {
-        let (cell, at) = self.entries.get_mut(key)?;
-        self.tick += 1;
-        let prev = std::mem::replace(at, self.tick);
-        self.order.remove(&prev);
-        self.order.insert(self.tick, *key);
-        Some(cell)
-    }
-}
-
 /// A thread-safe content-addressed store of [`CachedCell`]s, bounded by an
 /// entry cap with least-recently-used eviction.
 ///
 /// Both hits ([`get`](ResultCache::get)) and stores
 /// ([`insert`](ResultCache::insert)) refresh an entry's recency; when a new
 /// key would exceed the cap the stalest entry is dropped and counted in
-/// [`evictions`](ResultCache::evictions).
+/// [`evictions`](ResultCache::evictions). Entries live in an
+/// [`OldestOut`] charged 1 apiece, whose ticks are also the harvest's
+/// cursor ([`touched_since`](ResultCache::touched_since)). Keys are 32-byte
+/// addresses, copied, never allocated.
 #[derive(Debug)]
 pub struct ResultCache {
-    inner: Mutex<CacheInner>,
+    entries: Mutex<OldestOut<Digest, CachedCell>>,
     capacity: usize,
     evictions: AtomicU64,
 }
@@ -130,9 +110,10 @@ impl ResultCache {
     /// Creates an empty cache holding up to `capacity` entries (clamped to
     /// ≥ 1 — a zero-capacity cache could never serve a hit).
     pub fn with_capacity(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         ResultCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
+            entries: Mutex::new(OldestOut::new(capacity)),
+            capacity,
             evictions: AtomicU64::new(0),
         }
     }
@@ -144,29 +125,20 @@ impl ResultCache {
 
     /// Looks up a result by its content address, refreshing its recency.
     pub fn get(&self, key: &Digest) -> Option<CachedCell> {
-        self.inner.lock().touch(key).map(|cell| cell.clone())
+        self.entries.lock().touch(key).map(|cell| cell.clone())
     }
 
     /// Stores a result under its content address, evicting the
     /// least-recently-used entries if the cache is full. Returns how many
     /// entries were evicted (so callers can bump an evictions counter).
     pub fn insert(&self, key: Digest, cell: CachedCell) -> u64 {
-        let mut inner = self.inner.lock();
-        if let Some(stored) = inner.touch(&key) {
+        let mut entries = self.entries.lock();
+        if let Some(stored) = entries.touch(&key) {
             *stored = cell;
             return 0;
         }
-        let mut evicted = 0;
-        while inner.entries.len() >= self.capacity {
-            let Some((_, stale)) = inner.order.pop_first() else { break };
-            inner.entries.remove(&stale);
-            evicted += 1;
-        }
+        let evicted = entries.insert(key, cell, 1);
         self.evictions.fetch_add(evicted, Ordering::SeqCst);
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.order.insert(tick, key);
-        inner.entries.insert(key, (cell, tick));
         evicted
     }
 
@@ -176,25 +148,22 @@ impl ResultCache {
     /// suite compares snapshots from a faulted and a fault-free campaign to
     /// prove recovery changes nothing measurable.
     pub fn snapshot(&self) -> BTreeMap<String, CachedCell> {
-        let inner = self.inner.lock();
-        inner.entries.iter().map(|(k, (cell, _))| (k.to_string(), cell.clone())).collect()
+        let mut snapshot = BTreeMap::new();
+        self.entries.lock().since(0, |key, cell| {
+            snapshot.insert(key.to_string(), cell.clone());
+        });
+        snapshot
     }
 
     /// Visits every live entry inserted or hit after tick `since`, oldest
     /// touch first, without touching recency, and returns the current tick:
-    /// the cursor to pass next time. The recency index is the completion
+    /// the cursor to pass next time. The recency order is the completion
     /// log, so a caller that passes back each returned cursor has been shown
     /// every key the cache holds, at the cost of what changed in between.
     /// Entries evicted in between are never visited; from cursor 0, every
     /// live entry is. The visitor runs under the cache lock; keep it short.
-    pub fn touched_since(&self, since: u64, mut visit: impl FnMut(&Digest, &CachedCell)) -> u64 {
-        let inner = self.inner.lock();
-        for key in inner.order.range((Bound::Excluded(since), Bound::Unbounded)).map(|(_, k)| k) {
-            if let Some((cell, _)) = inner.entries.get(key) {
-                visit(key, cell);
-            }
-        }
-        inner.tick
+    pub fn touched_since(&self, since: u64, visit: impl FnMut(&Digest, &CachedCell)) -> u64 {
+        self.entries.lock().since(since, visit)
     }
 
     /// Entries evicted to stay under the cap since creation.
@@ -204,12 +173,12 @@ impl ResultCache {
 
     /// Number of distinct results stored.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        self.entries.lock().len()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().entries.is_empty()
+        self.entries.lock().is_empty()
     }
 }
 

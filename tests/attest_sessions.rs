@@ -65,8 +65,11 @@ fn warm_sessions_skip_the_pcs_entirely() {
     // A live token gates dispatch for free; an unknown one is rejected.
     let mut req = run_request(TeePlatform::Tdx);
     req.attest_session = Some(cold.session.id.clone());
-    gw.run(&req).unwrap();
+    let gated = gw.run(&req).unwrap();
     assert_eq!(svc.tdx().pcs().requests(), pcs_after_cold, "dispatch rode the live session");
+    let trace = gated.trace.expect("a run answers with its span tree");
+    let verify = trace.find("attest.verify").expect("the gate is spanned in the request trace");
+    assert_eq!(verify.attrs.get("session_cached"), Some(&1));
     req.attest_session = Some("as-bogus".into());
     let err = gw.run(&req).unwrap_err();
     assert!(matches!(err, Error::InvalidRequest(_)), "got {err}");
@@ -82,7 +85,7 @@ fn cold_rush_of_32_costs_one_pcs_round_trip() {
     let svc = gw.attest();
     // Steady-state: the background refresher has the collateral warm
     // before traffic arrives (PR goal — the hot path never blocks on PCS).
-    svc.tick_refresh();
+    svc.refresher().tick();
     assert_eq!(svc.tdx().pcs().requests(), 3, "one refresh = one collateral cycle");
 
     let barrier = Arc::new(Barrier::new(32));

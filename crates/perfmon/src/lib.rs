@@ -3,10 +3,10 @@
 //! ConfBench wraps every dispatched workload in `perf stat` and piggybacks
 //! the collected counters onto the result returned to the user (paper
 //! §III-B). Inside CCA realms hardware counters are unavailable, so the tool
-//! falls back to a custom monitoring script; this crate models both paths
-//! behind the public [`Collector`] trait — the §III-B extension point now
-//! accepts real code ([`PerfStat::with_collector`]), not only a script name
-//! string.
+//! falls back to a custom monitoring script. [`PerfStat::for_vm`] picks one
+//! of the two by the platform: `perf` over the hardware counters, or the
+//! `cca-cycles` script, which sees time but not the cache or instruction
+//! counters.
 //!
 //! # Example
 //!
@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::sync::Arc;
 
 use confbench_obs::SpanRecorder;
 use confbench_types::{OpTrace, PerfReport, TraceSpan};
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PerfSample {
     /// Name of the collector that produced the numbers (`"perf"` for the
-    /// hardware-counter path, `"script:<name>"` for fallbacks).
+    /// hardware-counter path, `"script:cca-cycles"` for the realm script).
     pub collector: String,
     /// The counter values.
     pub report: PerfReport,
@@ -67,89 +66,11 @@ impl fmt::Display for PerfSample {
     }
 }
 
-/// How perf counters are gathered for a measured run.
-///
-/// This is the paper's §III-B extension point: implement it to model any
-/// monitoring tool and pass it to [`PerfStat::with_collector`]. The two
-/// bundled implementations are [`HardwarePerf`] (the `perf stat` path) and
-/// [`ScriptCollector`] (the realm-side fallback script).
-pub trait Collector: Send + Sync {
-    /// Provenance name recorded on samples (e.g. `"perf"`,
-    /// `"script:cca-cycles"`).
-    fn name(&self) -> String;
-
-    /// Whether this collector reads hardware PMU counters.
-    fn is_hardware(&self) -> bool {
-        false
-    }
-
-    /// Shapes the raw execution counters into what this collector can
-    /// actually observe (a wallclock-only script, for instance, cannot see
-    /// cache counters).
-    fn collect(&self, report: &ExecutionReport) -> PerfReport;
-}
-
-/// `perf stat` over hardware counters (TDX, SEV-SNP, and their normal
-/// baselines).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HardwarePerf;
-
-impl Collector for HardwarePerf {
-    fn name(&self) -> String {
-        "perf".to_owned()
-    }
-
-    fn is_hardware(&self) -> bool {
-        true
-    }
-
-    fn collect(&self, report: &ExecutionReport) -> PerfReport {
-        PerfReport { from_hw_counters: true, ..report.perf }
-    }
-}
-
-/// A named custom monitoring script (the CCA path).
-///
-/// The script path deliberately degrades the data: cache counters are
-/// unavailable without PMU access, exactly as inside a CCA realm, so they
-/// are reported as zero and `from_hw_counters` is false.
-#[derive(Debug, Clone)]
-pub struct ScriptCollector {
-    name: String,
-}
-
-impl ScriptCollector {
-    /// A collector running the script named `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        ScriptCollector { name: name.into() }
-    }
-}
-
-impl Collector for ScriptCollector {
-    fn name(&self) -> String {
-        format!("script:{}", self.name)
-    }
-
-    fn collect(&self, report: &ExecutionReport) -> PerfReport {
-        PerfReport {
-            // A wallclock-only script sees time and little else.
-            instructions: 0,
-            cache_references: 0,
-            cache_misses: 0,
-            from_hw_counters: false,
-            ..report.perf
-        }
-    }
-}
-
-/// A perf-stat-style measurement harness bound to a [`Collector`].
-///
-/// Construct with [`PerfStat::for_vm`] (auto-selects the right path for the
-/// platform, as the tool does) or [`PerfStat::with_collector`] for any
-/// implementation of the trait, a named [`ScriptCollector`] included.
-#[derive(Clone)]
+/// A perf-stat-style measurement harness: the hardware-counter path or
+/// the realm-side script.
+#[derive(Debug, Clone, Copy)]
 pub struct PerfStat {
-    collector: Arc<dyn Collector>,
+    hardware: bool,
 }
 
 impl PerfStat {
@@ -158,43 +79,36 @@ impl PerfStat {
     /// realm-side script (named `cca-cycles`, mirroring the script we wrote
     /// for CCA in the paper).
     pub fn for_vm(vm: &Vm) -> Self {
-        if vm.target().platform.has_perf_counters() {
-            Self::with_collector(Arc::new(HardwarePerf))
-        } else {
-            Self::with_collector(Arc::new(ScriptCollector::new("cca-cycles")))
-        }
+        PerfStat { hardware: vm.target().platform.has_perf_counters() }
     }
 
-    /// Uses an arbitrary [`Collector`] implementation (the §III-B extension
-    /// point).
-    pub fn with_collector(collector: Arc<dyn Collector>) -> Self {
-        PerfStat { collector }
-    }
-
-    /// Whether this harness reads hardware counters.
-    pub fn is_hardware(&self) -> bool {
-        self.collector.is_hardware()
-    }
-
-    /// The provenance name samples will carry.
-    pub fn collector_name(&self) -> String {
-        self.collector.name()
-    }
-
-    /// The sample of one finished execution: the collector's view of its
+    /// The sample of one finished execution: what this path sees of its
     /// counters, under a `perf.measure` root span (stamped on `recorder`'s
     /// clock as the sample is taken) with the report's cost-event children.
     /// It reads `report` alone, so any trial can be the measured one.
+    ///
+    /// The script path deliberately degrades the data: without PMU access,
+    /// exactly as inside a CCA realm, it reports the instruction and cache
+    /// counters as zero and `from_hw_counters` as false.
     pub fn sample(&self, report: &ExecutionReport, recorder: &SpanRecorder) -> PerfSample {
         let mut root = recorder.root("perf.measure");
         report.attach_spans(&mut root);
         root.set_attr("vm_exits", report.perf.vm_exits);
         root.set_attr("bounce_bytes", report.perf.bounce_bytes);
-        PerfSample {
-            collector: self.collector.name(),
-            report: self.collector.collect(report),
-            trace: Some(root.finish()),
-        }
+        let (collector, report) = if self.hardware {
+            ("perf", PerfReport { from_hw_counters: true, ..report.perf })
+        } else {
+            // A wallclock-only script sees time and little else.
+            let seen = PerfReport {
+                instructions: 0,
+                cache_references: 0,
+                cache_misses: 0,
+                from_hw_counters: false,
+                ..report.perf
+            };
+            ("script:cca-cycles", seen)
+        };
+        PerfSample { collector: collector.to_owned(), report, trace: Some(root.finish()) }
     }
 
     /// Executes `trace` on `vm` and [`PerfStat::sample`]s it, returning the
@@ -221,6 +135,7 @@ mod tests {
     use super::*;
     use confbench_types::{ManualClock, TeePlatform, VmTarget};
     use confbench_vmm::TeeVmBuilder;
+    use std::sync::Arc;
 
     fn trace() -> OpTrace {
         let mut t = OpTrace::new();
@@ -229,20 +144,25 @@ mod tests {
         t
     }
 
+    /// The collector name on a sample of one run of `trace()` on `target`.
+    fn collector_for(target: VmTarget) -> String {
+        let mut vm = TeeVmBuilder::new(target).try_build().unwrap();
+        let (_, sample) = PerfStat::for_vm(&vm)
+            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
+            .unwrap();
+        sample.collector
+    }
+
     #[test]
     fn hardware_path_for_tdx_and_snp() {
         for p in [TeePlatform::Tdx, TeePlatform::SevSnp] {
-            let vm = TeeVmBuilder::new(VmTarget::secure(p)).try_build().unwrap();
-            assert!(PerfStat::for_vm(&vm).is_hardware(), "{p} should use perf");
+            assert_eq!(collector_for(VmTarget::secure(p)), "perf", "{p} should use perf");
         }
     }
 
     #[test]
     fn script_fallback_for_cca() {
-        let vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Cca)).try_build().unwrap();
-        let stat = PerfStat::for_vm(&vm);
-        assert!(!stat.is_hardware());
-        assert_eq!(stat.collector_name(), "script:cca-cycles");
+        assert_eq!(collector_for(VmTarget::secure(TeePlatform::Cca)), "script:cca-cycles");
     }
 
     #[test]
@@ -269,47 +189,6 @@ mod tests {
         // Time is still measured.
         assert_eq!(sample.report.cycles, report.cycles.get());
         assert!(sample.report.cycles > 0);
-    }
-
-    #[test]
-    fn custom_script_overrides_platform_choice() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
-        let (_, sample) = PerfStat::with_collector(Arc::new(ScriptCollector::new("my-probe")))
-            .try_measure_spanned(&mut vm, &trace(), &SpanRecorder::default())
-            .unwrap();
-        assert_eq!(sample.collector, "script:my-probe");
-        assert!(!sample.report.from_hw_counters);
-    }
-
-    /// A user-written collector: only exit counts survive.
-    struct ExitsOnly;
-
-    impl Collector for ExitsOnly {
-        fn name(&self) -> String {
-            "exits-only".to_owned()
-        }
-
-        fn collect(&self, report: &ExecutionReport) -> PerfReport {
-            PerfReport {
-                vm_exits: report.perf.vm_exits,
-                from_hw_counters: false,
-                ..PerfReport::default()
-            }
-        }
-    }
-
-    #[test]
-    fn user_collector_implementations_plug_in() {
-        let mut vm = TeeVmBuilder::new(VmTarget::secure(TeePlatform::Tdx)).try_build().unwrap();
-        let mut t = trace();
-        t.io_write(8192);
-        let (report, sample) = PerfStat::with_collector(Arc::new(ExitsOnly))
-            .try_measure_spanned(&mut vm, &t, &SpanRecorder::default())
-            .unwrap();
-        assert_eq!(sample.collector, "exits-only");
-        assert_eq!(sample.report.vm_exits, report.perf.vm_exits);
-        assert!(sample.report.vm_exits > 0);
-        assert_eq!(sample.report.instructions, 0);
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! * Pinned bytes: four values whose encoding is fixed here as literals, so
 //!   an ordering or escaping slip fails a unit test rather than only the
 //!   ledger's digests.
-//! * `fuzz_sweep_json_stream_equals_tree`: the stream path
-//!   (`write_json` / `from_json`) against the `Value` tree it must agree
-//!   with, over random values and mutants of their encodings.
+//! * `wire_errors_are_pinned`: what `serde_json::from_str` answers for a
+//!   table of ill-typed and malformed inputs, error text included.
+//! * `fuzz_sweep_json_stream_equals_tree`: the one typed decoder against
+//!   itself, over random values and mutants of their encodings: text the
+//!   `Value` grammar rejects fails with that syntax error, and any other
+//!   reads as its tree's canonical text reads.
 
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use confbench_crypto::fuzz::{sweep_iters, Mutator};
@@ -143,8 +147,7 @@ const CAMPAIGN_SPEC: &str = r#"{"deadline_ms":null,"device":null,"functions":[{"
 
 const THREE_CELL_STATUS: &str = r#"{"cache_hits":1,"cancelled":0,"cells":[{"cache_key":"000000000000000000000000000000000000000000000000000000000000abcd","cell":{"device":null,"function":{"args":["27"],"name":"collatz"},"kind":"secure","language":"python","platform":"tdx","seed":11400714819323198485,"trials":10},"from_cache":false,"job":"c7-0","max_ms":5.5,"mean_ms":4.5,"median_ms":4.25,"min_ms":4,"output":"111","stddev_ms":0},{"cache_key":"000000000000000000000000000000000000000000000000000000000001579a","cell":{"device":"gpu","function":{"args":["27"],"name":"collatz"},"kind":"normal","language":"python","platform":"tdx","seed":11400714819323198484,"trials":10},"from_cache":false,"job":"c7-1","max_ms":5.5,"mean_ms":4.833333333333333,"median_ms":4.25,"min_ms":4,"output":"111","stddev_ms":0.125},{"cache_key":"0000000000000000000000000000000000000000000000000000000000020367","cell":{"device":null,"function":{"args":["27"],"name":"collatz"},"kind":"secure","language":"python","platform":"tdx","seed":11400714819323198487,"trials":10},"from_cache":true,"job":"c7-2","max_ms":5.5,"mean_ms":5.166666666666667,"median_ms":4.25,"min_ms":4,"output":"111","stddev_ms":0.25}],"completed":3,"expired":0,"failed":0,"id":"c7","queued":1,"running":0,"state":"active","total_jobs":4}"#;
 
-/// `value` encodes to exactly `wire`, and `wire` decodes back to `value`
-/// on the stream path, without falling back to the tree.
+/// `value` encodes to exactly `wire`, and `wire` decodes back to `value`.
 fn assert_pinned<T: Serialize + DeserializeOwned + PartialEq + Debug>(value: &T, wire: &str) {
     assert_eq!(serde_json::to_string(value).unwrap(), wire);
     let streamed = Reader::new(wire).document(|r| T::from_json(r, 0));
@@ -162,8 +165,59 @@ fn wire_bytes_are_pinned() {
     assert_eq!(sparse, sparse_campaign_spec());
 }
 
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+struct S {
+    a: u32,
+    b: String,
+}
+
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+enum E {
+    Unit,
+    Named { name: String },
+    List(Vec<u8>),
+}
+
+/// What `from_str` answers for `text`: `Ok(<Debug>)` or the error text.
+fn answer<T: DeserializeOwned + Debug>(text: &str) -> String {
+    match serde_json::from_str::<T>(text) {
+        Ok(v) => format!("Ok({v:?})"),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// A syntax error anywhere wins over a type error; a struct answers its
+/// first failing or missing field in declaration order, each key judged by
+/// its last copy; an enum object must hold one distinct key; a sequence
+/// answers its first failing element, a map its first failing key in byte
+/// order.
+#[test]
+fn wire_errors_are_pinned() {
+    let table = [
+        (answer::<S>(r#""x""#), "expected object (S), found string"),
+        (answer::<S>(r#"{"b": 7}"#), "missing field `a` in S"),
+        (answer::<S>(r#"{"a": "x", "b": "y", "a": 1}"#), r#"Ok(S { a: 1, b: "y" })"#),
+        (answer::<S>(r#"{"a": "x", "b": tru}"#), "invalid literal (expected `true`) at byte 16"),
+        (answer::<E>(r#"{"unit": 1, "list": []}"#), "expected E variant, found object"),
+        (answer::<E>(r#"{"list": [1], "list": [2]}"#), "Ok(List([2]))"),
+        (answer::<E>("{}"), "expected E variant, found object"),
+        (answer::<S>(r#"{"a": "x", "b": 7}"#), "expected unsigned integer, found string"),
+        (answer::<Vec<u8>>(r#"[1, 300, "x"]"#), "integer 300 out of range for u8"),
+        // One mutant of the sweep holds one mutation, so no mutant fails two
+        // keys of one map: the key order is pinned here.
+        (
+            answer::<BTreeMap<String, u8>>(r#"{"b": "x", "a": 300}"#),
+            "integer 300 out of range for u8",
+        ),
+    ];
+    for (got, want) in table {
+        assert_eq!(got, want);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Stream path vs tree path
+// The decoder against itself
 // ---------------------------------------------------------------------------
 
 /// Random values of the wire types, biased toward the edges of each field:
@@ -611,7 +665,7 @@ fn byte_mutant(gen: &mut Gen, mutator: &mut Mutator, canonical: &str) -> Vec<u8>
 struct Tally {
     mutants: u64,
     accepted: u64,
-    fallbacks: u64,
+    syntax: u64,
     not_utf8: u64,
 }
 
@@ -619,8 +673,8 @@ fn encode<T: Serialize>(x: &T) -> String {
     serde_json::to_string(x).expect("encodes")
 }
 
-/// A value's stream bytes equal its tree's, and they read back on the
-/// stream path (a canonical encoding never falls back).
+/// A value's bytes are canonical (they equal its tree's), and they read
+/// back.
 fn check_canonical<T: Serialize + DeserializeOwned>(x: &T) -> String {
     let stream = encode(x);
     let mut tree = String::new();
@@ -628,66 +682,57 @@ fn check_canonical<T: Serialize + DeserializeOwned>(x: &T) -> String {
     assert_eq!(stream, tree, "write_json and the tree write different bytes");
     let back = Reader::new(&stream)
         .document(|r| T::from_json(r, 0))
-        .unwrap_or_else(|e| panic!("canonical {stream:?} fell back: {e}"));
+        .unwrap_or_else(|e| panic!("canonical {stream:?} does not read back: {e}"));
     assert_eq!(encode(&back), stream);
     stream
 }
 
-/// Whether some object in the (well-formed) document repeats a key.
-fn has_duplicate_key(text: &str) -> bool {
-    fn walk(r: &mut Reader<'_>, depth: usize, found: &mut bool) -> Result<(), serde::DeError> {
-        match r.peek() {
-            Some(b'[') => r.array(depth, |r, depth| walk(r, depth, found)),
-            Some(b'{') => {
-                let mut keys = Vec::new();
-                r.object(depth, |r, key, depth| {
-                    *found |= keys.contains(&key);
-                    keys.push(key);
-                    walk(r, depth, found)
-                })
-            }
-            _ => r.value(depth).map(drop),
+/// The canonical text of `tree`, as [`json::write_value`] writes it, but
+/// with `.0` after a float that prints without a fraction, so that it
+/// reads back as that float: `16592086124647321703E+0` is the `u64`
+/// 16592086124647321600, and its `write_value` text, `16592086124647322000`,
+/// is another `u64`.
+fn write_canonical(out: &mut String, tree: &Value) {
+    match tree {
+        Value::Array(items) => json::write_array(out, items, write_canonical),
+        Value::Object(m) => json::write_object(out, m, write_canonical),
+        Value::Number(n @ Number::Float(x)) if x.fract() == 0.0 => {
+            json::write_number(out, n);
+            out.push_str(".0");
         }
+        other => json::write_value(out, other),
     }
-    let mut found = false;
-    Reader::new(text).document(|r| walk(r, 0, &mut found)).expect("well-formed");
-    found
 }
 
-/// Reads `text` on both paths and through `serde_json::from_str`. If the
-/// stream accepts, the tree accepts the same value; `from_str` answers what
-/// the tree answers, error text included.
+/// Reads `text` as `T`. If the `Value` grammar rejects it, the typed read
+/// fails with the same syntax error. Otherwise the typed read answers what
+/// it answers for the tree's canonical text (keys sorted, the last copy of
+/// a repeated key kept), the same value or the same error text.
 fn compare<T: Serialize + DeserializeOwned>(text: &[u8], tally: &mut Tally) {
     let Ok(text) = std::str::from_utf8(text) else {
         tally.not_utf8 += 1;
         return;
     };
     tally.mutants += 1;
-    let stream = Reader::new(text).document(|r| T::from_json(r, 0));
-    let tree = Reader::new(text).document(|r| r.value(0)).and_then(|v| T::from_value(&v));
-    match (&stream, &tree) {
-        (Ok(s), Ok(t)) => {
-            assert_eq!(encode(s), encode(t), "stream and tree read {text:?} differently");
-            tally.accepted += 1;
+    let read = |text: &str| Reader::new(text).document(|r| T::from_json(r, 0)).map(|x| encode(&x));
+    let typed = read(text);
+    let tree = match Reader::new(text).document(|r| r.value(0)) {
+        Ok(tree) => tree,
+        Err(e) => {
+            assert!(e.is_syntax(), "{text:?}: {e}");
+            assert_eq!(typed, Err(e), "{text:?} is malformed");
+            tally.syntax += 1;
+            return;
         }
-        (Ok(s), Err(e)) => {
-            panic!("stream accepted {text:?} as {}, the tree rejects it: {e}", encode(s))
-        }
-        (Err(_), Ok(_)) => {
-            // Only a key read twice can fail the stream where the tree,
-            // which keeps the last copy, succeeds.
-            assert!(has_duplicate_key(text), "stream fell back on {text:?}");
-            tally.fallbacks += 1;
-        }
-        (Err(_), Err(_)) => {}
+    };
+    let mut canonical = String::new();
+    write_canonical(&mut canonical, &tree);
+    let from_tree = read(&canonical);
+    if let Err(e) = &from_tree {
+        assert!(!e.is_syntax(), "{canonical:?}: {e}");
     }
-    match (serde_json::from_str::<T>(text), &tree) {
-        (Ok(p), Ok(t)) => assert_eq!(encode(&p), encode(t)),
-        (Err(p), Err(t)) => assert_eq!(p.to_string(), t.to_string()),
-        (p, t) => {
-            panic!("from_str and the tree disagree on {text:?}: {:?} vs {:?}", p.is_ok(), t.is_ok())
-        }
-    }
+    assert_eq!(typed, from_tree, "{text:?} reads unlike its tree {canonical:?}");
+    tally.accepted += u64::from(typed.is_ok());
 }
 
 /// Checks one value, then five mutants of its encoding.
@@ -743,8 +788,8 @@ fn nest(lists: usize, end: &str) -> String {
     format!("{}{end}{}", "{\"list\":[".repeat(lists), "]}".repeat(lists))
 }
 
-/// `text` is read alike on both paths and is accepted (or rejected as too
-/// deep).
+/// `text` keeps the decoder's relation and is accepted (or rejected as
+/// too deep).
 fn assert_depth<T: Serialize + DeserializeOwned>(text: &str, accepted: bool, tally: &mut Tally) {
     compare::<T>(text.as_bytes(), tally);
     match serde_json::from_str::<T>(text) {
@@ -806,9 +851,14 @@ fn fuzz_sweep_json_stream_equals_tree() {
         sweep_one(&x, &mut gen, &mut mutator, &mut tally);
     }
     println!(
-        "json stream vs tree: {} mutants, {} accepted by both, {} fell back to the tree and \
-         were accepted there, {} not UTF-8 (skipped)",
-        tally.mutants, tally.accepted, tally.fallbacks, tally.not_utf8
+        "json decoder vs its tree: {} mutants, {} accepted, {} malformed, {} ill-typed, \
+         {} not UTF-8 (skipped)",
+        tally.mutants,
+        tally.accepted,
+        tally.syntax,
+        tally.mutants - tally.accepted - tally.syntax,
+        tally.not_utf8
     );
-    assert!(tally.accepted > 0 && tally.mutants > tally.accepted);
+    assert!(tally.accepted > 0 && tally.syntax > 0);
+    assert!(tally.mutants > tally.accepted + tally.syntax);
 }

@@ -11,31 +11,55 @@ fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
-/// Every `.rs` file under `dir`, as paths relative to the root with `/`
-/// separators, sorted.
-fn rust_files(dir: &str) -> Vec<String> {
+/// The file `rel`, or every file under the directory `rel` (symbolic links
+/// inside it not followed, as `grep -r` does), as paths relative to the
+/// root with `/` separators, sorted. A missing path has none.
+fn files(rel: &str) -> Vec<String> {
     fn walk(root: &Path, rel: &str, out: &mut Vec<String>) {
         let Ok(entries) = fs::read_dir(root.join(rel)) else { return };
         for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let path = format!("{rel}/{name}");
+            let path = format!("{rel}/{}", entry.file_name().to_string_lossy());
             match entry.file_type() {
                 Ok(kind) if kind.is_dir() => walk(root, &path, out),
-                Ok(kind) if kind.is_file() && name.ends_with(".rs") => out.push(path),
+                Ok(kind) if kind.is_file() => out.push(path),
                 _ => {}
             }
         }
     }
+    if root().join(rel).is_file() {
+        return vec![rel.to_owned()];
+    }
     let mut files = Vec::new();
-    walk(&root(), dir, &mut files);
+    walk(&root(), rel, &mut files);
     files.sort();
     files
 }
 
+/// Every `.rs` file under `dir`, as [`files`] lists them.
+fn rust_files(dir: &str) -> Vec<String> {
+    files(dir).into_iter().filter(|rel| rel.ends_with(".rs")).collect()
+}
+
+/// The `Cargo.toml` of every package directory under `crates/`, sorted.
+fn manifests() -> Vec<String> {
+    let Ok(crates) = fs::read_dir(root().join("crates")) else { panic!("no crates/ directory") };
+    let mut manifests: Vec<String> = crates
+        .flatten()
+        .map(|entry| format!("crates/{}/Cargo.toml", entry.file_name().to_string_lossy()))
+        .filter(|rel| root().join(rel).is_file())
+        .collect();
+    manifests.sort();
+    manifests
+}
+
+/// The text of a file.
+fn read(rel: &str) -> String {
+    fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+}
+
 /// The lines of a file, split at each `\n` only, as grep and awk split them.
 fn lines(rel: &str) -> Vec<String> {
-    let text = fs::read_to_string(root().join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
-    text.split('\n').map(str::to_owned).collect()
+    read(rel).split('\n').map(str::to_owned).collect()
 }
 
 /// The lines of a file that count as non-test code, numbered from 1: those
@@ -140,6 +164,94 @@ fn unsafe_code_in_two_modules() {
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
+/// CI step "No ambient configuration": nothing under `crates/` reads the
+/// environment; flags go to a config struct, and it to the component. The
+/// one exception is a test budget, `CONFBENCH_FUZZ_ITERS`, which
+/// `crypto/src/fuzz.rs` reads for the fuzz sweeps. Every line of every
+/// `.rs` file counts, tests and comments included.
+#[test]
+fn no_ambient_configuration() {
+    let found: Vec<String> = rust_files("crates")
+        .iter()
+        .filter(|rel| *rel != "crates/crypto/src/fuzz.rs")
+        .flat_map(|rel| {
+            lines(rel)
+                .into_iter()
+                .enumerate()
+                .filter(|(_, line)| line.contains("env::var"))
+                .map(move |(at, line)| format!("{rel}:{}:{line}", at + 1))
+        })
+        .collect();
+    assert!(found.is_empty(), "environment reads under crates/:\n{}", found.join("\n"));
+}
+
+/// The packages a manifest declares under `[dependencies]` and
+/// `[dev-dependencies]`: each line of those sections that starts with a
+/// lowercase ASCII letter, up to its first space, `.` or `=`.
+fn declared_dependencies(manifest: &str) -> Vec<String> {
+    let mut on = false;
+    let mut deps = Vec::new();
+    for line in manifest.split('\n') {
+        if line.starts_with('[') {
+            on = line.starts_with("[dependencies]") || line.starts_with("[dev-dependencies]");
+        } else if on && line.starts_with(|c: char| c.is_ascii_lowercase()) {
+            deps.extend(line.split([' ', '.', '=']).next().map(str::to_owned));
+        }
+    }
+    deps
+}
+
+/// The files a manifest in `dir` attaches from outside its package, by a
+/// line that starts `path = "../../`.
+fn attached_paths(dir: &str, manifest: &str) -> Vec<String> {
+    manifest
+        .split('\n')
+        .filter_map(|line| line.strip_prefix("path = \"")?.split_once('"'))
+        .filter(|(path, _)| path.starts_with("../../"))
+        .map(|(path, _)| format!("{dir}/{path}"))
+        .collect()
+}
+
+/// Whether `word` occurs in `text` with no letter, digit or `_` on either
+/// side, as `grep -w` matches it.
+fn names_word(text: &str, word: &str) -> bool {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    text.match_indices(word).any(|(at, _)| {
+        !text[..at].chars().next_back().is_some_and(is_word)
+            && !text[at + word.len()..].chars().next().is_some_and(is_word)
+    })
+}
+
+/// CI step "No unused dependency edges": every crate a package declares is
+/// named, as a word with `-` written `_`, in its sources: any file under
+/// its `src/` and `tests/`, or a root test or example its manifest
+/// attaches by path.
+#[test]
+fn no_unused_dependency_edges() {
+    let mut unused = Vec::new();
+    for manifest in manifests() {
+        let dir = manifest.trim_end_matches("/Cargo.toml");
+        let text = read(&manifest);
+        let mut sources = files(&format!("{dir}/src"));
+        sources.extend(files(&format!("{dir}/tests")));
+        for path in attached_paths(dir, &text) {
+            sources.extend(files(&path));
+        }
+        let texts: Vec<String> = sources
+            .iter()
+            .filter_map(|rel| fs::read(root().join(rel)).ok())
+            .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+            .collect();
+        for dep in declared_dependencies(&text) {
+            let word = dep.replace('-', "_");
+            if !texts.iter().any(|text| names_word(text, &word)) {
+                unused.push(format!("{manifest}: {dep} is declared but never named"));
+            }
+        }
+    }
+    assert!(unused.is_empty(), "{}", unused.join("\n"));
+}
+
 #[test]
 fn the_patterns_match_what_the_steps_matched() {
     for hit in [
@@ -173,5 +285,20 @@ fn the_patterns_match_what_the_steps_matched() {
         "#[cfg_attr(x, allow(unsafe_code))]",
     ] {
         assert!(!allows_unsafe_code(miss), "{miss}");
+    }
+    let manifest = "[package]\nname = \"x\"\n[dependencies]\nserde.workspace = true\n\
+                    confbench-types = { path = \"../types\" }\n# comment\n\
+                    [dependencies.extra]\nversion = \"1\"\n[dev-dependencies]\n\
+                    serde_json = \"1\"\n[[test]]\nname = \"t\"\npath = \"../../tests/t.rs\"\n\
+                    path = \"src/main.rs\"\n";
+    assert_eq!(declared_dependencies(manifest), ["serde", "confbench-types", "serde_json"]);
+    assert_eq!(attached_paths("crates/x", manifest), ["crates/x/../../tests/t.rs"]);
+    for hit in ["use confbench_types::Op;", "confbench_types", "(confbench_types)"] {
+        assert!(names_word(hit, "confbench_types"), "{hit}");
+    }
+    for miss in
+        ["confbench_types_x", "my_confbench_types::Op", "confbench-types", "éconfbench_types"]
+    {
+        assert!(!names_word(miss, "confbench_types"), "{miss}");
     }
 }

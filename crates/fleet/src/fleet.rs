@@ -64,10 +64,10 @@ use confbench::{
 use confbench_crypto::Digest;
 use confbench_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 use confbench_sched::{
-    cache_address, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
+    cache_address, campaign, CachedCell, Executor, JobRef, ResultCache, Scheduler, SchedulerConfig,
     SubmitError, DEFAULT_CACHE_CAPACITY,
 };
-use confbench_types::{CampaignCell, CampaignSpec, JobId, Priority, TeePlatform, VmTarget};
+use confbench_types::{CampaignCell, CampaignSpec, Priority, TeePlatform, VmTarget};
 use confbench_vmm::TeeVmBuilder;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
@@ -146,33 +146,31 @@ struct Shard {
     alive: AtomicBool,
 }
 
-/// A cell placed on the fleet: its placement key, the cell itself, and
-/// the shard and job currently responsible for it.
-#[derive(Clone)]
+/// A cell placed on the fleet: its placement key, the cell itself (shared
+/// with the job that runs it), and the shard and job currently responsible
+/// for it.
 struct PlacedCell {
     key: Digest,
     /// Whether `key` is the cell's content address, the key its job
     /// carries. It is not when the function was unknown at submission:
     /// then the cell is placed by its address under an empty fingerprint.
     addressed: bool,
-    cell: CampaignCell,
+    cell: Arc<CampaignCell>,
     shard: usize,
-    job: JobId,
+    job: JobRef,
 }
 
 impl PlacedCell {
-    /// The cell as a shard's scheduler takes it: with its content address,
-    /// if it has one.
-    fn to_submit(&self) -> (CampaignCell, Option<Digest>) {
-        (self.cell.clone(), self.addressed.then_some(self.key))
+    /// The cell as a shard's scheduler takes it: shared, with its content
+    /// address if it has one.
+    fn to_submit(&self) -> (Arc<CampaignCell>, Option<Digest>) {
+        (Arc::clone(&self.cell), self.addressed.then_some(self.key))
     }
 }
 
 /// One fleet-level campaign (fans out to per-shard scheduler campaigns).
+/// Campaign `f{n}` is the `n`-th recorded ([`Fleet::record`]).
 struct FleetCampaign {
-    /// Minted when the campaign is recorded ([`Fleet::record`]); empty
-    /// until then.
-    id: String,
     /// Cells the harvest answered at placement. They are done for good —
     /// the harvest only grows — so they keep no [`PlacedCell`].
     done_at_placement: usize,
@@ -184,12 +182,12 @@ struct FleetCampaign {
 
 #[derive(Default)]
 struct FleetState {
-    next_campaign: u64,
     /// Campaign `f{n}` at index `n - 1`.
     campaigns: Vec<FleetCampaign>,
-    /// Fleet-durable results: what shard caches gained, after every pump.
-    /// Keyed by address, which orders as its hex text does.
-    harvest: BTreeMap<Digest, CachedCell>,
+    /// Fleet-durable results: what shard caches gained, after every pump,
+    /// each shared with the cache it came from. Keyed by address, which
+    /// orders as its hex text does.
+    harvest: BTreeMap<Digest, Arc<CachedCell>>,
     /// Per shard, the result-cache tick the harvest has read up to.
     cursors: Vec<u64>,
     migrations: Vec<MigrationRecord>,
@@ -200,8 +198,10 @@ impl FleetState {
     /// checked whole, so `f01` or `f+1` is no alias of `f1`.
     fn campaign(&self, id: &str) -> Option<&FleetCampaign> {
         let n: usize = id.strip_prefix('f')?.parse().ok()?;
-        let campaign = self.campaigns.get(n.checked_sub(1)?)?;
-        (campaign.id == id).then_some(campaign)
+        if format!("f{n}") != id {
+            return None;
+        }
+        self.campaigns.get(n.checked_sub(1)?)
     }
 }
 
@@ -535,7 +535,8 @@ impl Fleet {
             .map(|cell| {
                 let fingerprint =
                     fingerprints.get(cell.function.name.as_str()).and_then(Option::as_deref);
-                (cache_address(&cell, fingerprint.unwrap_or_default()), fingerprint.is_some(), cell)
+                let key = cache_address(&cell, fingerprint.unwrap_or_default());
+                (key, fingerprint.is_some(), Arc::new(cell))
             })
             .collect();
         let unharvested: Vec<_> = {
@@ -552,7 +553,7 @@ impl Fleet {
                 let shard = owner(&ring, &key);
                 per_shard.entry(shard).or_default().push(placed.len());
                 // The job is known once the shard admits its partition.
-                let job = JobId(String::new());
+                let job = JobRef { campaign: 0, index: 0 };
                 placed.push(PlacedCell { key, addressed, cell, shard, job });
             }
         }
@@ -561,24 +562,23 @@ impl Fleet {
             let sched = &self.shards[shard].sched;
             let cells = indices.iter().map(|&i| placed[i].to_submit()).collect();
             match sched.submit_cells(cells, spec.priority, spec.deadline_ms) {
-                Ok(partition) => {
-                    for (job, &i) in indices.iter().enumerate() {
-                        placed[i].job = JobId::in_campaign(&partition.id, job);
+                Ok(campaign) => {
+                    for (index, &i) in indices.iter().enumerate() {
+                        placed[i].job = JobRef { campaign, index };
                     }
-                    admitted.push((sched, partition.id));
+                    admitted.push((sched, campaign));
                 }
                 Err(refusal) => {
                     // All-or-nothing across shards: the client is told to
                     // resubmit, so nothing of this attempt may stay queued.
-                    for (sched, id) in admitted {
-                        sched.cancel_campaign(&id);
+                    for (sched, campaign) in admitted {
+                        sched.cancel(campaign);
                     }
                     return Err(refusal);
                 }
             }
         }
         Ok(FleetCampaign {
-            id: String::new(),
             done_at_placement: total - placed.len(),
             cells: placed,
             priority: spec.priority,
@@ -601,10 +601,8 @@ impl Fleet {
         } else {
             0
         };
-        state.next_campaign += 1;
-        campaign.id = format!("f{}", state.next_campaign);
-        let receipt =
-            FleetReceipt { id: campaign.id.clone(), jobs: campaign.done_at_placement + queued };
+        let id = format!("f{}", state.campaigns.len() + 1);
+        let receipt = FleetReceipt { id, jobs: campaign.done_at_placement + queued };
         let done_at_placement = campaign.done_at_placement as u64;
         state.campaigns.push(campaign);
         drop(state);
@@ -625,7 +623,7 @@ impl Fleet {
     fn replace_cells(
         &self,
         campaign: &mut FleetCampaign,
-        harvest: &BTreeMap<Digest, CachedCell>,
+        harvest: &BTreeMap<Digest, Arc<CachedCell>>,
         ring: &HashRing,
         gone: impl Fn(usize) -> bool,
     ) -> usize {
@@ -643,10 +641,10 @@ impl Fleet {
                 campaign.priority,
                 campaign.deadline_ms,
             );
-            for (job, pi) in batch.into_iter().enumerate() {
+            for (index, pi) in batch.into_iter().enumerate() {
                 let placed = &mut campaign.cells[pi];
                 placed.shard = owner;
-                placed.job = JobId::in_campaign(&partition.id, job);
+                placed.job = JobRef { campaign: partition, index };
                 replaced += 1;
             }
         }
@@ -767,7 +765,7 @@ impl Fleet {
         for id in self.alive_shards() {
             let cache = self.shards[id].sched.result_cache();
             cursors[id] = cache.touched_since(cursors[id], |key, cell| {
-                harvest.entry(*key).or_insert_with(|| cell.clone());
+                harvest.entry(*key).or_insert_with(|| Arc::clone(cell));
             });
         }
         self.metrics.gauge("fleet_harvest_entries").set(harvest.len() as u64);
@@ -833,7 +831,7 @@ impl Fleet {
         let handoff = graceful.then(|| {
             let mut entries = BTreeMap::new();
             self.shards[id].sched.result_cache().touched_since(0, |key, cell| {
-                entries.insert(*key, cell.clone());
+                entries.insert(*key, Arc::clone(cell));
             });
             entries
         });
@@ -843,7 +841,7 @@ impl Fleet {
         let mut state = self.state.lock();
         let FleetState { harvest, campaigns, .. } = &mut *state;
         for (key, cell) in handoff.iter().flatten() {
-            harvest.entry(*key).or_insert_with(|| cell.clone());
+            harvest.entry(*key).or_insert_with(|| Arc::clone(cell));
         }
         let ring = self.ring.lock();
         for (key, cell) in handoff.into_iter().flatten() {
@@ -869,9 +867,9 @@ impl Fleet {
     pub fn campaign_status(&self, id: &str) -> Option<FleetCampaignStatus> {
         let state = self.state.lock();
         let campaign = state.campaign(id)?;
-        let mut pending: BTreeMap<usize, Vec<&JobId>> = BTreeMap::new();
+        let mut pending: BTreeMap<usize, Vec<JobRef>> = BTreeMap::new();
         for placed in campaign.cells.iter().filter(|p| !state.harvest.contains_key(&p.key)) {
-            pending.entry(placed.shard).or_default().push(&placed.job);
+            pending.entry(placed.shard).or_default().push(placed.job);
         }
         let total = campaign.done_at_placement + campaign.cells.len();
         let done = total - pending.values().map(Vec::len).sum::<usize>();
@@ -880,7 +878,7 @@ impl Fleet {
             .map(|(shard, jobs)| self.shards[shard].sched.ended_without_result(jobs))
             .sum();
         Some(FleetCampaignStatus {
-            id: campaign.id.clone(),
+            id: id.to_owned(),
             total,
             done,
             failed,
@@ -894,7 +892,7 @@ impl Fleet {
     /// single-gateway control's [`ResultCache::snapshot`].
     pub fn results(&self) -> BTreeMap<String, CachedCell> {
         let state = self.state.lock();
-        state.harvest.iter().map(|(key, cell)| (key.to_string(), cell.clone())).collect()
+        state.harvest.iter().map(|(key, cell)| (key.to_string(), CachedCell::clone(cell))).collect()
     }
 
     /// Per-shard status rows plus ring occupancy, for `GET /v1/fleet`.
@@ -1180,8 +1178,11 @@ mod tests {
             let fingerprint = fleet.store().fingerprint(&placed.cell.function.name);
             let want = cache_key(&placed.cell, &fingerprint.expect("built in").to_string());
             assert_eq!(placed.key.to_string(), want);
-            let job = fleet.shards[placed.shard].sched.job_status(&placed.job).expect("job");
+            let job = fleet.shards[placed.shard].sched.job_status(&placed.job.id()).expect("job");
             assert_eq!(job.summary.expect("completed").cache_key, want);
+            // One result, kept once: the harvest's is the shard cache's.
+            let cached = fleet.shards[placed.shard].sched.result_cache().get(&placed.key);
+            assert!(Arc::ptr_eq(&state.harvest[&placed.key], &cached.expect("cached")));
         }
     }
 

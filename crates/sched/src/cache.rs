@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use confbench_crypto::bounded::OldestOut;
 use confbench_crypto::{Digest, Sha256};
@@ -57,7 +58,9 @@ pub fn cache_address(cell: &CampaignCell, fingerprint: &str) -> Digest {
 
 /// The memoized portion of a completed cell: everything a
 /// [`CellSummary`](confbench_types::CellSummary) needs except the serving
-/// job's identity and cache provenance (which differ per lookup).
+/// job's identity and cache provenance (which differ per lookup). Kept once
+/// per result, behind an `Arc` that the result cache, every job it answered
+/// and the fleet harvest share.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CachedCell {
     /// Mean trial time in milliseconds.
@@ -87,10 +90,11 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 4096;
 /// [`evictions`](ResultCache::evictions). Entries live in an
 /// [`OldestOut`] charged 1 apiece, whose ticks are also the harvest's
 /// cursor ([`touched_since`](ResultCache::touched_since)). Keys are 32-byte
-/// addresses, copied, never allocated.
+/// addresses, copied, never allocated; values are shared, and a hit clones
+/// a pointer.
 #[derive(Debug)]
 pub struct ResultCache {
-    entries: Mutex<OldestOut<Digest, CachedCell>>,
+    entries: Mutex<OldestOut<Digest, Arc<CachedCell>>>,
     capacity: usize,
     evictions: AtomicU64,
 }
@@ -124,14 +128,14 @@ impl ResultCache {
     }
 
     /// Looks up a result by its content address, refreshing its recency.
-    pub fn get(&self, key: &Digest) -> Option<CachedCell> {
-        self.entries.lock().touch(key).map(|cell| cell.clone())
+    pub fn get(&self, key: &Digest) -> Option<Arc<CachedCell>> {
+        self.entries.lock().touch(key).map(|cell| Arc::clone(cell))
     }
 
     /// Stores a result under its content address, evicting the
     /// least-recently-used entries if the cache is full. Returns how many
     /// entries were evicted (so callers can bump an evictions counter).
-    pub fn insert(&self, key: Digest, cell: CachedCell) -> u64 {
+    pub fn insert(&self, key: Digest, cell: Arc<CachedCell>) -> u64 {
         let mut entries = self.entries.lock();
         if let Some(stored) = entries.touch(&key) {
             *stored = cell;
@@ -150,7 +154,7 @@ impl ResultCache {
     pub fn snapshot(&self) -> BTreeMap<String, CachedCell> {
         let mut snapshot = BTreeMap::new();
         self.entries.lock().since(0, |key, cell| {
-            snapshot.insert(key.to_string(), cell.clone());
+            snapshot.insert(key.to_string(), CachedCell::clone(cell));
         });
         snapshot
     }
@@ -162,7 +166,7 @@ impl ResultCache {
     /// every key the cache holds, at the cost of what changed in between.
     /// Entries evicted in between are never visited; from cursor 0, every
     /// live entry is. The visitor runs under the cache lock; keep it short.
-    pub fn touched_since(&self, since: u64, visit: impl FnMut(&Digest, &CachedCell)) -> u64 {
+    pub fn touched_since(&self, since: u64, visit: impl FnMut(&Digest, &Arc<CachedCell>)) -> u64 {
         self.entries.lock().since(since, visit)
     }
 
@@ -199,15 +203,15 @@ mod tests {
         }
     }
 
-    fn cached() -> CachedCell {
-        CachedCell {
+    fn cached() -> Arc<CachedCell> {
+        Arc::new(CachedCell {
             mean_ms: 2.0,
             median_ms: 2.0,
             min_ms: 1.0,
             max_ms: 3.0,
             stddev_ms: 0.5,
             output: "610".into(),
-        }
+        })
     }
 
     /// Two addresses as computed before the SHA-NI kernel, the direct
@@ -287,8 +291,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    fn entry(output: &str) -> CachedCell {
-        CachedCell { output: output.into(), ..cached() }
+    fn entry(output: &str) -> Arc<CachedCell> {
+        Arc::new(CachedCell { output: output.into(), ..CachedCell::clone(&cached()) })
     }
 
     #[test]
@@ -362,7 +366,7 @@ mod tests {
         cache.insert(key("c"), entry("c2"));
         assert_eq!(visit(3), (6, vec!["a".into(), "d".into(), "c2".into()]));
         assert_eq!(visit(4), (6, vec!["d".into(), "c2".into()]));
-        assert_eq!(cache.get(&key("a")).map(|c| c.output), Some("a".into()));
+        assert_eq!(cache.get(&key("a")).map(|c| c.output.clone()), Some("a".into()));
         assert_eq!(visit(6), (7, vec!["a".into()]), "visiting left recency alone");
     }
 
@@ -391,7 +395,7 @@ mod tests {
                     }
                 }
                 cursor = cache.touched_since(cursor, |k, c| {
-                    by_cursor.entry(*k).or_insert_with(|| c.clone());
+                    by_cursor.entry(*k).or_insert_with(|| CachedCell::clone(c));
                 });
                 let snapshot = cache.snapshot();
                 overwritten += snapshot

@@ -18,8 +18,10 @@
 //! * [`Scheduler`] — ties the above together: expands campaigns, enqueues
 //!   jobs, executes them through an [`Executor`] (the gateway), aggregates
 //!   per-cell summaries with `confbench-stats`, and exposes cancellation,
-//!   queue deadlines, metrics, and trace spans. A finished job keeps its
-//!   result once and its span tree packed; its summary is assembled on read;
+//!   queue deadlines, metrics, and trace spans. A job is two numbers
+//!   ([`JobRef`]), written `c3-j17` only on the wire; it shares its cell
+//!   with whoever placed it and its result with the result cache, and keeps
+//!   its span tree packed; its summary is assembled on read;
 //! * [`rest::add_routes`] — the `/v1/campaigns` and `/v1/jobs` REST surface.
 //!
 //! Everything is deterministic under a
@@ -80,7 +82,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 #![warn(missing_docs)]
 
 mod cache;
@@ -93,7 +95,7 @@ use confbench_types::{CampaignCell, Result, RunRequest, RunResult};
 
 pub use cache::{cache_address, cache_key, CachedCell, ResultCache, DEFAULT_CACHE_CAPACITY};
 pub use queue::BoundedQueue;
-pub use scheduler::{Scheduler, SchedulerConfig, SubmitError};
+pub use scheduler::{JobRef, Scheduler, SchedulerConfig, SubmitError};
 
 /// The execution backend the scheduler dispatches jobs through.
 ///

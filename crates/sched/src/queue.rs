@@ -8,9 +8,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use confbench_types::{JobId, Priority, TeePlatform};
+use confbench_types::{Priority, TeePlatform};
 
-/// A bounded multi-priority queue of job ids, segmented by platform.
+use crate::JobRef;
+
+/// A bounded multi-priority queue of jobs, segmented by platform.
 ///
 /// Not internally synchronized: the scheduler holds it inside its state
 /// lock, so admission checks and pushes are naturally atomic.
@@ -18,7 +20,8 @@ use confbench_types::{JobId, Priority, TeePlatform};
 pub struct BoundedQueue {
     capacity: usize,
     depth: usize,
-    lanes: HashMap<TeePlatform, [VecDeque<JobId>; 3]>,
+    /// Per platform, a FIFO per priority, highest first.
+    lanes: HashMap<TeePlatform, [VecDeque<JobRef>; 3]>,
 }
 
 impl BoundedQueue {
@@ -52,7 +55,7 @@ impl BoundedQueue {
     /// Enqueues a job. Callers must have checked [`BoundedQueue::can_admit`];
     /// pushing past capacity panics, because it means admission control was
     /// bypassed.
-    pub fn push(&mut self, platform: TeePlatform, priority: Priority, job: JobId) {
+    pub fn push(&mut self, platform: TeePlatform, priority: Priority, job: JobRef) {
         assert!(self.depth < self.capacity, "queue admission bypassed");
         self.readmit(platform, priority, job);
     }
@@ -60,22 +63,23 @@ impl BoundedQueue {
     /// Enqueues a job whatever the bound: recovery of a lost host's work,
     /// which admission never refuses. A queue past its capacity admits
     /// nothing more until it drains below it.
-    pub fn readmit(&mut self, platform: TeePlatform, priority: Priority, job: JobId) {
-        self.lanes.entry(platform).or_default()[lane(priority)].push_back(job);
+    pub fn readmit(&mut self, platform: TeePlatform, priority: Priority, job: JobRef) {
+        let [high, normal, low] = self.lanes.entry(platform).or_default();
+        match priority {
+            Priority::High => high,
+            Priority::Normal => normal,
+            Priority::Low => low,
+        }
+        .push_back(job);
         self.depth += 1;
     }
 
     /// Dequeues the next job for `platform`: highest priority first, FIFO
     /// within a priority. `None` when the platform has nothing queued.
-    pub fn pop(&mut self, platform: TeePlatform) -> Option<JobId> {
-        let lanes = self.lanes.get_mut(&platform)?;
-        for p in Priority::DESCENDING {
-            if let Some(job) = lanes[lane(p)].pop_front() {
-                self.depth -= 1;
-                return Some(job);
-            }
-        }
-        None
+    pub fn pop(&mut self, platform: TeePlatform) -> Option<JobRef> {
+        let job = self.lanes.get_mut(&platform)?.iter_mut().find_map(VecDeque::pop_front)?;
+        self.depth -= 1;
+        Some(job)
     }
 
     /// Dequeues the first of `platform`'s next `lookahead` jobs (in
@@ -86,14 +90,13 @@ impl BoundedQueue {
         &mut self,
         platform: TeePlatform,
         lookahead: usize,
-        mut pass_over: impl FnMut(&JobId) -> bool,
-    ) -> Option<JobId> {
+        mut pass_over: impl FnMut(&JobRef) -> bool,
+    ) -> Option<JobRef> {
         let lanes = self.lanes.get_mut(&platform)?;
         let mut budget = lookahead;
-        for p in Priority::DESCENDING {
-            let queue = &mut lanes[lane(p)];
+        for queue in lanes.iter_mut() {
             let looked = queue.len().min(budget);
-            if let Some(at) = (0..looked).find(|&at| !pass_over(&queue[at])) {
+            if let Some(at) = queue.iter().take(looked).position(|job| !pass_over(job)) {
                 self.depth -= 1;
                 return queue.remove(at);
             }
@@ -105,7 +108,7 @@ impl BoundedQueue {
     /// Removes specific jobs wherever they are queued (cancellation),
     /// returning how many were actually present (and therefore removed
     /// before any worker could pick them up).
-    pub fn remove(&mut self, jobs: &[JobId]) -> usize {
+    pub fn remove(&mut self, jobs: &[JobRef]) -> usize {
         let mut removed = 0;
         for lanes in self.lanes.values_mut() {
             for queue in lanes.iter_mut() {
@@ -119,20 +122,14 @@ impl BoundedQueue {
     }
 }
 
-fn lane(priority: Priority) -> usize {
-    match priority {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn id(s: &str) -> JobId {
-        JobId(s.to_owned())
+    /// A job of campaign 1 named by a short text: its bytes, read as one
+    /// number, are the job's index.
+    fn id(s: &str) -> JobRef {
+        JobRef { campaign: 1, index: s.bytes().fold(0, |n, b| n << 8 | usize::from(b)) }
     }
 
     #[test]
@@ -147,7 +144,7 @@ mod tests {
             q.push(TeePlatform::Tdx, priority, id(job));
         }
         // In pop order: h, a, b, c.
-        let busy = |job: &JobId| job.0 == "h" || job.0 == "a";
+        let busy = |job: &JobRef| *job == id("h") || *job == id("a");
         assert_eq!(q.pop_unless(TeePlatform::Tdx, 4, busy), Some(id("b")));
         // Every job within the lookahead passed over: the head goes.
         assert_eq!(q.pop_unless(TeePlatform::Tdx, 2, busy), Some(id("h")));
@@ -166,9 +163,8 @@ mod tests {
         q.push(TeePlatform::Tdx, Priority::High, id("h1"));
         q.push(TeePlatform::Tdx, Priority::Normal, id("n2"));
         q.push(TeePlatform::Tdx, Priority::High, id("h2"));
-        let order: Vec<String> =
-            std::iter::from_fn(|| q.pop(TeePlatform::Tdx)).map(|j| j.0).collect();
-        assert_eq!(order, vec!["h1", "h2", "n1", "n2", "l1"]);
+        let order: Vec<JobRef> = std::iter::from_fn(|| q.pop(TeePlatform::Tdx)).collect();
+        assert_eq!(order, ["h1", "h2", "n1", "n2", "l1"].map(id));
         assert_eq!(q.depth(), 0);
     }
 

@@ -1,6 +1,5 @@
 //! The campaign scheduler: expansion, admission, execution, aggregation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -92,37 +91,125 @@ impl From<SubmitError> for Error {
     }
 }
 
-/// What the scheduler keeps of a job, under its id: the cell once, its
-/// address as 32 bytes, and once finished its result and its span tree
-/// packed into one allocation. Its [`CellSummary`] is assembled on read
-/// ([`build_summary`]).
+/// A job by number: job `index` of campaign `c{campaign}`, written
+/// `c{campaign}-j{index}` on the wire ([`JobRef::id`]). Campaigns are
+/// numbered from 1 in the order a scheduler enqueues them, jobs from 0 in
+/// the order of their cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct JobRef {
+    /// The campaign's number.
+    pub campaign: usize,
+    /// The job's place in its campaign.
+    pub index: usize,
+}
+
+impl JobRef {
+    /// The job's id as the REST surface writes it (`"c3-j17"`).
+    pub fn id(self) -> JobId {
+        JobId(self.to_string())
+    }
+
+    /// The job an id names, read only in the form [`JobRef::id`] writes:
+    /// `c01-j1` or `c1-j+1` names none.
+    pub fn parse(id: &str) -> Option<JobRef> {
+        let (campaign, index) = id.split_once("-j")?;
+        let job = JobRef { campaign: campaign_number(campaign)?, index: index.parse().ok()? };
+        (job.to_string() == id).then_some(job)
+    }
+}
+
+impl fmt::Display for JobRef {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "c{}-j{}", self.campaign, self.index)
+    }
+}
+
+/// The number of the campaign `c{n}`, read only in the form the scheduler
+/// writes: `c01` or `c+1` names none.
+fn campaign_number(id: &str) -> Option<usize> {
+    let n: usize = id.strip_prefix('c')?.parse().ok()?;
+    (format!("c{n}") == id).then_some(n)
+}
+
+fn campaign_id(n: usize) -> CampaignId {
+    CampaignId(format!("c{n}"))
+}
+
+/// What the scheduler keeps of a job: its cell, shared with whoever placed
+/// it, its address as 32 bytes, and how far it got.
 struct JobRecord {
-    campaign: CampaignId,
-    cell: CampaignCell,
+    cell: Arc<CampaignCell>,
     /// The cell's content address, computed at submission (outside the
     /// lock), or at the step for a function unknown until then; `None`
     /// while the function is unknown.
     key: Option<Digest>,
-    state: JobState,
-    enqueued_at_ms: u64,
-    expires_at_ms: Option<u64>,
-    /// A completed job's result, and whether the cache served it.
-    result: Option<(CachedCell, bool)>,
-    error: Option<String>,
-    /// The `sched.execute` span tree of a job that executed.
-    trace: Option<PackedTrace>,
+    progress: Progress,
 }
 
+/// How far a job got, and what it keeps for it. A finished job's result is
+/// the one the result cache holds, shared, and its span tree is packed into
+/// one allocation. Its [`CellSummary`] is assembled on read
+/// ([`build_summary`]); an expired job's error is written on read.
+enum Progress {
+    Queued,
+    Running,
+    Cancelled,
+    Expired,
+    /// Served by the result cache.
+    Hit(Arc<CachedCell>),
+    /// Executed: its result and its `sched.execute` span tree.
+    Ran(Arc<CachedCell>, PackedTrace),
+    /// Executed and failed: the error and the span tree.
+    Failed(Box<str>, PackedTrace),
+}
+
+impl Progress {
+    fn state(&self) -> JobState {
+        match self {
+            Progress::Queued => JobState::Queued,
+            Progress::Running => JobState::Running,
+            Progress::Cancelled => JobState::Cancelled,
+            Progress::Expired => JobState::Expired,
+            Progress::Hit(_) | Progress::Ran(..) => JobState::Completed,
+            Progress::Failed(..) => JobState::Failed,
+        }
+    }
+}
+
+/// A campaign: its jobs in cell order, and what they share.
 struct CampaignRecord {
-    job_ids: Vec<JobId>,
+    jobs: Vec<JobRecord>,
+    enqueued_at_ms: u64,
+    expires_at_ms: Option<u64>,
     cancelled: bool,
 }
 
+impl CampaignRecord {
+    /// What an expired job of the campaign answers as its error.
+    fn expiry(&self) -> String {
+        let deadline = self.expires_at_ms.unwrap_or(self.enqueued_at_ms);
+        format!("queued past its {}ms deadline", deadline.saturating_sub(self.enqueued_at_ms))
+    }
+}
+
 struct Inner {
-    next_campaign: u64,
-    campaigns: BTreeMap<CampaignId, CampaignRecord>,
-    jobs: BTreeMap<JobId, JobRecord>,
+    /// Campaign `c{n}` at index `n - 1`.
+    campaigns: Vec<CampaignRecord>,
     queue: BoundedQueue,
+}
+
+/// Campaign `c{n}` of `campaigns`.
+fn campaign_at(campaigns: &[CampaignRecord], n: usize) -> Option<&CampaignRecord> {
+    campaigns.get(n.checked_sub(1)?)
+}
+
+fn campaign_at_mut(campaigns: &mut [CampaignRecord], n: usize) -> Option<&mut CampaignRecord> {
+    campaigns.get_mut(n.checked_sub(1)?)
+}
+
+/// The job `job` names among `campaigns`.
+fn job_in(campaigns: &[CampaignRecord], job: JobRef) -> Option<&JobRecord> {
+    campaign_at(campaigns, job.campaign)?.jobs.get(job.index)
 }
 
 /// How many queued jobs a step looks at for one that would not wait
@@ -202,12 +289,8 @@ impl Scheduler {
         metrics: Arc<MetricsRegistry>,
     ) -> Self {
         let recorder = SpanRecorder::new(Arc::clone(&clock));
-        let inner = Inner {
-            next_campaign: 0,
-            campaigns: BTreeMap::new(),
-            jobs: BTreeMap::new(),
-            queue: BoundedQueue::new(config.queue_capacity),
-        };
+        let inner =
+            Inner { campaigns: Vec::new(), queue: BoundedQueue::new(config.queue_capacity) };
         Scheduler {
             executor,
             clock,
@@ -243,14 +326,16 @@ impl Scheduler {
     /// when the bounded queue cannot take the whole matrix.
     pub fn submit(&self, spec: CampaignSpec) -> Result<CampaignReceipt, SubmitError> {
         spec.validate_with_limit(self.config.max_cells).map_err(SubmitError::Invalid)?;
-        let cells = campaign::expand(&spec)
+        let cells: Vec<_> = campaign::expand(&spec)
             .into_iter()
             .map(|cell| {
                 let key = self.content_address(&cell);
-                (cell, key)
+                (Arc::new(cell), key)
             })
             .collect();
-        self.submit_cells(cells, spec.priority, spec.deadline_ms)
+        let jobs = cells.len();
+        let n = self.submit_cells(cells, spec.priority, spec.deadline_ms)?;
+        Ok(CampaignReceipt { id: campaign_id(n), jobs })
     }
 
     /// A cell's content address as the scheduler's own executor sees its
@@ -261,12 +346,12 @@ impl Scheduler {
 
     /// Enqueues pre-expanded cells as one campaign, each with its content
     /// address (`None` for a function the executor does not know; the step
-    /// addresses it again, in case it was uploaded since). The fleet layer
-    /// uses this to place a partition of a campaign's matrix on the shard
-    /// that owns those cells' content addresses (and to re-place the
-    /// remainder after a shard dies); [`Scheduler::submit`] is the
-    /// expand-then-enqueue wrapper. Job `i` of the receipt's campaign is
-    /// [`JobId::in_campaign`]`(id, i)`, cell `i`'s job.
+    /// addresses it again, in case it was uploaded since), and returns the
+    /// campaign's number: cell `i`'s job is `JobRef { campaign, index: i }`.
+    /// The cells are shared, not copied. The fleet layer uses this to place
+    /// a partition of a campaign's matrix on the shard that owns those
+    /// cells' content addresses (and to re-place the remainder after a shard
+    /// dies); [`Scheduler::submit`] is the expand-then-enqueue wrapper.
     ///
     /// # Errors
     ///
@@ -274,10 +359,10 @@ impl Scheduler {
     /// cell (admission stays all-or-nothing).
     pub fn submit_cells(
         &self,
-        cells: Vec<(CampaignCell, Option<Digest>)>,
+        cells: Vec<(Arc<CampaignCell>, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
-    ) -> Result<CampaignReceipt, SubmitError> {
+    ) -> Result<usize, SubmitError> {
         let mut inner = self.inner.lock();
         if !inner.queue.can_admit(cells.len()) {
             self.metrics.counter("sched_jobs_rejected_total").add(cells.len() as u64);
@@ -290,56 +375,45 @@ impl Scheduler {
         Ok(self.enqueue(&mut inner, cells, priority, deadline_ms, BoundedQueue::push))
     }
 
-    /// Enqueues cells a lost host left behind, as one campaign. Never
-    /// refused: the queue bound guards client admission, not recovery, so
-    /// the queue may go past it, and [`Scheduler::submit_cells`] answers
-    /// [`SubmitError::QueueFull`] until it drains below it again.
+    /// Enqueues cells a lost host left behind, as one campaign, and returns
+    /// its number. Never refused: the queue bound guards client admission,
+    /// not recovery, so the queue may go past it, and
+    /// [`Scheduler::submit_cells`] answers [`SubmitError::QueueFull`] until
+    /// it drains below it again.
     pub fn readmit_cells(
         &self,
-        cells: Vec<(CampaignCell, Option<Digest>)>,
+        cells: Vec<(Arc<CampaignCell>, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
-    ) -> CampaignReceipt {
+    ) -> usize {
         self.enqueue(&mut self.inner.lock(), cells, priority, deadline_ms, BoundedQueue::readmit)
     }
 
     fn enqueue(
         &self,
         inner: &mut Inner,
-        cells: Vec<(CampaignCell, Option<Digest>)>,
+        cells: Vec<(Arc<CampaignCell>, Option<Digest>)>,
         priority: Priority,
         deadline_ms: Option<u64>,
-        push: fn(&mut BoundedQueue, TeePlatform, Priority, JobId),
-    ) -> CampaignReceipt {
+        push: fn(&mut BoundedQueue, TeePlatform, Priority, JobRef),
+    ) -> usize {
         let now = self.clock.now_ms();
-        inner.next_campaign += 1;
-        let id = CampaignId(format!("c{}", inner.next_campaign));
-        let mut job_ids = Vec::with_capacity(cells.len());
-        for (idx, (cell, key)) in cells.into_iter().enumerate() {
-            let job_id = JobId::in_campaign(&id, idx);
-            push(&mut inner.queue, cell.platform, priority, job_id.clone());
-            inner.jobs.insert(
-                job_id.clone(),
-                JobRecord {
-                    campaign: id.clone(),
-                    cell,
-                    key,
-                    state: JobState::Queued,
-                    enqueued_at_ms: now,
-                    expires_at_ms: deadline_ms.map(|d| now.saturating_add(d)),
-                    result: None,
-                    error: None,
-                    trace: None,
-                },
-            );
-            job_ids.push(job_id);
+        let campaign = inner.campaigns.len() + 1;
+        let mut jobs = Vec::with_capacity(cells.len());
+        for (index, (cell, key)) in cells.into_iter().enumerate() {
+            push(&mut inner.queue, cell.platform, priority, JobRef { campaign, index });
+            jobs.push(JobRecord { cell, key, progress: Progress::Queued });
         }
-        let jobs = job_ids.len();
-        inner.campaigns.insert(id.clone(), CampaignRecord { job_ids, cancelled: false });
         self.metrics.counter("sched_campaigns_total").inc();
-        self.metrics.counter("sched_jobs_enqueued_total").add(jobs as u64);
+        self.metrics.counter("sched_jobs_enqueued_total").add(jobs.len() as u64);
+        inner.campaigns.push(CampaignRecord {
+            jobs,
+            enqueued_at_ms: now,
+            expires_at_ms: deadline_ms.map(|d| now.saturating_add(d)),
+            cancelled: false,
+        });
         self.queue_changed(&inner.queue);
-        CampaignReceipt { id, jobs }
+        campaign
     }
 
     /// Publishes the queue's depths: the gauge and the per-platform counts
@@ -378,28 +452,27 @@ impl Scheduler {
             return false;
         }
         // Phase 1 (locked): dequeue and classify.
-        let (job_id, cell, key, enqueued_at_ms) = {
+        let (job_ref, cell, key, enqueued_at_ms) = {
             let mut inner = self.inner.lock();
-            let Inner { queue, jobs, .. } = &mut *inner;
-            let waits = |job: &JobId| jobs.get(job).is_some_and(|j| executor.would_wait(&j.cell));
-            let Some(job_id) = queue.pop_unless(platform, PASS_OVER_LOOKAHEAD, waits) else {
+            let Inner { queue, campaigns } = &mut *inner;
+            let waits = |job: &JobRef| {
+                job_in(campaigns, *job).is_some_and(|j| executor.would_wait(&j.cell))
+            };
+            let Some(job_ref) = queue.pop_unless(platform, PASS_OVER_LOOKAHEAD, waits) else {
                 return false;
             };
             self.queue_changed(queue);
             // Every queued job is recorded; were one not, it would leave the
             // queue here unprocessed.
-            let Some(job) = jobs.get_mut(&job_id) else { return true };
-            let now = self.clock.now_ms();
-            if let Some(deadline) = job.expires_at_ms.filter(|&t| now >= t) {
-                job.state = JobState::Expired;
-                job.error = Some(format!(
-                    "queued past its {}ms deadline",
-                    deadline.saturating_sub(job.enqueued_at_ms)
-                ));
+            let Some(campaign) = campaign_at_mut(campaigns, job_ref.campaign) else { return true };
+            let (enqueued_at_ms, expires_at_ms) = (campaign.enqueued_at_ms, campaign.expires_at_ms);
+            let Some(job) = campaign.jobs.get_mut(job_ref.index) else { return true };
+            if expires_at_ms.is_some_and(|t| self.clock.now_ms() >= t) {
+                job.progress = Progress::Expired;
                 self.step.expired.inc();
                 return true;
             }
-            job.state = JobState::Running;
+            job.progress = Progress::Running;
 
             // Content address: only functions the executor knows have a
             // fingerprint; unknown ones fall through to execution, which
@@ -409,15 +482,14 @@ impl Scheduler {
             }
             if let Some(key) = &job.key {
                 if let Some(hit) = self.cache.get(key) {
-                    job.result = Some((hit, true));
-                    job.state = JobState::Completed;
+                    job.progress = Progress::Hit(hit);
                     self.step.hits.inc();
                     self.step.completed.inc();
                     return true;
                 }
                 self.step.misses.inc();
             }
-            (job_id, job.cell.clone(), job.key, job.enqueued_at_ms)
+            (job_ref, Arc::clone(&job.cell), job.key, enqueued_at_ms)
         };
 
         // Phase 2 (unlocked): execute — potentially slow, must not hold the
@@ -454,14 +526,14 @@ impl Scheduler {
                 span.adopt(subtree);
             }
             let stats = Summary::from_samples(&result.trial_ms);
-            CachedCell {
+            Arc::new(CachedCell {
                 mean_ms: stats.mean,
                 median_ms: stats.median(),
                 min_ms: stats.min,
                 max_ms: stats.max,
                 stddev_ms: stats.stddev,
                 output: result.output,
-            }
+            })
         });
         // Executed successfully without a fingerprint (function appeared
         // mid-flight): address it now for completeness.
@@ -470,25 +542,23 @@ impl Scheduler {
 
         let mut inner = self.inner.lock();
         if let (Ok(cached), Some(key)) = (&outcome, key) {
-            let evicted = self.cache.insert(key, cached.clone());
+            let evicted = self.cache.insert(key, Arc::clone(cached));
             self.step.cache_entries.set(self.cache.len() as u64);
             self.step.evictions.add(evicted);
         }
-        if let Some(job) = inner.jobs.get_mut(&job_id) {
+        let campaign = campaign_at_mut(&mut inner.campaigns, job_ref.campaign);
+        if let Some(job) = campaign.and_then(|c| c.jobs.get_mut(job_ref.index)) {
             job.key = key;
-            job.trace = Some(trace);
-            match outcome {
+            job.progress = match outcome {
                 Ok(cached) => {
-                    job.state = JobState::Completed;
-                    job.result = Some((cached, false));
                     self.step.completed.inc();
+                    Progress::Ran(cached, trace)
                 }
                 Err(error) => {
-                    job.state = JobState::Failed;
-                    job.error = Some(error);
                     self.step.failed.inc();
+                    Progress::Failed(error.into(), trace)
                 }
-            }
+            };
         }
         self.step.inflight.dec();
         true
@@ -506,40 +576,45 @@ impl Scheduler {
     /// [`JobState::Cancelled`]; jobs already running finish normally.
     /// Returns the post-cancellation status, or `None` for an unknown id.
     pub fn cancel_campaign(&self, id: &CampaignId) -> Option<CampaignStatus> {
-        {
-            let mut inner = self.inner.lock();
-            let Inner { campaigns, jobs, queue, .. } = &mut *inner;
-            let record = campaigns.get_mut(id)?;
-            record.cancelled = true;
-            let queued: Vec<JobId> = record
-                .job_ids
-                .iter()
-                .filter(|j| jobs.get(*j).is_some_and(|job| job.state == JobState::Queued))
-                .cloned()
-                .collect();
-            let removed = queue.remove(&queued);
-            debug_assert_eq!(removed, queued.len(), "queued jobs live in the queue");
-            for job_id in &queued {
-                if let Some(job) = jobs.get_mut(job_id) {
-                    job.state = JobState::Cancelled;
-                }
-            }
-            self.metrics.counter("sched_jobs_cancelled_total").add(queued.len() as u64);
-            self.queue_changed(queue);
+        let n = campaign_number(&id.0)?;
+        self.cancel(n).then(|| self.campaign_status(id))?
+    }
+
+    /// [`Scheduler::cancel_campaign`] by number, without the status:
+    /// whether the campaign exists. The fleet withdraws a partition with it.
+    pub fn cancel(&self, campaign: usize) -> bool {
+        let mut inner = self.inner.lock();
+        let Inner { campaigns, queue } = &mut *inner;
+        let Some(record) = campaign_at_mut(campaigns, campaign) else { return false };
+        record.cancelled = true;
+        let queued: Vec<JobRef> = record
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, job)| matches!(job.progress, Progress::Queued))
+            .map(|(index, _)| JobRef { campaign, index })
+            .collect();
+        let removed = queue.remove(&queued);
+        debug_assert_eq!(removed, queued.len(), "queued jobs live in the queue");
+        for job in record.jobs.iter_mut().filter(|job| matches!(job.progress, Progress::Queued)) {
+            job.progress = Progress::Cancelled;
         }
-        self.campaign_status(id)
+        self.metrics.counter("sched_jobs_cancelled_total").add(queued.len() as u64);
+        self.queue_changed(queue);
+        true
     }
 
     /// Point-in-time status of a campaign, or `None` for an unknown id.
     /// Cells appear in expansion order as their jobs complete, so polling
     /// observes monotone progress.
     pub fn campaign_status(&self, id: &CampaignId) -> Option<CampaignStatus> {
+        let n = campaign_number(&id.0)?;
         let inner = self.inner.lock();
-        let record = inner.campaigns.get(id)?;
+        let record = campaign_at(&inner.campaigns, n)?;
         let mut status = CampaignStatus {
             id: id.clone(),
             state: CampaignState::Active,
-            total_jobs: record.job_ids.len(),
+            total_jobs: record.jobs.len(),
             queued: 0,
             running: 0,
             completed: 0,
@@ -549,8 +624,8 @@ impl Scheduler {
             cache_hits: 0,
             cells: Vec::new(),
         };
-        for (job_id, job) in record.job_ids.iter().filter_map(|j| Some((j, inner.jobs.get(j)?))) {
-            match job.state {
+        for (index, job) in record.jobs.iter().enumerate() {
+            match job.progress.state() {
                 JobState::Queued => status.queued += 1,
                 JobState::Running => status.running += 1,
                 JobState::Completed => status.completed += 1,
@@ -558,7 +633,7 @@ impl Scheduler {
                 JobState::Cancelled => status.cancelled += 1,
                 JobState::Expired => status.expired += 1,
             }
-            if let Some(summary) = build_summary(job_id, job) {
+            if let Some(summary) = build_summary(JobRef { campaign: n, index }, job) {
                 status.cache_hits += usize::from(summary.from_cache);
                 status.cells.push(summary);
             }
@@ -576,30 +651,43 @@ impl Scheduler {
     /// Point-in-time status of one job, or `None` for an unknown id. Its
     /// span tree is unpacked once the lock is released.
     pub fn job_status(&self, id: &JobId) -> Option<JobStatus> {
+        let job_ref = JobRef::parse(&id.0)?;
         let (status, trace) = {
             let inner = self.inner.lock();
-            let job = inner.jobs.get(id)?;
+            let campaign = campaign_at(&inner.campaigns, job_ref.campaign)?;
+            let job = campaign.jobs.get(job_ref.index)?;
+            let (error, trace) = match &job.progress {
+                Progress::Expired => (Some(campaign.expiry()), None),
+                Progress::Ran(_, trace) => (None, Some(trace.clone())),
+                Progress::Failed(error, trace) => (Some(error.to_string()), Some(trace.clone())),
+                _ => (None, None),
+            };
             let status = JobStatus {
                 id: id.clone(),
-                campaign: job.campaign.clone(),
-                state: job.state,
-                cell: job.cell.clone(),
-                summary: build_summary(id, job),
-                error: job.error.clone(),
+                campaign: campaign_id(job_ref.campaign),
+                state: job.progress.state(),
+                cell: CampaignCell::clone(&job.cell),
+                summary: build_summary(job_ref, job),
+                error,
                 trace: None,
             };
-            (status, job.trace.clone())
+            (status, trace)
         };
         Some(JobStatus { trace: trace.as_ref().and_then(PackedTrace::unpack), ..status })
     }
 
     /// How many of `jobs` ended without a result — failed, expired or
-    /// cancelled — read under one lock. Unknown ids count for nothing.
-    pub fn ended_without_result<'a>(&self, jobs: impl IntoIterator<Item = &'a JobId>) -> usize {
+    /// cancelled — read under one lock. Unknown jobs count for nothing.
+    pub fn ended_without_result(&self, jobs: impl IntoIterator<Item = JobRef>) -> usize {
         let inner = self.inner.lock();
         jobs.into_iter()
-            .filter_map(|id| inner.jobs.get(id))
-            .filter(|job| job.state.is_terminal() && job.state != JobState::Completed)
+            .filter_map(|job| job_in(&inner.campaigns, job))
+            .filter(|job| {
+                matches!(
+                    job.progress,
+                    Progress::Failed(..) | Progress::Expired | Progress::Cancelled
+                )
+            })
             .count()
     }
 
@@ -613,25 +701,29 @@ impl Scheduler {
     /// one the last change to the queue published.
     pub fn queue_depth_for(&self, platform: TeePlatform) -> usize {
         let index = TeePlatform::ALL.iter().position(|&p| p == platform);
-        index.map_or(0, |i| self.queued[i].load(Ordering::Acquire))
+        index.and_then(|i| self.queued.get(i)).map_or(0, |queued| queued.load(Ordering::Acquire))
     }
 }
 
-/// A completed job's summary, assembled from its id, cell, address and
+/// A completed job's summary, assembled from its number, cell, address and
 /// result; `None` until the job completes. A job that completed without an
 /// address (its function unknown throughout) reads an empty `cache_key`.
-fn build_summary(id: &JobId, job: &JobRecord) -> Option<CellSummary> {
-    let (cached, from_cache) = job.result.as_ref()?;
+fn build_summary(job_ref: JobRef, job: &JobRecord) -> Option<CellSummary> {
+    let (cached, from_cache) = match &job.progress {
+        Progress::Hit(cached) => (cached, true),
+        Progress::Ran(cached, _) => (cached, false),
+        _ => return None,
+    };
     Some(CellSummary {
-        job: id.clone(),
-        cell: job.cell.clone(),
+        job: job_ref.id(),
+        cell: CampaignCell::clone(&job.cell),
         mean_ms: cached.mean_ms,
         median_ms: cached.median_ms,
         min_ms: cached.min_ms,
         max_ms: cached.max_ms,
         stddev_ms: cached.stddev_ms,
         output: cached.output.clone(),
-        from_cache: *from_cache,
+        from_cache,
         cache_key: job.key.map(|key| key.to_string()).unwrap_or_default(),
     })
 }
@@ -909,6 +1001,9 @@ mod tests {
         assert_eq!(status.expired, 4);
         assert_eq!(status.state, CampaignState::Completed);
         assert_eq!(exec.executions.load(Ordering::SeqCst), 0);
+        let job = sched.job_status(&JobId(format!("{}-j3", receipt.id))).unwrap();
+        assert_eq!(job.state, JobState::Expired);
+        assert_eq!(job.error.as_deref(), Some("queued past its 10ms deadline"));
         assert_eq!(sched.metrics().counter("sched_jobs_expired_total").get(), 4);
         // A fresh submission with headroom executes normally.
         let mut s = spec();
@@ -932,9 +1027,10 @@ mod tests {
         let status = sched.campaign_status(&receipt.id).unwrap();
         assert_eq!(status.failed, 1);
         assert_eq!(status.state, CampaignState::Completed);
-        let inner = sched.inner.lock();
-        let job = inner.jobs.values().find(|j| j.state == JobState::Failed).unwrap();
+        let job = sched.job_status(&JobId(format!("{}-j0", receipt.id))).unwrap();
+        assert_eq!(job.state, JobState::Failed);
         assert!(job.error.as_deref().unwrap().contains("unknown function"));
+        assert_eq!(job.trace.unwrap().name, "sched.execute", "a failed job kept its span tree");
     }
 
     /// `submit` addresses each cell once, outside the lock, and the step
@@ -961,30 +1057,101 @@ mod tests {
     #[test]
     fn placed_cells_are_addressed_once() {
         let (sched, exec, _) = harness(64);
-        let cells: Vec<(CampaignCell, Option<Digest>)> = campaign::expand(&spec())
+        let cells: Vec<(Arc<CampaignCell>, Option<Digest>)> = campaign::expand(&spec())
             .into_iter()
             .map(|cell| {
                 let key = exec
                     .function_fingerprint(&cell.function.name)
                     .map(|fp| cache_address(&cell, &fp));
-                (cell, key)
+                (Arc::new(cell), key)
             })
             .collect();
         let placed = sched.submit_cells(cells, Priority::Normal, None).unwrap();
         sched.drain();
         assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 4);
-        let status = sched.campaign_status(&placed.id).unwrap();
+        let status = sched.campaign_status(&campaign_id(placed)).unwrap();
         assert!(status.cells.iter().all(|c| c.cache_key == step_key(&c.cell)));
 
         let mut unaddressed = spec();
         unaddressed.seed = 6;
-        let cells = campaign::expand(&unaddressed).into_iter().map(|cell| (cell, None)).collect();
+        let cells =
+            campaign::expand(&unaddressed).into_iter().map(|cell| (Arc::new(cell), None)).collect();
         let late = sched.submit_cells(cells, Priority::Normal, None).unwrap();
         sched.drain();
         assert_eq!(exec.fingerprints.load(Ordering::SeqCst), 8, "one at each step");
-        let status = sched.campaign_status(&late.id).unwrap();
+        let status = sched.campaign_status(&campaign_id(late)).unwrap();
         assert_eq!(status.completed, 4);
         assert!(status.cells.iter().all(|c| c.cache_key == step_key(&c.cell)));
+    }
+
+    /// A campaign and a job are found by the numbers in their ids, and only
+    /// under the ids they were minted with.
+    #[test]
+    fn ids_answer_only_as_minted() {
+        let (sched, _, _) = harness(64);
+        sched.submit(spec()).unwrap();
+        sched.drain();
+        assert!(sched.campaign_status(&CampaignId("c1".into())).is_some());
+        for id in ["c0", "c2", "c01", "c+1", "c", "", "1", "C1", "c1 ", "c1-j0"] {
+            assert!(sched.campaign_status(&CampaignId(id.into())).is_none(), "{id:?}");
+            assert!(sched.cancel_campaign(&CampaignId(id.into())).is_none(), "{id:?}");
+        }
+        for index in 0..4 {
+            let id = JobRef { campaign: 1, index }.id();
+            assert_eq!(id.0, format!("c1-j{index}"));
+            assert_eq!(sched.job_status(&id).map(|j| j.id), Some(id));
+        }
+        for id in [
+            "c1-j4",
+            "c0-j0",
+            "c2-j0",
+            "c01-j0",
+            "c1-j00",
+            "c1-j01",
+            "c1-j+0",
+            "c+1-j0",
+            "c1-j",
+            "c-j0",
+            "c1j0",
+            "c1-j0 ",
+            "c1--j0",
+            "c1-j0-j0",
+            "c1-j18446744073709551616",
+        ] {
+            assert!(sched.job_status(&JobId(id.into())).is_none(), "{id:?}");
+        }
+    }
+
+    /// A finished job keeps its cell and its result once: the cell is the
+    /// one its placer handed over, and the result is the one the result
+    /// cache holds, and a cache hit's.
+    #[test]
+    fn a_finished_job_shares_its_cell_and_result() {
+        let (sched, exec, _) = harness(64);
+        let cells: Vec<(Arc<CampaignCell>, Option<Digest>)> = campaign::expand(&spec())
+            .into_iter()
+            .map(|cell| {
+                let fingerprint = exec.function_fingerprint(&cell.function.name).unwrap();
+                let key = cache_address(&cell, &fingerprint);
+                (Arc::new(cell), Some(key))
+            })
+            .collect();
+        let first = sched.submit_cells(cells.clone(), Priority::Normal, None).unwrap();
+        let again = sched.submit_cells(cells.clone(), Priority::Normal, None).unwrap();
+        sched.drain();
+        let inner = sched.inner.lock();
+        for (index, (cell, key)) in cells.iter().enumerate() {
+            let cached = sched.cache.get(&key.unwrap()).unwrap();
+            let ran = job_in(&inner.campaigns, JobRef { campaign: first, index }).unwrap();
+            let hit = job_in(&inner.campaigns, JobRef { campaign: again, index }).unwrap();
+            assert!(Arc::ptr_eq(&ran.cell, cell) && Arc::ptr_eq(&hit.cell, cell));
+            match (&ran.progress, &hit.progress) {
+                (Progress::Ran(ran, _), Progress::Hit(hit)) => {
+                    assert!(Arc::ptr_eq(ran, &cached) && Arc::ptr_eq(hit, &cached));
+                }
+                _ => panic!("job {index}: not ran then hit"),
+            }
+        }
     }
 
     #[test]

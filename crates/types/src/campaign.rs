@@ -349,14 +349,6 @@ impl fmt::Display for CampaignId {
 #[serde(transparent)]
 pub struct JobId(pub String);
 
-impl JobId {
-    /// The id of job `index` of `campaign`: the campaign id, `-j`, the
-    /// index (`"c3-j17"`), the cells' order at enqueue.
-    pub fn in_campaign(campaign: &CampaignId, index: usize) -> JobId {
-        JobId(format!("{campaign}-j{index}"))
-    }
-}
-
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)

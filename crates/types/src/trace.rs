@@ -128,8 +128,11 @@ impl TraceSpan {
 /// A live tree costs an allocation per name, per attribute key and per
 /// attribute map, and a vector per span with children. Packed, the same
 /// tree is one byte string: spans in pre-order, each its name, start and
-/// end, its attributes and its child count, integers as LEB128 varints and
-/// strings length-prefixed.
+/// end, its counts and its attributes. A name or key the daemon's spans
+/// use is one byte, any other is written literally. A start is a delta
+/// from the parent's start (the root's from 0), an end a delta from its own
+/// start, both signed, so that a child that began before its parent costs
+/// a byte or two as well. Integers are LEB128 varints.
 /// [`PackedTrace::unpack`] gives back a tree `==` to the one packed.
 ///
 /// ```
@@ -143,11 +146,55 @@ impl TraceSpan {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedTrace(Box<[u8]>);
 
+/// The span names and attribute keys a packed tree writes as one byte:
+/// name `NAMES[i]` as byte `i + 1`. Byte 0 starts a literal name. Packed
+/// trees live in memory only, so the table may change with the code.
+const NAMES: [&str; 38] = [
+    "sched.execute",
+    "sched.enqueue",
+    "gateway.run",
+    "remote.execute",
+    "host.execute",
+    "launcher.bootstrap",
+    "perf.measure",
+    "vm.execute",
+    "vm.rebuild",
+    "vm.reattest",
+    "attest.verify",
+    "vmexit",
+    "tdx.seamcall",
+    "tdx.page-accept",
+    "snp.ghcb-exit",
+    "snp.rmp-validate",
+    "cca.rmm-exit",
+    "cca.rmm-delegate",
+    "swiotlb.copy",
+    "guest.syscall",
+    "devio.attest",
+    "devio.dma-direct",
+    "devio.dma-bounce",
+    "devio.kernel",
+    "trials",
+    "seed",
+    "retry_attempt",
+    "retries",
+    "rebuild_no",
+    "vm_exits",
+    "bounce_bytes",
+    "count",
+    "cycles",
+    "pages",
+    "bytes",
+    "slots",
+    "network_us",
+    "platform",
+];
+
 impl PackedTrace {
     /// Packs `span` and its whole subtree.
     pub fn pack(span: &TraceSpan) -> Self {
-        let mut out = Vec::with_capacity(256);
-        pack_span(span, &mut out);
+        let mut out = Vec::with_capacity(128);
+        pack_span(span, 0, &mut out);
         PackedTrace(out.into_boxed_slice())
     }
 
@@ -155,29 +202,56 @@ impl PackedTrace {
     /// for a packed tree; it answers bytes that are not one.
     pub fn unpack(&self) -> Option<TraceSpan> {
         let mut rest = &self.0[..];
-        let span = unpack_span(&mut rest)?;
+        let span = unpack_span(&mut rest, 0)?;
         rest.is_empty().then_some(span)
     }
+
+    /// How many bytes the packed tree takes.
+    pub fn size(&self) -> usize {
+        self.0.len()
+    }
 }
 
-fn pack_span(span: &TraceSpan, out: &mut Vec<u8>) {
-    pack_str(&span.name, out);
-    pack_varint(span.start_ms, out);
-    pack_varint(span.end_ms, out);
-    pack_varint(span.attrs.len() as u64, out);
+/// Attribute counts below this share a varint with the child count; a
+/// span with more writes the rest after it.
+const INLINE_ATTRS: usize = 15;
+
+fn pack_span(span: &TraceSpan, parent_start: u64, out: &mut Vec<u8>) {
+    pack_name(&span.name, out);
+    pack_delta(span.start_ms, parent_start, out);
+    pack_delta(span.end_ms, span.start_ms, out);
+    // The child count and the attribute count in one varint: a span with
+    // fewer than eight children and fifteen attributes spends one byte.
+    let attrs = span.attrs.len();
+    pack_varint((span.children.len() as u64) << 4 | attrs.min(INLINE_ATTRS) as u64, out);
+    if attrs >= INLINE_ATTRS {
+        pack_varint((attrs - INLINE_ATTRS) as u64, out);
+    }
     for (key, &value) in &span.attrs {
-        pack_str(key, out);
+        pack_name(key, out);
         pack_varint(value, out);
     }
-    pack_varint(span.children.len() as u64, out);
     for child in &span.children {
-        pack_span(child, out);
+        pack_span(child, span.start_ms, out);
     }
 }
 
-fn pack_str(s: &str, out: &mut Vec<u8>) {
-    pack_varint(s.len() as u64, out);
-    out.extend_from_slice(s.as_bytes());
+fn pack_name(name: &str, out: &mut Vec<u8>) {
+    match NAMES.iter().position(|&known| known == name) {
+        Some(index) => out.push(index as u8 + 1),
+        None => {
+            out.push(0);
+            pack_varint(name.len() as u64, out);
+            out.extend_from_slice(name.as_bytes());
+        }
+    }
+}
+
+/// `value - base`, wrapping, as a signed varint (zigzag): any two `u64`s
+/// round-trip, and a small step either way is a byte.
+fn pack_delta(value: u64, base: u64, out: &mut Vec<u8>) {
+    let delta = value.wrapping_sub(base) as i64;
+    pack_varint(((delta << 1) ^ (delta >> 63)) as u64, out);
 }
 
 fn pack_varint(mut v: u64, out: &mut Vec<u8>) {
@@ -188,28 +262,46 @@ fn pack_varint(mut v: u64, out: &mut Vec<u8>) {
     out.push(v as u8);
 }
 
-fn unpack_span(rest: &mut &[u8]) -> Option<TraceSpan> {
-    let mut span = TraceSpan::new(unpack_str(rest)?, unpack_varint(rest)?);
-    span.end_ms = unpack_varint(rest)?;
-    for _ in 0..unpack_varint(rest)? {
-        let key = unpack_str(rest)?;
+fn unpack_span(rest: &mut &[u8], parent_start: u64) -> Option<TraceSpan> {
+    let name = unpack_name(rest)?;
+    let start_ms = unpack_delta(rest, parent_start)?;
+    let mut span = TraceSpan::new(name, start_ms);
+    span.end_ms = unpack_delta(rest, start_ms)?;
+    let counts = unpack_varint(rest)?;
+    let mut attrs = (counts & 0xf) as usize;
+    if attrs == INLINE_ATTRS {
+        attrs = attrs.checked_add(usize::try_from(unpack_varint(rest)?).ok()?)?;
+    }
+    for _ in 0..attrs {
+        let key = unpack_name(rest)?;
         span.attrs.insert(key, unpack_varint(rest)?);
     }
-    let children = usize::try_from(unpack_varint(rest)?).ok()?;
-    // Every child takes at least five bytes: no count can ask for more
+    let children = usize::try_from(counts >> 4).ok()?;
+    // Every child takes at least four bytes: no count can ask for more
     // room than the bytes left could fill.
-    span.children.reserve_exact(children.min(rest.len() / 5));
+    span.children.reserve_exact(children.min(rest.len() / 4));
     for _ in 0..children {
-        span.children.push(unpack_span(rest)?);
+        span.children.push(unpack_span(rest, start_ms)?);
     }
     Some(span)
 }
 
-fn unpack_str(rest: &mut &[u8]) -> Option<String> {
+fn unpack_name(rest: &mut &[u8]) -> Option<String> {
+    let (&byte, tail) = rest.split_first()?;
+    *rest = tail;
+    if byte > 0 {
+        return NAMES.get(usize::from(byte) - 1).map(|&name| name.to_owned());
+    }
     let len = usize::try_from(unpack_varint(rest)?).ok()?;
     let (text, tail) = rest.split_at_checked(len)?;
     *rest = tail;
     String::from_utf8(text.to_vec()).ok()
+}
+
+fn unpack_delta(rest: &mut &[u8], base: u64) -> Option<u64> {
+    let zigzag = unpack_varint(rest)?;
+    let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+    Some(base.wrapping_add(delta as u64))
 }
 
 fn unpack_varint(rest: &mut &[u8]) -> Option<u64> {
@@ -297,13 +389,16 @@ mod tests {
         assert!(lines[2].contains("count=7"));
     }
 
-    /// A random tree: names and keys drawn from plain, escaped, non-ASCII
-    /// and empty strings, empty and full attribute maps, values across the
-    /// whole u64 range, wide or deep (down to 300 levels) nesting.
+    /// A random tree: names and keys drawn from the one-byte table, plain,
+    /// escaped, non-ASCII and empty strings, empty and full attribute maps,
+    /// values across the whole u64 range, wide or deep (down to 300 levels)
+    /// nesting.
     fn random_tree(rng: &mut confbench_crypto::SplitMix64, depth: u32) -> TraceSpan {
-        const TEXT: [&str; 9] = [
+        const TEXT: [&str; 11] = [
             "sched.execute",
             "tdx.seamcall",
+            "trials",
+            "cycles",
             "",
             "quote\"back\\slash",
             "line\nfeed\ttab\u{1}",
@@ -317,12 +412,18 @@ mod tests {
             1 => u64::MAX - rng.next_below(4),
             _ => rng.next_u64() >> rng.next_below(64),
         };
+        // Names and keys in and out of the one-byte table: a drawn text as
+        // it is, or with a digit after it.
+        let suffix = |rng: &mut confbench_crypto::SplitMix64, n| match rng.next_below(n) {
+            0 => String::new(),
+            digit => digit.to_string(),
+        };
         let name = TEXT[rng.next_below(TEXT.len() as u64) as usize];
-        let mut span = TraceSpan::new(format!("{name}{}", rng.next_below(3)), draw_u64(rng));
+        let mut span = TraceSpan::new(format!("{name}{}", suffix(rng, 3)), draw_u64(rng));
         span.end_ms = draw_u64(rng);
         for _ in 0..rng.next_below(4) * rng.next_below(4) {
             let key = TEXT[rng.next_below(TEXT.len() as u64) as usize];
-            span.set_attr(format!("{key}{}", rng.next_below(5)), draw_u64(rng));
+            span.set_attr(format!("{key}{}", suffix(rng, 5)), draw_u64(rng));
         }
         if depth > 8 {
             // A chain down to the shallow levels, so deep trees stay narrow.
@@ -371,7 +472,8 @@ mod tests {
         let t = tree();
         let packed = PackedTrace::pack(&t);
         assert_eq!(packed.unpack(), Some(t));
-        assert_eq!(packed.0.len(), 72);
+        // 72 bytes when names were written in full and times absolute.
+        assert_eq!(packed.size(), 16);
     }
 
     #[test]

@@ -687,23 +687,6 @@ fn check_canonical<T: Serialize + DeserializeOwned>(x: &T) -> String {
     stream
 }
 
-/// The canonical text of `tree`, as [`json::write_value`] writes it, but
-/// with `.0` after a float that prints without a fraction, so that it
-/// reads back as that float: `16592086124647321703E+0` is the `u64`
-/// 16592086124647321600, and its `write_value` text, `16592086124647322000`,
-/// is another `u64`.
-fn write_canonical(out: &mut String, tree: &Value) {
-    match tree {
-        Value::Array(items) => json::write_array(out, items, write_canonical),
-        Value::Object(m) => json::write_object(out, m, write_canonical),
-        Value::Number(n @ Number::Float(x)) if x.fract() == 0.0 => {
-            json::write_number(out, n);
-            out.push_str(".0");
-        }
-        other => json::write_value(out, other),
-    }
-}
-
 /// Reads `text` as `T`. If the `Value` grammar rejects it, the typed read
 /// fails with the same syntax error. Otherwise the typed read answers what
 /// it answers for the tree's canonical text (keys sorted, the last copy of
@@ -726,7 +709,7 @@ fn compare<T: Serialize + DeserializeOwned>(text: &[u8], tally: &mut Tally) {
         }
     };
     let mut canonical = String::new();
-    write_canonical(&mut canonical, &tree);
+    json::write_value(&mut canonical, &tree);
     let from_tree = read(&canonical);
     if let Err(e) = &from_tree {
         assert!(!e.is_syntax(), "{canonical:?}: {e}");

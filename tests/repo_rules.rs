@@ -252,6 +252,103 @@ fn no_unused_dependency_edges() {
     assert!(unused.is_empty(), "{}", unused.join("\n"));
 }
 
+/// A line's code: the line up to its first `//`, as the steps' awk
+/// `sub(/\/\/.*/, "", code)` cut it (a `//` inside a string literal cuts
+/// there too).
+fn code(line: &str) -> &str {
+    line.find("//").map_or(line, |at| &line[..at])
+}
+
+/// Whether `text` holds, at a word boundary, `struct `, a name of ASCII
+/// letters, digits and `_`, and then text that `rest` accepts: the awk
+/// pattern `(^|[^A-Za-z0-9_])struct [A-Za-z0-9_]+` and what follows it.
+/// Every place the pattern can start is tried.
+fn struct_then(text: &str, rest: impl Fn(&str) -> bool) -> bool {
+    let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices("struct ").any(|(at, keyword)| {
+        if text[..at].chars().next_back().is_some_and(is_word) {
+            return false;
+        }
+        let after = &text[at + keyword.len()..];
+        let name = after.len() - after.trim_start_matches(is_word).len();
+        // What follows the name may also take name characters, but the
+        // patterns after it never stop at one: the whole name will do.
+        name > 0 && rest(&after[name..])
+    })
+}
+
+/// The header of a struct whose fields follow on the next lines:
+/// `struct Name`, then no `;` or `{` up to a `{` that only whitespace
+/// follows (`[^;{]*\{[[:space:]]*$`).
+fn opens_a_struct(code: &str) -> bool {
+    struct_then(code, |rest| {
+        rest.find(['{', ';']).is_some_and(|at| {
+            rest[at..].starts_with('{')
+                && rest[at + 1..].chars().all(|c| c == ' ' || ('\t'..='\r').contains(&c))
+        })
+    })
+}
+
+/// A tuple struct's header: `struct Name`, then no `;` or `{` up to a `(`
+/// (`[^;{]*\(`).
+fn opens_a_tuple_struct(code: &str) -> bool {
+    struct_then(code, |rest| {
+        rest.find(['(', ';', '{']).is_some_and(|at| rest[at..].starts_with('('))
+    })
+}
+
+/// CI step "Finished cells keep no span tree": no non-test struct under
+/// `crates/sched` or `crates/fleet` has a `TraceSpan` field. A finished job
+/// keeps its span tree packed into one allocation
+/// (`confbench_types::PackedTrace`). The lines of a named struct below its
+/// header, up to a line that starts with `}`, count, and a tuple struct's
+/// header line; comments do not.
+#[test]
+fn finished_cells_keep_no_span_tree() {
+    let mut found = Vec::new();
+    for rel in rust_files("crates/sched").into_iter().chain(rust_files("crates/fleet")) {
+        let mut in_struct = false;
+        for (at, line) in non_test_lines(&rel) {
+            let code = code(&line);
+            if opens_a_struct(code) {
+                in_struct = true;
+                continue;
+            }
+            if in_struct
+                && code.trim_start_matches([' ', '\t', '\x0b', '\x0c', '\r']).starts_with('}')
+            {
+                in_struct = false;
+            }
+            if (in_struct || opens_a_tuple_struct(code)) && code.contains("TraceSpan") {
+                found.push(format!("{rel}:{at}: {line}"));
+            }
+        }
+    }
+    assert!(found.is_empty(), "span trees kept whole:\n{}", found.join("\n"));
+}
+
+/// CI step "One router per server role": non-test code under `crates/`
+/// builds a `Router` in three places only, the daemon
+/// (`fleet/src/rest.rs`), the host agent (`confbench/src/host.rs`) and the
+/// reactor figure (`bench/src/c10k.rs`). Everything else adds its routes to
+/// one of those, as `Gateway::add_routes` does. Comments do not count.
+#[test]
+fn one_router_per_server_role() {
+    const ROLES: [&str; 3] =
+        ["crates/fleet/src/rest.rs", "crates/confbench/src/host.rs", "crates/bench/src/c10k.rs"];
+    let found: Vec<String> = rust_files("crates")
+        .iter()
+        .filter(|rel| !ROLES.contains(&rel.as_str()))
+        .flat_map(|rel| {
+            non_test_lines(rel)
+                .into_iter()
+                .filter(|(_, line)| code(line).contains("Router::new()"))
+                .map(move |(at, line)| format!("{rel}:{at}: {line}"))
+        })
+        .collect();
+    assert!(found.is_empty(), "routers outside the three roles:\n{}", found.join("\n"));
+}
+
 #[test]
 fn the_patterns_match_what_the_steps_matched() {
     for hit in [
@@ -301,4 +398,31 @@ fn the_patterns_match_what_the_steps_matched() {
     {
         assert!(!names_word(miss, "confbench_types"), "{miss}");
     }
+    for hit in [
+        "struct JobRecord {",
+        "pub(crate) struct Aged<V> {  ",
+        "    struct A where T: Copy {\t",
+        "x:struct B {",
+    ] {
+        assert!(opens_a_struct(hit), "{hit}");
+    }
+    for miss in [
+        "struct Unit;",
+        "struct Open { a: u8 }",
+        "mystruct Job {",
+        "struct  Job {",
+        "struct Job; {",
+        "struct é {",
+        "struct Pair(u8, u8);",
+    ] {
+        assert!(!opens_a_struct(miss), "{miss}");
+    }
+    for hit in ["struct Packed(Box<[u8]>);", "pub struct Id(pub String);", "struct T<A>(A)"] {
+        assert!(opens_a_tuple_struct(hit), "{hit}");
+    }
+    for miss in ["struct Job { f: fn(u8) }", "struct Unit; fn f()", "let x = mystruct A(1);"] {
+        assert!(!opens_a_tuple_struct(miss), "{miss}");
+    }
+    assert_eq!(code("let r = Router::new(); // Router::new()"), "let r = Router::new(); ");
+    assert_eq!(code("// Router::new()"), "");
 }

@@ -64,10 +64,10 @@ use confbench::{
 use confbench_crypto::Digest;
 use confbench_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 use confbench_sched::{
-    cache_address, campaign, CachedCell, Executor, JobRef, ResultCache, Scheduler, SchedulerConfig,
+    cache_address, campaign, CachedCell, Executor, ResultCache, Scheduler, SchedulerConfig,
     SubmitError, DEFAULT_CACHE_CAPACITY,
 };
-use confbench_types::{CampaignCell, CampaignSpec, Priority, TeePlatform, VmTarget};
+use confbench_types::{CampaignSpec, JobState, Priority, TeePlatform, VmTarget};
 use confbench_vmm::TeeVmBuilder;
 use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
@@ -146,36 +146,17 @@ struct Shard {
     alive: AtomicBool,
 }
 
-/// A cell placed on the fleet: its placement key, the cell itself (shared
-/// with the job that runs it), and the shard and job currently responsible
-/// for it.
-struct PlacedCell {
-    key: Digest,
-    /// Whether `key` is the cell's content address, the key its job
-    /// carries. It is not when the function was unknown at submission:
-    /// then the cell is placed by its address under an empty fingerprint.
-    addressed: bool,
-    cell: Arc<CampaignCell>,
-    shard: usize,
-    job: JobRef,
-}
-
-impl PlacedCell {
-    /// The cell as a shard's scheduler takes it: shared, with its content
-    /// address if it has one.
-    fn to_submit(&self) -> (Arc<CampaignCell>, Option<Digest>) {
-        (Arc::clone(&self.cell), self.addressed.then_some(self.key))
-    }
-}
-
-/// One fleet-level campaign (fans out to per-shard scheduler campaigns).
+/// One fleet-level campaign: its partitions, whose job records are the one
+/// record of their cells, and the count of cells that have no live job.
 /// Campaign `f{n}` is the `n`-th recorded ([`Fleet::record`]).
 struct FleetCampaign {
-    /// Cells the harvest answered at placement. They are done for good —
-    /// the harvest only grows — so they keep no [`PlacedCell`].
-    done_at_placement: usize,
-    /// The cells placed on shards.
-    cells: Vec<PlacedCell>,
+    /// `(shard, scheduler campaign number)` of each partition on a shard
+    /// that has not retired.
+    partitions: Vec<(usize, usize)>,
+    /// Cells done without a live job: those the harvest answered at
+    /// placement, and those harvested before their shard retired. They are
+    /// done for good: the harvest only grows.
+    done: usize,
     priority: Priority,
     deadline_ms: Option<u64>,
 }
@@ -417,15 +398,26 @@ impl Fleet {
         }
     }
 
+    /// Shard `id`, an id the ring gave or the caller checked: an unknown
+    /// one panics (the REST routes answer 404 for it first).
+    fn shard(&self, id: usize) -> &Shard {
+        self.shards.get(id).unwrap_or_else(|| panic!("unknown shard {id}"))
+    }
+
+    /// The alive shards (those on the ring), with their ids.
+    fn alive(&self) -> impl Iterator<Item = (usize, &Shard)> {
+        self.shards.iter().enumerate().filter(|(_, shard)| shard.alive.load(Ordering::SeqCst))
+    }
+
     /// Shard 0's gateway: the one `/v1/run` dispatches through.
     pub fn gateway(&self) -> &Arc<Gateway> {
-        &self.shards[0].gateway
+        &self.shard(0).gateway
     }
 
     /// Shard 0's scheduler: the one `/v1/campaigns` and `/v1/jobs` serve.
     /// Idle shards steal its work like any other shard's.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.shards[0].sched
+        &self.shard(0).sched
     }
 
     /// The shared function store (upload functions here once; every shard
@@ -461,7 +453,7 @@ impl Fleet {
     ///
     /// Panics on an out-of-range shard id.
     pub fn shard_metrics(&self, shard: usize) -> &Arc<MetricsRegistry> {
-        &self.shards[shard].metrics
+        &self.shard(shard).metrics
     }
 
     /// A shard's result cache (what it served or computed; snapshots,
@@ -471,7 +463,7 @@ impl Fleet {
     ///
     /// Panics on an out-of-range shard id.
     pub fn shard_cache(&self, shard: usize) -> &ResultCache {
-        self.shards[shard].sched.result_cache()
+        self.shard(shard).sched.result_cache()
     }
 
     /// Number of shards built (alive or not).
@@ -481,7 +473,7 @@ impl Fleet {
 
     /// Ids of shards currently alive (on the ring).
     pub fn alive_shards(&self) -> Vec<usize> {
-        (0..self.shards.len()).filter(|&s| self.shards[s].alive.load(Ordering::SeqCst)).collect()
+        self.alive().map(|(id, _)| id).collect()
     }
 
     /// Validates, expands, and places a campaign across the fleet, then
@@ -511,14 +503,15 @@ impl Fleet {
     /// many cells were queued: `POST /v1/fleet/campaigns` wakes the drivers
     /// once its receipt is written, if that is not zero.
     pub(crate) fn place(&self, spec: CampaignSpec) -> Result<(FleetReceipt, usize), SubmitError> {
-        let campaign = self.enqueue(spec)?;
-        Ok(self.record(campaign))
+        let (campaign, queued) = self.enqueue(spec)?;
+        Ok(self.record(campaign, queued))
     }
 
     /// The first half of [`Fleet::place`]: addresses the campaign's cells,
     /// answers those the harvest holds, and queues the others on their ring
-    /// owners, under no fleet lock. The campaign is not yet recorded.
-    fn enqueue(&self, spec: CampaignSpec) -> Result<FleetCampaign, SubmitError> {
+    /// owners, one partition a shard, under no fleet lock. Returns the
+    /// campaign, not yet recorded, and how many cells it queued.
+    fn enqueue(&self, spec: CampaignSpec) -> Result<(FleetCampaign, usize), SubmitError> {
         spec.validate_with_limit(confbench_types::MAX_CAMPAIGN_CELLS)
             .map_err(SubmitError::Invalid)?;
         // Content addresses before any lock, one fingerprint per function.
@@ -526,7 +519,7 @@ impl Fleet {
         for function in &spec.functions {
             fingerprints
                 .entry(&function.name)
-                .or_insert_with(|| self.shards[0].gateway.function_fingerprint(&function.name));
+                .or_insert_with(|| self.gateway().function_fingerprint(&function.name));
         }
         let cells = campaign::expand(&spec);
         let total = cells.len();
@@ -536,90 +529,77 @@ impl Fleet {
                 let fingerprint =
                     fingerprints.get(cell.function.name.as_str()).and_then(Option::as_deref);
                 let key = cache_address(&cell, fingerprint.unwrap_or_default());
-                (key, fingerprint.is_some(), Arc::new(cell))
+                (key, fingerprint.is_some(), cell)
             })
             .collect();
         let unharvested: Vec<_> = {
             let state = self.state.lock();
             addressed.into_iter().filter(|(key, ..)| !state.harvest.contains_key(key)).collect()
         };
+        let queued = unharvested.len();
         // A cell harvested from here on is queued anyway and cache-hits on
         // its owner: harmless, only not skipped.
-        let mut placed = Vec::with_capacity(unharvested.len());
-        let mut per_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        {
-            let ring = self.ring.lock();
-            for (key, addressed, cell) in unharvested {
-                let shard = owner(&ring, &key);
-                per_shard.entry(shard).or_default().push(placed.len());
-                // The job is known once the shard admits its partition.
-                let job = JobRef { campaign: 0, index: 0 };
-                placed.push(PlacedCell { key, addressed, cell, shard, job });
-            }
+        let mut per_shard: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+        let ring = self.ring.lock();
+        for (key, addressed, cell) in unharvested {
+            let cells = per_shard.entry(owner(&ring, &key)).or_default();
+            cells.push((Arc::new(cell), addressed.then_some(key)));
         }
-        let mut admitted = Vec::with_capacity(per_shard.len());
-        for (shard, indices) in per_shard {
-            let sched = &self.shards[shard].sched;
-            let cells = indices.iter().map(|&i| placed[i].to_submit()).collect();
-            match sched.submit_cells(cells, spec.priority, spec.deadline_ms) {
-                Ok(campaign) => {
-                    for (index, &i) in indices.iter().enumerate() {
-                        placed[i].job = JobRef { campaign, index };
-                    }
-                    admitted.push((sched, campaign));
-                }
+        drop(ring);
+        let mut campaign = FleetCampaign {
+            partitions: Vec::with_capacity(per_shard.len()),
+            done: total - queued,
+            priority: spec.priority,
+            deadline_ms: spec.deadline_ms,
+        };
+        for (shard, cells) in per_shard {
+            match self.shard(shard).sched.submit_cells(cells, spec.priority, spec.deadline_ms) {
+                Ok(number) => campaign.partitions.push((shard, number)),
                 Err(refusal) => {
                     // All-or-nothing across shards: the client is told to
                     // resubmit, so nothing of this attempt may stay queued.
-                    for (sched, campaign) in admitted {
-                        sched.cancel(campaign);
+                    for &(shard, number) in &campaign.partitions {
+                        self.shard(shard).sched.cancel(number);
                     }
                     return Err(refusal);
                 }
             }
         }
-        Ok(FleetCampaign {
-            done_at_placement: total - placed.len(),
-            cells: placed,
-            priority: spec.priority,
-            deadline_ms: spec.deadline_ms,
-        })
+        Ok((campaign, queued))
     }
 
     /// The second half of [`Fleet::place`]: mints the campaign's id and
     /// records it, so that a shard retired from now on re-places its cells.
     /// A shard retired since [`Fleet::enqueue`] read the ring did not see
-    /// the campaign, so its cells are re-placed here: a retirement marks the
-    /// shard dead under the ring lock before it takes `state`, so either it
-    /// finds the campaign recorded or this finds the shard dead.
-    fn record(&self, mut campaign: FleetCampaign) -> (FleetReceipt, usize) {
-        let queued = campaign.cells.len();
+    /// the campaign, so its partition is re-placed here: a retirement marks
+    /// the shard dead under the ring lock before it takes `state`, so either
+    /// it finds the campaign recorded or this finds the shard dead.
+    fn record(&self, mut campaign: FleetCampaign, queued: usize) -> (FleetReceipt, usize) {
+        let from_harvest = campaign.done;
         let mut state = self.state.lock();
-        let dead = |shard: usize| !self.shards[shard].alive.load(Ordering::SeqCst);
-        let replaced = if campaign.cells.iter().any(|placed| dead(placed.shard)) {
-            self.replace_cells(&mut campaign, &state.harvest, &self.ring.lock(), dead)
-        } else {
-            0
-        };
+        let dead = |shard: usize| !self.shard(shard).alive.load(Ordering::SeqCst);
+        let replaced = self.replace_cells(&mut campaign, &state.harvest, &self.ring.lock(), dead);
         let id = format!("f{}", state.campaigns.len() + 1);
-        let receipt = FleetReceipt { id, jobs: campaign.done_at_placement + queued };
-        let done_at_placement = campaign.done_at_placement as u64;
+        let receipt = FleetReceipt { id, jobs: from_harvest + queued };
         state.campaigns.push(campaign);
         drop(state);
         self.metrics.counter("fleet_campaigns_total").inc();
         self.metrics.counter("fleet_cells_placed_total").add(queued as u64);
-        self.metrics.counter("fleet_cells_from_harvest_total").add(done_at_placement);
+        self.metrics.counter("fleet_cells_from_harvest_total").add(from_harvest as u64);
         if replaced > 0 {
             self.metrics.counter("fleet_cells_replaced_total").add(replaced as u64);
         }
         (receipt, queued)
     }
 
-    /// Re-places, each on its ring owner, the cells of `campaign` that sit
-    /// on a shard `gone` names and whose results the harvest lacks, keeping
-    /// the campaign's priority and queue deadline. Recovery is never
-    /// refused: a survivor may go past its queue bound, and refuses new
-    /// campaigns until it drains. Returns how many cells were re-placed.
+    /// Retires the partitions of `campaign` on a shard `gone` names. A job
+    /// whose address the harvest holds joins the campaign's done cells. The
+    /// others, failed ones too, are readmitted, each on the ring owner of
+    /// its address (a job with none yet by its address under an empty
+    /// fingerprint), keeping the campaign's priority and queue deadline.
+    /// Recovery is never refused: a survivor may go past its queue bound,
+    /// and refuses new campaigns until it drains. Returns how many cells
+    /// were re-placed.
     fn replace_cells(
         &self,
         campaign: &mut FleetCampaign,
@@ -627,26 +607,28 @@ impl Fleet {
         ring: &HashRing,
         gone: impl Fn(usize) -> bool,
     ) -> usize {
-        let mut per_owner: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pi, placed) in campaign.cells.iter().enumerate() {
-            if gone(placed.shard) && !harvest.contains_key(&placed.key) {
-                per_owner.entry(owner(ring, &placed.key)).or_default().push(pi);
+        let mut per_owner: BTreeMap<usize, Vec<_>> = BTreeMap::new();
+        let FleetCampaign { partitions, done, .. } = campaign;
+        partitions.retain(|&(shard, number)| {
+            if !gone(shard) {
+                return true;
             }
-        }
-        let mut replaced = 0;
-        for (owner, batch) in per_owner {
-            let cells = batch.iter().map(|&pi| campaign.cells[pi].to_submit()).collect();
-            let partition = self.shards[owner].sched.readmit_cells(
-                cells,
-                campaign.priority,
-                campaign.deadline_ms,
-            );
-            for (index, pi) in batch.into_iter().enumerate() {
-                let placed = &mut campaign.cells[pi];
-                placed.shard = owner;
-                placed.job = JobRef { campaign: partition, index };
-                replaced += 1;
-            }
+            self.shard(shard).sched.for_each_job(number, |cell, key, _| {
+                if key.is_some_and(|key| harvest.contains_key(&key)) {
+                    *done += 1;
+                } else {
+                    let address = key.unwrap_or_else(|| cache_address(cell, ""));
+                    let cells = per_owner.entry(owner(ring, &address)).or_default();
+                    cells.push((Arc::clone(cell), key));
+                }
+            });
+            false
+        });
+        let replaced = per_owner.values().map(Vec::len).sum();
+        for (owner, cells) in per_owner {
+            let sched = &self.shard(owner).sched;
+            let number = sched.readmit_cells(cells, campaign.priority, campaign.deadline_ms);
+            campaign.partitions.push((owner, number));
         }
         replaced
     }
@@ -682,23 +664,21 @@ impl Fleet {
 
     fn step_platform(&self, platform: TeePlatform) -> bool {
         let mut progressed = false;
-        for id in self.alive_shards() {
-            let shard = &self.shards[id];
+        for (id, shard) in self.alive() {
             if shard.sched.step_with(platform, shard.gateway.as_ref()) {
                 progressed = true;
                 continue;
             }
             // Own queue empty: steal from the deepest alive victim.
             let victim = self
-                .alive_shards()
-                .into_iter()
-                .filter(|&v| v != id)
-                .map(|v| (self.shards[v].sched.queue_depth_for(platform), v))
+                .alive()
+                .filter(|&(v, _)| v != id)
+                .map(|(_, victim)| (victim.sched.queue_depth_for(platform), victim))
                 .filter(|&(depth, _)| depth > 0)
                 .max_by_key(|&(depth, _)| depth)
-                .map(|(_, v)| v);
-            if let Some(v) = victim {
-                if self.shards[v].sched.step_with(platform, shard.gateway.as_ref()) {
+                .map(|(_, victim)| victim);
+            if let Some(victim) = victim {
+                if victim.sched.step_with(platform, shard.gateway.as_ref()) {
                     self.metrics.counter("fleet_steals_total").inc();
                     progressed = true;
                 }
@@ -762,11 +742,12 @@ impl Fleet {
     pub fn harvest(&self) {
         let mut state = self.state.lock();
         let FleetState { harvest, cursors, .. } = &mut *state;
-        for id in self.alive_shards() {
-            let cache = self.shards[id].sched.result_cache();
-            cursors[id] = cache.touched_since(cursors[id], |key, cell| {
-                harvest.entry(*key).or_insert_with(|| Arc::clone(cell));
-            });
+        for (shard, cursor) in self.shards.iter().zip(cursors) {
+            if shard.alive.load(Ordering::SeqCst) {
+                *cursor = shard.sched.result_cache().touched_since(*cursor, |key, cell| {
+                    harvest.entry(*key).or_insert_with(|| Arc::clone(cell));
+                });
+            }
         }
         self.metrics.gauge("fleet_harvest_entries").set(harvest.len() as u64);
     }
@@ -775,8 +756,7 @@ impl Fleet {
     pub fn drain(&self) {
         loop {
             let progressed = self.pump();
-            let queued: usize =
-                self.alive_shards().iter().map(|&s| self.shards[s].sched.queue_depth()).sum();
+            let queued: usize = self.alive().map(|(_, shard)| shard.sched.queue_depth()).sum();
             if !progressed && queued == 0 {
                 break;
             }
@@ -813,24 +793,24 @@ impl Fleet {
     /// without the wake: the shard routes wake the drivers once their
     /// answer is written.
     pub(crate) fn retire_shard(&self, id: usize, graceful: bool) -> usize {
-        assert!(id < self.shards.len(), "unknown shard {id}");
+        let shard = self.shard(id);
         {
             // Decided under the ring lock, so two retirements racing for
             // the last two shards cannot both see the other one as left.
             let mut ring = self.ring.lock();
-            if ring.len() <= 1 || !self.shards[id].alive.swap(false, Ordering::SeqCst) {
+            if ring.len() <= 1 || !shard.alive.swap(false, Ordering::SeqCst) {
                 return 0;
             }
             ring.remove(id);
         }
-        self.metrics.gauge("fleet_shards_alive").set(self.alive_shards().len() as u64);
+        self.metrics.gauge("fleet_shards_alive").set(self.alive().count() as u64);
         // The shard is off the ring, so no harvest reads it again. A
         // graceful drain keeps every result it computed: its whole cache, in
         // address order, joins the harvest here and moves to the new owners
         // below.
         let handoff = graceful.then(|| {
             let mut entries = BTreeMap::new();
-            self.shards[id].sched.result_cache().touched_since(0, |key, cell| {
+            shard.sched.result_cache().touched_since(0, |key, cell| {
                 entries.insert(*key, Arc::clone(cell));
             });
             entries
@@ -846,7 +826,7 @@ impl Fleet {
         let ring = self.ring.lock();
         for (key, cell) in handoff.into_iter().flatten() {
             if let Some(owner) = ring.owner_of(&key) {
-                self.shards[owner].sched.result_cache().insert(key, cell);
+                self.shard(owner).sched.result_cache().insert(key, cell);
             }
         }
         let replaced: usize = campaigns
@@ -860,23 +840,27 @@ impl Fleet {
     }
 
     /// Progress of a fleet campaign, judged against the harvest: a cell is
-    /// done if the harvest answered it at placement or once its result is
-    /// harvested, and failed once its current job ended without one (asked
-    /// of each shard once, under its lock). A campaign the harvest answered
-    /// whole is complete before any pump.
+    /// done if the harvest answered it at placement or once the address its
+    /// job carries is harvested, and failed once its job ended without a
+    /// result. Each partition's jobs are copied out under its shard's lock,
+    /// once, and judged against the harvest after it is released. A
+    /// campaign the harvest answered whole is complete before any pump.
     pub fn campaign_status(&self, id: &str) -> Option<FleetCampaignStatus> {
         let state = self.state.lock();
         let campaign = state.campaign(id)?;
-        let mut pending: BTreeMap<usize, Vec<JobRef>> = BTreeMap::new();
-        for placed in campaign.cells.iter().filter(|p| !state.harvest.contains_key(&p.key)) {
-            pending.entry(placed.shard).or_default().push(placed.job);
+        let mut jobs = Vec::new();
+        for &(shard, number) in &campaign.partitions {
+            self.shard(shard).sched.for_each_job(number, |_, key, job| jobs.push((key, job)));
         }
-        let total = campaign.done_at_placement + campaign.cells.len();
-        let done = total - pending.values().map(Vec::len).sum::<usize>();
-        let failed = pending
-            .into_iter()
-            .map(|(shard, jobs)| self.shards[shard].sched.ended_without_result(jobs))
-            .sum();
+        let (mut done, mut failed) = (campaign.done, 0);
+        for (key, job) in jobs.iter() {
+            if key.is_some_and(|key| state.harvest.contains_key(&key)) {
+                done += 1;
+            } else if matches!(job, JobState::Failed | JobState::Expired | JobState::Cancelled) {
+                failed += 1;
+            }
+        }
+        let total = campaign.done + jobs.len();
         Some(FleetCampaignStatus {
             id: id.to_owned(),
             total,
@@ -897,17 +881,16 @@ impl Fleet {
 
     /// Per-shard status rows plus ring occupancy, for `GET /v1/fleet`.
     pub fn status(&self) -> Vec<ShardStatus> {
-        (0..self.shards.len())
-            .map(|id| {
-                let shard = &self.shards[id];
-                ShardStatus {
-                    shard: id,
-                    alive: shard.alive.load(Ordering::SeqCst),
-                    queue_depth: shard.sched.queue_depth(),
-                    cache_entries: shard.sched.result_cache().len(),
-                    cache_hits: shard.metrics.counter("sched_cache_hits_total").get(),
-                    cache_misses: shard.metrics.counter("sched_cache_misses_total").get(),
-                }
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(id, shard)| ShardStatus {
+                shard: id,
+                alive: shard.alive.load(Ordering::SeqCst),
+                queue_depth: shard.sched.queue_depth(),
+                cache_entries: shard.sched.result_cache().len(),
+                cache_hits: shard.metrics.counter("sched_cache_hits_total").get(),
+                cache_misses: shard.metrics.counter("sched_cache_misses_total").get(),
             })
             .collect()
     }
@@ -990,8 +973,8 @@ mod tests {
     use super::*;
     use confbench_crypto::fuzz::sweep_iters;
     use confbench_crypto::SplitMix64;
-    use confbench_sched::cache_key;
-    use confbench_types::{CampaignFunction, Language, ManualClock, VmKind};
+    use confbench_sched::{cache_key, JobRef};
+    use confbench_types::{CampaignCell, CampaignFunction, Language, ManualClock, VmKind};
 
     const SEED: u64 = 11;
 
@@ -1021,7 +1004,36 @@ mod tests {
         }
     }
 
-    /// The single-gateway control: the same specs on one scheduler.
+    /// A script uploaded after a campaign naming it was placed.
+    const LATE: (&str, &str) = ("late", "result(int(ARGS[0]) * 2);");
+
+    /// `LATE` in Lua on every platform and mode: six cells.
+    fn late_spec() -> CampaignSpec {
+        CampaignSpec {
+            functions: vec![CampaignFunction::new(LATE.0).arg("21")],
+            languages: vec![Language::Lua],
+            ..spec(&[])
+        }
+    }
+
+    /// `LATE` in Lua on TDX, secure: one cell.
+    fn one_late_cell() -> CampaignSpec {
+        CampaignSpec {
+            platforms: vec![TeePlatform::Tdx],
+            modes: vec![VmKind::Secure],
+            ..late_spec()
+        }
+    }
+
+    /// The shard a [`one_late_cell`] campaign was placed on.
+    fn late_cell_owner(fleet: &Fleet) -> usize {
+        (0..fleet.shard_count())
+            .find(|&id| fleet.shard_metrics(id).counter("sched_jobs_enqueued_total").get() > 0)
+            .expect("a shard holds the job")
+    }
+
+    /// The single-gateway control: the same specs on one scheduler, with
+    /// `LATE` uploaded before the first.
     fn control_bytes(specs: &[CampaignSpec]) -> Vec<u8> {
         let clock: Arc<dyn Clock> = Arc::new(ManualClock::new());
         let gateway = Arc::new(
@@ -1039,6 +1051,7 @@ mod tests {
             SchedulerConfig::default(),
             Arc::clone(gateway.metrics()),
         );
+        gateway.store().upload(LATE.0, LATE.1).expect("uploaded");
         for spec in specs {
             sched.submit(spec.clone()).expect("control campaign admitted");
         }
@@ -1105,15 +1118,28 @@ mod tests {
             .collect()
     }
 
-    /// The content addresses of a spec's cells.
+    /// The content addresses of a spec's cells; a function the store does
+    /// not know yet addresses under an empty fingerprint.
     fn addresses(fleet: &Fleet, spec: &CampaignSpec) -> Vec<String> {
         campaign::expand(spec)
             .iter()
             .map(|cell| {
                 let fingerprint = fleet.store().fingerprint(&cell.function.name);
-                cache_key(cell, &fingerprint.expect("built in").to_string())
+                cache_key(cell, &fingerprint.map(|f| f.to_string()).unwrap_or_default())
             })
             .collect()
+    }
+
+    /// The jobs of a partition: cell, address and state, in cell order.
+    fn jobs(
+        fleet: &Fleet,
+        (shard, number): (usize, usize),
+    ) -> Vec<(Arc<CampaignCell>, Option<Digest>, JobState)> {
+        let mut jobs = Vec::new();
+        fleet.shards[shard].sched.for_each_job(number, |cell, key, job| {
+            jobs.push((Arc::clone(cell), key, job));
+        });
+        jobs
     }
 
     fn status(fleet: &Fleet, receipt: &FleetReceipt) -> (usize, usize, usize, bool) {
@@ -1174,15 +1200,19 @@ mod tests {
         fleet.drain();
         let state = fleet.state.lock();
         let campaign = state.campaign(&receipt.id).expect("tracked");
-        for placed in &campaign.cells {
-            let fingerprint = fleet.store().fingerprint(&placed.cell.function.name);
-            let want = cache_key(&placed.cell, &fingerprint.expect("built in").to_string());
-            assert_eq!(placed.key.to_string(), want);
-            let job = fleet.shards[placed.shard].sched.job_status(&placed.job.id()).expect("job");
-            assert_eq!(job.summary.expect("completed").cache_key, want);
-            // One result, kept once: the harvest's is the shard cache's.
-            let cached = fleet.shards[placed.shard].sched.result_cache().get(&placed.key);
-            assert!(Arc::ptr_eq(&state.harvest[&placed.key], &cached.expect("cached")));
+        for &(shard, campaign) in &campaign.partitions {
+            for (index, (cell, key, _)) in jobs(&fleet, (shard, campaign)).into_iter().enumerate() {
+                let fingerprint = fleet.store().fingerprint(&cell.function.name);
+                let want = cache_key(&cell, &fingerprint.expect("built in").to_string());
+                let key = key.expect("addressed at placement");
+                assert_eq!(key.to_string(), want);
+                let sched = &fleet.shards[shard].sched;
+                let job = sched.job_status(&JobRef { campaign, index }.id()).expect("job");
+                assert_eq!(job.summary.expect("completed").cache_key, want);
+                // One result, kept once: the harvest's is the shard cache's.
+                let cached = sched.result_cache().get(&key).expect("cached");
+                assert!(Arc::ptr_eq(&state.harvest[&key], &cached));
+            }
         }
     }
 
@@ -1199,12 +1229,18 @@ mod tests {
         for graceful in [false, true] {
             for victim in 0..3 {
                 let fleet = manual_fleet();
-                let campaign = fleet.enqueue(spec.clone()).expect("fleet campaign admitted");
-                let held = campaign.cells.iter().filter(|p| p.shard == victim).count();
+                let (campaign, queued) =
+                    fleet.enqueue(spec.clone()).expect("fleet campaign admitted");
+                let held: usize = campaign
+                    .partitions
+                    .iter()
+                    .filter(|&&(shard, _)| shard == victim)
+                    .map(|&partition| jobs(&fleet, partition).len())
+                    .sum();
                 let retired =
                     if graceful { fleet.drain_shard(victim) } else { fleet.kill_shard(victim) };
                 assert_eq!(retired, 0, "the retirement cannot see an unrecorded campaign");
-                let (receipt, queued) = fleet.record(campaign);
+                let (receipt, queued) = fleet.record(campaign, queued);
                 assert_eq!((receipt.jobs, queued), (12, 12));
                 let replaced = fleet.metrics().counter("fleet_cells_replaced_total").get();
                 assert_eq!(replaced, held as u64, "victim {victim}, graceful {graceful}");
@@ -1307,11 +1343,16 @@ mod tests {
         {
             let state = fleet.state.lock();
             let campaign = state.campaign(&receipt.id).expect("tracked");
-            assert_eq!((campaign.done_at_placement, campaign.cells.len()), (0, 12));
-            for placed in &campaign.cells {
-                let cache = fleet.shards[placed.shard].sched.result_cache();
-                assert!(cache.get(&placed.key).is_some(), "routed to the shard caching it");
+            let mut placed = 0;
+            for &(shard, number) in &campaign.partitions {
+                let cache = fleet.shards[shard].sched.result_cache();
+                for (_, key, _) in jobs(&fleet, (shard, number)) {
+                    let key = key.expect("addressed at placement");
+                    assert!(cache.get(&key).is_some(), "routed to the shard caching it");
+                    placed += 1;
+                }
             }
+            assert_eq!((campaign.done, placed), (0, 12));
         }
         fleet.drain();
         assert_eq!(status(&fleet, &receipt), (12, 12, 0, true));
@@ -1379,18 +1420,62 @@ mod tests {
         }
     }
 
+    /// A campaign that names a function the store learns only after its
+    /// placement completes once drained: its job addresses the cell at the
+    /// step, and the status reads the job's address. Retiring the shard
+    /// that ran it re-runs nothing, for the result is harvested.
+    #[test]
+    fn a_function_uploaded_after_placement_completes_once() {
+        let fleet = manual_fleet();
+        let receipt = fleet.submit(one_late_cell()).expect("fleet campaign admitted");
+        fleet.store().upload(LATE.0, LATE.1).expect("uploaded");
+        fleet.drain();
+        assert_eq!(status(&fleet, &receipt), (1, 1, 0, true));
+        assert_eq!(fleet.total_executions(), 1);
+        fleet.kill_shard(late_cell_owner(&fleet));
+        fleet.drain();
+        assert_eq!(fleet.total_executions(), 1, "the retirement re-ran a harvested cell");
+        assert_eq!(status(&fleet, &receipt), (1, 1, 0, true));
+    }
+
+    /// A job that ended without a result is not harvested, so retiring its
+    /// shard readmits it on a survivor, like every cell the harvest lacks:
+    /// a cell that failed for want of its function runs once it is there.
+    #[test]
+    fn a_cell_failed_on_a_retired_shard_runs_again() {
+        let fleet = manual_fleet();
+        let receipt = fleet.submit(one_late_cell()).expect("fleet campaign admitted");
+        fleet.drain();
+        assert_eq!(status(&fleet, &receipt), (1, 0, 1, true), "an unknown function fails");
+        fleet.store().upload(LATE.0, LATE.1).expect("uploaded");
+        assert_eq!(fleet.kill_shard(late_cell_owner(&fleet)), 1, "the failed cell is readmitted");
+        assert_eq!(status(&fleet, &receipt), (1, 0, 0, false));
+        fleet.drain();
+        assert_eq!(status(&fleet, &receipt), (1, 1, 0, true));
+        assert_eq!(fleet.total_executions(), 1);
+    }
+
     /// The harvest's oracle at fleet scale. Random sequences of submits,
     /// resubmits and pumps on a three-shard fleet, with kills and graceful
     /// drains that come between two pumps or cut a pass short before its
-    /// harvest. After every operation the cursor harvest equals the
-    /// full-snapshot merge it replaced, and every submit queues exactly the
-    /// spec's cells the harvest does not hold. Once the fleet drains, every
-    /// campaign is complete and the results are byte-identical to the
-    /// single-gateway control.
+    /// harvest, and one upload, at a random point, of the function the
+    /// pool's late spec names. After every operation the cursor harvest
+    /// equals the full-snapshot merge it replaced, every submit queues
+    /// exactly the spec's cells the harvest does not hold, and no
+    /// campaign's counts sum past its total. Its done count never goes
+    /// down, nor does its failed count but at a retirement, which readmits
+    /// failed cells. Once the fleet drains, every campaign is complete, and
+    /// only one placed before the upload that names the late function may
+    /// have failed cells. A late cell stepped before the upload failed and
+    /// left no result, so the late spec alone is submitted again and
+    /// drained; then the results are byte-identical to the single-gateway
+    /// control.
     #[test]
     fn fuzz_sweep_harvest_cursors_equal_snapshot_merge() {
-        let pool = [spec(&["360"]), spec(&["360", "5040"]), spec(&["5040", "720"])];
+        let pool = [spec(&["360"]), spec(&["360", "5040"]), spec(&["5040", "720"]), late_spec()];
         let (mut replaced, mut lost, mut kept) = (0, 0, 0);
+        // Late cells done in campaigns placed before the upload, and failed.
+        let (mut late_done, mut late_failed) = (0, 0);
         for case in 0..(sweep_iters() / 20).max(1) as u64 {
             let mut rng = SplitMix64::new(0xF1EE_0000 ^ case);
             let fleet = Fleet::new(FleetConfig {
@@ -1400,11 +1485,17 @@ mod tests {
             });
             let mut reference = BTreeMap::new();
             let mut submitted: Vec<CampaignSpec> = Vec::new();
-            let mut receipts = Vec::new();
+            // Each receipt, whether its spec named `LATE` before the upload,
+            // and the (done, failed) its status read last.
+            let mut receipts: Vec<(FleetReceipt, bool, (usize, usize))> = Vec::new();
+            let mut uploaded = false;
             let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
-            for op in 0..8 + rng.next_below(24) {
+            let ops = 8 + rng.next_below(24);
+            let upload_at = rng.next_below(ops);
+            for op in 0..ops {
                 let id = pick(&mut rng, fleet.shard_count());
-                match rng.next_below(10) {
+                let kind = if op == upload_at { 10 } else { rng.next_below(10) };
+                match kind {
                     kind @ (0 | 1) => {
                         let spec = match kind {
                             1 if !submitted.is_empty() => {
@@ -1419,8 +1510,10 @@ mod tests {
                             .filter(|key| !harvest.contains_key(*key))
                             .count();
                         let before = queued(&fleet);
-                        receipts.push(fleet.submit(spec.clone()).expect("fleet campaign admitted"));
+                        let receipt = fleet.submit(spec.clone()).expect("fleet campaign admitted");
                         assert_eq!(queued(&fleet), before + absent, "case {case}, op {op}");
+                        let early = !uploaded && spec.functions[0].name == LATE.0;
+                        receipts.push((receipt, early, (0, 0)));
                         submitted.push(spec);
                     }
                     kind @ (2..=5) => {
@@ -1436,19 +1529,46 @@ mod tests {
                             lost += unharvested;
                         }
                     }
+                    10 => {
+                        fleet.store().upload(LATE.0, LATE.1).expect("uploaded");
+                        uploaded = true;
+                    }
                     _ => {
                         fleet.pump();
                         merge_snapshots(&fleet, &mut reference);
                     }
                 }
                 assert_eq!(fleet.results(), reference, "case {case}, op {op}");
+                let retired = (2..=5).contains(&kind);
+                for (receipt, _, seen) in &mut receipts {
+                    let s = fleet.campaign_status(&receipt.id).expect("tracked");
+                    assert!(
+                        s.total == receipt.jobs && s.done + s.failed <= s.total,
+                        "case {case}, op {op}: {s:?}"
+                    );
+                    assert!(
+                        s.done >= seen.0 && (retired || s.failed >= seen.1),
+                        "case {case}, op {op}: {s:?}"
+                    );
+                    *seen = (s.done, s.failed);
+                }
             }
             fleet.drain();
             merge_snapshots(&fleet, &mut reference);
             assert_eq!(fleet.results(), reference, "case {case}, drained");
-            for receipt in &receipts {
+            for (receipt, early, _) in &receipts {
                 let status = fleet.campaign_status(&receipt.id).expect("tracked");
                 assert!(status.complete, "case {case}: {status:?}");
+                if *early {
+                    late_done += status.done;
+                    late_failed += status.failed;
+                } else {
+                    assert_eq!(status.failed, 0, "case {case}: {status:?}");
+                }
+            }
+            if receipts.iter().any(|(_, early, _)| *early) {
+                fleet.submit(late_spec()).expect("fleet campaign admitted");
+                fleet.drain();
             }
             assert_eq!(
                 serde_json::to_vec(&fleet.results()).unwrap(),
@@ -1457,5 +1577,6 @@ mod tests {
             );
         }
         assert!(replaced > 0 && lost > 0 && kept > 0, "{replaced} / {lost} / {kept}");
+        assert!(late_done > 0 && late_failed > 0, "{late_done} / {late_failed}");
     }
 }

@@ -37,7 +37,7 @@
 //! [`FunctionStore`]: confbench::FunctionStore
 
 #![forbid(unsafe_code)]
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing))]
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -676,19 +676,19 @@ impl Scheduler {
         Some(JobStatus { trace: trace.as_ref().and_then(PackedTrace::unpack), ..status })
     }
 
-    /// How many of `jobs` ended without a result — failed, expired or
-    /// cancelled — read under one lock. Unknown jobs count for nothing.
-    pub fn ended_without_result(&self, jobs: impl IntoIterator<Item = JobRef>) -> usize {
+    /// Visits the jobs of campaign `campaign` in cell order, under one lock:
+    /// each job's cell, its content address if it has one by now, and its
+    /// state. An unknown campaign has none. The fleet reads the partitions
+    /// it placed through this.
+    pub fn for_each_job(
+        &self,
+        campaign: usize,
+        mut visit: impl FnMut(&Arc<CampaignCell>, Option<Digest>, JobState),
+    ) {
         let inner = self.inner.lock();
-        jobs.into_iter()
-            .filter_map(|job| job_in(&inner.campaigns, job))
-            .filter(|job| {
-                matches!(
-                    job.progress,
-                    Progress::Failed(..) | Progress::Expired | Progress::Cancelled
-                )
-            })
-            .count()
+        for job in campaign_at(&inner.campaigns, campaign).into_iter().flat_map(|c| &c.jobs) {
+            visit(&job.cell, job.key, job.progress.state());
+        }
     }
 
     /// Total jobs currently queued (all platforms).

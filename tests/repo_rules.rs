@@ -259,13 +259,13 @@ fn code(line: &str) -> &str {
     line.find("//").map_or(line, |at| &line[..at])
 }
 
-/// Whether `text` holds, at a word boundary, `struct `, a name of ASCII
-/// letters, digits and `_`, and then text that `rest` accepts: the awk
-/// pattern `(^|[^A-Za-z0-9_])struct [A-Za-z0-9_]+` and what follows it.
-/// Every place the pattern can start is tried.
-fn struct_then(text: &str, rest: impl Fn(&str) -> bool) -> bool {
+/// Whether `text` holds, at a word boundary, `keyword` (`struct ` or
+/// `enum `), a name of ASCII letters, digits and `_`, and then text that
+/// `rest` accepts: the awk pattern `(^|[^A-Za-z0-9_])struct [A-Za-z0-9_]+`
+/// and what follows it. Every place the pattern can start is tried.
+fn item_then(text: &str, keyword: &str, rest: impl Fn(&str) -> bool) -> bool {
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
-    text.match_indices("struct ").any(|(at, keyword)| {
+    text.match_indices(keyword).any(|(at, keyword)| {
         if text[..at].chars().next_back().is_some_and(is_word) {
             return false;
         }
@@ -277,14 +277,16 @@ fn struct_then(text: &str, rest: impl Fn(&str) -> bool) -> bool {
     })
 }
 
-/// The header of a struct whose fields follow on the next lines:
-/// `struct Name`, then no `;` or `{` up to a `{` that only whitespace
-/// follows (`[^;{]*\{[[:space:]]*$`).
-fn opens_a_struct(code: &str) -> bool {
-    struct_then(code, |rest| {
-        rest.find(['{', ';']).is_some_and(|at| {
-            rest[at..].starts_with('{')
-                && rest[at + 1..].chars().all(|c| c == ' ' || ('\t'..='\r').contains(&c))
+/// The header of a struct or enum whose fields or variants follow on the
+/// next lines: `struct Name` or `enum Name`, then no `;` or `{` up to a `{`
+/// that only whitespace follows (`[^;{]*\{[[:space:]]*$`).
+fn opens_a_type(code: &str) -> bool {
+    ["struct ", "enum "].into_iter().any(|keyword| {
+        item_then(code, keyword, |rest| {
+            rest.find(['{', ';']).is_some_and(|at| {
+                rest[at..].starts_with('{')
+                    && rest[at + 1..].chars().all(|c| c == ' ' || ('\t'..='\r').contains(&c))
+            })
         })
     })
 }
@@ -292,39 +294,57 @@ fn opens_a_struct(code: &str) -> bool {
 /// A tuple struct's header: `struct Name`, then no `;` or `{` up to a `(`
 /// (`[^;{]*\(`).
 fn opens_a_tuple_struct(code: &str) -> bool {
-    struct_then(code, |rest| {
+    item_then(code, "struct ", |rest| {
         rest.find(['(', ';', '{']).is_some_and(|at| rest[at..].starts_with('('))
     })
 }
 
-/// CI step "Finished cells keep no span tree": no non-test struct under
-/// `crates/sched` or `crates/fleet` has a `TraceSpan` field. A finished job
-/// keeps its span tree packed into one allocation
-/// (`confbench_types::PackedTrace`). The lines of a named struct below its
-/// header, up to a line that starts with `}`, count, and a tuple struct's
-/// header line; comments do not.
-#[test]
-fn finished_cells_keep_no_span_tree() {
+/// The non-test lines of the `.rs` files under `dirs` where a type holds
+/// `word`: the lines of a named struct or enum below its header, up to a
+/// line that starts with `}`, and a tuple struct's header line. Comments do
+/// not count.
+fn types_holding(dirs: &[&str], word: &str) -> Vec<String> {
     let mut found = Vec::new();
-    for rel in rust_files("crates/sched").into_iter().chain(rust_files("crates/fleet")) {
-        let mut in_struct = false;
+    for rel in dirs.iter().flat_map(|dir| rust_files(dir)) {
+        let mut in_type = false;
         for (at, line) in non_test_lines(&rel) {
             let code = code(&line);
-            if opens_a_struct(code) {
-                in_struct = true;
+            if opens_a_type(code) {
+                in_type = true;
                 continue;
             }
-            if in_struct
+            if in_type
                 && code.trim_start_matches([' ', '\t', '\x0b', '\x0c', '\r']).starts_with('}')
             {
-                in_struct = false;
+                in_type = false;
             }
-            if (in_struct || opens_a_tuple_struct(code)) && code.contains("TraceSpan") {
+            if (in_type || opens_a_tuple_struct(code)) && code.contains(word) {
                 found.push(format!("{rel}:{at}: {line}"));
             }
         }
     }
+    found
+}
+
+/// CI step "Finished cells keep no span tree": no non-test struct or enum
+/// under `crates/sched` or `crates/fleet` holds a `TraceSpan`. A finished
+/// job keeps its span tree packed into one allocation
+/// (`confbench_types::PackedTrace`).
+#[test]
+fn finished_cells_keep_no_span_tree() {
+    let found = types_holding(&["crates/sched", "crates/fleet"], "TraceSpan");
     assert!(found.is_empty(), "span trees kept whole:\n{}", found.join("\n"));
+}
+
+/// CI step "A placed cell is recorded once": no non-test struct or enum
+/// under `crates/fleet/src` holds a `CampaignCell`. A placed cell's one
+/// record is its job on its shard (`confbench_sched::Scheduler`); the
+/// fleet keeps only each campaign's partitions and the counts of cells
+/// that have no live job.
+#[test]
+fn a_placed_cell_is_recorded_once() {
+    let found = types_holding(&["crates/fleet/src"], "CampaignCell");
+    assert!(found.is_empty(), "cells the fleet records itself:\n{}", found.join("\n"));
 }
 
 /// CI step "One router per server role": non-test code under `crates/`
@@ -403,8 +423,10 @@ fn the_patterns_match_what_the_steps_matched() {
         "pub(crate) struct Aged<V> {  ",
         "    struct A where T: Copy {\t",
         "x:struct B {",
+        "enum Progress {",
+        "pub(crate) enum E<T> where T: Copy {",
     ] {
-        assert!(opens_a_struct(hit), "{hit}");
+        assert!(opens_a_type(hit), "{hit}");
     }
     for miss in [
         "struct Unit;",
@@ -414,8 +436,11 @@ fn the_patterns_match_what_the_steps_matched() {
         "struct Job; {",
         "struct é {",
         "struct Pair(u8, u8);",
+        "enum Unit;",
+        "enum Open { A }",
+        "myenum E {",
     ] {
-        assert!(!opens_a_struct(miss), "{miss}");
+        assert!(!opens_a_type(miss), "{miss}");
     }
     for hit in ["struct Packed(Box<[u8]>);", "pub struct Id(pub String);", "struct T<A>(A)"] {
         assert!(opens_a_tuple_struct(hit), "{hit}");

@@ -183,10 +183,11 @@ fn per_cell(after: &[(i64, i64)]) -> Vec<(f64, f64)> {
 }
 
 /// Most live bytes and live allocations the rounds from the second on may
-/// leave behind per cell they executed, on average. This code keeps 686 B
-/// in 7.68 allocations; before shared cells and results, numeric job ids
-/// and one-byte span names, 1 430 B in 14.9.
-const MAX_BYTES_PER_CELL: f64 = 750.0;
+/// leave behind per cell they executed, on average. This code keeps 614.4 B
+/// in 7.68 allocations; while the fleet kept its own record of each placed
+/// cell, 686 B; before shared cells and results, numeric job ids and
+/// one-byte span names, 1 430 B in 14.9.
+const MAX_BYTES_PER_CELL: f64 = 678.0;
 const MAX_ALLOCATIONS_PER_CELL: f64 = 8.0;
 
 /// Most bytes a packed span tree of an executed quick cell takes, on
